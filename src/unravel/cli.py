@@ -376,8 +376,14 @@ def _config_from_args(args) -> RunConfig:
         val = getattr(args, attr)
         if val is not None:
             setattr(cfg, key, val)
-    if cfg.dt <= 0 or cfg.t_max <= 0:
-        raise ParseError(f"grid needs positive dt and t_max, got dt={cfg.dt}, t_max={cfg.t_max}")
+    if not (0 < cfg.dt < np.inf and 0 < cfg.t_max < np.inf):
+        raise ParseError(f"grid needs finite positive dt and t_max, got dt={cfg.dt}, t_max={cfg.t_max}")
+    try:
+        TimeGrid(0.0, cfg.t_max, cfg.dt)
+    except ValueError as err:
+        raise ParseError(str(err)) from None
+    if not 0 <= cfg.seed < 2**64:
+        raise ParseError(f"seed must lie in [0, 2^64), got {cfg.seed}")
     if args.oracle_only:
         cfg.oracle_only = True
     return cfg

@@ -9,62 +9,50 @@ estimate is trace_factor * sum |psi><psi| / N(0), whose trace tracks
 tr rho(t) instead of sticking at one.
 
 All rates must be nonnegative here; negative rates need one of the weighted
-or pair-vector methods instead.
+or pair-vector methods instead. ``clone_menu`` adds the clone and destroy
+branches to the channel menu; ``run_replica`` wraps the shared selection
+(``outcomes.take_step``) in its population and resampling loop.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeRate, StepTooLarge
-from .linalg import EPS, normalize
-from .master_equation import MasterEquation
-from .outcomes import Branch, Clone, Deterministic, Destroy, Jump, StepOutcome, select_branch
+from .errors import UnravelError
+from .master_equation import GeneratorSnapshot, MasterEquation
+from .mcwf import channel_menu, require_nonnegative_rates
+from .outcomes import Branch, Menu, StepOutcome, event_counts, row_branches, row_step, take_step
 from .propagate import TimeGrid
 from .rng import replica_generator
 
-__all__ = ["clone_branches", "cloning_step", "run_replica"]
+__all__ = ["clone_menu", "clone_branches", "cloning_step", "run_replica"]
 
 
-def _require_nonnegative(snap, t: float) -> None:
-    worst = float(snap.gammas.min()) if len(snap.gammas) else 0.0
-    if worst < -EPS:
-        raise NegativeRate(
-            f"rate {worst:.4g} < 0 at t={t:.6g}; the cloning method needs nonnegative rates",
-            time=t,
-        )
+def clone_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
+    """Kernel. Branch order: channel jumps, clone, destroy; drift last.
+
+    Both clone copies keep the pre-step state; a destroyed member leaves none.
+    """
+    require_nonnegative_rates(snap, "the cloning method")
+    jumps = channel_menu(snap, rows, dt)
+    deltas = np.einsum("ni,ij,nj->n", np.conj(rows), snap.gamma_l - snap.gamma_drift, rows).real
+    # stacked branch-major like the channel part, then viewed as (n, B)
+    probs = np.vstack([jumps.probs.T, np.maximum(0.0, deltas * dt), np.maximum(0.0, -deltas * dt)])
+    targets = np.concatenate([np.swapaxes(jumps.targets, 0, 1), rows[None], rows[None]])
+    copies = np.array([1] * jumps.probs.shape[1] + [2, 0])
+    return Menu(probs.T, np.swapaxes(targets, 0, 1), jumps.drift, copies=copies)
 
 
 def clone_branches(me: MasterEquation, psi: np.ndarray, t: float, dt: float) -> list[Branch]:
     """Branch order: channel jumps, clone, destroy, deterministic drift."""
-    snap = me.at(t)
-    _require_nonnegative(snap, t)
-    branches = []
-    total = 0.0
-    for a in range(len(snap.gammas)):
-        y = snap.ls[a] @ psi
-        p = float(snap.gammas[a] * np.vdot(y, y).real) * dt
-        total += p
-        target = normalize(y)[0] if p > 0.0 else psi
-        branches.append(Branch(p, target, Jump(channel=a, probability=p)))
-    delta = float(np.vdot(psi, (snap.gamma_l - snap.gamma_drift) @ psi).real)
-    p_clone = max(0.0, delta * dt)
-    p_destroy = max(0.0, -delta * dt)
-    branches.append(Branch(p_clone, psi, Clone(p_clone), copies=2))
-    branches.append(Branch(p_destroy, psi, Destroy(p_destroy), copies=0))
-    total += p_clone + p_destroy
-    if total > 1.0:
-        raise StepTooLarge(f"total event probability {total:.4g} > 1 at t={t:.6g}", time=t)
-    drift = normalize(psi - 1j * dt * (snap.k @ psi))[0]
-    branches.append(Branch(1.0 - total, drift, Deterministic(1.0 - total)))
-    return branches
+    return row_branches(clone_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), t)
 
 
 def cloning_step(psi: np.ndarray, me: MasterEquation, t: float, dt: float, u: float) -> StepOutcome:
     """The event type tells the caller what to do with the population:
     Clone means two copies of the returned (pre-step) state now exist,
     Destroy means the member is gone."""
-    b = select_branch(clone_branches(me, psi, t, dt), u)
+    b = row_step(clone_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), u, t)
     return StepOutcome(state=b.state, event=b.event)
 
 
@@ -95,55 +83,21 @@ def run_replica(
     population = np.zeros(steps + 1, dtype=np.int64)
     population[0] = n_members
     m = len(me.channels)
-    jump_total = np.zeros(m, dtype=np.int64)
-    n_clone = n_destroy = n_det = 0
+    copies = np.array([1] * m + [2, 0])
+    hits = np.zeros(m + 3, dtype=np.int64)
+    diag = {"population": population}
     for k in range(steps):
-        t = times[k]
         cur = states.shape[0]
         if cur == 0:
             population[k + 1] = 0
             continue  # population extinct; the estimate is legitimately zero
-        snap = me.at(t)
         try:
-            _require_nonnegative(snap, t)
-        except NegativeRate as err:
-            return rho_sum, _counts(jump_total, n_clone, n_destroy, n_det), _diag(population), (err, k)
-        ys = np.einsum("aij,nj->ani", snap.ls, states) if m else np.zeros((0, cur, d))
-        n2 = np.einsum("ani,ani->an", ys, np.conj(ys)).real if m else np.zeros((0, cur))
-        probs = snap.gammas[:, None] * n2 * grid.dt
-        deltas = np.einsum(
-            "ni,ij,nj->n", np.conj(states), snap.gamma_l - snap.gamma_drift, states
-        ).real
-        p_clone = np.maximum(0.0, deltas * grid.dt)
-        p_destroy = np.maximum(0.0, -deltas * grid.dt)
-        all_probs = np.vstack([probs, p_clone[None, :], p_destroy[None, :]])
-        total = all_probs.sum(axis=0)
-        if np.any(total > 1.0):
-            err = StepTooLarge(
-                f"total event probability {total.max():.4g} > 1 at t={t:.6g}", time=t
-            )
-            return rho_sum, _counts(jump_total, n_clone, n_destroy, n_det), _diag(population), (err, k)
-        us = gen.random(cur)
-        cum = np.cumsum(all_probs, axis=0)
-        choice = (us[None, :] >= cum).sum(axis=0)  # m -> clone, m+1 -> destroy, m+2 -> drift
-        drift = states - 1j * grid.dt * (states @ snap.k.T)
-        drift /= np.linalg.norm(drift, axis=1)[:, None]
-        out = drift
-        copies = np.ones(cur, dtype=np.int64)
-        for a in range(m):
-            rows = np.nonzero(choice == a)[0]
-            if rows.size:
-                out[rows] = ys[a, rows] / np.linalg.norm(ys[a, rows], axis=1)[:, None]
-                jump_total[a] += rows.size
-        clone_rows = choice == m
-        destroy_rows = choice == m + 1
-        out[clone_rows] = states[clone_rows]  # both copies keep the pre-step state
-        copies[clone_rows] = 2
-        copies[destroy_rows] = 0
-        n_clone += int(clone_rows.sum())
-        n_destroy += int(destroy_rows.sum())
-        n_det += int((choice == m + 2).sum())
-        states = np.repeat(out, copies, axis=0)
+            menu = clone_menu(me.at(times[k]), states, grid.dt)
+            step = take_step(menu, gen.random(cur), times[k])
+        except UnravelError as err:
+            return rho_sum, event_counts(hits, copies), diag, (err, k)
+        hits += np.bincount(step.choice, minlength=m + 3)
+        states = np.repeat(step.rows, step.copies, axis=0)
         if not (resample_lo * n_members <= states.shape[0] <= resample_hi * n_members):
             if states.shape[0] > 0:
                 idx = gen.integers(0, states.shape[0], size=n_members)
@@ -152,18 +106,4 @@ def run_replica(
         population[k + 1] = states.shape[0]
         if states.shape[0]:
             rho_sum[k + 1] = trace_factor * np.einsum("ni,nj->ij", states, np.conj(states))
-    return rho_sum, _counts(jump_total, n_clone, n_destroy, n_det), _diag(population), None
-
-
-def _counts(jump_total, n_clone, n_destroy, n_det):
-    return {
-        "jump": int(jump_total.sum()),
-        "jump_by_channel": jump_total.tolist(),
-        "clone": n_clone,
-        "destroy": n_destroy,
-        "deterministic": n_det,
-    }
-
-
-def _diag(population):
-    return {"population": population}
+    return rho_sum, event_counts(hits, copies), diag, None

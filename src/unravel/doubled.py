@@ -5,7 +5,8 @@ norms carry the statistical weight. The density matrix is recovered as the
 hermitized ensemble mean of |phi><psi| with no per-trajectory
 renormalization. Negative rates are absorbed into the jump factorization by
 flipping the sign of one factor, so every jump has a nonnegative firing
-probability while C rho D^dag still reproduces gamma L rho L^dag.
+probability while C rho D^dag still reproduces gamma L rho L^dag. The
+batched kernel ``doubled_menu`` works on rows (phi, psi) of width 2d.
 """
 
 from __future__ import annotations
@@ -15,17 +16,17 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import StepTooLarge, ZeroVector
+from .errors import ZeroVector
 from .linalg import EPS
 from .master_equation import MasterEquation
-from .outcomes import Branch, Deterministic, Jump, select_branch
+from .outcomes import Branch, Menu, row_branches, row_step, run_menus
 from .propagate import TimeGrid
-from .rng import trajectory_uniforms
 
 __all__ = [
     "DoubledState",
     "DoubledModel",
     "gksl_to_doubled",
+    "doubled_menu",
     "doubled_branches",
     "doubled_step",
     "run_chunk",
@@ -86,51 +87,63 @@ def gksl_to_doubled(me: MasterEquation) -> DoubledModel:
     )
 
 
-def _jump_images(model: DoubledModel, theta: DoubledState, t: float):
-    n2 = theta.norm2
-    if n2 <= EPS:
-        raise ZeroVector("doubled state has zero joint norm")
-    images = []
-    qs = []
-    for c, d in zip(model.cs, model.ds):
-        cphi = c(t) @ theta.phi
-        dpsi = d(t) @ theta.psi
-        jn2 = float(np.vdot(cphi, cphi).real + np.vdot(dpsi, dpsi).real)
-        images.append((cphi, dpsi, jn2))
-        qs.append(jn2 / n2)
-    return images, qs, n2
+def _norm2(rows: np.ndarray) -> np.ndarray:
+    """Joint squared norm ||phi||^2 + ||psi||^2 of each row."""
+    return np.einsum("ni,ni->n", rows, np.conj(rows)).real
+
+
+def doubled_menu(model: DoubledModel, t: float, rows: np.ndarray, dt: float) -> Menu:
+    """Kernel on rows theta = (phi, psi) of width 2d.
+
+    Jump i fires with q_i dt, q_i = (||C_i phi||^2 + ||D_i psi||^2) / ||theta||^2,
+    and lands at (C_i phi, D_i psi) rescaled to the pre-jump joint norm; the
+    no-jump step is the Euler step of (A + sigma) phi, (B + sigma) psi with
+    sigma = sum_i q_i / 2, left unnormalized.
+    """
+    d = rows.shape[1] // 2
+    phis, psis = rows[:, :d], rows[:, d:]
+    cs = np.array([c(t) for c in model.cs]).reshape(-1, d, d)
+    ds = np.array([dd(t) for dd in model.ds]).reshape(-1, d, d)
+    images = np.concatenate([phis @ np.swapaxes(cs, 1, 2), psis @ np.swapaxes(ds, 1, 2)], axis=2)
+    jn2 = np.einsum("ani,ani->an", images, np.conj(images)).real
+    n2 = _norm2(rows)
+    if np.any(n2 <= EPS):
+        raise ZeroVector(f"doubled state collapsed to zero at t={t:.6g}", time=t)
+    qs = jn2 / n2[None, :]
+    # a zero image stays zero: its branch has probability 0
+    targets = np.sqrt(n2[None, :] / np.where(jn2 > 0.0, jn2, 1.0))[..., None] * images
+    sigma = 0.5 * qs.sum(axis=0)
+    blocks = np.zeros((2 * d, 2 * d), dtype=complex)
+    blocks[:d, :d], blocks[d:, d:] = model.a(t), model.b(t)
+    drift = rows + dt * (rows @ blocks.T + sigma[:, None] * rows)
+    return Menu((qs * dt).T, np.swapaxes(targets, 0, 1), drift)
+
+
+def _paired(b: Branch) -> Branch:
+    d = b.state.shape[0] // 2
+    return b._replace(state=DoubledState(b.state[:d], b.state[d:]))
+
+
+def _theta_row(theta: DoubledState) -> np.ndarray:
+    return np.concatenate([theta.phi, theta.psi]).astype(complex)[None, :]
 
 
 def doubled_branches(
     model: DoubledModel, theta: DoubledState, t: float, dt: float
 ) -> Sequence[Branch]:
-    images, qs, n2 = _jump_images(model, theta, t)
-    branches = []
-    total = 0.0
-    for i, ((cphi, dpsi, jn2), q) in enumerate(zip(images, qs)):
-        p = q * dt
-        total += p
-        if p > 0.0:
-            scale = np.sqrt(n2 / jn2)
-            branches.append(
-                Branch(p, DoubledState(scale * cphi, scale * dpsi), Jump(channel=i, probability=p))
-            )
-        else:
-            branches.append(Branch(0.0, theta, Jump(channel=i, probability=0.0)))
-    if total > 1.0:
-        raise StepTooLarge(f"total doubled jump probability {total:.4g} > 1 at t={t:.6g}", time=t)
-    sigma = 0.5 * sum(qs)
-    phi = theta.phi + dt * (model.a(t) @ theta.phi + sigma * theta.phi)
-    psi = theta.psi + dt * (model.b(t) @ theta.psi + sigma * theta.psi)
-    branches.append(Branch(1.0 - total, DoubledState(phi, psi), Deterministic(1.0 - total)))
-    return branches
+    return [_paired(b) for b in row_branches(doubled_menu(model, t, _theta_row(theta), dt), t)]
 
 
 def doubled_step(
     model: DoubledModel, theta: DoubledState, t: float, dt: float, u: float
 ) -> tuple[DoubledState, object]:
-    branch = select_branch(doubled_branches(model, theta, t, dt), u)
+    branch = _paired(row_step(doubled_menu(model, t, _theta_row(theta), dt), u, t))
     return branch.state, branch.event
+
+
+def _pair_outer(rows: np.ndarray, weights=None) -> np.ndarray:
+    d = rows.shape[1] // 2
+    return np.einsum("ni,nj->ij", rows[:, :d], np.conj(rows[:, d:]))
 
 
 def run_chunk(
@@ -144,74 +157,15 @@ def run_chunk(
     """Evolve n doubled trajectories; rho_sum accumulates sum_k |phi_k><psi_k|
     raw (not hermitized), norms and all, which is the estimator's convention."""
     model = gksl_to_doubled(me)
-    d = me.dim
-    steps = grid.n_steps
-    times = grid.times()
-    us = trajectory_uniforms(seed, idx0, n, steps)
-    phis = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
-    psis = phis.copy()
-    rho_sum = np.zeros((steps + 1, d, d), dtype=complex)
-    norm2_sum = np.zeros(steps + 1)
-    rho_sum[0] = n * np.outer(psi0, np.conj(psi0))
-    norm2_sum[0] = 2.0 * n
-    m = len(model.cs)
-    jump_total = np.zeros(m, dtype=np.int64)
-    n_det = 0
-    for k in range(steps):
-        t = times[k]
-        a_t = model.a(t)
-        b_t = model.b(t)
-        cs_t = [c(t) for c in model.cs]
-        ds_t = [dd(t) for dd in model.ds]
-        cphi = np.einsum("aij,nj->ani", np.array(cs_t), phis) if m else np.zeros((0, n, d))
-        dpsi = np.einsum("aij,nj->ani", np.array(ds_t), psis) if m else np.zeros((0, n, d))
-        jn2 = (
-            np.einsum("ani,ani->an", cphi, np.conj(cphi)).real
-            + np.einsum("ani,ani->an", dpsi, np.conj(dpsi)).real
-        )
-        n2 = (
-            np.einsum("ni,ni->n", phis, np.conj(phis)).real
-            + np.einsum("ni,ni->n", psis, np.conj(psis)).real
-        )
-        if np.any(n2 <= EPS):
-            return rho_sum, _counts(jump_total, n_det), {"theta_norm2_sum": norm2_sum}, (
-                ZeroVector(f"doubled state collapsed to zero at t={t:.6g}", time=t),
-                k,
-            )
-        qs = jn2 / n2[None, :]
-        probs = qs * grid.dt
-        total = probs.sum(axis=0) if m else np.zeros(n)
-        if np.any(total > 1.0):
-            err = StepTooLarge(
-                f"total doubled jump probability {total.max():.4g} > 1 at t={t:.6g}", time=t
-            )
-            return rho_sum, _counts(jump_total, n_det), {"theta_norm2_sum": norm2_sum}, (err, k)
-        cum = np.cumsum(probs, axis=0) if m else np.zeros((0, n))
-        choice = (us[:, k][None, :] >= cum).sum(axis=0)  # == m means deterministic
-        sigma = 0.5 * qs.sum(axis=0) if m else np.zeros(n)
-        new_phis = phis + grid.dt * (phis @ a_t.T + sigma[:, None] * phis)
-        new_psis = psis + grid.dt * (psis @ b_t.T + sigma[:, None] * psis)
-        for a in range(m):
-            rows = np.nonzero(choice == a)[0]
-            if rows.size == 0:
-                continue
-            scale = np.sqrt(n2[rows] / jn2[a, rows])
-            new_phis[rows] = scale[:, None] * cphi[a, rows]
-            new_psis[rows] = scale[:, None] * dpsi[a, rows]
-            jump_total[a] += rows.size
-        n_det += int((choice == m).sum())
-        phis, psis = new_phis, new_psis
-        rho_sum[k + 1] = np.einsum("ni,nj->ij", phis, np.conj(psis))
-        norm2_sum[k + 1] = (
-            np.einsum("ni,ni->", phis, np.conj(phis)).real
-            + np.einsum("ni,ni->", psis, np.conj(psis)).real
-        )
-    return rho_sum, _counts(jump_total, n_det), {"theta_norm2_sum": norm2_sum}, None
-
-
-def _counts(jump_total: np.ndarray, n_det: int) -> dict:
-    return {
-        "jump": int(jump_total.sum()),
-        "jump_by_channel": jump_total.tolist(),
-        "deterministic": n_det,
-    }
+    psi0 = np.asarray(psi0, dtype=complex)
+    return run_menus(
+        lambda snap, rows, dt: doubled_menu(model, snap.t, rows, dt),
+        me,
+        np.concatenate([psi0, psi0]),
+        grid,
+        idx0,
+        n,
+        seed,
+        outer=_pair_outer,
+        tally=("theta_norm2_sum", lambda rows: _norm2(rows).sum()),
+    )

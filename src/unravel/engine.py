@@ -20,6 +20,7 @@ from __future__ import annotations
 import time as _time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -113,27 +114,15 @@ def _chunk_sizes(n_traj: int, batches: int) -> list[int]:
 
 def _runner(method: MethodId):
     kind = method.kind
-    if kind == "mcwf":
-        return _mcwf.run_chunk
-    if kind == "wtd":
-        return _wtd.run_chunk
+    plain = {"mcwf": _mcwf, "wtd": _wtd, "doubled": _doubled, "tripled": _tripled}
+    if kind in plain:
+        return plain[kind].run_chunk
     if kind == "wroqj":
-        return lambda me, psi0, grid, i0, n, seed: _roqj.run_chunk(
-            me, psi0, grid, i0, n, seed, flavor="w"
-        )
+        return partial(_roqj.run_chunk, flavor="w")
     if kind in ("rroqj", "psi_roqj"):
-        return lambda me, psi0, grid, i0, n, seed: _roqj.run_chunk(
-            me, psi0, grid, i0, n, seed, flavor="ro", gauge=method.gauge
-        )
-    if kind == "doubled":
-        return _doubled.run_chunk
-    if kind == "tripled":
-        return _tripled.run_chunk
+        return partial(_roqj.run_chunk, flavor="ro", gauge=method.gauge)
     if kind == "im":
-        policy = _weighted.default_rate_policy(method.r_min)
-        return lambda me, psi0, grid, i0, n, seed: _weighted.run_chunk_im(
-            me, psi0, grid, i0, n, seed, r_policy=policy
-        )
+        return partial(_weighted.run_chunk_im, r_policy=_weighted.default_rate_policy(method.r_min))
     if kind == "plqt":
         return _weighted.run_chunk_plqt
     if kind == "nmqj":
@@ -158,33 +147,25 @@ def _tree_sum(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _merge_counts(dicts: list[dict]) -> dict:
+    """Chunk counts add up; per-branch lists add elementwise."""
     out: dict = {}
-    for d in dicts:
-        for key, val in d.items():
-            if isinstance(val, list):
-                cur = out.setdefault(key, [0] * len(val))
-                for i, v in enumerate(val):
-                    cur[i] += v
-            else:
-                out[key] = out.get(key, 0) + val
+    for key, val in dicts[0].items():
+        vals = [d[key] for d in dicts]
+        out[key] = [sum(col) for col in zip(*vals)] if isinstance(val, list) else sum(vals)
     return out
 
 
 def _merge_diagnostics(dicts: list[dict]) -> dict:
+    """Chunk series add up, sign-flip steps unite, event logs are collected."""
     out: dict = {}
-    logs = [d["event_log"] for d in dicts if "event_log" in d]
-    if logs:
-        out["event_logs"] = logs
-    for key in ("weight_sum", "theta_norm2_sum"):
-        series = [d[key] for d in dicts if key in d]
-        if series:
-            out[key] = _tree_sum(series)
-    pops = [d["population"] for d in dicts if "population" in d]
-    if pops:
-        out["population"] = _tree_sum(pops)
-    flips = sorted({k for d in dicts for k in d.get("sign_flip_steps", [])})
-    if any("sign_flip_steps" in d for d in dicts):
-        out["sign_flip_steps"] = flips
+    for key in dicts[0]:
+        vals = [d[key] for d in dicts]
+        if key == "event_log":
+            out["event_logs"] = vals
+        elif key == "sign_flip_steps":
+            out[key] = sorted(set().union(*vals))
+        else:
+            out[key] = _tree_sum(vals)
     return out
 
 

@@ -4,121 +4,94 @@ Jump alpha fires with p_a = gamma_a ||L_a psi||^2 dt and lands at
 normalize(L_a psi); otherwise the state drifts under the effective
 Hamiltonian K and is renormalized. Rates must be nonnegative: a negative
 rate means the dynamics needs one of the non-Markovian methods.
+
+``channel_menu`` is this law as a batched kernel (see ``outcomes``); the
+weighted methods run it at their sampling rates and cloning adds its
+population branches to it.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeRate, StepTooLarge
-from .linalg import EPS, normalize, weighted_outer_sum
+from .errors import NegativeRate
+from .linalg import EPS
 from .master_equation import GeneratorSnapshot, MasterEquation
-from .outcomes import Branch, Deterministic, Jump, StepOutcome, select_branch
+from .outcomes import Branch, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
 from .rng import trajectory_uniforms
 
-__all__ = ["mcwf_branches", "mcwf_step", "run_chunk", "first_jump_times"]
+__all__ = [
+    "channel_menu",
+    "mcwf_menu",
+    "mcwf_branches",
+    "mcwf_step",
+    "run_chunk",
+    "first_jump_times",
+]
 
 
-def _require_nonnegative_rates(snap: GeneratorSnapshot) -> None:
+def require_nonnegative_rates(snap: GeneratorSnapshot, method: str = "MCWF") -> None:
     lo = float(np.min(snap.gammas)) if len(snap.gammas) else 0.0
     if lo < -EPS:
         raise NegativeRate(
-            f"rate {lo:.6g} < 0 at t={snap.t:.6g}; MCWF needs a CP-divisible flow "
+            f"rate {lo:.6g} < 0 at t={snap.t:.6g}; {method} needs a CP-divisible flow "
             "(use NMQJ, a rate-operator method, or a weighted unraveling)",
             time=snap.t,
         )
 
 
+def channel_menu(
+    snap: GeneratorSnapshot, rows: np.ndarray, dt: float, rates: np.ndarray | None = None
+) -> Menu:
+    """Channel jumps sampled at ``rates`` (default gamma) and the K drift.
+
+    Jump a fires with p_a = r_a ||L_a psi||^2 dt and lands at
+    normalize(L_a psi). Sampling at r != gamma makes the menu weighted: a
+    jump multiplies the weight by gamma_a / r_a (1 where r_a = 0) and the
+    no-jump step by 1 + sum_a (r_a - gamma_a) ||L_a psi||^2 dt, which keeps
+    E[w |psi><psi|] on the master equation.
+    """
+    ys = rows @ np.swapaxes(snap.ls, 1, 2)  # (m, n, w); matmul beats einsum here
+    n2 = np.einsum("ani,ani->an", ys, np.conj(ys)).real  # (m, n)
+    norms = np.sqrt(n2)
+    # a zero image (sigma_- on the ground state) stays zero: its p is 0
+    targets = np.swapaxes(ys / np.where(norms > 0.0, norms, 1.0)[..., None], 0, 1)
+    drift = rows - 1j * dt * (rows @ snap.k.T)
+    drift /= np.linalg.norm(drift, axis=1)[:, None]
+    if rates is None:
+        return Menu((snap.gammas[:, None] * n2 * dt).T, targets, drift)
+    live = rates > 0.0
+    return Menu(
+        (rates[:, None] * n2 * dt).T,
+        targets,
+        drift,
+        jump_factors=np.where(live, snap.gammas / np.where(live, rates, 1.0), 1.0),
+        det_factors=1.0 + ((rates - snap.gammas)[:, None] * n2 * dt).sum(axis=0),
+    )
+
+
+def mcwf_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
+    """The MCWF kernel: channel jumps at the physical rates, which must be >= 0."""
+    require_nonnegative_rates(snap)
+    return channel_menu(snap, rows, dt)
+
+
 def mcwf_branches(me: MasterEquation, psi: np.ndarray, t: float, dt: float) -> list[Branch]:
     """All one-step branches with exact probabilities; deterministic last."""
-    snap = me.at(t)
-    _require_nonnegative_rates(snap)
-    psi = np.asarray(psi, dtype=complex)
-    branches = []
-    total = 0.0
-    for a in range(len(snap.gammas)):
-        y = snap.ls[a] @ psi
-        p = float(snap.gammas[a] * dt * np.vdot(y, y).real)
-        if p > 0.0:
-            target = normalize(y)[0]
-        else:
-            target = psi
-        branches.append(Branch(p, target, Jump(a, probability=p)))
-        total += p
-    if total > 1.0:
-        raise StepTooLarge(f"sum of jump probabilities {total:.4g} > 1 at t={t:.6g}; reduce dt", time=t)
-    drift = normalize(psi - 1j * dt * (snap.k @ psi))[0]
-    branches.append(Branch(1.0 - total, drift, Deterministic(probability=1.0 - total)))
-    return branches
+    return row_branches(mcwf_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), t)
 
 
 def mcwf_step(me: MasterEquation, psi: np.ndarray, t: float, dt: float, u: float) -> StepOutcome:
-    b = select_branch(mcwf_branches(me, psi, t, dt), u)
+    b = row_step(mcwf_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), u, t)
     return StepOutcome(b.state, b.event)
-
-
-def step_states(
-    snap: GeneratorSnapshot, states: np.ndarray, dt: float, u: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized one step for all rows; returns (new states, jumps per channel).
-
-    Branch order matches mcwf_branches: channels in declaration order, then
-    the deterministic branch.
-    """
-    _require_nonnegative_rates(snap)
-    n, d = states.shape
-    m = len(snap.gammas)
-    ys = np.einsum("aij,nj->ani", snap.ls, states)
-    probs = snap.gammas[:, None] * dt * np.einsum("ani,ani->an", ys, np.conj(ys)).real  # (m, n)
-    total = probs.sum(axis=0)
-    if np.any(total > 1.0):
-        raise StepTooLarge(
-            f"max one-step jump probability {total.max():.4g} > 1 at t={snap.t:.6g}", time=snap.t
-        )
-    cum = np.cumsum(probs, axis=0)
-    choice = (u[None, :] >= cum).sum(axis=0)  # m means deterministic
-    out = states - 1j * dt * (states @ snap.k.T)
-    out /= np.linalg.norm(out, axis=1)[:, None]
-    jumps = np.zeros(m, dtype=np.int64)
-    for a in range(m):
-        mask = choice == a
-        if np.any(mask):
-            ya = ys[a, mask]
-            out[mask] = ya / np.linalg.norm(ya, axis=1)[:, None]
-            jumps[a] = int(mask.sum())
-    return out, jumps
 
 
 def run_chunk(
     me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n: int, seed: int
 ):
     """Run n trajectories; returns (rho_sum series, event counts, diagnostics, abort)."""
-    times = grid.times()
-    steps = grid.n_steps
-    u = trajectory_uniforms(seed, idx0, n, steps)
-    states = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
-    rho_sum = np.zeros((steps + 1, me.dim, me.dim), dtype=complex)
-    rho_sum[0] = weighted_outer_sum(states)
-    jump_total = np.zeros(len(me.channels), dtype=np.int64)
-    for k in range(steps):
-        snap = me.at(times[k])
-        try:
-            states, jumps = step_states(snap, states, grid.dt, u[:, k])
-        except (NegativeRate, StepTooLarge) as err:
-            return rho_sum, _counts(jump_total, n * k), {}, (err, k)
-        jump_total += jumps
-        rho_sum[k + 1] = weighted_outer_sum(states)
-    return rho_sum, _counts(jump_total, n * steps), {}, None
-
-
-def _counts(jumps: np.ndarray, total_steps: int) -> dict:
-    j = [int(x) for x in jumps]
-    return {
-        "jump": int(sum(j)),
-        "jump_by_channel": j,
-        "deterministic": int(total_steps - sum(j)),
-    }
+    return run_menus(mcwf_menu, me, psi0, grid, idx0, n, seed)
 
 
 def first_jump_times(
@@ -133,14 +106,12 @@ def first_jump_times(
     """
     times = grid.times()
     steps = grid.n_steps
-    psi = np.asarray(psi0, dtype=complex).copy()
+    row = np.asarray(psi0, dtype=complex)[None, :]
     p_step = np.empty(steps)
     for k in range(steps):
-        snap = me.at(times[k])
-        _require_nonnegative_rates(snap)
-        y = np.einsum("aij,j->ai", snap.ls, psi)
-        p_step[k] = grid.dt * float(np.einsum("a,ai,ai->", snap.gammas, y, np.conj(y)).real)
-        psi = normalize(psi - 1j * grid.dt * (snap.k @ psi))[0]
+        menu = mcwf_menu(me.at(times[k]), row, grid.dt)
+        p_step[k] = menu.probs.sum()
+        row = menu.drift
     u = trajectory_uniforms(seed, 0, n, steps)
     hit = u < p_step[None, :]
     first = np.argmax(hit, axis=1)

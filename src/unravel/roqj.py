@@ -7,16 +7,19 @@ deterministic branch and exempted from the positivity guard; the guard
 rejects genuinely negative jump rates only (NegativeWEigenvalue for W,
 NegativeROEigenvalue for gauged operators), which is how a loss of
 P divisibility, or a badly chosen gauge, surfaces at runtime.
+
+``w_menu`` and ``ro_menu`` are the batched kernels (see ``outcomes``); the
+scalar ``*_branches`` and ``*_step`` functions are their one-row views.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import NegativeROEigenvalue, NegativeWEigenvalue, StepTooLarge
-from .linalg import EPS, normalize, weighted_outer_sum
-from .master_equation import MasterEquation
-from .outcomes import Branch, Deterministic, Jump, StepOutcome, select_branch
+from .errors import NegativeROEigenvalue, NegativeWEigenvalue
+from .linalg import EPS
+from .master_equation import GeneratorSnapshot, MasterEquation
+from .outcomes import Branch, Jump, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
 from .rate_operators import (
     GaugeTransform,
@@ -27,44 +30,64 @@ from .rate_operators import (
     w_drift_step,
     w_spectrum_batch,
 )
-from .rng import trajectory_uniforms
 
-__all__ = ["wroqj_step", "roqj_step", "wroqj_branches", "roqj_branches", "run_chunk"]
+__all__ = [
+    "w_menu",
+    "ro_menu",
+    "wroqj_step",
+    "roqj_step",
+    "wroqj_branches",
+    "roqj_branches",
+    "run_chunk",
+]
 
 _SELF_OVERLAP = 1.0 - 1e-8
 
 
-def _jump_branches(vals, vecs_cols, psi, t, dt, err_cls, label) -> list[Branch]:
-    """Jump branches with p = lambda dt; self-directed eigenpairs excluded."""
-    branches = []
-    for nu in range(len(vals)):
-        phi = vecs_cols[:, nu]
-        if abs(np.vdot(psi, phi)) ** 2 >= _SELF_OVERLAP:
-            continue  # jumping to psi is a no-op; see module docstring
-        lam = float(vals[nu])
-        if lam < -EPS:
-            raise err_cls(f"{label} eigenvalue {lam:.6g} < 0 at t={t:.6g}", time=t)
-        p = max(lam, 0.0) * dt
-        branches.append(Branch(p, phi, Jump(nu, probability=p, eigenvalue=lam)))
-    total = sum(b.probability for b in branches)
-    if total > 1.0:
-        raise StepTooLarge(f"jump probability {total:.4g} > 1 at t={t:.6g}", time=t)
-    return branches
+def _spectral_menu(snap, rows, dt, vals, vecs, drift, err_cls, label) -> Menu:
+    """Eigenpair nu of each row's rate operator fires with lambda_nu dt."""
+    ov = np.abs(np.einsum("ni,nij->nj", np.conj(rows), vecs)) ** 2
+    selfish = ov >= _SELF_OVERLAP  # jumping to psi is a no-op; see module docstring
+    bad = np.where(~selfish, vals, 0.0) < -EPS
+    if np.any(bad):
+        raise err_cls(f"{label} eigenvalue {vals[bad].min():.6g} < 0 at t={snap.t:.6g}", time=snap.t)
+    probs = np.where(selfish, 0.0, np.clip(vals, 0.0, None)) * dt
+    return Menu(probs, np.swapaxes(vecs, 1, 2), drift / np.linalg.norm(drift, axis=1)[:, None])
+
+
+def w_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
+    """W-ROQJ kernel: the W spectrum on psi-perp and the K^W drift."""
+    vals, phis = w_spectrum_batch(snap, rows)
+    return _spectral_menu(snap, rows, dt, vals, phis, w_drift_step(snap, rows, dt), NegativeWEigenvalue, "W")
+
+
+def ro_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float, g: GaugeTransform) -> Menu:
+    """Gauged kernel: the R (time-dependent gauge) or Psi-R spectrum and drift."""
+    phi_g = gauge_vectors_batch(g, snap.t, rows)
+    vals, vecs = ro_spectrum_batch(snap, rows, phi_g)
+    if g.kind == "time_dependent":
+        drift = rows @ r_drift_matrix(snap, g.c(snap.t), dt).T
+    else:
+        drift = psi_drift_step(snap, rows, phi_g, dt)
+    return _spectral_menu(snap, rows, dt, vals, vecs, drift, NegativeROEigenvalue, "rate-operator")
+
+
+def _branches(menu: Menu, psi: np.ndarray, t: float) -> list[Branch]:
+    # self-directed eigenpairs have probability 0 and are not listed
+    return [
+        b
+        for b in row_branches(menu, t)
+        if not (isinstance(b.event, Jump) and abs(np.vdot(psi, b.state)) ** 2 >= _SELF_OVERLAP)
+    ]
 
 
 def wroqj_branches(me: MasterEquation, psi: np.ndarray, t: float, dt: float) -> list[Branch]:
     psi = np.asarray(psi, dtype=complex)
-    snap = me.at(t)
-    vals, phis = w_spectrum_batch(snap, psi[None, :])
-    branches = _jump_branches(vals[0], phis[0], psi, t, dt, NegativeWEigenvalue, "W")
-    total = sum(b.probability for b in branches)
-    drift = normalize(w_drift_step(snap, psi[None, :], dt)[0])[0]
-    branches.append(Branch(1.0 - total, drift, Deterministic(probability=1.0 - total)))
-    return branches
+    return _branches(w_menu(me.at(t), psi[None, :], dt), psi, t)
 
 
 def wroqj_step(me: MasterEquation, psi: np.ndarray, t: float, dt: float, u: float) -> StepOutcome:
-    b = select_branch(wroqj_branches(me, psi, t, dt), u)
+    b = row_step(w_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), u, t)
     return StepOutcome(b.state, b.event)
 
 
@@ -72,57 +95,14 @@ def roqj_branches(
     me: MasterEquation, psi: np.ndarray, t: float, dt: float, g: GaugeTransform
 ) -> list[Branch]:
     psi = np.asarray(psi, dtype=complex)
-    snap = me.at(t)
-    phi_g = gauge_vectors_batch(g, t, psi[None, :])
-    vals, vecs = ro_spectrum_batch(snap, psi[None, :], phi_g)
-    branches = _jump_branches(vals[0], vecs[0], psi, t, dt, NegativeROEigenvalue, "rate operator")
-    total = sum(b.probability for b in branches)
-    if g.kind == "time_dependent":
-        drift = normalize(r_drift_matrix(snap, g.c(t), dt) @ psi)[0]
-    else:
-        drift = normalize(psi_drift_step(snap, psi[None, :], phi_g, dt)[0])[0]
-    branches.append(Branch(1.0 - total, drift, Deterministic(probability=1.0 - total)))
-    return branches
+    return _branches(ro_menu(me.at(t), psi[None, :], dt, g), psi, t)
 
 
 def roqj_step(
     me: MasterEquation, psi: np.ndarray, t: float, dt: float, g: GaugeTransform, u: float
 ) -> StepOutcome:
-    b = select_branch(roqj_branches(me, psi, t, dt, g), u)
+    b = row_step(ro_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt, g), u, t)
     return StepOutcome(b.state, b.event)
-
-
-def _batch_step_w(snap, states, dt):
-    """Jump menu and drift for all rows at once (W flavor)."""
-    vals, phis = w_spectrum_batch(snap, states)
-    ov = np.abs(np.einsum("ni,nij->nj", np.conj(states), phis)) ** 2
-    selfish = ov >= _SELF_OVERLAP
-    bad = np.where(~selfish, vals, 0.0) < -EPS
-    if np.any(bad):
-        raise NegativeWEigenvalue(
-            f"W eigenvalue {vals[bad].min():.6g} < 0 at t={snap.t:.6g}", time=snap.t
-        )
-    probs = np.where(selfish, 0.0, np.clip(vals, 0.0, None)) * dt
-    drift = w_drift_step(snap, states, dt)
-    return probs, phis, drift
-
-
-def _batch_step_ro(snap, states, dt, g):
-    phi_g = gauge_vectors_batch(g, snap.t, states)
-    vals, vecs = ro_spectrum_batch(snap, states, phi_g)
-    ov = np.abs(np.einsum("ni,nij->nj", np.conj(states), vecs)) ** 2
-    selfish = ov >= _SELF_OVERLAP
-    bad = np.where(~selfish, vals, 0.0) < -EPS
-    if np.any(bad):
-        raise NegativeROEigenvalue(
-            f"rate-operator eigenvalue {vals[bad].min():.6g} < 0 at t={snap.t:.6g}", time=snap.t
-        )
-    probs = np.where(selfish, 0.0, np.clip(vals, 0.0, None)) * dt
-    if g.kind == "time_dependent":
-        drift = states @ r_drift_matrix(snap, g.c(snap.t), dt).T
-    else:
-        drift = psi_drift_step(snap, states, phi_g, dt)
-    return probs, vecs, drift
 
 
 def run_chunk(
@@ -135,39 +115,7 @@ def run_chunk(
     flavor: str = "w",
     gauge: GaugeTransform | None = None,
 ):
-    """Vectorized chunk runner for all three flavors ('w', 'r', 'psi')."""
-    times = grid.times()
-    steps = grid.n_steps
-    u = trajectory_uniforms(seed, idx0, n, steps)
-    states = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
-    rho_sum = np.zeros((steps + 1, me.dim, me.dim), dtype=complex)
-    rho_sum[0] = weighted_outer_sum(states)
-    n_jumps = 0
-    for k in range(steps):
-        snap = me.at(times[k])
-        try:
-            if flavor == "w":
-                probs, targets, drift = _batch_step_w(snap, states, grid.dt)
-            else:
-                probs, targets, drift = _batch_step_ro(snap, states, grid.dt, gauge)
-            total = probs.sum(axis=1)
-            if np.any(total > 1.0):
-                raise StepTooLarge(
-                    f"max jump probability {total.max():.4g} > 1 at t={snap.t:.6g}", time=snap.t
-                )
-        except (NegativeWEigenvalue, NegativeROEigenvalue, StepTooLarge) as err:
-            counts = {"jump": n_jumps, "deterministic": n * k - n_jumps}
-            return rho_sum, counts, {}, (err, k)
-        cum = np.cumsum(probs, axis=1)
-        choice = (u[:, k][:, None] >= cum).sum(axis=1)  # == n_branches -> drift
-        nb = probs.shape[1]
-        out = drift / np.linalg.norm(drift, axis=1)[:, None]
-        jumped = choice < nb
-        if np.any(jumped):
-            rows = np.nonzero(jumped)[0]
-            out[rows] = targets[rows, :, choice[rows]]
-            n_jumps += int(rows.size)
-        states = out
-        rho_sum[k + 1] = weighted_outer_sum(states)
-    counts = {"jump": n_jumps, "deterministic": n * steps - n_jumps}
-    return rho_sum, counts, {}, None
+    """Chunk runner for all three flavors ('w', or 'ro' with a gauge)."""
+    if flavor == "w":
+        return run_menus(w_menu, me, psi0, grid, idx0, n, seed)
+    return run_menus(lambda snap, rows, dt: ro_menu(snap, rows, dt, gauge), me, psi0, grid, idx0, n, seed)

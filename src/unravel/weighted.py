@@ -11,26 +11,30 @@ a bit s in {+1,-1}, which is what the trajectory record exposes. The
 deterministic steps still rescale the weight magnitude; dropping that
 rescaling would bias the estimator whenever rates are negative, so the
 magnitude is carried alongside the sign rather than silently discarded.
+
+Both kernels are ``mcwf.channel_menu`` at their sampling rates. The
+one-row view of the sign-bit flavor moves a jump's factor sign(gamma) onto
+the event as its sign bit and leaves the magnitude factor at 1.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import InvalidRatePolicy, StepTooLarge
-from .linalg import EPS, normalize, weighted_outer_sum
-from .master_equation import MasterEquation
-from .outcomes import Branch, Deterministic, Jump, select_branch
-from .propagate import TimeGrid
-from .rng import trajectory_uniforms
+from .errors import InvalidRatePolicy
+from .master_equation import GeneratorSnapshot, MasterEquation
+from .mcwf import channel_menu
+from .outcomes import Branch, Jump, Menu, row_branches, row_step, run_menus
 
 __all__ = [
     "WeightedTrajectory",
     "PlqtTrajectory",
     "default_rate_policy",
+    "im_menu",
+    "plqt_menu",
     "im_branches",
     "im_step",
     "plqt_branches",
@@ -76,40 +80,29 @@ def default_rate_policy(r_min: float = 0.05) -> RatePolicy:
     return policy
 
 
-def _sampling_rates(gammas: np.ndarray, r_policy: RatePolicy, t: float) -> np.ndarray:
-    rs = np.asarray(r_policy(gammas), dtype=float)
-    if rs.shape != gammas.shape or np.any(rs <= 0.0):
+def _row(wt) -> np.ndarray:
+    return np.asarray(wt.state, dtype=complex)[None, :]
+
+
+def im_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float, r_policy: RatePolicy) -> Menu:
+    """Influence-martingale kernel: channel jumps sampled at r = r_policy(gamma)."""
+    rs = np.asarray(r_policy(snap.gammas), dtype=float)
+    if rs.shape != snap.gammas.shape or np.any(rs <= 0.0):
         raise InvalidRatePolicy(
-            f"rate policy must return one strictly positive rate per channel, got {rs} at t={t:.6g}"
+            f"rate policy must return one strictly positive rate per channel, got {rs} at t={snap.t:.6g}"
         )
-    return rs
+    return channel_menu(snap, rows, dt, rs)
+
+
+def plqt_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
+    """Sign-bit kernel: channel jumps sampled at |gamma|, factor sign(gamma)."""
+    return channel_menu(snap, rows, dt, np.abs(snap.gammas))
 
 
 def im_branches(
     me: MasterEquation, wt: WeightedTrajectory, t: float, dt: float, r_policy: RatePolicy
 ) -> Sequence[Branch]:
-    snap = me.at(t)
-    rs = _sampling_rates(snap.gammas, r_policy, t)
-    branches = []
-    total = 0.0
-    factor_det = 1.0
-    for a in range(len(rs)):
-        y = snap.ls[a] @ wt.state
-        n2 = float(np.vdot(y, y).real)
-        p = rs[a] * n2 * dt
-        total += p
-        factor_det -= (snap.gammas[a] - rs[a]) * n2 * dt
-        target = normalize(y)[0] if p > 0.0 else wt.state
-        branches.append(
-            Branch(p, target, Jump(channel=a, probability=p), weight_factor=snap.gammas[a] / rs[a])
-        )
-    if total > 1.0:
-        raise StepTooLarge(f"total sampling probability {total:.4g} > 1 at t={t:.6g}", time=t)
-    drift = normalize(wt.state - 1j * dt * (snap.k @ wt.state))[0]
-    branches.append(
-        Branch(1.0 - total, drift, Deterministic(1.0 - total), weight_factor=factor_det)
-    )
-    return branches
+    return row_branches(im_menu(me.at(t), _row(wt), dt, r_policy), t)
 
 
 def im_step(
@@ -120,145 +113,38 @@ def im_step(
     r_policy: RatePolicy,
     u: float,
 ) -> WeightedTrajectory:
-    b = select_branch(im_branches(me, wt, t, dt, r_policy), u)
+    b = row_step(im_menu(me.at(t), _row(wt), dt, r_policy), u, t)
     return WeightedTrajectory(b.state, wt.weight * b.weight_factor)
+
+
+def _signed(b: Branch) -> Branch:
+    """A jump's factor sign(gamma) is the sign bit on its event; the
+    magnitude is untouched by jumps."""
+    if isinstance(b.event, Jump):
+        return b._replace(event=replace(b.event, sign=-1 if b.weight_factor < 0.0 else 1), weight_factor=1.0)
+    return b
 
 
 def plqt_branches(me: MasterEquation, wt: PlqtTrajectory, t: float, dt: float) -> Sequence[Branch]:
     """Jump menu at absolute rates; a negative-rate jump flips the sign."""
-    snap = me.at(t)
-    branches = []
-    total = 0.0
-    factor_det = 1.0
-    for a in range(len(snap.gammas)):
-        g = snap.gammas[a]
-        y = snap.ls[a] @ wt.state
-        n2 = float(np.vdot(y, y).real)
-        p = abs(g) * n2 * dt
-        total += p
-        factor_det += (abs(g) - g) * n2 * dt
-        target = normalize(y)[0] if p > 0.0 else wt.state
-        sign = -1 if g < 0.0 else 1
-        branches.append(Branch(p, target, Jump(channel=a, probability=p, sign=sign)))
-    if total > 1.0:
-        raise StepTooLarge(f"total |rate| jump probability {total:.4g} > 1 at t={t:.6g}", time=t)
-    drift = normalize(wt.state - 1j * dt * (snap.k @ wt.state))[0]
-    branches.append(
-        Branch(1.0 - total, drift, Deterministic(1.0 - total), weight_factor=factor_det)
-    )
-    return branches
+    return [_signed(b) for b in row_branches(plqt_menu(me.at(t), _row(wt), dt), t)]
 
 
 def plqt_step(wt: PlqtTrajectory, me: MasterEquation, t: float, dt: float, u: float) -> PlqtTrajectory:
-    b = select_branch(plqt_branches(me, wt, t, dt), u)
+    b = _signed(row_step(plqt_menu(me.at(t), _row(wt), dt), u, t))
     if isinstance(b.event, Jump):
         return PlqtTrajectory(b.state, wt.sign * b.event.sign, wt.magnitude)
     return PlqtTrajectory(b.state, wt.sign, wt.magnitude * b.weight_factor)
 
 
-def _weighted_core(me, psi0, grid, idx0, n, seed, rates_for, jump_factor, det_factor):
-    """Shared vectorized loop. ``rates_for(gammas) -> r``,
-    ``jump_factor(gammas, r) -> per-channel weight factors``,
-    ``det_factor(gammas, r, n2, dt) -> (n,) no-jump factors``."""
-    d = me.dim
-    steps = grid.n_steps
-    times = grid.times()
-    us = trajectory_uniforms(seed, idx0, n, steps)
-    states = np.tile(np.asarray(psi0, dtype=complex), (n, 1))
-    weights = np.ones(n)
-    rho_sum = np.zeros((steps + 1, d, d), dtype=complex)
-    rho_sum[0] = n * np.outer(psi0, np.conj(psi0))
-    weight_sum = np.zeros(steps + 1)
-    weight_sum[0] = float(n)
-    m = len(me.channels)
-    jump_total = np.zeros(m, dtype=np.int64)
-    flip_steps: list[int] = []
-    n_det = 0
-    for k in range(steps):
-        snap = me.at(times[k])
-        try:
-            rs = rates_for(snap.gammas, times[k])
-        except InvalidRatePolicy as err:
-            return rho_sum, _counts(jump_total, n_det), _diag(weight_sum, flip_steps), (err, k)
-        ys = np.einsum("aij,nj->ani", snap.ls, states)
-        n2 = np.einsum("ani,ani->an", ys, np.conj(ys)).real  # (m, n)
-        probs = rs[:, None] * n2 * grid.dt
-        total = probs.sum(axis=0)
-        if np.any(total > 1.0):
-            err = StepTooLarge(
-                f"total sampling probability {total.max():.4g} > 1 at t={times[k]:.6g}",
-                time=times[k],
-            )
-            return rho_sum, _counts(jump_total, n_det), _diag(weight_sum, flip_steps), (err, k)
-        cum = np.cumsum(probs, axis=0)
-        choice = (us[:, k][None, :] >= cum).sum(axis=0)
-        drift = states - 1j * grid.dt * (states @ snap.k.T)
-        drift /= np.linalg.norm(drift, axis=1)[:, None]
-        det_rows = choice == m
-        new_weights = weights.copy()
-        new_weights[det_rows] *= det_factor(snap.gammas, rs, n2[:, det_rows], grid.dt)
-        out = drift
-        jf = jump_factor(snap.gammas, rs)
-        flipped_now = np.zeros(n, dtype=bool)
-        for a in range(m):
-            rows = np.nonzero(choice == a)[0]
-            if rows.size == 0:
-                continue
-            targets = ys[a, rows]
-            out[rows] = targets / np.linalg.norm(targets, axis=1)[:, None]
-            new_weights[rows] = weights[rows] * jf[a]
-            jump_total[a] += rows.size
-            if jf[a] < 0.0:
-                flipped_now[rows] = True
-        if np.any(flipped_now):
-            flip_steps.append(k)
-        n_det += int(det_rows.sum())
-        states, weights = out, new_weights
-        rho_sum[k + 1] = weighted_outer_sum(states, weights)
-        weight_sum[k + 1] = weights.sum()
-    return rho_sum, _counts(jump_total, n_det), _diag(weight_sum, flip_steps), None
-
-
-def _counts(jump_total, n_det):
-    return {
-        "jump": int(jump_total.sum()),
-        "jump_by_channel": jump_total.tolist(),
-        "deterministic": n_det,
-    }
-
-
-def _diag(weight_sum, flip_steps):
-    return {"weight_sum": weight_sum, "sign_flip_steps": flip_steps}
-
-
 def run_chunk_im(me, psi0, grid, idx0, n, seed, r_policy: RatePolicy | None = None):
     """Influence-martingale trajectories; rho_sum rows are weighted projector sums."""
     policy = r_policy if r_policy is not None else default_rate_policy()
-
-    def rates_for(gammas, t):
-        return _sampling_rates(gammas, policy, t)
-
-    def jump_factor(gammas, rs):
-        return gammas / rs
-
-    def det_factor(gammas, rs, n2_cols, dt):
-        return 1.0 - ((gammas - rs)[:, None] * n2_cols * dt).sum(axis=0)
-
-    return _weighted_core(me, psi0, grid, idx0, n, seed, rates_for, jump_factor, det_factor)
+    return run_menus(
+        lambda snap, rows, dt: im_menu(snap, rows, dt, policy), me, psi0, grid, idx0, n, seed, weighted=True
+    )
 
 
 def run_chunk_plqt(me, psi0, grid, idx0, n, seed):
     """Sign-bit trajectories: sampling at |gamma|, sign flip on negative-rate jumps."""
-
-    def rates_for(gammas, t):
-        return np.abs(gammas)
-
-    def jump_factor(gammas, rs):
-        with np.errstate(invalid="ignore", divide="ignore"):
-            out = np.where(rs > 0.0, gammas / np.where(rs > 0.0, rs, 1.0), 1.0)
-        return out
-
-    def det_factor(gammas, rs, n2_cols, dt):
-        return 1.0 + ((rs - gammas)[:, None] * n2_cols * dt).sum(axis=0)
-
-    return _weighted_core(me, psi0, grid, idx0, n, seed, rates_for, jump_factor, det_factor)
+    return run_menus(plqt_menu, me, psi0, grid, idx0, n, seed, weighted=True)

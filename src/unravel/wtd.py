@@ -12,21 +12,15 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NegativeRate, NoJumpPossible
-from .linalg import EPS, normalize, weighted_outer_sum
+from .linalg import EPS, normalize
 from .master_equation import MasterEquation
+from .mcwf import require_nonnegative_rates
 from .propagate import TimeGrid
 from .rng import trajectory_generator
 
 __all__ = ["wtd_next_jump", "wtd_select_channel", "run_chunk", "first_jump_times"]
 
 _BISECT_TOL = 1e-10
-
-
-def _check_rates(me: MasterEquation, t: float) -> None:
-    snap = me.at(t)
-    lo = float(np.min(snap.gammas)) if len(snap.gammas) else 0.0
-    if lo < -EPS:
-        raise NegativeRate(f"rate {lo:.6g} < 0 at t={t:.6g}; WTD requires CP divisibility", time=t)
 
 
 def _rk4_psi(me: MasterEquation, t: float, psi: np.ndarray, h: float) -> np.ndarray:
@@ -64,7 +58,7 @@ def wtd_next_jump(
     tilde = np.asarray(psi0, dtype=complex).copy()
     t = float(t0)
     while t < t_cap - 1e-12:
-        _check_rates(me, t)
+        require_nonnegative_rates(me.at(t), "WTD")
         h = min(dt, t_cap - t)
         nxt = _rk4_psi(me, t, tilde, h)
         n2 = float(np.vdot(nxt, nxt).real)
@@ -105,9 +99,10 @@ def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n
     times = grid.times()
     steps = grid.n_steps
     d = me.dim
-    rho_sum = np.zeros((steps + 1, d, d), dtype=complex)
-    jumps = np.zeros(len(me.channels), dtype=np.int64)
     psi_init = np.asarray(psi0, dtype=complex)
+    rho_sum = np.zeros((steps + 1, d, d), dtype=complex)
+    rho_sum[0] = n * np.outer(psi_init, np.conj(psi_init))  # an abort keeps the true t = 0 point
+    jumps = np.zeros(len(me.channels), dtype=np.int64)
     abort = None
     for k in range(n):
         gen = trajectory_generator(seed, idx0 + k)
@@ -116,7 +111,7 @@ def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n
         except (NegativeRate, NoJumpPossible) as err:
             abort = (err, 0)
             break
-        rho_sum += np.einsum("ti,tj->tij", path, np.conj(path))
+        rho_sum[1:] += np.einsum("ti,tj->tij", path[1:], np.conj(path[1:]))
         jumps += traj_jumps
     counts = {
         "jump": int(jumps.sum()),
@@ -138,7 +133,7 @@ def _one_trajectory(me, psi0, times, gen):
     for g in range(1, steps + 1):
         t_next = times[g]
         while True:
-            _check_rates(me, t)
+            require_nonnegative_rates(me.at(t), "WTD")
             h = t_next - t
             nxt = _rk4_psi(me, t, tilde, h)
             if float(np.vdot(nxt, nxt).real) >= x:
@@ -179,7 +174,7 @@ def first_jump_times(
     coarse = np.empty((steps + 1, psi.shape[0]), dtype=complex)
     coarse[0] = psi
     for k in range(steps):
-        _check_rates(me, times[k])
+        require_nonnegative_rates(me.at(times[k]), "WTD")
         coarse[k + 1] = _rk4_psi(me, times[k], coarse[k], grid.dt)
     n2 = np.einsum("ti,ti->t", coarse, np.conj(coarse)).real
     xs = np.array([trajectory_generator(seed, k).random() for k in range(n)])

@@ -261,3 +261,12 @@ def test_main_exits_1_on_config_problems(tmp_path):
     assert main(["run", "--config", unknown_model]) == 1
     assert main(["run", "--method", "warp", "--out", str(tmp_path / "y")]) == 1
     assert main(["orbit"]) == 1  # unknown subcommand must not exit(2)
+    for flags in (
+        ["--dt", "0.3", "--t-max", "1"],  # dt does not divide t_max
+        ["--dt", "inf"],
+        ["--t-max", "nan"],
+        ["--t-max", "inf"],
+        ["--seed", "-1"],
+        ["--seed", "18446744073709551616"],  # 2^64 does not fit a Philox key word
+    ):
+        assert main(["run", "--oracle-only", "--out", str(tmp_path / "z"), *flags]) == 1

@@ -7,10 +7,11 @@ which pins the bisected jump times to high precision.
 import numpy as np
 import pytest
 
+from unravel.engine import method_id, run_ensemble
 from unravel.errors import NegativeRate, NoJumpPossible
 from unravel.linalg import trace_distance
 from unravel.master_equation import master_equation
-from unravel.models import KET0, KET1, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
+from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.propagate import TimeGrid, propagate
 from unravel.wtd import first_jump_times, run_chunk, wtd_next_jump, wtd_select_channel
 
@@ -70,6 +71,19 @@ def test_chunk_reproduces_master_equation():
     oracle = propagate(me, np.outer(KET1, KET1.conj()), grid)
     dists = [trace_distance(rho_sum[k] / n, oracle.states[k]) for k in range(grid.n_steps + 1)]
     assert max(dists) < 0.1
+
+
+def test_aborted_chunk_keeps_the_initial_point():
+    # the rates of eternally_nm turn negative at once, so every chunk aborts
+    # at step 0; its partial series must still hold the true t = 0 state
+    me = eternally_nm()
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    rho_sum, _counts, _diag, abort = run_chunk(me, PLUS, grid, 0, 5, seed=1)
+    assert isinstance(abort[0], NegativeRate) and abort[1] == 0
+    assert np.allclose(rho_sum[0], 5 * np.outer(PLUS, PLUS.conj()))
+    with pytest.raises(NegativeRate) as info:
+        run_ensemble(method_id("wtd"), me, PLUS, grid, 20, seed=1)
+    assert np.allclose(info.value.partial["rho_hat"][0], np.outer(PLUS, PLUS.conj()))
 
 
 def test_first_jump_times_match_exponential():
