@@ -39,6 +39,7 @@ from .linalg import (
 from .master_equation import (
     Channel,
     GeneratorSnapshot,
+    GeneratorTrack,
     MasterEquation,
     channel,
     decay_operator,

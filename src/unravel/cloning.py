@@ -65,17 +65,21 @@ def run_replica(
     seed: int,
     resample_lo: float = 0.5,
     resample_hi: float = 2.0,
+    track=None,
 ):
     """One population realization; rho_sum rows are trace_factor * sum |psi><psi|.
 
     The population is resampled back to n_members (uniform, with
     replacement) whenever it leaves [lo*n, hi*n]; the size ratio moves into
-    trace_factor so the estimator is unchanged in expectation.
+    trace_factor so the estimator is unchanged in expectation. ``track``
+    is ``me.track`` over the grid's step starts (evaluated here if None).
     """
     gen = replica_generator(seed, replica)
     d = me.dim
     steps = grid.n_steps
     times = grid.times()
+    if track is None:
+        track = me.track(times[:-1])
     states = np.tile(np.asarray(psi0, dtype=complex), (n_members, 1))
     trace_factor = 1.0
     rho_sum = np.zeros((steps + 1, d, d), dtype=complex)
@@ -92,7 +96,7 @@ def run_replica(
             population[k + 1] = 0
             continue  # population extinct; the estimate is legitimately zero
         try:
-            menu = clone_menu(me.at(times[k]), states, grid.dt)
+            menu = clone_menu(track[k], states, grid.dt)
             step = take_step(menu, gen.random(cur), times[k])
         except UnravelError as err:
             return rho_sum, event_counts(hits, copies), diag, (err, k)

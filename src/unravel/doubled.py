@@ -6,26 +6,31 @@ hermitized ensemble mean of |phi><psi| with no per-trajectory
 renormalization. Negative rates are absorbed into the jump factorization by
 flipping the sign of one factor, so every jump has a nonnegative firing
 probability while C rho D^dag still reproduces gamma L rho L^dag. The
-batched kernel ``doubled_menu`` works on rows (phi, psi) of width 2d.
+batched kernel ``factors_menu`` works on rows (phi, psi) of width 2d; the
+runner feeds it ``doubled_factors`` of each step's snapshot, and
+``doubled_menu`` feeds it a ``DoubledModel`` evaluated at t.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ZeroVector
 from .linalg import EPS
-from .master_equation import MasterEquation
+from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, row_branches, row_step, run_menus
 from .propagate import TimeGrid
 
 __all__ = [
     "DoubledState",
     "DoubledModel",
+    "DoubledFactors",
+    "doubled_factors",
     "gksl_to_doubled",
+    "factors_menu",
     "doubled_menu",
     "doubled_branches",
     "doubled_step",
@@ -55,35 +60,37 @@ class DoubledModel:
     ds: tuple[Matrix, ...]
 
 
-def gksl_to_doubled(me: MasterEquation) -> DoubledModel:
+class DoubledFactors(NamedTuple):
+    """A DoubledModel at one time; the jump factors stacked per channel."""
+
+    a: np.ndarray   # (d, d)
+    b: np.ndarray   # (d, d)
+    cs: np.ndarray  # (m, d, d)
+    ds: np.ndarray  # (m, d, d)
+
+
+def doubled_factors(snap: GeneratorSnapshot) -> DoubledFactors:
     """Factor the generator so that drift = A rho + rho B^dag and the jump
-    sandwich C_i rho D_i^dag carries the signed rate (sign goes on D)."""
+    sandwich C_i rho D_i^dag carries the signed rate (sign goes on D):
+    A = B = -iH - G_L/2, C_i = sqrt|gamma_i| L_i, D_i = sign(gamma_i) C_i."""
+    drift = -1j * snap.h - 0.5 * snap.gamma_l
+    root = np.sqrt(np.abs(snap.gammas))
+    signed = np.copysign(1.0, snap.gammas) * root
+    return DoubledFactors(drift, drift, root[:, None, None] * snap.ls, signed[:, None, None] * snap.ls)
 
-    def drift_block(t: float) -> np.ndarray:
-        snap = me.at(t)
-        return -1j * snap.h - 0.5 * snap.gamma_l
 
-    def c_factor(i: int) -> Matrix:
-        def c(t: float) -> np.ndarray:
-            snap = me.at(t)
-            return np.sqrt(abs(snap.gammas[i])) * snap.ls[i]
+def gksl_to_doubled(me: MasterEquation) -> DoubledModel:
+    """``doubled_factors`` as functions of t."""
 
-        return c
-
-    def d_factor(i: int) -> Matrix:
-        def d(t: float) -> np.ndarray:
-            snap = me.at(t)
-            g = snap.gammas[i]
-            return np.copysign(1.0, g) * np.sqrt(abs(g)) * snap.ls[i]
-
-        return d
+    def part(pick: Callable[[DoubledFactors], np.ndarray]) -> Matrix:
+        return lambda t: pick(doubled_factors(me.at(t)))
 
     m = len(me.channels)
     return DoubledModel(
-        a=drift_block,
-        b=drift_block,
-        cs=tuple(c_factor(i) for i in range(m)),
-        ds=tuple(d_factor(i) for i in range(m)),
+        a=part(lambda f: f.a),
+        b=part(lambda f: f.b),
+        cs=tuple(part(lambda f, i=i: f.cs[i]) for i in range(m)),
+        ds=tuple(part(lambda f, i=i: f.ds[i]) for i in range(m)),
     )
 
 
@@ -92,7 +99,7 @@ def _norm2(rows: np.ndarray) -> np.ndarray:
     return np.einsum("ni,ni->n", rows, np.conj(rows)).real
 
 
-def doubled_menu(model: DoubledModel, t: float, rows: np.ndarray, dt: float) -> Menu:
+def factors_menu(f: DoubledFactors, t: float, rows: np.ndarray, dt: float) -> Menu:
     """Kernel on rows theta = (phi, psi) of width 2d.
 
     Jump i fires with q_i dt, q_i = (||C_i phi||^2 + ||D_i psi||^2) / ||theta||^2,
@@ -102,9 +109,7 @@ def doubled_menu(model: DoubledModel, t: float, rows: np.ndarray, dt: float) -> 
     """
     d = rows.shape[1] // 2
     phis, psis = rows[:, :d], rows[:, d:]
-    cs = np.array([c(t) for c in model.cs]).reshape(-1, d, d)
-    ds = np.array([dd(t) for dd in model.ds]).reshape(-1, d, d)
-    images = np.concatenate([phis @ np.swapaxes(cs, 1, 2), psis @ np.swapaxes(ds, 1, 2)], axis=2)
+    images = np.concatenate([phis @ np.swapaxes(f.cs, 1, 2), psis @ np.swapaxes(f.ds, 1, 2)], axis=2)
     jn2 = np.einsum("ani,ani->an", images, np.conj(images)).real
     n2 = _norm2(rows)
     if np.any(n2 <= EPS):
@@ -114,9 +119,17 @@ def doubled_menu(model: DoubledModel, t: float, rows: np.ndarray, dt: float) -> 
     targets = np.sqrt(n2[None, :] / np.where(jn2 > 0.0, jn2, 1.0))[..., None] * images
     sigma = 0.5 * qs.sum(axis=0)
     blocks = np.zeros((2 * d, 2 * d), dtype=complex)
-    blocks[:d, :d], blocks[d:, d:] = model.a(t), model.b(t)
+    blocks[:d, :d], blocks[d:, d:] = f.a, f.b
     drift = rows + dt * (rows @ blocks.T + sigma[:, None] * rows)
     return Menu((qs * dt).T, np.swapaxes(targets, 0, 1), drift)
+
+
+def doubled_menu(model: DoubledModel, t: float, rows: np.ndarray, dt: float) -> Menu:
+    """``factors_menu`` of the model evaluated at t."""
+    d = rows.shape[1] // 2
+    cs = np.array([c(t) for c in model.cs]).reshape(-1, d, d)
+    ds = np.array([dd(t) for dd in model.ds]).reshape(-1, d, d)
+    return factors_menu(DoubledFactors(model.a(t), model.b(t), cs, ds), t, rows, dt)
 
 
 def _paired(b: Branch) -> Branch:
@@ -153,13 +166,13 @@ def run_chunk(
     idx0: int,
     n: int,
     seed: int,
+    track=None,
 ):
     """Evolve n doubled trajectories; rho_sum accumulates sum_k |phi_k><psi_k|
     raw (not hermitized), norms and all, which is the estimator's convention."""
-    model = gksl_to_doubled(me)
     psi0 = np.asarray(psi0, dtype=complex)
     return run_menus(
-        lambda snap, rows, dt: doubled_menu(model, snap.t, rows, dt),
+        lambda snap, rows, dt: factors_menu(doubled_factors(snap), snap.t, rows, dt),
         me,
         np.concatenate([psi0, psi0]),
         grid,
@@ -168,4 +181,5 @@ def run_chunk(
         seed,
         outer=_pair_outer,
         tally=("theta_norm2_sum", lambda rows: _norm2(rows).sum()),
+        track=track,
     )

@@ -5,7 +5,10 @@ Work is split into a fixed number of contiguous trajectory chunks (the same
 chunks double as the statistical batches). Every chunk derives its random
 numbers from (seed, trajectory index) or (seed, replica index) alone and the
 chunk sums are combined by a fixed-order pairwise tree, so the result is
-bit-identical no matter how many worker threads execute the chunks.
+bit-identical no matter how many worker threads execute the chunks. The
+chunks of the grid-stepping methods read one generator track, evaluated once
+per grid time before any chunk runs; ``wtd`` (off-grid times) and ``nmqj``
+evaluate through ``MasterEquation.at``.
 
 A method abort (negative rate, missing reverse target, oversized step...)
 is re-raised with two attributes attached: ``time`` (grid time of first
@@ -62,6 +65,7 @@ METHOD_KINDS = (
     "cloning",
 )
 _REPLICA_KINDS = frozenset({"nmqj", "cloning"})
+_OFF_TRACK_KINDS = frozenset({"wtd", "nmqj"})
 _GAUGE_KINDS = frozenset({"rroqj", "psi_roqj"})
 _DEFAULT_BATCHES = 20
 
@@ -130,10 +134,19 @@ def _runner(method: MethodId):
             me, psi0, grid, n, replica, seed
         )
     if kind == "cloning":
-        return lambda me, psi0, grid, replica, n, seed: _cloning.run_replica(
-            me, psi0, grid, n, replica, seed
+        return lambda me, psi0, grid, replica, n, seed, track: _cloning.run_replica(
+            me, psi0, grid, n, replica, seed, track=track
         )
     raise UnknownMethod(f"unknown method {kind!r}")
+
+
+def _generator_track(method: MethodId, me: MasterEquation, grid: TimeGrid):
+    """The track every chunk of the method steps on: the model's, or the
+    embedding's for tripled; None for the methods that step without one."""
+    if method.kind in _OFF_TRACK_KINDS:
+        return None
+    system = _tripled.embedded_system(me) if method.kind == "tripled" else me
+    return system.track(grid.times()[:-1])
 
 
 def _tree_sum(arrays: list[np.ndarray]) -> np.ndarray:
@@ -243,10 +256,14 @@ def run_ensemble(
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     psi = np.asarray(psi0, dtype=complex)
-    run = _runner(method)
     sizes = _chunk_sizes(n_traj, batches)
     starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
     times = grid.times()
+    t0 = _time.perf_counter()
+    run = _runner(method)
+    track = _generator_track(method, me, grid)
+    if track is not None:
+        run = partial(run, track=track)  # the pool threads only read it
 
     def job(b: int):
         # replica methods key their stream off the batch index, the rest
@@ -254,7 +271,6 @@ def run_ensemble(
         index = b if method.kind in _REPLICA_KINDS else int(starts[b])
         return run(me, psi, grid, index, sizes[b], seed)
 
-    t0 = _time.perf_counter()
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(job, range(len(sizes))))

@@ -23,6 +23,7 @@ __all__ = [
     "Channel",
     "MasterEquation",
     "GeneratorSnapshot",
+    "GeneratorTrack",
     "channel",
     "master_equation",
     "decay_operator",
@@ -68,8 +69,10 @@ class MasterEquation:
     hamiltonian: MatrixFn
     channels: tuple[Channel, ...]
     trace_sink: MatrixFn | None = None
-    # memo of recent snapshots; RK4 and nested embeddings hit the same t
-    # repeatedly (time-dependent pieces are required to be pure in t)
+    # memo of recent snapshots for the callers that step without a track
+    # (wtd, nmqj, the oracle's RK4, the scalar ``*_step`` helpers) and for
+    # an embedding that reads this system once per factor: they hit the same
+    # t repeatedly (time-dependent pieces are required to be pure in t)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def at(self, t: float) -> "GeneratorSnapshot":
@@ -82,6 +85,38 @@ class MasterEquation:
             self._memo.clear()
         self._memo[t] = snap
         return snap
+
+    def track(self, times) -> "GeneratorTrack":
+        """Evaluate every time-dependent piece once per time in ``times``
+        (a grid's step starts) into stacked arrays; ``track[k]`` is the
+        snapshot at ``times[k]``.
+
+        An evaluation error ends the track and is kept: ``track[k]`` raises
+        it from the failing time on, so a runner meets it at the same step
+        where ``at`` would have raised it, and not before a method abort.
+        """
+        times = np.asarray(times, dtype=float)
+        n, d, m = len(times), self.dim, len(self.channels)
+        shapes = {
+            "h": (d, d),
+            "ls": (m, d, d),
+            "gammas": (m,),
+            "gamma_l": (d, d),
+            "gamma_drift": (d, d),
+            "k": (d, d),
+        }
+        arrays = {
+            name: np.empty((n, *shape), dtype=float if name == "gammas" else complex)
+            for name, shape in shapes.items()
+        }
+        for i, t in enumerate(times):
+            try:
+                snap = self._evaluate(t)
+            except Exception as err:  # re-raised by GeneratorTrack.__getitem__
+                return GeneratorTrack(times, **{name: a[:i] for name, a in arrays.items()}, error=err)
+            for name, a in arrays.items():
+                a[i] = getattr(snap, name)
+        return GeneratorTrack(times, **arrays)
 
     def _evaluate(self, t: float) -> "GeneratorSnapshot":
         h = np.asarray(self.hamiltonian(t), dtype=complex)
@@ -124,6 +159,27 @@ class GeneratorSnapshot:
         if self._k is None:
             self._k = self.h - 0.5j * self.gamma_drift
         return self._k
+
+
+@dataclass(frozen=True)
+class GeneratorTrack:
+    """Generator pieces at a sequence of times, stacked along axis 0."""
+
+    times: np.ndarray
+    h: np.ndarray            # (n, d, d)
+    ls: np.ndarray           # (n, n_channels, d, d)
+    gammas: np.ndarray       # (n, n_channels)
+    gamma_l: np.ndarray      # (n, d, d)
+    gamma_drift: np.ndarray  # (n, d, d)
+    k: np.ndarray            # (n, d, d)
+    error: Exception | None = None  # raised at times[len(h)] and later
+
+    def __getitem__(self, k: int) -> GeneratorSnapshot:
+        if self.error is not None and k >= len(self.h):
+            raise self.error
+        return GeneratorSnapshot(
+            self.times[k], self.h[k], self.ls[k], self.gammas[k], self.gamma_l[k], self.gamma_drift[k], self.k[k]
+        )
 
 
 def master_equation(dim, hamiltonian, channels, trace_sink=None) -> MasterEquation:

@@ -88,10 +88,10 @@ def mcwf_step(me: MasterEquation, psi: np.ndarray, t: float, dt: float, u: float
 
 
 def run_chunk(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n: int, seed: int
+    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n: int, seed: int, track=None
 ):
     """Run n trajectories; returns (rho_sum series, event counts, diagnostics, abort)."""
-    return run_menus(mcwf_menu, me, psi0, grid, idx0, n, seed)
+    return run_menus(mcwf_menu, me, psi0, grid, idx0, n, seed, track=track)
 
 
 def first_jump_times(

@@ -191,6 +191,7 @@ def run_menus(
     outer: Callable | None = None,
     weighted: bool = False,
     tally: tuple[str, Callable] | None = None,
+    track=None,
 ):
     """Step n rows from row0 on the streams of trajectories idx0..idx0+n-1.
 
@@ -201,10 +202,14 @@ def run_menus(
     ``weighted`` carries one weight per row and records the ``weight_sum``
     series and the ``sign_flip_steps`` where a jump took a negative factor;
     ``tally = (key, fn(rows))`` records one more series.
+    ``track`` is ``me.track`` over the grid's step starts; chunks of one
+    ensemble share it, and a call without one evaluates its own.
     """
     outer = outer or weighted_outer_sum
     times = grid.times()
     steps = grid.n_steps
+    if track is None:
+        track = me.track(times[:-1])
     u = trajectory_uniforms(seed, idx0, n, steps)
     rows = np.tile(np.asarray(row0, dtype=complex), (n, 1))
     weights = np.ones(n) if weighted else None
@@ -220,7 +225,7 @@ def run_menus(
         diag[tally[0]][0] = tally[1](rows)
     hits = np.zeros(1, dtype=np.int64)  # grows to one slot per branch at the first step
     for k in range(steps):
-        snap = me.at(times[k])
+        snap = track[k]
         try:
             menu = kernel(snap, rows, grid.dt)
             step = take_step(menu, u[:, k], times[k])

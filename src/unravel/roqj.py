@@ -114,8 +114,11 @@ def run_chunk(
     seed: int,
     flavor: str = "w",
     gauge: GaugeTransform | None = None,
+    track=None,
 ):
     """Chunk runner for all three flavors ('w', or 'ro' with a gauge)."""
     if flavor == "w":
-        return run_menus(w_menu, me, psi0, grid, idx0, n, seed)
-    return run_menus(lambda snap, rows, dt: ro_menu(snap, rows, dt, gauge), me, psi0, grid, idx0, n, seed)
+        return run_menus(w_menu, me, psi0, grid, idx0, n, seed, track=track)
+    return run_menus(
+        lambda snap, rows, dt: ro_menu(snap, rows, dt, gauge), me, psi0, grid, idx0, n, seed, track=track
+    )

@@ -31,6 +31,7 @@ __all__ = [
     "tripled_embed",
     "tripled_extract",
     "embedded_master_equation",
+    "embedded_system",
     "run_chunk",
 ]
 
@@ -169,6 +170,15 @@ def embedded_master_equation(emb: TripledEmbedding) -> MasterEquation:
     return master_equation(3 * emb.base_dim, emb.hamiltonian3, channels)
 
 
+def embedded_system(me: MasterEquation) -> MasterEquation:
+    """The embedding of ``me`` with symmetric factor pairs and the default
+    completion levels, as the system the tripled runner steps."""
+    pairs = pairs_from_master_equation(me)
+    # the initial state W0 is built from psi0 by the runner, not from this rho0
+    emb, _w0 = tripled_embed(lambda t: me.at(t).h, pairs, me.dim, np.eye(me.dim))
+    return embedded_master_equation(emb)
+
+
 def run_chunk(
     me: MasterEquation,
     psi0: np.ndarray,
@@ -176,17 +186,16 @@ def run_chunk(
     idx0: int,
     n: int,
     seed: int,
+    track=None,
 ):
     """Plain jump trajectories of the embedded equation from psi0 (x) chi.
 
     rho_sum holds 3d x 3d projector sums over W-space; extraction happens
     at reconstruction time so batch statistics see the same division noise
-    a user would.
+    a user would. ``track`` is the generator track of ``embedded_system(me)``
+    (evaluated here if None).
     """
-    pairs = pairs_from_master_equation(me)
-    rho0 = np.outer(psi0, np.conj(psi0))
-    emb, _w0 = tripled_embed(lambda t, _me=me: _me.at(t).h, pairs, me.dim, rho0)
     chi = np.zeros(3)
     chi[0] = chi[1] = 1.0 / np.sqrt(2.0)
     theta0 = np.kron(np.asarray(psi0, dtype=complex), chi)
-    return mcwf.run_chunk(embedded_master_equation(emb), theta0, grid, idx0, n, seed)
+    return mcwf.run_chunk(embedded_system(me), theta0, grid, idx0, n, seed, track=track)

@@ -137,14 +137,22 @@ def plqt_step(wt: PlqtTrajectory, me: MasterEquation, t: float, dt: float, u: fl
     return PlqtTrajectory(b.state, wt.sign, wt.magnitude * b.weight_factor)
 
 
-def run_chunk_im(me, psi0, grid, idx0, n, seed, r_policy: RatePolicy | None = None):
+def run_chunk_im(me, psi0, grid, idx0, n, seed, r_policy: RatePolicy | None = None, track=None):
     """Influence-martingale trajectories; rho_sum rows are weighted projector sums."""
     policy = r_policy if r_policy is not None else default_rate_policy()
     return run_menus(
-        lambda snap, rows, dt: im_menu(snap, rows, dt, policy), me, psi0, grid, idx0, n, seed, weighted=True
+        lambda snap, rows, dt: im_menu(snap, rows, dt, policy),
+        me,
+        psi0,
+        grid,
+        idx0,
+        n,
+        seed,
+        weighted=True,
+        track=track,
     )
 
 
-def run_chunk_plqt(me, psi0, grid, idx0, n, seed):
+def run_chunk_plqt(me, psi0, grid, idx0, n, seed, track=None):
     """Sign-bit trajectories: sampling at |gamma|, sign flip on negative-rate jumps."""
-    return run_menus(plqt_menu, me, psi0, grid, idx0, n, seed, weighted=True)
+    return run_menus(plqt_menu, me, psi0, grid, idx0, n, seed, weighted=True, track=track)

@@ -1,5 +1,7 @@
 """Ensemble driver: chunking, determinism, error bars, abort reporting."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from unravel.errors import (
     NotHermitian,
     UnknownMethod,
 )
+from unravel.master_equation import MasterEquation
 from unravel.models import (
     OBSERVABLES,
     PLUS,
@@ -190,3 +193,36 @@ def test_weighted_diagnostics_surface_through_engine():
     flips = plqt.diagnostics["sign_flip_steps"]
     assert flips == sorted(flips)
     assert plqt.event_counts["jump"] > 0
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize(
+    "kind, build",
+    [
+        ("mcwf", spontaneous_emission),
+        ("wroqj", eternally_nm),
+        ("im", eternally_nm),
+        ("plqt", eternally_nm),
+        ("doubled", eternally_nm),
+        ("cloning", spontaneous_emission),
+        ("tripled", eternally_nm),
+    ],
+)
+def test_generator_evaluated_once_per_grid_time(monkeypatch, kind, build, threads):
+    """All 20 chunks read one evaluation per grid time of every evaluated
+    system: the model, and for tripled also its embedding."""
+    me = build()
+    grid = TimeGrid(0.0, 0.2, 1e-2)
+    calls = Counter()
+    evaluate = MasterEquation._evaluate
+
+    def counting(self, t):
+        calls[(id(self), float(t))] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    run_ensemble(method_id(kind), me, PLUS, grid, 40, seed=3, threads=threads, batches=20)
+    systems = {system for system, _ in calls}
+    assert len(systems) == (2 if kind == "tripled" else 1)
+    assert max(calls.values()) == 1
+    assert len(calls) == len(systems) * grid.n_steps

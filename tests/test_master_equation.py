@@ -12,7 +12,9 @@ from unravel.master_equation import (
     lindblad_apply,
     master_equation,
 )
+from unravel.errors import NotHermitian
 from unravel.models import KET1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, eternally_nm, spontaneous_emission
+from unravel.propagate import TimeGrid
 
 
 def decay_qubit(gamma=1.0):
@@ -108,3 +110,45 @@ def test_channel_constructor_keeps_label():
 def test_spontaneous_emission_rejects_negative_gamma():
     with pytest.raises(ValueError):
         spontaneous_emission(gamma=-1.0)
+
+
+def _time_dependent_qubit():
+    return master_equation(
+        2,
+        lambda t: np.cos(t) * SIGMA_X + 0.3 * SIGMA_Z,
+        [(lambda t: t * SIGMA_X + SIGMA_MINUS, lambda t: np.sin(3.0 * t), "grow"), (SIGMA_Z, 0.2, "z")],
+    )
+
+
+def _sink_qubit():
+    gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
+    return master_equation(
+        2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")], trace_sink=lambda t: gamma_l - 0.2 * t * np.eye(2)
+    )
+
+
+@pytest.mark.parametrize("build", [eternally_nm, _time_dependent_qubit, _sink_qubit])
+def test_track_matches_snapshots(build):
+    me = build()
+    times = TimeGrid(0.0, 2.0, 0.05).times()[:-1]
+    track = me.track(times)
+    for k, t in enumerate(times):
+        got, want = track[k], me.at(t)
+        assert got.t == t
+        for name in ("h", "ls", "gammas", "gamma_l", "gamma_drift", "k"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, t)
+    with pytest.raises(IndexError):
+        track[len(times)]
+
+
+def test_track_raises_evaluation_error_from_the_failing_time_on():
+    def h(t):
+        return np.array([[0.0, 1.0], [0.0, 0.0]]) if t >= 0.5 else 0.3 * SIGMA_X
+
+    me = master_equation(2, h, [(SIGMA_MINUS, 1.0, "down")])
+    track = me.track(TimeGrid(0.0, 1.0, 0.1).times()[:-1])
+    assert np.allclose(track[4].h, 0.3 * SIGMA_X)
+    for k in (5, 9):
+        with pytest.raises(NotHermitian):
+            track[k]
