@@ -126,7 +126,10 @@ def _apply_key(cfg: RunConfig, key: str, val: str, lineno: int) -> None:
     if key == "model":
         cfg.model_name = val
     elif key.startswith("model."):
-        cfg.model_params[key[len("model."):]] = float(val)
+        value = float(val)
+        if not np.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {val}")
+        cfg.model_params[key[len("model."):]] = value
     elif key == "methods":
         tokens = _split_method_list(val)
         cfg.method_tokens = [t for t in tokens if t]
@@ -266,7 +269,7 @@ def run_command(cfg: RunConfig) -> int:
                 n_part = len(partial["times"])
                 _observable_rows(
                     rows, partial["times"], token, cfg.observable_names, obs_mats,
-                    partial["rho_hat"], np.zeros(n_part), cfg.n_traj,
+                    partial["rho_hat"], partial["stderr"], cfg.n_traj,
                 )
                 abort_t = getattr(err, "time", None)
                 abort_t = float(abort_t) if abort_t is not None else float(partial["times"][-1])
@@ -346,7 +349,7 @@ def _build_parser() -> _Parser:
         p.add_argument("--dt", type=float, default=None)
         p.add_argument("--t-max", type=float, default=None)
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=None)
+        p.add_argument("--threads", type=int, default=None, help="accepted, no effect")
         p.add_argument("--out", default=None, help="output path prefix")
         p.add_argument("--oracle-only", action="store_true")
     return parser
@@ -376,6 +379,9 @@ def _config_from_args(args) -> RunConfig:
         val = getattr(args, attr)
         if val is not None:
             setattr(cfg, key, val)
+    for name, count in (("trajectories", cfg.n_traj), ("threads", cfg.threads)):
+        if count < 1:
+            raise ParseError(f"{name} must be >= 1, got {count}")
     if not (0 < cfg.dt < np.inf and 0 < cfg.t_max < np.inf):
         raise ParseError(f"grid needs finite positive dt and t_max, got dt={cfg.dt}, t_max={cfg.t_max}")
     try:

@@ -2,26 +2,28 @@
 matrices, batch-means error bars, oracle comparison.
 
 Work is split into a fixed number of contiguous trajectory chunks (the same
-chunks double as the statistical batches). Every chunk derives its random
-numbers from (seed, trajectory index) or (seed, replica index) alone and the
-chunk sums are combined by a fixed-order pairwise tree, so the result is
-bit-identical no matter how many worker threads execute the chunks. The
-chunks of the grid-stepping methods read one generator track, evaluated once
-per grid time before any chunk runs; ``wtd`` (off-grid times) and ``nmqj``
-evaluate through ``MasterEquation.at``.
+chunks double as the statistical batches), run one after another. Every
+chunk derives its random numbers from (seed, trajectory index) or (seed,
+replica index) alone and the chunk sums are combined by a fixed-order
+pairwise tree, so a seed fixes the result bit for bit. ``threads`` has no
+effect: a pool running these short numpy calls under the GIL only made them
+slower. The chunks of the grid-stepping methods read one generator track,
+evaluated once per grid time before any chunk runs; ``wtd`` (off-grid
+times) and ``nmqj`` evaluate through ``MasterEquation.at``.
 
-A method abort (negative rate, missing reverse target, oversized step...)
-is re-raised with two attributes attached: ``time`` (grid time of first
-failure across chunks) and ``partial`` (dict with times / rho_hat / stderr
-series up to the last completed step, plus the replicas' event_logs cut to
-the steps that series covers, for methods that keep one) so callers can
-still report what was simulated.
+Finished and aborted runs share one reconstruction: the chunk sums are cut
+to the last point every chunk reached and reconstructed once, keeping the
+longest prefix that can be extracted (tripled's block can decay past it). A
+method abort (negative rate, missing reverse target, oversized step...) or
+such a DegenerateBlock is raised with ``time`` (grid time of first failure
+across chunks) and ``partial`` (dict with the prefix's times / rho_hat /
+stderr, n_traj, and the replicas' event_logs cut to the steps it covers)
+so callers can still report what was simulated.
 """
 
 from __future__ import annotations
 
 import time as _time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -182,62 +184,51 @@ def _merge_diagnostics(dicts: list[dict]) -> dict:
     return out
 
 
-def _extract_point(w: np.ndarray) -> np.ndarray:
-    return _tripled.tripled_extract(hermitize(w))
-
-
-def _finalize_series(method: MethodId, mean_series: np.ndarray, times: np.ndarray) -> np.ndarray:
-    """Turn per-point mean accumulators into density matrices."""
+def _reconstruct(method: MethodId, mean: np.ndarray, times: np.ndarray):
+    """Density matrices of the mean series, cut to its extractable prefix,
+    and the DegenerateBlock that ended the prefix (None if nothing did)."""
     if method.kind != "tripled":
-        return np.array([hermitize(r) for r in mean_series])
-    out = np.empty((mean_series.shape[0], mean_series.shape[1] // 3, mean_series.shape[2] // 3), dtype=complex)
-    for i, w in enumerate(mean_series):
+        return hermitize(mean), None
+    d = mean.shape[1] // 3
+    out = np.empty((mean.shape[0], d, d), dtype=complex)
+    for k, w in enumerate(mean):
         try:
-            out[i] = _extract_point(w)
+            out[k] = _tripled.tripled_extract(hermitize(w))
         except DegenerateBlock as err:
-            err.time = float(times[i])
-            err.partial = {
-                "times": times[:i],
-                "rho_hat": out[:i].copy(),
-                "stderr": np.zeros(i),
-            }
-            raise
-    return out
+            err.time = float(times[k])
+            return out[:k], err
+    return out, None
 
 
-def _batch_series(method: MethodId, sums, sizes, times) -> np.ndarray:
+def _batch_series(method: MethodId, sums: np.ndarray, sizes: list[int]) -> np.ndarray:
     """Per-batch reconstructions; tripled extraction failures become NaN."""
-    b = len(sums)
+    means = sums / np.array(sizes)[:, None, None, None]
     if method.kind != "tripled":
-        return np.array([[hermitize(r) for r in sums[i] / sizes[i]] for i in range(b)])
-    t_pts = sums[0].shape[0]
-    d = sums[0].shape[1] // 3
-    out = np.full((b, t_pts, d, d), np.nan, dtype=complex)
-    for i in range(b):
-        w_series = sums[i] / sizes[i]
-        for k in range(t_pts):
-            try:
-                out[i, k] = _extract_point(w_series[k])
-            except DegenerateBlock:
-                pass  # leave NaN; stderr at this point becomes inf
+        return hermitize(means)
+    b, t_pts, d3, _ = means.shape
+    out = np.full((b, t_pts, d3 // 3, d3 // 3), np.nan, dtype=complex)
+    for i, k in np.ndindex(b, t_pts):
+        try:
+            out[i, k] = _tripled.tripled_extract(hermitize(means[i, k]))
+        except DegenerateBlock:
+            pass  # leave NaN; stderr at this point becomes inf
     return out
 
 
 def _distance_stderr(rho_hat: np.ndarray, rho_batches: np.ndarray) -> np.ndarray:
+    """Batch-means stderr of the trace distance to rho_hat, point by point;
+    inf where a batch has no reconstruction."""
     b = rho_batches.shape[0]
-    n_pts = rho_hat.shape[0]
     if b < 2:
-        return np.zeros(n_pts)
-    out = np.empty(n_pts)
-    for k in range(n_pts):
-        acc = 0.0
-        bad = False
-        for i in range(b):
-            if not np.all(np.isfinite(rho_batches[i, k])):
-                bad = True
-                break
-            acc += trace_distance(hermitize(rho_batches[i, k]), rho_hat[k]) ** 2
-        out[k] = np.inf if bad else np.sqrt(acc / (b * (b - 1)))
+        return np.zeros(rho_hat.shape[0])
+    finite = np.isfinite(rho_batches).all(axis=(0, 2, 3))
+    diff = np.where(finite[:, None, None], hermitize(rho_batches) - rho_hat, 0.0)
+    require_hermitian(diff, what="difference of operators")
+    dists = 0.5 * np.abs(np.linalg.eigvalsh(hermitize(diff))).sum(axis=-1)
+    # float_power squares through libm pow, as Python's float ** 2 does;
+    # x * x differs from it in the last bit for ~0.1% of values
+    out = np.sqrt(np.float_power(dists, 2).sum(axis=0) / (b * (b - 1)))
+    out[~finite] = np.inf
     return out
 
 
@@ -251,6 +242,7 @@ def run_ensemble(
     threads: int = 1,
     batches: int = _DEFAULT_BATCHES,
 ) -> EnsembleResult:
+    """``threads`` is accepted for compatibility and has no effect."""
     if isinstance(method, str):
         method = method_id(method)
     if n_traj < 1:
@@ -263,34 +255,26 @@ def run_ensemble(
     run = _runner(method)
     track = _generator_track(method, me, grid)
     if track is not None:
-        run = partial(run, track=track)  # the pool threads only read it
+        run = partial(run, track=track)
+    # replica methods key their stream off the batch index, the rest off the
+    # first trajectory index of the chunk
+    keys = range(len(sizes)) if method.kind in _REPLICA_KINDS else starts
+    results = [run(me, psi, grid, int(key), size, seed) for key, size in zip(keys, sizes)]
 
-    def job(b: int):
-        # replica methods key their stream off the batch index, the rest
-        # off the first trajectory index of the chunk
-        index = b if method.kind in _REPLICA_KINDS else int(starts[b])
-        return run(me, psi, grid, index, sizes[b], seed)
+    # cut every chunk to the last point all of them reached
+    aborts = [res[3] for res in results if res[3] is not None]
+    abort = min(aborts, key=lambda a: a[1]) if aborts else None
+    n_pts = abort[1] + 1 if abort else len(times)
+    sums = [res[0][:n_pts] for res in results]
+    rho_hat, degenerate = _reconstruct(method, _tree_sum(sums) / n_traj, times)
+    n_pts = rho_hat.shape[0]
+    rho_batches = _batch_series(method, np.stack(sums)[:, :n_pts], sizes)
+    stderr = _distance_stderr(rho_hat, rho_batches)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, range(len(sizes))))
-    else:
-        results = [job(b) for b in range(len(sizes))]
-
-    aborts = [(res[3][0], res[3][1], b) for b, res in enumerate(results) if res[3] is not None]
-    if aborts:
-        err, k_star, _ = min(aborts, key=lambda a: a[1])
-        partial_sums = [res[0][: k_star + 1] for res in results]
-        mean = _tree_sum(partial_sums) / n_traj
-        try:
-            rho_hat = _finalize_series(method, mean, times)
-            batch = _batch_series(method, partial_sums, sizes, times)
-            stderr = _distance_stderr(rho_hat, batch)
-        except DegenerateBlock as inner:
-            rho_hat = inner.partial["rho_hat"]
-            stderr = inner.partial["stderr"]
-        err.time = float(times[k_star]) if err.time is None else err.time
-        n_pts = rho_hat.shape[0]
+    err = abort[0] if abort else degenerate
+    if err is not None:
+        if err.time is None:
+            err.time = float(times[abort[1]])
         err.partial = {
             "times": times[:n_pts],
             "rho_hat": rho_hat,
@@ -307,11 +291,6 @@ def run_ensemble(
             err.partial["event_logs"] = logs
         raise err
 
-    sums = [res[0] for res in results]
-    mean = _tree_sum(sums) / n_traj
-    rho_hat = _finalize_series(method, mean, times)
-    rho_batches = _batch_series(method, sums, sizes, times)
-    stderr = _distance_stderr(rho_hat, rho_batches)
     wall_ms = (_time.perf_counter() - t0) * 1e3
     return EnsembleResult(
         grid=grid,

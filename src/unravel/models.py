@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import UnknownModel
+from .errors import ConfigError, UnknownModel
 from .master_equation import MasterEquation, master_equation
 
 __all__ = [
@@ -190,20 +190,32 @@ def _build_spontaneous(params: dict) -> Model:
     return Model("spontaneous_emission", me, None, params)
 
 
+# name -> (builder, the parameters it reads)
 _BUILDERS = {
-    "eternally_nm": _build_eternally_nm,
-    "non_p_divisible": _build_non_p,
-    "spontaneous_emission": _build_spontaneous,
-    "phase_covariant": _build_phase_covariant,
-    "delayed_negative": _build_delayed,
+    "eternally_nm": (_build_eternally_nm, ()),
+    "non_p_divisible": (_build_non_p, ("kappa",)),
+    "spontaneous_emission": (_build_spontaneous, ("omega0", "omega", "gamma")),
+    "phase_covariant": (_build_phase_covariant, ("gamma_plus", "gamma_minus", "gamma_z", "omega0")),
+    "delayed_negative": (_build_delayed, ()),
 }
 
 MODEL_NAMES = sorted(_BUILDERS)
 
 
 def build_model(name: str, params: dict | None = None) -> Model:
+    """Registry model; bad names, parameters and values raise ConfigError."""
     try:
-        builder = _BUILDERS[name]
+        builder, valid = _BUILDERS[name]
     except KeyError:
         raise UnknownModel(f"unknown model {name!r}; valid names: {', '.join(MODEL_NAMES)}") from None
-    return builder(dict(params or {}))
+    params = dict(params or {})
+    for key in params:
+        if key not in valid:
+            raise ConfigError(
+                f"unknown parameter {key!r} for model {name!r}; "
+                f"valid: {', '.join(valid) or 'none'}"
+            )
+    try:
+        return builder(params)
+    except ValueError as err:
+        raise ConfigError(f"model {name!r}: {err}") from None

@@ -213,12 +213,13 @@ def run_replica(
     log = []
     seen_direct = set()  # (child, channel, parent) already logged
     n_jump = n_rev = 0
+    abort = None
     for k in range(steps):
         try:
             ens, events = nmqj_step(me, ens, times[k], grid.dt, gen)
         except (MissingTargetState, StepTooLarge) as err:
-            counts = {"jump": n_jump, "reverse_jump": n_rev, "deterministic": 0}
-            return rho_sum, counts, {"event_log": log}, (err, k)
+            abort = (err, k)
+            break
         for ev in events:
             if isinstance(ev, ReverseJump):
                 n_rev += 1
@@ -232,4 +233,4 @@ def run_replica(
                     log.append((k, "direct", p, child, a))
         rho_sum[k + 1] = n_members * ens.rho()
     counts = {"jump": n_jump, "reverse_jump": n_rev, "deterministic": 0}
-    return rho_sum, counts, {"event_log": log}, None
+    return rho_sum, counts, {"event_log": log}, abort

@@ -1,9 +1,9 @@
 """Counter-based random streams with reproducible substream keys.
 
-Trajectory k always draws from Philox(key=[seed, k]) no matter which worker
-executes it, and ensemble-level methods (NMQJ, cloning) give replica r the
+Trajectory k always draws from Philox(key=[seed, k]) no matter which chunk
+holds it, and ensemble-level methods (NMQJ, cloning) give replica r the
 stream Philox(key=[seed, 2^63 + r]); the offset keeps replica keys disjoint
-from trajectory keys. This is what makes results independent of --threads.
+from trajectory keys. A seed fixes every draw; ``--threads`` has no effect.
 """
 
 from __future__ import annotations

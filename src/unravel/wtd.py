@@ -15,6 +15,7 @@ from .errors import NegativeRate, NoJumpPossible
 from .linalg import EPS, normalize
 from .master_equation import MasterEquation
 from .mcwf import require_nonnegative_rates
+from .outcomes import event_counts
 from .propagate import TimeGrid
 from .rng import trajectory_generator
 
@@ -113,12 +114,7 @@ def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n
             break
         rho_sum[1:] += np.einsum("ti,tj->tij", path[1:], np.conj(path[1:]))
         jumps += traj_jumps
-    counts = {
-        "jump": int(jumps.sum()),
-        "jump_by_channel": [int(x) for x in jumps],
-        "deterministic": 0,
-    }
-    return rho_sum, counts, {}, abort
+    return rho_sum, event_counts(np.append(jumps, 0)), {}, abort
 
 
 def _one_trajectory(me, psi0, times, gen):

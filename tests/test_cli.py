@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from unravel.cli import divisibility_command, main, parse_config, run_command
-from unravel.errors import BadAmplitudes, ParseError, UnknownMethod
+from unravel.engine import method_id, run_ensemble
+from unravel.errors import BadAmplitudes, MissingTargetState, ParseError, UnknownMethod
+from unravel.models import PLUS, delayed_negative_phase_covariant
+from unravel.propagate import TimeGrid
 
 
 def test_defaults():
@@ -164,6 +167,31 @@ def test_aborting_method_writes_marker_and_exits_2(tmp_path):
     assert info["abort"]["time"] == pytest.approx(0.01)
 
 
+def test_aborted_rows_carry_the_partial_stderr(tmp_path):
+    cfg = parse_config(
+        f"""
+        model = delayed_negative
+        methods = nmqj
+        trajectories = 400
+        t_max = 3
+        seed = 3
+        observables = sz
+        out = {tmp_path}/abort
+        """
+    )
+    assert run_command(cfg) == 2
+    with pytest.raises(MissingTargetState) as exc:
+        run_ensemble(
+            method_id("nmqj"), delayed_negative_phase_covariant(), PLUS,
+            TimeGrid(0.0, 3.0, 1e-2), 400, seed=3,
+        )
+    stderr = exc.value.partial["stderr"]
+    lines = (tmp_path / "abort_results.csv").read_text().splitlines()
+    rows = [l.split(",") for l in lines if l.split(",")[1] == "nmqj" and "abort" not in l]
+    assert [row[4] for row in rows] == [f"{s:.12g}" for s in stderr]
+    assert stderr.max() > 0.01
+
+
 def test_oracle_only_skips_methods(tmp_path):
     config = _write(
         tmp_path,
@@ -253,7 +281,7 @@ def test_csv_is_byte_identical_across_threads(tmp_path):
     assert serial == pooled
 
 
-def test_main_exits_1_on_config_problems(tmp_path):
+def test_main_exits_1_on_config_problems(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.txt")]) == 1
     bad = _write(tmp_path, "bad.txt", "dt = nope")
     assert main(["run", "--config", bad]) == 1
@@ -268,5 +296,22 @@ def test_main_exits_1_on_config_problems(tmp_path):
         ["--t-max", "inf"],
         ["--seed", "-1"],
         ["--seed", "18446744073709551616"],  # 2^64 does not fit a Philox key word
+        ["--trajectories", "0"],
+        ["--trajectories", "-3"],
+        ["--threads", "0"],
+        ["--threads", "-2"],
     ):
         assert main(["run", "--oracle-only", "--out", str(tmp_path / "z"), *flags]) == 1
+    capsys.readouterr()
+    for model, line, expect in (
+        ("non_p_divisible", "model.kappa = 2", "kappa must lie in [0, 1]"),
+        ("spontaneous_emission", "model.gamma = -1", "gamma must be >= 0"),
+        ("spontaneous_emission", "model.omega0 = nan", "omega0 must be finite"),
+        ("non_p_divisible", "model.bogus = 3", "unknown parameter 'bogus'"),
+    ):
+        config = _write(tmp_path, "p.txt", f"model = {model}\n{line}\nout = {tmp_path}/p\n")
+        for command in ("run", "divisibility"):
+            assert main([command, "--config", config, "--oracle-only"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and expect in err
+    assert "valid: kappa" in err  # the unknown key's message names the model's parameters

@@ -12,18 +12,23 @@ from unravel.engine import (
     observable_series,
     run_ensemble,
     _chunk_sizes,
+    _distance_stderr,
 )
 from unravel.errors import (
+    DegenerateBlock,
     DimensionMismatch,
     GridMismatch,
     MissingTargetState,
     NotHermitian,
+    StepTooLarge,
     UnknownMethod,
 )
-from unravel.master_equation import MasterEquation
+from unravel.linalg import hermitize, trace_distance
+from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
     OBSERVABLES,
     PLUS,
+    SIGMA_Z,
     delayed_negative_phase_covariant,
     eternally_nm,
     spontaneous_emission,
@@ -142,6 +147,52 @@ def test_abort_partial_carries_event_logs_cut_to_its_series():
         cut += len(full) - len(log)
     assert cut > 0  # some replica ran past the first abort
     assert any(entry[1] == "reverse" for log in logs for entry in log)
+
+
+@pytest.mark.parametrize(
+    "rate, error, abort_time",
+    [
+        (lambda t: -20.0 if t < 0.8 else -500.0, StepTooLarge, 0.8),
+        (-20.0, DegenerateBlock, 0.09),
+    ],
+    ids=["step_too_large", "degenerate_block"],
+)
+def test_abort_partial_is_the_extractable_prefix(rate, error, abort_time):
+    """tripled's auxiliary block decays past extraction at t = 0.09. Whether
+    the run goes on to abort (rate -500 asks for a jump probability 5 > 1 at
+    t = 0.8) or not, the partial is the finished run up to t = 0.08."""
+    me = master_equation(2, np.zeros((2, 2)), [(SIGMA_Z, rate, "sz")])
+    with pytest.raises(error) as exc:
+        run_ensemble(method_id("tripled"), me, PLUS, TimeGrid(0.0, 1.0, 1e-2), 40, seed=1)
+    err = exc.value
+    assert err.time == pytest.approx(abort_time)
+    partial = err.partial
+    assert partial["n_traj"] == 40
+    assert len(partial["times"]) == 9
+    prefix = run_ensemble(method_id("tripled"), me, PLUS, TimeGrid(0.0, 0.08, 1e-2), 40, seed=1)
+    assert np.array_equal(partial["times"], prefix.grid.times())
+    assert np.array_equal(partial["rho_hat"], prefix.rho_hat)
+    assert np.array_equal(partial["stderr"], prefix.stderr)
+    # batches of two trajectories lose their block before the mean does
+    assert partial["stderr"][0] == 0.0 and np.all(np.isinf(partial["stderr"][1:]))
+
+
+def test_distance_stderr_matches_pointwise_trace_distances():
+    """The batched stderr equals the per-point, per-batch trace-distance
+    loop bit for bit, and is inf wherever a batch has no reconstruction."""
+    gen = np.random.default_rng(8)
+    b, n_pts, d = 2, 4000, 2  # enough squares that x * x would round differently
+    z = gen.standard_normal((b + 1, n_pts, d, d)) + 1j * gen.standard_normal((b + 1, n_pts, d, d))
+    rho_hat, batches = hermitize(z[0]), z[1:]  # batches need not be hermitian yet
+    batches[1, 3, 0, 1] = np.nan
+    want = np.array([
+        np.sqrt(sum(trace_distance(hermitize(batches[i, k]), rho_hat[k]) ** 2 for i in range(b))
+                / (b * (b - 1)))
+        if k != 3 else np.inf
+        for k in range(n_pts)
+    ])
+    assert np.array_equal(_distance_stderr(rho_hat, batches), want)
+    assert np.array_equal(_distance_stderr(rho_hat, batches[:1]), np.zeros(n_pts))
 
 
 def test_observable_series_values_and_guards():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unravel.errors import UnknownModel
+from unravel.errors import ConfigError, UnknownModel
 from unravel.linalg import haar_state
 from unravel.master_equation import lindblad_apply
 from unravel.models import (
@@ -73,6 +73,17 @@ def test_build_model_registry():
     assert np.allclose(model.default_initial, PLUS)
     with pytest.raises(UnknownModel):
         build_model("ohmic_bath")
+
+
+def test_build_model_rejects_bad_parameters():
+    with pytest.raises(ConfigError, match="kappa must lie"):
+        build_model("non_p_divisible", {"kappa": 2.0})
+    with pytest.raises(ConfigError, match="gamma must be"):
+        build_model("spontaneous_emission", {"gamma": -1.0})
+    with pytest.raises(ConfigError, match="valid: omega0, omega, gamma"):
+        build_model("spontaneous_emission", {"kappa": 0.5})
+    with pytest.raises(ConfigError, match="valid: none"):
+        build_model("eternally_nm", {"kappa": 0.5})
 
 
 def test_phase_covariant_params_forwarded():
