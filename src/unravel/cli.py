@@ -22,7 +22,7 @@ import time as _time
 import numpy as np
 
 from .divisibility import divisibility_scan
-from .engine import METHOD_KINDS, error_vs_oracle, method_id, observable_series, run_ensemble
+from .engine import METHOD_KINDS, error_vs_oracle, method_id, observable_stats, run_ensemble
 from .errors import (
     BadAmplitudes,
     ConfigError,
@@ -207,9 +207,9 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _observable_rows(rows, times, method_name, obs_names, obs_mats, rho_series, stderrs, n_traj):
+def _observable_rows(rows, times, method_name, obs_names, obs_mats, rho_hat, rho_batches, n_traj):
     for name, mat in zip(obs_names, obs_mats):
-        means = np.einsum("tij,ji->t", rho_series, mat).real
+        means, stderrs = observable_stats(rho_hat, rho_batches, mat)
         for k in range(len(times)):
             rows.append(
                 f"{_fmt(times[k])},{method_name},{name},{_fmt(means[k])},"
@@ -264,12 +264,12 @@ def run_command(cfg: RunConfig) -> int:
                 partial = getattr(err, "partial", None) or {
                     "times": times[:1],
                     "rho_hat": oracle.states[:1] * 0.0,
-                    "stderr": np.zeros(1),
+                    "rho_batches": oracle.states[None, :1] * 0.0,
                 }
                 n_part = len(partial["times"])
                 _observable_rows(
                     rows, partial["times"], token, cfg.observable_names, obs_mats,
-                    partial["rho_hat"], partial["stderr"], cfg.n_traj,
+                    partial["rho_hat"], partial["rho_batches"], cfg.n_traj,
                 )
                 abort_t = getattr(err, "time", None)
                 abort_t = float(abort_t) if abort_t is not None else float(partial["times"][-1])
@@ -288,13 +288,10 @@ def run_command(cfg: RunConfig) -> int:
                 exit_code = 2
                 continue
             _, dists = error_vs_oracle(result, oracle)
-            for name, mat in zip(cfg.observable_names, obs_mats):
-                _, means, errs = observable_series(result, mat)
-                for k in range(len(times)):
-                    rows.append(
-                        f"{_fmt(times[k])},{token},{name},{_fmt(means[k])},"
-                        f"{_fmt(errs[k])},{cfg.n_traj}"
-                    )
+            _observable_rows(
+                rows, times, token, cfg.observable_names, obs_mats,
+                result.rho_hat, result.rho_batches, cfg.n_traj,
+            )
             summary["methods"][token] = {
                 "wall_clock_ms": result.wall_clock_ms,
                 "event_counts": result.event_counts,

@@ -7,9 +7,10 @@ chunk derives its random numbers from (seed, trajectory index) or (seed,
 replica index) alone and the chunk sums are combined by a fixed-order
 pairwise tree, so a seed fixes the result bit for bit. ``threads`` has no
 effect: a pool running these short numpy calls under the GIL only made them
-slower. The chunks of the grid-stepping methods read one generator track,
-evaluated once per grid time before any chunk runs; ``wtd`` (off-grid
-times) and ``nmqj`` evaluate through ``MasterEquation.at``.
+slower. The chunks of every method but ``nmqj`` read one generator track,
+evaluated before any chunk runs: once per grid time, and for ``wtd`` also
+once per step midpoint (``wtd.half_track``); ``wtd`` goes through
+``MasterEquation.at`` only at its jumps, ``nmqj`` throughout.
 
 Finished and aborted runs share one reconstruction: the chunk sums are cut
 to the last point every chunk reached and reconstructed once, keeping the
@@ -17,8 +18,8 @@ longest prefix that can be extracted (tripled's block can decay past it). A
 method abort (negative rate, missing reverse target, oversized step...) or
 such a DegenerateBlock is raised with ``time`` (grid time of first failure
 across chunks) and ``partial`` (dict with the prefix's times / rho_hat /
-stderr, n_traj, and the replicas' event_logs cut to the steps it covers)
-so callers can still report what was simulated.
+rho_batches / stderr, n_traj, and the replicas' event_logs cut to the
+steps it covers) so callers can still report what was simulated.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ __all__ = [
     "EnsembleResult",
     "run_ensemble",
     "observable_series",
+    "observable_stats",
     "error_vs_oracle",
     "METHOD_KINDS",
 ]
@@ -67,7 +69,6 @@ METHOD_KINDS = (
     "cloning",
 )
 _REPLICA_KINDS = frozenset({"nmqj", "cloning"})
-_OFF_TRACK_KINDS = frozenset({"wtd", "nmqj"})
 _GAUGE_KINDS = frozenset({"rroqj", "psi_roqj"})
 _DEFAULT_BATCHES = 20
 
@@ -143,10 +144,13 @@ def _runner(method: MethodId):
 
 
 def _generator_track(method: MethodId, me: MasterEquation, grid: TimeGrid):
-    """The track every chunk of the method steps on: the model's, or the
-    embedding's for tripled; None for the methods that step without one."""
-    if method.kind in _OFF_TRACK_KINDS:
+    """The track every chunk of the method steps on: the model's, the
+    embedding's for tripled, the half-grid one for wtd; None for nmqj, which
+    steps without one."""
+    if method.kind == "nmqj":
         return None
+    if method.kind == "wtd":
+        return _wtd.half_track(me, grid.times())
     system = _tripled.embedded_system(me) if method.kind == "tripled" else me
     return system.track(grid.times()[:-1])
 
@@ -278,6 +282,7 @@ def run_ensemble(
         err.partial = {
             "times": times[:n_pts],
             "rho_hat": rho_hat,
+            "rho_batches": rho_batches,
             "stderr": stderr,
             "n_traj": n_traj,
         }
@@ -306,22 +311,28 @@ def run_ensemble(
 
 def observable_series(result: EnsembleResult, obs: np.ndarray):
     """(times, mean, stderr) of tr(O rho_hat); stderr from batch spread."""
+    return (result.grid.times(), *observable_stats(result.rho_hat, result.rho_batches, obs))
+
+
+def observable_stats(rho_hat: np.ndarray, rho_batches: np.ndarray, obs: np.ndarray):
+    """(mean, stderr) of tr(O rho) point by point: the mean from rho_hat,
+    the batch-means stderr from rho_batches, inf where a batch has no
+    reconstruction. Serves finished results and an abort's partial alike."""
     obs = np.asarray(obs, dtype=complex)
-    d = result.rho_hat.shape[1]
+    d = rho_hat.shape[1]
     if obs.shape != (d, d):
         raise DimensionMismatch(f"observable shape {obs.shape} does not match state dim {d}")
     require_hermitian(obs, what="observable")
-    times = result.grid.times()
-    means = np.einsum("tij,ji->t", result.rho_hat, obs).real
-    b = result.rho_batches.shape[0]
+    means = np.einsum("tij,ji->t", rho_hat, obs).real
+    b = rho_batches.shape[0]
     if b < 2:
-        return times, means, np.zeros_like(means)
-    vals = np.einsum("btij,ji->bt", result.rho_batches, obs).real
+        return means, np.zeros_like(means)
+    vals = np.einsum("btij,ji->bt", rho_batches, obs).real
     center = vals.mean(axis=0)
     stderr = np.sqrt(((vals - center[None, :]) ** 2).sum(axis=0) / (b * (b - 1)))
     bad = ~np.isfinite(vals).all(axis=0)
     stderr[bad] = np.inf
-    return times, means, stderr
+    return means, stderr
 
 
 def error_vs_oracle(result: EnsembleResult, oracle: OracleSolution):

@@ -70,9 +70,11 @@ class MasterEquation:
     channels: tuple[Channel, ...]
     trace_sink: MatrixFn | None = None
     # memo of recent snapshots for the callers that step without a track
-    # (wtd, nmqj, the oracle's RK4, the scalar ``*_step`` helpers) and for
-    # an embedding that reads this system once per factor: they hit the same
-    # t repeatedly (time-dependent pieces are required to be pure in t)
+    # (nmqj, wtd at its jump times, the oracle's RK4, the divisibility scan,
+    # mcwf.first_jump_times, the w_matching gauge, the scalar ``*_step`` and
+    # ``*_branches`` helpers) and for an embedding that reads this system once
+    # per factor: they hit the same t repeatedly (time-dependent pieces are
+    # required to be pure in t)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def at(self, t: float) -> "GeneratorSnapshot":

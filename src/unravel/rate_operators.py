@@ -33,7 +33,6 @@ __all__ = [
     "time_dependent_gauge",
     "state_dependent_gauge",
     "RateOperatorSpectrum",
-    "jump_matrix",
     "w_rate_operator",
     "rate_operator",
     "w_drift_step",
@@ -81,12 +80,6 @@ class RateOperatorSpectrum:
     @property
     def eigenpairs(self) -> list[tuple[float, np.ndarray]]:
         return [(float(self.values[k]), self.vectors[:, k]) for k in range(len(self.values))]
-
-
-def jump_matrix(snap: GeneratorSnapshot, psi: np.ndarray) -> np.ndarray:
-    """J_t[|psi><psi|]."""
-    y = np.einsum("aij,j->ai", snap.ls, psi)
-    return np.einsum("a,ai,aj->ij", snap.gammas, y, np.conj(y))
 
 
 def gauge_vectors_batch(gauge: GaugeTransform, t: float, states: np.ndarray) -> np.ndarray:

@@ -1,195 +1,192 @@
 """Waiting-time-distribution unraveling.
 
-Instead of testing for a jump every dt, draw a survival threshold x and
-integrate the unnormalized state d psi~/dt = -i K(t) psi~ until
-||psi~||^2 = x pins the jump time (bisection), then pick the channel with
+Instead of testing for a jump every dt, each trajectory draws a survival
+threshold x and integrates the unnormalized state d psi~/dt = -i K(t) psi~
+until ||psi~||^2 = x pins the jump time, then picks the channel with
 probability gamma_a <L_a^dag L_a> / <G>. Requires a CP-divisible flow, which
 also makes the survival norm monotone nonincreasing.
+
+One sampler steps all rows of a chunk together, one RK4 step per grid step
+with K read from a half-grid track (t_k, t_k + dt/2, t_k+1). Rows that cross
+their threshold in a step are bisected together on the step's cubic Hermite
+dense output (psi~ and -i K psi~ at both ends), which evaluates nothing. Only
+jumps evaluate the generator off the grid: the rate check and channel choice
+at the jump time, and the RK4 of the rest of the step. ``run_chunk`` and
+``first_jump_times`` (rows retire at their first jump) run this sampler;
+``wtd_next_jump`` is its one-row view. Trajectory k draws from its own
+Philox stream: its threshold first, then a channel draw and a new threshold
+at each jump.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NegativeRate, NoJumpPossible
-from .linalg import EPS, normalize
-from .master_equation import MasterEquation
+from .linalg import EPS, normalize, weighted_outer_sum
+from .master_equation import GeneratorTrack, MasterEquation
 from .mcwf import require_nonnegative_rates
 from .outcomes import event_counts
 from .propagate import TimeGrid
 from .rng import trajectory_generator
 
-__all__ = ["wtd_next_jump", "wtd_select_channel", "run_chunk", "first_jump_times"]
+__all__ = ["half_track", "wtd_next_jump", "wtd_select_channel", "run_chunk", "first_jump_times"]
 
 _BISECT_TOL = 1e-10
+_POWERS = np.arange(4)
 
 
-def _rk4_psi(me: MasterEquation, t: float, psi: np.ndarray, h: float) -> np.ndarray:
-    # dpsi/dt = -i K(t) psi on the unnormalized state
-    k1 = -1j * (me.at(t).k @ psi)
-    k2 = -1j * (me.at(t + 0.5 * h).k @ (psi + 0.5 * h * k1))
-    k3 = -1j * (me.at(t + 0.5 * h).k @ (psi + 0.5 * h * k2))
-    k4 = -1j * (me.at(t + h).k @ (psi + h * k3))
-    return psi + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def half_track(me: MasterEquation, times: np.ndarray) -> GeneratorTrack:
+    """The generator at the start, midpoint and end of every step of
+    ``times``: ``track[2k]``, ``track[2k + 1]``, ``track[2k + 2]``."""
+    half = np.empty(2 * len(times) - 1)
+    half[::2] = times
+    half[1::2] = times[:-1] + 0.5 * np.diff(times)
+    return me.track(half)
 
 
-def _advance(me: MasterEquation, t: float, psi: np.ndarray, tau: float) -> np.ndarray:
-    # two half steps keep the local error ~(tau/2)^5, enough for the
-    # bisection's 1e-10 time resolution at tau <= dt
-    half = 0.5 * tau
-    return _rk4_psi(me, t + half, _rk4_psi(me, t, psi, half), half)
+def _rk4_matrix(k0: np.ndarray, k_mid: np.ndarray, k_end: np.ndarray, h) -> np.ndarray:
+    """The RK4 step psi(t + h) ~ M psi(t) of d psi/dt = -i K psi from K at t,
+    t + h/2 and t + h; stacked K with h shaped (s, 1, 1) give s matrices."""
+    eye = np.eye(k0.shape[-1])
+    a1 = -1j * k0
+    a2 = -1j * k_mid @ (eye + 0.5 * h * a1)
+    a3 = -1j * k_mid @ (eye + 0.5 * h * a2)
+    a4 = -1j * k_end @ (eye + h * a3)
+    return eye + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+
+
+def _crossings(y0, f0, y1, f1, h: float, x: np.ndarray):
+    """Offsets into a step of length h where each row's norm falls to x on the
+    cubic Hermite interpolant of its ends (y0, f0 = -i K y0) and (y1, f1),
+    bisected to _BISECT_TOL on the side below x, and the states there."""
+    # psi(s) = sum_p a_p (s/h)^p, so ||psi(s)||^2 = sum_pq gram_pq (s/h)^(p+q)
+    a = np.stack([y0, h * f0, 3.0 * (y1 - y0) - h * (2.0 * f0 + f1), 2.0 * (y0 - y1) + h * (f0 + f1)], 1)
+    gram = np.einsum("mpi,mqi->mpq", np.conj(a), a).real
+    lo, w = np.zeros(len(x)), h
+    for _ in range(max(0, math.ceil(math.log2(h / _BISECT_TOL)))):
+        w *= 0.5
+        powers = ((lo + w) / h)[:, None] ** _POWERS
+        lo = lo + w * (np.einsum("mpq,mp,mq->m", gram, powers, powers) >= x)
+    hi = lo + w
+    return hi, np.einsum("mpi,mp->mi", a, (hi / h)[:, None] ** _POWERS)
+
+
+def _step_rows(me, y0, ids, t, t_end, m, k0, k_end, x, jump):
+    """Carry rows y0 (indices ids) from t to t_end by the RK4 matrix m;
+    a row that crosses its threshold jumps and runs the rest of the step the
+    same way. Returns the rows at t_end and which of them are still live."""
+    y1 = y0 @ m.T
+    live = np.ones(len(ids), dtype=bool)
+    crossed = np.nonzero(np.linalg.norm(y1, axis=1) ** 2 < x[ids])[0]
+    if not len(crossed):
+        return y1, live
+    yc, h = y1[crossed], t_end - t
+    hits = _crossings(y0[crossed], -1j * (y0[crossed] @ k0.T), yc, -1j * (yc @ k_end.T), h, x[ids[crossed]])
+    for r, s_r, psi in zip(crossed, *hits):
+        t1 = max(t + s_r, t + 1e-12)
+        row = jump(ids[r], t1, normalize(psi)[0])
+        live[r] = row is not None
+        if live[r]:
+            k1, rest = me.at(t1).k, t_end - t1
+            m1 = _rk4_matrix(k1, me.at(t1 + 0.5 * rest).k, k_end, rest)
+            y, still = _step_rows(me, row[None, :], ids[r : r + 1], t1, t_end, m1, k1, k_end, x, jump)
+            y1[r], live[r] = y[0], still[0]
+    return y1, live
+
+
+def _sweep(me: MasterEquation, track: GeneratorTrack, psi0: np.ndarray, x: np.ndarray, jump):
+    """Step len(x) rows from psi0 over the grid of a ``half_track``, yielding
+    the live unnormalized rows at each grid point after the first, until none
+    is live. ``x`` holds the rows' thresholds; a row that falls to its
+    threshold at t1 calls ``jump(i, t1, pre-jump state)``, which returns the
+    post-jump state or None to retire the row."""
+    times, ks = track.times[::2], track.k
+    s = max(0, (len(ks) - 1) // 2)  # steps with all three K on the track; a cut track raises below
+    hs = np.diff(times)[:s, None, None]
+    steps = _rk4_matrix(ks[0 : 2 * s : 2], ks[1 : 2 * s : 2], ks[2 : 2 * s + 1 : 2], hs)
+    ids, tilde = np.arange(len(x)), np.tile(np.asarray(psi0, dtype=complex), (len(x), 1))
+    for k in range(len(times) - 1):
+        require_nonnegative_rates(track[2 * k], "WTD")
+        k_end = track[2 * k + 2].k
+        y1, live = _step_rows(me, tilde, ids, times[k], times[k + 1], steps[k], ks[2 * k], k_end, x, jump)
+        ids, tilde = ids[live], y1[live]
+        yield tilde
+        if not len(ids):
+            return
 
 
 def wtd_next_jump(
-    me: MasterEquation,
-    psi0: np.ndarray,
-    t0: float,
-    x: float,
-    t_cap: float,
-    dt: float = 1e-2,
+    me: MasterEquation, psi0: np.ndarray, t0: float, x: float, t_cap: float, dt: float = 1e-2
 ) -> tuple[float, np.ndarray, bool]:
-    """Propagate until the survival norm crosses x or t_cap is reached.
-
-    Returns (t1, normalized state at t1, jumped). The crossing time is
-    bisected to 1e-10; the returned state at a jump is the deterministic
-    (pre-jump) state, normalized.
-    """
+    """Propagate until the survival norm crosses x or t_cap is reached, in
+    steps of dt with the last one cut at t_cap. Returns (t1, normalized state
+    at t1, jumped): at a jump, t1 is bisected to 1e-10 and the state is the
+    deterministic (pre-jump) one."""
     if not 0.0 < x < 1.0:
         raise ValueError(f"threshold x must lie in (0,1), got {x}")
-    tilde = np.asarray(psi0, dtype=complex).copy()
-    t = float(t0)
-    while t < t_cap - 1e-12:
-        require_nonnegative_rates(me.at(t), "WTD")
-        h = min(dt, t_cap - t)
-        nxt = _rk4_psi(me, t, tilde, h)
-        n2 = float(np.vdot(nxt, nxt).real)
-        if n2 >= x:
-            tilde, t = nxt, t + h
-            continue
-        lo, hi = 0.0, h
-        while hi - lo > _BISECT_TOL:
-            mid = 0.5 * (lo + hi)
-            if float(np.vdot(s := _advance(me, t, tilde, mid), s).real) >= x:
-                lo = mid
-            else:
-                hi = mid
-        t1 = t + hi
-        psi1 = normalize(_advance(me, t, tilde, hi))[0]
-        return t1, psi1, True
-    return float(t_cap), normalize(tilde)[0], False
+    times = np.append(np.arange(t0, t_cap - 1e-12, dt), t_cap)
+    hit = []  # the one jump; its callback returns None, retiring the row
+    rows = np.asarray(psi0, dtype=complex)[None, :]
+    for rows in _sweep(me, half_track(me, times), psi0, np.array([x]), lambda _i, *jump: hit.append(jump)):
+        pass
+    t1, psi = hit[0] if hit else (t_cap, normalize(rows[0])[0])
+    return float(t1), psi, bool(hit)
 
 
 def wtd_select_channel(me: MasterEquation, psi_det: np.ndarray, t1: float, u: float) -> int:
     """Channel alpha with probability gamma_a ||L_a psi||^2 / <psi|G psi>."""
     snap = me.at(t1)
-    y = np.einsum("aij,j->ai", snap.ls, np.asarray(psi_det, dtype=complex))
-    w = snap.gammas * np.einsum("ai,ai->a", y, np.conj(y)).real
+    w = snap.gammas * np.linalg.norm(snap.ls @ np.asarray(psi_det, dtype=complex), axis=1) ** 2
     total = float(w.sum())
     if total <= EPS:
         raise NoJumpPossible(f"total jump flux {total:.3e} <= eps at t={t1:.6g}", time=t1)
-    c = 0.0
-    for a in range(len(w) - 1):
-        c += w[a] / total
-        if u < c:
-            return a
-    return len(w) - 1
+    return min(int(np.searchsorted(np.cumsum(w / total), u, side="right")), len(w) - 1)
 
 
-def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n: int, seed: int):
-    """Sequential-draw trajectories (threshold, then channel, repeated)."""
-    times = grid.times()
-    steps = grid.n_steps
-    d = me.dim
-    psi_init = np.asarray(psi0, dtype=complex)
-    rho_sum = np.zeros((steps + 1, d, d), dtype=complex)
-    rho_sum[0] = n * np.outer(psi_init, np.conj(psi_init))  # an abort keeps the true t = 0 point
+def run_chunk(
+    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n: int, seed: int, track=None
+):
+    """Trajectories idx0..idx0+n-1 stepped together on ``track`` (``half_track``
+    of the grid, shared by the chunks of an ensemble): (rho_sum series, event
+    counts, diagnostics, abort), abort being None or (err, k) for a failure in
+    step k, with every earlier point kept."""
+    if track is None:
+        track = half_track(me, grid.times())
+    gens = [trajectory_generator(seed, idx0 + i) for i in range(n)]
+    x = np.array([g.random() for g in gens])
     jumps = np.zeros(len(me.channels), dtype=np.int64)
-    abort = None
-    for k in range(n):
-        gen = trajectory_generator(seed, idx0 + k)
-        try:
-            path, traj_jumps = _one_trajectory(me, psi_init, times, gen)
-        except (NegativeRate, NoJumpPossible) as err:
-            abort = (err, 0)
-            break
-        rho_sum[1:] += np.einsum("ti,tj->tij", path[1:], np.conj(path[1:]))
-        jumps += traj_jumps
+
+    def jump(i, t1, psi1):
+        require_nonnegative_rates(me.at(t1), "WTD")
+        a = wtd_select_channel(me, psi1, t1, gens[i].random())
+        jumps[a] += 1
+        x[i] = gens[i].random()
+        return normalize(me.at(t1).ls[a] @ psi1)[0]
+
+    psi = np.asarray(psi0, dtype=complex)
+    rho_sum = np.zeros((grid.n_steps + 1, me.dim, me.dim), dtype=complex)
+    rho_sum[0] = n * np.outer(psi, np.conj(psi))
+    k, abort = 0, None
+    try:
+        for k, tilde in enumerate(_sweep(me, track, psi, x, jump), start=1):
+            rho_sum[k] = weighted_outer_sum(tilde, np.linalg.norm(tilde, axis=1) ** -2.0)
+    except (NegativeRate, NoJumpPossible) as err:
+        abort = (err, k)
     return rho_sum, event_counts(np.append(jumps, 0)), {}, abort
 
 
-def _one_trajectory(me, psi0, times, gen):
-    steps = len(times) - 1
-    d = psi0.shape[0]
-    path = np.empty((steps + 1, d), dtype=complex)
-    path[0] = psi0
-    jumps = np.zeros(len(me.channels), dtype=np.int64)
-    t = times[0]
-    tilde = psi0.copy()  # unnormalized within the current no-jump segment
-    x = gen.random()
-    for g in range(1, steps + 1):
-        t_next = times[g]
-        while True:
-            require_nonnegative_rates(me.at(t), "WTD")
-            h = t_next - t
-            nxt = _rk4_psi(me, t, tilde, h)
-            if float(np.vdot(nxt, nxt).real) >= x:
-                tilde, t = nxt, t_next
-                break
-            lo, hi = 0.0, h
-            while hi - lo > _BISECT_TOL:
-                mid = 0.5 * (lo + hi)
-                if float(np.vdot(s := _advance(me, t, tilde, mid), s).real) >= x:
-                    lo = mid
-                else:
-                    hi = mid
-            t1 = max(t + hi, t + 1e-12)
-            psi1 = normalize(_advance(me, t, tilde, hi))[0]
-            a = wtd_select_channel(me, psi1, t1, gen.random())
-            jumps[a] += 1
-            tilde = normalize(me.at(t1).ls[a] @ psi1)[0]
-            t = t1
-            x = gen.random()
-        path[g] = normalize(tilde)[0]
-    return path, jumps
-
-
-def first_jump_times(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n: int, seed: int, refine: int = 32
-) -> np.ndarray:
-    """First-jump time per trajectory (inf where the norm never crosses).
-
-    All trajectories share the same deterministic survival curve, so it is
-    integrated once; each trajectory's threshold (the first draw of its
-    stream, matching run_chunk) is located on a ``refine``-times finer
-    sub-curve and log-interpolated inside the sub-interval. Time accuracy is
-    far below dt; use wtd_next_jump for bisection-grade single jumps.
-    """
-    times = grid.times()
-    steps = grid.n_steps
-    psi = np.asarray(psi0, dtype=complex)
-    coarse = np.empty((steps + 1, psi.shape[0]), dtype=complex)
-    coarse[0] = psi
-    for k in range(steps):
-        require_nonnegative_rates(me.at(times[k]), "WTD")
-        coarse[k + 1] = _rk4_psi(me, times[k], coarse[k], grid.dt)
-    n2 = np.einsum("ti,ti->t", coarse, np.conj(coarse)).real
-    xs = np.array([trajectory_generator(seed, k).random() for k in range(n)])
+def first_jump_times(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
+    """First-jump time per trajectory (inf where the norm never crosses), by
+    ``run_chunk``'s sampler with each row retiring at its first jump."""
+    x = np.array([trajectory_generator(seed, k).random() for k in range(n)])
     out = np.full(n, np.inf)
-    # first grid index where the norm dips below x
-    bracket = np.searchsorted(-n2, -xs, side="right")
-    alive = bracket <= steps
-    sub_dt = grid.dt / refine
-    for kb in np.unique(bracket[alive]):
-        k = int(kb) - 1  # crossing happens inside [times[k], times[k+1]]
-        sub = np.empty((refine + 1, psi.shape[0]), dtype=complex)
-        sub[0] = coarse[k]
-        for j in range(refine):
-            sub[j + 1] = _rk4_psi(me, times[k] + j * sub_dt, sub[j], sub_dt)
-        sn2 = np.einsum("ti,ti->t", sub, np.conj(sub)).real
-        rows = np.nonzero(alive & (bracket == kb))[0]
-        pos = np.searchsorted(-sn2, -xs[rows], side="right") - 1
-        pos = np.clip(pos, 0, refine - 1)
-        a, b = sn2[pos], sn2[pos + 1]
-        frac = np.log(a / xs[rows]) / np.log(a / b)
-        out[rows] = times[k] + (pos + frac) * sub_dt
+
+    def retire(i, t1, _psi1):
+        out[i] = t1
+
+    for _ in _sweep(me, half_track(me, grid.times()), psi0, x, retire):
+        pass
     return out

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from unravel.cli import divisibility_command, main, parse_config, run_command
-from unravel.engine import method_id, run_ensemble
+from unravel.engine import method_id, observable_stats, run_ensemble
 from unravel.errors import BadAmplitudes, MissingTargetState, ParseError, UnknownMethod
-from unravel.models import PLUS, delayed_negative_phase_covariant
+from unravel.models import PLUS, SIGMA_Z, delayed_negative_phase_covariant
 from unravel.propagate import TimeGrid
 
 
@@ -185,11 +185,15 @@ def test_aborted_rows_carry_the_partial_stderr(tmp_path):
             method_id("nmqj"), delayed_negative_phase_covariant(), PLUS,
             TimeGrid(0.0, 3.0, 1e-2), 400, seed=3,
         )
-    stderr = exc.value.partial["stderr"]
+    partial = exc.value.partial
+    # the observable's own batch stderr, as a finished method's rows carry,
+    # not the trace-distance stderr of the partial
+    _means, stderr = observable_stats(partial["rho_hat"], partial["rho_batches"], SIGMA_Z)
     lines = (tmp_path / "abort_results.csv").read_text().splitlines()
     rows = [l.split(",") for l in lines if l.split(",")[1] == "nmqj" and "abort" not in l]
     assert [row[4] for row in rows] == [f"{s:.12g}" for s in stderr]
     assert stderr.max() > 0.01
+    assert not np.allclose(stderr, partial["stderr"])
 
 
 def test_oracle_only_skips_methods(tmp_path):

@@ -277,3 +277,25 @@ def test_generator_evaluated_once_per_grid_time(monkeypatch, kind, build, thread
     assert len(systems) == (2 if kind == "tripled" else 1)
     assert max(calls.values()) == 1
     assert len(calls) == len(systems) * grid.n_steps
+
+
+def test_wtd_evaluates_each_half_grid_time_once(monkeypatch):
+    """All 20 wtd chunks read one evaluation per step start, midpoint and
+    end; only jumps evaluate off that grid, at most 3 times each."""
+    me = spontaneous_emission(omega=1.0)
+    grid = TimeGrid(0.0, 0.5, 1e-2)
+    calls = Counter()
+    evaluate = MasterEquation._evaluate
+
+    def counting(self, t):
+        calls[float(t)] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    res = run_ensemble(method_id("wtd"), me, PLUS, grid, 40, seed=3, batches=20)
+    times = grid.times()
+    half = set(times) | set(times[:-1] + 0.5 * np.diff(times))
+    assert all(calls[t] == 1 for t in half)
+    off_grid = sum(n for t, n in calls.items() if t not in half)
+    assert res.event_counts["jump"] > 0
+    assert off_grid <= 3 * res.event_counts["jump"]

@@ -10,11 +10,12 @@ from unravel.doubled import DoubledState, doubled_menu, doubled_step, gksl_to_do
 from unravel.errors import NegativeRate, StepTooLarge
 from unravel.linalg import trace_distance
 from unravel.master_equation import master_equation
-from unravel.mcwf import first_jump_times, mcwf_branches, mcwf_menu, mcwf_step, run_chunk
+from unravel.mcwf import _BLOCK_STEPS, first_jump_times, mcwf_branches, mcwf_menu, mcwf_step, run_chunk
 from unravel.models import KET0, KET1, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.outcomes import Clone, Deterministic, Destroy, Jump, take_step
 from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import time_dependent_gauge, w_matching_gauge
+from unravel.rng import trajectory_uniforms
 from unravel.roqj import ro_menu, roqj_step, w_menu, wroqj_step
 from unravel.weighted import (
     PlqtTrajectory,
@@ -255,3 +256,19 @@ def test_first_jump_times_reproducible():
     a = first_jump_times(me, KET1, grid, 50, seed=5)
     b = first_jump_times(me, KET1, grid, 50, seed=5)
     assert np.array_equal(a, b)
+
+
+def test_first_jump_times_blocks_match_one_draw():
+    # from |1> the no-jump state stays |1>, so every step fires with the same
+    # p = gamma dt; 1000 steps span two blocks of draws, and by t = 10 about
+    # e^{-1} of the rows never jumped
+    me = spontaneous_emission(gamma=0.1)
+    grid = TimeGrid(0.0, 10.0, 1e-2)
+    times = first_jump_times(me, KET1, grid, 200, seed=3)
+    assert grid.n_steps > _BLOCK_STEPS
+    assert 20 < np.isinf(times).sum() < 180
+    assert np.any(times[np.isfinite(times)] > grid.times()[_BLOCK_STEPS])
+    p = mcwf_menu(me.at(0.0), KET1[None, :], grid.dt).probs.sum()
+    hit = trajectory_uniforms(3, 0, 200, grid.n_steps) < p
+    ref = np.where(hit.any(axis=1), grid.times()[np.argmax(hit, axis=1) + 1], np.inf)
+    assert np.array_equal(times, ref)

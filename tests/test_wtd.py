@@ -9,10 +9,11 @@ import pytest
 
 from unravel.engine import method_id, run_ensemble
 from unravel.errors import NegativeRate, NoJumpPossible
-from unravel.linalg import trace_distance
+from unravel.linalg import normalize, trace_distance
 from unravel.master_equation import master_equation
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.propagate import TimeGrid, propagate
+from unravel.rng import trajectory_generator
 from unravel.wtd import first_jump_times, run_chunk, wtd_next_jump, wtd_select_channel
 
 
@@ -74,16 +75,50 @@ def test_chunk_reproduces_master_equation():
 
 
 def test_aborted_chunk_keeps_the_initial_point():
-    # the rates of eternally_nm turn negative at once, so every chunk aborts
-    # at step 0; its partial series must still hold the true t = 0 state
+    # gamma_3 of eternally_nm is 0 at t = 0 and negative from then on, so
+    # every chunk aborts in step 1 (t = dt) and keeps points 0 and 1
     me = eternally_nm()
     grid = TimeGrid(0.0, 1.0, 1e-2)
+    one_step = TimeGrid(0.0, 1e-2, 1e-2)
     rho_sum, _counts, _diag, abort = run_chunk(me, PLUS, grid, 0, 5, seed=1)
-    assert isinstance(abort[0], NegativeRate) and abort[1] == 0
+    assert isinstance(abort[0], NegativeRate) and abort[1] == 1
+    assert abort[0].time == pytest.approx(1e-2)
     assert np.allclose(rho_sum[0], 5 * np.outer(PLUS, PLUS.conj()))
+    true_sum, _counts, _diag, none = run_chunk(me, PLUS, one_step, 0, 5, seed=1)
+    assert none is None
+    assert np.array_equal(rho_sum[1], true_sum[1])
     with pytest.raises(NegativeRate) as info:
         run_ensemble(method_id("wtd"), me, PLUS, grid, 20, seed=1)
-    assert np.allclose(info.value.partial["rho_hat"][0], np.outer(PLUS, PLUS.conj()))
+    partial = info.value.partial
+    assert info.value.time == pytest.approx(1e-2)
+    assert np.allclose(partial["rho_hat"][0], np.outer(PLUS, PLUS.conj()))
+    true_rho = run_ensemble(method_id("wtd"), me, PLUS, one_step, 20, seed=1).rho_hat
+    assert np.array_equal(partial["rho_hat"], true_rho)
+
+
+def test_chunk_reproduces_a_driven_master_equation():
+    # the drive makes K non-normal in time order: the survival norm is no
+    # longer an exponential and the post-jump state keeps evolving
+    me = spontaneous_emission(omega=1.0)
+    grid = TimeGrid(0.0, 3.0, 0.02)
+    res = run_ensemble(method_id("wtd"), me, KET1, grid, 2000, seed=5)
+    oracle = propagate(me, np.outer(KET1, KET1.conj()), grid)
+    dists = np.array([trace_distance(res.rho_hat[k], oracle.states[k]) for k in range(grid.n_steps + 1)])
+    assert res.event_counts["jump"] > 2000
+    assert dists.max() <= 4.0 * res.stderr.max() + 1.0 / 2000
+
+
+def test_first_jump_times_agree_with_wtd_next_jump():
+    me = spontaneous_emission(omega=1.0)
+    grid = TimeGrid(0.0, 3.0, 1e-2)
+    samples = first_jump_times(me, KET1, grid, n=40, seed=7)
+    assert 0 < np.isfinite(samples).sum() < 40
+    for k, t_first in enumerate(samples):
+        x = trajectory_generator(7, k).random()
+        t1, _psi, jumped = wtd_next_jump(me, KET1, 0.0, x=x, t_cap=grid.t_max, dt=grid.dt)
+        assert jumped == np.isfinite(t_first)
+        if jumped:
+            assert abs(t1 - t_first) <= 1e-9
 
 
 def test_first_jump_times_match_exponential():
@@ -104,3 +139,22 @@ def test_first_jump_times_continuous_not_grid_locked():
     finite = samples[np.isfinite(samples)]
     off_grid = np.abs(finite / grid.dt - np.round(finite / grid.dt)) > 1e-6
     assert off_grid.mean() > 0.95
+
+
+def test_chunk_follows_the_stream_contract():
+    # one trajectory replayed jump by jump: its stream gives the threshold
+    # first, then a channel draw and a new threshold at each jump
+    me = spontaneous_emission(omega=1.0)
+    grid = TimeGrid(0.0, 10.0, 1e-2)
+    gen = trajectory_generator(3, 7)
+    t, psi, x, jumps = 0.0, KET1, gen.random(), 0
+    while True:
+        t, psi, jumped = wtd_next_jump(me, psi, t, x=x, t_cap=grid.t_max, dt=grid.dt)
+        if not jumped:
+            break
+        a = wtd_select_channel(me, psi, t, gen.random())
+        psi, x, jumps = normalize(me.at(t).ls[a] @ psi)[0], gen.random(), jumps + 1
+    rho_sum, counts, _diag, abort = run_chunk(me, KET1, grid, 7, 1, seed=3)
+    assert abort is None
+    assert counts["jump"] == jumps >= 2
+    assert np.allclose(rho_sum[-1], np.outer(psi, psi.conj()), atol=1e-6)
