@@ -38,9 +38,10 @@ def clone_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
     deltas = np.einsum("ni,ij,nj->n", np.conj(rows), snap.gamma_l - snap.gamma_drift, rows).real
     # stacked branch-major like the channel part, then viewed as (n, B)
     probs = np.vstack([jumps.probs.T, np.maximum(0.0, deltas * dt), np.maximum(0.0, -deltas * dt)])
-    targets = np.concatenate([np.swapaxes(jumps.targets, 0, 1), rows[None], rows[None]])
+    # the channel images keep their norms; clone and destroy rows have none
+    targets = np.concatenate([jumps.targets, rows[:, None], rows[:, None]], axis=1)
     copies = np.array([1] * jumps.probs.shape[1] + [2, 0])
-    return Menu(probs.T, np.swapaxes(targets, 0, 1), jumps.drift, copies=copies)
+    return Menu(probs.T, targets, jumps.drift, copies=copies, norms=jumps.norms)
 
 
 def clone_branches(me: MasterEquation, psi: np.ndarray, t: float, dt: float) -> list[Branch]:

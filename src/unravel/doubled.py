@@ -103,7 +103,8 @@ def factors_menu(f: DoubledFactors, t: float, rows: np.ndarray, dt: float) -> Me
     """Kernel on rows theta = (phi, psi) of width 2d.
 
     Jump i fires with q_i dt, q_i = (||C_i phi||^2 + ||D_i psi||^2) / ||theta||^2,
-    and lands at (C_i phi, D_i psi) rescaled to the pre-jump joint norm; the
+    and lands at (C_i phi, D_i psi) rescaled to the pre-jump joint norm (the
+    menu carries the image and the factor; only rows that jump are rescaled); the
     no-jump step is the Euler step of (A + sigma) phi, (B + sigma) psi with
     sigma = sum_i q_i / 2, left unnormalized.
     """
@@ -116,12 +117,12 @@ def factors_menu(f: DoubledFactors, t: float, rows: np.ndarray, dt: float) -> Me
         raise ZeroVector(f"doubled state collapsed to zero at t={t:.6g}", time=t)
     qs = jn2 / n2[None, :]
     # a zero image stays zero: its branch has probability 0
-    targets = np.sqrt(n2[None, :] / np.where(jn2 > 0.0, jn2, 1.0))[..., None] * images
+    scales = np.sqrt(n2[None, :] / np.where(jn2 > 0.0, jn2, 1.0))
     sigma = 0.5 * qs.sum(axis=0)
     blocks = np.zeros((2 * d, 2 * d), dtype=complex)
     blocks[:d, :d], blocks[d:, d:] = f.a, f.b
     drift = rows + dt * (rows @ blocks.T + sigma[:, None] * rows)
-    return Menu((qs * dt).T, np.swapaxes(targets, 0, 1), drift)
+    return Menu((qs * dt).T, np.swapaxes(images, 0, 1), drift, scales=scales.T)
 
 
 def doubled_menu(model: DoubledModel, t: float, rows: np.ndarray, dt: float) -> Menu:

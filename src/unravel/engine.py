@@ -9,7 +9,9 @@ pairwise tree, so a seed fixes the result bit for bit. ``threads`` has no
 effect: a pool running these short numpy calls under the GIL only made them
 slower. The chunks of every method but ``nmqj`` read one generator track,
 evaluated before any chunk runs: once per grid time, and for ``wtd`` also
-once per step midpoint (``wtd.half_track``); ``wtd`` goes through
+once per step midpoint (``wtd.half_track``). ``tripled`` reads the track of
+its embedding, which ``tripled.embedded_track`` builds from the model's
+track without evaluating the embedding. ``wtd`` goes through
 ``MasterEquation.at`` only at its jumps, ``nmqj`` throughout.
 
 Finished and aborted runs share one reconstruction: the chunk sums are cut
@@ -145,14 +147,16 @@ def _runner(method: MethodId):
 
 def _generator_track(method: MethodId, me: MasterEquation, grid: TimeGrid):
     """The track every chunk of the method steps on: the model's, the
-    embedding's for tripled, the half-grid one for wtd; None for nmqj, which
-    steps without one."""
+    embedding's for tripled (``tripled.embedded_track``, built from the
+    model's), the half-grid one for wtd; None for nmqj, which steps without
+    one."""
     if method.kind == "nmqj":
         return None
     if method.kind == "wtd":
         return _wtd.half_track(me, grid.times())
-    system = _tripled.embedded_system(me) if method.kind == "tripled" else me
-    return system.track(grid.times()[:-1])
+    if method.kind == "tripled":
+        return _tripled.embedded_track(me, grid.times()[:-1])
+    return me.track(grid.times()[:-1])
 
 
 def _tree_sum(arrays: list[np.ndarray]) -> np.ndarray:

@@ -25,6 +25,7 @@ __all__ = [
     "normalize",
     "trace_distance",
     "psd_sqrt",
+    "psd_sqrt_batched",
     "haar_state",
     "require_density",
     "orthonormal_complement",
@@ -45,7 +46,7 @@ def hermitize(m: np.ndarray) -> np.ndarray:
 
 
 def require_hermitian(m: np.ndarray, atol: float = HERM_ATOL, what: str = "matrix") -> np.ndarray:
-    dev = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))))
+    dev = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
     if dev > atol:
         raise NotHermitian(f"{what} deviates from hermiticity by {dev:.3e} (atol {atol:.1e})")
     return m
@@ -158,11 +159,24 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 
 def psd_sqrt(m: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
     """Principal square root of a PSD matrix; NotPSD below -atol."""
-    vals, vecs = eigh(m, atol)
-    if vals[-1] < -atol:
-        raise NotPSD(f"matrix has eigenvalue {vals[-1]:.3e} < -{atol:.1e}")
+    roots, bad = psd_sqrt_batched(np.asarray(m)[None, ...], atol)
+    if bad is not None:
+        raise bad[1]
+    return roots[0]
+
+
+def psd_sqrt_batched(ms: np.ndarray, atol: float = HERM_ATOL):
+    """:func:`psd_sqrt` of each matrix of a stack (..., d, d), and
+    (index, NotPSD) for the first matrix in C order with an eigenvalue
+    below -atol (None if there is none); its root is not meaningful."""
+    vals, vecs = eigh_batched(ms, atol)
+    low = vals[..., -1] < -atol
+    bad = None
+    if low.any():
+        idx = np.unravel_index(int(low.argmax()), low.shape)
+        bad = idx, NotPSD(f"matrix has eigenvalue {vals[idx][-1]:.3e} < -{atol:.1e}")
     root = np.sqrt(np.clip(vals, 0.0, None))
-    return (vecs * root) @ np.conj(vecs.T)
+    return (vecs * root[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2)), bad
 
 
 def haar_state(d: int, gen: np.random.Generator) -> np.ndarray:

@@ -16,8 +16,8 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch
-from .linalg import require_hermitian
+from .errors import DimensionMismatch, NotHermitian
+from .linalg import HERM_ATOL, require_hermitian
 
 __all__ = [
     "Channel",
@@ -71,10 +71,9 @@ class MasterEquation:
     trace_sink: MatrixFn | None = None
     # memo of recent snapshots for the callers that step without a track
     # (nmqj, wtd at its jump times, the oracle's RK4, the divisibility scan,
-    # mcwf.first_jump_times, the w_matching gauge, the scalar ``*_step`` and
-    # ``*_branches`` helpers) and for an embedding that reads this system once
-    # per factor: they hit the same t repeatedly (time-dependent pieces are
-    # required to be pure in t)
+    # the w_matching gauge, the scalar ``*_step`` and ``*_branches`` helpers,
+    # and the per-time closures of ``tripled.embedded_system``): they hit the
+    # same t repeatedly (time-dependent pieces are required to be pure in t)
     _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def at(self, t: float) -> "GeneratorSnapshot":
@@ -82,7 +81,12 @@ class MasterEquation:
         hit = self._memo.get(t)
         if hit is not None:
             return hit
-        snap = self._evaluate(t)
+        h, ls, gammas, sink = self._evaluate(t)
+        require_hermitian(h, what=f"hamiltonian(t={t})")
+        if sink is not None:
+            require_hermitian(sink, what=f"trace_sink(t={t})")
+        gamma_l = np.einsum("a,aki,akj->ij", gammas, np.conj(ls), ls)
+        snap = GeneratorSnapshot(t, h, ls, gammas, gamma_l, gamma_l if sink is None else sink)
         if len(self._memo) >= 8:
             self._memo.clear()
         self._memo[t] = snap
@@ -91,40 +95,51 @@ class MasterEquation:
     def track(self, times) -> "GeneratorTrack":
         """Evaluate every time-dependent piece once per time in ``times``
         (a grid's step starts) into stacked arrays; ``track[k]`` is the
-        snapshot at ``times[k]``.
+        snapshot at ``times[k]``, equal to ``at(times[k])`` bit for bit. The
+        callables run time by time, the hermiticity checks and G_L once over
+        the stack.
 
         An evaluation error ends the track and is kept: ``track[k]`` raises
         it from the failing time on, so a runner meets it at the same step
         where ``at`` would have raised it, and not before a method abort.
+        At one time, as in ``at``, a callable's error or a wrong shape comes
+        before a hamiltonian that is not hermitian, and that before such a
+        trace sink.
         """
         times = np.asarray(times, dtype=float)
         n, d, m = len(times), self.dim, len(self.channels)
-        shapes = {
-            "h": (d, d),
-            "ls": (m, d, d),
-            "gammas": (m,),
-            "gamma_l": (d, d),
-            "gamma_drift": (d, d),
-            "k": (d, d),
-        }
-        arrays = {
-            name: np.empty((n, *shape), dtype=float if name == "gammas" else complex)
-            for name, shape in shapes.items()
-        }
+        h = np.empty((n, d, d), dtype=complex)
+        ls = np.empty((n, m, d, d), dtype=complex)
+        gammas = np.empty((n, m))
+        sinks = None if self.trace_sink is None else np.empty((n, d, d), dtype=complex)
+        error = None
         for i, t in enumerate(times):
             try:
-                snap = self._evaluate(t)
+                h[i], ls[i], gammas[i], sink = self._evaluate(t)
             except Exception as err:  # re-raised by GeneratorTrack.__getitem__
-                return GeneratorTrack(times, **{name: a[:i] for name, a in arrays.items()}, error=err)
-            for name, a in arrays.items():
-                a[i] = getattr(snap, name)
-        return GeneratorTrack(times, **arrays)
+                n, error = i, err
+                break
+            if sinks is not None:
+                sinks[i] = sink
+        # a piece that is not hermitian fails before a later read error; at
+        # one time the hamiltonian fails first (min keeps the first of ties)
+        found = [_first_non_hermitian(h[:n], times, "hamiltonian")]
+        if sinks is not None:
+            found.append(_first_non_hermitian(sinks[:n], times, "trace_sink"))
+        found = [f for f in found if f is not None]
+        if found:
+            n, error = min(found, key=lambda f: f[0])
+        h, ls, gammas = h[:n], ls[:n], gammas[:n]
+        gamma_l = np.einsum("na,naki,nakj->nij", gammas, np.conj(ls), ls)
+        drift = gamma_l if sinks is None else sinks[:n]
+        return GeneratorTrack(times, h, ls, gammas, gamma_l, drift, h - 0.5j * drift, error)
 
-    def _evaluate(self, t: float) -> "GeneratorSnapshot":
+    def _evaluate(self, t: float):
+        """Call every time-dependent piece once at t and check its shape:
+        (h, ls, gammas, trace sink or None)."""
         h = np.asarray(self.hamiltonian(t), dtype=complex)
         if h.shape != (self.dim, self.dim):
             raise DimensionMismatch(f"hamiltonian(t={t}) has shape {h.shape}, expected {(self.dim,) * 2}")
-        require_hermitian(h, what=f"hamiltonian(t={t})")
         ls = np.empty((len(self.channels), self.dim, self.dim), dtype=complex)
         gammas = np.empty(len(self.channels))
         for i, ch in enumerate(self.channels):
@@ -133,14 +148,25 @@ class MasterEquation:
                 raise DimensionMismatch(f"jump operator {i}(t={t}) has shape {li.shape}")
             ls[i] = li
             gammas[i] = float(ch.rate(t))
-        gamma_l = np.einsum("a,aki,akj->ij", gammas, np.conj(ls), ls)
-        if self.trace_sink is not None:
-            sink = np.asarray(self.trace_sink(t), dtype=complex)
-            require_hermitian(sink, what=f"trace_sink(t={t})")
-            drift = sink
-        else:
-            drift = gamma_l
-        return GeneratorSnapshot(t=t, h=h, ls=ls, gammas=gammas, gamma_l=gamma_l, gamma_drift=drift)
+        if self.trace_sink is None:
+            return h, ls, gammas, None
+        sink = np.asarray(self.trace_sink(t), dtype=complex)
+        if sink.shape != (self.dim, self.dim):
+            raise DimensionMismatch(f"trace_sink(t={t}) has shape {sink.shape}")
+        return h, ls, gammas, sink
+
+
+def _first_non_hermitian(ms: np.ndarray, times: np.ndarray, what: str):
+    """(index, NotHermitian) for the first matrix of the stack that
+    ``require_hermitian`` rejects, or None."""
+    bad = np.abs(ms - np.conj(np.swapaxes(ms, -1, -2))).max(axis=(-2, -1)) > HERM_ATOL
+    if not bad.any():
+        return None
+    i = int(bad.argmax())
+    try:
+        require_hermitian(ms[i], what=f"{what}(t={times[i]})")
+    except NotHermitian as err:
+        return i, err
 
 
 @dataclass

@@ -51,27 +51,28 @@ def channel_menu(
     """Channel jumps sampled at ``rates`` (default gamma) and the K drift.
 
     Jump a fires with p_a = r_a ||L_a psi||^2 dt and lands at
-    normalize(L_a psi). Sampling at r != gamma makes the menu weighted: a
-    jump multiplies the weight by gamma_a / r_a (1 where r_a = 0) and the
-    no-jump step by 1 + sum_a (r_a - gamma_a) ||L_a psi||^2 dt, which keeps
-    E[w |psi><psi|] on the master equation.
+    normalize(L_a psi); the menu carries L_a psi and its norm, and only the
+    rows that jump are normalized. Sampling at r != gamma makes the menu
+    weighted: a jump multiplies the weight by gamma_a / r_a (1 where
+    r_a = 0) and the no-jump step by 1 + sum_a (r_a - gamma_a)
+    ||L_a psi||^2 dt, which keeps E[w |psi><psi|] on the master equation.
     """
     ys = rows @ np.swapaxes(snap.ls, 1, 2)  # (m, n, w); matmul beats einsum here
     n2 = np.einsum("ani,ani->an", ys, np.conj(ys)).real  # (m, n)
-    norms = np.sqrt(n2)
     # a zero image (sigma_- on the ground state) stays zero: its p is 0
-    targets = np.swapaxes(ys / np.where(norms > 0.0, norms, 1.0)[..., None], 0, 1)
+    norms = np.where(n2 > 0.0, np.sqrt(n2), 1.0).T
     drift = rows - 1j * dt * (rows @ snap.k.T)
     drift /= np.linalg.norm(drift, axis=1)[:, None]
     if rates is None:
-        return Menu((snap.gammas[:, None] * n2 * dt).T, targets, drift)
+        return Menu((snap.gammas[:, None] * n2 * dt).T, np.swapaxes(ys, 0, 1), drift, norms=norms)
     live = rates > 0.0
     return Menu(
         (rates[:, None] * n2 * dt).T,
-        targets,
+        np.swapaxes(ys, 0, 1),
         drift,
         jump_factors=np.where(live, snap.gammas / np.where(live, rates, 1.0), 1.0),
         det_factors=1.0 + ((rates - snap.gammas)[:, None] * n2 * dt).sum(axis=0),
+        norms=norms,
     )
 
 
@@ -106,18 +107,28 @@ def first_jump_times(
     All trajectories share the deterministic no-jump path, so the survival
     scan is vectorized: trajectory k jumps at the first step whose uniform
     falls below that step's jump probability; the recorded time is the end
-    of that step. The uniforms of the rows still waiting are drawn
+    of that step. The path and its jump probabilities are ``mcwf_menu``'s
+    drift and summed probabilities, read from one track without building the
+    jump targets. The uniforms of the rows still waiting are drawn
     ``_BLOCK_STEPS`` steps at a time, which bounds the memory at n blocks
     instead of n grids; a stream's draws do not depend on how they are split.
     """
     times = grid.times()
     steps = grid.n_steps
+    dt = grid.dt
+    track = me.track(times[:-1])
+    lowest = track.gammas.min(axis=1, initial=np.inf)
+    ls_t, k_t, rates = np.swapaxes(track.ls, 2, 3), np.swapaxes(track.k, 1, 2), track.gammas[:, :, None]
     row = np.asarray(psi0, dtype=complex)[None, :]
     p_step = np.empty(steps)
     for k in range(steps):
-        menu = mcwf_menu(me.at(times[k]), row, grid.dt)
-        p_step[k] = menu.probs.sum()
-        row = menu.drift
+        if k >= len(lowest) or lowest[k] < -EPS:
+            require_nonnegative_rates(track[k])  # raises the evaluation error or NegativeRate
+        ys = row @ ls_t[k]
+        n2 = np.einsum("ani,ani->an", ys, np.conj(ys)).real
+        p_step[k] = (rates[k] * n2 * dt).T.sum()
+        row = row - 1j * dt * (row @ k_t[k])
+        row /= np.linalg.norm(row, axis=1)[:, None]
     gens = [trajectory_generator(seed, k) for k in range(n)]
     out = np.full(n, np.inf)
     waiting = np.arange(n)

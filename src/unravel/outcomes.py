@@ -32,6 +32,7 @@ __all__ = [
     "Branch",
     "Menu",
     "Step",
+    "jump_rows",
     "take_step",
     "row_branches",
     "row_step",
@@ -89,11 +90,15 @@ class Menu:
     """One step's law for n rows with B jump branches each.
 
     ``probs`` (n, B) are the jump probabilities; the deterministic branch
-    takes the rest. ``targets`` (n, B, w) are the post-jump rows and
-    ``drift`` (n, w) the post-step rows when nothing fires. Only weighted
-    methods set ``jump_factors`` ((B,), the weight factor of each jump
-    branch) and ``det_factors`` ((n,), the no-jump factor); only cloning
-    sets ``copies`` ((B,), the members a branch leaves: 2 clone, 0 destroy).
+    takes the rest. ``targets`` (n, B, w) are the raw post-jump rows and
+    ``drift`` (n, w) the post-step rows when nothing fires. A raw target is
+    finished only for the rows that take it (``jump_rows``): divided by its
+    entry of ``norms`` ((n, B'), the first B' <= B branches; the rest are
+    taken as they are) or multiplied by its entry of ``scales`` ((n, B)).
+    Only weighted methods set ``jump_factors`` ((B,), the weight factor of
+    each jump branch) and ``det_factors`` ((n,), the no-jump factor); only
+    cloning sets ``copies`` ((B,), the members a branch leaves: 2 clone, 0
+    destroy).
     """
 
     probs: np.ndarray
@@ -102,6 +107,8 @@ class Menu:
     jump_factors: np.ndarray | None = None
     det_factors: np.ndarray | None = None
     copies: np.ndarray | None = None
+    norms: np.ndarray | None = None
+    scales: np.ndarray | None = None
 
 
 class Step(NamedTuple):
@@ -119,6 +126,17 @@ def _check_total(menu: Menu, t: float) -> None:
         )
 
 
+def jump_rows(menu: Menu, rows: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """The finished targets of jump branch branches[k] of row rows[k]."""
+    out = menu.targets[rows, branches]
+    if menu.scales is not None:
+        return menu.scales[rows, branches][:, None] * out
+    if menu.norms is not None:
+        own = branches < menu.norms.shape[1]
+        out[own] = out[own] / menu.norms[rows[own], branches[own]][:, None]
+    return out
+
+
 def take_step(menu: Menu, u: np.ndarray, t: float) -> Step:
     """Row i takes the branch whose cumulative interval (kernel order,
     deterministic last) holds u[i]; a zero-probability branch is never taken."""
@@ -130,7 +148,7 @@ def take_step(menu: Menu, u: np.ndarray, t: float) -> Step:
     jumped = np.nonzero(choice < nb)[0]
     taken = choice[jumped]
     rows = menu.drift.copy()
-    rows[jumped] = menu.targets[jumped, taken]
+    rows[jumped] = jump_rows(menu, jumped, taken)
     factors = np.ones(n) if menu.det_factors is None else menu.det_factors.copy()
     if menu.jump_factors is not None:
         factors[jumped] = menu.jump_factors[taken]
@@ -147,11 +165,12 @@ def row_branches(menu: Menu, t: float) -> list[Branch]:
     p = menu.probs[0]
     factors = np.ones(p.shape) if menu.jump_factors is None else menu.jump_factors
     copies = np.ones(p.shape, dtype=np.int64) if menu.copies is None else menu.copies
+    states = jump_rows(menu, np.zeros(p.shape, dtype=np.int64), np.arange(p.shape[0]))
     out = []
     for b in range(p.shape[0]):
         pb, c = float(p[b]), int(copies[b])
         event = Jump(b, probability=pb) if c == 1 else Clone(pb) if c == 2 else Destroy(pb)
-        out.append(Branch(pb, menu.targets[0, b], event, float(factors[b]), c))
+        out.append(Branch(pb, states[b], event, float(factors[b]), c))
     rest = 1.0 - float(p.sum())
     det = 1.0 if menu.det_factors is None else float(menu.det_factors[0])
     out.append(Branch(rest, menu.drift[0], Deterministic(rest), det))

@@ -42,6 +42,7 @@ __all__ = [
     "w_spectrum_batch",
     "ro_spectrum_batch",
     "gauge_vectors_batch",
+    "jump_images",
 ]
 
 
@@ -93,15 +94,23 @@ def gauge_vectors_batch(gauge: GaugeTransform, t: float, states: np.ndarray) -> 
     return np.stack([np.asarray(gauge.phi(t, s), dtype=complex) for s in states])
 
 
-def w_spectrum_batch(snap: GeneratorSnapshot, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def jump_images(snap: GeneratorSnapshot, states: np.ndarray) -> np.ndarray:
+    """L_a psi for every channel a and row psi: (m, n, d)."""
+    return states @ np.swapaxes(snap.ls, 1, 2)  # matmul beats einsum("aij,nj->ani") 10x
+
+
+def w_spectrum_batch(
+    snap: GeneratorSnapshot, states: np.ndarray, images: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """W spectrum on span{psi}^perp for each row: ((n, d-1), (n, d, d-1)).
 
     The projector P acts as the identity on the complement basis Q, so the
-    restricted operator is just Q^dag J Q.
+    restricted operator is just Q^dag J Q. ``images`` are the rows'
+    ``jump_images`` if the caller has them.
     """
     n, d = states.shape
     qs = complement_batch(states)
-    y = np.einsum("aij,nj->ani", snap.ls, states)
+    y = jump_images(snap, states) if images is None else images
     j = np.einsum("a,ani,anj->nij", snap.gammas, y, np.conj(y))
     w_perp = np.einsum("nki,nkl,nlj->nij", np.conj(qs), j, qs)
     if d == 2:
@@ -127,7 +136,7 @@ def ro_spectrum_batch(
     snap: GeneratorSnapshot, states: np.ndarray, phis: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Gauged rate-operator spectrum per row: ((n, d), (n, d, d))."""
-    y = np.einsum("aij,nj->ani", snap.ls, states)
+    y = jump_images(snap, states)
     r = np.einsum("a,ani,anj->nij", snap.gammas, y, np.conj(y))
     cross = 0.5 * np.einsum("ni,nj->nij", phis, np.conj(states))
     r += cross + np.conj(np.swapaxes(cross, 1, 2))
@@ -142,14 +151,16 @@ def rate_operator(me: MasterEquation, t: float, psi: np.ndarray, g: GaugeTransfo
     return RateOperatorSpectrum(vals[0], vecs[0])
 
 
-def w_drift_step(snap: GeneratorSnapshot, states: np.ndarray, dt: float) -> np.ndarray:
+def w_drift_step(
+    snap: GeneratorSnapshot, states: np.ndarray, dt: float, images: np.ndarray | None = None
+) -> np.ndarray:
     """Euler step of the W-ROQJ nonlinear drift, unnormalized rows.
 
     K^W = K + (i/2) sum_a gamma_a (2 conj(l_a) L_a - |l_a|^2), so the Euler
     update is psi - i dt K psi + (dt/2) sum_a gamma_a (2 conj(l_a) L_a psi
-    - |l_a|^2 psi).
+    - |l_a|^2 psi). ``images`` as in ``w_spectrum_batch``.
     """
-    y = np.einsum("aij,nj->ani", snap.ls, states)
+    y = jump_images(snap, states) if images is None else images
     ell = np.einsum("ni,ani->an", np.conj(states), y)
     corr = np.einsum("a,an,ani->ni", snap.gammas, 2.0 * np.conj(ell), y)
     corr -= np.einsum("a,an,ni->ni", snap.gammas, np.abs(ell) ** 2, states)
@@ -181,7 +192,7 @@ def w_matching_gauge(me: MasterEquation, offset: float = 1.0) -> GaugeTransform:
 
     def phi_batch(t: float, states: np.ndarray) -> np.ndarray:
         snap = me.at(t)
-        y = np.einsum("aij,nj->ani", snap.ls, states)
+        y = jump_images(snap, states)
         jpsi = np.einsum("a,ani,anj,nj->ni", snap.gammas, y, np.conj(y), states)
         a = np.einsum("ni,ni->n", np.conj(states), jpsi).real
         return -2.0 * jpsi + (a + offset)[:, None] * states

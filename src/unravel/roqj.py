@@ -24,6 +24,7 @@ from .propagate import TimeGrid
 from .rate_operators import (
     GaugeTransform,
     gauge_vectors_batch,
+    jump_images,
     psi_drift_step,
     r_drift_matrix,
     ro_spectrum_batch,
@@ -57,8 +58,10 @@ def _spectral_menu(snap, rows, dt, vals, vecs, drift, err_cls, label) -> Menu:
 
 def w_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
     """W-ROQJ kernel: the W spectrum on psi-perp and the K^W drift."""
-    vals, phis = w_spectrum_batch(snap, rows)
-    return _spectral_menu(snap, rows, dt, vals, phis, w_drift_step(snap, rows, dt), NegativeWEigenvalue, "W")
+    images = jump_images(snap, rows)
+    vals, phis = w_spectrum_batch(snap, rows, images)
+    drift = w_drift_step(snap, rows, dt, images)
+    return _spectral_menu(snap, rows, dt, vals, phis, drift, NegativeWEigenvalue, "W")
 
 
 def ro_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float, g: GaugeTransform) -> Menu:

@@ -19,8 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateBlock
-from .linalg import hermitize, psd_sqrt
-from .master_equation import MasterEquation, master_equation
+from .linalg import hermitize, psd_sqrt, psd_sqrt_batched
+from .master_equation import GeneratorTrack, MasterEquation, master_equation
 from .propagate import TimeGrid
 from . import mcwf
 
@@ -32,6 +32,7 @@ __all__ = [
     "tripled_extract",
     "embedded_master_equation",
     "embedded_system",
+    "embedded_track",
     "run_chunk",
 ]
 
@@ -179,6 +180,52 @@ def embedded_system(me: MasterEquation) -> MasterEquation:
     return embedded_master_equation(emb)
 
 
+def _kron3(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """np.kron(x, p) of every matrix of a stack x (..., d, d) with a 3 x 3 p,
+    as the same broadcast products, so the entries match np.kron bit for bit
+    (signed zeros included)."""
+    *lead, d, _ = x.shape
+    return (x[..., :, None, :, None] * p[:, None, :]).reshape(*lead, 3 * d, 3 * d)
+
+
+def embedded_track(me: MasterEquation, times) -> GeneratorTrack:
+    """``embedded_system(me).track(times)``, built from one ``me.track(times)``.
+
+    Every piece is computed for all (time, pair) at once with the arithmetic
+    of the per-time closures, so the track is the same byte for byte; Omega
+    is computed once per pair and shared by j3 and j4. Errors keep the track
+    contract: a base-model error at time k (hamiltonian hermiticity
+    included) or a NotPSD completion at an earlier time ends the track there.
+    """
+    base = me.track(times)
+    gammas, ls = base.gammas, base.ls
+    root = np.sqrt(0.5 * np.abs(gammas))[..., None, None]
+    c = root * ls
+    d = np.copysign(1.0, gammas)[..., None, None] * root * ls
+    diff = c - d
+    a = np.float_power(np.linalg.norm(diff, ord=2, axis=(-2, -1)), 2)  # as float ** 2
+    fill = a[..., None, None] * np.eye(me.dim) - hermitize(np.conj(np.swapaxes(diff, -1, -2)) @ diff)
+    omega, bad = psd_sqrt_batched(fill)
+    n, error = len(base.h), base.error
+    if bad is not None:
+        n, error = bad[0][0], bad[1]
+    p00, p11 = _aux_proj(0, 0), _aux_proj(1, 1)
+    jumps = np.stack(
+        [
+            _kron3(c[:n], p00) + _kron3(d[:n], p11),
+            _kron3(d[:n], p00) + _kron3(c[:n], p11),
+            _kron3(omega[:n], _aux_proj(2, 0)),
+            _kron3(omega[:n], _aux_proj(2, 1)),
+        ],
+        axis=2,
+    )
+    d3 = 3 * me.dim
+    h3, jumps = _kron3(base.h[:n], np.eye(3)), jumps.reshape(n, 4 * ls.shape[1], d3, d3)
+    ones = np.ones(jumps.shape[:2])
+    gamma_l = np.einsum("na,naki,nakj->nij", ones, np.conj(jumps), jumps)
+    return GeneratorTrack(base.times, h3, jumps, ones, gamma_l, gamma_l, h3 - 0.5j * gamma_l, error)
+
+
 def run_chunk(
     me: MasterEquation,
     psi0: np.ndarray,
@@ -192,10 +239,12 @@ def run_chunk(
 
     rho_sum holds 3d x 3d projector sums over W-space; extraction happens
     at reconstruction time so batch statistics see the same division noise
-    a user would. ``track`` is the generator track of ``embedded_system(me)``
-    (evaluated here if None).
+    a user would. ``track`` is ``embedded_track(me, ...)`` over the grid's
+    step starts (built here if None).
     """
     chi = np.zeros(3)
     chi[0] = chi[1] = 1.0 / np.sqrt(2.0)
     theta0 = np.kron(np.asarray(psi0, dtype=complex), chi)
+    if track is None:
+        track = embedded_track(me, grid.times()[:-1])
     return mcwf.run_chunk(embedded_system(me), theta0, grid, idx0, n, seed, track=track)

@@ -260,8 +260,9 @@ def test_weighted_diagnostics_surface_through_engine():
     ],
 )
 def test_generator_evaluated_once_per_grid_time(monkeypatch, kind, build, threads):
-    """All 20 chunks read one evaluation per grid time of every evaluated
-    system: the model, and for tripled also its embedding."""
+    """All 20 chunks read one evaluation per grid time of the model, and no
+    other system is evaluated: tripled builds its embedding's track from the
+    model's (``tripled.embedded_track``)."""
     me = build()
     grid = TimeGrid(0.0, 0.2, 1e-2)
     calls = Counter()
@@ -273,10 +274,9 @@ def test_generator_evaluated_once_per_grid_time(monkeypatch, kind, build, thread
 
     monkeypatch.setattr(MasterEquation, "_evaluate", counting)
     run_ensemble(method_id(kind), me, PLUS, grid, 40, seed=3, threads=threads, batches=20)
-    systems = {system for system, _ in calls}
-    assert len(systems) == (2 if kind == "tripled" else 1)
+    assert {system for system, _ in calls} == {id(me)}
     assert max(calls.values()) == 1
-    assert len(calls) == len(systems) * grid.n_steps
+    assert len(calls) == grid.n_steps
 
 
 def test_wtd_evaluates_each_half_grid_time_once(monkeypatch):

@@ -12,7 +12,7 @@ from unravel.master_equation import (
     lindblad_apply,
     master_equation,
 )
-from unravel.errors import NotHermitian
+from unravel.errors import DimensionMismatch, NotHermitian
 from unravel.models import KET1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.propagate import TimeGrid
 
@@ -152,3 +152,51 @@ def test_track_raises_evaluation_error_from_the_failing_time_on():
     for k in (5, 9):
         with pytest.raises(NotHermitian):
             track[k]
+
+
+def _fails_from(t_bad, piece):
+    """A qubit whose ``piece`` goes wrong from t_bad on."""
+    late = lambda t: t >= t_bad  # noqa: E731
+
+    def h(t):
+        return np.array([[0.0, 1.0], [0.0, 0.0]]) if "hamiltonian" in piece and late(t) else 0.3 * SIGMA_X
+
+    def jump(t):
+        return np.eye(3) if piece == "shape" and late(t) else SIGMA_MINUS
+
+    def rate(t):
+        if piece == "rate" and late(t):
+            raise ValueError(f"rate undefined at t={t}")
+        return np.cos(t)
+
+    def sink(t):
+        return SIGMA_MINUS if "sink" in piece and late(t) else np.eye(2)
+
+    return master_equation(2, h, [(jump, rate, "down")], trace_sink=sink)
+
+
+@pytest.mark.parametrize(
+    "piece, error",
+    [
+        ("hamiltonian", NotHermitian),
+        ("sink", NotHermitian),
+        ("hamiltonian+sink", NotHermitian),
+        ("shape", DimensionMismatch),
+        ("rate", ValueError),
+    ],
+)
+def test_track_ends_at_the_first_bad_time_with_the_error_of_at(piece, error):
+    """The stacked checks end the track where evaluating time by time would
+    first fail, with the error ``at`` raises there."""
+    me = _fails_from(0.35, piece)
+    times = TimeGrid(0.0, 1.0, 0.05).times()[:-1]
+    track = me.track(times)
+    assert len(track.h) == 7  # times[7] = 0.35
+    for k in range(7):
+        assert track[k].gamma_l.tobytes() == me.at(times[k]).gamma_l.tobytes()
+    with pytest.raises(error) as at_err:
+        me.at(times[7])
+    for k in (7, 12):
+        with pytest.raises(error) as track_err:
+            track[k]
+        assert str(track_err.value) == str(at_err.value)

@@ -6,13 +6,22 @@ import pytest
 
 from branch_tools import one_step_cases, sample_points
 from unravel.cloning import clone_menu, cloning_step
-from unravel.doubled import DoubledState, doubled_menu, doubled_step, gksl_to_doubled
+from unravel.doubled import DoubledState, doubled_factors, doubled_menu, doubled_step, factors_menu, gksl_to_doubled
 from unravel.errors import NegativeRate, StepTooLarge
 from unravel.linalg import trace_distance
 from unravel.master_equation import master_equation
 from unravel.mcwf import _BLOCK_STEPS, first_jump_times, mcwf_branches, mcwf_menu, mcwf_step, run_chunk
-from unravel.models import KET0, KET1, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
-from unravel.outcomes import Clone, Deterministic, Destroy, Jump, take_step
+from unravel.models import (
+    KET0,
+    KET1,
+    SIGMA_MINUS,
+    SIGMA_X,
+    SIGMA_Z,
+    delayed_negative_phase_covariant,
+    eternally_nm,
+    spontaneous_emission,
+)
+from unravel.outcomes import Clone, Deterministic, Destroy, Jump, jump_rows, row_branches, take_step
 from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import time_dependent_gauge, w_matching_gauge
 from unravel.rng import trajectory_uniforms
@@ -258,6 +267,13 @@ def test_first_jump_times_reproducible():
     assert np.array_equal(a, b)
 
 
+def test_first_jump_times_refuse_a_negative_rate():
+    # delayed_negative's sigma_z rate cos(2t)/2 turns negative after pi/4
+    with pytest.raises(NegativeRate) as info:
+        first_jump_times(delayed_negative_phase_covariant(), KET1, TimeGrid(0.0, 2.0, 1e-2), 10, seed=1)
+    assert info.value.time == pytest.approx(0.79)
+
+
 def test_first_jump_times_blocks_match_one_draw():
     # from |1> the no-jump state stays |1>, so every step fires with the same
     # p = gamma dt; 1000 steps span two blocks of draws, and by t = 10 about
@@ -272,3 +288,93 @@ def test_first_jump_times_blocks_match_one_draw():
     hit = trajectory_uniforms(3, 0, 200, grid.n_steps) < p
     ref = np.where(hit.any(axis=1), grid.times()[np.argmax(hit, axis=1) + 1], np.inf)
     assert np.array_equal(times, ref)
+
+
+# The kernels hand out raw jump images and finish only the rows that take
+# them; these are the targets as the kernels used to finish every row.
+
+
+def _eager_channel_targets(snap, rows):
+    ys = rows @ np.swapaxes(snap.ls, 1, 2)
+    norms = np.sqrt(np.einsum("ani,ani->an", ys, np.conj(ys)).real)
+    return np.swapaxes(ys / np.where(norms > 0.0, norms, 1.0)[..., None], 0, 1)
+
+
+def _lazy_mcwf():
+    me = master_equation(
+        2, 0.3 * SIGMA_Z, [(SIGMA_MINUS, GAMMA, "down"), (np.diag([-1.0, 1.0]).astype(complex), 0.2, "z")]
+    )
+    snap = me.at(0.4)
+    return (lambda rows: mcwf_menu(snap, rows, STEP_DT)), (lambda rows: _eager_channel_targets(snap, rows)), 2, 0
+
+
+def _lazy_cloning():
+    gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
+    me = master_equation(2, 0.3 * SIGMA_X, [(SIGMA_MINUS, 1.0, "down")], trace_sink=lambda t: gamma_l - 0.4 * SIGMA_Z)
+    snap = me.at(0.4)
+
+    def eager(rows):
+        # clone and destroy keep the pre-step row exactly (no division)
+        return np.concatenate([_eager_channel_targets(snap, rows), rows[:, None], rows[:, None]], axis=1)
+
+    return (lambda rows: clone_menu(snap, rows, STEP_DT)), eager, 2, 0
+
+
+def _lazy_doubled():
+    f = doubled_factors(eternally_nm().at(0.5))
+
+    def eager(rows):
+        d = rows.shape[1] // 2
+        images = np.concatenate([rows[:, :d] @ np.swapaxes(f.cs, 1, 2), rows[:, d:] @ np.swapaxes(f.ds, 1, 2)], axis=2)
+        jn2 = np.einsum("ani,ani->an", images, np.conj(images)).real
+        n2 = np.einsum("ni,ni->n", rows, np.conj(rows)).real
+        return np.swapaxes(np.sqrt(n2[None, :] / np.where(jn2 > 0.0, jn2, 1.0))[..., None] * images, 0, 1)
+
+    return (lambda rows: factors_menu(f, 0.5, rows, STEP_DT)), eager, 4, 1  # sigma_+, sigma_-, sigma_z
+
+
+# kind -> (kernel(rows), eager targets(rows), row width, branch of sigma_-)
+LAZY = {"mcwf": _lazy_mcwf, "cloning": _lazy_cloning, "doubled": _lazy_doubled}
+
+
+def _lazy_rows(width, n=40):
+    """Random unit rows, plus rows with signed zeros and a ground state."""
+    gen = np.random.default_rng(31)
+    rows = gen.standard_normal((n, width)) + 1j * gen.standard_normal((n, width))
+    rows[:4] = 0.0
+    rows[:4, -1] = 1.0
+    rows[1, 0] = complex(-0.0, 0.0)
+    rows[2, 0] = complex(-0.0, -0.0)
+    rows[3, 0] = complex(0.0, -0.0)
+    rows[4, 1:] = 0.0  # |0> (and psi = 0 for doubled): a zero sigma_- image
+    return rows / np.linalg.norm(rows, axis=1)[:, None]
+
+
+@pytest.mark.parametrize("kind", list(LAZY))
+def test_taken_targets_equal_the_eagerly_finished_ones(kind):
+    menu_of, eager_of, width, _down = LAZY[kind]()
+    rows = _lazy_rows(width)
+    menu, eager = menu_of(rows), eager_of(rows)
+    n, nb = menu.probs.shape
+    i, b = np.repeat(np.arange(n), nb), np.tile(np.arange(nb), n)
+    assert jump_rows(menu, i, b).tobytes() == eager[i, b].tobytes()
+    step = take_step(menu, _aimed_uniforms(menu), 0.4)
+    jumped = np.nonzero(step.choice < nb)[0]
+    assert len(set(step.choice[jumped])) == nb  # every jump branch was taken
+    assert step.rows[jumped].tobytes() == eager[jumped, step.choice[jumped]].tobytes()
+
+
+@pytest.mark.parametrize("kind", list(LAZY))
+def test_row_branches_are_finished_and_zero_images_stay_zero(kind):
+    """Jump branches that can be taken land at the norm of the row (the
+    joint norm for doubled); a zero image (sigma_- on |0>) is a zero row
+    with probability 0."""
+    menu_of, _eager_of, width, down = LAZY[kind]()
+    rows = _lazy_rows(width)
+    for r in (0, 5):
+        for br in row_branches(menu_of(rows[r : r + 1]), 0.4):
+            if br.probability > 0.0 and not isinstance(br.event, Deterministic):
+                assert np.linalg.norm(br.state) == pytest.approx(1.0, abs=1e-12)
+    ground = row_branches(menu_of(rows[4:5]), 0.4)[down]
+    assert ground.probability == 0.0
+    assert np.all(ground.state == 0.0)

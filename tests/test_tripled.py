@@ -3,20 +3,32 @@
 import numpy as np
 import pytest
 
-from unravel.errors import DegenerateBlock
+from unravel.errors import DegenerateBlock, NotHermitian, NotPSD
 from unravel.linalg import haar_state, trace_distance
 from unravel.master_equation import master_equation
-from unravel.models import PLUS, SIGMA_MINUS, eternally_nm, spontaneous_emission
+from unravel.models import (
+    PLUS,
+    SIGMA_MINUS,
+    SIGMA_X,
+    SIGMA_Z,
+    delayed_negative_phase_covariant,
+    eternally_nm,
+    spontaneous_emission,
+)
 from unravel.propagate import TimeGrid, propagate
 from unravel.tripled import (
     JumpPair,
     default_completion_level,
     embedded_master_equation,
+    embedded_system,
+    embedded_track,
     pairs_from_master_equation,
     run_chunk,
     tripled_embed,
     tripled_extract,
 )
+
+TRACK_FIELDS = ("h", "ls", "gammas", "gamma_l", "gamma_drift", "k")
 
 
 def _omega_of(jump3, t, d):
@@ -138,3 +150,94 @@ def test_chunk_division_noise_grows_with_negative_window():
         for k in range(grid.n_steps + 1)
     ]
     assert max(dists) < 0.15
+
+
+def _driven_complex_model():
+    """Complex, time-dependent H and jump operators; rates of both signs."""
+    return master_equation(
+        2,
+        lambda t: 0.3 * SIGMA_Z + np.cos(t) * np.array([[0.0, 0.2 - 0.7j], [0.2 + 0.7j, 0.0]]),
+        [
+            (lambda t: np.array([[0.1j, -0.5 + 0.2j * t], [1.0, -0.3j]]), lambda t: np.cos(3.0 * t), "a"),
+            (SIGMA_Z, -0.2, "z"),
+            (SIGMA_MINUS, lambda t: 1.0 - t, "down"),
+        ],
+    )
+
+
+def _same_track(got, want):
+    assert len(got.h) == len(want.h)
+    for name in TRACK_FIELDS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+
+
+def _level_rounding_model():
+    """A rate whose completion level ||C - D||^2 = (sqrt(2|g|))^2 rounds up
+    as float ** 2 (which the closures use) against x * x, so Omega is
+    nonzero only if the track squares the same way."""
+    return master_equation(2, 0.3 * SIGMA_X, [(SIGMA_Z, -3.7191, "z")])
+
+
+@pytest.mark.parametrize(
+    "build", [delayed_negative_phase_covariant, eternally_nm, _driven_complex_model, _level_rounding_model]
+)
+def test_embedded_track_is_the_embedding_evaluated_time_by_time(build):
+    me = build()
+    times = TimeGrid(0.0, 1.0, 1e-2).times()[:-1]
+    system = embedded_system(me)
+    track = embedded_track(me, times)
+    assert track.error is None
+    _same_track(track, system.track(times))
+    for k in (0, 37, len(times) - 1):
+        got, want = track[k], system.at(times[k])
+        for name in TRACK_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, k)
+
+
+def _fails_from(t_bad, piece):
+    def h(t):
+        return np.array([[0.0, 1.0], [0.0, 0.0]]) if piece == "hamiltonian" and t >= t_bad else 0.3 * SIGMA_X
+
+    def rate(t):
+        if piece == "rate" and t >= t_bad:
+            raise ValueError(f"rate undefined at t={t}")
+        # a rate this large leaves a rounding-size negative eigenvalue in
+        # a - (C-D)^dag (C-D) at about half the times: NotPSD
+        return -1e16 * (1.0 + t) if piece == "completion" and t >= t_bad else np.cos(t)
+
+    lop = np.array([[0.3, 1.1 + 0.2j], [-0.7j, 0.4]])
+    return master_equation(2, h, [(SIGMA_MINUS, 0.5, "down"), (lop, rate, "l")])
+
+
+@pytest.mark.parametrize(
+    "piece, error", [("hamiltonian", NotHermitian), ("rate", ValueError), ("completion", NotPSD)]
+)
+def test_embedded_track_ends_where_the_embedding_fails(piece, error):
+    """An error at the first bad time ends both tracks at the same index,
+    with the same class and message, and the prefixes are the same bytes."""
+    me = _fails_from(0.5, piece)
+    times = TimeGrid(0.0, 1.0, 1e-2).times()[:-1]
+    got, want = embedded_track(me, times), embedded_system(me).track(times)
+    _same_track(got, want)
+    assert 50 <= len(got.h) < len(times)
+    assert piece == "completion" or len(got.h) == 50
+    for track in (got, want):
+        with pytest.raises(error) as info:
+            track[len(got.h)]
+        assert str(info.value) == str(want.error)
+
+
+def test_completion_level_too_small_raises_not_psd():
+    """An override below ||C - D||^2 (1 here) leaves no Omega: NotPSD from
+    the first time it is too small, in the closures and in the track."""
+    (pair,) = pairs_from_master_equation(signed_decay(-0.5))
+    level = lambda t: 2.0 if t < 0.3 else 0.5  # noqa: E731
+    emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), (pair,), 2, np.eye(2) / 2, a=level)
+    with pytest.raises(NotPSD):
+        emb.jumps3[2](0.3)
+    times = TimeGrid(0.0, 1.0, 0.1).times()[:-1]
+    track = embedded_master_equation(emb).track(times)
+    assert len(track.h) == 3
+    with pytest.raises(NotPSD):
+        track[3]

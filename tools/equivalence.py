@@ -1,0 +1,178 @@
+"""Fingerprints of ensemble results, for checking that a change keeps them.
+
+Run from the root of a source checkout (it imports ``src/unravel`` of the
+checkout it sits in):
+
+    python3 tools/equivalence.py write before.json --seeds 5 42
+    python3 tools/equivalence.py compare before.json after.json
+
+``write`` runs every input of ``INPUTS`` at each seed and records, per run,
+the sha256 of ``rho_hat``, ``stderr`` and ``rho_batches``, the event counts,
+and for a run that aborts the error class, its time and the same hashes of
+its partial series; ``rho_hat`` itself is kept (base64 of its bytes) so that
+``compare`` can print max |d rho_hat| where two files differ. ``compare``
+exits 1 unless every fingerprint is identical.
+
+The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
+weighted, gauged and population methods, and one abort of each kind of
+method (single-row menu, replica, waiting time, embedding).
+"""
+
+from __future__ import annotations
+
+import argparse
+import base64
+import hashlib
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+
+from unravel import TimeGrid, UnravelError, master_equation, method_id, run_ensemble  # noqa: E402
+from unravel.models import KET1, PLUS, SIGMA_MINUS, SIGMA_Z, build_model  # noqa: E402
+from unravel.rate_operators import gauge_none, time_dependent_gauge, w_matching_gauge  # noqa: E402
+
+DT = 1e-2
+
+
+def _model(name):
+    return lambda: build_model(name).me
+
+
+def _trace_sink():
+    """Decay at rate 1 with the drift shifted by -1/2: the trace grows."""
+    gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
+    return master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")],
+                           trace_sink=lambda t: gamma_l - 0.5 * np.eye(2))
+
+
+def _sigma_z(rate):
+    return lambda: master_equation(2, np.zeros((2, 2)), [(SIGMA_Z, rate, "sz")])
+
+
+def _gz_identity(me_name):
+    gamma_z = build_model(me_name).rates.gamma_z
+    return lambda me: method_id("rroqj", gauge=time_dependent_gauge(lambda t: gamma_z(t) * np.eye(2)))
+
+
+def _kind(kind, **kw):
+    return lambda me: method_id(kind, **kw)
+
+
+# name -> (method(me), model(), psi0, n_traj, t_max)
+INPUTS = {
+    "batched/mcwf": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 2000, 1.5),
+    "batched/wroqj": (_kind("wroqj"), _model("eternally_nm"), PLUS, 2000, 1.5),
+    "batched/im": (_kind("im"), _model("non_p_divisible"), PLUS, 2000, 1.5),
+    "batched/doubled": (_kind("doubled"), _model("eternally_nm"), PLUS, 2000, 1.5),
+    "per_step/tripled": (_kind("tripled"), _model("delayed_negative"), PLUS, 1000, 1.0),
+    "per_step/wtd": (_kind("wtd"), _model("spontaneous_emission"), PLUS, 80, 2.0),
+    "cli/cloning": (_kind("cloning"), _model("spontaneous_emission"), PLUS, 2000, 1.0),
+    "plqt/eternally_nm": (_kind("plqt"), _model("eternally_nm"), PLUS, 1000, 1.5),
+    "plqt/delayed_negative": (_kind("plqt"), _model("delayed_negative"), PLUS, 1000, 1.5),
+    "psi_roqj/none": (lambda me: method_id("psi_roqj", gauge=gauge_none()), _model("eternally_nm"),
+                      PLUS, 500, 1.0),
+    "psi_roqj/w_matching": (lambda me: method_id("psi_roqj", gauge=w_matching_gauge(me)),
+                            _model("eternally_nm"), PLUS, 500, 1.0),
+    "rroqj/gz_identity": (_gz_identity("eternally_nm"), _model("eternally_nm"), PLUS, 500, 1.0),
+    "tripled/eternally_nm": (_kind("tripled"), _model("eternally_nm"), PLUS, 500, 1.0),
+    "cloning/trace_sink": (_kind("cloning"), _trace_sink, KET1, 500, 1.0),
+    "abort/mcwf": (_kind("mcwf"), _model("delayed_negative"), PLUS, 400, 1.5),
+    "abort/nmqj": (_kind("nmqj"), _model("delayed_negative"), PLUS, 400, 3.0),
+    "abort/wtd": (_kind("wtd"), _model("delayed_negative"), PLUS, 80, 1.5),
+    "abort/tripled_degenerate": (_kind("tripled"), _sigma_z(-20.0), PLUS, 40, 1.0),
+    "abort/tripled_step": (_kind("tripled"), _sigma_z(lambda t: -20.0 if t < 0.8 else -500.0),
+                           PLUS, 40, 1.0),
+}
+
+
+def _sha(a) -> str:
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def _series(times, rho_hat, stderr, rho_batches) -> dict:
+    return {
+        "points": len(times),
+        "rho_hat": _sha(rho_hat),
+        "stderr": _sha(stderr),
+        "rho_batches": _sha(rho_batches),
+        "rho_hat_b64": base64.b64encode(np.ascontiguousarray(rho_hat, dtype=complex).tobytes()).decode(),
+    }
+
+
+def fingerprint(name: str, seed: int) -> dict:
+    method, model, psi0, n_traj, t_max = INPUTS[name]
+    me = model()
+    grid = TimeGrid(0.0, t_max, DT)
+    try:
+        res = run_ensemble(method(me), me, psi0, grid, n_traj, seed)
+    except UnravelError as err:
+        p = err.partial
+        return {
+            "abort": {"error": type(err).__name__, "time": float(err.time)},
+            "partial": _series(p["times"], p["rho_hat"], p["stderr"], p["rho_batches"]),
+        }
+    return {
+        "abort": None,
+        "series": _series(grid.times(), res.rho_hat, res.stderr, res.rho_batches),
+        "event_counts": res.event_counts,
+    }
+
+
+def write(path: Path, seeds: list[int]) -> None:
+    out = {}
+    for name in INPUTS:
+        for seed in seeds:
+            out[f"{name}@{seed}"] = fingerprint(name, seed)
+            print(f"{name}@{seed}", flush=True)
+    path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
+
+
+def _rho(series: dict) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(series["rho_hat_b64"]), dtype=complex)
+
+
+def compare(a_path: Path, b_path: Path) -> int:
+    a, b = json.loads(a_path.read_text()), json.loads(b_path.read_text())
+    differ = 0
+    for key in sorted(set(a) | set(b)):
+        if key not in a or key not in b:
+            print(f"{key}: only in {'the second' if key in b else 'the first'} file")
+            differ += 1
+            continue
+        if a[key] == b[key]:
+            print(f"{key}: identical")
+            continue
+        differ += 1
+        sa, sb = (x.get("series") or x.get("partial") for x in (a[key], b[key]))
+        ra, rb = _rho(sa), _rho(sb)
+        delta = f"max |d rho_hat| {np.abs(ra - rb).max():.3e}" if ra.shape == rb.shape else "shapes differ"
+        fields = [f for f in ("abort", "event_counts") if a[key].get(f) != b[key].get(f)]
+        fields += [f for f in ("points", "rho_hat", "stderr", "rho_batches") if sa[f] != sb[f]]
+        print(f"{key}: differs in {', '.join(fields)}; {delta}")
+    print(f"{len(set(a) | set(b)) - differ} identical, {differ} differ")
+    return 1 if differ else 0
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    w = sub.add_parser("write", help="run every input and write the fingerprints")
+    w.add_argument("out", type=Path)
+    w.add_argument("--seeds", type=int, nargs="+", default=[5, 42])
+    c = sub.add_parser("compare", help="compare two fingerprint files")
+    c.add_argument("a", type=Path)
+    c.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    if args.command == "write":
+        write(args.out, args.seeds)
+        return 0
+    return compare(args.a, args.b)
+
+
+if __name__ == "__main__":
+    sys.exit(main())
