@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import EPS, haar_state, orthonormal_complement
-from .master_equation import MasterEquation
+from .master_equation import GeneratorSnapshot, MasterEquation
 from .propagate import TimeGrid
 
 __all__ = [
@@ -49,13 +49,12 @@ def _sample_states(dim: int, sample_count: int, seed: int) -> np.ndarray:
     return psis
 
 
-def _w_perp_min(me: MasterEquation, t: float, psis: np.ndarray, qs: np.ndarray) -> float:
+def _w_perp_min(snap: GeneratorSnapshot, psis: np.ndarray, qs: np.ndarray) -> float:
     """min over samples of the smallest eigenvalue of Q^dag J[psi psi^dag] Q.
 
     Q's columns span psi^perp, so Q^dag J Q equals the W operator restricted
     to the jump-relevant subspace (the projector P acts as identity there).
     """
-    snap = me.at(t)
     s, d = psis.shape
     j = np.zeros((s, d, d), dtype=complex)
     for a in range(len(snap.gammas)):
@@ -71,7 +70,7 @@ def p_divisibility_min_eigenvalue(
 ) -> float:
     psis = _sample_states(me.dim, sample_count, seed)
     qs = np.stack([orthonormal_complement(psi) for psi in psis])
-    return _w_perp_min(me, t, psis, qs)
+    return _w_perp_min(me.at(t), psis, qs)
 
 
 def is_p_divisible_at(me: MasterEquation, t: float, sample_count: int = 200, seed: int = 7) -> bool:
@@ -101,13 +100,15 @@ class DivisibilityReport:
 def divisibility_scan(
     me: MasterEquation, grid: TimeGrid, sample_count: int = 200, seed: int = 7
 ) -> list[DivisibilityReport]:
-    """Classify every grid point. The same state sample is reused across times."""
+    """Classify every grid point, reading the generator from one track over
+    the grid. The same state sample is reused across times."""
     psis = _sample_states(me.dim, sample_count, seed)
     qs = np.stack([orthonormal_complement(psi) for psi in psis])
+    track = me.track(grid.times())
     reports = []
-    for t in grid.times():
-        mr = min_rate_at(me, t)
-        mw = _w_perp_min(me, t, psis, qs)
+    for k, t in enumerate(track.times):
+        mr = float(np.min(track[k].gammas))
+        mw = _w_perp_min(track[k], psis, qs)
         cp = mr >= -EPS
         p = mw >= -EPS
         assert not (cp and not p), f"CP without P at t={t}: numerical inconsistency"

@@ -7,12 +7,13 @@ chunk derives its random numbers from (seed, trajectory index) or (seed,
 replica index) alone and the chunk sums are combined by a fixed-order
 pairwise tree, so a seed fixes the result bit for bit. ``threads`` has no
 effect: a pool running these short numpy calls under the GIL only made them
-slower. The chunks of every method but ``nmqj`` read one generator track,
-evaluated before any chunk runs: once per grid time, and for ``wtd`` also
-once per step midpoint (``wtd.half_track``). ``tripled`` reads the track of
-its embedding, which ``tripled.embedded_track`` builds from the model's
-track without evaluating the embedding. ``wtd`` goes through
-``MasterEquation.at`` only at its jumps, ``nmqj`` throughout.
+slower. The chunks and replicas of every method read one generator track,
+evaluated before any of them runs: once per grid time, and for ``wtd`` also
+once per step midpoint (``MasterEquation.half_track``). ``tripled`` reads
+the track of its embedding, which ``tripled.embedded_track`` builds from the
+model's track without evaluating the embedding. Only ``wtd``'s jumps
+evaluate off the grid: each jump time and the midpoint of the rest of its
+step, once.
 
 Finished and aborted runs share one reconstruction: the chunk sums are cut
 to the last point every chunk reached and reconstructed once, keeping the
@@ -134,26 +135,21 @@ def _runner(method: MethodId):
         return partial(_weighted.run_chunk_im, r_policy=_weighted.default_rate_policy(method.r_min))
     if kind == "plqt":
         return _weighted.run_chunk_plqt
-    if kind == "nmqj":
-        return lambda me, psi0, grid, replica, n, seed: _nmqj.run_replica(
-            me, psi0, grid, n, replica, seed
-        )
-    if kind == "cloning":
-        return lambda me, psi0, grid, replica, n, seed, track: _cloning.run_replica(
+    if kind in _REPLICA_KINDS:
+        module = _nmqj if kind == "nmqj" else _cloning
+        return lambda me, psi0, grid, replica, n, seed, track: module.run_replica(
             me, psi0, grid, n, replica, seed, track=track
         )
     raise UnknownMethod(f"unknown method {kind!r}")
 
 
 def _generator_track(method: MethodId, me: MasterEquation, grid: TimeGrid):
-    """The track every chunk of the method steps on: the model's, the
-    embedding's for tripled (``tripled.embedded_track``, built from the
-    model's), the half-grid one for wtd; None for nmqj, which steps without
-    one."""
-    if method.kind == "nmqj":
-        return None
+    """The track every chunk or replica of the method steps on: the model's
+    over the grid's step starts, the embedding's for tripled
+    (``tripled.embedded_track``, built from the model's), the half-grid one
+    for wtd."""
     if method.kind == "wtd":
-        return _wtd.half_track(me, grid.times())
+        return me.half_track(grid.times())
     if method.kind == "tripled":
         return _tripled.embedded_track(me, grid.times()[:-1])
     return me.track(grid.times()[:-1])
@@ -260,10 +256,7 @@ def run_ensemble(
     starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
     times = grid.times()
     t0 = _time.perf_counter()
-    run = _runner(method)
-    track = _generator_track(method, me, grid)
-    if track is not None:
-        run = partial(run, track=track)
+    run = partial(_runner(method), track=_generator_track(method, me, grid))
     # replica methods key their stream off the batch index, the rest off the
     # first trajectory index of the chunk
     keys = range(len(sizes)) if method.kind in _REPLICA_KINDS else starts

@@ -11,7 +11,7 @@ evolution no longer preserves the trace:  d tr(rho)/dt = tr((G_L - G) rho).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -69,42 +69,25 @@ class MasterEquation:
     hamiltonian: MatrixFn
     channels: tuple[Channel, ...]
     trace_sink: MatrixFn | None = None
-    # memo of recent snapshots for the callers that step without a track
-    # (nmqj, wtd at its jump times, the oracle's RK4, the divisibility scan,
-    # the w_matching gauge, the scalar ``*_step`` and ``*_branches`` helpers,
-    # and the per-time closures of ``tripled.embedded_system``): they hit the
-    # same t repeatedly (time-dependent pieces are required to be pure in t)
-    _memo: dict = field(default_factory=dict, repr=False, compare=False)
 
     def at(self, t: float) -> "GeneratorSnapshot":
-        """Evaluate every time-dependent piece once; hot loops step on this."""
-        hit = self._memo.get(t)
-        if hit is not None:
-            return hit
-        h, ls, gammas, sink = self._evaluate(t)
-        require_hermitian(h, what=f"hamiltonian(t={t})")
-        if sink is not None:
-            require_hermitian(sink, what=f"trace_sink(t={t})")
-        gamma_l = np.einsum("a,aki,akj->ij", gammas, np.conj(ls), ls)
-        snap = GeneratorSnapshot(t, h, ls, gammas, gamma_l, gamma_l if sink is None else sink)
-        if len(self._memo) >= 8:
-            self._memo.clear()
-        self._memo[t] = snap
-        return snap
+        """The generator at one time: ``track((t,))[0]``."""
+        return self.track((t,))[0]
 
     def track(self, times) -> "GeneratorTrack":
         """Evaluate every time-dependent piece once per time in ``times``
-        (a grid's step starts) into stacked arrays; ``track[k]`` is the
-        snapshot at ``times[k]``, equal to ``at(times[k])`` bit for bit. The
-        callables run time by time, the hermiticity checks and G_L once over
-        the stack.
+        into stacked arrays; ``track[k]`` is the snapshot at ``times[k]``.
+        This is the only place the generator is evaluated: the ensemble
+        runners, the oracle, the divisibility scan and ``at`` all read a
+        track. The callables run time by time, the hermiticity checks and
+        G_L once over the stack.
 
         An evaluation error ends the track and is kept: ``track[k]`` raises
-        it from the failing time on, so a runner meets it at the same step
-        where ``at`` would have raised it, and not before a method abort.
-        At one time, as in ``at``, a callable's error or a wrong shape comes
-        before a hamiltonian that is not hermitian, and that before such a
-        trace sink.
+        it from the failing time on, so a runner meets it at the step where
+        it would first have evaluated that time, and not before a method
+        abort. At one time a callable's error or a wrong shape comes before
+        a hamiltonian that is not hermitian, and that before such a trace
+        sink.
         """
         times = np.asarray(times, dtype=float)
         n, d, m = len(times), self.dim, len(self.channels)
@@ -133,6 +116,15 @@ class MasterEquation:
         gamma_l = np.einsum("na,naki,nakj->nij", gammas, np.conj(ls), ls)
         drift = gamma_l if sinks is None else sinks[:n]
         return GeneratorTrack(times, h, ls, gammas, gamma_l, drift, h - 0.5j * drift, error)
+
+    def half_track(self, times) -> "GeneratorTrack":
+        """The track at the start, midpoint and end of every step of
+        ``times``: ``track[2k]``, ``track[2k + 1]``, ``track[2k + 2]``."""
+        times = np.asarray(times, dtype=float)
+        half = np.empty(2 * len(times) - 1)
+        half[::2] = times
+        half[1::2] = times[:-1] + 0.5 * np.diff(times)
+        return self.track(half)
 
     def _evaluate(self, t: float):
         """Call every time-dependent piece once at t and check its shape:
@@ -179,14 +171,7 @@ class GeneratorSnapshot:
     gammas: np.ndarray       # (n_channels,) real rates
     gamma_l: np.ndarray      # sum_a gamma_a L_a^dag L_a
     gamma_drift: np.ndarray  # trace_sink override if present, else gamma_l
-    _k: np.ndarray | None = field(default=None, repr=False)
-
-    @property
-    def k(self) -> np.ndarray:
-        """Effective (non-hermitian) Hamiltonian K = H - (i/2) G."""
-        if self._k is None:
-            self._k = self.h - 0.5j * self.gamma_drift
-        return self._k
+    k: np.ndarray            # effective hamiltonian K = H - (i/2) gamma_drift
 
 
 @dataclass(frozen=True)
@@ -245,16 +230,16 @@ def effective_hamiltonian(me: MasterEquation, t: float) -> np.ndarray:
 
 
 def lindblad_apply(me: MasterEquation, t: float, rho: np.ndarray) -> np.ndarray:
-    """Generator action L_t[rho]; rho may be any matrix (linearity is used
-    by the propagator-map builder)."""
-    snap = me.at(t)
-    return lindblad_apply_snapshot(snap, rho)
+    """Generator action L_t[rho]; rho may be any matrix or a stack of them
+    (the propagator-map builder steps the d^2 matrix units)."""
+    return lindblad_apply_snapshot(me.at(t), rho)
 
 
 def lindblad_apply_snapshot(snap: GeneratorSnapshot, rho: np.ndarray) -> np.ndarray:
+    """L_t[rho] of a matrix or of each matrix of a stack (..., d, d)."""
     rho = np.asarray(rho, dtype=complex)
     out = -1j * (snap.h @ rho - rho @ snap.h)
-    out += np.einsum("a,aik,kl,ajl->ij", snap.gammas, snap.ls, rho, np.conj(snap.ls))
+    out += np.einsum("a,aik,...kl,ajl->...ij", snap.gammas, snap.ls, rho, np.conj(snap.ls))
     g = snap.gamma_drift
     out -= 0.5 * (g @ rho + rho @ g)
     return out

@@ -10,7 +10,8 @@ provenance map recorded at direct-jump time; a needed reversal whose source
 bucket was never created or is now empty aborts with MissingTargetState,
 which is the documented way this method announces it cannot unravel the
 given dynamics from the given initial state. Demanded reverse flux is never
-dropped silently.
+dropped silently. ``run_replica`` steps on one generator track, which the
+engine shares between all replicas; ``nmqj_step`` is its step at one time.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from .errors import MissingTargetState, StepTooLarge
 from .linalg import EPS, normalize
-from .master_equation import MasterEquation
+from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Jump, ReverseJump
 from .propagate import TimeGrid
 from .rng import replica_generator
@@ -85,7 +86,7 @@ def reverse_jump_probability(method_p: float, n_i: int, n_j: int) -> float:
     return -(n_j / n_i) * method_p
 
 
-def _check_reversibility(ens: NmqjEnsemble, snap, neg: list[int], t: float) -> None:
+def _check_reversibility(ens: NmqjEnsemble, snap: GeneratorSnapshot, neg: list[int]) -> None:
     # Every populated bucket j feeding a negative channel must have a
     # populated recorded child to pull members back from; a self-image is a
     # no-op. A child that has emptied cannot serve the demanded reverse flux,
@@ -105,10 +106,10 @@ def _check_reversibility(ens: NmqjEnsemble, snap, neg: list[int], t: float) -> N
                 for i in range(len(ens.buckets))
             ):
                 raise MissingTargetState(
-                    f"negative rate on channel {a} at t={t:.6g} must reverse jumps out of "
+                    f"negative rate on channel {a} at t={snap.t:.6g} must reverse jumps out of "
                     f"bucket {j}, but no populated bucket holds such jumps "
                     "(NMQJ inapplicable here)",
-                    time=t,
+                    time=snap.t,
                 )
 
 
@@ -116,10 +117,15 @@ def nmqj_step(
     me: MasterEquation, ens: NmqjEnsemble, t: float, dt: float, gen: np.random.Generator
 ) -> tuple[NmqjEnsemble, list]:
     """One synchronous step; returns the new ensemble and this step's events."""
-    snap = me.at(t)
+    return _step(me.at(t), ens, dt, gen)
+
+
+def _step(snap: GeneratorSnapshot, ens: NmqjEnsemble, dt: float, gen: np.random.Generator):
+    """``nmqj_step`` with the generator at the step's start time ``snap.t``."""
+    t = snap.t
     pos = [a for a in range(len(snap.gammas)) if snap.gammas[a] > EPS]
     neg = [a for a in range(len(snap.gammas)) if snap.gammas[a] < -EPS]
-    _check_reversibility(ens, snap, neg, t)
+    _check_reversibility(ens, snap, neg)
 
     counts = [b.count for b in ens.buckets]
     states = [b.state for b in ens.buckets]
@@ -196,17 +202,20 @@ def nmqj_step(
 
 
 def run_replica(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n_members: int, replica: int, seed: int
+    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n_members: int, replica: int, seed: int, track=None
 ):
     """One independent NMQJ realization with its own member pool.
 
     Returns (sum-weighted rho series, counts, diagnostics, abort); the rho
     series carries sum_i N_i |psi_i><psi_i| so the engine can combine
-    replicas exactly like trajectory sums.
+    replicas exactly like trajectory sums. ``track`` is ``me.track`` over
+    the grid's step starts (evaluated here if None); step k reads
+    ``track[k]``.
     """
     gen = replica_generator(seed, replica)
-    times = grid.times()
     steps = grid.n_steps
+    if track is None:
+        track = me.track(grid.times()[:-1])
     ens = nmqj_ensemble(n_members, psi0)
     rho_sum = np.zeros((steps + 1, me.dim, me.dim), dtype=complex)
     rho_sum[0] = n_members * ens.rho()
@@ -216,7 +225,7 @@ def run_replica(
     abort = None
     for k in range(steps):
         try:
-            ens, events = nmqj_step(me, ens, times[k], grid.dt, gen)
+            ens, events = _step(track[k], ens, grid.dt, gen)
         except (MissingTargetState, StepTooLarge) as err:
             abort = (err, k)
             break

@@ -4,6 +4,10 @@ Classic fixed-step RK4 on d rho/dt = L_t[rho]. This is the oracle every
 stochastic method is measured against, so it deliberately has no adaptive
 machinery: a TimeGrid pins the step sequence exactly and a ``substeps``
 argument refines between grid points when higher accuracy is wanted.
+``propagate`` (one density matrix) and ``propagator_maps`` (the stack of all
+d^2 matrix units) run one RK4 loop that reads the generator from
+``MasterEquation.half_track`` of the substep grid, evaluated before the
+first step.
 """
 
 from __future__ import annotations
@@ -13,8 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, SingularMap
-from .linalg import require_density, vec
-from .master_equation import MasterEquation, lindblad_apply
+from .linalg import require_density
+from .master_equation import MasterEquation, lindblad_apply_snapshot
 
 __all__ = [
     "TimeGrid",
@@ -65,16 +69,34 @@ class OracleSolution:
             )
 
 
-def _rhs(me: MasterEquation, t: float, rho: np.ndarray) -> np.ndarray:
-    return lindblad_apply(me, t, rho)
+def _rk4(start, mid, end, rho: np.ndarray, dt: float) -> np.ndarray:
+    """One RK4 step of a matrix or a stack of matrices, with the generator
+    snapshots at the start, midpoint and end of the step."""
+    k1 = lindblad_apply_snapshot(start, rho)
+    k2 = lindblad_apply_snapshot(mid, rho + 0.5 * dt * k1)
+    k3 = lindblad_apply_snapshot(mid, rho + 0.5 * dt * k2)
+    k4 = lindblad_apply_snapshot(end, rho + dt * k3)
+    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def rk4_step(me: MasterEquation, t: float, rho: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _rhs(me, t, rho)
-    k2 = _rhs(me, t + 0.5 * dt, rho + 0.5 * dt * k1)
-    k3 = _rhs(me, t + 0.5 * dt, rho + 0.5 * dt * k2)
-    k4 = _rhs(me, t + dt, rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    track = me.track((t, t + 0.5 * dt, t + dt))
+    return _rk4(track[0], track[1], track[2], rho, dt)
+
+
+def _evolve(me: MasterEquation, rho: np.ndarray, grid: TimeGrid, substeps: int, points: int):
+    """Yield rho (a matrix or a stack) at grid points 1..points, stepped by
+    ``substeps`` RK4 steps between neighbouring points. The generator is read
+    from the half track of the substep grid, so every start, midpoint and end
+    of a substep is evaluated once."""
+    h = grid.dt / substeps
+    times = grid.times()
+    sub = np.append((times[:points, None] + h * np.arange(substeps)).ravel(), times[points])
+    track = me.half_track(sub)
+    for s in range(points * substeps):
+        rho = _rk4(track[2 * s], track[2 * s + 1], track[2 * s + 2], rho, h)
+        if (s + 1) % substeps == 0:
+            yield rho
 
 
 def propagate(
@@ -95,24 +117,35 @@ def propagate(
         check_trace = me.trace_sink is None
     out = np.empty((grid.n_steps + 1, me.dim, me.dim), dtype=complex)
     out[0] = rho
-    h = grid.dt / substeps
     times = grid.times()
-    for i in range(grid.n_steps):
-        for j in range(substeps):
-            rho = rk4_step(me, times[i] + j * h, rho, h)
+    for i, rho in enumerate(_evolve(me, rho, grid, substeps, grid.n_steps), start=1):
         if check_trace:
             drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
             if drift > 1e-8:
-                raise ArithmeticError(f"trace drifted by {drift:.2e} at t={times[i + 1]:.6g}; reduce dt")
-        out[i + 1] = rho
+                raise ArithmeticError(f"trace drifted by {drift:.2e} at t={times[i]:.6g}; reduce dt")
+        out[i] = rho
     return OracleSolution(grid, out)
 
 
+def _matrix_units(d: int) -> np.ndarray:
+    """The matrix units E_ij, stacked at their vec index i + j*d."""
+    return np.eye(d * d, dtype=complex).reshape(d * d, d, d).transpose(0, 2, 1).copy()
+
+
+def _columns(images: np.ndarray) -> np.ndarray:
+    """The superoperator matrix whose column p is vec(images[p])."""
+    return np.swapaxes(images, 1, 2).reshape(len(images), len(images)).T
+
+
 def propagator_map(me: MasterEquation, grid: TimeGrid, t_index: int, substeps: int = 1) -> np.ndarray:
-    """Superoperator matrix of the map from t0 to grid point ``t_index``."""
+    """Superoperator matrix of the map from t0 to grid point ``t_index``,
+    stepping only that far."""
     if not 0 <= t_index <= grid.n_steps:
         raise IndexError(f"t_index {t_index} outside grid with {grid.n_steps + 1} points")
-    return propagator_maps(me, grid, substeps)[t_index]
+    images = _matrix_units(me.dim)
+    for images in _evolve(me, images, grid, substeps, t_index):
+        pass
+    return _columns(images)
 
 
 def propagator_maps(me: MasterEquation, grid: TimeGrid, substeps: int = 1) -> np.ndarray:
@@ -123,34 +156,10 @@ def propagator_maps(me: MasterEquation, grid: TimeGrid, substeps: int = 1) -> np
     intermediate matrices is irrelevant).
     """
     d = me.dim
-    basis = np.zeros((d * d, d, d), dtype=complex)
-    for j in range(d):
-        for i in range(d):
-            basis[i + j * d, i, j] = 1.0  # vec index of E_ij is i + j*d
-    h = grid.dt / substeps
-    times = grid.times()
     out = np.empty((grid.n_steps + 1, d * d, d * d), dtype=complex)
     out[0] = np.eye(d * d)
-    cur = basis.copy()
-    for n in range(grid.n_steps):
-        for j in range(substeps):
-            t = times[n] + j * h
-            k1 = _batch_rhs(me, t, cur)
-            k2 = _batch_rhs(me, t + 0.5 * h, cur + 0.5 * h * k1)
-            k3 = _batch_rhs(me, t + 0.5 * h, cur + 0.5 * h * k2)
-            k4 = _batch_rhs(me, t + h, cur + h * k3)
-            cur = cur + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        for p in range(d * d):
-            out[n + 1][:, p] = vec(cur[p])
-    return out
-
-
-def _batch_rhs(me: MasterEquation, t: float, rhos: np.ndarray) -> np.ndarray:
-    snap = me.at(t)
-    out = -1j * (snap.h[None] @ rhos - rhos @ snap.h[None])
-    out += np.einsum("a,aik,nkl,ajl->nij", snap.gammas, snap.ls, rhos, np.conj(snap.ls))
-    g = snap.gamma_drift
-    out -= 0.5 * (g[None] @ rhos + rhos @ g[None])
+    for n, images in enumerate(_evolve(me, _matrix_units(d), grid, substeps, grid.n_steps), start=1):
+        out[n] = _columns(images)
     return out
 
 

@@ -10,10 +10,10 @@ One sampler steps all rows of a chunk together, one RK4 step per grid step
 with K read from a half-grid track (t_k, t_k + dt/2, t_k+1). Rows that cross
 their threshold in a step are bisected together on the step's cubic Hermite
 dense output (psi~ and -i K psi~ at both ends), which evaluates nothing. Only
-jumps evaluate the generator off the grid: the rate check and channel choice
-at the jump time, and the RK4 of the rest of the step. ``run_chunk`` and
-``first_jump_times`` (rows retire at their first jump) run this sampler;
-``wtd_next_jump`` is its one-row view. Trajectory k draws from its own
+jumps evaluate off the grid: one track at the jump time (rate check, channel,
+jump, RK4 of the rest of the step) and the rest's midpoint. ``run_chunk``
+and ``first_jump_times`` (rows retire at their first jump, evaluating
+nothing) run this sampler; ``wtd_next_jump`` is its one-row view. Trajectory k draws from its own
 Philox stream: its threshold first, then a channel draw and a new threshold
 at each jump.
 """
@@ -26,25 +26,16 @@ import numpy as np
 
 from .errors import NegativeRate, NoJumpPossible
 from .linalg import EPS, normalize, weighted_outer_sum
-from .master_equation import GeneratorTrack, MasterEquation
+from .master_equation import GeneratorSnapshot, GeneratorTrack, MasterEquation
 from .mcwf import require_nonnegative_rates
 from .outcomes import event_counts
 from .propagate import TimeGrid
 from .rng import trajectory_generator
 
-__all__ = ["half_track", "wtd_next_jump", "wtd_select_channel", "run_chunk", "first_jump_times"]
+__all__ = ["wtd_next_jump", "wtd_select_channel", "run_chunk", "first_jump_times"]
 
 _BISECT_TOL = 1e-10
 _POWERS = np.arange(4)
-
-
-def half_track(me: MasterEquation, times: np.ndarray) -> GeneratorTrack:
-    """The generator at the start, midpoint and end of every step of
-    ``times``: ``track[2k]``, ``track[2k + 1]``, ``track[2k + 2]``."""
-    half = np.empty(2 * len(times) - 1)
-    half[::2] = times
-    half[1::2] = times[:-1] + 0.5 * np.diff(times)
-    return me.track(half)
 
 
 def _rk4_matrix(k0: np.ndarray, k_mid: np.ndarray, k_end: np.ndarray, h) -> np.ndarray:
@@ -74,10 +65,11 @@ def _crossings(y0, f0, y1, f1, h: float, x: np.ndarray):
     return hi, np.einsum("mpi,mp->mi", a, (hi / h)[:, None] ** _POWERS)
 
 
-def _step_rows(me, y0, ids, t, t_end, m, k0, k_end, x, jump):
+def _step_rows(y0, ids, t, t_end, m, k0, k_end, x, jump):
     """Carry rows y0 (indices ids) from t to t_end by the RK4 matrix m;
     a row that crosses its threshold jumps and runs the rest of the step the
-    same way. Returns the rows at t_end and which of them are still live."""
+    same way, on the K of the jump's track. Returns the rows at t_end and
+    which of them are still live."""
     y1 = y0 @ m.T
     live = np.ones(len(ids), dtype=bool)
     crossed = np.nonzero(np.linalg.norm(y1, axis=1) ** 2 < x[ids])[0]
@@ -87,22 +79,25 @@ def _step_rows(me, y0, ids, t, t_end, m, k0, k_end, x, jump):
     hits = _crossings(y0[crossed], -1j * (y0[crossed] @ k0.T), yc, -1j * (yc @ k_end.T), h, x[ids[crossed]])
     for r, s_r, psi in zip(crossed, *hits):
         t1 = max(t + s_r, t + 1e-12)
-        row = jump(ids[r], t1, normalize(psi)[0])
-        live[r] = row is not None
+        landed = jump(ids[r], t1, t_end, normalize(psi)[0])
+        live[r] = landed is not None
         if live[r]:
-            k1, rest = me.at(t1).k, t_end - t1
-            m1 = _rk4_matrix(k1, me.at(t1 + 0.5 * rest).k, k_end, rest)
-            y, still = _step_rows(me, row[None, :], ids[r : r + 1], t1, t_end, m1, k1, k_end, x, jump)
+            row, at_jump = landed
+            k1 = at_jump[0].k
+            m1 = _rk4_matrix(k1, at_jump[1].k, k_end, t_end - t1)
+            y, still = _step_rows(row[None, :], ids[r : r + 1], t1, t_end, m1, k1, k_end, x, jump)
             y1[r], live[r] = y[0], still[0]
     return y1, live
 
 
-def _sweep(me: MasterEquation, track: GeneratorTrack, psi0: np.ndarray, x: np.ndarray, jump):
+def _sweep(track: GeneratorTrack, psi0: np.ndarray, x: np.ndarray, jump):
     """Step len(x) rows from psi0 over the grid of a ``half_track``, yielding
     the live unnormalized rows at each grid point after the first, until none
     is live. ``x`` holds the rows' thresholds; a row that falls to its
-    threshold at t1 calls ``jump(i, t1, pre-jump state)``, which returns the
-    post-jump state or None to retire the row."""
+    threshold at t1 in a step ending at t_end calls
+    ``jump(i, t1, t_end, pre-jump state)``, which returns None to retire the
+    row, or the post-jump state and the track at t1 and at the midpoint of
+    (t1, t_end), whose K run the rest of the step."""
     times, ks = track.times[::2], track.k
     s = max(0, (len(ks) - 1) // 2)  # steps with all three K on the track; a cut track raises below
     hs = np.diff(times)[:s, None, None]
@@ -111,7 +106,7 @@ def _sweep(me: MasterEquation, track: GeneratorTrack, psi0: np.ndarray, x: np.nd
     for k in range(len(times) - 1):
         require_nonnegative_rates(track[2 * k], "WTD")
         k_end = track[2 * k + 2].k
-        y1, live = _step_rows(me, tilde, ids, times[k], times[k + 1], steps[k], ks[2 * k], k_end, x, jump)
+        y1, live = _step_rows(tilde, ids, times[k], times[k + 1], steps[k], ks[2 * k], k_end, x, jump)
         ids, tilde = ids[live], y1[live]
         yield tilde
         if not len(ids):
@@ -130,19 +125,23 @@ def wtd_next_jump(
     times = np.append(np.arange(t0, t_cap - 1e-12, dt), t_cap)
     hit = []  # the one jump; its callback returns None, retiring the row
     rows = np.asarray(psi0, dtype=complex)[None, :]
-    for rows in _sweep(me, half_track(me, times), psi0, np.array([x]), lambda _i, *jump: hit.append(jump)):
+    for rows in _sweep(me.half_track(times), psi0, np.array([x]), lambda _i, *jump: hit.append(jump)):
         pass
-    t1, psi = hit[0] if hit else (t_cap, normalize(rows[0])[0])
+    t1, _t_end, psi = hit[0] if hit else (t_cap, t_cap, normalize(rows[0])[0])
     return float(t1), psi, bool(hit)
 
 
 def wtd_select_channel(me: MasterEquation, psi_det: np.ndarray, t1: float, u: float) -> int:
     """Channel alpha with probability gamma_a ||L_a psi||^2 / <psi|G psi>."""
-    snap = me.at(t1)
+    return _select_channel(me.at(t1), psi_det, u)
+
+
+def _select_channel(snap: GeneratorSnapshot, psi_det: np.ndarray, u: float) -> int:
+    """``wtd_select_channel`` at the jump time ``snap.t``."""
     w = snap.gammas * np.linalg.norm(snap.ls @ np.asarray(psi_det, dtype=complex), axis=1) ** 2
     total = float(w.sum())
     if total <= EPS:
-        raise NoJumpPossible(f"total jump flux {total:.3e} <= eps at t={t1:.6g}", time=t1)
+        raise NoJumpPossible(f"total jump flux {total:.3e} <= eps at t={snap.t:.6g}", time=snap.t)
     return min(int(np.searchsorted(np.cumsum(w / total), u, side="right")), len(w) - 1)
 
 
@@ -154,24 +153,26 @@ def run_chunk(
     counts, diagnostics, abort), abort being None or (err, k) for a failure in
     step k, with every earlier point kept."""
     if track is None:
-        track = half_track(me, grid.times())
+        track = me.half_track(grid.times())
     gens = [trajectory_generator(seed, idx0 + i) for i in range(n)]
     x = np.array([g.random() for g in gens])
     jumps = np.zeros(len(me.channels), dtype=np.int64)
 
-    def jump(i, t1, psi1):
-        require_nonnegative_rates(me.at(t1), "WTD")
-        a = wtd_select_channel(me, psi1, t1, gens[i].random())
+    def jump(i, t1, t_end, psi1):
+        at_jump = me.track((t1, t1 + 0.5 * (t_end - t1)))
+        snap = at_jump[0]
+        require_nonnegative_rates(snap, "WTD")
+        a = _select_channel(snap, psi1, gens[i].random())
         jumps[a] += 1
         x[i] = gens[i].random()
-        return normalize(me.at(t1).ls[a] @ psi1)[0]
+        return normalize(snap.ls[a] @ psi1)[0], at_jump
 
     psi = np.asarray(psi0, dtype=complex)
     rho_sum = np.zeros((grid.n_steps + 1, me.dim, me.dim), dtype=complex)
     rho_sum[0] = n * np.outer(psi, np.conj(psi))
     k, abort = 0, None
     try:
-        for k, tilde in enumerate(_sweep(me, track, psi, x, jump), start=1):
+        for k, tilde in enumerate(_sweep(track, psi, x, jump), start=1):
             rho_sum[k] = weighted_outer_sum(tilde, np.linalg.norm(tilde, axis=1) ** -2.0)
     except (NegativeRate, NoJumpPossible) as err:
         abort = (err, k)
@@ -184,9 +185,9 @@ def first_jump_times(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n: in
     x = np.array([trajectory_generator(seed, k).random() for k in range(n)])
     out = np.full(n, np.inf)
 
-    def retire(i, t1, _psi1):
+    def retire(i, t1, _t_end, _psi1):
         out[i] = t1
 
-    for _ in _sweep(me, half_track(me, grid.times()), psi0, x, retire):
+    for _ in _sweep(me.half_track(grid.times()), psi0, x, retire):
         pass
     return out

@@ -1,5 +1,7 @@
 """CP and P divisibility classification, closed form against sampling."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from unravel.divisibility import (
     p_divisibility_min_eigenvalue,
     phase_covariant_p_divisible_at,
 )
+from unravel.master_equation import MasterEquation
 from unravel.models import (
     delayed_negative_phase_covariant,
     eternally_nm,
@@ -108,3 +111,19 @@ def test_min_eigenvalue_matches_qubit_formula():
 def test_sample_count_must_be_positive():
     with pytest.raises(ValueError):
         is_p_divisible_at(eternally_nm(), 1.0, sample_count=0)
+
+
+def test_scan_evaluates_once_per_grid_point(monkeypatch):
+    me = non_p_divisible()
+    grid = TimeGrid(0.0, 1.0, 0.1)
+    calls = Counter()
+    evaluate = MasterEquation._evaluate
+
+    def counting(self, t):
+        calls[float(t)] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    reports = divisibility_scan(me, grid, sample_count=20)
+    assert [r.time for r in reports] == list(grid.times())
+    assert calls == Counter(grid.times().tolist())

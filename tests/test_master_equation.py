@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from unravel.master_equation import (
+    MasterEquation,
     channel,
     decay_operator,
     drift_decay_operator,
@@ -70,9 +71,23 @@ def test_time_dependent_rate_and_operator():
     assert snap.gammas[0] == pytest.approx(6.0)
 
 
-def test_snapshot_memoization_returns_same_object():
+def test_at_is_the_one_time_track(monkeypatch):
     me = eternally_nm()
-    assert me.at(1.25) is me.at(1.25)
+    calls = []
+    evaluate = MasterEquation._evaluate
+
+    def counting(self, t):
+        calls.append(t)
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    got = me.at(1.25)
+    assert calls == [1.25]
+    want = me.track((1.25,))[0]
+    assert got.t == want.t == 1.25
+    for name in ("h", "ls", "gammas", "gamma_l", "gamma_drift", "k"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
 
 
 def test_eternally_nm_rate_values():
@@ -127,16 +142,24 @@ def _sink_qubit():
     )
 
 
+def _reference_snapshot(me, t):
+    """The generator pieces at t, assembled one time at a time."""
+    h, ls, gammas, sink = me._evaluate(t)
+    gamma_l = np.einsum("a,aki,akj->ij", gammas, np.conj(ls), ls)
+    drift = gamma_l if sink is None else sink
+    return {"h": h, "ls": ls, "gammas": gammas, "gamma_l": gamma_l, "gamma_drift": drift, "k": h - 0.5j * drift}
+
+
 @pytest.mark.parametrize("build", [eternally_nm, _time_dependent_qubit, _sink_qubit])
 def test_track_matches_snapshots(build):
     me = build()
     times = TimeGrid(0.0, 2.0, 0.05).times()[:-1]
     track = me.track(times)
     for k, t in enumerate(times):
-        got, want = track[k], me.at(t)
+        got, want = track[k], _reference_snapshot(me, t)
         assert got.t == t
-        for name in ("h", "ls", "gammas", "gamma_l", "gamma_drift", "k"):
-            a, b = getattr(got, name), getattr(want, name)
+        for name, b in want.items():
+            a = getattr(got, name)
             assert a.shape == b.shape and a.tobytes() == b.tobytes(), (name, t)
     with pytest.raises(IndexError):
         track[len(times)]
@@ -176,26 +199,29 @@ def _fails_from(t_bad, piece):
 
 
 @pytest.mark.parametrize(
-    "piece, error",
+    "piece, error, first",
     [
-        ("hamiltonian", NotHermitian),
-        ("sink", NotHermitian),
-        ("hamiltonian+sink", NotHermitian),
-        ("shape", DimensionMismatch),
-        ("rate", ValueError),
+        ("hamiltonian", NotHermitian, "hamiltonian(t="),
+        ("sink", NotHermitian, "trace_sink(t="),
+        ("hamiltonian+sink", NotHermitian, "hamiltonian(t="),
+        ("shape", DimensionMismatch, "jump operator 0(t="),
+        ("rate", ValueError, "rate undefined at t="),
     ],
 )
-def test_track_ends_at_the_first_bad_time_with_the_error_of_at(piece, error):
+def test_track_ends_at_the_first_bad_time_with_the_error_of_at(piece, error, first):
     """The stacked checks end the track where evaluating time by time would
-    first fail, with the error ``at`` raises there."""
+    first fail, with the error ``at`` raises there: a callable's error or a
+    wrong shape before a non-hermitian hamiltonian, and that before such a
+    trace sink."""
     me = _fails_from(0.35, piece)
     times = TimeGrid(0.0, 1.0, 0.05).times()[:-1]
     track = me.track(times)
     assert len(track.h) == 7  # times[7] = 0.35
     for k in range(7):
-        assert track[k].gamma_l.tobytes() == me.at(times[k]).gamma_l.tobytes()
+        assert track[k].gamma_l.tobytes() == _reference_snapshot(me, times[k])["gamma_l"].tobytes()
     with pytest.raises(error) as at_err:
         me.at(times[7])
+    assert str(at_err.value).startswith(f"{first}{times[7]}")
     for k in (7, 12):
         with pytest.raises(error) as track_err:
             track[k]

@@ -1,11 +1,13 @@
 """Deterministic solver against closed forms it cannot have seen."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from unravel.errors import GridMismatch, SingularMap
 from unravel.linalg import trace_distance, vec
-from unravel.master_equation import master_equation
+from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import KET1, PLUS, SIGMA_MINUS, eternally_nm, spontaneous_emission
 from unravel.propagate import (
     OracleSolution,
@@ -93,6 +95,57 @@ def test_propagator_maps_act_like_propagate():
     assert np.max(np.abs(rho_k - sol.states[k])) < 1e-10
     with pytest.raises(IndexError):
         propagator_map(me, grid, grid.n_steps + 1)
+
+
+def _counting(monkeypatch):
+    calls = Counter()
+    evaluate = MasterEquation._evaluate
+
+    def counting(self, t):
+        calls[float(t)] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    return calls
+
+
+def _assert_half_grid_once(calls, grid, substeps, points):
+    """One evaluation per start, midpoint and end of every substep up to
+    grid point ``points``, and none elsewhere."""
+    assert max(calls.values()) == 1
+    assert len(calls) == 2 * points * substeps + 1
+    times = np.array(sorted(calls))
+    want = grid.t0 + 0.5 * grid.dt / substeps * np.arange(len(calls))
+    assert np.max(np.abs(times - want)) < 1e-12
+    assert set(grid.times()[: points + 1]) <= set(calls)
+
+
+@pytest.mark.parametrize("substeps", [1, 3])
+def test_propagate_evaluates_each_half_grid_time_once(monkeypatch, substeps):
+    me = eternally_nm()
+    grid = TimeGrid(0.0, 0.5, 0.05)
+    calls = _counting(monkeypatch)
+    propagate(me, np.outer(PLUS, PLUS.conj()), grid, substeps=substeps)
+    _assert_half_grid_once(calls, grid, substeps, grid.n_steps)
+
+
+def test_propagator_maps_evaluate_each_half_grid_time_once(monkeypatch):
+    me = eternally_nm()
+    grid = TimeGrid(0.0, 0.5, 0.05)
+    calls = _counting(monkeypatch)
+    propagator_maps(me, grid, substeps=2)
+    _assert_half_grid_once(calls, grid, 2, grid.n_steps)
+
+
+@pytest.mark.parametrize("t_index", [0, 4])
+def test_propagator_map_steps_only_to_its_point(monkeypatch, t_index):
+    me = eternally_nm()
+    grid = TimeGrid(0.0, 0.5, 0.05)
+    want = propagator_maps(me, grid)[t_index]
+    calls = _counting(monkeypatch)
+    got = propagator_map(me, grid, t_index)
+    assert got.tobytes() == want.tobytes()
+    _assert_half_grid_once(calls, grid, 1, t_index)
 
 
 def test_choi_of_identity_map():

@@ -4,13 +4,15 @@ The survival norm of an undriven decaying qubit is known in closed form,
 which pins the bisected jump times to high precision.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from unravel.engine import method_id, run_ensemble
 from unravel.errors import NegativeRate, NoJumpPossible
 from unravel.linalg import normalize, trace_distance
-from unravel.master_equation import master_equation
+from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.propagate import TimeGrid, propagate
 from unravel.rng import trajectory_generator
@@ -119,6 +121,23 @@ def test_first_jump_times_agree_with_wtd_next_jump():
         assert jumped == np.isfinite(t_first)
         if jumped:
             assert abs(t1 - t_first) <= 1e-9
+
+
+def test_first_jump_times_evaluate_only_the_half_grid(monkeypatch):
+    """Rows retire at their first jump without evaluating the generator."""
+    me = spontaneous_emission(gamma=1.0)
+    grid = TimeGrid(0.0, 2.0, 1e-2)
+    calls = Counter()
+    evaluate = MasterEquation._evaluate
+
+    def counting(self, t):
+        calls[float(t)] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    samples = first_jump_times(me, KET1, grid, n=50, seed=3)
+    assert np.isfinite(samples).sum() > 25
+    assert sum(calls.values()) == len(calls) == 2 * grid.n_steps + 1
 
 
 def test_first_jump_times_match_exponential():

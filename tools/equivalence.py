@@ -10,12 +10,16 @@ checkout it sits in):
 the sha256 of ``rho_hat``, ``stderr`` and ``rho_batches``, the event counts,
 and for a run that aborts the error class, its time and the same hashes of
 its partial series; ``rho_hat`` itself is kept (base64 of its bytes) so that
-``compare`` can print max |d rho_hat| where two files differ. ``compare``
-exits 1 unless every fingerprint is identical.
+``compare`` can print max |d rho_hat| where two files differ. It also runs
+every input of ``ORACLE_INPUTS`` once (they draw no random numbers) and
+records the sha256 and bytes of its array. ``compare`` exits 1 unless every
+fingerprint is identical.
 
 The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
-weighted, gauged and population methods, and one abort of each kind of
-method (single-row menu, replica, waiting time, embedding).
+weighted, gauged, population and replica methods, one abort of each kind of
+method (single-row menu, replica, waiting time, embedding), and the
+deterministic paths: the RK4 oracle with and without substeps and with a
+trace sink, the propagator maps and the divisibility scan.
 """
 
 from __future__ import annotations
@@ -33,6 +37,8 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from unravel import TimeGrid, UnravelError, master_equation, method_id, run_ensemble  # noqa: E402
+from unravel.divisibility import divisibility_scan  # noqa: E402
+from unravel.propagate import propagate, propagator_maps  # noqa: E402
 from unravel.models import KET1, PLUS, SIGMA_MINUS, SIGMA_Z, build_model  # noqa: E402
 from unravel.rate_operators import gauge_none, time_dependent_gauge, w_matching_gauge  # noqa: E402
 
@@ -87,6 +93,33 @@ INPUTS = {
     "abort/tripled_degenerate": (_kind("tripled"), _sigma_z(-20.0), PLUS, 40, 1.0),
     "abort/tripled_step": (_kind("tripled"), _sigma_z(lambda t: -20.0 if t < 0.8 else -500.0),
                            PLUS, 40, 1.0),
+    "nmqj/spontaneous_emission": (_kind("nmqj"), _model("spontaneous_emission"), PLUS, 2000, 1.5),
+}
+
+
+def _oracle(model, psi, substeps, t_max=5.0):
+    def run():
+        return propagate(model(), np.outer(psi, np.conj(psi)), TimeGrid(0.0, t_max, DT), substeps).states
+    return run
+
+
+def _scan(model, t_max=3.0):
+    def run():
+        reports = divisibility_scan(model(), TimeGrid(0.0, t_max, DT))
+        return np.array([[r.time, r.cp, r.p, r.min_rate, r.min_w_eigenvalue] for r in reports])
+    return run
+
+
+# name -> () -> array
+ORACLE_INPUTS = {
+    "oracle/eternally_nm": _oracle(_model("eternally_nm"), PLUS, 1),
+    "oracle/eternally_nm/substeps3": _oracle(_model("eternally_nm"), PLUS, 3),
+    "oracle/delayed_negative": _oracle(_model("delayed_negative"), PLUS, 1),
+    "oracle/delayed_negative/substeps3": _oracle(_model("delayed_negative"), PLUS, 3),
+    "oracle/trace_sink": _oracle(_trace_sink, KET1, 1),
+    "oracle/trace_sink/substeps3": _oracle(_trace_sink, KET1, 3),
+    "maps/non_p_divisible": lambda: propagator_maps(build_model("non_p_divisible").me, TimeGrid(0.0, 3.0, DT)),
+    "divisibility/non_p_divisible": _scan(_model("non_p_divisible")),
 }
 
 
@@ -129,11 +162,15 @@ def write(path: Path, seeds: list[int]) -> None:
         for seed in seeds:
             out[f"{name}@{seed}"] = fingerprint(name, seed)
             print(f"{name}@{seed}", flush=True)
+    for name, run in ORACLE_INPUTS.items():
+        values = np.ascontiguousarray(run(), dtype=complex)
+        out[name] = {"values": _sha(values), "values_b64": base64.b64encode(values.tobytes()).decode()}
+        print(name, flush=True)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 
-def _rho(series: dict) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(series["rho_hat_b64"]), dtype=complex)
+def _values(b64: str) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(b64), dtype=complex)
 
 
 def compare(a_path: Path, b_path: Path) -> int:
@@ -148,11 +185,16 @@ def compare(a_path: Path, b_path: Path) -> int:
             print(f"{key}: identical")
             continue
         differ += 1
-        sa, sb = (x.get("series") or x.get("partial") for x in (a[key], b[key]))
-        ra, rb = _rho(sa), _rho(sb)
-        delta = f"max |d rho_hat| {np.abs(ra - rb).max():.3e}" if ra.shape == rb.shape else "shapes differ"
-        fields = [f for f in ("abort", "event_counts") if a[key].get(f) != b[key].get(f)]
-        fields += [f for f in ("points", "rho_hat", "stderr", "rho_batches") if sa[f] != sb[f]]
+        if "values" in a[key]:
+            ra, rb = (_values(x[key]["values_b64"]) for x in (a, b))
+            fields, what = ["values"], "values"
+        else:
+            sa, sb = (x.get("series") or x.get("partial") for x in (a[key], b[key]))
+            ra, rb = _values(sa["rho_hat_b64"]), _values(sb["rho_hat_b64"])
+            fields = [f for f in ("abort", "event_counts") if a[key].get(f) != b[key].get(f)]
+            fields += [f for f in ("points", "rho_hat", "stderr", "rho_batches") if sa[f] != sb[f]]
+            what = "rho_hat"
+        delta = f"max |d {what}| {np.abs(ra - rb).max():.3e}" if ra.shape == rb.shape else "shapes differ"
         print(f"{key}: differs in {', '.join(fields)}; {delta}")
     print(f"{len(set(a) | set(b)) - differ} identical, {differ} differ")
     return 1 if differ else 0
