@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import ZeroVector
 from .linalg import EPS
-from .master_equation import GeneratorSnapshot, MasterEquation
+from .master_equation import GeneratorSnapshot, MasterEquation, once_per_time
 from .outcomes import Branch, Menu, row_branches, row_step, run_menus
 from .propagate import TimeGrid
 
@@ -80,10 +80,12 @@ def doubled_factors(snap: GeneratorSnapshot) -> DoubledFactors:
 
 
 def gksl_to_doubled(me: MasterEquation) -> DoubledModel:
-    """``doubled_factors`` as functions of t."""
+    """``doubled_factors`` as functions of t; the pieces share one
+    evaluation of ``me`` per time."""
+    factors = once_per_time(lambda t: doubled_factors(me.at(t)))
 
     def part(pick: Callable[[DoubledFactors], np.ndarray]) -> Matrix:
-        return lambda t: pick(doubled_factors(me.at(t)))
+        return lambda t: pick(factors(t))
 
     m = len(me.channels)
     return DoubledModel(
@@ -165,12 +167,13 @@ def run_chunk(
     psi0: np.ndarray,
     grid: TimeGrid,
     idx0: int,
-    n: int,
+    n,
     seed: int,
     track=None,
 ):
-    """Evolve n doubled trajectories; rho_sum accumulates sum_k |phi_k><psi_k|
-    raw (not hermitized), norms and all, which is the estimator's convention."""
+    """Evolve n doubled trajectories (or batches of the sizes n, as in
+    ``run_menus``); rho_sum accumulates sum_k |phi_k><psi_k| raw (not
+    hermitized), norms and all, which is the estimator's convention."""
     psi0 = np.asarray(psi0, dtype=complex)
     return run_menus(
         lambda snap, rows, dt: factors_menu(doubled_factors(snap), snap.t, rows, dt),

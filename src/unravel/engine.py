@@ -1,26 +1,31 @@
 """Ensemble driver: N trajectories of any method, reconstructed density
 matrices, batch-means error bars, oracle comparison.
 
-Work is split into a fixed number of contiguous trajectory chunks (the same
-chunks double as the statistical batches), run one after another. Every
-chunk derives its random numbers from (seed, trajectory index) or (seed,
-replica index) alone and the chunk sums are combined by a fixed-order
-pairwise tree, so a seed fixes the result bit for bit. ``threads`` has no
-effect: a pool running these short numpy calls under the GIL only made them
-slower. The chunks and replicas of every method read one generator track,
-evaluated before any of them runs: once per grid time, and for ``wtd`` also
-once per step midpoint (``MasterEquation.half_track``). ``tripled`` reads
-the track of its embedding, which ``tripled.embedded_track`` builds from the
-model's track without evaluating the embedding. Only ``wtd``'s jumps
-evaluate off the grid: each jump time and the midpoint of the rest of its
-step, once.
+The trajectories are split into a fixed number of contiguous batches, the
+statistical batches of the error bars. A method of independent trajectories
+steps them in one pass over row tiles: a tile is a run of whole consecutive
+batches, as many as keep rows x branches x width of the step's menu within
+``_TILE_BYTES`` (never fewer than one batch), and its runner steps all its
+rows together but sums each batch over that batch's rows alone. The replica
+methods (``nmqj``, ``cloning``) run one replica per batch. Every row derives
+its random numbers from (seed, trajectory index) and every replica from
+(seed, replica index) alone, and the batch sums are combined by a
+fixed-order pairwise tree, so a seed fixes the result bit for bit, whatever
+the tiles. ``threads`` has no effect: a pool running these short numpy calls
+under the GIL only made them slower. The tiles and replicas of every method
+read one generator track, evaluated before any of them runs: once per grid
+time, and for ``wtd`` also once per step midpoint
+(``MasterEquation.half_track``). ``tripled`` reads the track of its
+embedding, which ``tripled.embedded_track`` builds from the model's track
+without evaluating the embedding. Only ``wtd``'s jumps evaluate off the
+grid: each jump time and the midpoint of the rest of its step, once.
 
-Finished and aborted runs share one reconstruction: the chunk sums are cut
-to the last point every chunk reached and reconstructed once, keeping the
+Finished and aborted runs share one reconstruction: the batch sums are cut
+to the last point every batch reached and reconstructed once, keeping the
 longest prefix that can be extracted (tripled's block can decay past it). A
 method abort (negative rate, missing reverse target, oversized step...) or
 such a DegenerateBlock is raised with ``time`` (grid time of first failure
-across chunks) and ``partial`` (dict with the prefix's times / rho_hat /
+across batches) and ``partial`` (dict with the prefix's times / rho_hat /
 rho_batches / stderr, n_traj, and the replicas' event_logs cut to the
 steps it covers) so callers can still report what was simulated.
 """
@@ -74,6 +79,14 @@ METHOD_KINDS = (
 _REPLICA_KINDS = frozenset({"nmqj", "cloning"})
 _GAUGE_KINDS = frozenset({"rroqj", "psi_roqj"})
 _DEFAULT_BATCHES = 20
+# Byte budget of a row tile: its rows x branches x width of the step's menu,
+# as complex numbers. Wider tiles cut the per-step overhead but hold more
+# memory at each step, and the heap grows over repeated runs: on the
+# batched benchmark 64 KiB raised peak RSS by 0.45 MB (1.1%), while 48 KiB
+# keeps it within 0.2 MB. On a qubit 48 KiB gives mcwf with one channel
+# 1536 rows, wroqj 768, im with three channels 512, doubled 256 and
+# tripled 42.
+_TILE_BYTES = 48 * 1024
 
 
 @dataclass(frozen=True)
@@ -123,6 +136,9 @@ def _chunk_sizes(n_traj: int, batches: int) -> list[int]:
 
 
 def _runner(method: MethodId):
+    """The method's runner as ``run(me, psi0, grid, key, sizes, seed, track)``:
+    a tile's rows from trajectory ``key`` on, in batches of ``sizes``, or
+    the replica ``key`` of ``sizes[0]`` members."""
     kind = method.kind
     plain = {"mcwf": _mcwf, "wtd": _wtd, "doubled": _doubled, "tripled": _tripled}
     if kind in plain:
@@ -137,14 +153,45 @@ def _runner(method: MethodId):
         return _weighted.run_chunk_plqt
     if kind in _REPLICA_KINDS:
         module = _nmqj if kind == "nmqj" else _cloning
-        return lambda me, psi0, grid, replica, n, seed, track: module.run_replica(
-            me, psi0, grid, n, replica, seed, track=track
-        )
+
+        def replica(me, psi0, grid, key, sizes, seed, track):
+            rho_sum, counts, diag, abort = module.run_replica(me, psi0, grid, sizes[0], key, seed, track=track)
+            series = {k: v if k == "event_log" else v[None] for k, v in diag.items()}
+            return rho_sum[None], counts, series, abort
+
+        return replica
     raise UnknownMethod(f"unknown method {kind!r}")
 
 
+def _tiles(method: MethodId, me: MasterEquation, sizes: list[int]) -> list[list[int]]:
+    """Consecutive batch indices grouped into tiles within ``_TILE_BYTES``;
+    one batch per replica."""
+    if method.kind in _REPLICA_KINDS:
+        return [[i] for i in range(len(sizes))]
+    d, m = me.dim, len(me.channels)
+    # the spectral kernels work on the rate operator's full d x d eigenbasis
+    branches, width = {
+        "wroqj": (d, d),
+        "rroqj": (d, d),
+        "psi_roqj": (d, d),
+        "doubled": (m, 2 * d),
+        "tripled": (4 * m, 3 * d),
+    }.get(method.kind, (m, d))
+    row_bytes = 16 * max(branches, 1) * width
+    tiles: list[list[int]] = []
+    rows = 0
+    for i, size in enumerate(sizes):
+        if tiles and (rows + size) * row_bytes <= _TILE_BYTES:
+            tiles[-1].append(i)
+            rows += size
+        else:
+            tiles.append([i])
+            rows = size
+    return tiles
+
+
 def _generator_track(method: MethodId, me: MasterEquation, grid: TimeGrid):
-    """The track every chunk or replica of the method steps on: the model's
+    """The track every tile or replica of the method steps on: the model's
     over the grid's step starts, the embedding's for tripled
     (``tripled.embedded_track``, built from the model's), the half-grid one
     for wtd."""
@@ -166,7 +213,7 @@ def _tree_sum(arrays: list[np.ndarray]) -> np.ndarray:
 
 
 def _merge_counts(dicts: list[dict]) -> dict:
-    """Chunk counts add up; per-branch lists add elementwise."""
+    """Tile counts add up; per-branch lists add elementwise."""
     out: dict = {}
     for key, val in dicts[0].items():
         vals = [d[key] for d in dicts]
@@ -175,7 +222,8 @@ def _merge_counts(dicts: list[dict]) -> dict:
 
 
 def _merge_diagnostics(dicts: list[dict]) -> dict:
-    """Chunk series add up, sign-flip steps unite, event logs are collected."""
+    """Batch series add up in batch order, sign-flip steps unite, event logs
+    are collected."""
     out: dict = {}
     for key in dicts[0]:
         vals = [d[key] for d in dicts]
@@ -184,7 +232,7 @@ def _merge_diagnostics(dicts: list[dict]) -> dict:
         elif key == "sign_flip_steps":
             out[key] = sorted(set().union(*vals))
         else:
-            out[key] = _tree_sum(vals)
+            out[key] = _tree_sum([batch for tile in vals for batch in tile])
     return out
 
 
@@ -257,16 +305,19 @@ def run_ensemble(
     times = grid.times()
     t0 = _time.perf_counter()
     run = partial(_runner(method), track=_generator_track(method, me, grid))
-    # replica methods key their stream off the batch index, the rest off the
-    # first trajectory index of the chunk
-    keys = range(len(sizes)) if method.kind in _REPLICA_KINDS else starts
-    results = [run(me, psi, grid, int(key), size, seed) for key, size in zip(keys, sizes)]
+    # a tile's rows start at the first trajectory index of its first batch; a
+    # replica keys its stream off its batch index
+    replicas = method.kind in _REPLICA_KINDS
+    results = [
+        run(me, psi, grid, tile[0] if replicas else int(starts[tile[0]]), [sizes[i] for i in tile], seed)
+        for tile in _tiles(method, me, sizes)
+    ]
 
-    # cut every chunk to the last point all of them reached
+    # cut every batch to the last point all of them reached
     aborts = [res[3] for res in results if res[3] is not None]
     abort = min(aborts, key=lambda a: a[1]) if aborts else None
     n_pts = abort[1] + 1 if abort else len(times)
-    sums = [res[0][:n_pts] for res in results]
+    sums = [batch[:n_pts] for res in results for batch in res[0]]
     rho_hat, degenerate = _reconstruct(method, _tree_sum(sums) / n_traj, times)
     n_pts = rho_hat.shape[0]
     rho_batches = _batch_series(method, np.stack(sums)[:, :n_pts], sizes)

@@ -12,7 +12,7 @@ evolution no longer preserves the trace:  d tr(rho)/dt = tr((G_L - G) rho).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, TypeVar
 
 import numpy as np
 
@@ -31,8 +31,10 @@ __all__ = [
     "effective_hamiltonian",
     "lindblad_apply",
     "jump_superoperator_apply",
+    "once_per_time",
 ]
 
+T = TypeVar("T")
 MatrixFn = Callable[[float], np.ndarray]
 RateFn = Callable[[float], float]
 
@@ -212,6 +214,21 @@ def master_equation(dim, hamiltonian, channels, trace_sink=None) -> MasterEquati
     if trace_sink is not None:
         sink = trace_sink if callable(trace_sink) else _const_matrix(trace_sink)
     return MasterEquation(int(dim), h, tuple(chans), sink)
+
+
+def once_per_time(fn: Callable[[float], T]) -> Callable[[float], T]:
+    """``fn`` keeping its last result: called again at the time it was last
+    called at, it returns that result. Closures that read one model piece by
+    piece (``doubled.gksl_to_doubled``, the tripled embedding) share one and
+    evaluate the model once per time."""
+    last: list = []  # [t, fn(t)] once called
+
+    def at(t: float) -> T:
+        if not last or last[0] != t:
+            last[:] = [t, fn(t)]
+        return last[1]
+
+    return at
 
 
 def decay_operator(me: MasterEquation, t: float) -> np.ndarray:

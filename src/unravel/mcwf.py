@@ -19,9 +19,10 @@ from .linalg import EPS
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
+from .rng import philox_uniforms
 # trajectory_uniforms stays importable from here because bench/test_bench.py
 # checks that the tracer re-binds it in this module
-from .rng import trajectory_generator, trajectory_uniforms  # noqa: F401
+from .rng import trajectory_uniforms  # noqa: F401
 
 __all__ = [
     "channel_menu",
@@ -32,7 +33,7 @@ __all__ = [
     "first_jump_times",
 ]
 
-_BLOCK_STEPS = 512
+_BLOCK_STEPS = 512  # a multiple of 4: each block of steps starts a Philox block
 
 
 def require_nonnegative_rates(snap: GeneratorSnapshot, method: str = "MCWF") -> None:
@@ -93,9 +94,11 @@ def mcwf_step(me: MasterEquation, psi: np.ndarray, t: float, dt: float, u: float
 
 
 def run_chunk(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n: int, seed: int, track=None
+    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n, seed: int, track=None
 ):
-    """Run n trajectories; returns (rho_sum series, event counts, diagnostics, abort)."""
+    """Run trajectories idx0, idx0 + 1, ...: n of them, or batches of the
+    sizes n (rho_sum per batch, see ``run_menus``); returns (rho_sum series,
+    event counts, diagnostics, abort)."""
     return run_menus(mcwf_menu, me, psi0, grid, idx0, n, seed, track=track)
 
 
@@ -109,9 +112,10 @@ def first_jump_times(
     falls below that step's jump probability; the recorded time is the end
     of that step. The path and its jump probabilities are ``mcwf_menu``'s
     drift and summed probabilities, read from one track without building the
-    jump targets. The uniforms of the rows still waiting are drawn
-    ``_BLOCK_STEPS`` steps at a time, which bounds the memory at n blocks
-    instead of n grids; a stream's draws do not depend on how they are split.
+    jump targets. The uniforms of the rows still waiting are computed
+    ``_BLOCK_STEPS`` steps at a time (``philox_uniforms``, four draws per
+    Philox block), which bounds the memory at n blocks instead of n grids; a
+    stream's draws do not depend on how they are split.
     """
     times = grid.times()
     steps = grid.n_steps
@@ -129,12 +133,11 @@ def first_jump_times(
         p_step[k] = (rates[k] * n2 * dt).T.sum()
         row = row - 1j * dt * (row @ k_t[k])
         row /= np.linalg.norm(row, axis=1)[:, None]
-    gens = [trajectory_generator(seed, k) for k in range(n)]
     out = np.full(n, np.inf)
     waiting = np.arange(n)
     for start in range(0, steps, _BLOCK_STEPS):
         p = p_step[start : start + _BLOCK_STEPS]
-        hit = np.array([gens[k].random(len(p)) for k in waiting]).reshape(len(waiting), len(p)) < p
+        hit = philox_uniforms(seed, waiting, start // 4, len(p)) < p
         fired = hit.any(axis=1)
         out[waiting[fired]] = times[start + 1 + np.argmax(hit[fired], axis=1)]
         waiting = waiting[~fired]

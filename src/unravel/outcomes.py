@@ -3,10 +3,12 @@
 A "branch" is one possible result of a single time step together with its
 exact probability. Every menu method writes its one-step law once, as a
 batched kernel ``kernel(snap, rows, dt) -> Menu`` over n trajectory rows.
-This module turns a menu into the step that runs (``take_step``, driven over
-a whole grid by ``run_menus``) and into the branch list of one row
-(``row_branches``), whose closed-form expectation E[w |psi'><psi'|] the
-tests compare against rho + L[rho] dt. Weighted methods carry a
+This module turns a menu into the step that runs (``take_step``) and into
+the branch list of one row (``row_branches``), whose closed-form expectation
+E[w |psi'><psi'|] the tests compare against rho + L[rho] dt. ``run_menus``
+drives the step over a whole grid for one tile of rows: all its batches
+step together, on uniforms computed a few steps at a time for every row
+(``rng.philox_uniforms``), and each batch is summed over its own rows. Weighted methods carry a
 multiplicative weight factor per branch; the cloning method carries a copy
 count.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from .errors import StepTooLarge, UnravelError
 from .linalg import weighted_outer_sum
-from .rng import trajectory_uniforms
+from .rng import philox_uniforms
 
 __all__ = [
     "Deterministic",
@@ -39,6 +41,13 @@ __all__ = [
     "event_counts",
     "run_menus",
 ]
+
+# Most uniforms held at once by ``run_menus`` (1 MB). A ``philox_uniforms``
+# call costs about 0.3 ms plus, per row, 80 ns a draw (vectorized) or 7 us
+# plus 5 ns a draw (re-keyed, above 64 draws), so a tile draws as many steps
+# at once as this allows, and as one batch's whole grid takes: never more
+# uniforms than one batch held when each batch drew its grid in one call.
+_DRAW_UNIFORMS = 2**17
 
 
 @dataclass(frozen=True)
@@ -199,57 +208,101 @@ def event_counts(hits: np.ndarray, copies: np.ndarray | None = None) -> dict:
     }
 
 
+def _first_error(err: UnravelError, spans, attempt: Callable) -> UnravelError:
+    """The error ``attempt(a, b)`` raises on the first row span (a, b) that
+    meets one, else err: a tile reports what its first failing batch would
+    have reported alone (messages quote extremes over the rows)."""
+    for a, b in spans:
+        try:
+            attempt(a, b)
+        except UnravelError as first:
+            return first
+    return err
+
+
 def run_menus(
     kernel: Callable,
     me,
     row0: np.ndarray,
     grid,
     idx0: int,
-    n: int,
+    n,
     seed: int,
     outer: Callable | None = None,
     weighted: bool = False,
     tally: tuple[str, Callable] | None = None,
     track=None,
 ):
-    """Step n rows from row0 on the streams of trajectories idx0..idx0+n-1.
+    """Step the rows of trajectories idx0, idx0 + 1, ... from row0, all
+    together, each on its own stream.
 
-    Returns (rho_sum, counts, diagnostics, abort): rho_sum[k] is
-    ``outer(rows, weights)`` (default ``weighted_outer_sum``) at grid point
-    k, and abort is None or (err, k) for a method error at step k, with
-    everything before step k kept.
+    ``n`` is the number of rows, or the sizes of consecutive batches of rows
+    (a tile of an ensemble). Returns (rho_sum, counts, diagnostics, abort):
+    rho_sum[k] is ``outer(rows, weights)`` (default ``weighted_outer_sum``)
+    at grid point k, and abort is None or (err, k) for a method error at
+    step k, with everything before step k kept. Given batch sizes, rho_sum
+    and every diagnostics series gain a leading batch axis, and each batch's
+    entry is one reduction over that batch's rows alone, as a run of the
+    batch by itself gives it; counts and sign-flip steps cover all rows.
     ``weighted`` carries one weight per row and records the ``weight_sum``
     series and the ``sign_flip_steps`` where a jump took a negative factor;
     ``tally = (key, fn(rows))`` records one more series.
-    ``track`` is ``me.track`` over the grid's step starts; chunks of one
+    ``track`` is ``me.track`` over the grid's step starts; the tiles of one
     ensemble share it, and a call without one evaluates its own.
+    The uniforms come a few steps at a time for all rows (``philox_uniforms``,
+    at most ``max(4 rows, _DRAW_UNIFORMS)`` of them), so their memory is
+    bounded whatever the grid.
     """
     outer = outer or weighted_outer_sum
     times = grid.times()
     steps = grid.n_steps
     if track is None:
         track = me.track(times[:-1])
-    u = trajectory_uniforms(seed, idx0, n, steps)
-    rows = np.tile(np.asarray(row0, dtype=complex), (n, 1))
-    weights = np.ones(n) if weighted else None
-    rho_sum = np.zeros((steps + 1, me.dim, me.dim), dtype=complex)
-    rho_sum[0] = outer(rows, weights)
+    sizes = np.atleast_1d(n)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    spans = list(zip(bounds[:-1], bounds[1:]))
+    keys = np.arange(idx0, idx0 + bounds[-1], dtype=np.uint64)
+    rows = np.tile(np.asarray(row0, dtype=complex), (len(keys), 1))
+    weights = np.ones(len(keys)) if weighted else None
+    rho_sum = np.zeros((len(spans), steps + 1, me.dim, me.dim), dtype=complex)
     diag: dict = {}
     if weighted:
-        diag["weight_sum"] = np.zeros(steps + 1)
-        diag["weight_sum"][0] = weights.sum()
+        diag["weight_sum"] = np.zeros((len(spans), steps + 1))
         diag["sign_flip_steps"] = []
     if tally is not None:
-        diag[tally[0]] = np.zeros(steps + 1)
-        diag[tally[0]][0] = tally[1](rows)
+        diag[tally[0]] = np.zeros((len(spans), steps + 1))
+
+    def record(k: int) -> None:
+        for i, (a, b) in enumerate(spans):
+            w = None if weights is None else weights[a:b]
+            rho_sum[i, k] = outer(rows[a:b], w)
+            if weighted:
+                diag["weight_sum"][i, k] = w.sum()
+            if tally is not None:
+                diag[tally[0]][i, k] = tally[1](rows[a:b])
+
+    def result(abort):
+        if np.ndim(n):
+            return rho_sum, event_counts(hits), diag, abort
+        one = {key: val if key == "sign_flip_steps" else val[0] for key, val in diag.items()}
+        return rho_sum[0], event_counts(hits), one, abort
+
+    record(0)
     hits = np.zeros(1, dtype=np.int64)  # grows to one slot per branch at the first step
+    held = min(_DRAW_UNIFORMS, int(sizes.max()) * steps)
+    draw = 4 * max(1, held // (4 * len(keys)))  # steps per call, whole Philox blocks
     for k in range(steps):
-        snap = track[k]
+        j = k % draw
+        if j == 0:
+            u = philox_uniforms(seed, keys, k // 4, min(draw, steps - k))
         try:
-            menu = kernel(snap, rows, grid.dt)
-            step = take_step(menu, u[:, k], times[k])
+            menu = kernel(track[k], rows, grid.dt)
+            step = take_step(menu, u[:, j], times[k])
         except UnravelError as err:
-            return rho_sum, event_counts(hits), diag, (err, k)
+            err = _first_error(
+                err, spans, lambda a, b: take_step(kernel(track[k], rows[a:b], grid.dt), u[a:b, j], times[k])
+            )
+            return result((err, k))
         nb = menu.probs.shape[1]
         hits = hits + np.bincount(step.choice, minlength=nb + 1)
         rows = step.rows
@@ -257,8 +310,5 @@ def run_menus(
             if np.any(step.factors[step.choice < nb] < 0.0):
                 diag["sign_flip_steps"].append(k)
             weights = weights * step.factors
-            diag["weight_sum"][k + 1] = weights.sum()
-        if tally is not None:
-            diag[tally[0]][k + 1] = tally[1](rows)
-        rho_sum[k + 1] = outer(rows, weights)
-    return rho_sum, event_counts(hits), diag, None
+        record(k + 1)
+    return result(None)

@@ -50,12 +50,13 @@ __all__ = [
 class GaugeTransform:
     """kind is 'none', 'time_dependent' (c: t -> matrix) or 'state_dependent'
     (phi: (t, psi) -> raw vector). phi_batch, if given, evaluates phi on a
-    stack of states at once; the vectorized runners use it."""
+    stack of states at once from the step's generator snapshot
+    (phi_batch: (snap, states) -> rows); the batched kernels use it."""
 
     kind: str
     c: Callable[[float], np.ndarray] | None = None
     phi: Callable[[float, np.ndarray], np.ndarray] | None = None
-    phi_batch: Callable[[float, np.ndarray], np.ndarray] | None = None
+    phi_batch: Callable[[GeneratorSnapshot, np.ndarray], np.ndarray] | None = None
 
 
 def gauge_none() -> GaugeTransform:
@@ -83,15 +84,15 @@ class RateOperatorSpectrum:
         return [(float(self.values[k]), self.vectors[:, k]) for k in range(len(self.values))]
 
 
-def gauge_vectors_batch(gauge: GaugeTransform, t: float, states: np.ndarray) -> np.ndarray:
-    """phi for every row of ``states``; zeros for the trivial gauge."""
+def gauge_vectors_batch(gauge: GaugeTransform, snap: GeneratorSnapshot, states: np.ndarray) -> np.ndarray:
+    """phi at ``snap.t`` for every row of ``states``; zeros for the trivial gauge."""
     if gauge.kind == "none":
         return np.zeros_like(states)
     if gauge.kind == "time_dependent":
-        return states @ gauge.c(t).T
+        return states @ gauge.c(snap.t).T
     if gauge.phi_batch is not None:
-        return np.asarray(gauge.phi_batch(t, states), dtype=complex)
-    return np.stack([np.asarray(gauge.phi(t, s), dtype=complex) for s in states])
+        return np.asarray(gauge.phi_batch(snap, states), dtype=complex)
+    return np.stack([np.asarray(gauge.phi(snap.t, s), dtype=complex) for s in states])
 
 
 def jump_images(snap: GeneratorSnapshot, states: np.ndarray) -> np.ndarray:
@@ -146,8 +147,8 @@ def ro_spectrum_batch(
 def rate_operator(me: MasterEquation, t: float, psi: np.ndarray, g: GaugeTransform) -> RateOperatorSpectrum:
     """Full spectrum of the gauged rate operator (R or Psi-R by gauge kind)."""
     psi = np.asarray(psi, dtype=complex)
-    phi = gauge_vectors_batch(g, t, psi[None, :])
-    vals, vecs = ro_spectrum_batch(me.at(t), psi[None, :], phi)
+    snap = me.at(t)
+    vals, vecs = ro_spectrum_batch(snap, psi[None, :], gauge_vectors_batch(g, snap, psi[None, :]))
     return RateOperatorSpectrum(vals[0], vecs[0])
 
 
@@ -186,18 +187,19 @@ def w_matching_gauge(me: MasterEquation, offset: float = 1.0) -> GaugeTransform:
 
     phi = -2 J psi + (<psi|J psi> + offset) psi makes psi an eigenvector of
     Psi-R with eigenvalue ``offset`` > 0 and leaves the perp block equal to W.
+    The batched form reads J from the step's snapshot and evaluates nothing;
+    ``phi(t, psi)`` evaluates ``me`` at t for its one row.
     """
     if offset <= 0:
         raise ValueError("offset must be positive so psi's eigenvalue stays positive")
 
-    def phi_batch(t: float, states: np.ndarray) -> np.ndarray:
-        snap = me.at(t)
+    def phi_batch(snap: GeneratorSnapshot, states: np.ndarray) -> np.ndarray:
         y = jump_images(snap, states)
         jpsi = np.einsum("a,ani,anj,nj->ni", snap.gammas, y, np.conj(y), states)
         a = np.einsum("ni,ni->n", np.conj(states), jpsi).real
         return -2.0 * jpsi + (a + offset)[:, None] * states
 
     def phi(t: float, psi: np.ndarray) -> np.ndarray:
-        return phi_batch(t, np.asarray(psi, dtype=complex)[None, :])[0]
+        return phi_batch(me.at(t), np.asarray(psi, dtype=complex)[None, :])[0]
 
     return state_dependent_gauge(phi, phi_batch)

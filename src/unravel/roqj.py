@@ -66,7 +66,7 @@ def w_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
 
 def ro_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float, g: GaugeTransform) -> Menu:
     """Gauged kernel: the R (time-dependent gauge) or Psi-R spectrum and drift."""
-    phi_g = gauge_vectors_batch(g, snap.t, rows)
+    phi_g = gauge_vectors_batch(g, snap, rows)
     vals, vecs = ro_spectrum_batch(snap, rows, phi_g)
     if g.kind == "time_dependent":
         drift = rows @ r_drift_matrix(snap, g.c(snap.t), dt).T
@@ -119,7 +119,8 @@ def run_chunk(
     gauge: GaugeTransform | None = None,
     track=None,
 ):
-    """Chunk runner for all three flavors ('w', or 'ro' with a gauge)."""
+    """Tile runner for all three flavors ('w', or 'ro' with a gauge); n as
+    in ``run_menus``."""
     if flavor == "w":
         return run_menus(w_menu, me, psi0, grid, idx0, n, seed, track=track)
     return run_menus(

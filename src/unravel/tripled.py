@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DegenerateBlock
 from .linalg import hermitize, psd_sqrt, psd_sqrt_batched
-from .master_equation import GeneratorTrack, MasterEquation, master_equation
+from .master_equation import GeneratorTrack, MasterEquation, master_equation, once_per_time
 from .propagate import TimeGrid
 from . import mcwf
 
@@ -51,15 +51,21 @@ class JumpPair:
 def pairs_from_master_equation(me: MasterEquation) -> tuple[JumpPair, ...]:
     """Split each channel gamma L . L^dag into the symmetric pair
     C = sqrt(|gamma|/2) L, D = sign(gamma) sqrt(|gamma|/2) L, so that
-    C rho D^dag + D rho C^dag = gamma L rho L^dag for either sign."""
+    C rho D^dag + D rho C^dag = gamma L rho L^dag for either sign. The
+    pairs share one evaluation of ``me`` per time."""
+    return _pairs(me, once_per_time(me.at))
+
+
+def _pairs(me: MasterEquation, at: Callable) -> tuple[JumpPair, ...]:
+    """``pairs_from_master_equation`` reading the model through ``at``."""
 
     def make(i: int) -> JumpPair:
         def c(t: float) -> np.ndarray:
-            snap = me.at(t)
+            snap = at(t)
             return np.sqrt(0.5 * abs(snap.gammas[i])) * snap.ls[i]
 
         def d(t: float) -> np.ndarray:
-            snap = me.at(t)
+            snap = at(t)
             g = snap.gammas[i]
             return np.copysign(1.0, g) * np.sqrt(0.5 * abs(g)) * snap.ls[i]
 
@@ -173,10 +179,11 @@ def embedded_master_equation(emb: TripledEmbedding) -> MasterEquation:
 
 def embedded_system(me: MasterEquation) -> MasterEquation:
     """The embedding of ``me`` with symmetric factor pairs and the default
-    completion levels, as the system the tripled runner steps."""
-    pairs = pairs_from_master_equation(me)
+    completion levels, as the system the tripled runner steps. All its
+    pieces share one evaluation of ``me`` per time."""
+    at = once_per_time(me.at)
     # the initial state W0 is built from psi0 by the runner, not from this rho0
-    emb, _w0 = tripled_embed(lambda t: me.at(t).h, pairs, me.dim, np.eye(me.dim))
+    emb, _w0 = tripled_embed(lambda t: at(t).h, _pairs(me, at), me.dim, np.eye(me.dim))
     return embedded_master_equation(emb)
 
 
@@ -231,11 +238,12 @@ def run_chunk(
     psi0: np.ndarray,
     grid: TimeGrid,
     idx0: int,
-    n: int,
+    n,
     seed: int,
     track=None,
 ):
-    """Plain jump trajectories of the embedded equation from psi0 (x) chi.
+    """Plain jump trajectories of the embedded equation from psi0 (x) chi;
+    n trajectories or batches of the sizes n, as in ``mcwf.run_chunk``.
 
     rho_sum holds 3d x 3d projector sums over W-space; extraction happens
     at reconstruction time so batch statistics see the same division noise

@@ -138,7 +138,8 @@ def plqt_step(wt: PlqtTrajectory, me: MasterEquation, t: float, dt: float, u: fl
 
 
 def run_chunk_im(me, psi0, grid, idx0, n, seed, r_policy: RatePolicy | None = None, track=None):
-    """Influence-martingale trajectories; rho_sum rows are weighted projector sums."""
+    """Influence-martingale trajectories; rho_sum rows are weighted projector
+    sums; n as in ``run_menus``."""
     policy = r_policy if r_policy is not None else default_rate_policy()
     return run_menus(
         lambda snap, rows, dt: im_menu(snap, rows, dt, policy),

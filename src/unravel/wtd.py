@@ -6,7 +6,7 @@ until ||psi~||^2 = x pins the jump time, then picks the channel with
 probability gamma_a <L_a^dag L_a> / <G>. Requires a CP-divisible flow, which
 also makes the survival norm monotone nonincreasing.
 
-One sampler steps all rows of a chunk together, one RK4 step per grid step
+One sampler steps all rows of a tile together, one RK4 step per grid step
 with K read from a half-grid track (t_k, t_k + dt/2, t_k+1). Rows that cross
 their threshold in a step are bisected together on the step's cubic Hermite
 dense output (psi~ and -i K psi~ at both ends), which evaluates nothing. Only
@@ -30,7 +30,7 @@ from .master_equation import GeneratorSnapshot, GeneratorTrack, MasterEquation
 from .mcwf import require_nonnegative_rates
 from .outcomes import event_counts
 from .propagate import TimeGrid
-from .rng import trajectory_generator
+from .rng import philox_uniforms, trajectory_generator
 
 __all__ = ["wtd_next_jump", "wtd_select_channel", "run_chunk", "first_jump_times"]
 
@@ -146,15 +146,19 @@ def _select_channel(snap: GeneratorSnapshot, psi_det: np.ndarray, u: float) -> i
 
 
 def run_chunk(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n: int, seed: int, track=None
+    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n, seed: int, track=None
 ):
-    """Trajectories idx0..idx0+n-1 stepped together on ``track`` (``half_track``
-    of the grid, shared by the chunks of an ensemble): (rho_sum series, event
-    counts, diagnostics, abort), abort being None or (err, k) for a failure in
-    step k, with every earlier point kept."""
+    """Trajectories idx0, idx0 + 1, ... stepped together on ``track``
+    (``half_track`` of the grid, shared by the tiles of an ensemble):
+    (rho_sum series, event counts, diagnostics, abort), abort being None or
+    (err, k) for a failure in step k, with every earlier point kept. ``n``
+    is the number of rows, or the sizes of consecutive batches of rows, and
+    then rho_sum has a leading batch axis (as in ``outcomes.run_menus``)."""
     if track is None:
         track = me.half_track(grid.times())
-    gens = [trajectory_generator(seed, idx0 + i) for i in range(n)]
+    sizes = np.atleast_1d(n)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    gens = [trajectory_generator(seed, idx0 + i) for i in range(bounds[-1])]
     x = np.array([g.random() for g in gens])
     jumps = np.zeros(len(me.channels), dtype=np.int64)
 
@@ -168,21 +172,24 @@ def run_chunk(
         return normalize(snap.ls[a] @ psi1)[0], at_jump
 
     psi = np.asarray(psi0, dtype=complex)
-    rho_sum = np.zeros((grid.n_steps + 1, me.dim, me.dim), dtype=complex)
-    rho_sum[0] = n * np.outer(psi, np.conj(psi))
+    rho_sum = np.zeros((len(sizes), grid.n_steps + 1, me.dim, me.dim), dtype=complex)
+    for i, size in enumerate(sizes):
+        rho_sum[i, 0] = int(size) * np.outer(psi, np.conj(psi))
     k, abort = 0, None
     try:
+        # no row retires, so the rows of batch i stay at bounds[i]:bounds[i + 1]
         for k, tilde in enumerate(_sweep(track, psi, x, jump), start=1):
-            rho_sum[k] = weighted_outer_sum(tilde, np.linalg.norm(tilde, axis=1) ** -2.0)
+            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
+                rho_sum[i, k] = weighted_outer_sum(tilde[a:b], np.linalg.norm(tilde[a:b], axis=1) ** -2.0)
     except (NegativeRate, NoJumpPossible) as err:
         abort = (err, k)
-    return rho_sum, event_counts(np.append(jumps, 0)), {}, abort
+    return rho_sum if np.ndim(n) else rho_sum[0], event_counts(np.append(jumps, 0)), {}, abort
 
 
 def first_jump_times(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
     """First-jump time per trajectory (inf where the norm never crosses), by
     ``run_chunk``'s sampler with each row retiring at its first jump."""
-    x = np.array([trajectory_generator(seed, k).random() for k in range(n)])
+    x = philox_uniforms(seed, np.arange(n), 0, 1)[:, 0]
     out = np.full(n, np.inf)
 
     def retire(i, t1, _t_end, _psi1):

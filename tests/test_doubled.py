@@ -1,5 +1,7 @@
 """Pair-of-vectors unraveling: signed factorization and weighted estimator."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,7 +14,7 @@ from unravel.doubled import (
 )
 from unravel.errors import ZeroVector
 from unravel.linalg import haar_state, trace_distance
-from unravel.master_equation import lindblad_apply, master_equation
+from unravel.master_equation import MasterEquation, lindblad_apply, master_equation
 from unravel.models import KET1, PLUS, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.outcomes import Deterministic, Jump
 from unravel.propagate import TimeGrid, propagate
@@ -27,6 +29,23 @@ def test_sign_of_negative_rate_lands_on_second_factor():
     assert np.allclose(model.ds[2](t), -root * SIGMA_Z)
     # unit-rate raising channel keeps both factors equal
     assert np.allclose(model.cs[0](t), model.ds[0](t))
+
+
+def test_doubled_model_evaluates_once_per_time(monkeypatch):
+    """A, B and every C_i, D_i at one time share one evaluation of the model."""
+    me = eternally_nm()
+    calls = Counter()
+    evaluate = MasterEquation._evaluate
+
+    def counting(self, t):
+        calls[float(t)] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    model = gksl_to_doubled(me)
+    for t in (0.3, 0.6):
+        model.a(t), model.b(t), [c(t) for c in model.cs], [d(t) for d in model.ds]
+    assert calls == Counter({0.3: 1, 0.6: 1})
 
 
 def test_jump_probability_from_excited_state():

@@ -1,24 +1,34 @@
-"""Ensemble driver: chunking, determinism, error bars, abort reporting."""
+"""Ensemble driver: batches and row tiles, determinism, error bars, abort reporting."""
 
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from unravel import engine
 from unravel.engine import (
     METHOD_KINDS,
     error_vs_oracle,
     method_id,
     observable_series,
     run_ensemble,
+    _batch_series,
     _chunk_sizes,
     _distance_stderr,
+    _generator_track,
+    _merge_counts,
+    _reconstruct,
+    _runner,
+    _tiles,
+    _tree_sum,
 )
 from unravel.errors import (
     DegenerateBlock,
     DimensionMismatch,
     GridMismatch,
     MissingTargetState,
+    NegativeRate,
+    NegativeWEigenvalue,
     NotHermitian,
     StepTooLarge,
     UnknownMethod,
@@ -26,11 +36,15 @@ from unravel.errors import (
 from unravel.linalg import hermitize, trace_distance
 from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
+    KET0,
     OBSERVABLES,
     PLUS,
+    SIGMA_MINUS,
+    SIGMA_X,
     SIGMA_Z,
     delayed_negative_phase_covariant,
     eternally_nm,
+    non_p_divisible,
     spontaneous_emission,
 )
 from unravel.nmqj import run_replica
@@ -301,3 +315,106 @@ def test_wtd_evaluates_each_half_grid_time_once(monkeypatch):
     off_grid = sum(n for t, n in calls.items() if t not in half)
     assert res.event_counts["jump"] > 0
     assert off_grid <= 2 * res.event_counts["jump"]
+
+
+def _per_batch_reference(method, me, psi, grid, n_traj, seed):
+    """What run_ensemble reports, rebuilt from one runner call per batch
+    with a plain row count: (rho_hat, rho_batches, stderr, counts,
+    diagnostics, abort)."""
+    sizes = _chunk_sizes(n_traj, 20)
+    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
+    track = _generator_track(method, me, grid)
+    results = [_runner(method)(me, psi, grid, int(s), n, seed, track=track) for s, n in zip(starts, sizes)]
+    aborts = [res[3] for res in results if res[3] is not None]
+    abort = min(aborts, key=lambda a: a[1]) if aborts else None
+    n_pts = abort[1] + 1 if abort else grid.n_steps + 1
+    sums = [res[0][:n_pts] for res in results]
+    rho_hat, _ = _reconstruct(method, _tree_sum(sums) / n_traj, grid.times())
+    rho_batches = _batch_series(method, np.stack(sums)[:, : len(rho_hat)], sizes)
+    diag = {}
+    for key, val in results[0][2].items():
+        vals = [res[2][key] for res in results]
+        diag[key] = sorted(set().union(*vals)) if key == "sign_flip_steps" else _tree_sum(vals)
+    counts = _merge_counts([res[1] for res in results])
+    return rho_hat, rho_batches, _distance_stderr(rho_hat, rho_batches), counts, diag, abort
+
+
+def _rate_step():
+    """Decay whose rate jumps from 5 to 300 at t = 0.5, under a sigma_x drive
+    that spreads the rows' states."""
+    return master_equation(2, 3.0 * SIGMA_X, [(SIGMA_MINUS, lambda t: 5.0 if t < 0.5 else 300.0, "down")])
+
+
+def _rroqj(me):
+    return method_id("rroqj", gauge=time_dependent_gauge(lambda t: 0.5 * np.eye(2)))
+
+
+TILED = [
+    ("mcwf", spontaneous_emission, PLUS, 0.3),
+    ("wtd", spontaneous_emission, PLUS, 0.3),
+    ("wroqj", eternally_nm, PLUS, 0.3),
+    ("rroqj", eternally_nm, PLUS, 0.3),
+    ("psi_roqj", eternally_nm, PLUS, 0.3),
+    ("im", eternally_nm, PLUS, 0.3),
+    ("plqt", eternally_nm, PLUS, 0.3),
+    ("doubled", eternally_nm, PLUS, 0.3),
+    ("tripled", eternally_nm, PLUS, 0.3),
+    # aborts: NegativeRate at t = 0.79, a W eigenvalue at t = 1.01, and a
+    # StepTooLarge at t = 0.5 in many rows, whose message quotes the largest
+    # jump probability of the first failing batch
+    ("mcwf", delayed_negative_phase_covariant, PLUS, 1.2),
+    ("wroqj", non_p_divisible, KET0, 1.2),
+    ("mcwf", _rate_step, PLUS, 0.6),
+]
+
+
+@pytest.mark.parametrize("budget", ["default", "small"])
+@pytest.mark.parametrize("n_traj", [7, 63])
+@pytest.mark.parametrize("kind, build, psi, t_max", TILED)
+def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_traj, budget):
+    """Stepping whole tiles of batches gives bit for bit what one runner call
+    per batch gives: the batch sums, counts and diagnostics, and for an abort
+    its error, message, time and partial series. N = 7 has one trajectory
+    per batch, N = 63 unequal batches; the small budget splits the ensemble
+    into several tiles."""
+    if budget == "small":
+        monkeypatch.setattr(engine, "_TILE_BYTES", 2**10)
+    me = build()
+    method = _rroqj(me) if kind == "rroqj" else method_id(kind)
+    grid = TimeGrid(0.0, t_max, 1e-2)
+    sizes = _chunk_sizes(n_traj, 20)
+    if budget == "small" and kind == "mcwf" and n_traj == 63:
+        assert 1 < len(_tiles(method, me, sizes)) < len(sizes)
+    rho_hat, rho_batches, stderr, counts, diag, abort = _per_batch_reference(method, me, psi, grid, n_traj, 5)
+    if abort is not None:
+        with pytest.raises(type(abort[0])) as info:
+            run_ensemble(method, me, psi, grid, n_traj, seed=5)
+        err = info.value
+        assert isinstance(err, (NegativeRate, NegativeWEigenvalue, StepTooLarge))
+        assert (str(err), err.time) == (str(abort[0]), abort[0].time)
+        partial = err.partial
+        assert len(partial["times"]) == abort[1] + 1
+        for key, want in (("rho_hat", rho_hat), ("rho_batches", rho_batches), ("stderr", stderr)):
+            assert np.array_equal(partial[key], want, equal_nan=True), key
+        return
+    res = run_ensemble(method, me, psi, grid, n_traj, seed=5)
+    assert np.array_equal(res.rho_hat, rho_hat)
+    assert np.array_equal(res.rho_batches, rho_batches)
+    assert np.array_equal(res.stderr, stderr)
+    assert res.event_counts == counts
+    assert res.diagnostics.keys() == diag.keys()
+    for key, want in diag.items():
+        assert np.array_equal(res.diagnostics[key], want), key
+
+
+def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
+    me = spontaneous_emission()  # one channel, d = 2: 32 bytes a row
+    sizes = _chunk_sizes(1003, 20)
+    monkeypatch.setattr(engine, "_TILE_BYTES", 32 * 160)
+    tiles = _tiles(method_id("mcwf"), me, sizes)
+    assert [i for tile in tiles for i in tile] == list(range(20))
+    assert all(sum(sizes[i] for i in tile) <= 160 for tile in tiles)
+    assert [len(t) for t in tiles] == [3] * 6 + [2]
+    monkeypatch.setattr(engine, "_TILE_BYTES", 1)  # never fewer than one batch
+    assert _tiles(method_id("mcwf"), me, sizes) == [[i] for i in range(20)]
+    assert _tiles(method_id("nmqj"), me, sizes) == [[i] for i in range(20)]

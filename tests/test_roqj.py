@@ -5,12 +5,15 @@ gauged variants add a vector phi that reshuffles jump and drift pieces
 without touching the one-step law.
 """
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from unravel.engine import method_id, run_ensemble
 from unravel.errors import NegativeROEigenvalue, NegativeWEigenvalue
 from unravel.linalg import haar_state, trace_distance
-from unravel.master_equation import master_equation
+from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
     KET0,
     KET1,
@@ -168,3 +171,22 @@ def test_chunks_track_oracle_and_each_other():
     for series in (rho_w, rho_r):
         dists = [trace_distance(series[k] / n, oracle.states[k]) for k in range(grid.n_steps + 1)]
         assert max(dists) < 0.09
+
+
+def test_w_matching_gauge_reads_the_step_snapshot(monkeypatch):
+    """The batched w_matching gauge takes J from the kernel's snapshot, so
+    an ensemble of 20 batches evaluates each grid time once."""
+    me = eternally_nm()
+    grid = TimeGrid(0.0, 0.2, 1e-2)
+    calls = Counter()
+    evaluate = MasterEquation._evaluate
+
+    def counting(self, t):
+        calls[float(t)] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    method = method_id("psi_roqj", gauge=w_matching_gauge(me))
+    run_ensemble(method, me, PLUS, grid, 40, seed=3, batches=20)
+    assert len(calls) == grid.n_steps
+    assert max(calls.values()) == 1

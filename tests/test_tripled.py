@@ -1,11 +1,13 @@
 """Auxiliary-level embedding: factor pairs, completion operator, extraction."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from unravel.errors import DegenerateBlock, NotHermitian, NotPSD
 from unravel.linalg import haar_state, trace_distance
-from unravel.master_equation import master_equation
+from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
     PLUS,
     SIGMA_MINUS,
@@ -120,6 +122,29 @@ def test_embedded_equation_reproduces_signed_dynamics_exactly():
         # here a(t) = 2|g_z| = tanh(t), so the integral is log cosh
         block_tr = np.trace(w.reshape(2, 3, 2, 3)[:, 0, :, 1])
         assert abs(block_tr) == pytest.approx(0.5 / np.cosh(t), abs=1e-6)
+
+
+def test_embedding_evaluates_the_model_once_per_time(monkeypatch):
+    """The embedding's pieces (H, every C, D, Omega and level) share one
+    evaluation of the model per time; they used to make 37 each."""
+    me = eternally_nm()
+    calls = Counter()
+    evaluate = MasterEquation._evaluate
+
+    def counting(self, t):
+        calls[(id(self), float(t))] += 1
+        return evaluate(self, t)
+
+    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    times = (0.1, 0.2, 0.3)
+    embedded_system(me).track(times)
+    assert {t: n for (system, t), n in calls.items() if system == id(me)} == dict.fromkeys(times, 1)
+    calls.clear()
+    pairs = pairs_from_master_equation(me)
+    for t in (0.4, 0.5):
+        for pair in pairs:
+            pair.c(t), pair.d(t)
+    assert calls == Counter({(id(me), 0.4): 1, (id(me), 0.5): 1})
 
 
 def test_chunk_on_markovian_model_matches_oracle():

@@ -8,16 +8,20 @@ checkout it sits in):
 
 ``write`` runs every input of ``INPUTS`` at each seed and records, per run,
 the sha256 of ``rho_hat``, ``stderr`` and ``rho_batches``, the event counts,
-and for a run that aborts the error class, its time and the same hashes of
-its partial series; ``rho_hat`` itself is kept (base64 of its bytes) so that
+the sha256 of every diagnostics entry (``weight_sum``, ``theta_norm2_sum``,
+``population``, sign-flip steps, event logs), and for a run that aborts the
+error class, its message, its time and the same hashes of its partial
+series; ``rho_hat`` itself is kept (base64 of its bytes) so that
 ``compare`` can print max |d rho_hat| where two files differ. It also runs
 every input of ``ORACLE_INPUTS`` once (they draw no random numbers) and
 records the sha256 and bytes of its array. ``compare`` exits 1 unless every
 fingerprint is identical.
 
 The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
-weighted, gauged, population and replica methods, one abort of each kind of
-method (single-row menu, replica, waiting time, embedding), and the
+weighted, gauged, population and replica methods, ensembles whose batches
+are unequal (N = 1003), fill several row tiles (N = 10^4) or hold one
+trajectory each (N = 13), one abort of each kind of
+method (channel and spectral menus, replica, waiting time, embedding), and the
 deterministic paths: the RK4 oracle with and without substeps and with a
 trace sink, the propagator maps and the divisibility scan.
 """
@@ -39,7 +43,7 @@ sys.path.insert(0, str(ROOT / "src"))
 from unravel import TimeGrid, UnravelError, master_equation, method_id, run_ensemble  # noqa: E402
 from unravel.divisibility import divisibility_scan  # noqa: E402
 from unravel.propagate import propagate, propagator_maps  # noqa: E402
-from unravel.models import KET1, PLUS, SIGMA_MINUS, SIGMA_Z, build_model  # noqa: E402
+from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_X, SIGMA_Z, build_model  # noqa: E402
 from unravel.rate_operators import gauge_none, time_dependent_gauge, w_matching_gauge  # noqa: E402
 
 DT = 1e-2
@@ -60,6 +64,12 @@ def _sigma_z(rate):
     return lambda: master_equation(2, np.zeros((2, 2)), [(SIGMA_Z, rate, "sz")])
 
 
+def _rate_step():
+    """Decay whose rate jumps from 5 to 300 at t = 0.5 (dt = 0.01 then makes
+    jump probabilities > 1), under a drive that spreads the rows' states."""
+    return master_equation(2, 3.0 * SIGMA_X, [(SIGMA_MINUS, lambda t: 5.0 if t < 0.5 else 300.0, "down")])
+
+
 def _gz_identity(me_name):
     gamma_z = build_model(me_name).rates.gamma_z
     return lambda me: method_id("rroqj", gauge=time_dependent_gauge(lambda t: gamma_z(t) * np.eye(2)))
@@ -72,6 +82,9 @@ def _kind(kind, **kw):
 # name -> (method(me), model(), psi0, n_traj, t_max)
 INPUTS = {
     "batched/mcwf": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 2000, 1.5),
+    "mcwf/n10000": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 10_000, 1.0),
+    "mcwf/n1003": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 1003, 1.5),
+    "doubled/n13": (_kind("doubled"), _model("eternally_nm"), PLUS, 13, 1.5),
     "batched/wroqj": (_kind("wroqj"), _model("eternally_nm"), PLUS, 2000, 1.5),
     "batched/im": (_kind("im"), _model("non_p_divisible"), PLUS, 2000, 1.5),
     "batched/doubled": (_kind("doubled"), _model("eternally_nm"), PLUS, 2000, 1.5),
@@ -88,6 +101,8 @@ INPUTS = {
     "tripled/eternally_nm": (_kind("tripled"), _model("eternally_nm"), PLUS, 500, 1.0),
     "cloning/trace_sink": (_kind("cloning"), _trace_sink, KET1, 500, 1.0),
     "abort/mcwf": (_kind("mcwf"), _model("delayed_negative"), PLUS, 400, 1.5),
+    "abort/wroqj": (_kind("wroqj"), _model("non_p_divisible"), KET0, 400, 3.0),
+    "abort/mcwf_step_too_large": (_kind("mcwf"), _rate_step, PLUS, 400, 0.6),
     "abort/nmqj": (_kind("nmqj"), _model("delayed_negative"), PLUS, 400, 3.0),
     "abort/wtd": (_kind("wtd"), _model("delayed_negative"), PLUS, 80, 1.5),
     "abort/tripled_degenerate": (_kind("tripled"), _sigma_z(-20.0), PLUS, 40, 1.0),
@@ -137,6 +152,13 @@ def _series(times, rho_hat, stderr, rho_batches) -> dict:
     }
 
 
+def _hash_diagnostics(diag: dict) -> dict:
+    return {
+        key: _sha(val) if isinstance(val, np.ndarray) else hashlib.sha256(repr(val).encode()).hexdigest()
+        for key, val in diag.items()
+    }
+
+
 def fingerprint(name: str, seed: int) -> dict:
     method, model, psi0, n_traj, t_max = INPUTS[name]
     me = model()
@@ -146,13 +168,14 @@ def fingerprint(name: str, seed: int) -> dict:
     except UnravelError as err:
         p = err.partial
         return {
-            "abort": {"error": type(err).__name__, "time": float(err.time)},
+            "abort": {"error": type(err).__name__, "message": str(err), "time": float(err.time)},
             "partial": _series(p["times"], p["rho_hat"], p["stderr"], p["rho_batches"]),
         }
     return {
         "abort": None,
         "series": _series(grid.times(), res.rho_hat, res.stderr, res.rho_batches),
         "event_counts": res.event_counts,
+        "diagnostics": _hash_diagnostics(res.diagnostics),
     }
 
 
@@ -191,7 +214,7 @@ def compare(a_path: Path, b_path: Path) -> int:
         else:
             sa, sb = (x.get("series") or x.get("partial") for x in (a[key], b[key]))
             ra, rb = _values(sa["rho_hat_b64"]), _values(sb["rho_hat_b64"])
-            fields = [f for f in ("abort", "event_counts") if a[key].get(f) != b[key].get(f)]
+            fields = [f for f in ("abort", "event_counts", "diagnostics") if a[key].get(f) != b[key].get(f)]
             fields += [f for f in ("points", "rho_hat", "stderr", "rho_batches") if sa[f] != sb[f]]
             what = "rho_hat"
         delta = f"max |d {what}| {np.abs(ra - rb).max():.3e}" if ra.shape == rb.shape else "shapes differ"
