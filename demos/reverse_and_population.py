@@ -35,7 +35,7 @@ def reverse_jumps():
     except MissingTargetState as err:
         partial = err.partial
         n_pts = len(partial["times"])
-        sup = max(trace_distance(partial["rho_hat"][k], oracle.states[k]) for k in range(n_pts))
+        sup = trace_distance(partial["rho_hat"], oracle.states[:n_pts]).max()
         events = [e for log in partial["event_logs"] for e in log]
         n_direct = sum(1 for e in events if e[1] == "direct")
         n_reverse = sum(1 for e in events if e[1] == "reverse")

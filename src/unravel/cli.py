@@ -22,7 +22,7 @@ import time as _time
 import numpy as np
 
 from .divisibility import divisibility_scan
-from .engine import METHOD_KINDS, error_vs_oracle, method_id, observable_stats, run_ensemble
+from .engine import METHOD_KINDS, method_id, observable_stats, run_ensemble
 from .errors import (
     BadAmplitudes,
     ConfigError,
@@ -261,43 +261,31 @@ def run_command(cfg: RunConfig) -> int:
                     mid, model.me, psi0, grid, cfg.n_traj, cfg.seed, threads=cfg.threads
                 )
             except UnravelError as err:
-                partial = getattr(err, "partial", None) or {
+                partial = err.partial or {
                     "times": times[:1],
                     "rho_hat": oracle.states[:1] * 0.0,
                     "rho_batches": oracle.states[None, :1] * 0.0,
                 }
-                n_part = len(partial["times"])
-                _observable_rows(
-                    rows, partial["times"], token, cfg.observable_names, obs_mats,
-                    partial["rho_hat"], partial["rho_batches"], cfg.n_traj,
-                )
-                abort_t = getattr(err, "time", None)
-                abort_t = float(abort_t) if abort_t is not None else float(partial["times"][-1])
-                rows.append(f"{_fmt(abort_t)},{token},abort[{type(err).__name__}],0,0,{cfg.n_traj}")
-                dists = [
-                    trace_distance(partial["rho_hat"][k], oracle.states[k])
-                    for k in range(n_part)
-                ]
-                summary["methods"][token] = {
-                    "wall_clock_ms": None,
-                    "event_counts": {},
-                    "max_oracle_distance": max(dists) if dists else None,
-                    "aborted": True,
-                    "abort": {"error": type(err).__name__, "time": abort_t, "message": str(err)},
-                }
-                exit_code = 2
-                continue
-            _, dists = error_vs_oracle(result, oracle)
+                run_times, rho_hat, rho_batches = (partial[k] for k in ("times", "rho_hat", "rho_batches"))
+                abort_t = float(err.time if err.time is not None else run_times[-1])
+                abort = {"error": type(err).__name__, "time": abort_t, "message": str(err)}
+                entry = {"wall_clock_ms": None, "event_counts": {}}
+            else:
+                run_times, rho_hat, rho_batches = times, result.rho_hat, result.rho_batches
+                abort = None
+                entry = {"wall_clock_ms": result.wall_clock_ms, "event_counts": result.event_counts}
             _observable_rows(
-                rows, times, token, cfg.observable_names, obs_mats,
-                result.rho_hat, result.rho_batches, cfg.n_traj,
+                rows, run_times, token, cfg.observable_names, obs_mats, rho_hat, rho_batches, cfg.n_traj
             )
+            if abort is not None:
+                rows.append(f"{_fmt(abort['time'])},{token},abort[{abort['error']}],0,0,{cfg.n_traj}")
+                exit_code = 2
+            dists = trace_distance(rho_hat, oracle.states[: len(run_times)])
             summary["methods"][token] = {
-                "wall_clock_ms": result.wall_clock_ms,
-                "event_counts": result.event_counts,
+                **entry,
                 "max_oracle_distance": float(dists.max()),
-                "aborted": False,
-                "abort": None,
+                "aborted": abort is not None,
+                "abort": abort,
             }
 
     csv_path = f"{cfg.out}_results.csv"

@@ -20,14 +20,14 @@ embedding, which ``tripled.embedded_track`` builds from the model's track
 without evaluating the embedding. Only ``wtd``'s jumps evaluate off the
 grid: each jump time and the midpoint of the rest of its step, once.
 
-Finished and aborted runs share one reconstruction: the batch sums are cut
-to the last point every batch reached and reconstructed once, keeping the
-longest prefix that can be extracted (tripled's block can decay past it). A
-method abort (negative rate, missing reverse target, oversized step...) or
-such a DegenerateBlock is raised with ``time`` (grid time of first failure
-across batches) and ``partial`` (dict with the prefix's times / rho_hat /
-rho_batches / stderr, n_traj, and the replicas' event_logs cut to the
-steps it covers) so callers can still report what was simulated.
+Finished and aborted runs share one reconstruction, one pass over the
+stacked batch sums cut to the last point every batch reached, keeping the
+longest prefix whose mean can be extracted (tripled's block can decay past
+it; a batch's point that cannot be is NaN). Any method error (negative rate,
+missing reverse target, a model error...) or such a DegenerateBlock is
+raised with ``time`` (grid time of first failure across batches) and
+``partial`` (dict with the prefix's times / rho_hat / rho_batches / stderr,
+n_traj, and the replicas' event_logs cut to the steps it covers).
 """
 
 from __future__ import annotations
@@ -46,8 +46,8 @@ from . import roqj as _roqj
 from . import tripled as _tripled
 from . import weighted as _weighted
 from . import wtd as _wtd
-from .errors import DegenerateBlock, DimensionMismatch, UnknownMethod
-from .linalg import hermitize, require_hermitian, trace_distance
+from .errors import DimensionMismatch, UnknownMethod
+from .linalg import _half_trace_norms, hermitize, require_hermitian, trace_distance
 from .master_equation import MasterEquation
 from .propagate import OracleSolution, TimeGrid, grids_equal
 from .rate_operators import GaugeTransform, gauge_none
@@ -236,35 +236,13 @@ def _merge_diagnostics(dicts: list[dict]) -> dict:
     return out
 
 
-def _reconstruct(method: MethodId, mean: np.ndarray, times: np.ndarray):
-    """Density matrices of the mean series, cut to its extractable prefix,
-    and the DegenerateBlock that ended the prefix (None if nothing did)."""
+def _reconstruct(method: MethodId, means: np.ndarray):
+    """Density matrices of a stack of mean series (..., D, D), NaN where
+    tripled's block cannot be extracted, and (index, DegenerateBlock) of the
+    first such point in C order (None if there is none)."""
     if method.kind != "tripled":
-        return hermitize(mean), None
-    d = mean.shape[1] // 3
-    out = np.empty((mean.shape[0], d, d), dtype=complex)
-    for k, w in enumerate(mean):
-        try:
-            out[k] = _tripled.tripled_extract(hermitize(w))
-        except DegenerateBlock as err:
-            err.time = float(times[k])
-            return out[:k], err
-    return out, None
-
-
-def _batch_series(method: MethodId, sums: np.ndarray, sizes: list[int]) -> np.ndarray:
-    """Per-batch reconstructions; tripled extraction failures become NaN."""
-    means = sums / np.array(sizes)[:, None, None, None]
-    if method.kind != "tripled":
-        return hermitize(means)
-    b, t_pts, d3, _ = means.shape
-    out = np.full((b, t_pts, d3 // 3, d3 // 3), np.nan, dtype=complex)
-    for i, k in np.ndindex(b, t_pts):
-        try:
-            out[i, k] = _tripled.tripled_extract(hermitize(means[i, k]))
-        except DegenerateBlock:
-            pass  # leave NaN; stderr at this point becomes inf
-    return out
+        return hermitize(means), None
+    return _tripled._extract_hermitized(means)
 
 
 def _distance_stderr(rho_hat: np.ndarray, rho_batches: np.ndarray) -> np.ndarray:
@@ -274,9 +252,8 @@ def _distance_stderr(rho_hat: np.ndarray, rho_batches: np.ndarray) -> np.ndarray
     if b < 2:
         return np.zeros(rho_hat.shape[0])
     finite = np.isfinite(rho_batches).all(axis=(0, 2, 3))
-    diff = np.where(finite[:, None, None], hermitize(rho_batches) - rho_hat, 0.0)
-    require_hermitian(diff, what="difference of operators")
-    dists = 0.5 * np.abs(np.linalg.eigvalsh(hermitize(diff))).sum(axis=-1)
+    # the masked difference is the only stack alive beside its temporaries
+    dists = _half_trace_norms(np.where(finite[:, None, None], hermitize(rho_batches) - rho_hat, 0.0))
     # float_power squares through libm pow, as Python's float ** 2 does;
     # x * x differs from it in the last bit for ~0.1% of values
     out = np.sqrt(np.float_power(dists, 2).sum(axis=0) / (b * (b - 1)))
@@ -292,7 +269,6 @@ def run_ensemble(
     n_traj: int,
     seed: int,
     threads: int = 1,
-    batches: int = _DEFAULT_BATCHES,
 ) -> EnsembleResult:
     """``threads`` is accepted for compatibility and has no effect."""
     if isinstance(method, str):
@@ -300,7 +276,7 @@ def run_ensemble(
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     psi = np.asarray(psi0, dtype=complex)
-    sizes = _chunk_sizes(n_traj, batches)
+    sizes = _chunk_sizes(n_traj, _DEFAULT_BATCHES)
     starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
     times = grid.times()
     t0 = _time.perf_counter()
@@ -308,19 +284,23 @@ def run_ensemble(
     # a tile's rows start at the first trajectory index of its first batch; a
     # replica keys its stream off its batch index
     replicas = method.kind in _REPLICA_KINDS
-    results = [
+    tile_sums, counts, diags, aborts = zip(*(
         run(me, psi, grid, tile[0] if replicas else int(starts[tile[0]]), [sizes[i] for i in tile], seed)
         for tile in _tiles(method, me, sizes)
-    ]
+    ))
 
-    # cut every batch to the last point all of them reached
-    aborts = [res[3] for res in results if res[3] is not None]
+    # cut every batch to the last point all of them reached, and all of them
+    # to the last point before the mean's first that cannot be extracted
+    aborts = [a for a in aborts if a is not None]
     abort = min(aborts, key=lambda a: a[1]) if aborts else None
     n_pts = abort[1] + 1 if abort else len(times)
-    sums = [batch[:n_pts] for res in results for batch in res[0]]
-    rho_hat, degenerate = _reconstruct(method, _tree_sum(sums) / n_traj, times)
-    n_pts = rho_hat.shape[0]
-    rho_batches = _batch_series(method, np.stack(sums)[:, :n_pts], sizes)
+    sums = [batch[:n_pts] for tile in tile_sums for batch in tile]
+    rho_hat, degenerate = _reconstruct(method, _tree_sum(sums) / n_traj)
+    if degenerate is not None:
+        (n_pts,), degenerate = degenerate
+        rho_hat, degenerate.time = rho_hat[:n_pts], float(times[n_pts])
+    rho_batches, _ = _reconstruct(method, np.stack(sums)[:, :n_pts] / np.array(sizes)[:, None, None, None])
+    del tile_sums, sums  # free the batch sums before the stderr's temporaries
     stderr = _distance_stderr(rho_hat, rho_batches)
 
     err = abort[0] if abort else degenerate
@@ -336,9 +316,9 @@ def run_ensemble(
         }
         # step k of an event log leads to point k + 1 of the series
         logs = [
-            [entry for entry in res[2]["event_log"] if entry[0] < n_pts - 1]
-            for res in results
-            if "event_log" in res[2]
+            [entry for entry in diag["event_log"] if entry[0] < n_pts - 1]
+            for diag in diags
+            if "event_log" in diag
         ]
         if logs:
             err.partial["event_logs"] = logs
@@ -351,9 +331,9 @@ def run_ensemble(
         stderr=stderr,
         n_traj=n_traj,
         wall_clock_ms=wall_ms,
-        event_counts=_merge_counts([res[1] for res in results]),
+        event_counts=_merge_counts(counts),
         rho_batches=rho_batches,
-        diagnostics=_merge_diagnostics([res[2] for res in results]),
+        diagnostics=_merge_diagnostics(diags),
     )
 
 
@@ -386,7 +366,4 @@ def observable_stats(rho_hat: np.ndarray, rho_batches: np.ndarray, obs: np.ndarr
 def error_vs_oracle(result: EnsembleResult, oracle: OracleSolution):
     """Pointwise trace distance between the reconstruction and the oracle."""
     grids_equal(result.grid, oracle.grid)
-    dists = np.array(
-        [trace_distance(result.rho_hat[k], oracle.states[k]) for k in range(len(oracle.states))]
-    )
-    return oracle.grid.times(), dists
+    return oracle.grid.times(), trace_distance(result.rho_hat, oracle.states)

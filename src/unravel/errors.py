@@ -37,7 +37,7 @@ class UnravelError(Exception):
     def __init__(self, message: str, *, time: float | None = None):
         super().__init__(message)
         self.time = time
-        self.partial = None  # EnsembleResult up to the abort step, when available
+        self.partial = None  # dict of the run up to the abort (see run_ensemble), when available
 
 
 class NotHermitian(UnravelError):

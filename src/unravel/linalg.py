@@ -150,11 +150,18 @@ def normalize(v: np.ndarray) -> tuple[np.ndarray, float]:
     return v / n, n
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """T(a, b) = (1/2) ||a - b||_1 for hermitian a, b."""
-    diff = np.asarray(a) - np.asarray(b)
+def trace_distance(a: np.ndarray, b: np.ndarray):
+    """T(a, b) = (1/2) ||a - b||_1 for hermitian a, b: a float for one pair
+    of d x d matrices, an array over the leading axes for stacks
+    (..., d, d), which broadcast against each other."""
+    dists = _half_trace_norms(np.asarray(a) - np.asarray(b))
+    return float(dists) if dists.ndim == 0 else dists
+
+
+def _half_trace_norms(diff: np.ndarray) -> np.ndarray:
+    """(1/2) ||m||_1 of each difference m of a stack (..., d, d)."""
     require_hermitian(diff, what="difference of operators")
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(hermitize(diff)))))
+    return 0.5 * np.abs(np.linalg.eigvalsh(hermitize(diff))).sum(axis=-1)
 
 
 def psd_sqrt(m: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:

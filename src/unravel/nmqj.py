@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingTargetState, StepTooLarge
+from .errors import MissingTargetState, StepTooLarge, UnravelError
 from .linalg import EPS, normalize
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Jump, ReverseJump
@@ -226,7 +226,7 @@ def run_replica(
     for k in range(steps):
         try:
             ens, events = _step(track[k], ens, grid.dt, gen)
-        except (MissingTargetState, StepTooLarge) as err:
+        except UnravelError as err:
             abort = (err, k)
             break
         for ev in events:

@@ -157,18 +157,43 @@ def tripled_embed(
     return TripledEmbedding(dim, h3, tuple(jumps), a_total), w0
 
 
-def tripled_extract(w: np.ndarray, block_floor: float = _BLOCK_TRACE_FLOOR) -> np.ndarray:
-    """Read the physical state out of the (aux0, aux1) block of W."""
-    d3 = w.shape[0]
-    d = d3 // 3
-    block = w.reshape(d, 3, d, 3)[:, 0, :, 1]
-    tr = np.trace(block)
-    if abs(tr) <= block_floor:
-        raise DegenerateBlock(
-            f"auxiliary block trace {abs(tr):.3e} is numerically zero; "
+def _normalized_blocks(blocks: np.ndarray, block_floor: float):
+    """Each block of a stack (..., d, d) over its trace, NaN where |trace| <=
+    block_floor, and (index, DegenerateBlock) for the first such block in C
+    order (None if there is none)."""
+    tr = np.trace(blocks, axis1=-2, axis2=-1)
+    low = np.abs(tr) <= block_floor
+    out = blocks / np.where(low, 1.0, tr)[..., None, None]
+    out[low] = np.nan
+    bad = None
+    if low.any():
+        idx = np.unravel_index(int(low.argmax()), low.shape)
+        bad = idx, DegenerateBlock(
+            f"auxiliary block trace {abs(tr[idx]):.3e} is numerically zero; "
             "the embedding has decayed past the point of extraction"
         )
-    return block / tr
+    return out, bad
+
+
+def tripled_extract(w: np.ndarray, block_floor: float = _BLOCK_TRACE_FLOOR) -> np.ndarray:
+    """Read the physical state out of the (aux0, aux1) block of W."""
+    d = w.shape[0] // 3
+    out, bad = _normalized_blocks(w.reshape(d, 3, d, 3)[:, 0, :, 1], block_floor)
+    if bad is not None:
+        raise bad[1]
+    return out
+
+
+def _extract_hermitized(ws: np.ndarray):
+    """``tripled_extract(hermitize(w))`` for every W of a stack (..., 3d, 3d),
+    NaN where the block cannot be extracted, and (index, DegenerateBlock) of
+    the first such W in C order (None if there is none). Only the block is
+    hermitized, entry by entry as ``hermitize`` computes it."""
+    *lead, d3, _ = ws.shape
+    d = d3 // 3
+    blocks = ws.reshape(*lead, d, 3, d, 3)
+    upper, lower = blocks[..., :, 0, :, 1], blocks[..., :, 1, :, 0]
+    return _normalized_blocks(0.5 * (upper + np.conj(np.swapaxes(lower, -1, -2))), _BLOCK_TRACE_FLOOR)
 
 
 def embedded_master_equation(emb: TripledEmbedding) -> MasterEquation:

@@ -24,7 +24,7 @@ import math
 
 import numpy as np
 
-from .errors import NegativeRate, NoJumpPossible
+from .errors import NoJumpPossible, UnravelError
 from .linalg import EPS, normalize, weighted_outer_sum
 from .master_equation import GeneratorSnapshot, GeneratorTrack, MasterEquation
 from .mcwf import require_nonnegative_rates
@@ -181,7 +181,7 @@ def run_chunk(
         for k, tilde in enumerate(_sweep(track, psi, x, jump), start=1):
             for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
                 rho_sum[i, k] = weighted_outer_sum(tilde[a:b], np.linalg.norm(tilde[a:b], axis=1) ** -2.0)
-    except (NegativeRate, NoJumpPossible) as err:
+    except UnravelError as err:
         abort = (err, k)
     return rho_sum if np.ndim(n) else rho_sum[0], event_counts(np.append(jumps, 0)), {}, abort
 

@@ -12,7 +12,6 @@ from unravel.engine import (
     method_id,
     observable_series,
     run_ensemble,
-    _batch_series,
     _chunk_sizes,
     _distance_stderr,
     _generator_track,
@@ -145,11 +144,12 @@ def test_abort_carries_partial_series():
     assert np.trace(partial["rho_hat"][0]).real == pytest.approx(1.0)
 
 
-def test_abort_partial_carries_event_logs_cut_to_its_series():
+def test_abort_partial_carries_event_logs_cut_to_its_series(monkeypatch):
+    monkeypatch.setattr(engine, "_DEFAULT_BATCHES", 4)
     me = delayed_negative_phase_covariant()
     grid = TimeGrid(0.0, 3.0, 1e-2)
     with pytest.raises(MissingTargetState) as exc:
-        run_ensemble(method_id("nmqj"), me, PLUS, grid, 400, seed=3, batches=4)
+        run_ensemble(method_id("nmqj"), me, PLUS, grid, 400, seed=3)
     partial = exc.value.partial
     last_step = len(partial["times"]) - 1  # step k leads to series point k + 1
     logs = partial["event_logs"]
@@ -189,6 +189,27 @@ def test_abort_partial_is_the_extractable_prefix(rate, error, abort_time):
     assert np.array_equal(partial["stderr"], prefix.stderr)
     # batches of two trajectories lose their block before the mean does
     assert partial["stderr"][0] == 0.0 and np.all(np.isinf(partial["stderr"][1:]))
+
+
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_model_error_mid_run_is_an_abort_with_its_partial(kind):
+    """A model that fails mid-run (its hamiltonian stops being hermitian at
+    t = 0.5) aborts every method with the time of the failure and the
+    partial run before it. wtd's RK4 step reads K at the step's end, so its
+    last full step is the one before."""
+    not_hermitian = np.array([[0.0, 1.0], [0.0, 0.0]])
+    me = master_equation(
+        2, lambda t: np.zeros((2, 2)) if t < 0.5 else not_hermitian, [(SIGMA_MINUS, 1.0, "down")]
+    )
+    gauge = time_dependent_gauge(lambda t: np.zeros((2, 2))) if kind == "rroqj" else None
+    with pytest.raises(NotHermitian) as exc:
+        run_ensemble(method_id(kind, gauge=gauge), me, PLUS, TimeGrid(0.0, 1.0, 1e-2), 40, seed=1)
+    err = exc.value
+    abort_time, n_pts = (0.49, 50) if kind == "wtd" else (0.5, 51)
+    assert err.time == pytest.approx(abort_time)
+    assert err.partial is not None
+    assert len(err.partial["times"]) == len(err.partial["rho_hat"]) == n_pts
+    assert err.partial["n_traj"] == 40
 
 
 def test_distance_stderr_matches_pointwise_trace_distances():
@@ -288,7 +309,7 @@ def test_generator_evaluated_once_per_grid_time(monkeypatch, kind, build, thread
         return evaluate(self, t)
 
     monkeypatch.setattr(MasterEquation, "_evaluate", counting)
-    run_ensemble(method_id(kind), me, PLUS, grid, 40, seed=3, threads=threads, batches=20)
+    run_ensemble(method_id(kind), me, PLUS, grid, 40, seed=3, threads=threads)
     assert {system for system, _ in calls} == {id(me)}
     assert max(calls.values()) == 1
     assert len(calls) == grid.n_steps
@@ -308,7 +329,7 @@ def test_wtd_evaluates_each_half_grid_time_once(monkeypatch):
         return evaluate(self, t)
 
     monkeypatch.setattr(MasterEquation, "_evaluate", counting)
-    res = run_ensemble(method_id("wtd"), me, PLUS, grid, 40, seed=3, batches=20)
+    res = run_ensemble(method_id("wtd"), me, PLUS, grid, 40, seed=3)
     times = grid.times()
     half = set(times) | set(times[:-1] + 0.5 * np.diff(times))
     assert all(calls[t] == 1 for t in half)
@@ -329,8 +350,11 @@ def _per_batch_reference(method, me, psi, grid, n_traj, seed):
     abort = min(aborts, key=lambda a: a[1]) if aborts else None
     n_pts = abort[1] + 1 if abort else grid.n_steps + 1
     sums = [res[0][:n_pts] for res in results]
-    rho_hat, _ = _reconstruct(method, _tree_sum(sums) / n_traj, grid.times())
-    rho_batches = _batch_series(method, np.stack(sums)[:, : len(rho_hat)], sizes)
+    rho_hat, degenerate = _reconstruct(method, _tree_sum(sums) / n_traj)
+    if degenerate is not None:
+        rho_hat = rho_hat[: degenerate[0][0]]
+    means = [batch[: len(rho_hat)] / size for batch, size in zip(sums, sizes)]
+    rho_batches, _ = _reconstruct(method, np.stack(means))
     diag = {}
     for key, val in results[0][2].items():
         vals = [res[2][key] for res in results]

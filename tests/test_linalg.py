@@ -45,6 +45,24 @@ def test_trace_distance_rejects_nonhermitian_difference():
         trace_distance(a, np.zeros((2, 2)))
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_trace_distance_of_stacks_is_the_pairwise_distance(d):
+    gen = np.random.default_rng(4)
+    z = gen.standard_normal((2, 5, 7, d, d)) + 1j * gen.standard_normal((2, 5, 7, d, d))
+    a, b = hermitize(z[0]), hermitize(z[1])
+    got = trace_distance(a, b)
+    assert got.shape == (5, 7)
+    want = np.array([[trace_distance(a[i, k], b[i, k]) for k in range(7)] for i in range(5)])
+    assert np.array_equal(got, want)
+    broadcast = np.array([[trace_distance(a[i, k], b[0, k]) for k in range(7)] for i in range(5)])
+    assert np.array_equal(trace_distance(a, b[0]), broadcast)
+    one = trace_distance(a[2, 3], b[2, 3])
+    assert type(one) is float and one == got[2, 3]
+    a[4, 1, 0, d - 1] += 1e-3  # one difference in the stack stops being hermitian
+    with pytest.raises(NotHermitian):
+        trace_distance(a, b)
+
+
 def test_psd_sqrt_diagonal():
     s = psd_sqrt(np.diag([4.0, 9.0]).astype(complex))
     assert np.allclose(s, np.diag([2.0, 3.0]))

@@ -187,6 +187,6 @@ def test_w_matching_gauge_reads_the_step_snapshot(monkeypatch):
 
     monkeypatch.setattr(MasterEquation, "_evaluate", counting)
     method = method_id("psi_roqj", gauge=w_matching_gauge(me))
-    run_ensemble(method, me, PLUS, grid, 40, seed=3, batches=20)
+    run_ensemble(method, me, PLUS, grid, 40, seed=3)
     assert len(calls) == grid.n_steps
     assert max(calls.values()) == 1

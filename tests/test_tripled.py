@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from unravel.errors import DegenerateBlock, NotHermitian, NotPSD
-from unravel.linalg import haar_state, trace_distance
+from unravel.linalg import haar_state, hermitize, trace_distance
 from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
     PLUS,
@@ -20,6 +20,7 @@ from unravel.models import (
 from unravel.propagate import TimeGrid, propagate
 from unravel.tripled import (
     JumpPair,
+    _extract_hermitized,
     default_completion_level,
     embedded_master_equation,
     embedded_system,
@@ -100,6 +101,32 @@ def test_extraction_rejects_decayed_block():
     w = np.kron(rho, np.diag([0.5, 0.5, 0.0]))  # no 01 coherence left
     with pytest.raises(DegenerateBlock):
         tripled_extract(w)
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_stacked_extraction_is_the_extraction_of_each_hermitized_w(d):
+    """Bit for bit ``tripled_extract(hermitize(w))`` matrix by matrix, which
+    is the block over its trace; NaN where the block trace is at the floor,
+    with the message the one-matrix call gives for the first such W."""
+    gen = np.random.default_rng(31)
+    ws = gen.standard_normal((4, 6, 3 * d, 3 * d)) + 1j * gen.standard_normal((4, 6, 3 * d, 3 * d))
+    ws[2, 1] *= 1e-14
+    ws[3, 0] *= 1e-14
+    ws[1, 5] *= 1e-15
+    out, (idx, err) = _extract_hermitized(ws)
+    assert idx == (1, 5)
+    with pytest.raises(DegenerateBlock) as first:
+        tripled_extract(hermitize(ws[1, 5]))
+    assert str(err) == str(first.value)
+    for i, k in np.ndindex(4, 6):
+        if (i, k) in ((2, 1), (3, 0), (1, 5)):
+            assert np.isnan(out[i, k]).all()
+            continue
+        block = hermitize(ws[i, k]).reshape(d, 3, d, 3)[:, 0, :, 1]
+        want = tripled_extract(hermitize(ws[i, k]))
+        assert np.array_equal(want, block / np.trace(block))
+        assert np.array_equal(out[i, k], want)
+    assert _extract_hermitized(ws[0])[1] is None
 
 
 def test_embedded_equation_reproduces_signed_dynamics_exactly():

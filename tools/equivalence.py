@@ -14,8 +14,11 @@ error class, its message, its time and the same hashes of its partial
 series; ``rho_hat`` itself is kept (base64 of its bytes) so that
 ``compare`` can print max |d rho_hat| where two files differ. It also runs
 every input of ``ORACLE_INPUTS`` once (they draw no random numbers) and
-records the sha256 and bytes of its array. ``compare`` exits 1 unless every
-fingerprint is identical.
+records the sha256 and bytes of its array, and runs every config of
+``CLI_INPUTS`` through ``unravel run`` at each seed, recording its exit code,
+the sha256 of ``<out>_results.csv`` and of ``<out>_summary.json`` with every
+``wall_clock_ms`` zeroed. ``compare`` exits 1 unless every fingerprint is
+identical.
 
 The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
 weighted, gauged, population and replica methods, ensembles whose batches
@@ -23,16 +26,20 @@ are unequal (N = 1003), fill several row tiles (N = 10^4) or hold one
 trajectory each (N = 13), one abort of each kind of
 method (channel and spectral menus, replica, waiting time, embedding), and the
 deterministic paths: the RK4 oracle with and without substeps and with a
-trace sink, the propagator maps and the divisibility scan.
+trace sink, the propagator maps and the divisibility scan. The CLI configs
+cover one run whose methods all finish and one in which some abort.
 """
 
 from __future__ import annotations
 
 import argparse
 import base64
+import contextlib
 import hashlib
+import io
 import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +48,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
 
 from unravel import TimeGrid, UnravelError, master_equation, method_id, run_ensemble  # noqa: E402
+from unravel.cli import main as cli_main  # noqa: E402
 from unravel.divisibility import divisibility_scan  # noqa: E402
 from unravel.propagate import propagate, propagator_maps  # noqa: E402
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_X, SIGMA_Z, build_model  # noqa: E402
@@ -138,6 +146,40 @@ ORACLE_INPUTS = {
 }
 
 
+# name -> config of ``unravel run``, run at each seed
+CLI_INPUTS = {
+    "cli/finished": "model = spontaneous_emission\nmethods = cloning, wtd, doubled\n"
+                    "trajectories = 400\nt_max = 1.5\n",
+    # nmqj aborts with MissingTargetState, mcwf with NegativeRate, im finishes
+    "cli/aborted": "model = delayed_negative\nmethods = nmqj, mcwf, im\ntrajectories = 400\nt_max = 3.0\n",
+}
+
+
+def _zero_wall_clocks(node):
+    """The summary with every non-null ``wall_clock_ms`` set to 0."""
+    if isinstance(node, dict):
+        return {
+            key: 0 if key == "wall_clock_ms" and val is not None else _zero_wall_clocks(val)
+            for key, val in node.items()
+        }
+    return node
+
+
+def cli_fingerprint(name: str, seed: int) -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "run.cfg", Path(tmp) / "run"
+        config.write_text(CLI_INPUTS[name] + f"seed = {seed}\nout = {out}\n")
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = cli_main(["run", "--config", str(config)])
+        csv = Path(f"{out}_results.csv").read_bytes()
+        summary = _zero_wall_clocks(json.loads(Path(f"{out}_summary.json").read_text()))
+    return {
+        "exit_code": code,
+        "csv": hashlib.sha256(csv).hexdigest(),
+        "summary": hashlib.sha256(json.dumps(summary, indent=2, sort_keys=True).encode()).hexdigest(),
+    }
+
+
 def _sha(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
@@ -185,6 +227,10 @@ def write(path: Path, seeds: list[int]) -> None:
         for seed in seeds:
             out[f"{name}@{seed}"] = fingerprint(name, seed)
             print(f"{name}@{seed}", flush=True)
+    for name in CLI_INPUTS:
+        for seed in seeds:
+            out[f"{name}@{seed}"] = cli_fingerprint(name, seed)
+            print(f"{name}@{seed}", flush=True)
     for name, run in ORACLE_INPUTS.items():
         values = np.ascontiguousarray(run(), dtype=complex)
         out[name] = {"values": _sha(values), "values_b64": base64.b64encode(values.tobytes()).decode()}
@@ -208,6 +254,10 @@ def compare(a_path: Path, b_path: Path) -> int:
             print(f"{key}: identical")
             continue
         differ += 1
+        if "csv" in a[key]:
+            fields = [f for f in ("exit_code", "csv", "summary") if a[key][f] != b[key][f]]
+            print(f"{key}: differs in {', '.join(fields)}")
+            continue
         if "values" in a[key]:
             ra, rb = (_values(x[key]["values_b64"]) for x in (a, b))
             fields, what = ["values"], "values"
