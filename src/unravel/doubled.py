@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ZeroVector
-from .linalg import EPS
+from .linalg import EPS, squared_norms
 from .master_equation import GeneratorSnapshot, MasterEquation, once_per_time
 from .outcomes import Branch, Menu, row_branches, row_step, run_menus
 from .propagate import TimeGrid
@@ -96,11 +96,6 @@ def gksl_to_doubled(me: MasterEquation) -> DoubledModel:
     )
 
 
-def _norm2(rows: np.ndarray) -> np.ndarray:
-    """Joint squared norm ||phi||^2 + ||psi||^2 of each row."""
-    return np.einsum("ni,ni->n", rows, np.conj(rows)).real
-
-
 def factors_menu(f: DoubledFactors, t: float, rows: np.ndarray, dt: float) -> Menu:
     """Kernel on rows theta = (phi, psi) of width 2d.
 
@@ -110,11 +105,15 @@ def factors_menu(f: DoubledFactors, t: float, rows: np.ndarray, dt: float) -> Me
     no-jump step is the Euler step of (A + sigma) phi, (B + sigma) psi with
     sigma = sum_i q_i / 2, left unnormalized.
     """
-    d = rows.shape[1] // 2
-    phis, psis = rows[:, :d], rows[:, d:]
-    images = np.concatenate([phis @ np.swapaxes(f.cs, 1, 2), psis @ np.swapaxes(f.ds, 1, 2)], axis=2)
-    jn2 = np.einsum("ani,ani->an", images, np.conj(images)).real
-    n2 = _norm2(rows)
+    m, d = f.cs.shape[0], rows.shape[1] // 2
+    # the two halves are written into one stack (m, n, 2d), with no
+    # concatenated copy; a matmul against block-diagonal (C_i, D_i) factors
+    # would flip the sign of exact zeros in the images
+    images = np.empty((m, rows.shape[0], 2 * d), dtype=complex)
+    np.matmul(rows[:, :d], np.swapaxes(f.cs, 1, 2), out=images[:, :, :d])
+    np.matmul(rows[:, d:], np.swapaxes(f.ds, 1, 2), out=images[:, :, d:])
+    jn2 = squared_norms(images)
+    n2 = squared_norms(rows)
     if np.any(n2 <= EPS):
         raise ZeroVector(f"doubled state collapsed to zero at t={t:.6g}", time=t)
     qs = jn2 / n2[None, :]
@@ -123,7 +122,11 @@ def factors_menu(f: DoubledFactors, t: float, rows: np.ndarray, dt: float) -> Me
     sigma = 0.5 * qs.sum(axis=0)
     blocks = np.zeros((2 * d, 2 * d), dtype=complex)
     blocks[:d, :d], blocks[d:, d:] = f.a, f.b
-    drift = rows + dt * (rows @ blocks.T + sigma[:, None] * rows)
+    # rows + dt * (rows @ blocks.T + sigma rows), built in place
+    drift = rows @ blocks.T
+    drift += sigma[:, None] * rows
+    drift *= dt
+    drift += rows
     return Menu((qs * dt).T, np.swapaxes(images, 0, 1), drift, scales=scales.T)
 
 
@@ -184,6 +187,6 @@ def run_chunk(
         n,
         seed,
         outer=_pair_outer,
-        tally=("theta_norm2_sum", lambda rows: _norm2(rows).sum()),
+        tally=("theta_norm2_sum", lambda rows: squared_norms(rows).sum()),
         track=track,
     )

@@ -4,21 +4,20 @@ matrices, batch-means error bars, oracle comparison.
 The trajectories are split into a fixed number of contiguous batches, the
 statistical batches of the error bars. A method of independent trajectories
 steps them in one pass over row tiles: a tile is a run of whole consecutive
-batches, as many as keep rows x branches x width of the step's menu within
-``_TILE_BYTES`` (never fewer than one batch), and its runner steps all its
-rows together but sums each batch over that batch's rows alone. The replica
-methods (``nmqj``, ``cloning``) run one replica per batch. Every row derives
-its random numbers from (seed, trajectory index) and every replica from
-(seed, replica index) alone, and the batch sums are combined by a
-fixed-order pairwise tree, so a seed fixes the result bit for bit, whatever
-the tiles. ``threads`` has no effect: a pool running these short numpy calls
-under the GIL only made them slower. The tiles and replicas of every method
-read one generator track, evaluated before any of them runs: once per grid
-time, and for ``wtd`` also once per step midpoint
-(``MasterEquation.half_track``). ``tripled`` reads the track of its
-embedding, which ``tripled.embedded_track`` builds from the model's track
-without evaluating the embedding. Only ``wtd``'s jumps evaluate off the
-grid: each jump time and the midpoint of the rest of its step, once.
+batches of at most ``_TILE_ROWS`` rows in all (a larger batch is a tile of
+its own), and its runner steps all its rows together but sums each batch
+over that batch's rows alone. The replica methods (``nmqj``, ``cloning``)
+run one replica per batch. Every row derives its random numbers from (seed,
+trajectory index) and every replica from (seed, replica index) alone, and
+the batch sums are combined by a fixed-order pairwise tree, so a seed fixes
+the result bit for bit, whatever the tiles. ``threads`` has no effect: a
+pool running these short numpy calls under the GIL only made them slower.
+The tiles and replicas of every method read one generator track, evaluated
+before any of them runs: once per grid time, and for ``wtd`` also once per
+step midpoint (``MasterEquation.half_track``). ``tripled`` reads the track
+of its embedding, which ``tripled.embedded_track`` builds from the model's
+track without evaluating the embedding. Only ``wtd``'s jumps evaluate off
+the grid: each jump time and the midpoint of the rest of its step, once.
 
 Finished and aborted runs share one reconstruction, one pass over the
 stacked batch sums cut to the last point every batch reached, keeping the
@@ -79,14 +78,17 @@ METHOD_KINDS = (
 _REPLICA_KINDS = frozenset({"nmqj", "cloning"})
 _GAUGE_KINDS = frozenset({"rroqj", "psi_roqj"})
 _DEFAULT_BATCHES = 20
-# Byte budget of a row tile: its rows x branches x width of the step's menu,
-# as complex numbers. Wider tiles cut the per-step overhead but hold more
-# memory at each step, and the heap grows over repeated runs: on the
-# batched benchmark 64 KiB raised peak RSS by 0.45 MB (1.1%), while 48 KiB
-# keeps it within 0.2 MB. On a qubit 48 KiB gives mcwf with one channel
-# 1536 rows, wroqj 768, im with three channels 512, doubled 256 and
-# tripled 42.
-_TILE_BYTES = 48 * 1024
+# Most rows in a tile: an ensemble of up to 2048 trajectories is one tile.
+# Wide tiles cut the per-step Python overhead. At N = 10^4 (eternally_nm,
+# |+>, dt = 1e-2, t_max = 5, seed 42; two fresh processes each, 2-core host)
+# 2048-row tiles took wroqj 5.6/4.8 s, doubled 3.4/2.9, im 2.8/3.3, plqt
+# 2.6/3.2, tripled 7.5/6.7 and psi_roqj 12.4/11.9, where tiles capped at
+# 48 KiB of menu took 9.5/7.5, 4.5/4.2, 4.2/2.9, 3.4/4.2, 7.4/8.4 and
+# 15.5/12.0 s, and one tile of the whole ensemble was no faster. The kernels
+# hold few temporaries beside their menus, so peak RSS holds: +1.2% on the
+# batched benchmark (41.0 -> 41.5 MB), +0.1% on per_step (45.2 MB), and at
+# N = 10^4 about 5 MB over the import against 11 MB (tripled 29 against 33).
+_TILE_ROWS = 2048
 
 
 @dataclass(frozen=True)
@@ -163,25 +165,15 @@ def _runner(method: MethodId):
     raise UnknownMethod(f"unknown method {kind!r}")
 
 
-def _tiles(method: MethodId, me: MasterEquation, sizes: list[int]) -> list[list[int]]:
-    """Consecutive batch indices grouped into tiles within ``_TILE_BYTES``;
-    one batch per replica."""
+def _tiles(method: MethodId, sizes: list[int]) -> list[list[int]]:
+    """Consecutive batch indices grouped into tiles of at most ``_TILE_ROWS``
+    rows (never fewer than one batch); one batch per replica."""
     if method.kind in _REPLICA_KINDS:
         return [[i] for i in range(len(sizes))]
-    d, m = me.dim, len(me.channels)
-    # the spectral kernels work on the rate operator's full d x d eigenbasis
-    branches, width = {
-        "wroqj": (d, d),
-        "rroqj": (d, d),
-        "psi_roqj": (d, d),
-        "doubled": (m, 2 * d),
-        "tripled": (4 * m, 3 * d),
-    }.get(method.kind, (m, d))
-    row_bytes = 16 * max(branches, 1) * width
     tiles: list[list[int]] = []
     rows = 0
     for i, size in enumerate(sizes):
-        if tiles and (rows + size) * row_bytes <= _TILE_BYTES:
+        if tiles and rows + size <= _TILE_ROWS:
             tiles[-1].append(i)
             rows += size
         else:
@@ -286,7 +278,7 @@ def run_ensemble(
     replicas = method.kind in _REPLICA_KINDS
     tile_sums, counts, diags, aborts = zip(*(
         run(me, psi, grid, tile[0] if replicas else int(starts[tile[0]]), [sizes[i] for i in tile], seed)
-        for tile in _tiles(method, me, sizes)
+        for tile in _tiles(method, sizes)
     ))
 
     # cut every batch to the last point all of them reached, and all of them

@@ -32,6 +32,7 @@ __all__ = [
     "complement_batch",
     "phase_fix_columns",
     "weighted_outer_sum",
+    "squared_norms",
     "vec",
     "unvec",
 ]
@@ -231,8 +232,11 @@ def complement_batch(states: np.ndarray) -> np.ndarray:
     w = states.copy()
     w[:, 0] += phase
     wn2 = np.einsum("ni,ni->n", np.conj(w), w).real
-    h = np.eye(d, dtype=complex)[None] - 2.0 * np.einsum("ni,nj->nij", w, np.conj(w)) / wn2[:, None, None]
-    return h[:, :, 1:]
+    # columns 1..d-1 of the reflector 1 - 2 w w^dag / ||w||^2
+    return (
+        np.eye(d, dtype=complex)[None, :, 1:]
+        - 2.0 * (w[:, :, None] * np.conj(w[:, None, 1:])) / wn2[:, None, None]
+    )
 
 
 def weighted_outer_sum(states: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
@@ -240,6 +244,15 @@ def weighted_outer_sum(states: np.ndarray, weights: np.ndarray | None = None) ->
     if weights is None:
         return np.einsum("ni,nj->ij", states, np.conj(states))
     return np.einsum("n,ni,nj->ij", weights, states, np.conj(states))
+
+
+def squared_norms(ys: np.ndarray) -> np.ndarray:
+    """Squared norms along the last axis of rows (n, w) or of a stack of
+    them, one (n, w) slice at a time: a conjugate copy of a whole stack of
+    jump images would double a kernel's peak memory."""
+    if ys.ndim == 2:
+        return np.einsum("ni,ni->n", ys, np.conj(ys)).real
+    return np.array([squared_norms(y) for y in ys]).reshape(ys.shape[:-1])
 
 
 def vec(m: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NegativeRate
-from .linalg import EPS
+from .linalg import EPS, squared_norms
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
@@ -59,7 +59,7 @@ def channel_menu(
     ||L_a psi||^2 dt, which keeps E[w |psi><psi|] on the master equation.
     """
     ys = rows @ np.swapaxes(snap.ls, 1, 2)  # (m, n, w); matmul beats einsum here
-    n2 = np.einsum("ani,ani->an", ys, np.conj(ys)).real  # (m, n)
+    n2 = squared_norms(ys)  # (m, n)
     # a zero image (sigma_- on the ground state) stays zero: its p is 0
     norms = np.where(n2 > 0.0, np.sqrt(n2), 1.0).T
     drift = rows - 1j * dt * (rows @ snap.k.T)
@@ -129,7 +129,7 @@ def first_jump_times(
         if k >= len(lowest) or lowest[k] < -EPS:
             require_nonnegative_rates(track[k])  # raises the evaluation error or NegativeRate
         ys = row @ ls_t[k]
-        n2 = np.einsum("ani,ani->an", ys, np.conj(ys)).real
+        n2 = squared_norms(ys)
         p_step[k] = (rates[k] * n2 * dt).T.sum()
         row = row - 1j * dt * (row @ k_t[k])
         row /= np.linalg.norm(row, axis=1)[:, None]

@@ -47,6 +47,8 @@ __all__ = [
 # plus 5 ns a draw (re-keyed, above 64 draws), so a tile draws as many steps
 # at once as this allows, and as one batch's whole grid takes: never more
 # uniforms than one batch held when each batch drew its grid in one call.
+# A tile of 2000 rows in 100-row batches over 150 steps thus draws 4 steps
+# (one Philox block) a call: 15,000 uniforms a batch over 2000 rows.
 _DRAW_UNIFORMS = 2**17
 
 
@@ -304,6 +306,7 @@ def run_menus(
             )
             return result((err, k))
         nb = menu.probs.shape[1]
+        del menu  # the next step's kernel runs without this one's jump targets
         hits = hits + np.bincount(step.choice, minlength=nb + 1)
         rows = step.rows
         if weighted:

@@ -392,23 +392,28 @@ TILED = [
 ]
 
 
-@pytest.mark.parametrize("budget", ["default", "small"])
-@pytest.mark.parametrize("n_traj", [7, 63])
+@pytest.mark.parametrize(
+    "n_traj, budget", [(7, "default"), (7, "small"), (63, "default"), (63, "small"), (4097, "default")]
+)
 @pytest.mark.parametrize("kind, build, psi, t_max", TILED)
 def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_traj, budget):
     """Stepping whole tiles of batches gives bit for bit what one runner call
     per batch gives: the batch sums, counts and diagnostics, and for an abort
     its error, message, time and partial series. N = 7 has one trajectory
-    per batch, N = 63 unequal batches; the small budget splits the ensemble
-    into several tiles."""
+    per batch, N = 63 unequal batches; a cap of 16 rows splits that ensemble
+    into several tiles. N = 4097 (batches of 205 and 204 rows) makes three
+    tiles at the default cap, the second of them holding both sizes."""
     if budget == "small":
-        monkeypatch.setattr(engine, "_TILE_BYTES", 2**10)
+        monkeypatch.setattr(engine, "_TILE_ROWS", 16)
     me = build()
     method = _rroqj(me) if kind == "rroqj" else method_id(kind)
     grid = TimeGrid(0.0, t_max, 1e-2)
     sizes = _chunk_sizes(n_traj, 20)
-    if budget == "small" and kind == "mcwf" and n_traj == 63:
-        assert 1 < len(_tiles(method, me, sizes)) < len(sizes)
+    tiles = _tiles(method, sizes)
+    if n_traj == 63 and budget == "small":
+        assert 1 < len(tiles) < len(sizes)
+    if n_traj == 4097:
+        assert [[sizes[i] for i in tile] for tile in tiles] == [[205] * 9, [205] * 8 + [204] * 2, [204]]
     rho_hat, rho_batches, stderr, counts, diag, abort = _per_batch_reference(method, me, psi, grid, n_traj, 5)
     if abort is not None:
         with pytest.raises(type(abort[0])) as info:
@@ -432,13 +437,21 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
 
 
 def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
-    me = spontaneous_emission()  # one channel, d = 2: 32 bytes a row
-    sizes = _chunk_sizes(1003, 20)
-    monkeypatch.setattr(engine, "_TILE_BYTES", 32 * 160)
-    tiles = _tiles(method_id("mcwf"), me, sizes)
+    """A tile holds whole consecutive batches, at most ``_TILE_ROWS`` rows
+    of them, or one batch larger than that; a replica method runs one batch
+    at a time."""
+    sizes = _chunk_sizes(1003, 20)  # 3 batches of 51 rows, 17 of 50
+    mcwf = method_id("mcwf")
+    monkeypatch.setattr(engine, "_TILE_ROWS", 160)
+    tiles = _tiles(mcwf, sizes)
     assert [i for tile in tiles for i in tile] == list(range(20))
     assert all(sum(sizes[i] for i in tile) <= 160 for tile in tiles)
     assert [len(t) for t in tiles] == [3] * 6 + [2]
-    monkeypatch.setattr(engine, "_TILE_BYTES", 1)  # never fewer than one batch
-    assert _tiles(method_id("mcwf"), me, sizes) == [[i] for i in range(20)]
-    assert _tiles(method_id("nmqj"), me, sizes) == [[i] for i in range(20)]
+    monkeypatch.setattr(engine, "_TILE_ROWS", 1)  # never fewer than one batch
+    assert _tiles(mcwf, sizes) == [[i] for i in range(20)]
+    monkeypatch.undo()
+    assert _tiles(mcwf, [100, 3000, 100, 1948, 1]) == [[0], [1], [2, 3], [4]]
+    assert _tiles(mcwf, _chunk_sizes(2000, 20)) == [list(range(20))]
+    assert _tiles(mcwf, _chunk_sizes(10_000, 20)) == [list(range(i, i + 4)) for i in range(0, 20, 4)]
+    assert _tiles(mcwf, _chunk_sizes(10**5, 20)) == [[i] for i in range(20)]
+    assert _tiles(method_id("nmqj"), sizes) == [[i] for i in range(20)]

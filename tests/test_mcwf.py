@@ -1,6 +1,8 @@
 """First-order jump stepper: branch law, jump statistics, and the agreement of
 every menu method's batched step with its one-row *_step."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from unravel.doubled import DoubledState, doubled_factors, doubled_menu, doubled
 from unravel.errors import NegativeRate, StepTooLarge
 from unravel.linalg import trace_distance
 from unravel.master_equation import master_equation
-from unravel.mcwf import _BLOCK_STEPS, first_jump_times, mcwf_branches, mcwf_menu, mcwf_step, run_chunk
+from unravel.mcwf import _BLOCK_STEPS, channel_menu, first_jump_times, mcwf_branches, mcwf_menu, mcwf_step, run_chunk
 from unravel.models import (
     KET0,
     KET1,
@@ -26,6 +28,7 @@ from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import time_dependent_gauge, w_matching_gauge
 from unravel.rng import trajectory_uniforms
 from unravel.roqj import ro_menu, roqj_step, w_menu, wroqj_step
+from unravel.tripled import embedded_track
 from unravel.weighted import (
     PlqtTrajectory,
     WeightedTrajectory,
@@ -378,3 +381,27 @@ def test_row_branches_are_finished_and_zero_images_stay_zero(kind):
     ground = row_branches(menu_of(rows[4:5]), 0.4)[down]
     assert ground.probability == 0.0
     assert np.all(ground.state == 0.0)
+
+
+def test_channel_menu_peak_memory_stays_near_its_targets():
+    """On 1000 rows of tripled's width (3d = 6, 4m = 12 channels) one
+    ``channel_menu`` and ``take_step`` hold little beyond the menu's own jump
+    images (``tracemalloc`` peak): a conjugate copy of the image stack alone
+    would double the peak."""
+    snap = embedded_track(eternally_nm(), np.array([0.5]))[0]
+    assert snap.ls.shape == (12, 6, 6)
+    gen = np.random.default_rng(3)
+    rows = gen.standard_normal((1000, 6)) + 1j * gen.standard_normal((1000, 6))
+    rows /= np.linalg.norm(rows, axis=1)[:, None]
+    u = gen.random(1000)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        menu = channel_menu(snap, rows, STEP_DT)
+        take_step(menu, u, snap.t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    targets = menu.targets.nbytes
+    assert targets == 12 * 1000 * 6 * 16
+    assert peak < 1.5 * targets, peak / targets
