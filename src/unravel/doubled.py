@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .errors import ZeroVector
-from .linalg import EPS, squared_norms
+from .linalg import EPS, outer_sum, squared_norms
 from .master_equation import GeneratorSnapshot, MasterEquation, once_per_time
 from .outcomes import Branch, Menu, row_branches, row_step, run_menus
 from .propagate import TimeGrid
@@ -122,9 +122,12 @@ def factors_menu(f: DoubledFactors, t: float, rows: np.ndarray, dt: float) -> Me
     sigma = 0.5 * qs.sum(axis=0)
     blocks = np.zeros((2 * d, 2 * d), dtype=complex)
     blocks[:d, :d], blocks[d:, d:] = f.a, f.b
-    # rows + dt * (rows @ blocks.T + sigma rows), built in place
+    # rows + dt * (rows @ blocks.T + sigma rows), built in place, a column at
+    # a time: a broadcast sigma[:, None] * rows allocates a ufunc buffer as
+    # large as its result
     drift = rows @ blocks.T
-    drift += sigma[:, None] * rows
+    for j in range(2 * d):
+        drift[:, j] += sigma * rows[:, j]
     drift *= dt
     drift += rows
     return Menu((qs * dt).T, np.swapaxes(images, 0, 1), drift, scales=scales.T)
@@ -161,8 +164,15 @@ def doubled_step(
 
 
 def _pair_outer(rows: np.ndarray, weights=None) -> np.ndarray:
-    d = rows.shape[1] // 2
-    return np.einsum("ni,nj->ij", rows[:, :d], np.conj(rows[:, d:]))
+    """sum_k |phi_k><psi_k| over the rows (phi, psi) of each slice of a
+    stack (B, m, 2d): (B, d, d)."""
+    d = rows.shape[-1] // 2
+    return outer_sum(rows[..., :d], rows[..., d:])
+
+
+def _norm2_sums(rows: np.ndarray) -> np.ndarray:
+    """sum_k ||theta_k||^2 over the rows of each slice of a stack (B, m, 2d)."""
+    return squared_norms(rows.reshape(-1, rows.shape[-1])).reshape(rows.shape[:-1]).sum(axis=-1)
 
 
 def run_chunk(
@@ -187,6 +197,6 @@ def run_chunk(
         n,
         seed,
         outer=_pair_outer,
-        tally=("theta_norm2_sum", lambda rows: squared_norms(rows).sum()),
+        tally=("theta_norm2_sum", _norm2_sums),
         track=track,
     )

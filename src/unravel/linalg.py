@@ -32,6 +32,7 @@ __all__ = [
     "complement_batch",
     "phase_fix_columns",
     "weighted_outer_sum",
+    "outer_sum",
     "squared_norms",
     "vec",
     "unvec",
@@ -39,6 +40,10 @@ __all__ = [
 
 EPS = 1e-12          # sign / clipping threshold for probabilities and rates
 HERM_ATOL = 1e-9     # hermiticity and PSD tolerance for d x d operators
+# Rows numpy's einsum reduces in one pass when the reduced axis is contiguous
+# (its iterator's default buffer); a longer reduction is summed buffer by
+# buffer, which changes the last bits.
+_EINSUM_PASS = 8192
 
 
 def hermitize(m: np.ndarray) -> np.ndarray:
@@ -240,10 +245,43 @@ def complement_batch(states: np.ndarray) -> np.ndarray:
 
 
 def weighted_outer_sum(states: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_k w_k |psi_k><psi_k| over the rows of ``states``."""
+    """sum_k w_k |psi_k><psi_k| over the rows of ``states`` (n, d), or over
+    the rows of each slice of a stack (..., n, d) with weights (..., n):
+    ``outer_sum(states, states, weights)``, which transposes the rows so
+    that one einsum call sums a whole stack with the bits of one call per
+    slice."""
+    return outer_sum(states, states, weights)
+
+
+def outer_sum(kets: np.ndarray, bras: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
+    """sum_k w_k |ket_k><bra_k| over the rows k of ``kets`` and ``bras``
+    (n, d), unweighted without ``weights``; for stacks (..., n, d) with
+    weights (..., n), one such sum per slice, (..., d, d).
+
+    The rows are copied to (..., d, n), so that the trajectory axis is
+    contiguous and last: einsum then reduces a whole stack in one call, in
+    its contiguous loop with a stride-0 output, which accumulates each entry
+    over the rows in order, as one row-major 2-D call per slice does, bit for
+    bit. Slices of more than ``_EINSUM_PASS`` rows take those 2-D calls.
+    """
+    n = kets.shape[-2]
+    if n > _EINSUM_PASS:
+        ks, bs = kets.reshape(-1, n, kets.shape[-1]), bras.reshape(-1, n, bras.shape[-1])
+        ws = [None] * len(ks) if weights is None else np.reshape(weights, (-1, n))
+        sums = np.array([_row_outer_sum(k, b, w) for k, b, w in zip(ks, bs, ws)])
+        return sums.reshape(kets.shape[:-2] + sums.shape[1:])
+    cols = np.swapaxes(kets, -1, -2).copy()
+    conj = np.conj(cols if bras is kets else np.swapaxes(bras, -1, -2).copy())
     if weights is None:
-        return np.einsum("ni,nj->ij", states, np.conj(states))
-    return np.einsum("n,ni,nj->ij", weights, states, np.conj(states))
+        return np.einsum("...in,...jn->...ij", cols, conj)
+    return np.einsum("...n,...in,...jn->...ij", weights, cols, conj)
+
+
+def _row_outer_sum(kets: np.ndarray, bras: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
+    """``outer_sum`` of one (n, d) slice, on its rows as they are."""
+    if weights is None:
+        return np.einsum("ni,nj->ij", kets, np.conj(bras))
+    return np.einsum("n,ni,nj->ij", weights, kets, np.conj(bras))
 
 
 def squared_norms(ys: np.ndarray) -> np.ndarray:

@@ -63,7 +63,10 @@ def channel_menu(
     # a zero image (sigma_- on the ground state) stays zero: its p is 0
     norms = np.where(n2 > 0.0, np.sqrt(n2), 1.0).T
     drift = rows - 1j * dt * (rows @ snap.k.T)
-    drift /= np.linalg.norm(drift, axis=1)[:, None]
+    norm = np.linalg.norm(drift, axis=1)
+    for col in drift.T:  # a column at a time: dividing by norm[:, None] buffers the whole drift
+        col /= norm
+    del norm
     if rates is None:
         return Menu((snap.gammas[:, None] * n2 * dt).T, np.swapaxes(ys, 0, 1), drift, norms=norms)
     live = rates > 0.0

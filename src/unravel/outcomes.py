@@ -8,14 +8,19 @@ the branch list of one row (``row_branches``), whose closed-form expectation
 E[w |psi'><psi'|] the tests compare against rho + L[rho] dt. ``run_menus``
 drives the step over a whole grid for one tile of rows: all its batches
 step together, on uniforms computed a few steps at a time for every row
-(``rng.philox_uniforms``), and each batch is summed over its own rows. Weighted methods carry a
-multiplicative weight factor per branch; the cloning method carries a copy
-count.
+(``rng.philox_uniforms``). Each batch is summed over its own rows, and the
+batches of one size are summed together: ``batch_runs`` groups a tile's
+batches into runs of equal size, whose rows form one (batches, size, w)
+stack, and each step reduces each run in one stacked call
+(``linalg.weighted_outer_sum``), with the same bits as one call per batch.
+Weighted methods carry a multiplicative weight factor per branch; the
+cloning method carries a copy count.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -39,6 +44,7 @@ __all__ = [
     "row_branches",
     "row_step",
     "event_counts",
+    "batch_runs",
     "run_menus",
 ]
 
@@ -222,6 +228,20 @@ def _first_error(err: UnravelError, spans, attempt: Callable) -> UnravelError:
     return err
 
 
+def batch_runs(sizes) -> list[tuple[slice, slice, tuple[int, int]]]:
+    """The consecutive batches of a tile, of the given row counts, grouped
+    into runs of equal size: (batch indices, row indices, (batches, size))
+    per run, so that the rows of a run reshape to one (batches, size, w)
+    stack. ``engine._chunk_sizes`` puts the larger batches first, so a tile
+    has at most two runs."""
+    runs, batch, row = [], 0, 0
+    for size, group in groupby(int(s) for s in np.atleast_1d(sizes)):
+        count = len(list(group))
+        runs.append((slice(batch, batch + count), slice(row, row + count * size), (count, size)))
+        batch, row = batch + count, row + count * size
+    return runs
+
+
 def run_menus(
     kernel: Callable,
     me,
@@ -240,15 +260,20 @@ def run_menus(
 
     ``n`` is the number of rows, or the sizes of consecutive batches of rows
     (a tile of an ensemble). Returns (rho_sum, counts, diagnostics, abort):
-    rho_sum[k] is ``outer(rows, weights)`` (default ``weighted_outer_sum``)
-    at grid point k, and abort is None or (err, k) for a method error at
-    step k, with everything before step k kept. Given batch sizes, rho_sum
-    and every diagnostics series gain a leading batch axis, and each batch's
-    entry is one reduction over that batch's rows alone, as a run of the
-    batch by itself gives it; counts and sign-flip steps cover all rows.
+    rho_sum[k] is the ``outer`` sum (default ``weighted_outer_sum``) at grid
+    point k, and abort is None or (err, k) for a method error at step k,
+    with everything before step k kept. Given batch sizes, rho_sum and every
+    diagnostics series gain a leading batch axis, and each batch's entry is
+    one reduction over that batch's rows alone, as a run of the batch by
+    itself gives it; counts and sign-flip steps cover all rows.
     ``weighted`` carries one weight per row and records the ``weight_sum``
     series and the ``sign_flip_steps`` where a jump took a negative factor;
-    ``tally = (key, fn(rows))`` records one more series.
+    ``tally = (key, fn)`` records one more series.
+    The hooks take stacks, one call per run of ``batch_runs``:
+    ``outer(rows, weights)`` gets rows (B, m, w) and weights (B, m) (None
+    without ``weighted``) and returns the B sums (B, d, d); ``fn(rows)``
+    returns the B tallies (B,). Each slice's result must be what the hook
+    gives that batch alone.
     ``track`` is ``me.track`` over the grid's step starts; the tiles of one
     ensemble share it, and a call without one evaluates its own.
     The uniforms come a few steps at a time for all rows (``philox_uniforms``,
@@ -266,6 +291,7 @@ def run_menus(
     keys = np.arange(idx0, idx0 + bounds[-1], dtype=np.uint64)
     rows = np.tile(np.asarray(row0, dtype=complex), (len(keys), 1))
     weights = np.ones(len(keys)) if weighted else None
+    runs = batch_runs(sizes)
     rho_sum = np.zeros((len(spans), steps + 1, me.dim, me.dim), dtype=complex)
     diag: dict = {}
     if weighted:
@@ -275,13 +301,14 @@ def run_menus(
         diag[tally[0]] = np.zeros((len(spans), steps + 1))
 
     def record(k: int) -> None:
-        for i, (a, b) in enumerate(spans):
-            w = None if weights is None else weights[a:b]
-            rho_sum[i, k] = outer(rows[a:b], w)
+        for batches, span, shape in runs:
+            stack = rows[span].reshape(*shape, -1)
+            w = None if weights is None else weights[span].reshape(shape)
+            rho_sum[batches, k] = outer(stack, w)
             if weighted:
-                diag["weight_sum"][i, k] = w.sum()
+                diag["weight_sum"][batches, k] = w.sum(axis=1)
             if tally is not None:
-                diag[tally[0]][i, k] = tally[1](rows[a:b])
+                diag[tally[0]][batches, k] = tally[1](stack)
 
     def result(abort):
         if np.ndim(n):

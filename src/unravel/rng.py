@@ -26,9 +26,10 @@ __all__ = ["trajectory_generator", "trajectory_uniforms", "philox_uniforms", "re
 
 _REPLICA_OFFSET = 2**63
 
-# Philox4x64 round multipliers and Weyl key increments (Random123, numpy)
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
+# Philox4x64 round multipliers and Weyl key increments (Random123, numpy),
+# shaped to act on the (2, n, blocks) stacks of ``_philox_blocks``
+_PHILOX_M = np.array([0xD2E7470EE14C6C93, 0xCA5A826395121157], dtype=np.uint64)[:, None, None]
+_PHILOX_W = np.array([0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B], dtype=np.uint64)[:, None, None]
 _PHILOX_ROUNDS = 10
 # draws per stream up to which the vectorized arithmetic beats re-keying
 # numpy's Philox (about 80 ns a draw against 5 ns plus 7 us a stream)
@@ -39,21 +40,22 @@ _VECTOR_BLOCKS = 2048
 _MASK64 = 2**64 - 1
 _LO32 = np.uint64(0xFFFFFFFF)
 _SHIFT32 = np.uint64(32)
+_M_LO, _M_HI = _PHILOX_M & _LO32, _PHILOX_M >> _SHIFT32
 
 
 def trajectory_generator(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
 
-def _mulhilo(m: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """High and low 64-bit words of the 128-bit products m * x, from 32-bit
-    halves (uint64 array arithmetic wraps modulo 2^64)."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
+def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """High and low 64-bit words of the 128-bit products of the round
+    multipliers and a (2, n, blocks) stack x, from 32-bit halves (uint64
+    array arithmetic wraps modulo 2^64)."""
     x_lo, x_hi = x & _LO32, x >> _SHIFT32
-    lo_lo, hi_lo = m_lo * x_lo, m_hi * x_lo
+    lo_lo, hi_lo = _M_LO * x_lo, _M_HI * x_lo
     # the middle column sums three 32 x 32-bit terms and cannot overflow
-    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LO32) + m_lo * x_hi
-    return m_hi * x_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32), np.uint64(m) * x
+    cross = (lo_lo >> _SHIFT32) + (hi_lo & _LO32) + _M_LO * x_hi
+    return _M_HI * x_hi + (hi_lo >> _SHIFT32) + (cross >> _SHIFT32), _PHILOX_M * x
 
 
 def philox_uniforms(seed: int, keys, block: int, count: int) -> np.ndarray:
@@ -82,20 +84,20 @@ def _vector_uniforms(seed: int, keys: np.ndarray, block: int, count: int) -> np.
 def _philox_blocks(seed: int, keys: np.ndarray, block: int, blocks: int) -> np.ndarray:
     """Draws 4 block .. 4 (block + blocks) - 1 of each key's stream. As in
     numpy, block b is the Philox4x64-10 output at counter (b + 1, 0, 0, 0),
-    and a draw is its 64-bit word x as (x >> 11) * 2^-53."""
+    and a draw is its 64-bit word x as (x >> 11) * 2^-53. A round's two
+    multiplies run on one stack: counter words (0, 2) form one (2, n, blocks)
+    array, words (1, 3) another, and the key words (0, 1) a (2, n, 1) one."""
     k1 = keys[:, None]
     c0 = np.uint64(block + 1) + np.arange(blocks, dtype=np.uint64) + np.zeros_like(k1)
-    # counter words 1 to 3 start at 0; word 2 is an array because rounds multiply it
-    c1 = c3 = np.uint64(0)
-    c2 = np.zeros_like(c0)
-    for r in range(_PHILOX_ROUNDS):
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        # the round keys: key += W after every round
-        key0 = np.uint64((seed + r * _PHILOX_W[0]) & _MASK64)
-        key1 = k1 + np.uint64(r * _PHILOX_W[1] & _MASK64)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ key0, lo1, hi0 ^ c3 ^ key1, lo0
-    words = np.stack([c0, c1, c2, c3], axis=-1).reshape(len(k1), 4 * blocks)
+    # counter words 1 to 3 start at 0
+    even, odd = np.stack([c0, np.zeros_like(c0)]), np.uint64(0)
+    key = np.stack([np.full_like(k1, seed & _MASK64), k1])
+    for _ in range(_PHILOX_ROUNDS):
+        hi, lo = _mulhilo(even)
+        # words (0, 2) become hi1 ^ c1 ^ key0 and hi0 ^ c3 ^ key1, words (1, 3) lo1 and lo0
+        even, odd = hi[::-1] ^ odd ^ key, lo[::-1]
+        key = key + _PHILOX_W  # the round keys: key += W after every round
+    words = np.stack([even[0], odd[0], even[1], odd[1]], axis=-1).reshape(len(k1), 4 * blocks)
     return (words >> np.uint64(11)).astype(float) * 2.0**-53
 
 

@@ -28,7 +28,7 @@ from .errors import NoJumpPossible, UnravelError
 from .linalg import EPS, normalize, weighted_outer_sum
 from .master_equation import GeneratorSnapshot, GeneratorTrack, MasterEquation
 from .mcwf import require_nonnegative_rates
-from .outcomes import event_counts
+from .outcomes import batch_runs, event_counts
 from .propagate import TimeGrid
 from .rng import philox_uniforms, trajectory_generator
 
@@ -153,12 +153,12 @@ def run_chunk(
     (rho_sum series, event counts, diagnostics, abort), abort being None or
     (err, k) for a failure in step k, with every earlier point kept. ``n``
     is the number of rows, or the sizes of consecutive batches of rows, and
-    then rho_sum has a leading batch axis (as in ``outcomes.run_menus``)."""
+    then rho_sum has a leading batch axis (as in ``outcomes.run_menus``,
+    whose ``batch_runs`` stack the batches of one size for one reduction)."""
     if track is None:
         track = me.half_track(grid.times())
     sizes = np.atleast_1d(n)
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    gens = [trajectory_generator(seed, idx0 + i) for i in range(bounds[-1])]
+    gens = [trajectory_generator(seed, idx0 + i) for i in range(int(sizes.sum()))]
     x = np.array([g.random() for g in gens])
     jumps = np.zeros(len(me.channels), dtype=np.int64)
 
@@ -176,11 +176,13 @@ def run_chunk(
     for i, size in enumerate(sizes):
         rho_sum[i, 0] = int(size) * np.outer(psi, np.conj(psi))
     k, abort = 0, None
+    runs = batch_runs(sizes)
     try:
-        # no row retires, so the rows of batch i stay at bounds[i]:bounds[i + 1]
+        # no row retires, so the rows of each batch keep their places
         for k, tilde in enumerate(_sweep(track, psi, x, jump), start=1):
-            for i, (a, b) in enumerate(zip(bounds[:-1], bounds[1:])):
-                rho_sum[i, k] = weighted_outer_sum(tilde[a:b], np.linalg.norm(tilde[a:b], axis=1) ** -2.0)
+            inv = np.linalg.norm(tilde, axis=1) ** -2.0
+            for batches, span, shape in runs:
+                rho_sum[batches, k] = weighted_outer_sum(tilde[span].reshape(*shape, -1), inv[span].reshape(shape))
     except UnravelError as err:
         abort = (err, k)
     return rho_sum if np.ndim(n) else rho_sum[0], event_counts(np.append(jumps, 0)), {}, abort

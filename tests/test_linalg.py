@@ -166,6 +166,38 @@ def test_weighted_outer_sum():
     assert np.allclose(weighted_outer_sum(states), np.eye(2))
 
 
+def signed_zero_rows(gen, shape):
+    """Random complex rows in which some entries and whole rows are -0.0."""
+    rows = gen.standard_normal(shape) + 1j * gen.standard_normal(shape)
+    rows.real[gen.random(shape) < 0.2] = -0.0
+    rows.imag[gen.random(shape) < 0.2] = -0.0
+    rows[gen.random(shape[:-1]) < 0.1] = -0.0
+    return rows
+
+
+@pytest.mark.parametrize("width", [2, 6])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_stacked_weighted_outer_sum_keeps_each_slice_bits(width, weighted):
+    """One call on a stack of batches gives each batch the bytes of the
+    row-major 2-D einsum over that batch alone, signed zeros included, also
+    for stacks longer than one einsum pass (3 x 5000 rows) and batches
+    longer than one pass (9000 rows)."""
+    gen = np.random.default_rng(12)
+    for batches, n in ((3, 51), (17, 50), (1, 1), (3, 5000), (2, 9000)):
+        rows = signed_zero_rows(gen, (batches, n, width))
+        ws = None
+        if weighted:
+            ws = gen.standard_normal((batches, n))
+            ws[gen.random(ws.shape) < 0.1] = -0.0
+        ref = np.array([
+            np.einsum("ni,nj->ij", r, np.conj(r)) if ws is None else np.einsum("n,ni,nj->ij", ws[b], r, np.conj(r))
+            for b, r in enumerate(rows)
+        ])
+        assert weighted_outer_sum(rows, ws).tobytes() == ref.tobytes()
+        for b, r in enumerate(rows):
+            assert weighted_outer_sum(r, None if ws is None else ws[b]).tobytes() == ref[b].tobytes()
+
+
 def test_require_density_accepts_and_rejects():
     good = np.diag([0.25, 0.75]).astype(complex)
     assert require_density(good) is not None

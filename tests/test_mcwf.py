@@ -405,3 +405,27 @@ def test_channel_menu_peak_memory_stays_near_its_targets():
     targets = menu.targets.nbytes
     assert targets == 12 * 1000 * 6 * 16
     assert peak < 1.5 * targets, peak / targets
+
+
+def test_factors_menu_peak_memory_stays_near_its_targets():
+    """On 2000 rows of doubled's width (2d = 4, m = 3 channels) one
+    ``factors_menu`` and ``take_step`` hold about twice the menu's jump
+    images (``tracemalloc`` peak): the drift's sigma term as one broadcast
+    product ``sigma[:, None] * rows`` would add a ufunc buffer as large as
+    the drift (2.5 times)."""
+    snap = eternally_nm().track(np.array([0.5]))[0]
+    gen = np.random.default_rng(3)
+    rows = gen.standard_normal((2000, 4)) + 1j * gen.standard_normal((2000, 4))
+    u = gen.random(2000)
+    factors = doubled_factors(snap)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        menu = factors_menu(factors, snap.t, rows, STEP_DT)
+        take_step(menu, u, snap.t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    targets = menu.targets.nbytes
+    assert targets == 3 * 2000 * 4 * 16
+    assert peak < 2.25 * targets, peak / targets

@@ -22,7 +22,9 @@ identical.
 
 The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
 weighted, gauged, population and replica methods, ensembles whose batches
-are unequal (N = 1003), fill several row tiles (N = 10^4, and N = 4097,
+are unequal, so that one tile holds batches of two sizes (N = 1003 for
+mcwf, for im's weights and for doubled's pair sums and norm tally, N = 83
+for wtd), fill several row tiles (N = 10^4, and N = 4097,
 whose middle tile holds batches of 205 and 204 rows) or hold one
 trajectory each (N = 13), one abort of each kind of
 method (channel and spectral menus, replica, waiting time, embedding), and the
@@ -93,6 +95,9 @@ INPUTS = {
     "batched/mcwf": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 2000, 1.5),
     "mcwf/n10000": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 10_000, 1.0),
     "mcwf/n1003": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 1003, 1.5),
+    "im/n1003": (_kind("im"), _model("non_p_divisible"), PLUS, 1003, 1.5),
+    "doubled/n1003": (_kind("doubled"), _model("eternally_nm"), PLUS, 1003, 1.5),
+    "wtd/n83": (_kind("wtd"), _model("spontaneous_emission"), PLUS, 83, 2.0),
     "mcwf/n4097": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 4097, 1.0),
     "wroqj/n4097": (_kind("wroqj"), _model("eternally_nm"), PLUS, 4097, 0.5),
     "tripled/n4097": (_kind("tripled"), _model("eternally_nm"), PLUS, 4097, 0.5),
