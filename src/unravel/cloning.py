@@ -11,7 +11,10 @@ tr rho(t) instead of sticking at one.
 All rates must be nonnegative here; negative rates need one of the weighted
 or pair-vector methods instead. ``clone_menu`` adds the clone and destroy
 branches to the channel menu; ``run_replica`` wraps the shared selection
-(``outcomes.take_step``) in its population and resampling loop.
+(``outcomes.take_step``) in its population and resampling loop. It steps
+the consecutive replicas of one engine tile together: one kernel call per
+step over all their members, each replica drawing from its own stream and
+resampled on its own, with the bits of one run per replica.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import numpy as np
 from .errors import UnravelError
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .mcwf import channel_menu, require_nonnegative_rates
-from .outcomes import Branch, Menu, StepOutcome, event_counts, row_branches, row_step, take_step
+from .linalg import weighted_outer_sum
+from .outcomes import Branch, Menu, StepOutcome, _first_error, event_counts, row_branches, row_step, take_step
 from .propagate import TimeGrid
 from .rng import replica_generator
 
@@ -61,54 +65,92 @@ def run_replica(
     me: MasterEquation,
     psi0: np.ndarray,
     grid: TimeGrid,
-    n_members: int,
+    n_members,
     replica: int,
     seed: int,
     resample_lo: float = 0.5,
     resample_hi: float = 2.0,
     track=None,
 ):
-    """One population realization; rho_sum rows are trace_factor * sum |psi><psi|.
+    """Population realizations from replica ``replica`` on: one of
+    ``n_members``, or one per entry of the sizes ``n_members`` of consecutive
+    replicas (a tile of an ensemble), and then rho_sum and the
+    ``population`` series gain a leading replica axis. Returns (rho_sum,
+    counts, diagnostics, abort); rho_sum rows are trace_factor * sum
+    |psi><psi|, and abort is None or (err, k) for the first replica that
+    fails, at the first step k at which one does.
 
-    The population is resampled back to n_members (uniform, with
+    A replica's population is resampled back to its size (uniform, with
     replacement) whenever it leaves [lo*n, hi*n]; the size ratio moves into
-    trace_factor so the estimator is unchanged in expectation. ``track``
-    is ``me.track`` over the grid's step starts (evaluated here if None).
+    its trace_factor so the estimator is unchanged in expectation. The
+    replicas step together, one kernel call per step over all their rows,
+    each drawing from its own ``replica_generator`` in the order one replica
+    alone draws, so every replica's series is the one it gives alone.
+    ``track`` is ``me.track`` over the grid's step starts (evaluated here
+    if None).
     """
-    gen = replica_generator(seed, replica)
+    sizes = np.atleast_1d(n_members).astype(np.int64)
+    gens = [replica_generator(seed, replica + r) for r in range(len(sizes))]
     d = me.dim
     steps = grid.n_steps
     times = grid.times()
     if track is None:
         track = me.track(times[:-1])
-    states = np.tile(np.asarray(psi0, dtype=complex), (n_members, 1))
-    trace_factor = 1.0
-    rho_sum = np.zeros((steps + 1, d, d), dtype=complex)
-    rho_sum[0] = n_members * np.outer(psi0, np.conj(psi0))
-    population = np.zeros(steps + 1, dtype=np.int64)
-    population[0] = n_members
+    states = np.tile(np.asarray(psi0, dtype=complex), (int(sizes.sum()), 1))
+    pop = sizes.copy()
+    owners = np.repeat(np.arange(len(sizes)), pop)  # rows stay grouped by replica, in order
+    trace_factor = np.ones(len(sizes))
+    rho_sum = np.zeros((len(sizes), steps + 1, d, d), dtype=complex)
+    rho_sum[:, 0] = sizes[:, None, None] * np.outer(psi0, np.conj(psi0))
+    population = np.zeros((len(sizes), steps + 1), dtype=np.int64)
+    population[:, 0] = sizes
     m = len(me.channels)
     copies = np.array([1] * m + [2, 0])
+    branch_copies = np.append(copies, 1)  # the deterministic branch keeps its member
     hits = np.zeros(m + 3, dtype=np.int64)
-    diag = {"population": population}
+
+    def result(abort):
+        if np.ndim(n_members):
+            return rho_sum, event_counts(hits, copies), {"population": population}, abort
+        return rho_sum[0], event_counts(hits, copies), {"population": population[0]}, abort
+
     for k in range(steps):
-        cur = states.shape[0]
-        if cur == 0:
-            population[k + 1] = 0
-            continue  # population extinct; the estimate is legitimately zero
+        if not len(states):
+            continue  # every population extinct; the estimate is legitimately zero
+        u = np.concatenate([gen.random(n) for gen, n in zip(gens, pop)])
         try:
             menu = clone_menu(track[k], states, grid.dt)
-            step = take_step(menu, gen.random(cur), times[k])
+            step = take_step(menu, u, times[k])
         except UnravelError as err:
-            return rho_sum, event_counts(hits, copies), diag, (err, k)
-        hits += np.bincount(step.choice, minlength=m + 3)
+            # an extinct replica steps no kernel, so it cannot fail
+            bounds = np.concatenate([[0], np.cumsum(pop)])
+            spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
+            return result((_first_error(
+                err, spans, lambda a, b: take_step(clone_menu(track[k], states[a:b], grid.dt), u[a:b], times[k])
+            ), k))
+        # per replica and branch: the step's hits and the members they leave
+        tally = np.bincount(owners * (m + 3) + step.choice, minlength=len(sizes) * (m + 3))
+        tally = tally.reshape(len(sizes), m + 3)
+        hits += tally.sum(axis=0)
+        pop = tally @ branch_copies
         states = np.repeat(step.rows, step.copies, axis=0)
-        if not (resample_lo * n_members <= states.shape[0] <= resample_hi * n_members):
-            if states.shape[0] > 0:
-                idx = gen.integers(0, states.shape[0], size=n_members)
-                trace_factor *= states.shape[0] / n_members
-                states = states[idx]
-        population[k + 1] = states.shape[0]
-        if states.shape[0]:
-            rho_sum[k + 1] = trace_factor * np.einsum("ni,nj->ij", states, np.conj(states))
-    return rho_sum, event_counts(hits, copies), diag, None
+        leave = np.nonzero((pop > 0) & ~((resample_lo * sizes <= pop) & (pop <= resample_hi * sizes)))[0]
+        if len(leave):
+            parts = np.split(states, np.cumsum(pop)[:-1])
+            for r in leave:
+                idx = gens[r].integers(0, int(pop[r]), size=int(sizes[r]))
+                trace_factor[r] *= pop[r] / sizes[r]
+                parts[r] = parts[r][idx]
+                pop[r] = sizes[r]
+            states = np.concatenate(parts)
+        owners = np.repeat(np.arange(len(sizes)), pop)
+        population[:, k + 1] = pop
+        if pop.min() == pop.max():
+            # equal populations: one stacked sum with the bits of one per replica
+            sums = weighted_outer_sum(states.reshape(len(sizes), pop[0], d))
+            rho_sum[:, k + 1] = trace_factor[:, None, None] * sums
+            continue
+        for r, rows in enumerate(np.split(states, np.cumsum(pop)[:-1])):
+            if len(rows):
+                rho_sum[r, k + 1] = trace_factor[r] * np.einsum("ni,nj->ij", rows, np.conj(rows))
+    return result(None)

@@ -6,12 +6,17 @@ statistical batches of the error bars. A method of independent trajectories
 steps them in one pass over row tiles: a tile is a run of whole consecutive
 batches of at most ``_TILE_ROWS`` rows in all (a larger batch is a tile of
 its own), and its runner steps all its rows together but sums each batch
-over that batch's rows alone. The replica methods (``nmqj``, ``cloning``)
-run one replica per batch. Every row derives its random numbers from (seed,
-trajectory index) and every replica from (seed, replica index) alone, and
-the batch sums are combined by a fixed-order pairwise tree, so a seed fixes
-the result bit for bit, whatever the tiles. ``threads`` has no effect: a
-pool running these short numpy calls under the GIL only made them slower.
+over that batch's rows alone. The replica methods run one replica per
+batch: ``cloning``'s replicas share tiles in the same way, one kernel call
+per step for all of a tile's members, and ``nmqj`` (buckets) runs them one
+at a time. Every row derives its random numbers from (seed, trajectory
+index) and every replica from (seed, replica index) alone, and the batch
+sums are combined by a fixed-order pairwise tree, so a seed fixes the
+result bit for bit, whatever the tiles. The tiles and replicas run in
+order, and each one stops at the earliest abort of those before it: nothing
+after that step is kept, and that abort wins a tie, so the result is the
+one every tile run to its own end gives. ``threads`` has no effect: a pool
+running these short numpy calls under the GIL only made them slower.
 The tiles and replicas of every method read one generator track, evaluated
 before any of them runs: once per grid time, and for ``wtd`` also once per
 step midpoint (``MasterEquation.half_track``). ``tripled`` reads the track
@@ -78,7 +83,8 @@ METHOD_KINDS = (
 _REPLICA_KINDS = frozenset({"nmqj", "cloning"})
 _GAUGE_KINDS = frozenset({"rroqj", "psi_roqj"})
 _DEFAULT_BATCHES = 20
-# Most rows in a tile: an ensemble of up to 2048 trajectories is one tile.
+# Most rows in a tile (cloning: members at the start), for every method but
+# nmqj: an ensemble of up to 2048 trajectories is one tile, one of 10^4 five.
 # Wide tiles cut the per-step Python overhead. At N = 10^4 (eternally_nm,
 # |+>, dt = 1e-2, t_max = 5, seed 42; two fresh processes each, 2-core host)
 # 2048-row tiles took wroqj 5.6/4.8 s, doubled 3.4/2.9, im 2.8/3.3, plqt
@@ -140,7 +146,8 @@ def _chunk_sizes(n_traj: int, batches: int) -> list[int]:
 def _runner(method: MethodId):
     """The method's runner as ``run(me, psi0, grid, key, sizes, seed, track)``:
     a tile's rows from trajectory ``key`` on, in batches of ``sizes``, or
-    the replica ``key`` of ``sizes[0]`` members."""
+    its replicas from replica ``key`` on, of ``sizes`` members (``nmqj``
+    runs one replica at a time)."""
     kind = method.kind
     plain = {"mcwf": _mcwf, "wtd": _wtd, "doubled": _doubled, "tripled": _tripled}
     if kind in plain:
@@ -153,13 +160,16 @@ def _runner(method: MethodId):
         return partial(_weighted.run_chunk_im, r_policy=_weighted.default_rate_policy(method.r_min))
     if kind == "plqt":
         return _weighted.run_chunk_plqt
-    if kind in _REPLICA_KINDS:
-        module = _nmqj if kind == "nmqj" else _cloning
+    if kind == "cloning":
+        # looked up at each call, so that a wrapper set on the module is seen
+        return lambda me, psi0, grid, key, sizes, seed, track: _cloning.run_replica(
+            me, psi0, grid, sizes, key, seed, track=track
+        )
+    if kind == "nmqj":
 
         def replica(me, psi0, grid, key, sizes, seed, track):
-            rho_sum, counts, diag, abort = module.run_replica(me, psi0, grid, sizes[0], key, seed, track=track)
-            series = {k: v if k == "event_log" else v[None] for k, v in diag.items()}
-            return rho_sum[None], counts, series, abort
+            rho_sum, counts, diag, abort = _nmqj.run_replica(me, psi0, grid, sizes[0], key, seed, track=track)
+            return rho_sum[None], counts, diag, abort
 
         return replica
     raise UnknownMethod(f"unknown method {kind!r}")
@@ -167,8 +177,8 @@ def _runner(method: MethodId):
 
 def _tiles(method: MethodId, sizes: list[int]) -> list[list[int]]:
     """Consecutive batch indices grouped into tiles of at most ``_TILE_ROWS``
-    rows (never fewer than one batch); one batch per replica."""
-    if method.kind in _REPLICA_KINDS:
+    rows (never fewer than one batch); one batch per ``nmqj`` replica."""
+    if method.kind == "nmqj":
         return [[i] for i in range(len(sizes))]
     tiles: list[list[int]] = []
     rows = 0
@@ -192,6 +202,15 @@ def _generator_track(method: MethodId, me: MasterEquation, grid: TimeGrid):
     if method.kind == "tripled":
         return _tripled.embedded_track(me, grid.times()[:-1])
     return me.track(grid.times()[:-1])
+
+
+def _head(method: MethodId, grid: TimeGrid, track, steps: int):
+    """The grid and the generator track of the run's first ``steps`` steps."""
+    if steps >= grid.n_steps:
+        return grid, track
+    return TimeGrid(grid.t0, float(grid.times()[steps]), grid.dt), track.head(
+        2 * steps + 1 if method.kind == "wtd" else steps
+    )
 
 
 def _tree_sum(arrays: list[np.ndarray]) -> np.ndarray:
@@ -272,19 +291,25 @@ def run_ensemble(
     starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
     times = grid.times()
     t0 = _time.perf_counter()
-    run = partial(_runner(method), track=_generator_track(method, me, grid))
+    run = _runner(method)
+    track = _generator_track(method, me, grid)
     # a tile's rows start at the first trajectory index of its first batch; a
     # replica keys its stream off its batch index
     replicas = method.kind in _REPLICA_KINDS
-    tile_sums, counts, diags, aborts = zip(*(
-        run(me, psi, grid, tile[0] if replicas else int(starts[tile[0]]), [sizes[i] for i in tile], seed)
-        for tile in _tiles(method, sizes)
-    ))
+    tile_sums, counts, diags, abort = [], [], [], None
+    for tile in _tiles(method, sizes):
+        # nothing past the earliest abort so far is kept, and that abort wins
+        # a tie, so a later tile runs only the steps before it (at least one)
+        cut, cut_track = _head(method, grid, track, grid.n_steps if abort is None else max(abort[1], 1))
+        key = tile[0] if replicas else int(starts[tile[0]])
+        out = run(me, psi, cut, key, [sizes[i] for i in tile], seed, track=cut_track)
+        for acc, part in zip((tile_sums, counts, diags), out):
+            acc.append(part)
+        if out[3] is not None and (abort is None or out[3][1] < abort[1]):
+            abort = out[3]
 
     # cut every batch to the last point all of them reached, and all of them
     # to the last point before the mean's first that cannot be extracted
-    aborts = [a for a in aborts if a is not None]
-    abort = min(aborts, key=lambda a: a[1]) if aborts else None
     n_pts = abort[1] + 1 if abort else len(times)
     sums = [batch[:n_pts] for tile in tile_sums for batch in tile]
     rho_hat, degenerate = _reconstruct(method, _tree_sum(sums) / n_traj)

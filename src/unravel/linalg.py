@@ -10,6 +10,8 @@ use the last two axes; ``vec``/``unvec`` are column-stacking (Fortran order).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import NotHermitian, NotPSD, ZeroVector
@@ -149,8 +151,17 @@ def eigvalsh_min(ms: np.ndarray) -> np.ndarray:
 
 
 def normalize(v: np.ndarray) -> tuple[np.ndarray, float]:
-    """Unit vector and the pre-normalization norm. Raises on numerical zero."""
-    n = float(np.linalg.norm(v))
+    """Unit vector and the pre-normalization norm. Raises on numerical zero.
+
+    A contiguous complex vector takes ``np.linalg.norm``'s own formula,
+    sqrt(re . re + im . im), without its argument handling: the same bits
+    in a fraction of the time.
+    """
+    if isinstance(v, np.ndarray) and v.ndim == 1 and v.dtype == np.complex128 and v.flags.c_contiguous:
+        re, im = v.real, v.imag
+        n = math.sqrt(re.dot(re) + im.dot(im))
+    else:
+        n = float(np.linalg.norm(v))
     if n <= 1e-14:
         raise ZeroVector(f"cannot normalize vector with norm {n:.3e}")
     return v / n, n

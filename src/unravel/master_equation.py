@@ -196,6 +196,14 @@ class GeneratorTrack:
             self.times[k], self.h[k], self.ls[k], self.gammas[k], self.gamma_l[k], self.gamma_drift[k], self.k[k]
         )
 
+    def head(self, n: int) -> "GeneratorTrack":
+        """The track at its first n times, with the error only if it ends
+        the track before them."""
+        return GeneratorTrack(
+            self.times[:n], self.h[:n], self.ls[:n], self.gammas[:n], self.gamma_l[:n], self.gamma_drift[:n],
+            self.k[:n], self.error if len(self.h) < n else None,
+        )
+
 
 def master_equation(dim, hamiltonian, channels, trace_sink=None) -> MasterEquation:
     """Build a MasterEquation from constants or callables.

@@ -59,13 +59,16 @@ class NmqjEnsemble:
         return sum(b.count for b in self.buckets)
 
     def rho(self) -> np.ndarray:
+        """sum_i (N_i/N) |psi_i><psi_i| over the populated buckets, in bucket
+        order from zero, as a loop of ``+=`` sums it, bit for bit: an
+        accumulation never sums pairwise (a reduction does when d = 1), and
+        the trailing + 0 turns an all-(-0.0) entry into the loop's +0.0."""
         n = self.total
-        d = self.buckets[0].state.shape[0]
-        out = np.zeros((d, d), dtype=complex)
-        for b in self.buckets:
-            if b.count:
-                out += (b.count / n) * np.outer(b.state, np.conj(b.state))
-        return out
+        live = [b for b in self.buckets if b.count]
+        states = np.array([b.state for b in live])
+        weights = np.array([b.count / n for b in live])
+        outers = weights[:, None, None] * (states[:, :, None] * np.conj(states)[:, None, :])
+        return np.add.accumulate(outers, axis=0)[-1] + 0.0
 
     def find(self, state: np.ndarray) -> int | None:
         for i, b in enumerate(self.buckets):
@@ -86,17 +89,17 @@ def reverse_jump_probability(method_p: float, n_i: int, n_j: int) -> float:
     return -(n_j / n_i) * method_p
 
 
-def _check_reversibility(ens: NmqjEnsemble, snap: GeneratorSnapshot, neg: list[int]) -> None:
+def _check_reversibility(ens: NmqjEnsemble, snap: GeneratorSnapshot, neg: list[int], images: dict) -> None:
     # Every populated bucket j feeding a negative channel must have a
     # populated recorded child to pull members back from; a self-image is a
     # no-op. A child that has emptied cannot serve the demanded reverse flux,
-    # so it counts as missing.
+    # so it counts as missing. ``images`` maps (j, a) of the populated
+    # buckets to (||L_a psi_j||^2, L_a psi_j).
     for a in neg:
         for j, b in enumerate(ens.buckets):
             if b.count == 0:
                 continue
-            y = snap.ls[a] @ b.state
-            n2 = float(np.vdot(y, y).real)
+            n2, y = images[(j, a)]
             if n2 <= EPS:
                 continue
             if abs(np.vdot(b.state, y)) ** 2 >= _SELF_FIDELITY * n2:
@@ -125,15 +128,18 @@ def _step(snap: GeneratorSnapshot, ens: NmqjEnsemble, dt: float, gen: np.random.
     t = snap.t
     pos = [a for a in range(len(snap.gammas)) if snap.gammas[a] > EPS]
     neg = [a for a in range(len(snap.gammas)) if snap.gammas[a] < -EPS]
-    _check_reversibility(ens, snap, neg)
-
     counts = [b.count for b in ens.buckets]
     states = [b.state for b in ens.buckets]
-    norms2 = {}  # (bucket, channel) -> ||L_a psi_j||^2
-    for j in range(len(states)):
-        for a in pos + neg:
-            y = snap.ls[a] @ states[j]
+    # (bucket, channel) -> (||L_a psi_j||^2, L_a psi_j), for populated buckets:
+    # only they jump, and a reverse jump into an empty one is skipped. The
+    # stacked matmul gives each image the bits of L_a @ psi_j.
+    norms2 = {}
+    live = [j for j, c in enumerate(counts) if c]
+    images = np.matmul(snap.ls[pos + neg][:, None], np.array([states[j] for j in live])[..., None])[..., 0]
+    for a, row in zip(pos + neg, images):
+        for j, y in zip(live, row):
             norms2[(j, a)] = (float(np.vdot(y, y).real), y)
+    _check_reversibility(ens, snap, neg, norms2)
 
     # moves[(src, dst_resolver, channel, kind)] sampled per populated bucket
     new_counts = list(counts)
@@ -149,16 +155,13 @@ def _step(snap: GeneratorSnapshot, ens: NmqjEnsemble, dt: float, gen: np.random.
             if p > 0.0:
                 entries.append((p, "direct", a, -1))
         for a in neg:
-            for (child, ch), parents in ens.provenance.items():
-                if ch != a or child != i:
-                    continue
-                for j in sorted(parents):
-                    if counts[j] == 0:
-                        continue  # reverse target empty: zero flux this step
-                    n2j, _ = norms2[(j, a)]
-                    p = reverse_jump_probability(snap.gammas[a] * n2j * dt, counts[i], counts[j])
-                    if p > 0.0:
-                        entries.append((p, "reverse", a, j))
+            for j in sorted(ens.provenance.get((i, a), ())):
+                if counts[j] == 0:
+                    continue  # reverse target empty: zero flux this step
+                n2j, _ = norms2[(j, a)]
+                p = reverse_jump_probability(snap.gammas[a] * n2j * dt, counts[i], counts[j])
+                if p > 0.0:
+                    entries.append((p, "reverse", a, j))
         total = sum(e[0] for e in entries)
         if total > 1.0:
             raise StepTooLarge(
@@ -193,8 +196,9 @@ def _step(snap: GeneratorSnapshot, ens: NmqjEnsemble, dt: float, gen: np.random.
         events.append(Jump(channel=a, probability=float("nan")))
 
     # deterministic drift of every bucket state, counts untouched
-    for b in out.buckets:
-        b.state = normalize(b.state - 1j * dt * (snap.k @ b.state))[0]
+    now = np.array([b.state for b in out.buckets])
+    for b, row in zip(out.buckets, now - 1j * dt * np.matmul(snap.k, now[..., None])[..., 0]):
+        b.state = normalize(row)[0]
     assert out.total == ens.total, "member count must be conserved"
     if min(c.count for c in out.buckets) < 0:
         raise StepTooLarge(f"bucket overdrawn at t={t:.6g}; reduce dt", time=t)

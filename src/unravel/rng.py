@@ -14,15 +14,17 @@ such blocks for a whole vector of keys, the same doubles as numpy's
 a few blocks per key are computed for all keys at once with numpy integer
 arithmetic; longer runs of one stream re-key a single numpy Philox, whose C
 loop draws faster than that arithmetic once a stream takes more than
-``_VECTOR_DRAWS`` draws. ``trajectory_generator`` and ``replica_generator``
-hand out the same streams as stateful generators.
+``_VECTOR_DRAWS`` draws. ``RekeyedPhilox`` is that re-keyed Philox, for
+draws at any position of any stream (``wtd``'s jumps).
+``trajectory_generator`` and ``replica_generator`` hand out the same streams
+as stateful generators.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["trajectory_generator", "trajectory_uniforms", "philox_uniforms", "replica_generator"]
+__all__ = ["trajectory_generator", "trajectory_uniforms", "philox_uniforms", "RekeyedPhilox", "replica_generator"]
 
 _REPLICA_OFFSET = 2**63
 
@@ -101,21 +103,35 @@ def _philox_blocks(seed: int, keys: np.ndarray, block: int, blocks: int) -> np.n
     return (words >> np.uint64(11)).astype(float) * 2.0**-53
 
 
+class RekeyedPhilox:
+    """Draws from any position of the streams Philox(key=[seed, k]), by one
+    numpy Philox set to the stream's key at the block holding that position,
+    with an empty buffer, so that its next block is that one. A request of
+    two draws costs about 6 us, building a generator about 20 us."""
+
+    def __init__(self, seed: int):
+        self._bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+        self._gen = np.random.Generator(self._bits)
+        # a copy of the state, whose counter word 0, key word 1 and buffer
+        # position are set for each request
+        self._state = self._bits.state
+
+    def uniforms(self, key: int, start: int, count: int) -> np.ndarray:
+        """Draws start .. start + count - 1 of the stream Philox(key=[seed, key])."""
+        block, skip = divmod(int(start), 4)
+        self._state["state"]["counter"][0] = block
+        self._state["state"]["key"][1] = key
+        self._state["buffer_pos"] = 4
+        self._bits.state = self._state
+        return self._gen.random(skip + count)[skip:]
+
+
 def _rekeyed_uniforms(seed: int, keys: np.ndarray, block: int, count: int) -> np.ndarray:
-    """``philox_uniforms`` by one numpy Philox set to each key in turn, at
-    counter ``block`` with an empty buffer, so that its next block is
-    ``block``; re-keying costs a third of building a generator."""
-    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
-    gen = np.random.Generator(bits)
-    state = bits.state
-    key = np.array([seed, 0], dtype=np.uint64)
+    """``philox_uniforms`` by one ``RekeyedPhilox`` set to each key in turn."""
+    streams = RekeyedPhilox(seed)
     out = np.empty((len(keys), count))
     for i, k in enumerate(keys):
-        key[1] = k
-        state["state"] = {"counter": np.array([block, 0, 0, 0], dtype=np.uint64), "key": key}
-        state["buffer_pos"] = 4
-        bits.state = state
-        out[i] = gen.random(count)
+        out[i] = streams.uniforms(k, 4 * block, count)
     return out
 
 

@@ -15,7 +15,9 @@ jump, RK4 of the rest of the step) and the rest's midpoint. ``run_chunk``
 and ``first_jump_times`` (rows retire at their first jump, evaluating
 nothing) run this sampler; ``wtd_next_jump`` is its one-row view. Trajectory k draws from its own
 Philox stream: its threshold first, then a channel draw and a new threshold
-at each jump.
+at each jump. The thresholds of all rows come from one ``philox_uniforms``
+call and each jump's two draws from one re-keyed Philox
+(``rng.RekeyedPhilox``), so no generator is built per trajectory.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from .master_equation import GeneratorSnapshot, GeneratorTrack, MasterEquation
 from .mcwf import require_nonnegative_rates
 from .outcomes import batch_runs, event_counts
 from .propagate import TimeGrid
-from .rng import philox_uniforms, trajectory_generator
+from .rng import RekeyedPhilox, philox_uniforms
 
 __all__ = ["wtd_next_jump", "wtd_select_channel", "run_chunk", "first_jump_times"]
 
@@ -158,17 +160,22 @@ def run_chunk(
     if track is None:
         track = me.half_track(grid.times())
     sizes = np.atleast_1d(n)
-    gens = [trajectory_generator(seed, idx0 + i) for i in range(int(sizes.sum()))]
-    x = np.array([g.random() for g in gens])
+    # row i's stream: its threshold first, then a channel draw and a new
+    # threshold at each jump; drawn[i] counts the draws taken
+    x = philox_uniforms(seed, np.arange(idx0, idx0 + int(sizes.sum())), 0, 1)[:, 0]
+    drawn = np.ones(len(x), dtype=np.int64)
+    streams = RekeyedPhilox(seed)
     jumps = np.zeros(len(me.channels), dtype=np.int64)
 
     def jump(i, t1, t_end, psi1):
         at_jump = me.track((t1, t1 + 0.5 * (t_end - t1)))
         snap = at_jump[0]
         require_nonnegative_rates(snap, "WTD")
-        a = _select_channel(snap, psi1, gens[i].random())
+        u, x_next = streams.uniforms(idx0 + i, drawn[i], 2)
+        drawn[i] += 2
+        a = _select_channel(snap, psi1, u)
         jumps[a] += 1
-        x[i] = gens[i].random()
+        x[i] = x_next
         return normalize(snap.ls[a] @ psi1)[0], at_jump
 
     psi = np.asarray(psi0, dtype=complex)

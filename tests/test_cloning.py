@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from unravel.errors import NegativeRate
+from unravel.engine import _merge_counts
+from unravel.errors import NegativeRate, StepTooLarge
 from unravel.linalg import trace_distance
 from unravel.master_equation import master_equation
 from unravel.mcwf import mcwf_branches
-from unravel.models import KET0, KET1, SIGMA_MINUS, eternally_nm
+from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_X, eternally_nm, spontaneous_emission
 from unravel.outcomes import Clone, Destroy, Deterministic, Jump
 from unravel.propagate import TimeGrid, propagate
 from unravel.cloning import clone_branches, cloning_step, run_replica
@@ -119,3 +120,57 @@ def test_replica_reproducible():
     a = run_replica(me, KET1, grid, 100, replica=2, seed=6)[0]
     b = run_replica(me, KET1, grid, 100, replica=2, seed=6)[0]
     assert np.array_equal(a, b)
+
+
+def _alone(me, psi, grid, sizes, replica, seed):
+    """One run_replica call per replica of a tile."""
+    return [run_replica(me, psi, grid, n, replica + r, seed) for r, n in enumerate(sizes)]
+
+
+@pytest.mark.parametrize(
+    "build, psi, t_max, sizes",
+    [
+        (spontaneous_emission, PLUS, 1.0, [500, 500, 500, 500]),  # a tile at N = 10^4
+        (lambda: sink_model(gamma=1.0, lam=0.8), KET1, 1.5, [40, 40, 39]),  # clones, resampling
+        (lambda: sink_model(gamma=1.0, lam=-2.0), KET1, 1.5, [3, 1, 40, 39]),  # destroys, extinction
+    ],
+)
+def test_tile_matches_per_replica_runs(build, psi, t_max, sizes):
+    """Replicas stepped together in one tile give, bit for bit, the sums,
+    populations and counts of one run per replica."""
+    me = build()
+    grid = TimeGrid(0.0, t_max, DT)
+    rho_sum, counts, diag, abort = run_replica(me, psi, grid, sizes, replica=2, seed=9)
+    alone = _alone(me, psi, grid, sizes, 2, 9)
+    assert abort is None and all(res[3] is None for res in alone)
+    assert rho_sum.shape[0] == diag["population"].shape[0] == len(sizes)
+    for r, (rho, _counts, own, _abort) in enumerate(alone):
+        assert np.array_equal(rho_sum[r], rho)
+        assert np.array_equal(diag["population"][r], own["population"])
+    assert counts == _merge_counts([res[1] for res in alone])
+    pops = diag["population"]
+    if me.trace_sink is not None:
+        # a population only moves against its trend when it is resampled
+        grows = counts["clone"] > 0
+        assert counts["destroy" if grows else "clone"] == 0
+        assert np.any(np.diff(pops, axis=1) < 0 if grows else np.diff(pops, axis=1) > 0)
+        assert grows or np.any(pops[:, -1] == 0)  # an extinct replica
+
+
+def test_tile_abort_is_its_first_failing_replicas():
+    """A jump probability above one stops the tile at the first step where
+    any replica meets one, with the error of the first such replica: its
+    message quotes that replica's own largest probability."""
+    me = master_equation(2, 3.0 * SIGMA_X, [(SIGMA_MINUS, lambda t: 5.0 if t < 0.5 else 300.0, "down")])
+    grid = TimeGrid(0.0, 0.6, DT)
+    sizes = [30, 30, 29]
+    rho_sum, _counts, diag, abort = run_replica(me, PLUS, grid, sizes, replica=0, seed=4)
+    alone = _alone(me, PLUS, grid, sizes, 0, 4)
+    first = min((res[3] for res in alone), key=lambda a: a[1])
+    err, k = abort
+    assert isinstance(err, StepTooLarge) and k == first[1]
+    assert (str(err), err.time) == (str(first[0]), first[0].time)
+    assert len({str(res[3][0]) for res in alone}) > 1  # the replicas' messages differ
+    for r, (rho, _c, own, _a) in enumerate(alone):
+        assert np.array_equal(rho_sum[r, : k + 1], rho[: k + 1])
+        assert np.array_equal(diag["population"][r, : k + 1], own["population"][: k + 1])

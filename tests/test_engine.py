@@ -36,6 +36,7 @@ from unravel.linalg import hermitize, trace_distance
 from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
     KET0,
+    KET1,
     OBSERVABLES,
     PLUS,
     SIGMA_MINUS,
@@ -46,6 +47,7 @@ from unravel.models import (
     non_p_divisible,
     spontaneous_emission,
 )
+from unravel import nmqj as nmqj_module
 from unravel.nmqj import run_replica
 from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import (
@@ -340,12 +342,17 @@ def test_wtd_evaluates_each_half_grid_time_once(monkeypatch):
 
 def _per_batch_reference(method, me, psi, grid, n_traj, seed):
     """What run_ensemble reports, rebuilt from one runner call per batch
-    with a plain row count: (rho_hat, rho_batches, stderr, counts,
-    diagnostics, abort)."""
+    with a plain row count (a replica method: one replica per batch), each
+    on the whole grid: (rho_hat, rho_batches, stderr, counts, diagnostics,
+    abort)."""
     sizes = _chunk_sizes(n_traj, 20)
     starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
     track = _generator_track(method, me, grid)
-    results = [_runner(method)(me, psi, grid, int(s), n, seed, track=track) for s, n in zip(starts, sizes)]
+    if method.kind == "nmqj":
+        results = [run_replica(me, psi, grid, n, replica=r, seed=seed, track=track) for r, n in enumerate(sizes)]
+    else:
+        keys = range(len(sizes)) if method.kind == "cloning" else starts
+        results = [_runner(method)(me, psi, grid, int(s), n, seed, track=track) for s, n in zip(keys, sizes)]
     aborts = [res[3] for res in results if res[3] is not None]
     abort = min(aborts, key=lambda a: a[1]) if aborts else None
     n_pts = abort[1] + 1 if abort else grid.n_steps + 1
@@ -373,6 +380,19 @@ def _rroqj(me):
     return method_id("rroqj", gauge=time_dependent_gauge(lambda t: 0.5 * np.eye(2)))
 
 
+def _sink(lam):
+    """Decay whose drift is shifted by -lam: the trace grows at rate lam, so
+    cloning's populations clone (lam > 0) or die out (lam < 0)."""
+    gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
+
+    def trace_sink():
+        return master_equation(
+            2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")], trace_sink=lambda t: gamma_l - lam * np.eye(2)
+        )
+
+    return trace_sink
+
+
 TILED = [
     ("mcwf", spontaneous_emission, PLUS, 0.3),
     ("wtd", spontaneous_emission, PLUS, 0.3),
@@ -383,12 +403,22 @@ TILED = [
     ("plqt", eternally_nm, PLUS, 0.3),
     ("doubled", eternally_nm, PLUS, 0.3),
     ("tripled", eternally_nm, PLUS, 0.3),
-    # aborts: NegativeRate at t = 0.79, a W eigenvalue at t = 1.01, and a
+    # aborts (a later tile runs only the steps before the first tile's):
+    # NegativeRate at t = 0.79, a W eigenvalue at t = 1.01, and a
     # StepTooLarge at t = 0.5 in many rows, whose message quotes the largest
-    # jump probability of the first failing batch
+    # jump probability of the first failing batch (cloning: replica)
     ("mcwf", delayed_negative_phase_covariant, PLUS, 1.2),
     ("wroqj", non_p_divisible, KET0, 1.2),
     ("mcwf", _rate_step, PLUS, 0.6),
+    # cloning's replicas share tiles: equal populations, then clones and
+    # resampling, then destroys, resampling and extinct replicas, then the
+    # NegativeRate and StepTooLarge aborts; last, wtd's NegativeRate abort
+    ("cloning", spontaneous_emission, PLUS, 0.3),
+    ("cloning", _sink(0.8), KET1, 1.5),
+    ("cloning", _sink(-2.0), KET1, 1.5),
+    ("cloning", delayed_negative_phase_covariant, PLUS, 1.2),
+    ("cloning", _rate_step, PLUS, 0.6),
+    ("wtd", delayed_negative_phase_covariant, PLUS, 1.2),
 ]
 
 
@@ -398,11 +428,12 @@ TILED = [
 @pytest.mark.parametrize("kind, build, psi, t_max", TILED)
 def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_traj, budget):
     """Stepping whole tiles of batches gives bit for bit what one runner call
-    per batch gives: the batch sums, counts and diagnostics, and for an abort
-    its error, message, time and partial series. N = 7 has one trajectory
-    per batch, N = 63 unequal batches; a cap of 16 rows splits that ensemble
-    into several tiles. N = 4097 (batches of 205 and 204 rows) makes three
-    tiles at the default cap, the second of them holding both sizes."""
+    per batch gives: the batch sums, counts and diagnostics (cloning's
+    populations), and for an abort its error, message, time and partial
+    series. N = 7 has one trajectory per batch, N = 63 unequal batches; a
+    cap of 16 rows splits that ensemble into several tiles. N = 4097
+    (batches of 205 and 204 rows) makes three tiles at the default cap, the
+    second of them holding both sizes."""
     if budget == "small":
         monkeypatch.setattr(engine, "_TILE_ROWS", 16)
     me = build()
@@ -438,8 +469,8 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
 
 def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
     """A tile holds whole consecutive batches, at most ``_TILE_ROWS`` rows
-    of them, or one batch larger than that; a replica method runs one batch
-    at a time."""
+    of them, or one batch larger than that; cloning's replicas tile as
+    trajectories do, and nmqj runs one replica at a time."""
     sizes = _chunk_sizes(1003, 20)  # 3 batches of 51 rows, 17 of 50
     mcwf = method_id("mcwf")
     monkeypatch.setattr(engine, "_TILE_ROWS", 160)
@@ -455,3 +486,55 @@ def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
     assert _tiles(mcwf, _chunk_sizes(10_000, 20)) == [list(range(i, i + 4)) for i in range(0, 20, 4)]
     assert _tiles(mcwf, _chunk_sizes(10**5, 20)) == [[i] for i in range(20)]
     assert _tiles(method_id("nmqj"), sizes) == [[i] for i in range(20)]
+    assert _tiles(method_id("cloning"), sizes) == _tiles(mcwf, sizes)
+    assert _tiles(method_id("cloning"), _chunk_sizes(10_000, 20)) == [list(range(i, i + 4)) for i in range(0, 20, 4)]
+    assert _tiles(method_id("nmqj"), _chunk_sizes(10_000, 20)) == [[i] for i in range(20)]
+
+
+def test_cloning_tiles_reproduce_per_replica_runs_at_n10000():
+    """At N = 10^4 cloning's 20 replicas of 500 step in five tiles of four,
+    with the bits of 20 separate replica runs."""
+    me, grid, method = spontaneous_emission(), TimeGrid(0.0, 0.5, 1e-2), method_id("cloning")
+    rho_hat, rho_batches, stderr, counts, diag, abort = _per_batch_reference(method, me, PLUS, grid, 10_000, 5)
+    assert abort is None
+    res = run_ensemble(method, me, PLUS, grid, 10_000, seed=5)
+    assert np.array_equal(res.rho_hat, rho_hat)
+    assert np.array_equal(res.rho_batches, rho_batches)
+    assert np.array_equal(res.stderr, stderr)
+    assert res.event_counts == counts
+    assert np.array_equal(res.diagnostics["population"], diag["population"])
+
+
+def test_replicas_stop_at_the_earliest_abort_so_far(monkeypatch):
+    """Each nmqj replica steps only up to the earliest abort of the replicas
+    before it (the earlier replica wins a tie, so it need not run that
+    step), and the result is what running every replica to its own abort
+    gives: the error, its message and time, the partial series and the
+    event logs cut to them."""
+    me, grid, method = delayed_negative_phase_covariant(), TimeGrid(0.0, 3.0, 1e-2), method_id("nmqj")
+    sizes = _chunk_sizes(2000, 20)
+    track = _generator_track(method, me, grid)
+    full = [run_replica(me, PLUS, grid, n, replica=r, seed=1, track=track) for r, n in enumerate(sizes)]
+    # the steps each replica runs on its own: up to and with its abort's
+    own = [grid.n_steps if res[3] is None else res[3][1] + 1 for res in full]
+    rho_hat, rho_batches, stderr, _counts, _diag, abort = _per_batch_reference(method, me, PLUS, grid, 2000, 1)
+
+    calls = []
+    step = nmqj_module._step
+    monkeypatch.setattr(nmqj_module, "_step", lambda *args: (calls.append(args[0].t), step(*args))[1])
+    with pytest.raises(MissingTargetState) as info:
+        run_ensemble(method, me, PLUS, grid, 2000, seed=1)
+    # a replica calls _step at steps 0, 1, ... and a new replica starts at t = 0
+    per_replica = np.split(calls, np.nonzero(np.diff(calls) < 0)[0] + 1)
+    aborts = [grid.n_steps if res[3] is None else res[3][1] for res in full]
+    limits = [max(1, min(aborts[:r], default=grid.n_steps)) for r in range(len(sizes))]
+    assert [len(c) for c in per_replica] == [min(n, lim) for n, lim in zip(own, limits)]
+    assert sum(len(c) for c in per_replica) < sum(own)  # some replica was stopped
+
+    err = info.value
+    assert (type(err), str(err), err.time) == (type(abort[0]), str(abort[0]), abort[0].time)
+    partial = err.partial
+    for key, want in (("rho_hat", rho_hat), ("rho_batches", rho_batches), ("stderr", stderr)):
+        assert np.array_equal(partial[key], want), key
+    last = len(partial["times"]) - 1
+    assert partial["event_logs"] == [[e for e in res[2]["event_log"] if e[0] < last] for res in full]

@@ -121,6 +121,41 @@ def test_eigvalsh_min_on_stack():
     assert np.allclose(eigvalsh_min(ms), [-3.0, 0.5])
 
 
+def _with_negative_zeros(gen, shape):
+    """Random complex entries of many magnitudes, about a third of the real
+    and imaginary parts set to -0.0."""
+    z = (gen.standard_normal(shape) + 1j * gen.standard_normal(shape)) * 10.0 ** gen.integers(-5, 5, shape)
+    z.real[gen.random(shape) < 0.3] = -0.0
+    z.imag[gen.random(shape) < 0.3] = -0.0
+    return z
+
+
+def test_normalize_has_the_bits_of_numpy_norm():
+    gen = np.random.default_rng(12)
+    for _ in range(3000):
+        v = _with_negative_zeros(gen, int(gen.integers(1, 7)))
+        want = float(np.linalg.norm(v))
+        if want <= 1e-14:
+            continue
+        u, n = normalize(v)
+        assert n == want
+        assert (v / want).tobytes() == u.tobytes()
+
+
+def test_normalize_falls_back_to_numpy_norm(monkeypatch):
+    """Only a contiguous 1-D complex vector skips ``np.linalg.norm``."""
+    calls = []
+    norm = np.linalg.norm
+    monkeypatch.setattr(np.linalg, "norm", lambda v: (calls.append(np.shape(v)), norm(v))[1])
+    z = np.array([[3.0, 4.0j], [1.0, 0.0]])
+    normalize(z[0])
+    assert calls == []
+    for v in (np.array([3.0, 4.0]), z, z[:, 0], np.array([3.0, 4.0], dtype=np.complex64)):
+        _u, n = normalize(v)
+        assert n == norm(v)
+    assert calls == [(2,), (2, 2), (2,), (2,)]
+
+
 def test_haar_state_normalized_and_seeded():
     gen = np.random.default_rng(123)
     psi = haar_state(5, gen)

@@ -48,6 +48,26 @@ def test_ensemble_accessors():
     assert ens.find(PLUS) is None
 
 
+def test_rho_has_the_bits_of_a_summing_loop():
+    """``rho`` sums the populated buckets in order from zero, as a loop of
+    ``+=`` does, bit for bit: -0.0 entries included, and for d = 1 too,
+    where a reduction would sum pairwise."""
+    gen = np.random.default_rng(3)
+    for _ in range(2000):
+        d, n_buckets = int(gen.integers(1, 5)), int(gen.integers(1, 30))
+        states = gen.standard_normal((n_buckets, d)) + 1j * gen.standard_normal((n_buckets, d))
+        states.real[gen.random(states.shape) < 0.3] = -0.0
+        states.imag[gen.random(states.shape) < 0.3] = -0.0
+        counts = gen.integers(0, 5, n_buckets)
+        counts[0] += counts.sum() == 0
+        ens = NmqjEnsemble([Bucket(int(c), s) for c, s in zip(counts, states)])
+        want = np.zeros((d, d), dtype=complex)
+        for b in ens.buckets:
+            if b.count:
+                want += (b.count / ens.total) * np.outer(b.state, np.conj(b.state))
+        assert ens.rho().tobytes() == want.tobytes()
+
+
 def test_single_bucket_step_conserves_members():
     me = delayed_negative_phase_covariant()
     ens = nmqj_ensemble(500, PLUS)

@@ -4,7 +4,13 @@ import numpy as np
 import pytest
 
 from unravel import rng
-from unravel.rng import philox_uniforms, replica_generator, trajectory_generator, trajectory_uniforms
+from unravel.rng import (
+    RekeyedPhilox,
+    philox_uniforms,
+    replica_generator,
+    trajectory_generator,
+    trajectory_uniforms,
+)
 
 SEED = 42
 # trajectory keys at both ends of the uint64 range and replica keys 2^63 + r
@@ -47,3 +53,14 @@ def test_replica_keys_are_offset_trajectory_keys():
     assert np.array_equal(
         philox_uniforms(SEED, [2**63 + r], 0, 10)[0], replica_generator(SEED, r).random(10)
     )
+
+
+def test_rekeyed_draws_start_anywhere_in_any_stream():
+    """One re-keyed Philox serves draws at any position, in any order of
+    streams, with the doubles of each stream's own generator."""
+    streams = RekeyedPhilox(SEED)
+    for key in (KEYS + [3, 0])[::-1]:
+        for start in (0, 1, 3, 4, 7, 130):
+            for count in (1, 2, 5):
+                want = _reference(SEED, key, 0, start + count)[start:]
+                assert np.array_equal(streams.uniforms(key, start, count), want), (key, start, count)

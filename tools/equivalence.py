@@ -10,8 +10,8 @@ checkout it sits in):
 the sha256 of ``rho_hat``, ``stderr`` and ``rho_batches``, the event counts,
 the sha256 of every diagnostics entry (``weight_sum``, ``theta_norm2_sum``,
 ``population``, sign-flip steps, event logs), and for a run that aborts the
-error class, its message, its time and the same hashes of its partial
-series; ``rho_hat`` itself is kept (base64 of its bytes) so that
+error class, its message, its time, the same hashes of its partial
+series and the sha256 of its replicas' event logs; ``rho_hat`` itself is kept (base64 of its bytes) so that
 ``compare`` can print max |d rho_hat| where two files differ. It also runs
 every input of ``ORACLE_INPUTS`` once (they draw no random numbers) and
 records the sha256 and bytes of its array, and runs every config of
@@ -24,10 +24,11 @@ The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
 weighted, gauged, population and replica methods, ensembles whose batches
 are unequal, so that one tile holds batches of two sizes (N = 1003 for
 mcwf, for im's weights and for doubled's pair sums and norm tally, N = 83
-for wtd), fill several row tiles (N = 10^4, and N = 4097,
+for wtd), fill several row tiles (N = 10^4 for mcwf and cloning, and N = 4097,
 whose middle tile holds batches of 205 and 204 rows) or hold one
 trajectory each (N = 13), one abort of each kind of
-method (channel and spectral menus, replica, waiting time, embedding), and the
+method (channel and spectral menus, replica, waiting time, embedding), nmqj's
+abort at N = 10^4, and the
 deterministic paths: the RK4 oracle with and without substeps and with a
 trace sink, the propagator maps and the divisibility scan. The CLI configs
 cover one run whose methods all finish and one in which some abort.
@@ -126,6 +127,9 @@ INPUTS = {
     "abort/tripled_step": (_kind("tripled"), _sigma_z(lambda t: -20.0 if t < 0.8 else -500.0),
                            PLUS, 40, 1.0),
     "nmqj/spontaneous_emission": (_kind("nmqj"), _model("spontaneous_emission"), PLUS, 2000, 1.5),
+    # the two replica runs of bench/ (cli_replica)
+    "cloning/n10000": (_kind("cloning"), _model("spontaneous_emission"), PLUS, 10_000, 1.0),
+    "abort/nmqj_n10000": (_kind("nmqj"), _model("delayed_negative"), PLUS, 10_000, 3.0),
 }
 
 
@@ -218,10 +222,13 @@ def fingerprint(name: str, seed: int) -> dict:
         res = run_ensemble(method(me), me, psi0, grid, n_traj, seed)
     except UnravelError as err:
         p = err.partial
-        return {
+        out = {
             "abort": {"error": type(err).__name__, "message": str(err), "time": float(err.time)},
             "partial": _series(p["times"], p["rho_hat"], p["stderr"], p["rho_batches"]),
         }
+        if "event_logs" in p:
+            out["event_logs"] = hashlib.sha256(repr(p["event_logs"]).encode()).hexdigest()
+        return out
     return {
         "abort": None,
         "series": _series(grid.times(), res.rho_hat, res.stderr, res.rho_batches),
@@ -273,7 +280,8 @@ def compare(a_path: Path, b_path: Path) -> int:
         else:
             sa, sb = (x.get("series") or x.get("partial") for x in (a[key], b[key]))
             ra, rb = _values(sa["rho_hat_b64"]), _values(sb["rho_hat_b64"])
-            fields = [f for f in ("abort", "event_counts", "diagnostics") if a[key].get(f) != b[key].get(f)]
+            fields = [f for f in ("abort", "event_logs", "event_counts", "diagnostics")
+                      if a[key].get(f) != b[key].get(f)]
             fields += [f for f in ("points", "rho_hat", "stderr", "rho_batches") if sa[f] != sb[f]]
             what = "rho_hat"
         delta = f"max |d {what}| {np.abs(ra - rb).max():.3e}" if ra.shape == rb.shape else "shapes differ"
