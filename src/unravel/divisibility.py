@@ -16,9 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import EPS, haar_state, orthonormal_complement
+from .linalg import EPS, complement_batch, haar_state
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .propagate import TimeGrid
+from .rate_operators import jump_images, w_perp_spectrum
 
 __all__ = [
     "is_cp_divisible_at",
@@ -50,27 +51,17 @@ def _sample_states(dim: int, sample_count: int, seed: int) -> np.ndarray:
 
 
 def _w_perp_min(snap: GeneratorSnapshot, psis: np.ndarray, qs: np.ndarray) -> float:
-    """min over samples of the smallest eigenvalue of Q^dag J[psi psi^dag] Q.
-
-    Q's columns span psi^perp, so Q^dag J Q equals the W operator restricted
-    to the jump-relevant subspace (the projector P acts as identity there).
-    """
-    s, d = psis.shape
-    j = np.zeros((s, d, d), dtype=complex)
-    for a in range(len(snap.gammas)):
-        y = psis @ snap.ls[a].T  # rows L_a psi
-        j += snap.gammas[a] * np.einsum("si,sj->sij", y, np.conj(y))
-    w_perp = np.einsum("sik,skl,slj->sij", np.conj(np.swapaxes(qs, 1, 2)), j, qs)
-    w_perp = 0.5 * (w_perp + np.conj(np.swapaxes(w_perp, 1, 2)))
-    return float(np.min(np.linalg.eigvalsh(w_perp)))
+    """min over samples of the smallest eigenvalue of W on psi^perp, whose
+    basis Q is ``qs``."""
+    vals, _ = w_perp_spectrum(snap, qs, jump_images(snap, psis))
+    return float(np.min(vals))
 
 
 def p_divisibility_min_eigenvalue(
     me: MasterEquation, t: float, sample_count: int = 200, seed: int = 7
 ) -> float:
     psis = _sample_states(me.dim, sample_count, seed)
-    qs = np.stack([orthonormal_complement(psi) for psi in psis])
-    return _w_perp_min(me.at(t), psis, qs)
+    return _w_perp_min(me.at(t), psis, complement_batch(psis))
 
 
 def is_p_divisible_at(me: MasterEquation, t: float, sample_count: int = 200, seed: int = 7) -> bool:
@@ -103,7 +94,7 @@ def divisibility_scan(
     """Classify every grid point, reading the generator from one track over
     the grid. The same state sample is reused across times."""
     psis = _sample_states(me.dim, sample_count, seed)
-    qs = np.stack([orthonormal_complement(psi) for psi in psis])
+    qs = complement_batch(psis)
     track = me.track(grid.times())
     reports = []
     for k, t in enumerate(track.times):

@@ -6,6 +6,17 @@ everywhere: eigenvalues descending, each eigenvector's largest-magnitude
 component made real and nonnegative, exact eigenvalue ties broken by
 lexicographic comparison of the phase-fixed vectors. Vectorized matrix stacks
 use the last two axes; ``vec``/``unvec`` are column-stacking (Fortran order).
+
+At d = 2 two closed forms replace the general algorithms, selected by the
+shape alone. ``eigh_batched`` decomposes a 2 x 2 stack by the half-angle
+formula (``_eigh_2x2``) instead of LAPACK, after the same hermiticity check
+and hermitization, and builds its columns already under the phase
+convention; the exact-tie rule then runs on its output as on LAPACK's. For
+d > 2 LAPACK (``_eigh_lapack``) is the only path, and the tests use it as the
+reference for the closed form. ``complement_batch`` returns the complement
+of a qubit row (a, b) as (-conj(b), conj(a)) under the column phase
+convention; for d > 2 it returns a Householder basis without it. Both closed
+forms change the last bits of their results against the general ones.
 """
 
 from __future__ import annotations
@@ -109,34 +120,77 @@ def eigh_batched(ms: np.ndarray, atol: float = HERM_ATOL) -> tuple[np.ndarray, n
     """Eigendecomposition of a stack of hermitian matrices, pinned ordering.
 
     Returns ``(vals, vecs)`` with eigenvalues descending along the last axis
-    and eigenvectors in the columns of ``vecs``.
+    and eigenvectors in the columns of ``vecs``. 2 x 2 stacks take the
+    closed form of ``_eigh_2x2``, larger ones LAPACK (``_eigh_lapack``).
     """
     ms = np.asarray(ms)
     require_hermitian(ms, atol)
-    vals, vecs = np.linalg.eigh(hermitize(ms))
-    vals = vals[..., ::-1].copy()
-    vecs = vecs[..., ::-1].copy()
-    vecs = _phase_fix(vecs)
-    ties = np.any(np.diff(vals, axis=-1) == 0.0, axis=-1)
-    if np.any(ties):
-        d = vals.shape[-1]
-        flat_vals = vals.reshape(-1, d)
-        flat_vecs = vecs.reshape(-1, d, d)
-        flat_ties = ties.reshape(-1)
-        if d == 2:
-            # Degenerate 2x2 matrices are the hot case (rate operators
-            # proportional to the identity); swap columns vectorized.
-            k0 = np.stack([flat_vecs[:, 0, 0].real, flat_vecs[:, 0, 0].imag,
-                           flat_vecs[:, 1, 0].real, flat_vecs[:, 1, 0].imag], axis=1)
-            k1 = np.stack([flat_vecs[:, 0, 1].real, flat_vecs[:, 0, 1].imag,
-                           flat_vecs[:, 1, 1].real, flat_vecs[:, 1, 1].imag], axis=1)
-            swap = flat_ties & _lex_greater(k0, k1)
-            if np.any(swap):
-                flat_vecs[swap] = flat_vecs[swap][:, :, ::-1]
-        else:
-            for k in np.nonzero(flat_ties)[0]:
-                _break_ties(flat_vals[k], flat_vecs[k])
+    vals, vecs = _eigh_2x2(ms) if ms.shape[-1] == 2 else _eigh_lapack(ms)
+    _order_ties(vals, vecs)
     return vals, vecs
+
+
+def _eigh_lapack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenpairs of the hermitized stack from LAPACK, values descending and
+    columns phase-fixed, ties not yet ordered."""
+    vals, vecs = np.linalg.eigh(hermitize(ms))
+    return vals[..., ::-1].copy(), _phase_fix(vecs[..., ::-1].copy())
+
+
+def _order_ties(vals: np.ndarray, vecs: np.ndarray) -> None:
+    """Reorder in place the columns of each run of exactly equal eigenvalues
+    by lexicographic (real, imag) comparison of the phase-fixed columns."""
+    ties = np.any(vals[..., 1:] == vals[..., :-1], axis=-1)
+    if not np.any(ties):
+        return
+    d = vals.shape[-1]
+    flat_vals = vals.reshape(-1, d)
+    flat_vecs = vecs.reshape(-1, d, d)
+    flat_ties = ties.reshape(-1)
+    if d == 2:
+        # Degenerate 2x2 matrices are the hot case (rate operators
+        # proportional to the identity); swap columns vectorized.
+        k0 = np.stack([flat_vecs[:, 0, 0].real, flat_vecs[:, 0, 0].imag,
+                       flat_vecs[:, 1, 0].real, flat_vecs[:, 1, 0].imag], axis=1)
+        k1 = np.stack([flat_vecs[:, 0, 1].real, flat_vecs[:, 0, 1].imag,
+                       flat_vecs[:, 1, 1].real, flat_vecs[:, 1, 1].imag], axis=1)
+        swap = flat_ties & _lex_greater(k0, k1)
+        if np.any(swap):
+            flat_vecs[swap] = flat_vecs[swap][:, :, ::-1]
+    else:
+        for k in np.nonzero(flat_ties)[0]:
+            _break_ties(flat_vals[k], flat_vecs[k])
+
+
+def _eigh_2x2(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Closed-form eigenpairs of the hermitized stack (..., 2, 2), values
+    descending and columns phase-fixed, ties not yet ordered.
+
+    With the hermitized entries [[a, b], [conj(b), d]], b = |b| e^{i phi},
+    h = (a - d)/2 and r = sqrt(h^2 + |b|^2), the values are (a + d)/2 +- r, and
+    theta = atan2(|b|, h)/2 gives the columns (cos theta, e^{-i phi} sin
+    theta) and (-e^{i phi} sin theta, cos theta). Both cosines and sines are
+    nonnegative, so the phase convention rotates by e^{+-i phi} exactly the
+    columns whose larger entry (the first on a tie) is the e^{+-i phi} one.
+    """
+    a, d = ms[..., 0, 0].real, ms[..., 1, 1].real
+    b = 0.5 * (ms[..., 0, 1] + np.conj(ms[..., 1, 0]))
+    absb = np.abs(b)
+    h = 0.5 * (a - d) + 0.0  # + 0.0: a -0.0 would turn theta by pi/2
+    mean, r = 0.5 * (a + d), np.hypot(h, absb)  # no overflow or underflow in h^2
+    theta = 0.5 * np.arctan2(absb, h)
+    c, s = np.cos(theta), np.sin(theta)
+    # e^{i phi}, or 0 where b = 0, which leaves a diagonal input's
+    # eigenvectors exactly the basis vectors
+    u = b / np.where(absb > 0.0, absb, 1.0)
+    us, uc = u * s, u * c
+    first = c >= s
+    vecs = np.empty(ms.shape, dtype=complex)
+    vecs[..., 0, 0] = np.where(first, c, uc)
+    vecs[..., 1, 0] = np.where(first, np.conj(us), s)
+    vecs[..., 0, 1] = np.where(s >= c, s, -us)
+    vecs[..., 1, 1] = np.where(s >= c, -np.conj(uc), c)
+    return np.stack([mean + r, mean - r], axis=-1), vecs
 
 
 def eigh(m: np.ndarray, atol: float = HERM_ATOL) -> tuple[np.ndarray, np.ndarray]:
@@ -223,27 +277,35 @@ def require_density(rho: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
 
 
 def orthonormal_complement(psi: np.ndarray) -> np.ndarray:
-    """Columns form an orthonormal basis of span{psi}^perp (shape (d, d-1)).
-
-    Householder construction; deterministic in psi including the phase
-    convention, so batched callers can rely on reproducible bases.
-    """
-    psi = np.asarray(psi, dtype=complex)
-    d = psi.shape[0]
-    a = psi[0]
-    phase = a / abs(a) if abs(a) > 1e-14 else 1.0
-    w = psi.copy()
-    w[0] += phase
-    h = np.eye(d, dtype=complex) - 2.0 * np.outer(w, np.conj(w)) / float(np.vdot(w, w).real)
-    return h[:, 1:]
+    """Columns form an orthonormal basis of span{psi}^perp (shape (d, d-1)):
+    the one-row view of :func:`complement_batch`."""
+    return complement_batch(np.asarray(psi, dtype=complex)[None, :])[0]
 
 
 def complement_batch(states: np.ndarray) -> np.ndarray:
-    """Batched :func:`orthonormal_complement`: (n, d) -> (n, d, d-1)."""
+    """Orthonormal bases of span{psi}^perp for rows psi: (n, d) -> (n, d, d-1).
+
+    Deterministic in psi, so batched callers can rely on reproducible bases.
+    At d = 2 the basis is (-conj(b), conj(a)) for psi = (a, b), under the
+    column phase convention; above, columns 1..d-1 of a Householder
+    reflector, without it.
+    """
     states = np.asarray(states, dtype=complex)
     n, d = states.shape
     a = states[:, 0]
     absa = np.abs(a)
+    if d == 2:
+        b = states[:, 1]
+        absb = np.abs(b)
+        # q = (-conj(b), conj(a)) times u, the conjugate phase of its larger
+        # entry (the first on a tie): -b/|b| or a/|a|
+        first = absb >= absa
+        lead = np.maximum(absa, absb)
+        u = np.where(first, -b, a) / np.where(lead > 0.0, lead, 1.0)
+        qs = np.empty((n, 2, 1), dtype=complex)
+        qs[:, 0, 0] = np.where(first, absb, -np.conj(b) * u)
+        qs[:, 1, 0] = np.where(first, np.conj(a) * u, absa)
+        return qs
     phase = np.where(absa > 1e-14, a / np.where(absa > 1e-14, absa, 1.0), 1.0)
     w = states.copy()
     w[:, 0] += phase

@@ -119,12 +119,18 @@ def _check_reversibility(ens: NmqjEnsemble, snap: GeneratorSnapshot, neg: list[i
 def nmqj_step(
     me: MasterEquation, ens: NmqjEnsemble, t: float, dt: float, gen: np.random.Generator
 ) -> tuple[NmqjEnsemble, list]:
-    """One synchronous step; returns the new ensemble and this step's events."""
-    return _step(me.at(t), ens, dt, gen)
+    """One synchronous step; returns the new ensemble and this step's events.
+    The new ensemble shares nothing mutable with ``ens``."""
+    own = NmqjEnsemble(ens.buckets, {k: set(v) for k, v in ens.provenance.items()})
+    out, events, _ = _step(me.at(t), own, dt, gen)
+    return out, events
 
 
 def _step(snap: GeneratorSnapshot, ens: NmqjEnsemble, dt: float, gen: np.random.Generator):
-    """``nmqj_step`` with the generator at the step's start time ``snap.t``."""
+    """``nmqj_step`` with the generator at the step's start time ``snap.t``,
+    which takes over ``ens.provenance``: the returned ensemble holds and
+    extends that dict. Returns (ensemble, events, whether a (child, channel,
+    parent) provenance pair was added)."""
     t = snap.t
     pos = [a for a in range(len(snap.gammas)) if snap.gammas[a] > EPS]
     neg = [a for a in range(len(snap.gammas)) if snap.gammas[a] < -EPS]
@@ -180,10 +186,8 @@ def _step(snap: GeneratorSnapshot, ens: NmqjEnsemble, dt: float, gen: np.random.
                 new_counts[j] += int(moved)
                 events.append(ReverseJump(source=i, target=j, channel=a, probability=p))
 
-    out = NmqjEnsemble(
-        [Bucket(c, s) for c, s in zip(new_counts, states)],
-        {k: set(v) for k, v in ens.provenance.items()},
-    )
+    out = NmqjEnsemble([Bucket(c, s) for c, s in zip(new_counts, states)], ens.provenance)
+    added = False
     for (src, a, image, moved) in pending_direct:
         child_state = normalize(image)[0]
         child = out.find(child_state)
@@ -192,7 +196,9 @@ def _step(snap: GeneratorSnapshot, ens: NmqjEnsemble, dt: float, gen: np.random.
             child = len(out.buckets) - 1
         out.buckets[src].count -= moved
         out.buckets[child].count += moved
-        out.provenance.setdefault((child, a), set()).add(src)
+        parents = out.provenance.setdefault((child, a), set())
+        added |= src not in parents
+        parents.add(src)
         events.append(Jump(channel=a, probability=float("nan")))
 
     # deterministic drift of every bucket state, counts untouched
@@ -202,7 +208,7 @@ def _step(snap: GeneratorSnapshot, ens: NmqjEnsemble, dt: float, gen: np.random.
     assert out.total == ens.total, "member count must be conserved"
     if min(c.count for c in out.buckets) < 0:
         raise StepTooLarge(f"bucket overdrawn at t={t:.6g}; reduce dt", time=t)
-    return out, events
+    return out, events, added
 
 
 def run_replica(
@@ -229,7 +235,7 @@ def run_replica(
     abort = None
     for k in range(steps):
         try:
-            ens, events = _step(track[k], ens, grid.dt, gen)
+            ens, events, added = _step(track[k], ens, grid.dt, gen)
         except UnravelError as err:
             abort = (err, k)
             break
@@ -239,11 +245,12 @@ def run_replica(
                 log.append((k, "reverse", ev.source, ev.target, ev.channel))
             else:
                 n_jump += 1
-        for (child, a), parents in ens.provenance.items():
-            for p in parents:
-                if (child, a, p) not in seen_direct:
-                    seen_direct.add((child, a, p))
-                    log.append((k, "direct", p, child, a))
+        if added:
+            for (child, a), parents in ens.provenance.items():
+                for p in parents:
+                    if (child, a, p) not in seen_direct:
+                        seen_direct.add((child, a, p))
+                        log.append((k, "direct", p, child, a))
         rho_sum[k + 1] = n_members * ens.rho()
     counts = {"jump": n_jump, "reverse_jump": n_rev, "deterministic": 0}
     return rho_sum, counts, {"event_log": log}, abort

@@ -40,6 +40,7 @@ __all__ = [
     "psi_drift_step",
     "w_matching_gauge",
     "w_spectrum_batch",
+    "w_perp_spectrum",
     "ro_spectrum_batch",
     "gauge_vectors_batch",
     "jump_images",
@@ -111,27 +112,39 @@ def _jump_operators(snap: GeneratorSnapshot, y: np.ndarray) -> np.ndarray:
     return j
 
 
+def w_perp_spectrum(
+    snap: GeneratorSnapshot, qs: np.ndarray, images: np.ndarray
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """W on span{psi}^perp in the orthonormal basis ``qs`` (n, d, d-1) of
+    that space, from the rows' ``jump_images``: values (n, d-1) descending
+    and eigenvectors in the basis ``qs`` (n, d-1, d-1).
+
+    The projector P acts as the identity on Q, so the block is Q^dag J Q. At
+    d = 2 it is 1 x 1, sum_a gamma_a |<q|L_a psi>|^2, computed without J, and
+    its eigenvector is [[1]] (returned as None); above, ``eigh_batched`` of
+    the hermitized block.
+    """
+    if qs.shape[1] == 2:
+        q = np.conj(qs[:, :, 0])
+        ov = q[:, 0] * images[:, :, 0] + q[:, 1] * images[:, :, 1]  # <q|L_a psi>, (m, n)
+        return (snap.gammas @ (ov.real**2 + ov.imag**2))[:, None], None
+    j = _jump_operators(snap, images)
+    return eigh_batched(hermitize(np.einsum("nki,nkl,nlj->nij", np.conj(qs), j, qs)))
+
+
 def w_spectrum_batch(
     snap: GeneratorSnapshot, states: np.ndarray, images: np.ndarray | None = None
 ) -> tuple[np.ndarray, np.ndarray]:
-    """W spectrum on span{psi}^perp for each row: ((n, d-1), (n, d, d-1)).
-
-    The projector P acts as the identity on the complement basis Q, so the
-    restricted operator is just Q^dag J Q. ``images`` are the rows'
-    ``jump_images`` if the caller has them.
+    """W spectrum on span{psi}^perp for each row: ((n, d-1), (n, d, d-1)),
+    the eigenvectors under the column phase convention. ``images`` are the
+    rows' ``jump_images`` if the caller has them.
     """
-    n, d = states.shape
     qs = complement_batch(states)
     y = jump_images(snap, states) if images is None else images
-    j = _jump_operators(snap, y)
-    w_perp = np.einsum("nki,nkl,nlj->nij", np.conj(qs), j, qs)
-    if d == 2:
-        vals = w_perp[:, 0, 0].real.reshape(n, 1)
-        phis = qs.copy()
-    else:
-        vals, small = eigh_batched(hermitize(w_perp))
-        phis = np.einsum("nkp,npj->nkj", qs, small)
-    return vals, phase_fix_columns(phis)
+    vals, small = w_perp_spectrum(snap, qs, y)
+    if small is None:  # d = 2: the one complement column, already phase-fixed
+        return vals, qs
+    return vals, phase_fix_columns(np.einsum("nkp,npj->nkj", qs, small))
 
 
 def w_rate_operator(me: MasterEquation, t: float, psi: np.ndarray) -> RateOperatorSpectrum:
@@ -209,7 +222,8 @@ def w_matching_gauge(me: MasterEquation, offset: float = 1.0) -> GaugeTransform:
 
     def phi_batch(snap: GeneratorSnapshot, states: np.ndarray) -> np.ndarray:
         y = jump_images(snap, states)
-        jpsi = np.einsum("a,ani,anj,nj->ni", snap.gammas, y, np.conj(y), states)
+        overlaps = np.einsum("ani,ni->an", np.conj(y), states)  # <L_a psi|psi>
+        jpsi = np.einsum("an,ani->ni", snap.gammas[:, None] * overlaps, y)
         a = np.einsum("ni,ni->n", np.conj(states), jpsi).real
         return -2.0 * jpsi + (a + offset)[:, None] * states
 

@@ -6,7 +6,9 @@ coincide with the current state are no-ops, so they are folded into the
 deterministic branch and exempted from the positivity guard; the guard
 rejects genuinely negative jump rates only (NegativeWEigenvalue for W,
 NegativeROEigenvalue for gauged operators), which is how a loss of
-P divisibility, or a badly chosen gauge, surfaces at runtime.
+P divisibility, or a badly chosen gauge, surfaces at runtime. W's
+eigenvectors lie in psi^perp by construction, so only ``ro_menu`` checks for
+self-directed eigenpairs.
 
 ``w_menu`` and ``ro_menu`` are the batched kernels (see ``outcomes``); the
 scalar ``*_branches`` and ``*_step`` functions are their one-row views.
@@ -47,12 +49,10 @@ _SELF_OVERLAP = 1.0 - 1e-8
 
 def _spectral_menu(snap, rows, dt, vals, vecs, drift, err_cls, label) -> Menu:
     """Eigenpair nu of each row's rate operator fires with lambda_nu dt."""
-    ov = np.abs(np.einsum("ni,nij->nj", np.conj(rows), vecs)) ** 2
-    selfish = ov >= _SELF_OVERLAP  # jumping to psi is a no-op; see module docstring
-    bad = np.where(~selfish, vals, 0.0) < -EPS
+    bad = vals < -EPS
     if np.any(bad):
         raise err_cls(f"{label} eigenvalue {vals[bad].min():.6g} < 0 at t={snap.t:.6g}", time=snap.t)
-    probs = np.where(selfish, 0.0, np.clip(vals, 0.0, None)) * dt
+    probs = np.clip(vals, 0.0, None) * dt
     return Menu(probs, np.swapaxes(vecs, 1, 2), drift / np.linalg.norm(drift, axis=1)[:, None])
 
 
@@ -68,6 +68,8 @@ def ro_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float, g: GaugeTransf
     """Gauged kernel: the R (time-dependent gauge) or Psi-R spectrum and drift."""
     phi_g = gauge_vectors_batch(g, snap, rows)
     vals, vecs = ro_spectrum_batch(snap, rows, phi_g)
+    ov = np.abs(np.einsum("ni,nij->nj", np.conj(rows), vecs)) ** 2
+    vals = np.where(ov >= _SELF_OVERLAP, 0.0, vals)  # jumping to psi is a no-op; see module docstring
     if g.kind == "time_dependent":
         drift = rows @ r_drift_matrix(snap, g.c(snap.t), dt).T
     else:

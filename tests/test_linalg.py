@@ -5,6 +5,8 @@ import pytest
 
 from unravel.errors import NotHermitian, NotPSD, ZeroVector
 from unravel.linalg import (
+    _eigh_lapack,
+    _order_ties,
     complement_batch,
     eigh,
     eigh_batched,
@@ -13,6 +15,7 @@ from unravel.linalg import (
     hermitize,
     normalize,
     orthonormal_complement,
+    phase_fix_columns,
     psd_sqrt,
     require_density,
     require_hermitian,
@@ -187,6 +190,97 @@ def test_complement_batch_matches_single():
     qs = complement_batch(states)
     for k in range(6):
         assert np.allclose(qs[k], orthonormal_complement(states[k]), atol=1e-12)
+
+
+def _lapack_reference(ms):
+    """``eigh_batched`` through the general (LAPACK) path, whatever d is."""
+    vals, vecs = _eigh_lapack(np.asarray(ms, dtype=complex))
+    _order_ties(vals, vecs)
+    return vals, vecs
+
+
+def _random_hermitian(gen, shape):
+    ms = gen.standard_normal(shape + (2, 2)) + 1j * gen.standard_normal(shape + (2, 2))
+    return 0.5 * (ms + np.conj(np.swapaxes(ms, -1, -2)))
+
+
+def test_complement_batch_closed_form_at_d2():
+    gen = np.random.default_rng(21)
+    r = 1.0 / np.sqrt(2.0)
+    states = np.concatenate([
+        np.stack([haar_state(2, gen) for _ in range(200)]),
+        [[0.0, 1.0], [0.0, -1j], [1.0, 0.0], [np.exp(2j), 0.0]],  # a = 0, b = 0
+        [[r, r], [r, 1j * r], [-r, 1j * r], [1j * r, -r]],  # |a| = |b|
+    ]).astype(complex)
+    qs = complement_batch(states)
+    assert qs.shape == (len(states), 2, 1)
+    q = qs[:, :, 0]
+    assert np.allclose(np.abs(q[:, 0]) ** 2 + np.abs(q[:, 1]) ** 2, 1.0, atol=1e-15)
+    assert np.max(np.abs(np.einsum("ni,ni->n", np.conj(q), states))) < 1e-15
+    # the phase rule: the largest entry, the first on a tie, is real and >= 0
+    lead = np.where(np.abs(q[:, 1]) > np.abs(q[:, 0]), q[:, 1], q[:, 0])
+    assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
+    assert np.all(q[-4:, 0].imag == 0.0)  # ties take the first entry
+    assert np.allclose(qs, phase_fix_columns(np.stack([-np.conj(states[:, 1]), np.conj(states[:, 0])],
+                                                      axis=1)[:, :, None]), atol=1e-15)
+    assert np.array_equal(orthonormal_complement(states[3]), qs[3])
+
+
+def test_eigh_2x2_closed_form_matches_lapack():
+    gen = np.random.default_rng(22)
+    ms = _random_hermitian(gen, (2000,)) * 10.0 ** gen.integers(-3, 3, (2000, 1, 1))
+    vals, vecs = eigh_batched(ms)
+    ref_vals, ref_vecs = _lapack_reference(ms)
+    scale = np.abs(ref_vals).max(axis=1, keepdims=True)
+    assert np.all(np.abs(vals - ref_vals) <= 2e-15 * scale)
+    assert np.all(vals[:, 0] >= vals[:, 1])
+    assert np.max(np.abs(vecs - ref_vecs)) < 2e-15
+    # leading axes are kept
+    vals3, vecs3 = eigh_batched(ms[:24].reshape(2, 3, 4, 2, 2))
+    assert np.array_equal(vals3.reshape(24, 2), vals[:24])
+    assert np.array_equal(vecs3.reshape(24, 2, 2), vecs[:24])
+
+
+def test_eigh_2x2_special_inputs_match_lapack():
+    ms = np.array([
+        np.eye(2), 0.0 * np.eye(2), -2.5 * np.eye(2), 1e-3 * np.eye(2),  # exact ties
+        np.diag([1.0, 3.0]), np.diag([-0.5, 0.25]),  # a < d
+        np.diag([3.0, 1.0]), np.diag([0.0, -0.0]),  # a > d, and +0 against -0
+        [[2.0, 1e-14j], [-1e-14j, 1.0]], [[1.0, 1e-300], [1e-300, 2.0]],  # tiny off-diagonals
+        [[0.0, 1.0], [1.0, 0.0]], [[1.0, 2j], [-2j, 1.0]],  # a = d
+    ], dtype=complex)
+    vals, vecs = eigh_batched(ms)
+    ref_vals, ref_vecs = _lapack_reference(ms)
+    assert np.array_equal(vals[:4], ref_vals[:4]) and np.array_equal(vecs[:4], ref_vecs[:4])
+    assert np.allclose(vals, ref_vals, rtol=1e-15, atol=0.0)
+    assert np.allclose(vecs[:10], ref_vecs[:10], atol=1e-15, rtol=0.0)
+    # a = d puts |cos| and |sin| within an ulp, where either entry may lead:
+    # the columns agree up to a phase
+    overlap = np.abs(np.einsum("nij,nij->nj", np.conj(vecs[10:]), ref_vecs[10:]))
+    assert np.allclose(overlap, 1.0, atol=1e-15)
+    rebuilt = np.einsum("nik,nk,njk->nij", vecs, vals, np.conj(vecs))
+    assert np.allclose(rebuilt, ms, atol=1e-15, rtol=0.0)
+    # h^2 + |b|^2 underflows to 0 at 1e-170 and overflows at 1e170
+    gen = np.random.default_rng(23)
+    base = np.concatenate([np.ones((1, 2, 2)), _random_hermitian(gen, (200,))]).astype(complex)
+    for scale in (1e-170, 1e170):
+        ms = scale * base
+        vals, vecs = eigh_batched(ms)
+        ref_vals, ref_vecs = _lapack_reference(ms)
+        assert np.all(np.abs(vals - ref_vals) <= 2e-15 * np.abs(ref_vals).max(axis=1, keepdims=True))
+        assert np.max(np.abs(vecs[1:] - ref_vecs[1:])) < 2e-15
+        # the all-ones matrix has a = d, where the columns agree up to a phase
+        assert vals[0, 0] == 2.0 * scale and abs(vals[0, 1]) <= 1e-15 * scale
+        assert np.allclose(np.abs(np.sum(np.conj(vecs[0]) * ref_vecs[0], axis=0)), 1.0, atol=1e-15)
+
+
+def test_eigh_2x2_checks_and_hermitizes():
+    with pytest.raises(NotHermitian):
+        eigh_batched(np.array([[[1.0, 1.0], [0.0, 1.0]]], dtype=complex))
+    skew = np.array([[1.0, 1.0 + 1e-11], [1.0, 2.0 + 1e-12j]], dtype=complex)
+    vals, vecs = eigh(skew)
+    ref_vals, ref_vecs = eigh(hermitize(skew))
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
 
 
 def test_vec_is_column_stacking():

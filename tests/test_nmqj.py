@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from unravel import nmqj as nmqj_module
 from unravel.errors import MissingTargetState
 from unravel.linalg import trace_distance
 from unravel.models import (
@@ -176,3 +177,29 @@ def test_replica_reverse_events_reference_prior_directs():
             assert (source, channel, target) in directs, (
                 f"reverse move at step {step} lacks a recorded direct jump"
             )
+
+
+def test_step_leaves_its_input_ensemble_unchanged():
+    me = delayed_negative_phase_covariant()
+    gen = replica_generator(11, 0)
+    first, _ = nmqj_step(me, nmqj_ensemble(4000, PLUS), 0.1, 1e-2, gen)
+    before = {k: set(v) for k, v in first.provenance.items()}
+    counts = [b.count for b in first.buckets]
+    second, _ = nmqj_step(me, first, 0.11, 1e-2, gen)
+    assert second.provenance is not first.provenance
+    assert all(second.provenance[k] is not first.provenance[k] for k in first.provenance)
+    assert first.provenance == before
+    assert [b.count for b in first.buckets] == counts
+
+
+def test_replica_log_is_that_of_a_scan_at_every_step(monkeypatch):
+    """``run_replica`` scans the provenance only in steps that add a pair;
+    scanning at every step logs the same entries in the same order."""
+    me = delayed_negative_phase_covariant()
+    grid = TimeGrid(0.0, 1.2, 1e-2)
+    _rho, _counts, diag, _abort = run_replica(me, PLUS, grid, 4000, replica=1, seed=9)
+    step = nmqj_module._step
+    monkeypatch.setattr(nmqj_module, "_step", lambda *args: step(*args)[:2] + (True,))
+    _rho, _counts, every, _abort = run_replica(me, PLUS, grid, 4000, replica=1, seed=9)
+    assert any(entry[1] == "direct" and entry[0] > 0 for entry in diag["event_log"])
+    assert diag["event_log"] == every["event_log"]

@@ -12,7 +12,15 @@ import pytest
 
 from unravel.engine import method_id, run_ensemble
 from unravel.errors import NegativeROEigenvalue, NegativeWEigenvalue
-from unravel.linalg import haar_state, trace_distance
+from unravel.linalg import (
+    _eigh_lapack,
+    _order_ties,
+    complement_batch,
+    haar_state,
+    hermitize,
+    phase_fix_columns,
+    trace_distance,
+)
 from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
     KET0,
@@ -27,12 +35,16 @@ from unravel.models import (
 from unravel.outcomes import Deterministic, Jump
 from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import (
+    _jump_operators,
     gauge_none,
+    jump_images,
+    ro_spectrum_batch,
     state_dependent_gauge,
     time_dependent_gauge,
     w_matching_gauge,
     w_rate_operator,
     rate_operator,
+    w_spectrum_batch,
 )
 from unravel.roqj import roqj_branches, roqj_step, run_chunk, wroqj_branches, wroqj_step
 
@@ -131,6 +143,66 @@ def test_w_matching_gauge_reproduces_w_menu():
         pw = sorted(b.probability for b in jumps_w if b.probability > 1e-15)
         pm = sorted(b.probability for b in jumps_m)
         assert np.allclose(pw, pm, atol=1e-10)
+
+
+def _cascade(dim):
+    """Driven cascade decay dim-1 -> ... -> 0, level k at rate k/2."""
+    lower = sum(np.outer(np.eye(dim)[k - 1], np.eye(dim)[k]) for k in range(1, dim))
+    channels = [(np.outer(np.eye(dim)[k - 1], np.eye(dim)[k]), 0.5 * k) for k in range(1, dim)]
+    return master_equation(dim, 0.8 * (lower + lower.T), channels)
+
+
+def _w_block(snap, states):
+    """Q^dag J Q on psi^perp from the jump operator J, and the basis Q."""
+    qs = complement_batch(states)
+    j = _jump_operators(snap, jump_images(snap, states))
+    return hermitize(np.einsum("nki,nkl,nlj->nij", np.conj(qs), j, qs)), qs
+
+
+def _haar_rows(dim, count, seed):
+    gen = np.random.default_rng(seed)
+    return np.stack([haar_state(dim, gen) for _ in range(count)])
+
+
+def test_w_values_at_d2_match_the_jump_operator_form():
+    for me, t in ((eternally_nm(), 1.3), (non_p_divisible(kappa=0.25), 1.5), (spontaneous_emission(), 0.0)):
+        snap = me.at(t)
+        states = _haar_rows(2, 300, 31)
+        vals, phis = w_spectrum_batch(snap, states)
+        block, qs = _w_block(snap, states)
+        assert np.allclose(vals[:, 0], block[:, 0, 0].real, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(phis, qs)
+
+
+def test_general_w_path_is_the_jump_operator_spectrum():
+    """d > 2 keeps J, the block on psi^perp and its eigendecomposition: a
+    ququart's 3 x 3 block through LAPACK bit for bit, a qutrit's 2 x 2 block
+    through the closed form."""
+    for dim in (3, 4):
+        snap = _cascade(dim).at(0.2)
+        states = _haar_rows(dim, 100, 32)
+        vals, phis = w_spectrum_batch(snap, states)
+        block, qs = _w_block(snap, states)
+        ref_vals, small = _eigh_lapack(block)
+        _order_ties(ref_vals, small)
+        ref_phis = phase_fix_columns(np.einsum("nkp,npj->nkj", qs, small))
+        if dim == 4:
+            assert np.array_equal(vals, ref_vals) and np.array_equal(phis, ref_phis)
+        assert np.allclose(vals, ref_vals, rtol=0.0, atol=1e-15)
+        assert np.allclose(phis, ref_phis, rtol=0.0, atol=1e-14)
+
+
+def test_qutrit_rate_operator_takes_the_general_eigh():
+    snap = _cascade(3).at(0.2)
+    states = _haar_rows(3, 100, 33)
+    phis = 0.3 * _haar_rows(3, 100, 34)
+    vals, vecs = ro_spectrum_batch(snap, states, phis)
+    r = _jump_operators(snap, jump_images(snap, states))
+    cross = 0.5 * np.einsum("ni,nj->nij", phis, np.conj(states))
+    r += cross + np.conj(np.swapaxes(cross, 1, 2))
+    ref_vals, ref_vecs = _eigh_lapack(hermitize(hermitize(r)))
+    _order_ties(ref_vals, ref_vecs)
+    assert np.array_equal(vals, ref_vals) and np.array_equal(vecs, ref_vecs)
 
 
 def test_negative_w_eigenvalue_raises_where_p_divisibility_fails():

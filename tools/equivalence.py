@@ -11,14 +11,20 @@ the sha256 of ``rho_hat``, ``stderr`` and ``rho_batches``, the event counts,
 the sha256 of every diagnostics entry (``weight_sum``, ``theta_norm2_sum``,
 ``population``, sign-flip steps, event logs), and for a run that aborts the
 error class, its message, its time, the same hashes of its partial
-series and the sha256 of its replicas' event logs; ``rho_hat`` itself is kept (base64 of its bytes) so that
-``compare`` can print max |d rho_hat| where two files differ. It also runs
+series and the sha256 of its replicas' event logs; ``rho_hat`` and ``stderr``
+themselves are kept (base64 of their bytes) so that ``compare`` can judge
+where two files differ. It also runs
 every input of ``ORACLE_INPUTS`` once (they draw no random numbers) and
 records the sha256 and bytes of its array, and runs every config of
 ``CLI_INPUTS`` through ``unravel run`` at each seed, recording its exit code,
 the sha256 of ``<out>_results.csv`` and of ``<out>_summary.json`` with every
 ``wall_clock_ms`` zeroed. ``compare`` exits 1 unless every fingerprint is
-identical.
+identical. For an ensemble that differs it prints max |d rho_hat|, the sup
+over time of the trace distance between the two rho_hat series, both over
+the larger max stderr of the two runs, and whether the event counts match:
+a change that moves only last bits keeps the counts and a ratio far below 1,
+one that flips branches moves rho_hat at the 1/N scale and is judged by that
+sup distance against the stderr, seed by seed.
 
 The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
 weighted, gauged, population and replica methods, ensembles whose batches
@@ -30,7 +36,13 @@ trajectory each (N = 13), one abort of each kind of
 method (channel and spectral menus, replica, waiting time, embedding), nmqj's
 abort at N = 10^4, and the
 deterministic paths: the RK4 oracle with and without substeps and with a
-trace sink, the propagator maps and the divisibility scan. The CLI configs
+trace sink, the propagator maps and the divisibility scan. Driven cascade
+decays run the spectral kernels' general-d paths, which the qubit closed
+forms bypass: psi_roqj on a qutrit (3 x 3 rate operators) and wroqj on a
+ququart (3 x 3 W blocks on psi^perp) pin them. wroqj on a qutrit builds its
+W block through the general path too, but that block is 2 x 2 and takes
+the closed-form eigh, so it covers the closed form inside a d > 2 kernel
+rather than pinning the general one. The CLI configs
 cover one run whose methods all finish and one in which some abort.
 """
 
@@ -82,6 +94,21 @@ def _rate_step():
     return master_equation(2, 3.0 * SIGMA_X, [(SIGMA_MINUS, lambda t: 5.0 if t < 0.5 else 300.0, "down")])
 
 
+def _cascade(dim):
+    """Cascade decay dim-1 -> ... -> 0 (level k decays at rate k/2) under a
+    drive that couples neighbouring levels, so that the rows' states spread
+    over the whole space."""
+    def build():
+        lower = sum(np.outer(np.eye(dim)[k - 1], np.eye(dim)[k]) for k in range(1, dim))
+        channels = [(np.outer(np.eye(dim)[k - 1], np.eye(dim)[k]), 0.5 * k, f"{k}->{k - 1}")
+                    for k in range(dim - 1, 0, -1)]
+        return master_equation(dim, 0.8 * (lower + lower.T), channels)
+    return build
+
+
+QUTRIT, QUQUART = np.ones(3, dtype=complex) / np.sqrt(3.0), np.ones(4, dtype=complex) / 2.0
+
+
 def _gz_identity(me_name):
     gamma_z = build_model(me_name).rates.gamma_z
     return lambda me: method_id("rroqj", gauge=time_dependent_gauge(lambda t: gamma_z(t) * np.eye(2)))
@@ -130,6 +157,13 @@ INPUTS = {
     # the two replica runs of bench/ (cli_replica)
     "cloning/n10000": (_kind("cloning"), _model("spontaneous_emission"), PLUS, 10_000, 1.0),
     "abort/nmqj_n10000": (_kind("nmqj"), _model("delayed_negative"), PLUS, 10_000, 3.0),
+    # the general-d spectral paths: a ququart's W block on psi^perp is 3 x 3
+    # and a qutrit's psi_roqj rate operator too; a qutrit's W block is 2 x 2,
+    # so wroqj/qutrit_cascade reaches the closed-form eigh
+    "wroqj/qutrit_cascade": (_kind("wroqj"), _cascade(3), QUTRIT, 1000, 1.5),
+    "wroqj/ququart_cascade": (_kind("wroqj"), _cascade(4), QUQUART, 1000, 1.5),
+    "psi_roqj/qutrit_cascade": (lambda me: method_id("psi_roqj", gauge=gauge_none()), _cascade(3),
+                                QUTRIT, 1000, 1.5),
 }
 
 
@@ -197,13 +231,18 @@ def _sha(a) -> str:
     return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
 
 
+def _b64(a, dtype) -> str:
+    return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode()
+
+
 def _series(times, rho_hat, stderr, rho_batches) -> dict:
     return {
         "points": len(times),
         "rho_hat": _sha(rho_hat),
         "stderr": _sha(stderr),
         "rho_batches": _sha(rho_batches),
-        "rho_hat_b64": base64.b64encode(np.ascontiguousarray(rho_hat, dtype=complex).tobytes()).decode(),
+        "rho_hat_b64": _b64(rho_hat, complex),
+        "stderr_b64": _b64(stderr, float),
     }
 
 
@@ -249,13 +288,34 @@ def write(path: Path, seeds: list[int]) -> None:
             print(f"{name}@{seed}", flush=True)
     for name, run in ORACLE_INPUTS.items():
         values = np.ascontiguousarray(run(), dtype=complex)
-        out[name] = {"values": _sha(values), "values_b64": base64.b64encode(values.tobytes()).decode()}
+        out[name] = {"values": _sha(values), "values_b64": _b64(values, complex)}
         print(name, flush=True)
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 
-def _values(b64: str) -> np.ndarray:
-    return np.frombuffer(base64.b64decode(b64), dtype=complex)
+def _values(b64: str, dtype=complex) -> np.ndarray:
+    return np.frombuffer(base64.b64decode(b64), dtype=dtype)
+
+
+def _judge(a: dict, b: dict) -> str:
+    """max |d rho_hat| and the sup trace distance between two runs' series,
+    each over the larger max stderr, and whether their event counts match."""
+    sa, sb = (x.get("series") or x.get("partial") for x in (a, b))
+    ra, rb = _values(sa["rho_hat_b64"]), _values(sb["rho_hat_b64"])
+    if ra.shape != rb.shape:
+        return "shapes differ"
+    if ra.size == 0:
+        return "no points"
+    d = int(round(np.sqrt(ra.size // sa["points"])))
+    diff = (ra - rb).reshape(sa["points"], d, d)
+    sup_td = 0.5 * np.abs(np.linalg.eigvalsh(0.5 * (diff + np.conj(np.swapaxes(diff, 1, 2))))).sum(axis=1).max()
+    err = max(_values(s["stderr_b64"], float).max() for s in (sa, sb)) if "stderr_b64" in sa else np.nan
+    if "event_counts" in a:
+        counts = "identical" if a["event_counts"] == b["event_counts"] else "differ"
+    else:
+        counts = "n/a (aborted)"
+    return (f"max |d rho_hat| {np.abs(ra - rb).max():.3e} ({np.abs(ra - rb).max() / err:.2e} x max stderr), "
+            f"sup TD {sup_td:.3e} ({sup_td / err:.2e} x max stderr), event counts {counts}")
 
 
 def compare(a_path: Path, b_path: Path) -> int:
@@ -276,15 +336,14 @@ def compare(a_path: Path, b_path: Path) -> int:
             continue
         if "values" in a[key]:
             ra, rb = (_values(x[key]["values_b64"]) for x in (a, b))
-            fields, what = ["values"], "values"
+            fields = ["values"]
+            delta = f"max |d values| {np.abs(ra - rb).max():.3e}" if ra.shape == rb.shape else "shapes differ"
         else:
             sa, sb = (x.get("series") or x.get("partial") for x in (a[key], b[key]))
-            ra, rb = _values(sa["rho_hat_b64"]), _values(sb["rho_hat_b64"])
             fields = [f for f in ("abort", "event_logs", "event_counts", "diagnostics")
                       if a[key].get(f) != b[key].get(f)]
             fields += [f for f in ("points", "rho_hat", "stderr", "rho_batches") if sa[f] != sb[f]]
-            what = "rho_hat"
-        delta = f"max |d {what}| {np.abs(ra - rb).max():.3e}" if ra.shape == rb.shape else "shapes differ"
+            delta = _judge(a[key], b[key])
         print(f"{key}: differs in {', '.join(fields)}; {delta}")
     print(f"{len(set(a) | set(b)) - differ} identical, {differ} differ")
     return 1 if differ else 0
