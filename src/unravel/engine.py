@@ -7,17 +7,17 @@ steps them in one pass over row tiles: a tile is a run of whole consecutive
 batches of at most ``_TILE_ROWS`` rows in all (a larger batch is a tile of
 its own), and its runner steps all its rows together but sums each batch
 over that batch's rows alone. The replica methods run one replica per
-batch: ``cloning``'s replicas share tiles in the same way, one kernel call
-per step for all of a tile's members, and ``nmqj`` (buckets) runs them one
-at a time. Every row derives its random numbers from (seed, trajectory
-index) and every replica from (seed, replica index) alone, and the batch
-sums are combined by a fixed-order pairwise tree, so a seed fixes the
-result bit for bit, whatever the tiles. The tiles and replicas run in
-order, and each one stops at the earliest abort of those before it: nothing
-after that step is kept, and that abort wins a tie, so the result is the
-one every tile run to its own end gives. ``threads`` has no effect: a pool
-running these short numpy calls under the GIL only made them slower.
-The tiles and replicas of every method read one generator track, evaluated
+batch, and their replicas share tiles in the same way: ``cloning`` makes
+one kernel call per step for all of a tile's members, and ``nmqj`` steps
+all of a tile's buckets as stacked arrays. Every row derives its random
+numbers from (seed, trajectory index) and every replica from (seed,
+replica index) alone, and the batch sums are combined by a fixed-order
+pairwise tree, so a seed fixes the result bit for bit, whatever the tiles.
+The tiles run in order, and each one stops at the earliest abort of those
+before it: nothing after that step is kept, and that abort wins a tie, so
+the result is the one every tile run to its own end gives. ``threads`` has
+no effect: a pool running these short numpy calls under the GIL only made
+them slower. The tiles of every method read one generator track, evaluated
 before any of them runs: once per grid time, and for ``wtd`` also once per
 step midpoint (``MasterEquation.half_track``). ``tripled`` reads the track
 of its embedding, which ``tripled.embedded_track`` builds from the model's
@@ -83,8 +83,8 @@ METHOD_KINDS = (
 _REPLICA_KINDS = frozenset({"nmqj", "cloning"})
 _GAUGE_KINDS = frozenset({"rroqj", "psi_roqj"})
 _DEFAULT_BATCHES = 20
-# Most rows in a tile (cloning: members at the start), for every method but
-# nmqj: an ensemble of up to 2048 trajectories is one tile, one of 10^4 five.
+# Most rows in a tile (replica methods: members at the start): an ensemble
+# of up to 2048 trajectories is one tile, one of 10^4 five.
 # Wide tiles cut the per-step Python overhead. At N = 10^4 (eternally_nm,
 # |+>, dt = 1e-2, t_max = 5, seed 42; two fresh processes each, 2-core host)
 # 2048-row tiles took wroqj 5.6/4.8 s, doubled 3.4/2.9, im 2.8/3.3, plqt
@@ -146,8 +146,7 @@ def _chunk_sizes(n_traj: int, batches: int) -> list[int]:
 def _runner(method: MethodId):
     """The method's runner as ``run(me, psi0, grid, key, sizes, seed, track)``:
     a tile's rows from trajectory ``key`` on, in batches of ``sizes``, or
-    its replicas from replica ``key`` on, of ``sizes`` members (``nmqj``
-    runs one replica at a time)."""
+    its replicas from replica ``key`` on, of ``sizes`` members."""
     kind = method.kind
     plain = {"mcwf": _mcwf, "wtd": _wtd, "doubled": _doubled, "tripled": _tripled}
     if kind in plain:
@@ -160,26 +159,18 @@ def _runner(method: MethodId):
         return partial(_weighted.run_chunk_im, r_policy=_weighted.default_rate_policy(method.r_min))
     if kind == "plqt":
         return _weighted.run_chunk_plqt
-    if kind == "cloning":
+    if kind in _REPLICA_KINDS:
+        module = _cloning if kind == "cloning" else _nmqj
         # looked up at each call, so that a wrapper set on the module is seen
-        return lambda me, psi0, grid, key, sizes, seed, track: _cloning.run_replica(
+        return lambda me, psi0, grid, key, sizes, seed, track: module.run_replica(
             me, psi0, grid, sizes, key, seed, track=track
         )
-    if kind == "nmqj":
-
-        def replica(me, psi0, grid, key, sizes, seed, track):
-            rho_sum, counts, diag, abort = _nmqj.run_replica(me, psi0, grid, sizes[0], key, seed, track=track)
-            return rho_sum[None], counts, diag, abort
-
-        return replica
     raise UnknownMethod(f"unknown method {kind!r}")
 
 
-def _tiles(method: MethodId, sizes: list[int]) -> list[list[int]]:
+def _tiles(sizes: list[int]) -> list[list[int]]:
     """Consecutive batch indices grouped into tiles of at most ``_TILE_ROWS``
-    rows (never fewer than one batch); one batch per ``nmqj`` replica."""
-    if method.kind == "nmqj":
-        return [[i] for i in range(len(sizes))]
+    rows, members for a replica method (never fewer than one batch)."""
     tiles: list[list[int]] = []
     rows = 0
     for i, size in enumerate(sizes):
@@ -238,8 +229,8 @@ def _merge_diagnostics(dicts: list[dict]) -> dict:
     out: dict = {}
     for key in dicts[0]:
         vals = [d[key] for d in dicts]
-        if key == "event_log":
-            out["event_logs"] = vals
+        if key == "event_logs":
+            out[key] = [log for tile in vals for log in tile]
         elif key == "sign_flip_steps":
             out[key] = sorted(set().union(*vals))
         else:
@@ -297,7 +288,7 @@ def run_ensemble(
     # replica keys its stream off its batch index
     replicas = method.kind in _REPLICA_KINDS
     tile_sums, counts, diags, abort = [], [], [], None
-    for tile in _tiles(method, sizes):
+    for tile in _tiles(sizes):
         # nothing past the earliest abort so far is kept, and that abort wins
         # a tie, so a later tile runs only the steps before it (at least one)
         cut, cut_track = _head(method, grid, track, grid.n_steps if abort is None else max(abort[1], 1))
@@ -333,9 +324,9 @@ def run_ensemble(
         }
         # step k of an event log leads to point k + 1 of the series
         logs = [
-            [entry for entry in diag["event_log"] if entry[0] < n_pts - 1]
+            [entry for entry in log if entry[0] < n_pts - 1]
             for diag in diags
-            if "event_log" in diag
+            for log in diag.get("event_logs", ())
         ]
         if logs:
             err.partial["event_logs"] = logs

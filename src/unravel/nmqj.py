@@ -10,8 +10,16 @@ provenance map recorded at direct-jump time; a needed reversal whose source
 bucket was never created or is now empty aborts with MissingTargetState,
 which is the documented way this method announces it cannot unravel the
 given dynamics from the given initial state. Demanded reverse flux is never
-dropped silently. ``run_replica`` steps on one generator track, which the
-engine shares between all replicas; ``nmqj_step`` is its step at one time.
+dropped silently.
+
+``run_replica`` steps the consecutive replicas of one engine tile together
+on one generator track, which the engine shares between all tiles. Their
+buckets are stacked arrays padded to a common bucket count (``_Buckets``):
+states (R, B, d), counts (R, B) and the provenance as a boolean
+(R, child, channel, parent) array. A step is a fixed set of stacked numpy
+calls plus one multinomial draw per replica from that replica's own stream,
+so every replica gets the bits it gets alone. ``nmqj_step`` is the same
+step for one ensemble held as ``Bucket`` records (``NmqjEnsemble``).
 """
 
 from __future__ import annotations
@@ -20,8 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingTargetState, StepTooLarge, UnravelError
-from .linalg import EPS, normalize
+from .errors import MissingTargetState, StepTooLarge, UnravelError, ZeroVector
+from .linalg import EPS, ZERO_NORM
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Jump, ReverseJump
 from .propagate import TimeGrid
@@ -59,16 +67,9 @@ class NmqjEnsemble:
         return sum(b.count for b in self.buckets)
 
     def rho(self) -> np.ndarray:
-        """sum_i (N_i/N) |psi_i><psi_i| over the populated buckets, in bucket
-        order from zero, as a loop of ``+=`` sums it, bit for bit: an
-        accumulation never sums pairwise (a reduction does when d = 1), and
-        the trailing + 0 turns an all-(-0.0) entry into the loop's +0.0."""
-        n = self.total
-        live = [b for b in self.buckets if b.count]
-        states = np.array([b.state for b in live])
-        weights = np.array([b.count / n for b in live])
-        outers = weights[:, None, None] * (states[:, :, None] * np.conj(states)[:, None, :])
-        return np.add.accumulate(outers, axis=0)[-1] + 0.0
+        """sum_i (N_i/N) |psi_i><psi_i| over the buckets (``_rho``)."""
+        counts = np.array([[b.count for b in self.buckets]])
+        return _rho(counts, np.array([[b.state for b in self.buckets]]), counts.sum(axis=1))[0]
 
     def find(self, state: np.ndarray) -> int | None:
         for i, b in enumerate(self.buckets):
@@ -81,176 +82,314 @@ def nmqj_ensemble(n: int, psi0: np.ndarray) -> NmqjEnsemble:
     return NmqjEnsemble([Bucket(int(n), np.asarray(psi0, dtype=complex).copy())])
 
 
-def reverse_jump_probability(method_p: float, n_i: int, n_j: int) -> float:
+def reverse_jump_probability(method_p, n_i, n_j):
     """p_{i->j} = -(N_j/N_i) * method_p, with method_p the (negative) direct
-    probability evaluated at the target state."""
-    if n_i == 0:
+    probability evaluated at the target state; elementwise for arrays."""
+    if np.any(np.asarray(n_i) == 0):
         raise ZeroDivisionError("reverse jump from an empty bucket (N_i = 0); caller must skip")
     return -(n_j / n_i) * method_p
 
 
-def _check_reversibility(ens: NmqjEnsemble, snap: GeneratorSnapshot, neg: list[int], images: dict) -> None:
-    # Every populated bucket j feeding a negative channel must have a
-    # populated recorded child to pull members back from; a self-image is a
-    # no-op. A child that has emptied cannot serve the demanded reverse flux,
-    # so it counts as missing. ``images`` maps (j, a) of the populated
-    # buckets to (||L_a psi_j||^2, L_a psi_j).
-    for a in neg:
-        for j, b in enumerate(ens.buckets):
-            if b.count == 0:
+def _rho(counts: np.ndarray, states: np.ndarray, totals: np.ndarray) -> np.ndarray:
+    """sum_i (N_i/N) |psi_i><psi_i| of each of R replicas, (R, d, d), from
+    counts (R, B), states (R, B, d) and member totals (R,). Each replica is
+    summed over its buckets in order from zero, as a loop of ``+=`` over the
+    populated ones sums it, bit for bit: an accumulation never sums pairwise
+    (a reduction does when d = 1), an empty or padding bucket (finite state,
+    weight 0) adds only signed zeros, and the trailing + 0 turns an
+    all-(-0.0) entry into the loop's +0.0."""
+    weights = counts / totals[:, None]
+    outers = weights[..., None, None] * (states[..., :, None] * np.conj(states)[..., None, :])
+    return np.add.accumulate(outers, axis=1)[:, -1] + 0.0
+
+
+@dataclass
+class _Buckets:
+    """The buckets of R replicas, padded to a common capacity B.
+
+    Replica r holds buckets 0 .. size[r] - 1 of ``states`` (R, B, d) and
+    ``counts`` (R, B); padding slots hold zero states and counts.
+    ``prov[r, child, a, parent]`` records a direct jump parent -> child on
+    channel a, and ``rank[r, child, a]`` orders the (child, channel) keys by
+    their first direct jump (-1 before it), as the keys of
+    ``NmqjEnsemble.provenance`` are ordered; ``ranked`` counts the ranks
+    handed out.
+    """
+
+    states: np.ndarray
+    counts: np.ndarray
+    size: np.ndarray
+    prov: np.ndarray
+    rank: np.ndarray
+    ranked: int = 0
+
+    @classmethod
+    def of(cls, ensembles: list[NmqjEnsemble], channels: int) -> "_Buckets":
+        """The ensembles as the replicas of one tile, copied."""
+        cap, d = max(len(e.buckets) for e in ensembles), len(ensembles[0].buckets[0].state)
+        n_rep = len(ensembles)
+        b = cls(np.zeros((n_rep, cap, d), dtype=complex), np.zeros((n_rep, cap), dtype=np.int64),
+                np.array([len(e.buckets) for e in ensembles]), np.zeros((n_rep, cap, channels, cap), dtype=bool),
+                np.full((n_rep, cap, channels), -1, dtype=np.int64))
+        for r, ens in enumerate(ensembles):
+            n = len(ens.buckets)
+            b.states[r, :n] = [x.state for x in ens.buckets]
+            b.counts[r, :n] = [x.count for x in ens.buckets]
+            for (child, a), parents in ens.provenance.items():
+                b.prov[r, child, a, sorted(parents)] = True
+                b.rank[r, child, a] = b.ranked
+                b.ranked += 1
+        return b
+
+    def ensemble(self, r: int) -> NmqjEnsemble:
+        """Replica r as an ensemble that shares no array with these."""
+        n = int(self.size[r])
+        buckets = [Bucket(int(c), s.copy()) for c, s in zip(self.counts[r, :n], self.states[r, :n])]
+        keys = sorted(zip(*np.nonzero(self.rank[r] >= 0)), key=lambda key: self.rank[r][key])
+        return NmqjEnsemble(buckets, {
+            (int(c), int(a)): set(np.flatnonzero(self.prov[r, c, a]).tolist()) for c, a in keys
+        })
+
+    def grow(self) -> None:
+        """Double the capacity."""
+        n_rep, cap, d = self.states.shape
+        channels = self.rank.shape[2]
+        states = np.zeros((n_rep, 2 * cap, d), dtype=complex)
+        counts = np.zeros((n_rep, 2 * cap), dtype=np.int64)
+        prov = np.zeros((n_rep, 2 * cap, channels, 2 * cap), dtype=bool)
+        rank = np.full((n_rep, 2 * cap, channels), -1, dtype=np.int64)
+        states[:, :cap], counts[:, :cap], prov[:, :cap, :, :cap], rank[:, :cap] = (
+            self.states, self.counts, self.prov, self.rank)
+        self.states, self.counts, self.prov, self.rank = states, counts, prov, rank
+
+
+def _merge(b: _Buckets, jr, js, channel, states):
+    """Direct jumps (replica jr, parent js, channel) with normalized images
+    ``states``, in one replica's order: the child bucket of each, the first
+    (populated or not) whose state matches its image, else a new one opened
+    for it, and the (replica, parent, child, channel) provenance entries
+    they add. Records the entries in ``b.prov`` and ranks new keys. The
+    entries come by replica, then key rank, then parent: the order in which
+    a scan of ``NmqjEnsemble.provenance`` meets them, as its sets iterate
+    small bucket ids in ascending order."""
+    fid = np.float_power(np.abs(np.vecdot(b.states[jr], states[:, None])), 2)
+    match = (fid >= _MERGE_FIDELITY) & (np.arange(b.states.shape[1]) < b.size[jr, None])
+    child = match.argmax(axis=1)
+    found = match.any(axis=1)
+    if not found.all():
+        opened = b.size.copy()
+        for q in np.flatnonzero(~found):
+            # no bucket from before the step matches: one opened earlier in
+            # this step may, else this image opens one
+            r = jr[q]
+            fresh = [i for i in range(opened[r], b.size[r])
+                     if abs(np.vdot(b.states[r, i], states[q])) ** 2 >= _MERGE_FIDELITY]
+            if fresh:
+                child[q] = fresh[0]
                 continue
-            n2, y = images[(j, a)]
-            if n2 <= EPS:
-                continue
-            if abs(np.vdot(b.state, y)) ** 2 >= _SELF_FIDELITY * n2:
-                continue
-            if not any(
-                ens.buckets[i].count > 0 and j in ens.provenance.get((i, a), ())
-                for i in range(len(ens.buckets))
-            ):
-                raise MissingTargetState(
-                    f"negative rate on channel {a} at t={snap.t:.6g} must reverse jumps out of "
-                    f"bucket {j}, but no populated bucket holds such jumps "
-                    "(NMQJ inapplicable here)",
-                    time=snap.t,
-                )
+            if b.size[r] == b.states.shape[1]:
+                b.grow()
+            child[q] = b.size[r]
+            b.states[r, child[q]] = states[q]
+            b.size[r] += 1
+    new = ~b.prov[jr, child, channel, js]
+    if not new.any():
+        return child, (jr[:0],) * 4
+    new_key = b.rank[jr, child, channel] < 0
+    if new_key.any():
+        # rank new keys in the order of their first jump in this step
+        firsts = np.flatnonzero(new_key)
+        keys = (jr[firsts] * b.rank.shape[1] + child[firsts]) * b.rank.shape[2] + channel[firsts]
+        firsts = np.sort(firsts[np.unique(keys, return_index=True)[1]])
+        b.rank[jr[firsts], child[firsts], channel[firsts]] = b.ranked + np.arange(len(firsts))
+        b.ranked += len(firsts)
+    b.prov[jr, child, channel, js] = True
+    new = np.flatnonzero(new)
+    new = new[np.lexsort((js[new], b.rank[jr[new], child[new], channel[new]], jr[new]))]
+    return child, (jr[new], js[new], child[new], channel[new])
+
+
+def _step(snap: GeneratorSnapshot, b: _Buckets, dt: float, gens):
+    """One synchronous step of every replica of ``b``, updated in place;
+    replica r draws from ``gens[r]``, one multinomial call for all its
+    buckets.
+
+    Returns (reverse, jumps, added): the reverse moves as arrays (replica,
+    source, target, channel, probability) in the order one replica alone
+    makes them (source, then channel, then target); the direct jumps as
+    (replica, channel), in (replica, parent, channel) order; and the
+    (replica, parent, child, channel) provenance entries the step added, in
+    the order of ``_merge``.
+
+    Raises the error of the first replica that fails. Inside a replica the
+    order is one replica's: the reversibility check, then a move
+    probability above 1 (first bucket), then a zero vector (merging, then
+    drift), then an overdrawn bucket.
+    """
+    t = snap.t
+    n_rep, cap, _ = b.states.shape
+    gammas = snap.gammas.tolist()
+    pos = np.array([a for a, g in enumerate(gammas) if g > EPS], dtype=np.intp)
+    neg = np.array([a for a, g in enumerate(gammas) if g < -EPS], dtype=np.intp)
+    n_pos, n_neg = len(pos), len(neg)
+    counts = b.counts
+    live = counts > 0
+    members = counts.sum(axis=1)
+    errors: dict[int, UnravelError] = {}
+    # images L_a psi_j (R, B, channel, d), positive channels first, and their
+    # squared norms: the stacked matmul gives the bits of L_a @ psi_j and
+    # vecdot those of np.vdot
+    images = np.matmul(snap.ls[np.concatenate([pos, neg])], b.states[:, :, None, :, None])[..., 0]
+    norms2 = np.vecdot(images, images).real
+
+    # per-member move probabilities of each populated bucket, in one
+    # replica's order: direct jumps by channel, then reverse moves by
+    # channel and target; zero where a move does not apply
+    probs = snap.gammas[pos] * norms2[..., :n_pos] * dt
+    probs = np.where(live[..., None] & (probs > 0.0), probs, 0.0)
+    if n_neg:
+        # Every populated bucket j feeding a negative channel must have a
+        # populated recorded child to pull members back from; a self-image is
+        # a no-op. A child that has emptied cannot serve the demanded reverse
+        # flux, so it counts as missing.
+        n2 = norms2[..., n_pos:]
+        fid = np.float_power(np.abs(np.vecdot(b.states[:, :, None], images[:, :, n_pos:])), 2)
+        held = (b.prov[:, :, neg] & live[:, :, None, None]).any(axis=1)  # (R, channel, parent)
+        missing = (live[..., None] & (n2 > EPS) & ~(fid >= _SELF_FIDELITY * n2)).transpose(0, 2, 1) & ~held
+        for r in np.flatnonzero(missing.any(axis=(1, 2))):
+            a, j = divmod(int(missing[r].argmax()), cap)
+            errors[int(r)] = MissingTargetState(
+                f"negative rate on channel {neg[a]} at t={t:.6g} must reverse jumps out of "
+                f"bucket {j}, but no populated bucket holds such jumps "
+                "(NMQJ inapplicable here)",
+                time=t,
+            )
+        back = reverse_jump_probability(
+            (snap.gammas[neg] * n2 * dt).transpose(0, 2, 1)[:, None],  # [r, _, a, j]
+            np.where(live, counts, 1)[:, :, None, None],
+            counts[:, None, None, :],
+        )
+        applies = b.prov[:, :, neg] & live[:, :, None, None] & live[:, None, None, :] & (back > 0.0)
+        back = np.where(applies, back, 0.0)
+        probs = np.concatenate([probs, back.reshape(n_rep, cap, n_neg * cap)], axis=2)
+    moved = np.zeros(probs.shape, dtype=np.int64)
+    if probs.shape[2]:
+        # an accumulation sums in slot order, as one replica's loop does; the
+        # zero slots leave every partial sum as it is
+        total = np.add.accumulate(probs, axis=2)[..., -1]
+        for r in np.flatnonzero((total > 1.0).any(axis=1)):
+            first = total[r, (total[r] > 1.0).argmax()]
+            errors.setdefault(int(r), StepTooLarge(f"per-member move probability {first:.4g} > 1 at t={t:.6g}", time=t))
+        # a zero-probability slot draws no random number, so one call per
+        # replica draws what one call per bucket over its moves would
+        pvals = np.concatenate([probs, 1.0 - total[..., None]], axis=2)
+        for r in range(n_rep):
+            if r not in errors:
+                moved[r] = gens[r].multinomial(counts[r], pvals[r])[:, :-1]
+
+    if n_neg:
+        returned = moved[..., n_pos:].reshape(n_rep, cap, n_neg, cap)
+        rr, ri, ra, rj = np.nonzero(returned)
+        reverse = (rr, ri, rj, neg[ra], back[rr, ri, ra, rj])
+        b.counts = counts - returned.sum(axis=(2, 3)) + returned.sum(axis=(1, 2))
+    else:
+        reverse = (np.zeros(0, dtype=np.intp),) * 4 + (np.zeros(0),)
+
+    # direct jumps: each moves its members into the first bucket (populated
+    # or not) whose state matches the normalized image, or a new one
+    jr, js, ja = np.nonzero(moved[..., :n_pos])
+    added = (jr[:0],) * 4
+    if len(jr):
+        jm, image = moved[jr, js, ja], images[jr, js, ja]
+        # normalize's norm, sqrt(re . re + im . im), by the same BLAS dots
+        norm = np.sqrt(np.vecdot(image.real, image.real) + np.vecdot(image.imag, image.imag))
+        for q in np.flatnonzero(norm <= ZERO_NORM):
+            errors.setdefault(int(jr[q]), ZeroVector(f"cannot normalize vector with norm {norm[q]:.3e}"))
+        if errors:
+            keep = ~np.isin(jr, list(errors))
+            jr, js, ja, jm, image, norm = jr[keep], js[keep], ja[keep], jm[keep], image[keep], norm[keep]
+        child, added = _merge(b, jr, js, pos[ja], image / norm[:, None])
+        np.subtract.at(b.counts, (jr, js), jm)
+        np.add.at(b.counts, (jr, child), jm)
+
+    # deterministic drift of every bucket state, counts untouched
+    exists = np.arange(b.states.shape[1]) < b.size[:, None]
+    rows = b.states[exists]
+    rows = rows - 1j * dt * np.matmul(snap.k, rows[..., None])[..., 0]
+    norm = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+    zero = np.flatnonzero(norm <= ZERO_NORM)
+    for q, r in zip(zero, np.nonzero(exists)[0][zero]):
+        errors.setdefault(int(r), ZeroVector(f"cannot normalize vector with norm {norm[q]:.3e}"))
+    if not len(zero):
+        b.states[exists] = rows / norm[:, None]
+    assert (b.counts.sum(axis=1) == members).all(), "member count must be conserved"
+    for r in np.flatnonzero((b.counts < 0).any(axis=1)):
+        errors.setdefault(int(r), StepTooLarge(f"bucket overdrawn at t={t:.6g}; reduce dt", time=t))
+    if errors:
+        raise errors[min(errors)]
+    return reverse, (jr, pos[ja]), added
 
 
 def nmqj_step(
     me: MasterEquation, ens: NmqjEnsemble, t: float, dt: float, gen: np.random.Generator
 ) -> tuple[NmqjEnsemble, list]:
-    """One synchronous step; returns the new ensemble and this step's events.
+    """One synchronous step, ``run_replica``'s for one replica; returns the
+    new ensemble and this step's events (reverse moves, then direct jumps).
     The new ensemble shares nothing mutable with ``ens``."""
-    own = NmqjEnsemble(ens.buckets, {k: set(v) for k, v in ens.provenance.items()})
-    out, events, _ = _step(me.at(t), own, dt, gen)
-    return out, events
-
-
-def _step(snap: GeneratorSnapshot, ens: NmqjEnsemble, dt: float, gen: np.random.Generator):
-    """``nmqj_step`` with the generator at the step's start time ``snap.t``,
-    which takes over ``ens.provenance``: the returned ensemble holds and
-    extends that dict. Returns (ensemble, events, whether a (child, channel,
-    parent) provenance pair was added)."""
-    t = snap.t
-    pos = [a for a in range(len(snap.gammas)) if snap.gammas[a] > EPS]
-    neg = [a for a in range(len(snap.gammas)) if snap.gammas[a] < -EPS]
-    counts = [b.count for b in ens.buckets]
-    states = [b.state for b in ens.buckets]
-    # (bucket, channel) -> (||L_a psi_j||^2, L_a psi_j), for populated buckets:
-    # only they jump, and a reverse jump into an empty one is skipped. The
-    # stacked matmul gives each image the bits of L_a @ psi_j.
-    norms2 = {}
-    live = [j for j, c in enumerate(counts) if c]
-    images = np.matmul(snap.ls[pos + neg][:, None], np.array([states[j] for j in live])[..., None])[..., 0]
-    for a, row in zip(pos + neg, images):
-        for j, y in zip(live, row):
-            norms2[(j, a)] = (float(np.vdot(y, y).real), y)
-    _check_reversibility(ens, snap, neg, norms2)
-
-    # moves[(src, dst_resolver, channel, kind)] sampled per populated bucket
-    new_counts = list(counts)
-    pending_direct = []  # (src, channel, image, moved)
-    events = []
-    for i in range(len(states)):
-        if counts[i] == 0:
-            continue
-        entries = []  # (prob, kind, channel, partner)
-        for a in pos:
-            n2, _y = norms2[(i, a)]
-            p = snap.gammas[a] * n2 * dt
-            if p > 0.0:
-                entries.append((p, "direct", a, -1))
-        for a in neg:
-            for j in sorted(ens.provenance.get((i, a), ())):
-                if counts[j] == 0:
-                    continue  # reverse target empty: zero flux this step
-                n2j, _ = norms2[(j, a)]
-                p = reverse_jump_probability(snap.gammas[a] * n2j * dt, counts[i], counts[j])
-                if p > 0.0:
-                    entries.append((p, "reverse", a, j))
-        total = sum(e[0] for e in entries)
-        if total > 1.0:
-            raise StepTooLarge(
-                f"per-member move probability {total:.4g} > 1 at t={t:.6g}", time=t
-            )
-        if not entries:
-            continue
-        drawn = gen.multinomial(counts[i], [e[0] for e in entries] + [1.0 - total])
-        for (p, kind, a, j), moved in zip(entries, drawn[:-1]):
-            if moved == 0:
-                continue
-            if kind == "direct":
-                pending_direct.append((i, a, norms2[(i, a)][1], int(moved)))
-            else:
-                new_counts[i] -= int(moved)
-                new_counts[j] += int(moved)
-                events.append(ReverseJump(source=i, target=j, channel=a, probability=p))
-
-    out = NmqjEnsemble([Bucket(c, s) for c, s in zip(new_counts, states)], ens.provenance)
-    added = False
-    for (src, a, image, moved) in pending_direct:
-        child_state = normalize(image)[0]
-        child = out.find(child_state)
-        if child is None:
-            out.buckets.append(Bucket(0, child_state))
-            child = len(out.buckets) - 1
-        out.buckets[src].count -= moved
-        out.buckets[child].count += moved
-        parents = out.provenance.setdefault((child, a), set())
-        added |= src not in parents
-        parents.add(src)
-        events.append(Jump(channel=a, probability=float("nan")))
-
-    # deterministic drift of every bucket state, counts untouched
-    now = np.array([b.state for b in out.buckets])
-    for b, row in zip(out.buckets, now - 1j * dt * np.matmul(snap.k, now[..., None])[..., 0]):
-        b.state = normalize(row)[0]
-    assert out.total == ens.total, "member count must be conserved"
-    if min(c.count for c in out.buckets) < 0:
-        raise StepTooLarge(f"bucket overdrawn at t={t:.6g}; reduce dt", time=t)
-    return out, events, added
+    snap = me.at(t)
+    b = _Buckets.of([ens], len(snap.gammas))
+    (_, source, target, channel, p), (_, jumped), _ = _step(snap, b, dt, [gen])
+    events = [
+        ReverseJump(source=i, target=j, channel=a, probability=q)
+        for i, j, a, q in zip(source.tolist(), target.tolist(), channel.tolist(), p.tolist())
+    ]
+    events += [Jump(channel=a, probability=float("nan")) for a in jumped.tolist()]
+    return b.ensemble(0), events
 
 
 def run_replica(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n_members: int, replica: int, seed: int, track=None
+    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n_members, replica: int, seed: int, track=None
 ):
-    """One independent NMQJ realization with its own member pool.
+    """Independent NMQJ realizations from replica ``replica`` on, each with
+    its own member pool: one of ``n_members``, or one per entry of the sizes
+    ``n_members`` of consecutive replicas (a tile of an ensemble), and then
+    rho_sum gains a leading replica axis and the diagnostics hold
+    ``event_logs``, one per replica, in place of one ``event_log``.
 
-    Returns (sum-weighted rho series, counts, diagnostics, abort); the rho
-    series carries sum_i N_i |psi_i><psi_i| so the engine can combine
-    replicas exactly like trajectory sums. ``track`` is ``me.track`` over
-    the grid's step starts (evaluated here if None); step k reads
-    ``track[k]``.
+    Returns (rho_sum, counts, diagnostics, abort); rho_sum rows carry
+    sum_i N_i |psi_i><psi_i| so the engine can combine replicas exactly like
+    trajectory sums, and abort is None or (err, k) for the first replica
+    that fails, at the first step k at which one does. The replicas step
+    together, each drawing from its own ``replica_generator`` in the order
+    one replica alone draws, so every replica's series and log are the ones
+    it gives alone. ``track`` is ``me.track`` over the grid's step starts
+    (evaluated here if None); step k reads ``track[k]``.
     """
-    gen = replica_generator(seed, replica)
+    sizes = np.atleast_1d(n_members).astype(np.int64)
+    gens = [replica_generator(seed, replica + r) for r in range(len(sizes))]
     steps = grid.n_steps
     if track is None:
         track = me.track(grid.times()[:-1])
-    ens = nmqj_ensemble(n_members, psi0)
-    rho_sum = np.zeros((steps + 1, me.dim, me.dim), dtype=complex)
-    rho_sum[0] = n_members * ens.rho()
-    log = []
-    seen_direct = set()  # (child, channel, parent) already logged
+    b = _Buckets.of([nmqj_ensemble(n, psi0) for n in sizes], len(me.channels))
+    rho_sum = np.zeros((len(sizes), steps + 1, me.dim, me.dim), dtype=complex)
+    rho_sum[:, 0] = sizes[:, None, None] * _rho(b.counts, b.states, sizes)
+    logs: list[list] = [[] for _ in sizes]
     n_jump = n_rev = 0
     abort = None
     for k in range(steps):
         try:
-            ens, events, added = _step(track[k], ens, grid.dt, gen)
+            (rr, ri, rj, ra, _), (jr, _), added = _step(track[k], b, grid.dt, gens)
         except UnravelError as err:
             abort = (err, k)
             break
-        for ev in events:
-            if isinstance(ev, ReverseJump):
-                n_rev += 1
-                log.append((k, "reverse", ev.source, ev.target, ev.channel))
-            else:
-                n_jump += 1
-        if added:
-            for (child, a), parents in ens.provenance.items():
-                for p in parents:
-                    if (child, a, p) not in seen_direct:
-                        seen_direct.add((child, a, p))
-                        log.append((k, "direct", p, child, a))
-        rho_sum[k + 1] = n_members * ens.rho()
+        n_rev += len(rr)
+        n_jump += len(jr)
+        for r, i, j, a in zip(rr.tolist(), ri.tolist(), rj.tolist(), ra.tolist()):
+            logs[r].append((k, "reverse", i, j, a))
+        for r, parent, child, a in zip(*(x.tolist() for x in added)):
+            logs[r].append((k, "direct", parent, child, a))
+        rho_sum[:, k + 1] = sizes[:, None, None] * _rho(b.counts, b.states, sizes)
     counts = {"jump": n_jump, "reverse_jump": n_rev, "deterministic": 0}
-    return rho_sum, counts, {"event_log": log}, abort
+    if np.ndim(n_members):
+        return rho_sum, counts, {"event_logs": logs}, abort
+    return rho_sum[0], counts, {"event_log": logs[0]}, abort

@@ -47,6 +47,7 @@ from unravel.models import (
     non_p_divisible,
     spontaneous_emission,
 )
+from unravel import cloning as cloning_module
 from unravel import nmqj as nmqj_module
 from unravel.nmqj import run_replica
 from unravel.propagate import TimeGrid, propagate
@@ -440,7 +441,7 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
     method = _rroqj(me) if kind == "rroqj" else method_id(kind)
     grid = TimeGrid(0.0, t_max, 1e-2)
     sizes = _chunk_sizes(n_traj, 20)
-    tiles = _tiles(method, sizes)
+    tiles = _tiles(sizes)
     if n_traj == 63 and budget == "small":
         assert 1 < len(tiles) < len(sizes)
     if n_traj == 4097:
@@ -469,26 +470,32 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
 
 def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
     """A tile holds whole consecutive batches, at most ``_TILE_ROWS`` rows
-    of them, or one batch larger than that; cloning's replicas tile as
-    trajectories do, and nmqj runs one replica at a time."""
+    of them, or one batch larger than that; the replicas of cloning and
+    nmqj tile as trajectories do, four replicas a tile at N = 10^4 and all
+    twenty at N = 2000."""
     sizes = _chunk_sizes(1003, 20)  # 3 batches of 51 rows, 17 of 50
-    mcwf = method_id("mcwf")
     monkeypatch.setattr(engine, "_TILE_ROWS", 160)
-    tiles = _tiles(mcwf, sizes)
+    tiles = _tiles(sizes)
     assert [i for tile in tiles for i in tile] == list(range(20))
     assert all(sum(sizes[i] for i in tile) <= 160 for tile in tiles)
     assert [len(t) for t in tiles] == [3] * 6 + [2]
     monkeypatch.setattr(engine, "_TILE_ROWS", 1)  # never fewer than one batch
-    assert _tiles(mcwf, sizes) == [[i] for i in range(20)]
+    assert _tiles(sizes) == [[i] for i in range(20)]
     monkeypatch.undo()
-    assert _tiles(mcwf, [100, 3000, 100, 1948, 1]) == [[0], [1], [2, 3], [4]]
-    assert _tiles(mcwf, _chunk_sizes(2000, 20)) == [list(range(20))]
-    assert _tiles(mcwf, _chunk_sizes(10_000, 20)) == [list(range(i, i + 4)) for i in range(0, 20, 4)]
-    assert _tiles(mcwf, _chunk_sizes(10**5, 20)) == [[i] for i in range(20)]
-    assert _tiles(method_id("nmqj"), sizes) == [[i] for i in range(20)]
-    assert _tiles(method_id("cloning"), sizes) == _tiles(mcwf, sizes)
-    assert _tiles(method_id("cloning"), _chunk_sizes(10_000, 20)) == [list(range(i, i + 4)) for i in range(0, 20, 4)]
-    assert _tiles(method_id("nmqj"), _chunk_sizes(10_000, 20)) == [[i] for i in range(20)]
+    assert _tiles([100, 3000, 100, 1948, 1]) == [[0], [1], [2, 3], [4]]
+    assert _tiles(_chunk_sizes(2000, 20)) == [list(range(20))]
+    assert _tiles(_chunk_sizes(10_000, 20)) == [list(range(i, i + 4)) for i in range(0, 20, 4)]
+    assert _tiles(_chunk_sizes(10**5, 20)) == [[i] for i in range(20)]
+    grid = TimeGrid(0.0, 0.02, 1e-2)
+    for module, kind in ((cloning_module, "cloning"), (nmqj_module, "nmqj")):
+        calls = []
+        replica = module.run_replica
+        monkeypatch.setattr(
+            module, "run_replica", lambda *args, **kw: (calls.append(list(args[3])), replica(*args, **kw))[1]
+        )
+        for n_traj in (10_000, 2000):
+            run_ensemble(method_id(kind), spontaneous_emission(), PLUS, grid, n_traj, seed=1)
+        assert calls == [[500] * 4] * 5 + [[100] * 20], kind
 
 
 def test_cloning_tiles_reproduce_per_replica_runs_at_n10000():
@@ -506,17 +513,22 @@ def test_cloning_tiles_reproduce_per_replica_runs_at_n10000():
 
 
 def test_replicas_stop_at_the_earliest_abort_so_far(monkeypatch):
-    """Each nmqj replica steps only up to the earliest abort of the replicas
-    before it (the earlier replica wins a tie, so it need not run that
-    step), and the result is what running every replica to its own abort
-    gives: the error, its message and time, the partial series and the
-    event logs cut to them."""
+    """Each nmqj tile steps its replicas together up to the first abort
+    among them, and only up to the earliest abort of the tiles before it
+    (the earlier tile wins a tie, so it need not run that step); the result
+    is what running every replica to its own abort gives: the error, its
+    message and time, the partial series and the event logs cut to them."""
     me, grid, method = delayed_negative_phase_covariant(), TimeGrid(0.0, 3.0, 1e-2), method_id("nmqj")
     sizes = _chunk_sizes(2000, 20)
+    monkeypatch.setattr(engine, "_TILE_ROWS", 300)  # tiles of three replicas of 100
+    tiles = _tiles(sizes)
+    assert [len(tile) for tile in tiles] == [3] * 6 + [2]
     track = _generator_track(method, me, grid)
     full = [run_replica(me, PLUS, grid, n, replica=r, seed=1, track=track) for r, n in enumerate(sizes)]
-    # the steps each replica runs on its own: up to and with its abort's
-    own = [grid.n_steps if res[3] is None else res[3][1] + 1 for res in full]
+    # the steps each tile runs on its own: up to and with its first abort's
+    aborts = [grid.n_steps if res[3] is None else res[3][1] for res in full]
+    tile_aborts = [min(aborts[i] for i in tile) for tile in tiles]
+    own = [min(a + 1, grid.n_steps) for a in tile_aborts]
     rho_hat, rho_batches, stderr, _counts, _diag, abort = _per_batch_reference(method, me, PLUS, grid, 2000, 1)
 
     calls = []
@@ -524,12 +536,11 @@ def test_replicas_stop_at_the_earliest_abort_so_far(monkeypatch):
     monkeypatch.setattr(nmqj_module, "_step", lambda *args: (calls.append(args[0].t), step(*args))[1])
     with pytest.raises(MissingTargetState) as info:
         run_ensemble(method, me, PLUS, grid, 2000, seed=1)
-    # a replica calls _step at steps 0, 1, ... and a new replica starts at t = 0
-    per_replica = np.split(calls, np.nonzero(np.diff(calls) < 0)[0] + 1)
-    aborts = [grid.n_steps if res[3] is None else res[3][1] for res in full]
-    limits = [max(1, min(aborts[:r], default=grid.n_steps)) for r in range(len(sizes))]
-    assert [len(c) for c in per_replica] == [min(n, lim) for n, lim in zip(own, limits)]
-    assert sum(len(c) for c in per_replica) < sum(own)  # some replica was stopped
+    # a tile calls _step at steps 0, 1, ... and a new tile starts at t = 0
+    per_tile = np.split(calls, np.nonzero(np.diff(calls) <= 0)[0] + 1)
+    limits = [max(1, min(tile_aborts[:i], default=grid.n_steps)) for i in range(len(tiles))]
+    assert [len(c) for c in per_tile] == [min(n, lim) for n, lim in zip(own, limits)]
+    assert sum(len(c) for c in per_tile) < sum(own)  # some tile was stopped
 
     err = info.value
     assert (type(err), str(err), err.time) == (type(abort[0]), str(abort[0]), abort[0].time)
@@ -538,3 +549,36 @@ def test_replicas_stop_at_the_earliest_abort_so_far(monkeypatch):
         assert np.array_equal(partial[key], want), key
     last = len(partial["times"]) - 1
     assert partial["event_logs"] == [[e for e in res[2]["event_log"] if e[0] < last] for res in full]
+
+
+@pytest.mark.parametrize("build, t_max, aborts", [
+    (spontaneous_emission, 0.5, False),
+    (delayed_negative_phase_covariant, 3.0, True),
+])
+def test_nmqj_tiles_reproduce_per_replica_runs_at_n10000(build, t_max, aborts):
+    """At N = 10^4 nmqj's 20 replicas of 500 step in five tiles of four,
+    with the bits of 20 separate one-replica runs: the series, counts and
+    event logs of a finishing run, and the error, message, time, partial
+    series and cut event logs of an aborting one."""
+    me, grid, method = build(), TimeGrid(0.0, t_max, 1e-2), method_id("nmqj")
+    track = _generator_track(method, me, grid)
+    full = [run_replica(me, PLUS, grid, 500, replica=r, seed=5, track=track) for r in range(20)]
+    rho_hat, rho_batches, stderr, counts, _diag, abort = _per_batch_reference(method, me, PLUS, grid, 10_000, 5)
+    assert (abort is not None) == aborts
+    if aborts:
+        with pytest.raises(MissingTargetState) as info:
+            run_ensemble(method, me, PLUS, grid, 10_000, seed=5)
+        err = info.value
+        assert (str(err), err.time) == (str(abort[0]), abort[0].time)
+        partial = err.partial
+        for key, want in (("rho_hat", rho_hat), ("rho_batches", rho_batches), ("stderr", stderr)):
+            assert np.array_equal(partial[key], want), key
+        last = len(partial["times"]) - 1
+        assert partial["event_logs"] == [[e for e in res[2]["event_log"] if e[0] < last] for res in full]
+        return
+    res = run_ensemble(method, me, PLUS, grid, 10_000, seed=5)
+    assert np.array_equal(res.rho_hat, rho_hat)
+    assert np.array_equal(res.rho_batches, rho_batches)
+    assert np.array_equal(res.stderr, stderr)
+    assert res.event_counts == counts
+    assert res.diagnostics["event_logs"] == [r[2]["event_log"] for r in full]

@@ -6,6 +6,7 @@ import pytest
 from unravel.errors import NotHermitian, NotPSD, ZeroVector
 from unravel.linalg import (
     _eigh_lapack,
+    _hermitian_deviation,
     _order_ties,
     complement_batch,
     eigh,
@@ -345,3 +346,29 @@ def test_hermitize_and_require_hermitian():
     with pytest.raises(NotHermitian):
         require_hermitian(m)
     assert require_hermitian(h) is not None
+
+
+def test_qubit_hermitian_deviation_has_the_bits_of_the_full_difference():
+    """At d = 2 ``require_hermitian`` forms m01 - conj(m10) and the
+    diagonal's m_ii - conj(m_ii) only, with the deviation's bits and the
+    message of max |m - m^dag| over all entries: on random non-hermitian
+    stacks, real and complex, with signed zeros, infinities and NaNs."""
+    gen = np.random.default_rng(11)
+    for case in range(500):
+        shape = tuple(int(n) for n in gen.integers(0, 4, int(gen.integers(0, 3)))) + (2, 2)
+        m = gen.standard_normal(shape) * 10.0 ** gen.integers(-12, 3, shape)
+        if case % 2:
+            m = m + 1j * gen.standard_normal(shape) * 10.0 ** gen.integers(-12, 3, shape)
+        m[gen.random(shape) < 0.1] = -0.0
+        if case % 5 == 0:
+            m[gen.random(shape) < 0.05] = gen.choice([np.inf, -np.inf, np.nan])
+        with np.errstate(invalid="ignore"):  # inf - inf
+            full = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
+            dev = _hermitian_deviation(m)
+            assert np.asarray(dev).tobytes() == np.asarray(full).tobytes(), case
+            try:
+                require_hermitian(m, atol=1e-9, what="m")
+            except NotHermitian as err:
+                assert str(err) == f"m deviates from hermiticity by {full:.3e} (atol 1.0e-09)"
+            else:
+                assert not full > 1e-9

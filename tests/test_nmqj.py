@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from unravel import nmqj as nmqj_module
-from unravel.errors import MissingTargetState
+from unravel.errors import MissingTargetState, StepTooLarge
 from unravel.linalg import trace_distance
 from unravel.models import (
     KET0,
@@ -15,6 +14,8 @@ from unravel.models import (
     eternally_nm,
 )
 from unravel.nmqj import (
+    _Buckets,
+    _step,
     Bucket,
     NmqjEnsemble,
     nmqj_ensemble,
@@ -192,14 +193,87 @@ def test_step_leaves_its_input_ensemble_unchanged():
     assert [b.count for b in first.buckets] == counts
 
 
-def test_replica_log_is_that_of_a_scan_at_every_step(monkeypatch):
-    """``run_replica`` scans the provenance only in steps that add a pair;
-    scanning at every step logs the same entries in the same order."""
+def test_replica_log_is_that_of_a_scan_at_every_step():
+    """``run_replica`` logs the provenance entries each step adds, sorted in
+    stacked arrays; stepping the one-replica view (``nmqj_step``) and
+    scanning its provenance map at every step logs the same entries in the
+    same order, beside the same reverse moves. In steps 4 to 6 one key
+    gains two parents, and two new keys' first jumps come against their
+    (child, channel) order; those steps log what a provenance scan of the
+    one-replica-at-a-time stepper logged."""
     me = delayed_negative_phase_covariant()
     grid = TimeGrid(0.0, 1.2, 1e-2)
-    _rho, _counts, diag, _abort = run_replica(me, PLUS, grid, 4000, replica=1, seed=9)
-    step = nmqj_module._step
-    monkeypatch.setattr(nmqj_module, "_step", lambda *args: step(*args)[:2] + (True,))
-    _rho, _counts, every, _abort = run_replica(me, PLUS, grid, 4000, replica=1, seed=9)
-    assert any(entry[1] == "direct" and entry[0] > 0 for entry in diag["event_log"])
-    assert diag["event_log"] == every["event_log"]
+    _rho, _counts, diag, _abort = run_replica(me, PLUS, grid, 2000, replica=0, seed=2)
+    gen, ens = replica_generator(2, 0), nmqj_ensemble(2000, PLUS)
+    log, seen = [], set()
+    for k, t in enumerate(grid.times()[:-1]):
+        ens, events = nmqj_step(me, ens, t, grid.dt, gen)
+        log += [(k, "reverse", e.source, e.target, e.channel) for e in events if isinstance(e, ReverseJump)]
+        for (child, a), parents in ens.provenance.items():
+            for p in parents:
+                if (child, a, p) not in seen:
+                    seen.add((child, a, p))
+                    log.append((k, "direct", p, child, a))
+    assert [e for e in diag["event_log"] if 4 <= e[0] <= 6 and e[1] == "direct"] == [
+        (4, "direct", 1, 2, 1), (4, "direct", 3, 2, 1),
+        (5, "direct", 2, 2, 2), (5, "direct", 3, 0, 2),
+        (6, "direct", 2, 1, 0), (6, "direct", 3, 1, 0), (6, "direct", 1, 1, 2),
+    ]
+    assert any(entry[1] == "reverse" for entry in diag["event_log"])
+    assert diag["event_log"] == log
+
+
+def test_one_multinomial_call_draws_what_one_call_per_bucket_draws():
+    """A step draws a replica's moves in one multinomial call over all its
+    buckets, each row padded with zero-probability slots (moves that do not
+    apply, empty and padding buckets). numpy draws nothing for a zero slot,
+    so the counts and the generator state after the call are those of one
+    call per populated bucket over its own moves, as one replica's loop
+    makes them."""
+    rng = np.random.default_rng(7)
+    for case in range(3000):
+        n_buckets, slots = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+        counts = rng.integers(0, 3000, n_buckets) * (rng.random(n_buckets) < 0.8)
+        probs = rng.random((n_buckets, slots)) * (rng.random((n_buckets, slots)) < 0.5)
+        probs *= rng.random((n_buckets, 1)) / np.maximum(probs.sum(axis=1, keepdims=True), 1e-300)
+        total = np.add.accumulate(probs, axis=1)[:, -1]
+        one, per = replica_generator(case, 0), replica_generator(case, 0)
+        drawn = one.multinomial(counts, np.concatenate([probs, 1.0 - total[:, None]], axis=1))
+        for i in range(n_buckets):
+            want = np.zeros(slots + 1, dtype=np.int64)
+            want[-1] = counts[i]
+            moves = np.flatnonzero(probs[i])
+            if counts[i] and len(moves):
+                entries = list(probs[i, moves])
+                got = per.multinomial(counts[i], entries + [1.0 - sum(entries)])
+                want[moves], want[-1] = got[:-1], got[-1]
+            assert np.array_equal(drawn[i], want), (case, i)
+        assert repr(one.bit_generator.state) == repr(per.bit_generator.state), case
+
+
+def test_a_tile_reports_its_first_failing_replica_as_it_fails_alone():
+    """A tile's step raises the error of its first failing replica, the one
+    that replica raises alone: a missing reverse target, or a move
+    probability above 1 (a child of one member whose parent holds 10^6
+    demands a reverse flux of 4800 a member), whichever comes first. Inside
+    a replica the missing target comes before a move probability above 1."""
+    me, t, dt = eternally_nm(), 2.0, 1e-2
+    history = {(1, Z_CHANNEL): {0}, (0, Z_CHANNEL): {1}}
+    fine = NmqjEnsemble([Bucket(50_000, PLUS.copy()), Bucket(50_000, MINUS.copy())], history)
+    missing = nmqj_ensemble(100, PLUS)
+    too_large = NmqjEnsemble([Bucket(10**6, PLUS.copy()), Bucket(1, MINUS.copy())], history)
+    alone = {}
+    for name, ens in (("missing", missing), ("too_large", too_large)):
+        with pytest.raises((MissingTargetState, StepTooLarge)) as info:
+            nmqj_step(me, ens, t, dt, replica_generator(1, 0))
+        alone[name] = (type(info.value), str(info.value), info.value.time)
+    assert alone["missing"][0] is MissingTargetState and alone["too_large"][0] is StepTooLarge
+    with pytest.raises(MissingTargetState):  # its direct jumps alone have probability 100 a member
+        nmqj_step(me, missing, t, 100.0, replica_generator(1, 0))
+    nmqj_step(me, fine, t, dt, replica_generator(1, 0))
+    for order in (("fine", "too_large", "missing"), ("fine", "missing", "too_large")):
+        ensembles = {"fine": fine, "missing": missing, "too_large": too_large}
+        tile = _Buckets.of([ensembles[name] for name in order], len(me.channels))
+        with pytest.raises((MissingTargetState, StepTooLarge)) as info:
+            _step(me.at(t), tile, dt, [replica_generator(1, r) for r in range(3)])
+        assert (type(info.value), str(info.value), info.value.time) == alone[order[1]]

@@ -31,7 +31,8 @@ weighted, gauged, population and replica methods, ensembles whose batches
 are unequal, so that one tile holds batches of two sizes (N = 1003 for
 mcwf, for im's weights and for doubled's pair sums and norm tally, N = 83
 for wtd), fill several row tiles (N = 10^4 for mcwf and cloning, and N = 4097,
-whose middle tile holds batches of 205 and 204 rows) or hold one
+whose middle tile holds batches of 205 and 204 rows, nmqj's finishing run
+among them) or hold one
 trajectory each (N = 13), one abort of each kind of
 method (channel and spectral menus, replica, waiting time, embedding), nmqj's
 abort at N = 10^4, and the
@@ -154,6 +155,7 @@ INPUTS = {
     "abort/tripled_step": (_kind("tripled"), _sigma_z(lambda t: -20.0 if t < 0.8 else -500.0),
                            PLUS, 40, 1.0),
     "nmqj/spontaneous_emission": (_kind("nmqj"), _model("spontaneous_emission"), PLUS, 2000, 1.5),
+    "nmqj/n4097": (_kind("nmqj"), _model("spontaneous_emission"), PLUS, 4097, 0.5),
     # the two replica runs of bench/ (cli_replica)
     "cloning/n10000": (_kind("cloning"), _model("spontaneous_emission"), PLUS, 10_000, 1.0),
     "abort/nmqj_n10000": (_kind("nmqj"), _model("delayed_negative"), PLUS, 10_000, 3.0),
