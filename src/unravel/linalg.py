@@ -36,6 +36,7 @@ __all__ = [
     "eigh_batched",
     "eigvalsh_min",
     "normalize",
+    "normalize_rows",
     "trace_distance",
     "psd_sqrt",
     "psd_sqrt_batched",
@@ -53,7 +54,7 @@ __all__ = [
 
 EPS = 1e-12          # sign / clipping threshold for probabilities and rates
 HERM_ATOL = 1e-9     # hermiticity and PSD tolerance for d x d operators
-ZERO_NORM = 1e-14    # largest norm ``normalize`` rejects as a zero vector
+_ZERO_NORM = 1e-14   # largest norm ``normalize`` rejects as a zero vector
 # Rows numpy's einsum reduces in one pass when the reduced axis is contiguous
 # (its iterator's default buffer); a longer reduction is summed buffer by
 # buffer, which changes the last bits.
@@ -65,20 +66,8 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
-def _hermitian_deviation(m: np.ndarray):
-    """max |m - m^dag| over a stack (..., d, d). At d = 2 only the entries
-    (0, 0), (0, 1) and (1, 1) are formed: |m10 - conj(m01)| has the bits of
-    |m01 - conj(m10)| (its real part negated, its imaginary part the same)."""
-    if m.shape[-2:] == (2, 2):
-        flat = m.reshape(m.shape[:-2] + (4,))
-        dev = flat[..., [0, 1, 3]]
-        dev -= np.conj(flat[..., [0, 2, 3]])
-        return np.max(np.abs(dev), initial=0.0)
-    return np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
-
-
 def require_hermitian(m: np.ndarray, atol: float = HERM_ATOL, what: str = "matrix") -> np.ndarray:
-    dev = _hermitian_deviation(m)
+    dev = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
     if dev > atol:
         raise NotHermitian(f"{what} deviates from hermiticity by {dev:.3e} (atol {atol:.1e})")
     return m
@@ -229,9 +218,26 @@ def normalize(v: np.ndarray) -> tuple[np.ndarray, float]:
         n = math.sqrt(re.dot(re) + im.dot(im))
     else:
         n = float(np.linalg.norm(v))
-    if n <= ZERO_NORM:
-        raise ZeroVector(f"cannot normalize vector with norm {n:.3e}")
+    if n <= _ZERO_NORM:
+        raise _zero_vector(n)
     return v / n, n
+
+
+def normalize_rows(rows: np.ndarray):
+    """:func:`normalize` of each row of a complex stack (n, d), with its bits
+    row by row: the unit rows, and (index, ZeroVector) for the first row it
+    rejects (None if there is none); a rejected row is not meaningful."""
+    norms = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
+    zero = norms <= _ZERO_NORM
+    bad = None
+    if zero.any():
+        q = int(zero.argmax())
+        bad = q, _zero_vector(norms[q])
+    return rows / np.where(zero, 1.0, norms)[:, None], bad
+
+
+def _zero_vector(n) -> ZeroVector:
+    return ZeroVector(f"cannot normalize vector with norm {n:.3e}")
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray):

@@ -17,9 +17,10 @@ on one generator track, which the engine shares between all tiles. Their
 buckets are stacked arrays padded to a common bucket count (``_Buckets``):
 states (R, B, d), counts (R, B) and the provenance as a boolean
 (R, child, channel, parent) array. A step is a fixed set of stacked numpy
-calls plus one multinomial draw per replica from that replica's own stream,
-so every replica gets the bits it gets alone. ``nmqj_step`` is the same
-step for one ensemble held as ``Bucket`` records (``NmqjEnsemble``).
+calls plus one multinomial draw per populated bucket with a move, from its
+replica's own stream, so every replica gets the bits it gets alone.
+``nmqj_step`` is the same step for one ensemble held as ``Bucket`` records
+(``NmqjEnsemble``).
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MissingTargetState, StepTooLarge, UnravelError, ZeroVector
-from .linalg import EPS, ZERO_NORM
+from .errors import MissingTargetState, StepTooLarge, UnravelError
+from .linalg import EPS, normalize_rows
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Jump, ReverseJump
 from .propagate import TimeGrid
@@ -71,12 +72,6 @@ class NmqjEnsemble:
         counts = np.array([[b.count for b in self.buckets]])
         return _rho(counts, np.array([[b.state for b in self.buckets]]), counts.sum(axis=1))[0]
 
-    def find(self, state: np.ndarray) -> int | None:
-        for i, b in enumerate(self.buckets):
-            if abs(np.vdot(b.state, state)) ** 2 >= _MERGE_FIDELITY:
-                return i
-        return None
-
 
 def nmqj_ensemble(n: int, psi0: np.ndarray) -> NmqjEnsemble:
     return NmqjEnsemble([Bucket(int(n), np.asarray(psi0, dtype=complex).copy())])
@@ -88,6 +83,12 @@ def reverse_jump_probability(method_p, n_i, n_j):
     if np.any(np.asarray(n_i) == 0):
         raise ZeroDivisionError("reverse jump from an empty bucket (N_i = 0); caller must skip")
     return -(n_j / n_i) * method_p
+
+
+def _fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """|<a|b>|^2 over the last axis, broadcast: the bits of Python's
+    ``abs(np.vdot(a, b)) ** 2`` for each pair."""
+    return np.float_power(np.abs(np.vecdot(a, b)), 2)
 
 
 def _rho(counts: np.ndarray, states: np.ndarray, totals: np.ndarray) -> np.ndarray:
@@ -169,11 +170,13 @@ def _merge(b: _Buckets, jr, js, channel, states):
     (populated or not) whose state matches its image, else a new one opened
     for it, and the (replica, parent, child, channel) provenance entries
     they add. Records the entries in ``b.prov`` and ranks new keys. The
-    entries come by replica, then key rank, then parent: the order in which
-    a scan of ``NmqjEnsemble.provenance`` meets them, as its sets iterate
-    small bucket ids in ascending order."""
-    fid = np.float_power(np.abs(np.vecdot(b.states[jr], states[:, None])), 2)
-    match = (fid >= _MERGE_FIDELITY) & (np.arange(b.states.shape[1]) < b.size[jr, None])
+    entries come by replica, then key rank, then parent id ascending. A
+    Python set of ints below its table size (at least 8) iterates them in
+    ascending order, so a scan of ``NmqjEnsemble.provenance`` meets a key's
+    new parents in this order while their ids are below 8, not always past
+    that."""
+    match = _fidelity(b.states[jr], states[:, None]) >= _MERGE_FIDELITY
+    match &= np.arange(b.states.shape[1]) < b.size[jr, None]
     child = match.argmax(axis=1)
     found = match.any(axis=1)
     if not found.all():
@@ -182,10 +185,9 @@ def _merge(b: _Buckets, jr, js, channel, states):
             # no bucket from before the step matches: one opened earlier in
             # this step may, else this image opens one
             r = jr[q]
-            fresh = [i for i in range(opened[r], b.size[r])
-                     if abs(np.vdot(b.states[r, i], states[q])) ** 2 >= _MERGE_FIDELITY]
-            if fresh:
-                child[q] = fresh[0]
+            fresh = _fidelity(b.states[r, opened[r]:b.size[r]], states[q]) >= _MERGE_FIDELITY
+            if fresh.any():
+                child[q] = opened[r] + fresh.argmax()
                 continue
             if b.size[r] == b.states.shape[1]:
                 b.grow()
@@ -211,8 +213,8 @@ def _merge(b: _Buckets, jr, js, channel, states):
 
 def _step(snap: GeneratorSnapshot, b: _Buckets, dt: float, gens):
     """One synchronous step of every replica of ``b``, updated in place;
-    replica r draws from ``gens[r]``, one multinomial call for all its
-    buckets.
+    replica r draws from ``gens[r]``, one multinomial call for each of its
+    populated buckets with a move, in bucket order.
 
     Returns (reverse, jumps, added): the reverse moves as arrays (replica,
     source, target, channel, probability) in the order one replica alone
@@ -253,7 +255,7 @@ def _step(snap: GeneratorSnapshot, b: _Buckets, dt: float, gens):
         # a no-op. A child that has emptied cannot serve the demanded reverse
         # flux, so it counts as missing.
         n2 = norms2[..., n_pos:]
-        fid = np.float_power(np.abs(np.vecdot(b.states[:, :, None], images[:, :, n_pos:])), 2)
+        fid = _fidelity(b.states[:, :, None], images[:, :, n_pos:])
         held = (b.prov[:, :, neg] & live[:, :, None, None]).any(axis=1)  # (R, channel, parent)
         missing = (live[..., None] & (n2 > EPS) & ~(fid >= _SELF_FIDELITY * n2)).transpose(0, 2, 1) & ~held
         for r in np.flatnonzero(missing.any(axis=(1, 2))):
@@ -280,12 +282,18 @@ def _step(snap: GeneratorSnapshot, b: _Buckets, dt: float, gens):
         for r in np.flatnonzero((total > 1.0).any(axis=1)):
             first = total[r, (total[r] > 1.0).argmax()]
             errors.setdefault(int(r), StepTooLarge(f"per-member move probability {first:.4g} > 1 at t={t:.6g}", time=t))
-        # a zero-probability slot draws no random number, so one call per
-        # replica draws what one call per bucket over its moves would
-        pvals = np.concatenate([probs, 1.0 - total[..., None]], axis=2)
-        for r in range(n_rep):
-            if r not in errors:
-                moved[r] = gens[r].multinomial(counts[r], pvals[r])[:, :-1]
+        # each bucket with a move draws over its moves (its nonzero slots,
+        # which np.nonzero lists bucket by bucket), as one replica's loop does
+        dr, di, ds = np.nonzero(probs)
+        heads = np.flatnonzero(np.diff(dr * cap + di, prepend=-1))
+        ends = [*heads[1:].tolist(), len(ds)]
+        p, drawn = probs[dr, di, ds].tolist(), []
+        for a, z, r, i in zip(heads.tolist(), ends, dr[heads].tolist(), di[heads].tolist()):
+            if r in errors:
+                drawn += [0] * (z - a)
+            else:
+                drawn += gens[r].multinomial(counts[r, i], p[a:z] + [1.0 - total[r, i]])[:-1].tolist()
+        moved[dr, di, ds] = drawn
 
     if n_neg:
         returned = moved[..., n_pos:].reshape(n_rep, cap, n_neg, cap)
@@ -300,28 +308,26 @@ def _step(snap: GeneratorSnapshot, b: _Buckets, dt: float, gens):
     jr, js, ja = np.nonzero(moved[..., :n_pos])
     added = (jr[:0],) * 4
     if len(jr):
-        jm, image = moved[jr, js, ja], images[jr, js, ja]
-        # normalize's norm, sqrt(re . re + im . im), by the same BLAS dots
-        norm = np.sqrt(np.vecdot(image.real, image.real) + np.vecdot(image.imag, image.imag))
-        for q in np.flatnonzero(norm <= ZERO_NORM):
-            errors.setdefault(int(jr[q]), ZeroVector(f"cannot normalize vector with norm {norm[q]:.3e}"))
+        jm = moved[jr, js, ja]
+        image, bad = normalize_rows(images[jr, js, ja])
+        if bad is not None:
+            errors.setdefault(int(jr[bad[0]]), bad[1])
         if errors:
-            keep = ~np.isin(jr, list(errors))
-            jr, js, ja, jm, image, norm = jr[keep], js[keep], ja[keep], jm[keep], image[keep], norm[keep]
-        child, added = _merge(b, jr, js, pos[ja], image / norm[:, None])
+            # only the first failing replica's error is raised: the replicas
+            # after it need not step on
+            keep = jr < min(errors)
+            jr, js, ja, jm, image = jr[keep], js[keep], ja[keep], jm[keep], image[keep]
+        child, added = _merge(b, jr, js, pos[ja], image)
         np.subtract.at(b.counts, (jr, js), jm)
         np.add.at(b.counts, (jr, child), jm)
 
     # deterministic drift of every bucket state, counts untouched
     exists = np.arange(b.states.shape[1]) < b.size[:, None]
     rows = b.states[exists]
-    rows = rows - 1j * dt * np.matmul(snap.k, rows[..., None])[..., 0]
-    norm = np.sqrt(np.vecdot(rows.real, rows.real) + np.vecdot(rows.imag, rows.imag))
-    zero = np.flatnonzero(norm <= ZERO_NORM)
-    for q, r in zip(zero, np.nonzero(exists)[0][zero]):
-        errors.setdefault(int(r), ZeroVector(f"cannot normalize vector with norm {norm[q]:.3e}"))
-    if not len(zero):
-        b.states[exists] = rows / norm[:, None]
+    rows, bad = normalize_rows(rows - 1j * dt * np.matmul(snap.k, rows[..., None])[..., 0])
+    if bad is not None:
+        errors.setdefault(int(np.nonzero(exists)[0][bad[0]]), bad[1])
+    b.states[exists] = rows
     assert (b.counts.sum(axis=1) == members).all(), "member count must be conserved"
     for r in np.flatnonzero((b.counts < 0).any(axis=1)):
         errors.setdefault(int(r), StepTooLarge(f"bucket overdrawn at t={t:.6g}; reduce dt", time=t))

@@ -60,19 +60,15 @@ def residual(me, rho0, t, dt, branches, factor=None) -> float:
 class MeanDraw:
     """Stands in for a Generator: multinomial returns its own expectation,
     rounded to integers with the remainder pushed onto the largest
-    fractional parts. Turns one nmqj_step into an exact mean-field step.
-    Like numpy's, it takes a 2-D ``pvals`` with one count of ``n`` per row,
-    as the step draws all buckets of a replica in one call."""
+    fractional parts. Turns one nmqj_step into an exact mean-field step."""
 
-    def multinomial(self, n, pvals) -> np.ndarray:
-        n = np.asarray(n)
-        raw = np.asarray(pvals, dtype=float) * n[..., None]
+    def multinomial(self, n: int, pvals) -> np.ndarray:
+        raw = np.asarray(pvals, dtype=float) * n
         out = np.floor(raw).astype(np.int64)
-        short = n - out.sum(axis=-1)
-        # each slot's place by descending fractional part; the first
-        # ``short`` places of a row take one more member
-        place = np.argsort(np.argsort(raw - out, axis=-1)[..., ::-1], axis=-1)
-        return out + (place < short[..., None])
+        short = int(n - out.sum())
+        order = np.argsort(raw - out)[::-1]
+        out[order[:short]] += 1
+        return out
 
 
 def nmqj_mean_rho(me, weights, states, provenance, t, dt) -> np.ndarray:

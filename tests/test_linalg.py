@@ -6,7 +6,6 @@ import pytest
 from unravel.errors import NotHermitian, NotPSD, ZeroVector
 from unravel.linalg import (
     _eigh_lapack,
-    _hermitian_deviation,
     _order_ties,
     complement_batch,
     eigh,
@@ -15,6 +14,7 @@ from unravel.linalg import (
     haar_state,
     hermitize,
     normalize,
+    normalize_rows,
     orthonormal_complement,
     phase_fix_columns,
     psd_sqrt,
@@ -144,6 +144,28 @@ def test_normalize_has_the_bits_of_numpy_norm():
         u, n = normalize(v)
         assert n == want
         assert (v / want).tobytes() == u.tobytes()
+
+
+def test_normalize_rows_has_the_bits_of_normalize_row_by_row():
+    """Each unit row has ``normalize``'s bits at d = 1 to 6, and the first
+    row it rejects is reported with ``normalize``'s error."""
+    gen = np.random.default_rng(13)
+    for case in range(600):
+        d, n = int(gen.integers(1, 7)), int(gen.integers(1, 9))
+        rows = _with_negative_zeros(gen, (n, d))
+        rows[gen.random(n) < 0.1] *= 1e-16
+        units, bad = normalize_rows(rows)
+        first = None
+        for q, row in enumerate(rows):
+            try:
+                want = normalize(row)[0]
+            except ZeroVector as err:
+                first = (q, str(err)) if first is None else first
+                continue
+            assert units[q].tobytes() == want.tobytes(), (case, q)
+        assert (bad if bad is None else (bad[0], str(bad[1]))) == first, case
+        if bad is not None:
+            assert isinstance(bad[1], ZeroVector)
 
 
 def test_normalize_falls_back_to_numpy_norm(monkeypatch):
@@ -347,28 +369,3 @@ def test_hermitize_and_require_hermitian():
         require_hermitian(m)
     assert require_hermitian(h) is not None
 
-
-def test_qubit_hermitian_deviation_has_the_bits_of_the_full_difference():
-    """At d = 2 ``require_hermitian`` forms m01 - conj(m10) and the
-    diagonal's m_ii - conj(m_ii) only, with the deviation's bits and the
-    message of max |m - m^dag| over all entries: on random non-hermitian
-    stacks, real and complex, with signed zeros, infinities and NaNs."""
-    gen = np.random.default_rng(11)
-    for case in range(500):
-        shape = tuple(int(n) for n in gen.integers(0, 4, int(gen.integers(0, 3)))) + (2, 2)
-        m = gen.standard_normal(shape) * 10.0 ** gen.integers(-12, 3, shape)
-        if case % 2:
-            m = m + 1j * gen.standard_normal(shape) * 10.0 ** gen.integers(-12, 3, shape)
-        m[gen.random(shape) < 0.1] = -0.0
-        if case % 5 == 0:
-            m[gen.random(shape) < 0.05] = gen.choice([np.inf, -np.inf, np.nan])
-        with np.errstate(invalid="ignore"):  # inf - inf
-            full = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
-            dev = _hermitian_deviation(m)
-            assert np.asarray(dev).tobytes() == np.asarray(full).tobytes(), case
-            try:
-                require_hermitian(m, atol=1e-9, what="m")
-            except NotHermitian as err:
-                assert str(err) == f"m deviates from hermiticity by {full:.3e} (atol 1.0e-09)"
-            else:
-                assert not full > 1e-9
