@@ -94,12 +94,11 @@ from .rate_operators import (
 )
 from .roqj import roqj_branches, roqj_step, wroqj_branches, wroqj_step
 from .nmqj import NmqjEnsemble, nmqj_ensemble, nmqj_step, reverse_jump_probability
-from .doubled import DoubledModel, DoubledState, doubled_step, gksl_to_doubled
+from .doubled import DoubledState, doubled_branches, doubled_step
 from .tripled import (
     JumpPair,
     TripledEmbedding,
     embedded_master_equation,
-    pairs_from_master_equation,
     tripled_embed,
     tripled_extract,
 )

@@ -7,37 +7,32 @@ renormalization. Negative rates are absorbed into the jump factorization by
 flipping the sign of one factor, so every jump has a nonnegative firing
 probability while C rho D^dag still reproduces gamma L rho L^dag. The
 batched kernel ``factors_menu`` works on rows (phi, psi) of width 2d; the
-runner feeds it ``doubled_factors`` of each step's snapshot, and
-``doubled_menu`` feeds it a ``DoubledModel`` evaluated at t.
+runner feeds it ``doubled_factors`` of each step's snapshot, and the one-row
+views ``doubled_branches`` and ``doubled_step`` that of ``me.at(t)``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import ZeroVector
 from .linalg import EPS, outer_sum, squared_norms
-from .master_equation import GeneratorSnapshot, MasterEquation, once_per_time
+from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, row_branches, row_step, run_menus
 from .propagate import TimeGrid
 
 __all__ = [
     "DoubledState",
-    "DoubledModel",
     "DoubledFactors",
     "doubled_factors",
-    "gksl_to_doubled",
     "factors_menu",
-    "doubled_menu",
     "doubled_branches",
     "doubled_step",
     "run_chunk",
 ]
-
-Matrix = Callable[[float], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -50,18 +45,8 @@ class DoubledState:
         return float(np.vdot(self.phi, self.phi).real + np.vdot(self.psi, self.psi).real)
 
 
-@dataclass(frozen=True)
-class DoubledModel:
-    """Drift blocks A, B and jump factor pairs (C_i, D_i), all time-dependent."""
-
-    a: Matrix
-    b: Matrix
-    cs: tuple[Matrix, ...]
-    ds: tuple[Matrix, ...]
-
-
 class DoubledFactors(NamedTuple):
-    """A DoubledModel at one time; the jump factors stacked per channel."""
+    """The doubled generator at one time; the jump factors stacked per channel."""
 
     a: np.ndarray   # (d, d)
     b: np.ndarray   # (d, d)
@@ -77,23 +62,6 @@ def doubled_factors(snap: GeneratorSnapshot) -> DoubledFactors:
     root = np.sqrt(np.abs(snap.gammas))
     signed = np.copysign(1.0, snap.gammas) * root
     return DoubledFactors(drift, drift, root[:, None, None] * snap.ls, signed[:, None, None] * snap.ls)
-
-
-def gksl_to_doubled(me: MasterEquation) -> DoubledModel:
-    """``doubled_factors`` as functions of t; the pieces share one
-    evaluation of ``me`` per time."""
-    factors = once_per_time(lambda t: doubled_factors(me.at(t)))
-
-    def part(pick: Callable[[DoubledFactors], np.ndarray]) -> Matrix:
-        return lambda t: pick(factors(t))
-
-    m = len(me.channels)
-    return DoubledModel(
-        a=part(lambda f: f.a),
-        b=part(lambda f: f.b),
-        cs=tuple(part(lambda f, i=i: f.cs[i]) for i in range(m)),
-        ds=tuple(part(lambda f, i=i: f.ds[i]) for i in range(m)),
-    )
 
 
 def factors_menu(f: DoubledFactors, t: float, rows: np.ndarray, dt: float) -> Menu:
@@ -133,14 +101,6 @@ def factors_menu(f: DoubledFactors, t: float, rows: np.ndarray, dt: float) -> Me
     return Menu((qs * dt).T, np.swapaxes(images, 0, 1), drift, scales=scales.T)
 
 
-def doubled_menu(model: DoubledModel, t: float, rows: np.ndarray, dt: float) -> Menu:
-    """``factors_menu`` of the model evaluated at t."""
-    d = rows.shape[1] // 2
-    cs = np.array([c(t) for c in model.cs]).reshape(-1, d, d)
-    ds = np.array([dd(t) for dd in model.ds]).reshape(-1, d, d)
-    return factors_menu(DoubledFactors(model.a(t), model.b(t), cs, ds), t, rows, dt)
-
-
 def _paired(b: Branch) -> Branch:
     d = b.state.shape[0] // 2
     return b._replace(state=DoubledState(b.state[:d], b.state[d:]))
@@ -150,16 +110,15 @@ def _theta_row(theta: DoubledState) -> np.ndarray:
     return np.concatenate([theta.phi, theta.psi]).astype(complex)[None, :]
 
 
-def doubled_branches(
-    model: DoubledModel, theta: DoubledState, t: float, dt: float
-) -> Sequence[Branch]:
-    return [_paired(b) for b in row_branches(doubled_menu(model, t, _theta_row(theta), dt), t)]
+def doubled_branches(me: MasterEquation, theta: DoubledState, t: float, dt: float) -> Sequence[Branch]:
+    menu = factors_menu(doubled_factors(me.at(t)), t, _theta_row(theta), dt)
+    return [_paired(b) for b in row_branches(menu, t)]
 
 
 def doubled_step(
-    model: DoubledModel, theta: DoubledState, t: float, dt: float, u: float
+    me: MasterEquation, theta: DoubledState, t: float, dt: float, u: float
 ) -> tuple[DoubledState, object]:
-    branch = _paired(row_step(doubled_menu(model, t, _theta_row(theta), dt), u, t))
+    branch = _paired(row_step(factors_menu(doubled_factors(me.at(t)), t, _theta_row(theta), dt), u, t))
     return branch.state, branch.event
 
 

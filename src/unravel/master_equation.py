@@ -12,7 +12,7 @@ evolution no longer preserves the trace:  d tr(rho)/dt = tr((G_L - G) rho).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, TypeVar
+from typing import Callable
 
 import numpy as np
 
@@ -31,10 +31,8 @@ __all__ = [
     "effective_hamiltonian",
     "lindblad_apply",
     "jump_superoperator_apply",
-    "once_per_time",
 ]
 
-T = TypeVar("T")
 MatrixFn = Callable[[float], np.ndarray]
 RateFn = Callable[[float], float]
 
@@ -131,23 +129,24 @@ class MasterEquation:
     def _evaluate(self, t: float):
         """Call every time-dependent piece once at t and check its shape:
         (h, ls, gammas, trace sink or None)."""
-        h = np.asarray(self.hamiltonian(t), dtype=complex)
-        if h.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"hamiltonian(t={t}) has shape {h.shape}, expected {(self.dim,) * 2}")
+        h = _matrix(self.hamiltonian(t), self.dim, f"hamiltonian(t={t})")
         ls = np.empty((len(self.channels), self.dim, self.dim), dtype=complex)
         gammas = np.empty(len(self.channels))
         for i, ch in enumerate(self.channels):
-            li = np.asarray(ch.jump_operator(t), dtype=complex)
-            if li.shape != (self.dim, self.dim):
-                raise DimensionMismatch(f"jump operator {i}(t={t}) has shape {li.shape}")
-            ls[i] = li
+            ls[i] = _matrix(ch.jump_operator(t), self.dim, f"jump operator {i}(t={t})")
             gammas[i] = float(ch.rate(t))
         if self.trace_sink is None:
             return h, ls, gammas, None
-        sink = np.asarray(self.trace_sink(t), dtype=complex)
-        if sink.shape != (self.dim, self.dim):
-            raise DimensionMismatch(f"trace_sink(t={t}) has shape {sink.shape}")
-        return h, ls, gammas, sink
+        return h, ls, gammas, _matrix(self.trace_sink(t), self.dim, f"trace_sink(t={t})")
+
+
+def _matrix(value, dim: int, what: str, dtype=complex) -> np.ndarray:
+    """``value`` as a (dim, dim) array of ``dtype`` (None keeps its own);
+    DimensionMismatch naming ``what`` if it has another shape."""
+    m = np.asarray(value, dtype=dtype)
+    if m.shape != (dim, dim):
+        raise DimensionMismatch(f"{what} has shape {m.shape}, expected {(dim, dim)}")
+    return m
 
 
 def _first_non_hermitian(ms: np.ndarray, times: np.ndarray, what: str):
@@ -224,19 +223,29 @@ def master_equation(dim, hamiltonian, channels, trace_sink=None) -> MasterEquati
     return MasterEquation(int(dim), h, tuple(chans), sink)
 
 
-def once_per_time(fn: Callable[[float], T]) -> Callable[[float], T]:
-    """``fn`` keeping its last result: called again at the time it was last
-    called at, it returns that result. Closures that read one model piece by
-    piece (``doubled.gksl_to_doubled``, the tripled embedding) share one and
-    evaluate the model once per time."""
-    last: list = []  # [t, fn(t)] once called
+@dataclass(frozen=True)
+class _TrackModel(MasterEquation):
+    """A model given by a stacked track builder, times -> GeneratorTrack,
+    in place of callables evaluated time by time. Its hamiltonian and
+    channels are one-time views of the builder."""
 
-    def at(t: float) -> T:
-        if not last or last[0] != t:
-            last[:] = [t, fn(t)]
-        return last[1]
+    build: Callable[[np.ndarray], GeneratorTrack] | None = None
 
-    return at
+    def track(self, times) -> GeneratorTrack:
+        return self.build(np.asarray(times, dtype=float))
+
+
+def _track_model(dim: int, labels, build: Callable[[np.ndarray], GeneratorTrack]) -> MasterEquation:
+    """The model whose track is ``build(times)``, with channels ``labels``."""
+
+    def at(t: float) -> GeneratorSnapshot:
+        return build(np.array([t], dtype=float))[0]
+
+    channels = tuple(
+        Channel(lambda t, i=i: at(t).ls[i], lambda t, i=i: float(at(t).gammas[i]), label)
+        for i, label in enumerate(labels)
+    )
+    return _TrackModel(int(dim), lambda t: at(t).h, channels, None, build)
 
 
 def decay_operator(me: MasterEquation, t: float) -> np.ndarray:

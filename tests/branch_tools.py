@@ -127,7 +127,7 @@ def sample_points(case, n, seed):
 
 def one_step_cases():
     from unravel.cloning import clone_branches
-    from unravel.doubled import DoubledState, doubled_branches, gksl_to_doubled
+    from unravel.doubled import DoubledState, doubled_branches
     from unravel.mcwf import mcwf_branches
     from unravel.models import (
         KET0,
@@ -140,12 +140,7 @@ def one_step_cases():
     )
     from unravel.rate_operators import gauge_none, time_dependent_gauge, w_matching_gauge
     from unravel.roqj import roqj_branches, wroqj_branches
-    from unravel.tripled import (
-        embedded_master_equation,
-        pairs_from_master_equation,
-        tripled_embed,
-        tripled_extract,
-    )
+    from unravel.tripled import embedded_system, tripled_extract
     from unravel.weighted import (
         PlqtTrajectory,
         WeightedTrajectory,
@@ -214,14 +209,13 @@ def one_step_cases():
 
     for name, window in full.items():
         me = models[name]
-        dm = gksl_to_doubled(me)
         add(
             "doubled",
             name,
             window,
             projector_run(
                 me,
-                lambda p, t, dt, _dm=dm: doubled_branches(_dm, DoubledState(p.copy(), p.copy()), t, dt),
+                lambda p, t, dt, _me=me: doubled_branches(_me, DoubledState(p.copy(), p.copy()), t, dt),
             ),
         )
         policy = default_rate_policy()
@@ -244,9 +238,7 @@ def one_step_cases():
                 factor=plqt_factor,
             ),
         )
-        pairs = pairs_from_master_equation(me)
-        emb, _ = tripled_embed(lambda t, _me=me: _me.at(t).h, pairs, 2, np.eye(2) / 2)
-        me3 = embedded_master_equation(emb)
+        me3 = embedded_system(me)
         chi = np.zeros(3)
         chi[0] = chi[1] = 1.0 / np.sqrt(2.0)
 

@@ -1,7 +1,5 @@
 """Pair-of-vectors unraveling: signed factorization and weighted estimator."""
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -11,51 +9,42 @@ from unravel.doubled import (
     _pair_outer,
     DoubledState,
     doubled_branches,
+    doubled_factors,
     doubled_step,
-    gksl_to_doubled,
     run_chunk,
 )
 from unravel.errors import ZeroVector
 from unravel.linalg import haar_state, trace_distance
-from unravel.master_equation import MasterEquation, lindblad_apply, master_equation
+from unravel.master_equation import lindblad_apply, master_equation
 from unravel.models import KET1, PLUS, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.outcomes import Deterministic, Jump
 from unravel.propagate import TimeGrid, propagate
 
 
 def test_sign_of_negative_rate_lands_on_second_factor():
-    model = gksl_to_doubled(eternally_nm())
+    me = eternally_nm()
     t = 1.0
+    f = doubled_factors(me.at(t))
     gz = -0.5 * np.tanh(t)
     root = np.sqrt(abs(gz))
-    assert np.allclose(model.cs[2](t), root * SIGMA_Z)
-    assert np.allclose(model.ds[2](t), -root * SIGMA_Z)
+    assert np.allclose(f.cs[2], root * SIGMA_Z)
+    assert np.allclose(f.ds[2], -root * SIGMA_Z)
     # unit-rate raising channel keeps both factors equal
-    assert np.allclose(model.cs[0](t), model.ds[0](t))
-
-
-def test_doubled_model_evaluates_once_per_time(monkeypatch):
-    """A, B and every C_i, D_i at one time share one evaluation of the model."""
-    me = eternally_nm()
-    calls = Counter()
-    evaluate = MasterEquation._evaluate
-
-    def counting(self, t):
-        calls[float(t)] += 1
-        return evaluate(self, t)
-
-    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
-    model = gksl_to_doubled(me)
-    for t in (0.3, 0.6):
-        model.a(t), model.b(t), [c(t) for c in model.cs], [d(t) for d in model.ds]
-    assert calls == Counter({0.3: 1, 0.6: 1})
+    assert np.array_equal(f.cs[0], f.ds[0])
+    # channel by channel: C = sqrt|gamma| L and D = sign(gamma) sqrt|gamma| L,
+    # the drift blocks A = B = -iH - G_L/2
+    snap = me.at(t)
+    for i, (g, lop) in enumerate(zip(snap.gammas, snap.ls)):
+        assert f.cs[i].tobytes() == (np.sqrt(abs(g)) * lop).tobytes()
+        assert f.ds[i].tobytes() == (np.copysign(1.0, g) * np.sqrt(abs(g)) * lop).tobytes()
+    drift = -1j * snap.h - 0.5 * snap.gamma_l
+    assert f.a.tobytes() == drift.tobytes() and f.b.tobytes() == drift.tobytes()
 
 
 def test_jump_probability_from_excited_state():
     me = master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 0.8, "down")])
-    model = gksl_to_doubled(me)
     theta = DoubledState(KET1.copy(), KET1.copy())
-    branches = doubled_branches(model, theta, 0.0, 1e-2)
+    branches = doubled_branches(me, theta, 0.0, 1e-2)
     assert len(branches) == 2
     jump, det = branches
     assert isinstance(jump.event, Jump) and jump.event.channel == 0
@@ -67,30 +56,27 @@ def test_jump_probability_from_excited_state():
 
 def test_jump_preserves_joint_norm():
     me = master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 0.8, "down")])
-    model = gksl_to_doubled(me)
     rng = np.random.default_rng(17)
     theta = DoubledState(2.0 * haar_state(2, rng), 0.5 * haar_state(2, rng))
     before = theta.norm2
-    jump = doubled_branches(model, theta, 0.0, 1e-2)[0]
+    jump = doubled_branches(me, theta, 0.0, 1e-2)[0]
     assert jump.state.norm2 == pytest.approx(before, rel=1e-12)
 
 
 def test_zero_joint_norm_rejected():
-    model = gksl_to_doubled(eternally_nm())
     theta = DoubledState(np.zeros(2, complex), np.zeros(2, complex))
     with pytest.raises(ZeroVector):
-        doubled_branches(model, theta, 0.0, 1e-2)
+        doubled_branches(eternally_nm(), theta, 0.0, 1e-2)
 
 
 def test_branch_mean_reproduces_generator_action():
     me = eternally_nm()
-    model = gksl_to_doubled(me)
     t, dt = 2.0, 1e-3  # dephasing rate is negative here
     rng = np.random.default_rng(5)
     psi = haar_state(2, rng)
     rho = np.outer(psi, psi.conj())
     mean = np.zeros((2, 2), complex)
-    for b in doubled_branches(model, DoubledState(psi.copy(), psi.copy()), t, dt):
+    for b in doubled_branches(me, DoubledState(psi.copy(), psi.copy()), t, dt):
         mean += b.probability * np.outer(b.state.phi, b.state.psi.conj())
     target = rho + dt * lindblad_apply(me, t, rho)
     assert np.max(np.abs(mean - target)) < 10.0 * dt**2
@@ -98,11 +84,10 @@ def test_branch_mean_reproduces_generator_action():
 
 def test_step_selects_deterministic_near_one():
     me = master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")])
-    model = gksl_to_doubled(me)
     theta = DoubledState(KET1.copy(), KET1.copy())
-    state, event = doubled_step(model, theta, 0.0, 1e-2, 0.999)
+    state, event = doubled_step(me, theta, 0.0, 1e-2, 0.999)
     assert isinstance(event, Deterministic)
-    state, event = doubled_step(model, theta, 0.0, 1e-2, 0.0)
+    state, event = doubled_step(me, theta, 0.0, 1e-2, 0.0)
     assert isinstance(event, Jump)
     assert abs(state.phi[0]) > 0.9  # decayed to the ground component
 

@@ -8,7 +8,7 @@ import pytest
 
 from branch_tools import one_step_cases, sample_points
 from unravel.cloning import clone_menu, cloning_step
-from unravel.doubled import DoubledState, doubled_factors, doubled_menu, doubled_step, factors_menu, gksl_to_doubled
+from unravel.doubled import DoubledState, doubled_factors, doubled_step, factors_menu
 from unravel.errors import NegativeRate, StepTooLarge
 from unravel.linalg import trace_distance
 from unravel.master_equation import master_equation
@@ -141,15 +141,15 @@ def _plqt_agreement():
 
 def _doubled_agreement():
     me = eternally_nm()
-    model = gksl_to_doubled(me)
 
     def scalar(psi, t, u):
-        state, _event = doubled_step(model, DoubledState(psi, psi), t, STEP_DT, u)
+        state, _event = doubled_step(me, DoubledState(psi, psi), t, STEP_DT, u)
         return np.concatenate([state.phi, state.psi]), 1.0, 1
 
     return (
         me,
-        lambda snap, rows, dt: doubled_menu(model, snap.t, rows, dt),
+        # the kernel doubled.run_chunk steps
+        lambda snap, rows, dt: factors_menu(doubled_factors(snap), snap.t, rows, dt),
         lambda psi: np.concatenate([psi, psi]),
         scalar,
         _points("doubled:eternally_nm"),

@@ -15,6 +15,7 @@ from unravel.models import (
 )
 from unravel.nmqj import (
     _Buckets,
+    _merge,
     _step,
     Bucket,
     NmqjEnsemble,
@@ -248,3 +249,30 @@ def test_a_tile_reports_its_first_failing_replica_as_it_fails_alone():
         with pytest.raises((MissingTargetState, StepTooLarge)) as info:
             _step(me.at(t), tile, dt, [replica_generator(1, r) for r in range(3)])
         assert (type(info.value), str(info.value), info.value.time) == alone[order[1]]
+
+
+def test_merge_logs_by_replica_then_key_rank_then_parent():
+    """Replica 0 holds ten buckets, more than a small Python set's eight
+    slots. In one step its parents 2 and 9 jump into one new key and parent
+    5 into a second, ranked after it; replica 1's parent 0 joins a third.
+    The entries come by replica, then key rank, then parent id ascending,
+    also when parent 9's jump arrives before parent 2's."""
+    angles = np.linspace(0.1, 1.4, 10)
+    states = [np.array([np.cos(x), np.sin(x)], dtype=complex) for x in angles]
+
+    def tile():
+        return _Buckets.of([NmqjEnsemble([Bucket(10, s) for s in ss], {}) for ss in (states, states[:3])], 2)
+
+    # KET0 and MINUS match no bucket; replica 0 opens buckets 10 and 11 for them
+    jr, js, channel = np.array([0, 0, 0, 1]), np.array([2, 5, 9, 0]), np.array([0, 1, 0, 0])
+    images = np.array([KET0, MINUS, KET0, KET0])
+    want = [(0, 2, 10, 0), (0, 9, 10, 0), (0, 5, 11, 1), (1, 0, 3, 0)]
+    b = tile()
+    child, entries = _merge(b, jr, js, channel, images)
+    assert child.tolist() == [10, 11, 10, 3]
+    assert list(zip(*(e.tolist() for e in entries))) == want
+    assert b.ensemble(0).provenance == {(10, 0): {2, 9}, (11, 1): {5}}
+    # parent 9 first, and replica 1's jump before parent 5's: the same log
+    order = [2, 0, 3, 1]
+    _child, entries = _merge(tile(), jr[order], js[order], channel[order], images[order])
+    assert list(zip(*(e.tolist() for e in entries))) == want

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from unravel.errors import DegenerateBlock, NotHermitian, NotPSD
-from unravel.linalg import haar_state, hermitize, trace_distance
+from unravel.linalg import haar_state, hermitize, psd_sqrt, trace_distance
 from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
     PLUS,
@@ -21,11 +21,9 @@ from unravel.propagate import TimeGrid, propagate
 from unravel.tripled import (
     JumpPair,
     _extract_hermitized,
-    default_completion_level,
     embedded_master_equation,
     embedded_system,
     embedded_track,
-    pairs_from_master_equation,
     run_chunk,
     tripled_embed,
     tripled_extract,
@@ -39,52 +37,99 @@ def _omega_of(jump3, t, d):
     return jump3(t).reshape(d, 3, d, 3)[:, 2, :, 0]
 
 
+def _proj(i, j):
+    p = np.zeros((3, 3))
+    p[i, j] = 1.0
+    return p
+
+
+def _symmetric_pairs(snap):
+    """Each channel gamma L . L^dag of a snapshot as the pair
+    C = sqrt(|gamma|/2) L, D = sign(gamma) sqrt(|gamma|/2) L."""
+    return [
+        (np.sqrt(0.5 * abs(g)) * lop, np.copysign(1.0, g) * np.sqrt(0.5 * abs(g)) * lop)
+        for g, lop in zip(snap.gammas, snap.ls)
+    ]
+
+
+def _embedding_at(t, h, pairs, levels=None):
+    """The embedding at one time as a plain model built from np.kron and
+    psd_sqrt, evaluated at t: the reference for every track of the module.
+    ``levels`` defaults to ||C - D||^2 for each pair."""
+    jumps = []
+    for i, (c, d) in enumerate(pairs):
+        diff = c - d
+        a = float(np.linalg.norm(diff, ord=2) ** 2) if levels is None else levels[i]
+        omega = psd_sqrt(a * np.eye(len(h)) - hermitize(diff.conj().T @ diff))
+        jumps += [
+            np.kron(c, _proj(0, 0)) + np.kron(d, _proj(1, 1)),
+            np.kron(d, _proj(0, 0)) + np.kron(c, _proj(1, 1)),
+            np.kron(omega, _proj(2, 0)),
+            np.kron(omega, _proj(2, 1)),
+        ]
+    return master_equation(3 * len(h), np.kron(h, np.eye(3)), [(j, 1.0) for j in jumps]).at(t)
+
+
+def _reference_at(me, t):
+    """``embedded_system(me)`` at t, built time by time."""
+    snap = me.at(t)
+    return _embedding_at(t, snap.h, _symmetric_pairs(snap))
+
+
 def signed_decay(gamma):
     return master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, gamma, "down")])
 
 
 def test_pair_factors_split_the_rate():
-    pairs = pairs_from_master_equation(signed_decay(0.8))
-    (pair,) = pairs
-    assert pair.label == "down"
-    root = np.sqrt(0.4)
-    assert np.allclose(pair.c(0.0), root * SIGMA_MINUS)
-    assert np.allclose(pair.d(0.0), root * SIGMA_MINUS)
+    """The runner's first jump of a pair is C (x) P00 + D (x) P11, with
+    C = sqrt(|gamma|/2) L and D = sign(gamma) C."""
 
-    (neg,) = pairs_from_master_equation(signed_decay(-0.5))
-    assert np.allclose(neg.c(0.0), 0.5 * SIGMA_MINUS)
-    assert np.allclose(neg.d(0.0), -0.5 * SIGMA_MINUS)
+    def factors(gamma):
+        j1 = embedded_track(signed_decay(gamma), [0.0]).ls[0, 0].reshape(2, 3, 2, 3)
+        return j1[:, 0, :, 0], j1[:, 1, :, 1]
+
+    c, d = factors(0.8)
+    root = np.sqrt(0.4)
+    assert np.allclose(c, root * SIGMA_MINUS)
+    assert np.allclose(d, root * SIGMA_MINUS)
+
+    c, d = factors(-0.5)
+    assert np.allclose(c, 0.5 * SIGMA_MINUS)
+    assert np.allclose(d, -0.5 * SIGMA_MINUS)
+
+
+HALF_DECAY = JumpPair(lambda t: 0.5 * SIGMA_MINUS, lambda t: -0.5 * SIGMA_MINUS, "down")  # C - D = sigma_minus
 
 
 def test_completion_operator_for_unit_difference():
-    (pair,) = pairs_from_master_equation(signed_decay(-0.5))  # C - D = sigma_minus
-    a = default_completion_level(pair)
-    assert a(0.0) == pytest.approx(1.0)
-    emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), (pair,), 2, np.eye(2) / 2)
+    emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), (HALF_DECAY,), 2, np.eye(2) / 2)
+    assert emb.a(0.0) == pytest.approx(1.0)
     omega = _omega_of(emb.jumps3[2], 0.0, 2)
     assert np.allclose(omega, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_completion_identity_holds_with_default_level():
-    pairs = pairs_from_master_equation(eternally_nm())
-    emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), pairs, 2, np.eye(2) / 2)
+    me = eternally_nm()
+    system = embedded_system(me)
+    jumps3 = [lambda t, i=i: system.at(t).ls[i] for i in range(12)]
     for t in (0.3, 1.0, 2.7):
-        for i, pair in enumerate(pairs):
-            a = default_completion_level(pair)(t)
-            diff = pair.c(t) - pair.d(t)
-            omega = _omega_of(emb.jumps3[4 * i + 2], t, 2)
+        for i, (c, d) in enumerate(_symmetric_pairs(me.at(t))):
+            diff = c - d
+            a = float(np.linalg.norm(diff, ord=2) ** 2)
+            omega = _omega_of(jumps3[4 * i + 2], t, 2)
             lhs = omega.conj().T @ omega + diff.conj().T @ diff
             assert np.allclose(lhs, a * np.eye(2), atol=1e-10)
+            want = psd_sqrt(a * np.eye(2) - hermitize(diff.conj().T @ diff))
+            assert omega.tobytes() == want.tobytes()
 
 
 def test_custom_level_is_broadcast_and_validated():
-    (pair,) = pairs_from_master_equation(signed_decay(-0.5))
-    emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), (pair,), 2, np.eye(2) / 2, a=lambda t: 2.0)
+    emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), (HALF_DECAY,), 2, np.eye(2) / 2, a=lambda t: 2.0)
     omega = _omega_of(emb.jumps3[2], 0.0, 2)
     assert np.allclose(omega, np.diag([np.sqrt(2.0), 1.0]), atol=1e-12)
     assert emb.a(0.0) == pytest.approx(2.0)
     with pytest.raises(ValueError):
-        tripled_embed(lambda t: np.zeros((2, 2)), (pair, pair), 2, np.eye(2) / 2, a=(lambda t: 1.0,))
+        tripled_embed(lambda t: np.zeros((2, 2)), (HALF_DECAY, HALF_DECAY), 2, np.eye(2) / 2, a=(lambda t: 1.0,))
 
 
 def test_initial_state_extracts_to_rho0():
@@ -132,10 +177,10 @@ def test_stacked_extraction_is_the_extraction_of_each_hermitized_w(d):
 def test_embedded_equation_reproduces_signed_dynamics_exactly():
     me = eternally_nm()
     grid = TimeGrid(0.0, 1.5, 1e-2)
-    pairs = pairs_from_master_equation(me)
     rho0 = np.outer(PLUS, PLUS.conj())
-    emb, w0 = tripled_embed(lambda t: me.at(t).h, pairs, 2, rho0)
-    me3 = embedded_master_equation(emb)
+    chi = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)
+    w0 = np.kron(rho0, np.outer(chi, chi))
+    me3 = embedded_system(me)
     assert [ch.label for ch in me3.channels] == [f"embedded_{i}" for i in range(12)]
     assert all(ch.rate(0.7) == 1.0 for ch in me3.channels)
 
@@ -152,8 +197,7 @@ def test_embedded_equation_reproduces_signed_dynamics_exactly():
 
 
 def test_embedding_evaluates_the_model_once_per_time(monkeypatch):
-    """The embedding's pieces (H, every C, D, Omega and level) share one
-    evaluation of the model per time; they used to make 37 each."""
+    """The embedded system's track evaluates the model once per time."""
     me = eternally_nm()
     calls = Counter()
     evaluate = MasterEquation._evaluate
@@ -166,12 +210,6 @@ def test_embedding_evaluates_the_model_once_per_time(monkeypatch):
     times = (0.1, 0.2, 0.3)
     embedded_system(me).track(times)
     assert {t: n for (system, t), n in calls.items() if system == id(me)} == dict.fromkeys(times, 1)
-    calls.clear()
-    pairs = pairs_from_master_equation(me)
-    for t in (0.4, 0.5):
-        for pair in pairs:
-            pair.c(t), pair.d(t)
-    assert calls == Counter({(id(me), 0.4): 1, (id(me), 0.5): 1})
 
 
 def test_chunk_on_markovian_model_matches_oracle():
@@ -217,17 +255,19 @@ def _driven_complex_model():
     )
 
 
-def _same_track(got, want):
-    assert len(got.h) == len(want.h)
-    for name in TRACK_FIELDS:
-        a, b = getattr(got, name), getattr(want, name)
-        assert a.shape == b.shape and a.tobytes() == b.tobytes(), name
+def _matches_time_by_time(track, reference, times):
+    """Every snapshot of the track is, byte for byte, ``reference(t)`` at its
+    time."""
+    for k in range(len(track.h)):
+        got, want = track[k], reference(times[k])
+        for name in TRACK_FIELDS:
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, k)
 
 
 def _level_rounding_model():
     """A rate whose completion level ||C - D||^2 = (sqrt(2|g|))^2 rounds up
-    as float ** 2 (which the closures use) against x * x, so Omega is
-    nonzero only if the track squares the same way."""
+    as float ** 2 against x * x, so Omega is nonzero only if the track
+    squares as float ** 2 does."""
     return master_equation(2, 0.3 * SIGMA_X, [(SIGMA_Z, -3.7191, "z")])
 
 
@@ -237,14 +277,9 @@ def _level_rounding_model():
 def test_embedded_track_is_the_embedding_evaluated_time_by_time(build):
     me = build()
     times = TimeGrid(0.0, 1.0, 1e-2).times()[:-1]
-    system = embedded_system(me)
     track = embedded_track(me, times)
-    assert track.error is None
-    _same_track(track, system.track(times))
-    for k in (0, 37, len(times) - 1):
-        got, want = track[k], system.at(times[k])
-        for name in TRACK_FIELDS:
-            assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), (name, k)
+    assert track.error is None and len(track.h) == len(times)
+    _matches_time_by_time(track, lambda t: _reference_at(me, t), times)
 
 
 def _fails_from(t_bad, piece):
@@ -266,28 +301,90 @@ def _fails_from(t_bad, piece):
     "piece, error", [("hamiltonian", NotHermitian), ("rate", ValueError), ("completion", NotPSD)]
 )
 def test_embedded_track_ends_where_the_embedding_fails(piece, error):
-    """An error at the first bad time ends both tracks at the same index,
-    with the same class and message, and the prefixes are the same bytes."""
+    """An error at the first bad time ends the track there, with the class
+    and message of the embedding built at that time, and the prefix is that
+    embedding's bytes."""
     me = _fails_from(0.5, piece)
     times = TimeGrid(0.0, 1.0, 1e-2).times()[:-1]
-    got, want = embedded_track(me, times), embedded_system(me).track(times)
-    _same_track(got, want)
-    assert 50 <= len(got.h) < len(times)
-    assert piece == "completion" or len(got.h) == 50
-    for track in (got, want):
+    track = embedded_track(me, times)
+    _matches_time_by_time(track, lambda t: _reference_at(me, t), times)
+    end = len(track.h)
+    assert 50 <= end < len(times)
+    assert piece == "completion" or end == 50
+    for fail in (lambda: track[end], lambda: _reference_at(me, times[end])):
         with pytest.raises(error) as info:
-            track[len(got.h)]
-        assert str(info.value) == str(want.error)
+            fail()
+        assert str(info.value) == str(track.error)
+
+
+def test_user_embedding_is_the_embedding_evaluated_time_by_time():
+    """tripled_embed's track is, time by time, the embedding of the user's
+    callables: a complex pair with D = C and a real-typed one with D = -C,
+    whose Omega is the root of a real matrix, at the default and at custom
+    levels."""
+    lop = np.array([[0.1j, -0.5 + 0.2j], [1.0, -0.3j]])
+    real = np.array([[0.5, 1.0], [0.0, -0.3]])
+    pairs = (
+        JumpPair(lambda t: np.sqrt(0.3 * (1.0 + 0.5 * np.sin(t))) * lop,
+                 lambda t: np.sqrt(0.3 * (1.0 + 0.5 * np.sin(t))) * lop),
+        JumpPair(lambda t: 0.4 * np.cos(t) * real, lambda t: -0.4 * np.cos(t) * real),
+    )
+    custom = (lambda t: 0.2 + 0.1 * t, lambda t: 0.64 * np.cos(t) ** 2 * np.linalg.norm(real, ord=2) ** 2 + 0.5)
+    times = TimeGrid(0.0, 2.0, 1e-2).times()
+
+    def h(t):
+        return 0.3 * SIGMA_Z + np.cos(t) * SIGMA_X
+
+    for levels in (None, custom):
+        emb, _ = tripled_embed(h, pairs, 2, np.eye(2) / 2, a=levels)
+        track = embedded_master_equation(emb).track(times)
+        assert track.error is None and len(track.h) == len(times)
+        _matches_time_by_time(
+            track,
+            lambda t: _embedding_at(
+                t, h(t), [(p.c(t), p.d(t)) for p in pairs], None if levels is None else [a(t) for a in levels]
+            ),
+            times,
+        )
+
+
+@pytest.mark.parametrize(
+    "bad, error, message",
+    [
+        ("d", ValueError, "d undefined at t=0.5"),
+        ("hamiltonian", NotHermitian, r"hamiltonian\(t=0.5\) deviates"),
+        # a callable's error comes before a hamiltonian that is not hermitian
+        ("both", ValueError, "d undefined at t=0.5"),
+    ],
+)
+def test_user_embedding_ends_at_the_first_bad_time(bad, error, message):
+    def h(t):
+        return np.array([[0.0, 1.0], [0.0, 0.0]]) if bad != "d" and t >= 0.5 else 0.3 * SIGMA_X
+
+    def d(t):
+        if bad != "hamiltonian" and t >= 0.5:
+            raise ValueError(f"d undefined at t={t}")
+        return -0.5 * SIGMA_MINUS
+
+    emb, _ = tripled_embed(h, (JumpPair(lambda t: 0.5 * SIGMA_MINUS, d),), 2, np.eye(2) / 2)
+    times = TimeGrid(0.0, 1.0, 1e-2).times()[:-1]
+    track = embedded_master_equation(emb).track(times)
+    assert len(track.h) == 50
+    assert isinstance(track.error, error)
+    with pytest.raises(error, match=message):
+        track[50]
+    with pytest.raises(error, match=message):
+        emb.jumps3[0](times[50])
 
 
 def test_completion_level_too_small_raises_not_psd():
     """An override below ||C - D||^2 (1 here) leaves no Omega: NotPSD from
-    the first time it is too small, in the closures and in the track."""
-    (pair,) = pairs_from_master_equation(signed_decay(-0.5))
+    the first time it is too small, at one time and in the track."""
     level = lambda t: 2.0 if t < 0.3 else 0.5  # noqa: E731
-    emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), (pair,), 2, np.eye(2) / 2, a=level)
+    emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), (HALF_DECAY,), 2, np.eye(2) / 2, a=level)
     with pytest.raises(NotPSD):
         emb.jumps3[2](0.3)
+    assert emb.a(0.3) == 0.5
     times = TimeGrid(0.0, 1.0, 0.1).times()[:-1]
     track = embedded_master_equation(emb).track(times)
     assert len(track.h) == 3

@@ -37,7 +37,11 @@ trajectory each (N = 13), one abort of each kind of
 method (channel and spectral menus, replica, waiting time, embedding), nmqj's
 abort at N = 10^4, and the
 deterministic paths: the RK4 oracle with and without substeps and with a
-trace sink, the propagator maps and the divisibility scan. Driven cascade
+trace sink, the propagator maps and the divisibility scan. A user
+embedding built by ``tripled_embed`` (rather than the tripled runner's own)
+is covered twice: the oracle of one with time-dependent pairs of both signs,
+real- and complex-typed factors and custom completion levels, and mcwf on
+the acceptance suite's criterion 5 embedding. Driven cascade
 decays run the spectral kernels' general-d paths, which the qubit closed
 forms bypass: psi_roqj on a qutrit (3 x 3 rate operators) and wroqj on a
 ququart (3 x 3 W blocks on psi^perp) pin them. wroqj on a qutrit builds its
@@ -70,6 +74,7 @@ from unravel.divisibility import divisibility_scan  # noqa: E402
 from unravel.propagate import propagate, propagator_maps  # noqa: E402
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_X, SIGMA_Z, build_model  # noqa: E402
 from unravel.rate_operators import gauge_none, time_dependent_gauge, w_matching_gauge  # noqa: E402
+from unravel.tripled import JumpPair, embedded_master_equation, tripled_embed  # noqa: E402
 
 DT = 1e-2
 
@@ -105,6 +110,36 @@ def _cascade(dim):
                     for k in range(dim - 1, 0, -1)]
         return master_equation(dim, 0.8 * (lower + lower.T), channels)
     return build
+
+
+def _criterion5_embedding():
+    """The acceptance suite's criterion 5: the rate-one decay recast as the
+    pair C = D = sigma_-, embedded with the default completion level."""
+    sm = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    pair = JumpPair(lambda t: sm, lambda t: sm, "recast")
+    emb, _ = tripled_embed(lambda t: np.zeros((2, 2), dtype=complex), (pair,), 2, np.outer(PLUS, PLUS.conj()))
+    return embedded_master_equation(emb)
+
+
+_CHI = np.array([1.0, 1.0, 0.0], dtype=complex) / np.sqrt(2.0)
+_REAL_FACTOR = np.array([[0.5, 1.0], [0.0, -0.3]])
+
+
+def _user_embedding():
+    """A user embedding under a driven complex hamiltonian: a time-dependent
+    pair with D = C (a positive rate, complex factors), one with D = -C (a
+    negative rate, real-typed factors), and a tuple of custom completion
+    levels, the second one 0.5 above the least ||C - D||^2."""
+    drive = np.array([[0.0, 0.2 - 0.7j], [0.2 + 0.7j, 0.0]])
+    lop = np.array([[0.1j, -0.5 + 0.2j], [1.0, -0.3j]])
+    positive = JumpPair(lambda t: np.sqrt(0.3 * (1.0 + 0.5 * np.sin(t))) * lop,
+                        lambda t: np.sqrt(0.3 * (1.0 + 0.5 * np.sin(t))) * lop, "positive")
+    negative = JumpPair(lambda t: 0.4 * np.cos(t) * _REAL_FACTOR, lambda t: -0.4 * np.cos(t) * _REAL_FACTOR, "negative")
+    spread = np.linalg.norm(_REAL_FACTOR, ord=2) ** 2
+    levels = (lambda t: 0.2 + 0.1 * t, lambda t: 4.0 * (0.4 * np.cos(t)) ** 2 * spread + 0.5)
+    emb, w0 = tripled_embed(lambda t: 0.3 * SIGMA_Z + np.cos(t) * drive, (positive, negative), 2,
+                            np.outer(PLUS, PLUS.conj()), a=levels)
+    return propagate(embedded_master_equation(emb), w0, TimeGrid(0.0, 2.0, DT)).states
 
 
 QUTRIT, QUQUART = np.ones(3, dtype=complex) / np.sqrt(3.0), np.ones(4, dtype=complex) / 2.0
@@ -166,6 +201,8 @@ INPUTS = {
     "wroqj/ququart_cascade": (_kind("wroqj"), _cascade(4), QUQUART, 1000, 1.5),
     "psi_roqj/qutrit_cascade": (lambda me: method_id("psi_roqj", gauge=gauge_none()), _cascade(3),
                                 QUTRIT, 1000, 1.5),
+    # a user embedding (tripled_embed) stepped by mcwf, as criterion 5 does
+    "mcwf/criterion5_embedding": (_kind("mcwf"), _criterion5_embedding, np.kron(PLUS, _CHI), 500, 1.0),
 }
 
 
@@ -192,6 +229,7 @@ ORACLE_INPUTS = {
     "oracle/trace_sink/substeps3": _oracle(_trace_sink, KET1, 3),
     "maps/non_p_divisible": lambda: propagator_maps(build_model("non_p_divisible").me, TimeGrid(0.0, 3.0, DT)),
     "divisibility/non_p_divisible": _scan(_model("non_p_divisible")),
+    "oracle/user_embedding": _user_embedding,
 }
 
 
