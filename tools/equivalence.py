@@ -11,20 +11,32 @@ the sha256 of ``rho_hat``, ``stderr`` and ``rho_batches``, the event counts,
 the sha256 of every diagnostics entry (``weight_sum``, ``theta_norm2_sum``,
 ``population``, sign-flip steps, event logs), and for a run that aborts the
 error class, its message, its time, the same hashes of its partial
-series and the sha256 of its replicas' event logs; ``rho_hat`` and ``stderr``
-themselves are kept (base64 of their bytes) so that ``compare`` can judge
-where two files differ. It also runs
-every input of ``ORACLE_INPUTS`` once (they draw no random numbers) and
-records the sha256 and bytes of its array, and runs every config of
-``CLI_INPUTS`` through ``unravel run`` at each seed, recording its exit code,
-the sha256 of ``<out>_results.csv`` and of ``<out>_summary.json`` with every
-``wall_clock_ms`` zeroed. ``compare`` exits 1 unless every fingerprint is
-identical. For an ensemble that differs it prints max |d rho_hat|, the sup
-over time of the trace distance between the two rho_hat series, both over
-the larger max stderr of the two runs, and whether the event counts match:
-a change that moves only last bits keeps the counts and a ratio far below 1,
-one that flips branches moves rho_hat at the 1/N scale and is judged by that
-sup distance against the stderr, seed by seed.
+series and the sha256 of its replicas' event logs. It keeps every
+``STRIDE``-th point of ``rho_hat`` and ``stderr`` and the last one (base64
+of their bytes), which is what ``compare`` judges a difference on, and the
+run's oracle score: (sup over time of the trace distance from ``rho_hat``
+to the RK4 oracle - 1/N) / max stderr, over the finished or partial series.
+It also runs every input of ``ORACLE_INPUTS`` once (they draw no random
+numbers) and records the sha256 of its array and every ``STRIDE``-th entry
+along its first axis, and runs every config of ``CLI_INPUTS`` through
+``unravel run`` at each seed, recording its exit code, the sha256 of
+``<out>_results.csv`` and of ``<out>_summary.json`` with every
+``wall_clock_ms`` zeroed. The file records the seeds and the build that
+wrote it (numpy, its BLAS and the SIMD extensions numpy found), because the
+bytes depend on them.
+
+``compare`` exits 1 unless every fingerprint is identical. For an ensemble
+that differs it prints max |d rho_hat| and the sup trace distance between
+the two rho_hat series over the kept points, both over the larger max
+stderr of the two runs, and whether the event counts match: a change that
+moves only last bits keeps the counts and a ratio far below 1, one that
+flips branches moves rho_hat at the 1/N scale and is judged by that sup
+distance against the stderr, seed by seed. It then prints both files'
+oracle scores side by side. With ``--tolerant`` (files written on different
+builds) a difference is accepted where it stays within the rule a build
+can move: the same exit codes and abort classes, deterministic arrays
+within ``VALUE_TOL``, and ensembles whose sup trace distance stays within
+``SUP_TD_TOL`` max stderr of each other.
 
 The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
 weighted, gauged, population and replica methods, ensembles whose batches
@@ -71,12 +83,19 @@ sys.path.insert(0, str(ROOT / "src"))
 from unravel import TimeGrid, UnravelError, master_equation, method_id, run_ensemble  # noqa: E402
 from unravel.cli import main as cli_main  # noqa: E402
 from unravel.divisibility import divisibility_scan  # noqa: E402
+from unravel.linalg import trace_distance  # noqa: E402
 from unravel.propagate import propagate, propagator_maps  # noqa: E402
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_X, SIGMA_Z, build_model  # noqa: E402
 from unravel.rate_operators import gauge_none, time_dependent_gauge, w_matching_gauge  # noqa: E402
 from unravel.tripled import JumpPair, embedded_master_equation, tripled_embed  # noqa: E402
 
 DT = 1e-2
+# every STRIDE-th point of a series, and its last, is kept for ``compare``
+STRIDE = 10
+# ``compare --tolerant``: how far another build may move a deterministic
+# array, and two ensembles' sup trace distance, in units of max stderr
+VALUE_TOL = 1e-9
+SUP_TD_TOL = 4.0
 
 
 def _model(name):
@@ -275,15 +294,33 @@ def _b64(a, dtype) -> str:
     return base64.b64encode(np.ascontiguousarray(a, dtype=dtype).tobytes()).decode()
 
 
-def _series(times, rho_hat, stderr, rho_batches) -> dict:
+def _kept(a) -> np.ndarray:
+    """Every ``STRIDE``-th entry of a along its first axis, and its last."""
+    a = np.asarray(a)
+    return a[np.unique(np.append(np.arange(0, len(a), STRIDE), len(a) - 1))] if len(a) else a
+
+
+def _series(rho_hat, stderr, rho_batches) -> dict:
     return {
-        "points": len(times),
+        "points": len(rho_hat),
         "rho_hat": _sha(rho_hat),
         "stderr": _sha(stderr),
         "rho_batches": _sha(rho_batches),
-        "rho_hat_b64": _b64(rho_hat, complex),
-        "stderr_b64": _b64(stderr, float),
+        "rho_hat_b64": _b64(_kept(rho_hat), complex),
+        "stderr_b64": _b64(_kept(stderr), float),
     }
+
+
+def _oracle_score(me, psi0, n_traj: int, rho_hat, stderr) -> float | None:
+    """(sup TD from rho_hat to the oracle - 1/N) / max stderr, over the
+    points of the series; None where no point has a finite nonzero stderr."""
+    err = stderr[np.isfinite(stderr)]
+    if len(rho_hat) < 2 or not err.size or err.max() == 0.0:
+        return None
+    psi0 = np.asarray(psi0, dtype=complex)
+    grid = TimeGrid(0.0, DT * (len(rho_hat) - 1), DT)
+    oracle = propagate(me, np.outer(psi0, psi0.conj()), grid).states
+    return float((trace_distance(rho_hat, oracle).max() - 1.0 / n_traj) / err.max())
 
 
 def _hash_diagnostics(diag: dict) -> dict:
@@ -303,33 +340,54 @@ def fingerprint(name: str, seed: int) -> dict:
         p = err.partial
         out = {
             "abort": {"error": type(err).__name__, "message": str(err), "time": float(err.time)},
-            "partial": _series(p["times"], p["rho_hat"], p["stderr"], p["rho_batches"]),
+            "partial": _series(p["rho_hat"], p["stderr"], p["rho_batches"]),
+            "oracle_score": _oracle_score(me, psi0, n_traj, p["rho_hat"], p["stderr"]),
         }
         if "event_logs" in p:
             out["event_logs"] = hashlib.sha256(repr(p["event_logs"]).encode()).hexdigest()
         return out
     return {
         "abort": None,
-        "series": _series(grid.times(), res.rho_hat, res.stderr, res.rho_batches),
+        "series": _series(res.rho_hat, res.stderr, res.rho_batches),
         "event_counts": res.event_counts,
         "diagnostics": _hash_diagnostics(res.diagnostics),
+        "oracle_score": _oracle_score(me, psi0, n_traj, res.rho_hat, res.stderr),
     }
 
 
-def write(path: Path, seeds: list[int]) -> None:
-    out = {}
+def build() -> dict:
+    """The numpy, BLAS and SIMD extensions this process runs on."""
+    config = np.show_config(mode="dicts")
+    blas = config["Build Dependencies"]["blas"]
+    return {
+        "numpy": np.__version__,
+        "blas": f"{blas.get('name', '')} {blas.get('version', '')}".strip(),
+        "simd": sorted(config.get("SIMD Extensions", {}).get("found", [])),
+    }
+
+
+def fingerprints(seeds: list[int], log=None) -> dict:
+    """Every fingerprint at the given seeds, keyed ``name@seed`` (``name``
+    for the deterministic inputs), with the build under ``_build``."""
+    log = log or (lambda key: None)
+    out = {"_build": {**build(), "seeds": list(seeds)}}
     for name in INPUTS:
         for seed in seeds:
             out[f"{name}@{seed}"] = fingerprint(name, seed)
-            print(f"{name}@{seed}", flush=True)
+            log(f"{name}@{seed}")
     for name in CLI_INPUTS:
         for seed in seeds:
             out[f"{name}@{seed}"] = cli_fingerprint(name, seed)
-            print(f"{name}@{seed}", flush=True)
+            log(f"{name}@{seed}")
     for name, run in ORACLE_INPUTS.items():
         values = np.ascontiguousarray(run(), dtype=complex)
-        out[name] = {"values": _sha(values), "values_b64": _b64(values, complex)}
-        print(name, flush=True)
+        out[name] = {"values": _sha(values), "values_b64": _b64(_kept(values), complex)}
+        log(name)
+    return out
+
+
+def write(path: Path, seeds: list[int]) -> None:
+    out = fingerprints(seeds, log=lambda key: print(key, flush=True))
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
 
 
@@ -337,39 +395,73 @@ def _values(b64: str, dtype=complex) -> np.ndarray:
     return np.frombuffer(base64.b64decode(b64), dtype=dtype)
 
 
-def _judge(a: dict, b: dict) -> str:
-    """max |d rho_hat| and the sup trace distance between two runs' series,
-    each over the larger max stderr, and whether their event counts match."""
+def _distance(a: dict, b: dict):
+    """max |d rho_hat| and the sup trace distance between two runs' kept
+    points, and the larger max stderr of the two; None if the shapes differ."""
     sa, sb = (x.get("series") or x.get("partial") for x in (a, b))
     ra, rb = _values(sa["rho_hat_b64"]), _values(sb["rho_hat_b64"])
-    if ra.shape != rb.shape:
-        return "shapes differ"
-    if ra.size == 0:
-        return "no points"
-    d = int(round(np.sqrt(ra.size // sa["points"])))
-    diff = (ra - rb).reshape(sa["points"], d, d)
+    if ra.shape != rb.shape or sa["points"] != sb["points"] or ra.size == 0:
+        return None
+    kept = len(_kept(np.arange(sa["points"])))
+    d = int(round(np.sqrt(ra.size // kept)))
+    diff = (ra - rb).reshape(kept, d, d)
     sup_td = 0.5 * np.abs(np.linalg.eigvalsh(0.5 * (diff + np.conj(np.swapaxes(diff, 1, 2))))).sum(axis=1).max()
-    err = max(_values(s["stderr_b64"], float).max() for s in (sa, sb)) if "stderr_b64" in sa else np.nan
+    errs = [_values(s["stderr_b64"], float) for s in (sa, sb)]
+    return np.abs(ra - rb).max(), sup_td, max(e[np.isfinite(e)].max(initial=0.0) for e in errs)
+
+
+def _judge(a: dict, b: dict) -> str:
+    """``_distance`` over the max stderr, and whether the event counts match."""
+    dist = _distance(a, b)
+    if dist is None:
+        return "shapes differ"
+    max_abs, sup_td, err = dist
     if "event_counts" in a:
         counts = "identical" if a["event_counts"] == b["event_counts"] else "differ"
     else:
         counts = "n/a (aborted)"
-    return (f"max |d rho_hat| {np.abs(ra - rb).max():.3e} ({np.abs(ra - rb).max() / err:.2e} x max stderr), "
-            f"sup TD {sup_td:.3e} ({sup_td / err:.2e} x max stderr), event counts {counts}")
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (f"max |d rho_hat| {max_abs:.3e} ({max_abs / err:.2e} x max stderr), "
+                f"sup TD {sup_td:.3e} ({sup_td / err:.2e} x max stderr), event counts {counts}")
 
 
-def compare(a_path: Path, b_path: Path) -> int:
-    a, b = json.loads(a_path.read_text()), json.loads(b_path.read_text())
-    differ = 0
-    for key in sorted(set(a) | set(b)):
+def _within_build_rule(a: dict, b: dict) -> bool:
+    """Whether two differing fingerprints of one input stay within what
+    another build may move (``--tolerant``)."""
+    if "csv" in a:
+        return a["exit_code"] == b["exit_code"]
+    if "values" in a:
+        ra, rb = _values(a["values_b64"]), _values(b["values_b64"])
+        return ra.shape == rb.shape and bool(np.all(np.abs(ra - rb) <= VALUE_TOL))
+    if (a["abort"] or {}).get("error") != (b["abort"] or {}).get("error"):
+        return False
+    dist = _distance(a, b)
+    return dist is not None and dist[1] <= SUP_TD_TOL * dist[2]
+
+
+def _score(x) -> str:
+    return "-" if x is None else f"{x:.2f}"
+
+
+def compare(a: dict, b: dict, tolerant: bool = False) -> int:
+    """Print how two fingerprint dicts differ, input by input, then their
+    oracle scores side by side; the number of inputs that differ (with
+    ``tolerant``, that differ beyond ``_within_build_rule``)."""
+    if a.get("_build") != b.get("_build"):
+        print(f"builds differ: {a.get('_build')} | {b.get('_build')}")
+    keys = sorted((set(a) | set(b)) - {"_build"})
+    differ = failed = 0
+    for key in keys:
         if key not in a or key not in b:
             print(f"{key}: only in {'the second' if key in b else 'the first'} file")
             differ += 1
+            failed += 1
             continue
         if a[key] == b[key]:
             print(f"{key}: identical")
             continue
         differ += 1
+        failed += not (tolerant and _within_build_rule(a[key], b[key]))
         if "csv" in a[key]:
             fields = [f for f in ("exit_code", "csv", "summary") if a[key][f] != b[key][f]]
             print(f"{key}: differs in {', '.join(fields)}")
@@ -385,8 +477,12 @@ def compare(a_path: Path, b_path: Path) -> int:
             fields += [f for f in ("points", "rho_hat", "stderr", "rho_batches") if sa[f] != sb[f]]
             delta = _judge(a[key], b[key])
         print(f"{key}: differs in {', '.join(fields)}; {delta}")
-    print(f"{len(set(a) | set(b)) - differ} identical, {differ} differ")
-    return 1 if differ else 0
+    print(f"{len(keys) - differ} identical, {differ} differ")
+    scored = [key for key in keys if "oracle_score" in a.get(key, {}) or "oracle_score" in b.get(key, {})]
+    print("oracle score, (sup TD to the oracle - 1/N) / max stderr: first | second")
+    for key in scored:
+        print(f"  {key}: {_score(a.get(key, {}).get('oracle_score'))} | {_score(b.get(key, {}).get('oracle_score'))}")
+    return failed if tolerant else differ
 
 
 def main(argv=None) -> int:
@@ -398,11 +494,14 @@ def main(argv=None) -> int:
     c = sub.add_parser("compare", help="compare two fingerprint files")
     c.add_argument("a", type=Path)
     c.add_argument("b", type=Path)
+    c.add_argument("--tolerant", action="store_true",
+                   help="accept differences within what another numpy or BLAS build may move")
     args = parser.parse_args(argv)
     if args.command == "write":
         write(args.out, args.seeds)
         return 0
-    return compare(args.a, args.b)
+    a, b = (json.loads(path.read_text()) for path in (args.a, args.b))
+    return 1 if compare(a, b, args.tolerant) else 0
 
 
 if __name__ == "__main__":
