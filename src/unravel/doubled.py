@@ -138,7 +138,7 @@ def run_chunk(
     me: MasterEquation,
     psi0: np.ndarray,
     grid: TimeGrid,
-    idx0: int,
+    batch0: int,
     n,
     seed: int,
     track=None,
@@ -152,7 +152,7 @@ def run_chunk(
         me,
         np.concatenate([psi0, psi0]),
         grid,
-        idx0,
+        batch0,
         n,
         seed,
         outer=_pair_outer,

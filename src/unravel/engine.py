@@ -9,10 +9,11 @@ its own), and its runner steps all its rows together but sums each batch
 over that batch's rows alone. The replica methods run one replica per
 batch, and their replicas share tiles in the same way: ``cloning`` makes
 one kernel call per step for all of a tile's members, and ``nmqj`` steps
-all of a tile's buckets as stacked arrays. Every row derives its random
-numbers from (seed, trajectory index) and every replica from (seed,
-replica index) alone, and the batch sums are combined by a fixed-order
-pairwise tree, so a seed fixes the result bit for bit, whatever the tiles.
+all of a tile's buckets as stacked arrays. Every batch (or replica) draws
+from its own stream ``rng.replica_generator(seed, batch index)``, in an
+order fixed within the batch, and the batch sums are combined by a
+fixed-order pairwise tree, so a seed fixes the result bit for bit,
+whatever the tiles.
 The tiles run in order, and each one stops at the earliest abort of those
 before it: nothing after that step is kept, and that abort wins a tie, so
 the result is the one every tile run to its own end gives. ``threads`` has
@@ -144,9 +145,9 @@ def _chunk_sizes(n_traj: int, batches: int) -> list[int]:
 
 
 def _runner(method: MethodId):
-    """The method's runner as ``run(me, psi0, grid, key, sizes, seed, track)``:
-    a tile's rows from trajectory ``key`` on, in batches of ``sizes``, or
-    its replicas from replica ``key`` on, of ``sizes`` members."""
+    """The method's runner as ``run(me, psi0, grid, batch0, sizes, seed, track)``:
+    a tile's batches from batch ``batch0`` on, of ``sizes`` rows (replica
+    methods: members) each."""
     kind = method.kind
     plain = {"mcwf": _mcwf, "wtd": _wtd, "doubled": _doubled, "tripled": _tripled}
     if kind in plain:
@@ -162,8 +163,8 @@ def _runner(method: MethodId):
     if kind in _REPLICA_KINDS:
         module = _cloning if kind == "cloning" else _nmqj
         # looked up at each call, so that a wrapper set on the module is seen
-        return lambda me, psi0, grid, key, sizes, seed, track: module.run_replica(
-            me, psi0, grid, sizes, key, seed, track=track
+        return lambda me, psi0, grid, batch0, sizes, seed, track: module.run_replica(
+            me, psi0, grid, sizes, batch0, seed, track=track
         )
     raise UnknownMethod(f"unknown method {kind!r}")
 
@@ -279,21 +280,16 @@ def run_ensemble(
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     psi = np.asarray(psi0, dtype=complex)
     sizes = _chunk_sizes(n_traj, _DEFAULT_BATCHES)
-    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
     times = grid.times()
     t0 = _time.perf_counter()
     run = _runner(method)
     track = _generator_track(method, me, grid)
-    # a tile's rows start at the first trajectory index of its first batch; a
-    # replica keys its stream off its batch index
-    replicas = method.kind in _REPLICA_KINDS
     tile_sums, counts, diags, abort = [], [], [], None
     for tile in _tiles(sizes):
         # nothing past the earliest abort so far is kept, and that abort wins
         # a tie, so a later tile runs only the steps before it (at least one)
         cut, cut_track = _head(method, grid, track, grid.n_steps if abort is None else max(abort[1], 1))
-        key = tile[0] if replicas else int(starts[tile[0]])
-        out = run(me, psi, cut, key, [sizes[i] for i in tile], seed, track=cut_track)
+        out = run(me, psi, cut, tile[0], [sizes[i] for i in tile], seed, track=cut_track)
         for acc, part in zip((tile_sums, counts, diags), out):
             acc.append(part)
         if out[3] is not None and (abort is None or out[3][1] < abort[1]):

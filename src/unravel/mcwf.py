@@ -7,7 +7,9 @@ rate means the dynamics needs one of the non-Markovian methods.
 
 ``channel_menu`` is this law as a batched kernel (see ``outcomes``); the
 weighted methods run it at their sampling rates and cloning adds its
-population branches to it.
+population branches to it. ``run_chunk`` draws as ``run_menus`` does, batch
+b from ``rng.replica_generator(seed, b)``; ``first_jump_times`` draws from
+``replica_generator(seed, 0)`` alone.
 """
 
 from __future__ import annotations
@@ -19,9 +21,10 @@ from .linalg import EPS, squared_norms
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
-from .rng import philox_uniforms
-# trajectory_uniforms stays importable from here because bench/test_bench.py
-# checks that the tracer re-binds it in this module
+from .rng import replica_generator
+# trajectory_uniforms stays importable from here, unused, because
+# bench/test_bench.py checks that the tracer re-binds it in this module; it
+# goes with the benchmark's repair (ROADMAP item 1)
 from .rng import trajectory_uniforms  # noqa: F401
 
 __all__ = [
@@ -33,7 +36,7 @@ __all__ = [
     "first_jump_times",
 ]
 
-_BLOCK_STEPS = 512  # a multiple of 4: each block of steps starts a Philox block
+_BLOCK_STEPS = 512  # steps whose uniforms ``first_jump_times`` draws in one call
 
 
 def require_nonnegative_rates(snap: GeneratorSnapshot, method: str = "MCWF") -> None:
@@ -97,12 +100,12 @@ def mcwf_step(me: MasterEquation, psi: np.ndarray, t: float, dt: float, u: float
 
 
 def run_chunk(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n, seed: int, track=None
+    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, n, seed: int, track=None
 ):
-    """Run trajectories idx0, idx0 + 1, ...: n of them, or batches of the
-    sizes n (rho_sum per batch, see ``run_menus``); returns (rho_sum series,
-    event counts, diagnostics, abort)."""
-    return run_menus(mcwf_menu, me, psi0, grid, idx0, n, seed, track=track)
+    """Run batch batch0 of n trajectories, or batches batch0, batch0 + 1, ...
+    of the sizes n (rho_sum per batch, see ``run_menus``); returns (rho_sum
+    series, event counts, diagnostics, abort)."""
+    return run_menus(mcwf_menu, me, psi0, grid, batch0, n, seed, track=track)
 
 
 def first_jump_times(
@@ -115,10 +118,10 @@ def first_jump_times(
     falls below that step's jump probability; the recorded time is the end
     of that step. The path and its jump probabilities are ``mcwf_menu``'s
     drift and summed probabilities, read from one track without building the
-    jump targets. The uniforms of the rows still waiting are computed
-    ``_BLOCK_STEPS`` steps at a time (``philox_uniforms``, four draws per
-    Philox block), which bounds the memory at n blocks instead of n grids; a
-    stream's draws do not depend on how they are split.
+    jump targets. The uniforms come from ``replica_generator(seed, 0)``,
+    ``_BLOCK_STEPS`` steps at a time for the trajectories still waiting, in
+    (steps, waiting) C order, which bounds the memory at n blocks instead
+    of n grids.
     """
     times = grid.times()
     steps = grid.n_steps
@@ -136,13 +139,14 @@ def first_jump_times(
         p_step[k] = (rates[k] * n2 * dt).T.sum()
         row = row - 1j * dt * (row @ k_t[k])
         row /= np.linalg.norm(row, axis=1)[:, None]
+    gen = replica_generator(seed, 0)
     out = np.full(n, np.inf)
     waiting = np.arange(n)
     for start in range(0, steps, _BLOCK_STEPS):
         p = p_step[start : start + _BLOCK_STEPS]
-        hit = philox_uniforms(seed, waiting, start // 4, len(p)) < p
-        fired = hit.any(axis=1)
-        out[waiting[fired]] = times[start + 1 + np.argmax(hit[fired], axis=1)]
+        hit = gen.random((len(p), len(waiting))) < p[:, None]
+        fired = hit.any(axis=0)
+        out[waiting[fired]] = times[start + 1 + np.argmax(hit[:, fired], axis=0)]
         waiting = waiting[~fired]
         if not len(waiting):
             break

@@ -7,12 +7,13 @@ This module turns a menu into the step that runs (``take_step``) and into
 the branch list of one row (``row_branches``), whose closed-form expectation
 E[w |psi'><psi'|] the tests compare against rho + L[rho] dt. ``run_menus``
 drives the step over a whole grid for one tile of rows: all its batches
-step together, on uniforms computed a few steps at a time for every row
-(``rng.philox_uniforms``). Each batch is summed over its own rows, and the
-batches of one size are summed together: ``batch_runs`` groups a tile's
-batches into runs of equal size, whose rows form one (batches, size, w)
-stack, and each step reduces each run in one stacked call
-(``linalg.weighted_outer_sum``), with the same bits as one call per batch.
+step together, and batch b draws its rows' uniforms from its own stream
+``rng.replica_generator(seed, b)``, step-major, a few steps per call. Each
+batch is summed over its own rows, and the batches of one size are summed
+together: ``batch_runs`` groups a tile's batches into runs of equal size,
+whose rows form one (batches, size, w) stack, and each step reduces each
+run in one stacked call (``linalg.weighted_outer_sum``), with the same bits
+as one call per batch.
 Weighted methods carry a multiplicative weight factor per branch; the
 cloning method carries a copy count.
 """
@@ -27,7 +28,7 @@ import numpy as np
 
 from .errors import StepTooLarge, UnravelError
 from .linalg import weighted_outer_sum
-from .rng import philox_uniforms
+from .rng import replica_generator
 
 __all__ = [
     "Deterministic",
@@ -48,14 +49,11 @@ __all__ = [
     "run_menus",
 ]
 
-# Most uniforms held at once by ``run_menus`` (1 MB). A ``philox_uniforms``
-# call costs about 0.3 ms plus, per row, 80 ns a draw (vectorized) or 7 us
-# plus 5 ns a draw (re-keyed, above 64 draws), so a tile draws as many steps
-# at once as this allows, and as one batch's whole grid takes: never more
-# uniforms than one batch held when each batch drew its grid in one call.
-# A tile of 2000 rows in 100-row batches over 150 steps thus draws 4 steps
-# (one Philox block) a call: 15,000 uniforms a batch over 2000 rows.
-_DRAW_UNIFORMS = 2**17
+# Steps whose uniforms ``run_menus`` draws in one call per batch. A call
+# costs about a microsecond and a draw about 6 ns, so a few steps a call
+# cost little more than one call for the whole grid, and hold only a few
+# uniforms per row.
+_DRAW_STEPS = 4
 
 
 @dataclass(frozen=True)
@@ -247,7 +245,7 @@ def run_menus(
     me,
     row0: np.ndarray,
     grid,
-    idx0: int,
+    batch0: int,
     n,
     seed: int,
     outer: Callable | None = None,
@@ -255,14 +253,14 @@ def run_menus(
     tally: tuple[str, Callable] | None = None,
     track=None,
 ):
-    """Step the rows of trajectories idx0, idx0 + 1, ... from row0, all
-    together, each on its own stream.
+    """Step the rows of batches batch0, batch0 + 1, ... from row0, all
+    together, each batch on its own stream.
 
-    ``n`` is the number of rows, or the sizes of consecutive batches of rows
-    (a tile of an ensemble). Returns (rho_sum, counts, diagnostics, abort):
-    rho_sum[k] is the ``outer`` sum (default ``weighted_outer_sum``) at grid
-    point k, and abort is None or (err, k) for a method error at step k,
-    with everything before step k kept. Given batch sizes, rho_sum and every
+    ``n`` is the number of rows of batch batch0, or the sizes of consecutive
+    batches of rows (a tile of an ensemble). Returns (rho_sum, counts,
+    diagnostics, abort): rho_sum[k] is the ``outer`` sum (default
+    ``weighted_outer_sum``) at grid point k, and abort is None or (err, k)
+    for a method error at step k, with everything before step k kept. Given batch sizes, rho_sum and every
     diagnostics series gain a leading batch axis, and each batch's entry is
     one reduction over that batch's rows alone, as a run of the batch by
     itself gives it; counts and sign-flip steps cover all rows.
@@ -276,9 +274,10 @@ def run_menus(
     gives that batch alone.
     ``track`` is ``me.track`` over the grid's step starts; the tiles of one
     ensemble share it, and a call without one evaluates its own.
-    The uniforms come a few steps at a time for all rows (``philox_uniforms``,
-    at most ``max(4 rows, _DRAW_UNIFORMS)`` of them), so their memory is
-    bounded whatever the grid.
+    Batch b's uniforms are ``replica_generator(seed, b)``'s draws in
+    (steps, size_b) C order, one per row and step; they are drawn
+    ``_DRAW_STEPS`` steps per call, and any split into whole steps gives the
+    same bits.
     """
     outer = outer or weighted_outer_sum
     times = grid.times()
@@ -288,9 +287,9 @@ def run_menus(
     sizes = np.atleast_1d(n)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     spans = list(zip(bounds[:-1], bounds[1:]))
-    keys = np.arange(idx0, idx0 + bounds[-1], dtype=np.uint64)
-    rows = np.tile(np.asarray(row0, dtype=complex), (len(keys), 1))
-    weights = np.ones(len(keys)) if weighted else None
+    gens = [replica_generator(seed, batch0 + b) for b in range(len(spans))]
+    rows = np.tile(np.asarray(row0, dtype=complex), (int(bounds[-1]), 1))
+    weights = np.ones(len(rows)) if weighted else None
     runs = batch_runs(sizes)
     rho_sum = np.zeros((len(spans), steps + 1, me.dim, me.dim), dtype=complex)
     diag: dict = {}
@@ -318,18 +317,19 @@ def run_menus(
 
     record(0)
     hits = np.zeros(1, dtype=np.int64)  # grows to one slot per branch at the first step
-    held = min(_DRAW_UNIFORMS, int(sizes.max()) * steps)
-    draw = 4 * max(1, held // (4 * len(keys)))  # steps per call, whole Philox blocks
+    u = np.empty((_DRAW_STEPS, len(rows)))  # row j: the uniforms of step k + j
     for k in range(steps):
-        j = k % draw
+        j = k % _DRAW_STEPS
         if j == 0:
-            u = philox_uniforms(seed, keys, k // 4, min(draw, steps - k))
+            count = min(_DRAW_STEPS, steps - k)
+            for gen, (a, b) in zip(gens, spans):
+                u[:count, a:b] = gen.random((count, b - a))
         try:
             menu = kernel(track[k], rows, grid.dt)
-            step = take_step(menu, u[:, j], times[k])
+            step = take_step(menu, u[j], times[k])
         except UnravelError as err:
             err = _first_error(
-                err, spans, lambda a, b: take_step(kernel(track[k], rows[a:b], grid.dt), u[a:b, j], times[k])
+                err, spans, lambda a, b: take_step(kernel(track[k], rows[a:b], grid.dt), u[j, a:b], times[k])
             )
             return result((err, k))
         nb = menu.probs.shape[1]

@@ -114,7 +114,7 @@ def run_chunk(
     me: MasterEquation,
     psi0: np.ndarray,
     grid: TimeGrid,
-    idx0: int,
+    batch0: int,
     n: int,
     seed: int,
     flavor: str = "w",
@@ -124,7 +124,7 @@ def run_chunk(
     """Tile runner for all three flavors ('w', or 'ro' with a gauge); n as
     in ``run_menus``."""
     if flavor == "w":
-        return run_menus(w_menu, me, psi0, grid, idx0, n, seed, track=track)
+        return run_menus(w_menu, me, psi0, grid, batch0, n, seed, track=track)
     return run_menus(
-        lambda snap, rows, dt: ro_menu(snap, rows, dt, gauge), me, psi0, grid, idx0, n, seed, track=track
+        lambda snap, rows, dt: ro_menu(snap, rows, dt, gauge), me, psi0, grid, batch0, n, seed, track=track
     )

@@ -265,7 +265,7 @@ def run_chunk(
     me: MasterEquation,
     psi0: np.ndarray,
     grid: TimeGrid,
-    idx0: int,
+    batch0: int,
     n,
     seed: int,
     track=None,
@@ -281,4 +281,4 @@ def run_chunk(
     chi = np.zeros(3)
     chi[0] = chi[1] = 1.0 / np.sqrt(2.0)
     theta0 = np.kron(np.asarray(psi0, dtype=complex), chi)
-    return mcwf.run_chunk(embedded_system(me), theta0, grid, idx0, n, seed, track=track)
+    return mcwf.run_chunk(embedded_system(me), theta0, grid, batch0, n, seed, track=track)

@@ -137,7 +137,7 @@ def plqt_step(wt: PlqtTrajectory, me: MasterEquation, t: float, dt: float, u: fl
     return PlqtTrajectory(b.state, wt.sign, wt.magnitude * b.weight_factor)
 
 
-def run_chunk_im(me, psi0, grid, idx0, n, seed, r_policy: RatePolicy | None = None, track=None):
+def run_chunk_im(me, psi0, grid, batch0, n, seed, r_policy: RatePolicy | None = None, track=None):
     """Influence-martingale trajectories; rho_sum rows are weighted projector
     sums; n as in ``run_menus``."""
     policy = r_policy if r_policy is not None else default_rate_policy()
@@ -146,7 +146,7 @@ def run_chunk_im(me, psi0, grid, idx0, n, seed, r_policy: RatePolicy | None = No
         me,
         psi0,
         grid,
-        idx0,
+        batch0,
         n,
         seed,
         weighted=True,
@@ -154,6 +154,6 @@ def run_chunk_im(me, psi0, grid, idx0, n, seed, r_policy: RatePolicy | None = No
     )
 
 
-def run_chunk_plqt(me, psi0, grid, idx0, n, seed, track=None):
+def run_chunk_plqt(me, psi0, grid, batch0, n, seed, track=None):
     """Sign-bit trajectories: sampling at |gamma|, sign flip on negative-rate jumps."""
-    return run_menus(plqt_menu, me, psi0, grid, idx0, n, seed, weighted=True, track=track)
+    return run_menus(plqt_menu, me, psi0, grid, batch0, n, seed, weighted=True, track=track)

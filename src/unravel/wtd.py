@@ -13,11 +13,11 @@ dense output (psi~ and -i K psi~ at both ends), which evaluates nothing. Only
 jumps evaluate off the grid: one track at the jump time (rate check, channel,
 jump, RK4 of the rest of the step) and the rest's midpoint. ``run_chunk``
 and ``first_jump_times`` (rows retire at their first jump, evaluating
-nothing) run this sampler; ``wtd_next_jump`` is its one-row view. Trajectory k draws from its own
-Philox stream: its threshold first, then a channel draw and a new threshold
-at each jump. The thresholds of all rows come from one ``philox_uniforms``
-call and each jump's two draws from one re-keyed Philox
-(``rng.RekeyedPhilox``), so no generator is built per trajectory.
+nothing) run this sampler; ``wtd_next_jump`` is its one-row view. Batch b
+of an ensemble draws from its own stream ``rng.replica_generator(seed, b)``:
+the thresholds of all its rows first, in row order, then, step by step, a
+channel draw and a new threshold at each jump of its rows, in row order
+(a row's later jumps within the same step before the next row's).
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .master_equation import GeneratorSnapshot, GeneratorTrack, MasterEquation
 from .mcwf import require_nonnegative_rates
 from .outcomes import batch_runs, event_counts
 from .propagate import TimeGrid
-from .rng import RekeyedPhilox, philox_uniforms
+from .rng import replica_generator
 
 __all__ = ["wtd_next_jump", "wtd_select_channel", "run_chunk", "first_jump_times"]
 
@@ -148,31 +148,30 @@ def _select_channel(snap: GeneratorSnapshot, psi_det: np.ndarray, u: float) -> i
 
 
 def run_chunk(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, idx0: int, n, seed: int, track=None
+    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, n, seed: int, track=None
 ):
-    """Trajectories idx0, idx0 + 1, ... stepped together on ``track``
+    """Batches batch0, batch0 + 1, ... stepped together on ``track``
     (``half_track`` of the grid, shared by the tiles of an ensemble):
     (rho_sum series, event counts, diagnostics, abort), abort being None or
     (err, k) for a failure in step k, with every earlier point kept. ``n``
-    is the number of rows, or the sizes of consecutive batches of rows, and
-    then rho_sum has a leading batch axis (as in ``outcomes.run_menus``,
-    whose ``batch_runs`` stack the batches of one size for one reduction)."""
+    is the number of rows of batch batch0, or the sizes of consecutive
+    batches of rows, and then rho_sum has a leading batch axis (as in
+    ``outcomes.run_menus``, whose ``batch_runs`` stack the batches of one
+    size for one reduction)."""
     if track is None:
         track = me.half_track(grid.times())
     sizes = np.atleast_1d(n)
-    # row i's stream: its threshold first, then a channel draw and a new
-    # threshold at each jump; drawn[i] counts the draws taken
-    x = philox_uniforms(seed, np.arange(idx0, idx0 + int(sizes.sum())), 0, 1)[:, 0]
-    drawn = np.ones(len(x), dtype=np.int64)
-    streams = RekeyedPhilox(seed)
+    gens = [replica_generator(seed, batch0 + b) for b in range(len(sizes))]
+    # each batch's thresholds first, then its rows' jumps as they come
+    x = np.concatenate([gen.random(int(size)) for gen, size in zip(gens, sizes)])
+    batch_of = np.repeat(np.arange(len(sizes)), sizes)
     jumps = np.zeros(len(me.channels), dtype=np.int64)
 
     def jump(i, t1, t_end, psi1):
         at_jump = me.track((t1, t1 + 0.5 * (t_end - t1)))
         snap = at_jump[0]
         require_nonnegative_rates(snap, "WTD")
-        u, x_next = streams.uniforms(idx0 + i, drawn[i], 2)
-        drawn[i] += 2
+        u, x_next = gens[batch_of[i]].random(2)
         a = _select_channel(snap, psi1, u)
         jumps[a] += 1
         x[i] = x_next
@@ -197,8 +196,9 @@ def run_chunk(
 
 def first_jump_times(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n: int, seed: int) -> np.ndarray:
     """First-jump time per trajectory (inf where the norm never crosses), by
-    ``run_chunk``'s sampler with each row retiring at its first jump."""
-    x = philox_uniforms(seed, np.arange(n), 0, 1)[:, 0]
+    ``run_chunk``'s sampler with each row retiring at its first jump; the
+    thresholds are ``replica_generator(seed, 0)``'s first n draws."""
+    x = replica_generator(seed, 0).random(n)
     out = np.full(n, np.inf)
 
     def retire(i, t1, _t_end, _psi1):

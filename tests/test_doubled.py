@@ -96,7 +96,7 @@ def test_chunk_tracks_markovian_oracle():
     me = spontaneous_emission(omega0=1.0, gamma=1.0)
     grid = TimeGrid(0.0, 2.0, 1e-2)
     n = 1500
-    rho_sum, counts, diag, abort = run_chunk(me, PLUS, grid, idx0=0, n=n, seed=31)
+    rho_sum, counts, diag, abort = run_chunk(me, PLUS, grid, batch0=0, n=n, seed=31)
     assert abort is None
     assert counts["jump"] > 0
     assert diag["theta_norm2_sum"][0] == pytest.approx(2.0 * n)
@@ -113,8 +113,8 @@ def test_chunk_tracks_markovian_oracle():
 def test_chunk_is_reproducible():
     me = eternally_nm()
     grid = TimeGrid(0.0, 0.5, 1e-2)
-    a = run_chunk(me, PLUS, grid, idx0=7, n=40, seed=5)[0]
-    b = run_chunk(me, PLUS, grid, idx0=7, n=40, seed=5)[0]
+    a = run_chunk(me, PLUS, grid, batch0=7, n=40, seed=5)[0]
+    b = run_chunk(me, PLUS, grid, batch0=7, n=40, seed=5)[0]
     assert np.array_equal(a, b)
 
 

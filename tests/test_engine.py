@@ -170,14 +170,15 @@ def test_abort_partial_carries_event_logs_cut_to_its_series(monkeypatch):
     "rate, error, abort_time",
     [
         (lambda t: -20.0 if t < 0.8 else -500.0, StepTooLarge, 0.8),
-        (-20.0, DegenerateBlock, 0.09),
+        (-20.0, DegenerateBlock, 0.04),
     ],
     ids=["step_too_large", "degenerate_block"],
 )
 def test_abort_partial_is_the_extractable_prefix(rate, error, abort_time):
-    """tripled's auxiliary block decays past extraction at t = 0.09. Whether
-    the run goes on to abort (rate -500 asks for a jump probability 5 > 1 at
-    t = 0.8) or not, the partial is the finished run up to t = 0.08."""
+    """At seed 1, tripled's auxiliary block decays past extraction at
+    t = 0.04. Whether the run goes on to abort (rate -500 asks for a jump
+    probability 5 > 1 at t = 0.8) or not, the partial is the finished run up
+    to t = 0.03."""
     me = master_equation(2, np.zeros((2, 2)), [(SIGMA_Z, rate, "sz")])
     with pytest.raises(error) as exc:
         run_ensemble(method_id("tripled"), me, PLUS, TimeGrid(0.0, 1.0, 1e-2), 40, seed=1)
@@ -185,8 +186,8 @@ def test_abort_partial_is_the_extractable_prefix(rate, error, abort_time):
     assert err.time == pytest.approx(abort_time)
     partial = err.partial
     assert partial["n_traj"] == 40
-    assert len(partial["times"]) == 9
-    prefix = run_ensemble(method_id("tripled"), me, PLUS, TimeGrid(0.0, 0.08, 1e-2), 40, seed=1)
+    assert len(partial["times"]) == 4
+    prefix = run_ensemble(method_id("tripled"), me, PLUS, TimeGrid(0.0, 0.03, 1e-2), 40, seed=1)
     assert np.array_equal(partial["times"], prefix.grid.times())
     assert np.array_equal(partial["rho_hat"], prefix.rho_hat)
     assert np.array_equal(partial["stderr"], prefix.stderr)
@@ -347,13 +348,11 @@ def _per_batch_reference(method, me, psi, grid, n_traj, seed):
     on the whole grid: (rho_hat, rho_batches, stderr, counts, diagnostics,
     abort)."""
     sizes = _chunk_sizes(n_traj, 20)
-    starts = np.concatenate([[0], np.cumsum(sizes[:-1])])
     track = _generator_track(method, me, grid)
     if method.kind == "nmqj":
         results = [run_replica(me, psi, grid, n, replica=r, seed=seed, track=track) for r, n in enumerate(sizes)]
     else:
-        keys = range(len(sizes)) if method.kind == "cloning" else starts
-        results = [_runner(method)(me, psi, grid, int(s), n, seed, track=track) for s, n in zip(keys, sizes)]
+        results = [_runner(method)(me, psi, grid, b, n, seed, track=track) for b, n in enumerate(sizes)]
     aborts = [res[3] for res in results if res[3] is not None]
     abort = min(aborts, key=lambda a: a[1]) if aborts else None
     n_pts = abort[1] + 1 if abort else grid.n_steps + 1

@@ -60,7 +60,7 @@ def _shift(b64: str, by: float) -> str:
     return EQ._b64(values, complex)
 
 
-def test_tolerant_rule_flags_what_a_build_cannot_move(capsys):
+def test_tolerant_rule_flags_what_a_build_cannot_move():
     """The rule for other builds still fails on a moved array, abort or
     ensemble, and lets last-bit moves through."""
     oracle, ensemble, aborted = "oracle/eternally_nm", "batched/mcwf@5", "abort/mcwf@5"
@@ -75,4 +75,3 @@ def test_tolerant_rule_flags_what_a_build_cannot_move(capsys):
     other_abort = _moved(aborted, lambda e: e["abort"].update(error="StepTooLarge"))
     assert EQ.compare(STORED, other_abort, tolerant=True) == 1
     assert np.isfinite(STORED[ensemble]["oracle_score"])
-    capsys.readouterr()

@@ -26,7 +26,7 @@ from unravel.models import (
 from unravel.outcomes import Clone, Deterministic, Destroy, Jump, jump_rows, row_branches, take_step
 from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import time_dependent_gauge, w_matching_gauge
-from unravel.rng import trajectory_uniforms
+from unravel.rng import replica_generator
 from unravel.roqj import ro_menu, roqj_step, w_menu, wroqj_step
 from unravel.tripled import embedded_track
 from unravel.weighted import (
@@ -277,10 +277,11 @@ def test_first_jump_times_refuse_a_negative_rate():
     assert info.value.time == pytest.approx(0.79)
 
 
-def test_first_jump_times_blocks_match_one_draw():
+def test_first_jump_times_blocks_follow_one_stream():
     # from |1> the no-jump state stays |1>, so every step fires with the same
     # p = gamma dt; 1000 steps span two blocks of draws, and by t = 10 about
-    # e^{-1} of the rows never jumped
+    # e^{-1} of the rows never jumped. The draws come from one stream, a
+    # (steps, rows still waiting) block at a time
     me = spontaneous_emission(gamma=0.1)
     grid = TimeGrid(0.0, 10.0, 1e-2)
     times = first_jump_times(me, KET1, grid, 200, seed=3)
@@ -288,8 +289,13 @@ def test_first_jump_times_blocks_match_one_draw():
     assert 20 < np.isinf(times).sum() < 180
     assert np.any(times[np.isfinite(times)] > grid.times()[_BLOCK_STEPS])
     p = mcwf_menu(me.at(0.0), KET1[None, :], grid.dt).probs.sum()
-    hit = trajectory_uniforms(3, 0, 200, grid.n_steps) < p
-    ref = np.where(hit.any(axis=1), grid.times()[np.argmax(hit, axis=1) + 1], np.inf)
+    gen, ref = replica_generator(3, 0), np.full(200, np.inf)
+    for start in (0, _BLOCK_STEPS):
+        waiting = np.nonzero(np.isinf(ref))[0]
+        hit = gen.random((min(_BLOCK_STEPS, grid.n_steps - start), len(waiting))) < p
+        for col, i in enumerate(waiting):
+            if hit[:, col].any():
+                ref[i] = grid.times()[start + 1 + np.argmax(hit[:, col])]
     assert np.array_equal(times, ref)
 
 

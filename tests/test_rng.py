@@ -1,66 +1,103 @@
-"""Random streams: block Philox against numpy's Philox generators."""
+"""The stream contract: batch b of every method draws from
+``replica_generator(seed, b)``, in an order fixed within the batch."""
 
 import numpy as np
 import pytest
 
-from unravel import rng
-from unravel.rng import (
-    RekeyedPhilox,
-    philox_uniforms,
-    replica_generator,
-    trajectory_generator,
-    trajectory_uniforms,
-)
+from unravel import outcomes
+from unravel.engine import _chunk_sizes, method_id, run_ensemble
+from unravel.linalg import hermitize, normalize
+from unravel.mcwf import mcwf_step
+from unravel.models import KET1, PLUS, eternally_nm, spontaneous_emission
+from unravel.outcomes import Jump
+from unravel.propagate import TimeGrid
+from unravel.rng import replica_generator, trajectory_generator, trajectory_uniforms
+from unravel.wtd import run_chunk as wtd_run_chunk
+from unravel.wtd import wtd_next_jump, wtd_select_channel
 
 SEED = 42
-# trajectory keys at both ends of the uint64 range and replica keys 2^63 + r
-KEYS = [0, 1, 7, 2**64 - 1, 2**63, 2**63 + 5]
 
 
-def _reference(seed, key, block, count):
-    bits = np.random.Philox(key=np.array([seed, key], dtype=np.uint64))
-    return np.random.Generator(bits).random(4 * block + count)[4 * block :]
+def test_streams_are_numpy_philox_keyed_by_seed_and_index():
+    """A batch's stream is Philox(key=[seed, 2^63 + b]); the per-trajectory
+    forms that no runner calls stack Philox(key=[seed, k]) draws."""
+    bits = np.random.Philox(key=np.array([SEED, 2**63 + 3], dtype=np.uint64))
+    assert np.array_equal(replica_generator(SEED, 3).random(10), np.random.Generator(bits).random(10))
+    rows = trajectory_uniforms(SEED, 3, 4, 9)
+    assert rows.shape == (4, 9) and trajectory_uniforms(SEED, 0, 0, 9).shape == (0, 9)
+    for k in range(4):
+        assert np.array_equal(rows[k], trajectory_generator(SEED, 3 + k).random(9))
 
 
-@pytest.mark.parametrize("count", [1, 3, 4, 6, 13])
-@pytest.mark.parametrize("block", [0, 1, 128])
-@pytest.mark.parametrize("path", ["vector", "rekeyed"])
-def test_block_draws_match_numpy_philox(monkeypatch, path, block, count):
-    # every count here fits the vectorized path; a limit of 0 forces re-keying
-    if path == "rekeyed":
-        monkeypatch.setattr(rng, "_VECTOR_DRAWS", 0)
-    for seed in (SEED, 2**64 - 1):
-        u = philox_uniforms(seed, KEYS, block, count)
-        assert u.shape == (len(KEYS), count)
-        for i, key in enumerate(KEYS):
-            assert np.array_equal(u[i], _reference(seed, key, block, count)), (seed, key)
+def test_mcwf_batch_is_a_hand_loop_on_its_stream():
+    """Batch b of an mcwf ensemble is mcwf_step run row by row on
+    ``replica_generator(seed, b).random((steps, size_b))``: row r takes
+    column r at each step."""
+    me = spontaneous_emission(omega=1.0, gamma=5.0)
+    grid = TimeGrid(0.0, 0.5, 1e-2)
+    n_traj, times = 47, grid.times()
+    res = run_ensemble(method_id("mcwf"), me, PLUS, grid, n_traj, seed=SEED)
+    jumps = 0
+    for b, size in enumerate(_chunk_sizes(n_traj, 20)):
+        u = replica_generator(SEED, b).random((grid.n_steps, size))
+        rows = [PLUS] * size
+        mean = [np.outer(PLUS, PLUS.conj())]
+        for k in range(grid.n_steps):
+            outcomes_k = [mcwf_step(me, rows[r], times[k], grid.dt, u[k, r]) for r in range(size)]
+            rows = [out.state for out in outcomes_k]
+            jumps += sum(isinstance(out.event, Jump) for out in outcomes_k)
+            mean.append(sum(np.outer(row, row.conj()) for row in rows) / size)
+        assert np.allclose(res.rho_batches[b], hermitize(np.array(mean)), atol=1e-12), b
+    assert res.event_counts["jump"] == jumps > 20
 
 
-def test_long_runs_and_split_draws_match_one_stream():
-    # 200 draws take the re-keyed path; a stream split at a block boundary
-    # gives the same doubles as one draw
-    keys = np.arange(3, 9)
-    whole = philox_uniforms(SEED, keys, 0, 200)
-    parts = np.hstack([philox_uniforms(SEED, keys, b, 4) for b in range(50)])
-    assert np.array_equal(whole, parts)
-    assert np.array_equal(whole, trajectory_uniforms(SEED, 3, 6, 200))
-    for i, k in enumerate(keys):
-        assert np.array_equal(whole[i], trajectory_generator(SEED, int(k)).random(200))
+@pytest.mark.parametrize("kind", ["im", "wroqj", "doubled"])
+def test_draws_split_into_whole_steps_give_the_same_bits(monkeypatch, kind):
+    """One step per call, four (the default) or the whole grid at once: a
+    batch's draws are its stream's in (steps, rows) order whatever the split.
+    37 steps are no multiple of 4, and N = 63 makes batches of 4 and 3."""
+    grid = TimeGrid(0.0, 0.37, 1e-2)
+    runs = []
+    for steps in (1, 4, grid.n_steps):
+        monkeypatch.setattr(outcomes, "_DRAW_STEPS", steps)
+        runs.append(run_ensemble(method_id(kind), eternally_nm(), PLUS, grid, 63, seed=SEED))
+    for res in runs[1:]:
+        assert np.array_equal(res.rho_batches, runs[0].rho_batches)
+        assert res.event_counts == runs[0].event_counts
+    assert runs[0].event_counts["jump"] > 0
 
 
-def test_replica_keys_are_offset_trajectory_keys():
-    r = 3
-    assert np.array_equal(
-        philox_uniforms(SEED, [2**63 + r], 0, 10)[0], replica_generator(SEED, r).random(10)
-    )
+def _wtd_replay(me, grid, seed, batch, size):
+    """One batch of ``wtd.run_chunk`` replayed jump by jump: the thresholds
+    of all its rows first, then each jump's channel draw and new threshold,
+    in the order of the steps that hold the jumps and, within a step, of the
+    rows. Returns the final sum of the rows' projectors and the step of each
+    jump."""
+    gen = replica_generator(seed, batch)
+    state = [[0.0, KET1, x] for x in gen.random(size)]  # (t, psi, threshold) per row
+    jumps = []
+    while True:
+        nxt = [wtd_next_jump(me, psi, t, x=x, t_cap=grid.t_max, dt=grid.dt) for t, psi, x in state]
+        pending = [(int(t1 // grid.dt), r) for r, (t1, _psi, jumped) in enumerate(nxt) if jumped]
+        if not pending:
+            break
+        step, r = min(pending)
+        t1, psi, _ = nxt[r]
+        a = wtd_select_channel(me, psi, t1, gen.random())
+        state[r] = [t1, normalize(me.at(t1).ls[a] @ psi)[0], gen.random()]
+        jumps.append(step)
+    return sum(np.outer(psi, psi.conj()) for _t, psi, _jumped in nxt), jumps
 
 
-def test_rekeyed_draws_start_anywhere_in_any_stream():
-    """One re-keyed Philox serves draws at any position, in any order of
-    streams, with the doubles of each stream's own generator."""
-    streams = RekeyedPhilox(SEED)
-    for key in (KEYS + [3, 0])[::-1]:
-        for start in (0, 1, 3, 4, 7, 130):
-            for count in (1, 2, 5):
-                want = _reference(SEED, key, 0, start + count)[start:]
-                assert np.array_equal(streams.uniforms(key, start, count), want), (key, start, count)
+def test_wtd_draws_thresholds_first_then_jumps_in_row_order():
+    """A tile of batches 3 and 4, two rows each, in which both batches jump
+    in one step, against a replay of each batch on its own stream."""
+    me = spontaneous_emission(omega=2.0, gamma=3.0)
+    grid = TimeGrid(0.0, 3.0, 2.5e-2)
+    rho_sum, counts, _diag, abort = wtd_run_chunk(me, KET1, grid, 3, [2, 2], seed=SEED)
+    assert abort is None
+    replays = [_wtd_replay(me, grid, SEED, b, 2) for b in (3, 4)]
+    for i, (final, _steps) in enumerate(replays):
+        assert np.allclose(rho_sum[i, -1], final, atol=1e-6), i
+    assert counts["jump"] == sum(len(steps) for _final, steps in replays)
+    assert set(replays[0][1]) & set(replays[1][1])  # both batches jump in one step

@@ -216,7 +216,7 @@ def test_chunk_on_markovian_model_matches_oracle():
     me = spontaneous_emission(omega0=1.0, gamma=1.0)
     grid = TimeGrid(0.0, 2.0, 1e-2)
     n = 800
-    rho_sum, counts, _diag, abort = run_chunk(me, PLUS, grid, idx0=0, n=n, seed=13)
+    rho_sum, counts, _diag, abort = run_chunk(me, PLUS, grid, batch0=0, n=n, seed=13)
     assert abort is None
     assert rho_sum.shape == (grid.n_steps + 1, 6, 6)
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
@@ -232,7 +232,7 @@ def test_chunk_division_noise_grows_with_negative_window():
     me = eternally_nm()
     grid = TimeGrid(0.0, 0.5, 1e-2)
     n = 3000
-    rho_sum, _counts, _diag, abort = run_chunk(me, PLUS, grid, idx0=0, n=n, seed=29)
+    rho_sum, _counts, _diag, abort = run_chunk(me, PLUS, grid, batch0=0, n=n, seed=29)
     assert abort is None
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
     dists = [

@@ -114,7 +114,7 @@ def test_im_chunk_weights_stay_centered_and_track_oracle():
     me = eternally_nm()
     grid = TimeGrid(0.0, 1.5, DT)
     n = 3000
-    rho_sum, counts, diag, abort = run_chunk_im(me, PLUS, grid, idx0=0, n=n, seed=3)
+    rho_sum, counts, diag, abort = run_chunk_im(me, PLUS, grid, batch0=0, n=n, seed=3)
     assert abort is None
     assert counts["jump"] > 0
     mean_w = diag["weight_sum"] / n
@@ -139,7 +139,7 @@ def test_plqt_chunk_flips_only_after_rate_turns_negative():
     me = delayed_negative_phase_covariant()
     grid = TimeGrid(0.0, 1.2, DT)
     n = 3000
-    rho_sum, _counts, diag, abort = run_chunk_plqt(me, PLUS, grid, idx0=0, n=n, seed=8)
+    rho_sum, _counts, diag, abort = run_chunk_plqt(me, PLUS, grid, batch0=0, n=n, seed=8)
     assert abort is None
     flips = diag["sign_flip_steps"]
     assert flips, "the negative window must produce sign flips"

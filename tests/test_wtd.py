@@ -15,7 +15,7 @@ from unravel.linalg import normalize, trace_distance
 from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.propagate import TimeGrid, propagate
-from unravel.rng import trajectory_generator
+from unravel.rng import replica_generator
 from unravel.wtd import first_jump_times, run_chunk, wtd_next_jump, wtd_select_channel
 
 
@@ -115,8 +115,8 @@ def test_first_jump_times_agree_with_wtd_next_jump():
     grid = TimeGrid(0.0, 3.0, 1e-2)
     samples = first_jump_times(me, KET1, grid, n=40, seed=7)
     assert 0 < np.isfinite(samples).sum() < 40
-    for k, t_first in enumerate(samples):
-        x = trajectory_generator(7, k).random()
+    thresholds = replica_generator(7, 0).random(40)
+    for t_first, x in zip(samples, thresholds):
         t1, _psi, jumped = wtd_next_jump(me, KET1, 0.0, x=x, t_cap=grid.t_max, dt=grid.dt)
         assert jumped == np.isfinite(t_first)
         if jumped:
@@ -161,19 +161,22 @@ def test_first_jump_times_continuous_not_grid_locked():
 
 
 def test_chunk_follows_the_stream_contract():
-    # one trajectory replayed jump by jump: its stream gives the threshold
-    # first, then a channel draw and a new threshold at each jump
+    # a tile of four one-trajectory batches, each replayed jump by jump: its
+    # batch's stream gives the threshold first, then a channel draw and a new
+    # threshold at each jump
     me = spontaneous_emission(omega=1.0)
     grid = TimeGrid(0.0, 10.0, 1e-2)
-    gen = trajectory_generator(3, 7)
-    t, psi, x, jumps = 0.0, KET1, gen.random(), 0
-    while True:
-        t, psi, jumped = wtd_next_jump(me, psi, t, x=x, t_cap=grid.t_max, dt=grid.dt)
-        if not jumped:
-            break
-        a = wtd_select_channel(me, psi, t, gen.random())
-        psi, x, jumps = normalize(me.at(t).ls[a] @ psi)[0], gen.random(), jumps + 1
-    rho_sum, counts, _diag, abort = run_chunk(me, KET1, grid, 7, 1, seed=3)
+    rho_sum, counts, _diag, abort = run_chunk(me, KET1, grid, 0, [1, 1, 1, 1], seed=3)
     assert abort is None
-    assert counts["jump"] == jumps >= 2
-    assert np.allclose(rho_sum[-1], np.outer(psi, psi.conj()), atol=1e-6)
+    total = 0
+    for b in range(4):
+        gen = replica_generator(3, b)
+        t, psi, x = 0.0, KET1, gen.random()
+        while True:
+            t, psi, jumped = wtd_next_jump(me, psi, t, x=x, t_cap=grid.t_max, dt=grid.dt)
+            if not jumped:
+                break
+            a = wtd_select_channel(me, psi, t, gen.random())
+            psi, x, total = normalize(me.at(t).ls[a] @ psi)[0], gen.random(), total + 1
+        assert np.allclose(rho_sum[b, -1], np.outer(psi, psi.conj()), atol=1e-6), b
+    assert counts["jump"] == total >= 2
