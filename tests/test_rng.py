@@ -11,6 +11,7 @@ from unravel.mcwf import mcwf_step
 from unravel.models import KET1, PLUS, eternally_nm, spontaneous_emission
 from unravel.outcomes import Jump
 from unravel.propagate import TimeGrid
+from unravel.rate_operators import time_dependent_gauge
 from unravel.rng import replica_generator, trajectory_generator, trajectory_uniforms
 from unravel.wtd import run_chunk as wtd_run_chunk
 from unravel.wtd import wtd_next_jump, wtd_select_channel
@@ -51,20 +52,57 @@ def test_mcwf_batch_is_a_hand_loop_on_its_stream():
     assert res.event_counts["jump"] == jumps > 20
 
 
-@pytest.mark.parametrize("kind", ["im", "wroqj", "doubled"])
-def test_draws_split_into_whole_steps_give_the_same_bits(monkeypatch, kind):
-    """One step per call, four (the default) or the whole grid at once: a
-    batch's draws are its stream's in (steps, rows) order whatever the split.
-    37 steps are no multiple of 4, and N = 63 makes batches of 4 and 3."""
+# every method with its model: mcwf, wtd and the replica methods need
+# non-negative rates
+KINDS = [
+    ("mcwf", spontaneous_emission),
+    ("wtd", spontaneous_emission),
+    ("nmqj", spontaneous_emission),
+    ("cloning", spontaneous_emission),
+    ("wroqj", eternally_nm),
+    ("rroqj", eternally_nm),
+    ("psi_roqj", eternally_nm),
+    ("doubled", eternally_nm),
+    ("tripled", eternally_nm),
+    ("im", eternally_nm),
+    ("plqt", eternally_nm),
+]
+MENU_KINDS = [(kind, build) for kind, build in KINDS if kind not in ("wtd", "nmqj", "cloning")]
+
+
+def _method(kind):
+    if kind == "rroqj":
+        return method_id("rroqj", gauge=time_dependent_gauge(lambda t: 0.5 * np.eye(2)))
+    return method_id(kind)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 37])
+@pytest.mark.parametrize("kind, build", MENU_KINDS)
+def test_draws_split_into_whole_steps_give_the_same_bits(monkeypatch, kind, build, steps):
+    """One step per call, three (a divisor of neither 4 nor 37) or the whole
+    grid at once give what the default four steps per call give: a batch's
+    draws are its stream's in (steps, rows) order whatever the split. 37
+    steps are no multiple of 4, and N = 63 makes batches of 4 and 3."""
     grid = TimeGrid(0.0, 0.37, 1e-2)
-    runs = []
-    for steps in (1, 4, grid.n_steps):
-        monkeypatch.setattr(outcomes, "_DRAW_STEPS", steps)
-        runs.append(run_ensemble(method_id(kind), eternally_nm(), PLUS, grid, 63, seed=SEED))
-    for res in runs[1:]:
-        assert np.array_equal(res.rho_batches, runs[0].rho_batches)
-        assert res.event_counts == runs[0].event_counts
-    assert runs[0].event_counts["jump"] > 0
+    assert grid.n_steps == 37 and outcomes._DRAW_STEPS == 4
+    ref = run_ensemble(_method(kind), build(), PLUS, grid, 63, seed=SEED)
+    monkeypatch.setattr(outcomes, "_DRAW_STEPS", steps)
+    res = run_ensemble(_method(kind), build(), PLUS, grid, 63, seed=SEED)
+    assert np.array_equal(res.rho_batches, ref.rho_batches, equal_nan=True)
+    assert res.event_counts == ref.event_counts
+    assert ref.event_counts["jump"] > 0
+
+
+@pytest.mark.parametrize("kind, build", KINDS)
+def test_a_batch_depends_on_n_only_through_its_size(kind, build):
+    """N = 40 makes twenty batches of 2 rows (replica methods: members) and
+    N = 41 batches of 3, 2, ..., 2. Batch b draws from its own stream
+    whatever N is, so batches 1 to 19 agree bit for bit."""
+    grid = TimeGrid(0.0, 0.3, 1e-2)
+    runs = [run_ensemble(_method(kind), build(), PLUS, grid, n, seed=SEED) for n in (40, 41)]
+    assert [len(res.rho_batches) for res in runs] == [20, 20]
+    assert np.array_equal(runs[0].rho_batches[1:], runs[1].rho_batches[1:], equal_nan=True)
+    assert all(res.event_counts["jump"] > 0 for res in runs)
 
 
 def _wtd_replay(me, grid, seed, batch, size):
