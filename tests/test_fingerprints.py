@@ -5,7 +5,7 @@ A change that moves bits on purpose rewrites the file
 (``python3 tools/equivalence.py write tools/fingerprints.json``) and states
 what moved. On another numpy, BLAS or CPU build the bits may differ without
 a fault, so there the test warns and applies the build-tolerant rule of
-``compare --tolerant`` instead of exact equality."""
+``compare`` (its ``tolerant`` parameter) instead of exact equality."""
 
 import copy
 import importlib.util

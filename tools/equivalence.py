@@ -32,11 +32,12 @@ stderr of the two runs, and whether the event counts match: a change that
 moves only last bits keeps the counts and a ratio far below 1, one that
 flips branches moves rho_hat at the 1/N scale and is judged by that sup
 distance against the stderr, seed by seed. It then prints both files'
-oracle scores side by side. With ``--tolerant`` (files written on different
-builds) a difference is accepted where it stays within the rule a build
-can move: the same exit codes and abort classes, deterministic arrays
-within ``VALUE_TOL``, and ensembles whose sup trace distance stays within
-``SUP_TD_TOL`` max stderr of each other.
+oracle scores side by side. ``compare(..., tolerant=True)``, the
+build-tolerant rule that ``tests/test_fingerprints.py`` applies to files
+written on different builds, accepts a difference where it stays within
+what a build can move: the same exit codes and abort classes,
+deterministic arrays within ``VALUE_TOL``, and ensembles whose sup trace
+distance stays within ``SUP_TD_TOL`` max stderr of each other.
 
 The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
 weighted, gauged, population and replica methods, ensembles whose batches
@@ -92,8 +93,9 @@ from unravel.tripled import JumpPair, embedded_master_equation, tripled_embed  #
 DT = 1e-2
 # every STRIDE-th point of a series, and its last, is kept for ``compare``
 STRIDE = 10
-# ``compare --tolerant``: how far another build may move a deterministic
-# array, and two ensembles' sup trace distance, in units of max stderr
+# the build-tolerant rule of ``compare``: how far another build may move a
+# deterministic array, and two ensembles' sup trace distance, in units of
+# max stderr
 VALUE_TOL = 1e-9
 SUP_TD_TOL = 4.0
 
@@ -427,7 +429,7 @@ def _judge(a: dict, b: dict) -> str:
 
 def _within_build_rule(a: dict, b: dict) -> bool:
     """Whether two differing fingerprints of one input stay within what
-    another build may move (``--tolerant``)."""
+    another build may move (``compare``'s ``tolerant``)."""
     if "csv" in a:
         return a["exit_code"] == b["exit_code"]
     if "values" in a:
@@ -494,14 +496,12 @@ def main(argv=None) -> int:
     c = sub.add_parser("compare", help="compare two fingerprint files")
     c.add_argument("a", type=Path)
     c.add_argument("b", type=Path)
-    c.add_argument("--tolerant", action="store_true",
-                   help="accept differences within what another numpy or BLAS build may move")
     args = parser.parse_args(argv)
     if args.command == "write":
         write(args.out, args.seeds)
         return 0
     a, b = (json.loads(path.read_text()) for path in (args.a, args.b))
-    return 1 if compare(a, b, args.tolerant) else 0
+    return 1 if compare(a, b) else 0
 
 
 if __name__ == "__main__":
