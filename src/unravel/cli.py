@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time as _time
@@ -85,8 +86,8 @@ def _parse_method_token(token: str, lineno: int | None = None) -> tuple[str, dic
                     params["r_min"] = float(val)
                 except ValueError:
                     raise ParseError(f"r_min must be a number, got {val!r}{where}") from None
-                if params["r_min"] <= 0:
-                    raise ParseError(f"r_min must be positive, got {val}{where}")
+                if not 0 < params["r_min"] < np.inf:
+                    raise ParseError(f"r_min must be finite and positive, got {val}{where}")
             else:
                 raise ParseError(f"unknown method parameter {key!r}{where}")
     return name, params
@@ -98,6 +99,8 @@ def _parse_amplitudes(text: str, lineno: int | None = None) -> np.ndarray:
         amps = np.array([complex(p.replace(" ", "")) for p in parts])
     except ValueError:
         raise BadAmplitudes(f"cannot parse amplitude list {text!r}") from None
+    if not np.isfinite(amps).all():
+        raise BadAmplitudes(f"initial state amplitudes must be finite, got {text!r}")
     nrm = np.linalg.norm(amps)
     if abs(nrm - 1.0) > 1e-6:
         raise BadAmplitudes(f"initial state norm {nrm:.8g} deviates from 1 by more than 1e-6")
@@ -203,6 +206,14 @@ def _build_gauge(name: str, model) -> object:
     raise UnknownMethod(f"unknown gauge {name!r}")
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path!r}: {err.strerror}") from None
+
+
 def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
@@ -289,14 +300,9 @@ def run_command(cfg: RunConfig) -> int:
             }
 
     csv_path = f"{cfg.out}_results.csv"
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write("t,method,observable,mean,stderr,n_traj\n")
-        fh.write("\n".join(rows))
-        fh.write("\n")
+    _write(csv_path, "t,method,observable,mean,stderr,n_traj\n" + "\n".join(rows) + "\n")
     json_path = f"{cfg.out}_summary.json"
-    with open(json_path, "w", encoding="utf-8") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write(json_path, json.dumps(summary, indent=2, sort_keys=True) + "\n")
     print(f"wrote {csv_path} and {json_path}")
     return exit_code
 
@@ -306,13 +312,11 @@ def divisibility_command(cfg: RunConfig) -> int:
     grid = TimeGrid(0.0, cfg.t_max, cfg.dt)
     reports = divisibility_scan(model.me, grid)
     path = f"{cfg.out}_divisibility.csv"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("t,cp,p,min_rate,min_w_eigenvalue\n")
-        for r in reports:
-            fh.write(
-                f"{_fmt(r.time)},{'true' if r.cp else 'false'},{'true' if r.p else 'false'},"
-                f"{_fmt(r.min_rate)},{_fmt(r.min_w_eigenvalue)}\n"
-            )
+    _write(path, "t,cp,p,min_rate,min_w_eigenvalue\n" + "".join(
+        f"{_fmt(r.time)},{'true' if r.cp else 'false'},{'true' if r.p else 'false'},"
+        f"{_fmt(r.min_rate)},{_fmt(r.min_w_eigenvalue)}\n"
+        for r in reports
+    ))
     print(f"wrote {path}")
     return 0
 
@@ -375,6 +379,9 @@ def _config_from_args(args) -> RunConfig:
         raise ParseError(str(err)) from None
     if not 0 <= cfg.seed < 2**64:
         raise ParseError(f"seed must lie in [0, 2^64), got {cfg.seed}")
+    out_dir = os.path.dirname(cfg.out) or "."
+    if not os.path.isdir(out_dir):
+        raise ConfigError(f"output directory {out_dir!r} does not exist")
     if args.oracle_only:
         cfg.oracle_only = True
     return cfg
@@ -388,10 +395,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run_command(cfg)
         return divisibility_command(cfg)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except BadAmplitudes as err:
+    except (ConfigError, BadAmplitudes) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,11 @@ from .rng import replica_generator
 
 __all__ = ["clone_menu", "clone_branches", "cloning_step", "run_replica"]
 
+# a replica's population is resampled to its size when it leaves
+# [_RESAMPLE_LO, _RESAMPLE_HI] times that size
+_RESAMPLE_LO = 0.5
+_RESAMPLE_HI = 2.0
+
 
 def clone_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
     """Kernel. Branch order: channel jumps, clone, destroy; drift last.
@@ -61,41 +66,28 @@ def cloning_step(psi: np.ndarray, me: MasterEquation, t: float, dt: float, u: fl
     return StepOutcome(state=b.state, event=b.event)
 
 
-def run_replica(
-    me: MasterEquation,
-    psi0: np.ndarray,
-    grid: TimeGrid,
-    n_members,
-    replica: int,
-    seed: int,
-    resample_lo: float = 0.5,
-    resample_hi: float = 2.0,
-    track=None,
-):
-    """Population realizations from replica ``replica`` on: one of
-    ``n_members``, or one per entry of the sizes ``n_members`` of consecutive
-    replicas (a tile of an ensemble), and then rho_sum and the
-    ``population`` series gain a leading replica axis. Returns (rho_sum,
-    counts, diagnostics, abort); rho_sum rows are trace_factor * sum
+def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, sizes, seed: int, track):
+    """Population realizations of the consecutive replicas batch0, batch0 +
+    1, ... of ``sizes`` members each (a tile of an ensemble), stepped on
+    ``track`` (``me.track`` over the grid's step starts). Returns (rho_sum,
+    counts, diagnostics, abort); rho_sum and the ``population`` series have
+    a leading replica axis, rho_sum rows are trace_factor * sum
     |psi><psi|, and abort is None or (err, k) for the first replica that
     fails, at the first step k at which one does.
 
     A replica's population is resampled back to its size (uniform, with
-    replacement) whenever it leaves [lo*n, hi*n]; the size ratio moves into
-    its trace_factor so the estimator is unchanged in expectation. The
-    replicas step together, one kernel call per step over all their rows,
-    each drawing from its own ``replica_generator`` in the order one replica
-    alone draws, so every replica's series is the one it gives alone.
-    ``track`` is ``me.track`` over the grid's step starts (evaluated here
-    if None).
+    replacement) whenever it leaves [lo*n, hi*n] (``_RESAMPLE_LO``,
+    ``_RESAMPLE_HI``); the size ratio moves into its trace_factor so the
+    estimator is unchanged in expectation. The replicas step together, one
+    kernel call per step over all their rows, each drawing from its own
+    ``replica_generator`` in the order one replica alone draws, so every
+    replica's series is the one it gives alone.
     """
-    sizes = np.atleast_1d(n_members).astype(np.int64)
-    gens = [replica_generator(seed, replica + r) for r in range(len(sizes))]
+    sizes = np.asarray(sizes, dtype=np.int64)
+    gens = [replica_generator(seed, batch0 + r) for r in range(len(sizes))]
     d = me.dim
     steps = grid.n_steps
     times = grid.times()
-    if track is None:
-        track = me.track(times[:-1])
     states = np.tile(np.asarray(psi0, dtype=complex), (int(sizes.sum()), 1))
     pop = sizes.copy()
     owners = np.repeat(np.arange(len(sizes)), pop)  # rows stay grouped by replica, in order
@@ -108,12 +100,7 @@ def run_replica(
     copies = np.array([1] * m + [2, 0])
     branch_copies = np.append(copies, 1)  # the deterministic branch keeps its member
     hits = np.zeros(m + 3, dtype=np.int64)
-
-    def result(abort):
-        if np.ndim(n_members):
-            return rho_sum, event_counts(hits, copies), {"population": population}, abort
-        return rho_sum[0], event_counts(hits, copies), {"population": population[0]}, abort
-
+    abort = None
     for k in range(steps):
         if not len(states):
             continue  # every population extinct; the estimate is legitimately zero
@@ -125,16 +112,17 @@ def run_replica(
             # an extinct replica steps no kernel, so it cannot fail
             bounds = np.concatenate([[0], np.cumsum(pop)])
             spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-            return result((_first_error(
+            abort = (_first_error(
                 err, spans, lambda a, b: take_step(clone_menu(track[k], states[a:b], grid.dt), u[a:b], times[k])
-            ), k))
+            ), k)
+            break
         # per replica and branch: the step's hits and the members they leave
         tally = np.bincount(owners * (m + 3) + step.choice, minlength=len(sizes) * (m + 3))
         tally = tally.reshape(len(sizes), m + 3)
         hits += tally.sum(axis=0)
         pop = tally @ branch_copies
         states = np.repeat(step.rows, step.copies, axis=0)
-        leave = np.nonzero((pop > 0) & ~((resample_lo * sizes <= pop) & (pop <= resample_hi * sizes)))[0]
+        leave = np.nonzero((pop > 0) & ~((_RESAMPLE_LO * sizes <= pop) & (pop <= _RESAMPLE_HI * sizes)))[0]
         if len(leave):
             parts = np.split(states, np.cumsum(pop)[:-1])
             for r in leave:
@@ -153,4 +141,4 @@ def run_replica(
         for r, rows in enumerate(np.split(states, np.cumsum(pop)[:-1])):
             if len(rows):
                 rho_sum[r, k + 1] = trace_factor[r] * np.einsum("ni,nj->ij", rows, np.conj(rows))
-    return result(None)
+    return rho_sum, event_counts(hits, copies), {"population": population}, abort

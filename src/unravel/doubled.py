@@ -134,16 +134,8 @@ def _norm2_sums(rows: np.ndarray) -> np.ndarray:
     return squared_norms(rows.reshape(-1, rows.shape[-1])).reshape(rows.shape[:-1]).sum(axis=-1)
 
 
-def run_chunk(
-    me: MasterEquation,
-    psi0: np.ndarray,
-    grid: TimeGrid,
-    batch0: int,
-    n,
-    seed: int,
-    track=None,
-):
-    """Evolve n doubled trajectories (or batches of the sizes n, as in
+def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, sizes, seed: int, track):
+    """Evolve batches of ``sizes`` doubled trajectories (as in
     ``run_menus``); rho_sum accumulates sum_k |phi_k><psi_k| raw (not
     hermitized), norms and all, which is the estimator's convention."""
     psi0 = np.asarray(psi0, dtype=complex)
@@ -153,9 +145,9 @@ def run_chunk(
         np.concatenate([psi0, psi0]),
         grid,
         batch0,
-        n,
+        sizes,
         seed,
+        track,
         outer=_pair_outer,
         tally=("theta_norm2_sum", _norm2_sums),
-        track=track,
     )

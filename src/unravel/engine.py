@@ -81,7 +81,6 @@ METHOD_KINDS = (
     "plqt",
     "cloning",
 )
-_REPLICA_KINDS = frozenset({"nmqj", "cloning"})
 _GAUGE_KINDS = frozenset({"rroqj", "psi_roqj"})
 _DEFAULT_BATCHES = 20
 # Most rows in a tile (replica methods: members at the start): an ensemble
@@ -145,28 +144,28 @@ def _chunk_sizes(n_traj: int, batches: int) -> list[int]:
 
 
 def _runner(method: MethodId):
-    """The method's runner as ``run(me, psi0, grid, batch0, sizes, seed, track)``:
+    """The method's runner ``run(me, psi0, grid, batch0, sizes, seed, track)``:
     a tile's batches from batch ``batch0`` on, of ``sizes`` rows (replica
-    methods: members) each."""
+    methods: members) each, stepped on ``_generator_track``'s track. Looked
+    up at each call, so that a wrapper set on a module is seen."""
     kind = method.kind
-    plain = {"mcwf": _mcwf, "wtd": _wtd, "doubled": _doubled, "tripled": _tripled}
-    if kind in plain:
-        return plain[kind].run_chunk
-    if kind == "wroqj":
-        return partial(_roqj.run_chunk, flavor="w")
-    if kind in ("rroqj", "psi_roqj"):
-        return partial(_roqj.run_chunk, flavor="ro", gauge=method.gauge)
+    if kind in _GAUGE_KINDS:
+        return partial(_roqj.run_chunk, gauge=method.gauge)
     if kind == "im":
         return partial(_weighted.run_chunk_im, r_policy=_weighted.default_rate_policy(method.r_min))
-    if kind == "plqt":
-        return _weighted.run_chunk_plqt
-    if kind in _REPLICA_KINDS:
-        module = _cloning if kind == "cloning" else _nmqj
-        # looked up at each call, so that a wrapper set on the module is seen
-        return lambda me, psi0, grid, batch0, sizes, seed, track: module.run_replica(
-            me, psi0, grid, sizes, batch0, seed, track=track
-        )
-    raise UnknownMethod(f"unknown method {kind!r}")
+    runners = {
+        "mcwf": _mcwf.run_chunk,
+        "wtd": _wtd.run_chunk,
+        "wroqj": _roqj.run_chunk,
+        "doubled": _doubled.run_chunk,
+        "tripled": _tripled.run_chunk,
+        "plqt": _weighted.run_chunk_plqt,
+        "cloning": _cloning.run_replica,
+        "nmqj": _nmqj.run_replica,
+    }
+    if kind not in runners:
+        raise UnknownMethod(f"unknown method {kind!r}")
+    return runners[kind]
 
 
 def _tiles(sizes: list[int]) -> list[list[int]]:
@@ -289,7 +288,7 @@ def run_ensemble(
         # nothing past the earliest abort so far is kept, and that abort wins
         # a tie, so a later tile runs only the steps before it (at least one)
         cut, cut_track = _head(method, grid, track, grid.n_steps if abort is None else max(abort[1], 1))
-        out = run(me, psi, cut, tile[0], [sizes[i] for i in tile], seed, track=cut_track)
+        out = run(me, psi, cut, tile[0], [sizes[i] for i in tile], seed, cut_track)
         for acc, part in zip((tile_sums, counts, diags), out):
             acc.append(part)
         if out[3] is not None and (abort is None or out[3][1] < abort[1]):

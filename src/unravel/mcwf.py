@@ -99,13 +99,11 @@ def mcwf_step(me: MasterEquation, psi: np.ndarray, t: float, dt: float, u: float
     return StepOutcome(b.state, b.event)
 
 
-def run_chunk(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, n, seed: int, track=None
-):
-    """Run batch batch0 of n trajectories, or batches batch0, batch0 + 1, ...
-    of the sizes n (rho_sum per batch, see ``run_menus``); returns (rho_sum
-    series, event counts, diagnostics, abort)."""
-    return run_menus(mcwf_menu, me, psi0, grid, batch0, n, seed, track=track)
+def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, sizes, seed: int, track):
+    """Run batches batch0, batch0 + 1, ... of ``sizes`` trajectories each on
+    ``track`` (see ``run_menus``); returns (rho_sum series per batch, event
+    counts, diagnostics, abort)."""
+    return run_menus(mcwf_menu, me, psi0, grid, batch0, sizes, seed, track)
 
 
 def first_jump_times(

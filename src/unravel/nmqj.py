@@ -353,29 +353,24 @@ def nmqj_step(
     return b.ensemble(0), events
 
 
-def run_replica(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n_members, replica: int, seed: int, track=None
-):
-    """Independent NMQJ realizations from replica ``replica`` on, each with
-    its own member pool: one of ``n_members``, or one per entry of the sizes
-    ``n_members`` of consecutive replicas (a tile of an ensemble), and then
-    rho_sum gains a leading replica axis and the diagnostics hold
-    ``event_logs``, one per replica, in place of one ``event_log``.
+def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, sizes, seed: int, track):
+    """Independent NMQJ realizations of the consecutive replicas batch0,
+    batch0 + 1, ... of ``sizes`` members each (a tile of an ensemble), each
+    with its own member pool, stepped on ``track`` (``me.track`` over the
+    grid's step starts; step k reads ``track[k]``).
 
-    Returns (rho_sum, counts, diagnostics, abort); rho_sum rows carry
-    sum_i N_i |psi_i><psi_i| so the engine can combine replicas exactly like
-    trajectory sums, and abort is None or (err, k) for the first replica
-    that fails, at the first step k at which one does. The replicas step
-    together, each drawing from its own ``replica_generator`` in the order
-    one replica alone draws, so every replica's series and log are the ones
-    it gives alone. ``track`` is ``me.track`` over the grid's step starts
-    (evaluated here if None); step k reads ``track[k]``.
+    Returns (rho_sum, counts, diagnostics, abort); rho_sum has a leading
+    replica axis, its rows carry sum_i N_i |psi_i><psi_i| so the engine can
+    combine replicas exactly like trajectory sums, the diagnostics hold
+    ``event_logs``, one per replica, and abort is None or (err, k) for the
+    first replica that fails, at the first step k at which one does. The
+    replicas step together, each drawing from its own ``replica_generator``
+    in the order one replica alone draws, so every replica's series and log
+    are the ones it gives alone.
     """
-    sizes = np.atleast_1d(n_members).astype(np.int64)
-    gens = [replica_generator(seed, replica + r) for r in range(len(sizes))]
+    sizes = np.asarray(sizes, dtype=np.int64)
+    gens = [replica_generator(seed, batch0 + r) for r in range(len(sizes))]
     steps = grid.n_steps
-    if track is None:
-        track = me.track(grid.times()[:-1])
     b = _Buckets.of([nmqj_ensemble(n, psi0) for n in sizes], len(me.channels))
     rho_sum = np.zeros((len(sizes), steps + 1, me.dim, me.dim), dtype=complex)
     rho_sum[:, 0] = sizes[:, None, None] * _rho(b.counts, b.states, sizes)
@@ -396,6 +391,4 @@ def run_replica(
             logs[r].append((k, "direct", parent, child, a))
         rho_sum[:, k + 1] = sizes[:, None, None] * _rho(b.counts, b.states, sizes)
     counts = {"jump": n_jump, "reverse_jump": n_rev, "deterministic": 0}
-    if np.ndim(n_members):
-        return rho_sum, counts, {"event_logs": logs}, abort
-    return rho_sum[0], counts, {"event_log": logs[0]}, abort
+    return rho_sum, counts, {"event_logs": logs}, abort

@@ -233,7 +233,7 @@ def batch_runs(sizes) -> list[tuple[slice, slice, tuple[int, int]]]:
     stack. ``engine._chunk_sizes`` puts the larger batches first, so a tile
     has at most two runs."""
     runs, batch, row = [], 0, 0
-    for size, group in groupby(int(s) for s in np.atleast_1d(sizes)):
+    for size, group in groupby(int(s) for s in sizes):
         count = len(list(group))
         runs.append((slice(batch, batch + count), slice(row, row + count * size), (count, size)))
         batch, row = batch + count, row + count * size
@@ -246,24 +246,23 @@ def run_menus(
     row0: np.ndarray,
     grid,
     batch0: int,
-    n,
+    sizes,
     seed: int,
+    track,
     outer: Callable | None = None,
     weighted: bool = False,
     tally: tuple[str, Callable] | None = None,
-    track=None,
 ):
-    """Step the rows of batches batch0, batch0 + 1, ... from row0, all
-    together, each batch on its own stream.
+    """Step the rows of batches batch0, batch0 + 1, ... of ``sizes`` rows
+    each (a tile of an ensemble) from row0, all together, each batch on its
+    own stream.
 
-    ``n`` is the number of rows of batch batch0, or the sizes of consecutive
-    batches of rows (a tile of an ensemble). Returns (rho_sum, counts,
-    diagnostics, abort): rho_sum[k] is the ``outer`` sum (default
-    ``weighted_outer_sum``) at grid point k, and abort is None or (err, k)
-    for a method error at step k, with everything before step k kept. Given batch sizes, rho_sum and every
-    diagnostics series gain a leading batch axis, and each batch's entry is
-    one reduction over that batch's rows alone, as a run of the batch by
-    itself gives it; counts and sign-flip steps cover all rows.
+    Returns (rho_sum, counts, diagnostics, abort): rho_sum[b, k] is the
+    ``outer`` sum (default ``weighted_outer_sum``) of batch b at grid point
+    k, one reduction over that batch's rows alone, as a run of the batch by
+    itself gives it, and so is every diagnostics series; counts and
+    sign-flip steps cover all rows. abort is None or (err, k) for a method
+    error at step k, with everything before step k kept.
     ``weighted`` carries one weight per row and records the ``weight_sum``
     series and the ``sign_flip_steps`` where a jump took a negative factor;
     ``tally = (key, fn)`` records one more series.
@@ -272,8 +271,8 @@ def run_menus(
     without ``weighted``) and returns the B sums (B, d, d); ``fn(rows)``
     returns the B tallies (B,). Each slice's result must be what the hook
     gives that batch alone.
-    ``track`` is ``me.track`` over the grid's step starts; the tiles of one
-    ensemble share it, and a call without one evaluates its own.
+    ``track`` is ``me.track`` over the grid's step starts, which the tiles
+    of one ensemble share.
     Batch b's uniforms are ``replica_generator(seed, b)``'s draws in
     (steps, size_b) C order, one per row and step; they are drawn
     ``_DRAW_STEPS`` steps per call, and any split into whole steps gives the
@@ -282,9 +281,6 @@ def run_menus(
     outer = outer or weighted_outer_sum
     times = grid.times()
     steps = grid.n_steps
-    if track is None:
-        track = me.track(times[:-1])
-    sizes = np.atleast_1d(n)
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     spans = list(zip(bounds[:-1], bounds[1:]))
     gens = [replica_generator(seed, batch0 + b) for b in range(len(spans))]
@@ -309,12 +305,6 @@ def run_menus(
             if tally is not None:
                 diag[tally[0]][batches, k] = tally[1](stack)
 
-    def result(abort):
-        if np.ndim(n):
-            return rho_sum, event_counts(hits), diag, abort
-        one = {key: val if key == "sign_flip_steps" else val[0] for key, val in diag.items()}
-        return rho_sum[0], event_counts(hits), one, abort
-
     record(0)
     hits = np.zeros(1, dtype=np.int64)  # grows to one slot per branch at the first step
     u = np.empty((_DRAW_STEPS, len(rows)))  # row j: the uniforms of step k + j
@@ -331,7 +321,7 @@ def run_menus(
             err = _first_error(
                 err, spans, lambda a, b: take_step(kernel(track[k], rows[a:b], grid.dt), u[j, a:b], times[k])
             )
-            return result((err, k))
+            return rho_sum, event_counts(hits), diag, (err, k)
         nb = menu.probs.shape[1]
         del menu  # the next step's kernel runs without this one's jump targets
         hits = hits + np.bincount(step.choice, minlength=nb + 1)
@@ -341,4 +331,4 @@ def run_menus(
                 diag["sign_flip_steps"].append(k)
             weights = weights * step.factors
         record(k + 1)
-    return result(None)
+    return rho_sum, event_counts(hits), diag, None

@@ -43,7 +43,10 @@ class TimeGrid:
     def __post_init__(self):
         if self.dt <= 0 or self.t_max <= self.t0:
             raise ValueError(f"bad grid: t0={self.t0}, t_max={self.t_max}, dt={self.dt}")
-        n = round((self.t_max - self.t0) / self.dt)
+        steps = (self.t_max - self.t0) / self.dt
+        if not np.isfinite(steps):
+            raise ValueError(f"dt={self.dt} is too small for [{self.t0}, {self.t_max}]")
+        n = round(steps)
         if n < 1 or abs(self.t0 + n * self.dt - self.t_max) > 1e-9 * max(1.0, abs(self.t_max)):
             raise ValueError(f"dt={self.dt} does not divide [{self.t0}, {self.t_max}]")
 

@@ -16,6 +16,8 @@ scalar ``*_branches`` and ``*_step`` functions are their one-row views.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
 from .errors import NegativeROEigenvalue, NegativeWEigenvalue
@@ -115,16 +117,13 @@ def run_chunk(
     psi0: np.ndarray,
     grid: TimeGrid,
     batch0: int,
-    n: int,
+    sizes,
     seed: int,
-    flavor: str = "w",
+    track,
     gauge: GaugeTransform | None = None,
-    track=None,
 ):
-    """Tile runner for all three flavors ('w', or 'ro' with a gauge); n as
-    in ``run_menus``."""
-    if flavor == "w":
-        return run_menus(w_menu, me, psi0, grid, batch0, n, seed, track=track)
-    return run_menus(
-        lambda snap, rows, dt: ro_menu(snap, rows, dt, gauge), me, psi0, grid, batch0, n, seed, track=track
-    )
+    """Tile runner for all three flavors: W-ROQJ without a gauge, the gauged
+    rate operator with one; the rest as in ``run_menus``."""
+    if gauge is None:
+        return run_menus(w_menu, me, psi0, grid, batch0, sizes, seed, track)
+    return run_menus(partial(ro_menu, g=gauge), me, psi0, grid, batch0, sizes, seed, track)

@@ -261,24 +261,16 @@ def embedded_track(me: MasterEquation, times) -> GeneratorTrack:
     return _embedding(base.times, base.h, pairs, base.error)[0]
 
 
-def run_chunk(
-    me: MasterEquation,
-    psi0: np.ndarray,
-    grid: TimeGrid,
-    batch0: int,
-    n,
-    seed: int,
-    track=None,
-):
-    """Plain jump trajectories of the embedded equation from psi0 (x) chi;
-    n trajectories or batches of the sizes n, as in ``mcwf.run_chunk``.
+def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, sizes, seed: int, track):
+    """Plain jump trajectories of the embedded equation from psi0 (x) chi,
+    batches of ``sizes`` rows as in ``mcwf.run_chunk``.
 
     rho_sum holds 3d x 3d projector sums over W-space; extraction happens
     at reconstruction time so batch statistics see the same division noise
     a user would. ``track`` is ``embedded_track(me, ...)`` over the grid's
-    step starts (built from the embedded system if None).
+    step starts.
     """
     chi = np.zeros(3)
     chi[0] = chi[1] = 1.0 / np.sqrt(2.0)
     theta0 = np.kron(np.asarray(psi0, dtype=complex), chi)
-    return mcwf.run_chunk(embedded_system(me), theta0, grid, batch0, n, seed, track=track)
+    return mcwf.run_chunk(embedded_system(me), theta0, grid, batch0, sizes, seed, track)

@@ -20,6 +20,7 @@ the event as its sign bit and leaves the magnitude factor at 1.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -71,8 +72,8 @@ class PlqtTrajectory:
 
 def default_rate_policy(r_min: float = 0.05) -> RatePolicy:
     """Sampling rates r_a = max(|gamma_a|, r_min)."""
-    if r_min <= 0:
-        raise InvalidRatePolicy(f"r_min must be positive, got {r_min}")
+    if not 0 < r_min < np.inf:
+        raise InvalidRatePolicy(f"r_min must be finite and positive, got {r_min}")
 
     def policy(gammas: np.ndarray) -> np.ndarray:
         return np.maximum(np.abs(gammas), r_min)
@@ -137,23 +138,13 @@ def plqt_step(wt: PlqtTrajectory, me: MasterEquation, t: float, dt: float, u: fl
     return PlqtTrajectory(b.state, wt.sign, wt.magnitude * b.weight_factor)
 
 
-def run_chunk_im(me, psi0, grid, batch0, n, seed, r_policy: RatePolicy | None = None, track=None):
+def run_chunk_im(me, psi0, grid, batch0, sizes, seed, track, r_policy: RatePolicy | None = None):
     """Influence-martingale trajectories; rho_sum rows are weighted projector
-    sums; n as in ``run_menus``."""
+    sums; the rest as in ``run_menus``."""
     policy = r_policy if r_policy is not None else default_rate_policy()
-    return run_menus(
-        lambda snap, rows, dt: im_menu(snap, rows, dt, policy),
-        me,
-        psi0,
-        grid,
-        batch0,
-        n,
-        seed,
-        weighted=True,
-        track=track,
-    )
+    return run_menus(partial(im_menu, r_policy=policy), me, psi0, grid, batch0, sizes, seed, track, weighted=True)
 
 
-def run_chunk_plqt(me, psi0, grid, batch0, n, seed, track=None):
+def run_chunk_plqt(me, psi0, grid, batch0, sizes, seed, track):
     """Sign-bit trajectories: sampling at |gamma|, sign flip on negative-rate jumps."""
-    return run_menus(plqt_menu, me, psi0, grid, batch0, n, seed, weighted=True, track=track)
+    return run_menus(plqt_menu, me, psi0, grid, batch0, sizes, seed, track, weighted=True)

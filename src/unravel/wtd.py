@@ -147,20 +147,13 @@ def _select_channel(snap: GeneratorSnapshot, psi_det: np.ndarray, u: float) -> i
     return min(int(np.searchsorted(np.cumsum(w / total), u, side="right")), len(w) - 1)
 
 
-def run_chunk(
-    me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, n, seed: int, track=None
-):
-    """Batches batch0, batch0 + 1, ... stepped together on ``track``
-    (``half_track`` of the grid, shared by the tiles of an ensemble):
-    (rho_sum series, event counts, diagnostics, abort), abort being None or
-    (err, k) for a failure in step k, with every earlier point kept. ``n``
-    is the number of rows of batch batch0, or the sizes of consecutive
-    batches of rows, and then rho_sum has a leading batch axis (as in
-    ``outcomes.run_menus``, whose ``batch_runs`` stack the batches of one
-    size for one reduction)."""
-    if track is None:
-        track = me.half_track(grid.times())
-    sizes = np.atleast_1d(n)
+def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, sizes, seed: int, track):
+    """Batches batch0, batch0 + 1, ... of ``sizes`` rows each, stepped
+    together on ``track`` (``half_track`` of the grid, shared by the tiles
+    of an ensemble): (rho_sum series per batch, event counts, diagnostics,
+    abort), abort being None or (err, k) for a failure in step k, with every
+    earlier point kept. As in ``outcomes.run_menus``, ``batch_runs`` stack
+    the batches of one size for one reduction."""
     gens = [replica_generator(seed, batch0 + b) for b in range(len(sizes))]
     # each batch's thresholds first, then its rows' jumps as they come
     x = np.concatenate([gen.random(int(size)) for gen, size in zip(gens, sizes)])
@@ -191,7 +184,7 @@ def run_chunk(
                 rho_sum[batches, k] = weighted_outer_sum(tilde[span].reshape(*shape, -1), inv[span].reshape(shape))
     except UnravelError as err:
         abort = (err, k)
-    return rho_sum if np.ndim(n) else rho_sum[0], event_counts(np.append(jumps, 0)), {}, abort
+    return rho_sum, event_counts(np.append(jumps, 0)), {}, abort
 
 
 def first_jump_times(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, n: int, seed: int) -> np.ndarray:

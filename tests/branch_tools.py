@@ -4,7 +4,8 @@ Every stepper advertises its one-step law as a list of Branch records.
 Summing probability * factor * |state><state| over the list gives the exact
 one-step expectation, which must match rho + L[rho] dt up to O(dt^2). The
 helpers here compute both sides so the unit suite and the acceptance suite
-use the same arithmetic.
+use the same arithmetic. ``run_batches`` calls a method's tile runner the
+way ``run_ensemble`` does.
 """
 
 from __future__ import annotations
@@ -13,12 +14,23 @@ import numpy as np
 
 from unravel import lindblad_apply
 from unravel.doubled import DoubledState
+from unravel.engine import _generator_track, _runner, method_id
 from unravel.nmqj import NmqjEnsemble, nmqj_step
 from unravel.outcomes import Jump
 
 # large enough that integer rounding in the mean-multinomial trick is
 # invisible next to the 10*dt^2 residual bound
 MEAN_POOL = 10**9
+
+
+def run_batches(method, me, psi0, grid, batch0, sizes, seed):
+    """The method's runner (a kind or a ``MethodId``) on batches batch0,
+    batch0 + 1, ... of ``sizes`` rows each, on the generator track
+    ``run_ensemble`` builds for it: (rho_sum, counts, diagnostics, abort),
+    every series with a leading batch axis."""
+    if isinstance(method, str):
+        method = method_id(method)
+    return _runner(method)(me, psi0, grid, batch0, sizes, seed, _generator_track(method, me, grid))
 
 
 def branch_expectation(branches, factor=None) -> np.ndarray:

@@ -77,6 +77,9 @@ def test_method_token_validation():
         parse_config("methods = psi_roqj(gauge=lorentz)")
     with pytest.raises(ParseError):
         parse_config("methods = im(r_min=0)")
+    for r_min in ("nan", "inf"):
+        with pytest.raises(ParseError):
+            parse_config(f"methods = im(r_min={r_min})")
     with pytest.raises(ParseError):
         parse_config("methods = im(r_min=fast)")
     with pytest.raises(ParseError):
@@ -90,6 +93,9 @@ def test_initial_state_validation():
         parse_config("initial_state = 1, 1")  # norm sqrt(2)
     with pytest.raises(BadAmplitudes):
         parse_config("initial_state = up, down")
+    for text in ("nan, 0", "1, nanj", "inf, 0"):
+        with pytest.raises(BadAmplitudes):
+            parse_config(f"initial_state = {text}")
     cfg = parse_config("initial_state = 0.70710678118655, 0.70710678118655j")
     assert cfg.initial_state[1] == pytest.approx(1j / np.sqrt(2))
 
@@ -283,6 +289,27 @@ def test_csv_is_byte_identical_across_threads(tmp_path):
     serial = (tmp_path / "serial_results.csv").read_bytes()
     pooled = (tmp_path / "pooled_results.csv").read_bytes()
     assert serial == pooled
+
+
+def test_bad_input_ends_in_one_error_line(tmp_path, capsys):
+    """A NaN r_min, a NaN amplitude, a step too small to count and an output
+    path that cannot be written each end in one ``error:`` line and exit 1,
+    before any output is written where that can be known in advance."""
+    nan_state = _write(tmp_path, "nan.txt", "initial_state = nan, 0\n")
+    (tmp_path / "dir_results.csv").mkdir()  # the CSV path is taken by a directory
+    quick = ["--t-max", "0.05", "--trajectories", "20"]
+    for argv in (
+        ["run", "--method", "im(r_min=nan)", *quick, "--out", str(tmp_path / "r")],
+        ["run", "--config", nan_state, *quick, "--out", str(tmp_path / "a")],
+        ["run", "--dt", "1e-320", "--oracle-only", "--out", str(tmp_path / "d")],
+        ["run", *quick, "--out", str(tmp_path / "missing" / "x")],
+        ["divisibility", "--t-max", "0.05", "--out", str(tmp_path / "missing" / "x")],
+        ["run", *quick, "--out", str(tmp_path / "dir")],
+    ):
+        assert main(argv) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir_results.csv", "nan.txt"]
 
 
 def test_main_exits_1_on_config_problems(tmp_path, capsys):

@@ -11,7 +11,9 @@ from unravel.mcwf import mcwf_branches
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_X, eternally_nm, spontaneous_emission
 from unravel.outcomes import Clone, Destroy, Deterministic, Jump
 from unravel.propagate import TimeGrid, propagate
-from unravel.cloning import clone_branches, cloning_step, run_replica
+from unravel.cloning import clone_branches, cloning_step
+
+from branch_tools import run_batches
 
 DT = 1e-2
 
@@ -78,29 +80,29 @@ def test_replica_tracks_growing_trace():
     me = sink_model(gamma=1.0, lam=lam)
     grid = TimeGrid(0.0, 1.0, DT)
     n = 2000
-    rho_sum, counts, diag, abort = run_replica(me, KET1, grid, n, replica=0, seed=11)
+    rho_sum, counts, diag, abort = run_batches("cloning", me, KET1, grid, 0, [n], 11)
     assert abort is None
     assert counts["clone"] > 0
     assert counts["destroy"] == 0
-    assert diag["population"][0] == n
-    assert diag["population"][-1] > n  # net growth at rate lam
+    assert diag["population"][0][0] == n
+    assert diag["population"][0][-1] > n  # net growth at rate lam
     oracle = propagate(me, np.outer(KET1, KET1.conj()), grid, check_trace=False)
     for k, t in enumerate(grid.times()):
-        est = rho_sum[k] / n
+        est = rho_sum[0][k] / n
         assert trace_distance(est, oracle.states[k]) < 0.08
-    assert np.trace(rho_sum[-1] / n).real == pytest.approx(np.exp(lam), abs=0.08)
+    assert np.trace(rho_sum[0][-1] / n).real == pytest.approx(np.exp(lam), abs=0.08)
 
 
 def test_replica_resamples_through_heavy_shrinkage():
     me = sink_model(gamma=1.0, lam=-1.0)
     grid = TimeGrid(0.0, 3.0, DT)
     n = 500
-    rho_sum, counts, diag, abort = run_replica(me, KET1, grid, n, replica=0, seed=4)
+    rho_sum, counts, diag, abort = run_batches("cloning", me, KET1, grid, 0, [n], 4)
     assert abort is None
     assert counts["destroy"] > 0
-    pop = diag["population"]
+    pop = diag["population"][0]
     assert pop.min() >= 0.5 * n - 1  # resampling keeps the band
-    traces = [np.trace(rho_sum[k] / n).real for k in range(grid.n_steps + 1)]
+    traces = [np.trace(rho_sum[0][k] / n).real for k in range(grid.n_steps + 1)]
     expect = np.exp(-grid.times())
     assert np.max(np.abs(traces - expect)) < 0.06
 
@@ -108,23 +110,23 @@ def test_replica_resamples_through_heavy_shrinkage():
 def test_replica_survives_extinction():
     me = sink_model(gamma=1.0, lam=-5.0)
     grid = TimeGrid(0.0, 2.0, DT)
-    rho_sum, _counts, diag, abort = run_replica(me, KET1, grid, 1, replica=0, seed=9)
+    rho_sum, _counts, diag, abort = run_batches("cloning", me, KET1, grid, 0, [1], 9)
     assert abort is None
-    assert diag["population"][-1] == 0
-    assert np.allclose(rho_sum[-1], 0.0)
+    assert diag["population"][0][-1] == 0
+    assert np.allclose(rho_sum[0][-1], 0.0)
 
 
 def test_replica_reproducible():
     me = sink_model(gamma=1.0, lam=0.3)
     grid = TimeGrid(0.0, 0.5, DT)
-    a = run_replica(me, KET1, grid, 100, replica=2, seed=6)[0]
-    b = run_replica(me, KET1, grid, 100, replica=2, seed=6)[0]
+    a = run_batches("cloning", me, KET1, grid, 2, [100], 6)[0]
+    b = run_batches("cloning", me, KET1, grid, 2, [100], 6)[0]
     assert np.array_equal(a, b)
 
 
 def _alone(me, psi, grid, sizes, replica, seed):
-    """One run_replica call per replica of a tile."""
-    return [run_replica(me, psi, grid, n, replica + r, seed) for r, n in enumerate(sizes)]
+    """One runner call per replica of a tile."""
+    return [run_batches("cloning", me, psi, grid, replica + r, [n], seed) for r, n in enumerate(sizes)]
 
 
 @pytest.mark.parametrize(
@@ -140,13 +142,13 @@ def test_tile_matches_per_replica_runs(build, psi, t_max, sizes):
     populations and counts of one run per replica."""
     me = build()
     grid = TimeGrid(0.0, t_max, DT)
-    rho_sum, counts, diag, abort = run_replica(me, psi, grid, sizes, replica=2, seed=9)
+    rho_sum, counts, diag, abort = run_batches("cloning", me, psi, grid, 2, sizes, 9)
     alone = _alone(me, psi, grid, sizes, 2, 9)
     assert abort is None and all(res[3] is None for res in alone)
     assert rho_sum.shape[0] == diag["population"].shape[0] == len(sizes)
     for r, (rho, _counts, own, _abort) in enumerate(alone):
-        assert np.array_equal(rho_sum[r], rho)
-        assert np.array_equal(diag["population"][r], own["population"])
+        assert np.array_equal(rho_sum[r], rho[0])
+        assert np.array_equal(diag["population"][r], own["population"][0])
     assert counts == _merge_counts([res[1] for res in alone])
     pops = diag["population"]
     if me.trace_sink is not None:
@@ -164,7 +166,7 @@ def test_tile_abort_is_its_first_failing_replicas():
     me = master_equation(2, 3.0 * SIGMA_X, [(SIGMA_MINUS, lambda t: 5.0 if t < 0.5 else 300.0, "down")])
     grid = TimeGrid(0.0, 0.6, DT)
     sizes = [30, 30, 29]
-    rho_sum, _counts, diag, abort = run_replica(me, PLUS, grid, sizes, replica=0, seed=4)
+    rho_sum, _counts, diag, abort = run_batches("cloning", me, PLUS, grid, 0, sizes, 4)
     alone = _alone(me, PLUS, grid, sizes, 0, 4)
     first = min((res[3] for res in alone), key=lambda a: a[1])
     err, k = abort
@@ -172,5 +174,5 @@ def test_tile_abort_is_its_first_failing_replicas():
     assert (str(err), err.time) == (str(first[0]), first[0].time)
     assert len({str(res[3][0]) for res in alone}) > 1  # the replicas' messages differ
     for r, (rho, _c, own, _a) in enumerate(alone):
-        assert np.array_equal(rho_sum[r, : k + 1], rho[: k + 1])
-        assert np.array_equal(diag["population"][r, : k + 1], own["population"][: k + 1])
+        assert np.array_equal(rho_sum[r, : k + 1], rho[0, : k + 1])
+        assert np.array_equal(diag["population"][r, : k + 1], own["population"][0, : k + 1])

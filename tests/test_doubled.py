@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from branch_tools import run_batches
 from test_linalg import signed_zero_rows
 from unravel.doubled import (
     _norm2_sums,
@@ -11,7 +12,6 @@ from unravel.doubled import (
     doubled_branches,
     doubled_factors,
     doubled_step,
-    run_chunk,
 )
 from unravel.errors import ZeroVector
 from unravel.linalg import haar_state, trace_distance
@@ -96,15 +96,15 @@ def test_chunk_tracks_markovian_oracle():
     me = spontaneous_emission(omega0=1.0, gamma=1.0)
     grid = TimeGrid(0.0, 2.0, 1e-2)
     n = 1500
-    rho_sum, counts, diag, abort = run_chunk(me, PLUS, grid, batch0=0, n=n, seed=31)
+    rho_sum, counts, diag, abort = run_batches("doubled", me, PLUS, grid, 0, [n], 31)
     assert abort is None
     assert counts["jump"] > 0
-    assert diag["theta_norm2_sum"][0] == pytest.approx(2.0 * n)
+    assert diag["theta_norm2_sum"][0, 0] == pytest.approx(2.0 * n)
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
     # raw |phi><psi| means need hermitization before comparing
     dists = []
     for k in range(grid.n_steps + 1):
-        est = rho_sum[k] / n
+        est = rho_sum[0, k] / n
         est = 0.5 * (est + est.conj().T)
         dists.append(trace_distance(est, oracle.states[k]))
     assert max(dists) < 0.1
@@ -113,8 +113,8 @@ def test_chunk_tracks_markovian_oracle():
 def test_chunk_is_reproducible():
     me = eternally_nm()
     grid = TimeGrid(0.0, 0.5, 1e-2)
-    a = run_chunk(me, PLUS, grid, batch0=7, n=40, seed=5)[0]
-    b = run_chunk(me, PLUS, grid, batch0=7, n=40, seed=5)[0]
+    a = run_batches("doubled", me, PLUS, grid, 7, [40], 5)[0]
+    b = run_batches("doubled", me, PLUS, grid, 7, [40], 5)[0]
     assert np.array_equal(a, b)
 
 

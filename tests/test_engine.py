@@ -1,5 +1,6 @@
 """Ensemble driver: batches and row tiles, determinism, error bars, abort reporting."""
 
+import inspect
 from collections import Counter
 
 import numpy as np
@@ -49,13 +50,14 @@ from unravel.models import (
 )
 from unravel import cloning as cloning_module
 from unravel import nmqj as nmqj_module
-from unravel.nmqj import run_replica
 from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import (
     state_dependent_gauge,
     time_dependent_gauge,
     w_matching_gauge,
 )
+
+from branch_tools import run_batches
 
 
 def test_method_id_validation():
@@ -159,7 +161,7 @@ def test_abort_partial_carries_event_logs_cut_to_its_series(monkeypatch):
     assert len(logs) == 4
     cut = 0
     for replica, log in enumerate(logs):
-        full = run_replica(me, PLUS, grid, 100, replica=replica, seed=3)[2]["event_log"]
+        full = run_batches("nmqj", me, PLUS, grid, replica, [100], 3)[2]["event_logs"][0]
         assert log == [entry for entry in full if entry[0] < last_step]
         cut += len(full) - len(log)
     assert cut > 0  # some replica ran past the first abort
@@ -342,21 +344,36 @@ def test_wtd_evaluates_each_half_grid_time_once(monkeypatch):
     assert off_grid <= 2 * res.event_counts["jump"]
 
 
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_every_runner_takes_the_batch_sizes_and_the_track(kind):
+    """Every runner is ``run(me, psi0, grid, batch0, sizes, seed, track)``,
+    the track with no default, and gives rho_sum and every per-batch
+    diagnostics series a leading batch axis."""
+    me = spontaneous_emission() if kind in ("mcwf", "wtd", "cloning", "nmqj") else eternally_nm()
+    method = _rroqj(me) if kind == "rroqj" else method_id(kind)
+    run = _runner(method)
+    params = list(inspect.signature(run).parameters.values())[:7]
+    assert [p.name for p in params] == ["me", "psi0", "grid", "batch0", "sizes", "seed", "track"]
+    assert params[6].default is inspect.Parameter.empty
+    grid = TimeGrid(0.0, 0.05, 1e-2)
+    rho_sum, _counts, diag, abort = run(me, PLUS, grid, 0, [3, 2], 1, _generator_track(method, me, grid))
+    assert abort is None
+    assert rho_sum.shape[:2] == (2, grid.n_steps + 1)
+    for key, val in diag.items():
+        if key != "sign_flip_steps":  # the steps of the tile, not of a batch
+            assert len(val) == 2, key
+
+
 def _per_batch_reference(method, me, psi, grid, n_traj, seed):
     """What run_ensemble reports, rebuilt from one runner call per batch
-    with a plain row count (a replica method: one replica per batch), each
-    on the whole grid: (rho_hat, rho_batches, stderr, counts, diagnostics,
-    abort)."""
+    (a replica method: one replica per batch), each on the whole grid:
+    (rho_hat, rho_batches, stderr, counts, diagnostics, abort)."""
     sizes = _chunk_sizes(n_traj, 20)
-    track = _generator_track(method, me, grid)
-    if method.kind == "nmqj":
-        results = [run_replica(me, psi, grid, n, replica=r, seed=seed, track=track) for r, n in enumerate(sizes)]
-    else:
-        results = [_runner(method)(me, psi, grid, b, n, seed, track=track) for b, n in enumerate(sizes)]
+    results = [run_batches(method, me, psi, grid, b, [n], seed) for b, n in enumerate(sizes)]
     aborts = [res[3] for res in results if res[3] is not None]
     abort = min(aborts, key=lambda a: a[1]) if aborts else None
     n_pts = abort[1] + 1 if abort else grid.n_steps + 1
-    sums = [res[0][:n_pts] for res in results]
+    sums = [res[0][0, :n_pts] for res in results]
     rho_hat, degenerate = _reconstruct(method, _tree_sum(sums) / n_traj)
     if degenerate is not None:
         rho_hat = rho_hat[: degenerate[0][0]]
@@ -365,7 +382,7 @@ def _per_batch_reference(method, me, psi, grid, n_traj, seed):
     diag = {}
     for key, val in results[0][2].items():
         vals = [res[2][key] for res in results]
-        diag[key] = sorted(set().union(*vals)) if key == "sign_flip_steps" else _tree_sum(vals)
+        diag[key] = sorted(set().union(*vals)) if key == "sign_flip_steps" else _tree_sum([v[0] for v in vals])
     counts = _merge_counts([res[1] for res in results])
     return rho_hat, rho_batches, _distance_stderr(rho_hat, rho_batches), counts, diag, abort
 
@@ -490,7 +507,7 @@ def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
         calls = []
         replica = module.run_replica
         monkeypatch.setattr(
-            module, "run_replica", lambda *args, **kw: (calls.append(list(args[3])), replica(*args, **kw))[1]
+            module, "run_replica", lambda *args, **kw: (calls.append(list(args[4])), replica(*args, **kw))[1]
         )
         for n_traj in (10_000, 2000):
             run_ensemble(method_id(kind), spontaneous_emission(), PLUS, grid, n_traj, seed=1)
@@ -522,8 +539,7 @@ def test_replicas_stop_at_the_earliest_abort_so_far(monkeypatch):
     monkeypatch.setattr(engine, "_TILE_ROWS", 300)  # tiles of three replicas of 100
     tiles = _tiles(sizes)
     assert [len(tile) for tile in tiles] == [3] * 6 + [2]
-    track = _generator_track(method, me, grid)
-    full = [run_replica(me, PLUS, grid, n, replica=r, seed=1, track=track) for r, n in enumerate(sizes)]
+    full = [run_batches(method, me, PLUS, grid, r, [n], 1) for r, n in enumerate(sizes)]
     # the steps each tile runs on its own: up to and with its first abort's
     aborts = [grid.n_steps if res[3] is None else res[3][1] for res in full]
     tile_aborts = [min(aborts[i] for i in tile) for tile in tiles]
@@ -547,7 +563,7 @@ def test_replicas_stop_at_the_earliest_abort_so_far(monkeypatch):
     for key, want in (("rho_hat", rho_hat), ("rho_batches", rho_batches), ("stderr", stderr)):
         assert np.array_equal(partial[key], want), key
     last = len(partial["times"]) - 1
-    assert partial["event_logs"] == [[e for e in res[2]["event_log"] if e[0] < last] for res in full]
+    assert partial["event_logs"] == [[e for e in res[2]["event_logs"][0] if e[0] < last] for res in full]
 
 
 @pytest.mark.parametrize("build, t_max, aborts", [
@@ -560,8 +576,7 @@ def test_nmqj_tiles_reproduce_per_replica_runs_at_n10000(build, t_max, aborts):
     event logs of a finishing run, and the error, message, time, partial
     series and cut event logs of an aborting one."""
     me, grid, method = build(), TimeGrid(0.0, t_max, 1e-2), method_id("nmqj")
-    track = _generator_track(method, me, grid)
-    full = [run_replica(me, PLUS, grid, 500, replica=r, seed=5, track=track) for r in range(20)]
+    full = [run_batches(method, me, PLUS, grid, r, [500], 5) for r in range(20)]
     rho_hat, rho_batches, stderr, counts, _diag, abort = _per_batch_reference(method, me, PLUS, grid, 10_000, 5)
     assert (abort is not None) == aborts
     if aborts:
@@ -573,11 +588,11 @@ def test_nmqj_tiles_reproduce_per_replica_runs_at_n10000(build, t_max, aborts):
         for key, want in (("rho_hat", rho_hat), ("rho_batches", rho_batches), ("stderr", stderr)):
             assert np.array_equal(partial[key], want), key
         last = len(partial["times"]) - 1
-        assert partial["event_logs"] == [[e for e in res[2]["event_log"] if e[0] < last] for res in full]
+        assert partial["event_logs"] == [[e for e in res[2]["event_logs"][0] if e[0] < last] for res in full]
         return
     res = run_ensemble(method, me, PLUS, grid, 10_000, seed=5)
     assert np.array_equal(res.rho_hat, rho_hat)
     assert np.array_equal(res.rho_batches, rho_batches)
     assert np.array_equal(res.stderr, stderr)
     assert res.event_counts == counts
-    assert res.diagnostics["event_logs"] == [r[2]["event_log"] for r in full]
+    assert res.diagnostics["event_logs"] == [r[2]["event_logs"][0] for r in full]

@@ -6,13 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from branch_tools import one_step_cases, sample_points
+from branch_tools import one_step_cases, run_batches, sample_points
 from unravel.cloning import clone_menu, cloning_step
 from unravel.doubled import DoubledState, doubled_factors, doubled_step, factors_menu
 from unravel.errors import NegativeRate, StepTooLarge
 from unravel.linalg import trace_distance
 from unravel.master_equation import master_equation
-from unravel.mcwf import _BLOCK_STEPS, channel_menu, first_jump_times, mcwf_branches, mcwf_menu, mcwf_step, run_chunk
+from unravel.mcwf import _BLOCK_STEPS, channel_menu, first_jump_times, mcwf_branches, mcwf_menu, mcwf_step
 from unravel.models import (
     KET0,
     KET1,
@@ -232,18 +232,18 @@ def test_chunk_reproduces_master_equation():
     me = spontaneous_emission(gamma=1.0)
     grid = TimeGrid(0.0, 2.0, 1e-2)
     n = 600
-    rho_sum, counts, _diag, abort = run_chunk(me, KET1, grid, 0, n, seed=3)
+    rho_sum, counts, _diag, abort = run_batches("mcwf", me, KET1, grid, 0, [n], 3)
     assert abort is None
     assert counts["jump"] + counts["deterministic"] == n * grid.n_steps
     oracle = propagate(me, np.outer(KET1, KET1.conj()), grid)
-    dists = [trace_distance(rho_sum[k] / n, oracle.states[k]) for k in range(grid.n_steps + 1)]
+    dists = [trace_distance(rho_sum[0, k] / n, oracle.states[k]) for k in range(grid.n_steps + 1)]
     assert max(dists) < 0.08
 
 
 def test_chunk_abort_reports_step():
     me = eternally_nm()
     grid = TimeGrid(0.0, 1.0, 1e-2)
-    rho_sum, _counts, _diag, abort = run_chunk(me, KET1, grid, 0, 10, seed=1)
+    rho_sum, _counts, _diag, abort = run_batches("mcwf", me, KET1, grid, 0, [10], 1)
     assert abort is not None
     err, k = abort
     assert isinstance(err, NegativeRate)

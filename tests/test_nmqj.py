@@ -22,11 +22,12 @@ from unravel.nmqj import (
     nmqj_ensemble,
     nmqj_step,
     reverse_jump_probability,
-    run_replica,
 )
 from unravel.outcomes import ReverseJump
 from unravel.propagate import TimeGrid, propagate
 from unravel.rng import replica_generator
+
+from branch_tools import run_batches
 
 Z_CHANNEL = 2  # phase-covariant channel order: sigma_plus, sigma_minus, sigma_z
 
@@ -134,7 +135,7 @@ def test_reverse_moves_flow_back_to_parent():
 def test_replica_abort_on_fresh_negative_rate():
     me = eternally_nm()
     grid = TimeGrid(0.0, 1.0, 1e-2)
-    _rho, counts, diag, abort = run_replica(me, PLUS, grid, 50, replica=0, seed=7)
+    _rho, counts, diag, abort = run_batches("nmqj", me, PLUS, grid, 0, [50], 7)
     assert abort is not None
     err, step = abort
     assert isinstance(err, MissingTargetState)
@@ -142,31 +143,31 @@ def test_replica_abort_on_fresh_negative_rate():
     assert err.time == pytest.approx(grid.dt)
     assert counts["reverse_jump"] == 0
     # step 0 still runs (all rates vanish or stay positive at t = 0)
-    assert all(entry[0] == 0 and entry[1] == "direct" for entry in diag["event_log"])
+    assert all(entry[0] == 0 and entry[1] == "direct" for entry in diag["event_logs"][0])
 
 
 def test_replica_tracks_oracle_through_positive_window():
     me = delayed_negative_phase_covariant()
     grid = TimeGrid(0.0, 0.5, 1e-2)  # g_z stays positive below pi/4
     n = 3000
-    rho_sum, counts, diag, abort = run_replica(me, PLUS, grid, n, replica=0, seed=42)
+    rho_sum, counts, diag, abort = run_batches("nmqj", me, PLUS, grid, 0, [n], 42)
     assert abort is None
     assert counts["jump"] > 0
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
-    dists = [trace_distance(rho_sum[k] / n, oracle.states[k]) for k in range(grid.n_steps + 1)]
+    dists = [trace_distance(rho_sum[0][k] / n, oracle.states[k]) for k in range(grid.n_steps + 1)]
     assert max(dists) < 0.06
-    kinds = {entry[1] for entry in diag["event_log"]}
+    kinds = {entry[1] for entry in diag["event_logs"][0]}
     assert kinds == {"direct"}
 
 
 def test_replica_reverse_events_reference_prior_directs():
     me = delayed_negative_phase_covariant()
     grid = TimeGrid(0.0, 1.2, 1e-2)  # crosses into the negative window
-    _rho, counts, diag, abort = run_replica(me, PLUS, grid, 4000, replica=1, seed=9)
+    _rho, counts, diag, abort = run_batches("nmqj", me, PLUS, grid, 1, [4000], 9)
     assert abort is None
     assert counts["reverse_jump"] > 0
     directs = set()
-    for entry in diag["event_log"]:
+    for entry in diag["event_logs"][0]:
         step, kind = entry[0], entry[1]
         if kind == "direct":
             parent, child, channel = entry[2], entry[3], entry[4]
@@ -203,7 +204,7 @@ def test_replica_log_is_that_of_a_scan_at_every_step():
     ``_merge`` sorts them."""
     me = delayed_negative_phase_covariant()
     grid = TimeGrid(0.0, 1.2, 1e-2)
-    _rho, _counts, diag, _abort = run_replica(me, PLUS, grid, 2000, replica=0, seed=2)
+    _rho, _counts, diag, _abort = run_batches("nmqj", me, PLUS, grid, 0, [2000], 2)
     gen, ens = replica_generator(2, 0), nmqj_ensemble(2000, PLUS)
     log, seen = [], set()
     for k, t in enumerate(grid.times()[:-1]):
@@ -214,13 +215,13 @@ def test_replica_log_is_that_of_a_scan_at_every_step():
                 if (child, a, p) not in seen:
                     seen.add((child, a, p))
                     log.append((k, "direct", p, child, a))
-    assert [e for e in diag["event_log"] if 4 <= e[0] <= 6 and e[1] == "direct"] == [
+    assert [e for e in diag["event_logs"][0] if 4 <= e[0] <= 6 and e[1] == "direct"] == [
         (4, "direct", 1, 2, 1), (4, "direct", 3, 2, 1),
         (5, "direct", 2, 2, 2), (5, "direct", 3, 0, 2),
         (6, "direct", 2, 1, 0), (6, "direct", 3, 1, 0), (6, "direct", 1, 1, 2),
     ]
-    assert any(entry[1] == "reverse" for entry in diag["event_log"])
-    assert diag["event_log"] == log
+    assert any(entry[1] == "reverse" for entry in diag["event_logs"][0])
+    assert diag["event_logs"][0] == log
 
 
 def test_a_tile_reports_its_first_failing_replica_as_it_fails_alone():

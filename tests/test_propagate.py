@@ -29,6 +29,8 @@ def test_time_grid_basics():
         TimeGrid(0.0, 1.0, 0.3)  # dt does not divide the interval
     with pytest.raises(ValueError):
         TimeGrid(0.0, -1.0, 0.1)
+    with pytest.raises(ValueError):
+        TimeGrid(0.0, 5.0, 1e-320)  # the step count overflows to inf
 
 
 def test_oracle_solution_length_check():

@@ -13,8 +13,9 @@ from unravel.outcomes import Jump
 from unravel.propagate import TimeGrid
 from unravel.rate_operators import time_dependent_gauge
 from unravel.rng import replica_generator, trajectory_generator, trajectory_uniforms
-from unravel.wtd import run_chunk as wtd_run_chunk
 from unravel.wtd import wtd_next_jump, wtd_select_channel
+
+from branch_tools import run_batches
 
 SEED = 42
 
@@ -132,7 +133,7 @@ def test_wtd_draws_thresholds_first_then_jumps_in_row_order():
     in one step, against a replay of each batch on its own stream."""
     me = spontaneous_emission(omega=2.0, gamma=3.0)
     grid = TimeGrid(0.0, 3.0, 2.5e-2)
-    rho_sum, counts, _diag, abort = wtd_run_chunk(me, KET1, grid, 3, [2, 2], seed=SEED)
+    rho_sum, counts, _diag, abort = run_batches("wtd", me, KET1, grid, 3, [2, 2], SEED)
     assert abort is None
     replays = [_wtd_replay(me, grid, SEED, b, 2) for b in (3, 4)]
     for i, (final, _steps) in enumerate(replays):

@@ -46,7 +46,9 @@ from unravel.rate_operators import (
     rate_operator,
     w_spectrum_batch,
 )
-from unravel.roqj import roqj_branches, roqj_step, run_chunk, wroqj_branches, wroqj_step
+from unravel.roqj import roqj_branches, roqj_step, wroqj_branches, wroqj_step
+
+from branch_tools import run_batches
 
 
 def test_w_spectrum_pure_dephasing_frozen():
@@ -234,13 +236,13 @@ def test_chunks_track_oracle_and_each_other():
     me = eternally_nm()
     grid = TimeGrid(0.0, 2.0, 1e-2)
     n = 500
-    rho_w, _c1, _d1, abort_w = run_chunk(me, PLUS, grid, 0, n, seed=6, flavor="w")
+    rho_w, _c1, _d1, abort_w = run_batches("wroqj", me, PLUS, grid, 0, [n], 6)
     assert abort_w is None
     gauge = time_dependent_gauge(lambda t: -0.5 * np.tanh(t) * np.eye(2))
-    rho_r, _c2, _d2, abort_r = run_chunk(me, PLUS, grid, 0, n, seed=6, flavor="ro", gauge=gauge)
+    rho_r, _c2, _d2, abort_r = run_batches(method_id("rroqj", gauge=gauge), me, PLUS, grid, 0, [n], 6)
     assert abort_r is None
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
-    for series in (rho_w, rho_r):
+    for series in (rho_w[0], rho_r[0]):
         dists = [trace_distance(series[k] / n, oracle.states[k]) for k in range(grid.n_steps + 1)]
         assert max(dists) < 0.09
 

@@ -24,10 +24,11 @@ from unravel.tripled import (
     embedded_master_equation,
     embedded_system,
     embedded_track,
-    run_chunk,
     tripled_embed,
     tripled_extract,
 )
+
+from branch_tools import run_batches
 
 TRACK_FIELDS = ("h", "ls", "gammas", "gamma_l", "gamma_drift", "k")
 
@@ -216,12 +217,12 @@ def test_chunk_on_markovian_model_matches_oracle():
     me = spontaneous_emission(omega0=1.0, gamma=1.0)
     grid = TimeGrid(0.0, 2.0, 1e-2)
     n = 800
-    rho_sum, counts, _diag, abort = run_chunk(me, PLUS, grid, batch0=0, n=n, seed=13)
+    rho_sum, counts, _diag, abort = run_batches("tripled", me, PLUS, grid, 0, [n], 13)
     assert abort is None
-    assert rho_sum.shape == (grid.n_steps + 1, 6, 6)
+    assert rho_sum.shape == (1, grid.n_steps + 1, 6, 6)
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
     dists = [
-        trace_distance(tripled_extract(rho_sum[k] / n), oracle.states[k])
+        trace_distance(tripled_extract(rho_sum[0, k] / n), oracle.states[k])
         for k in range(grid.n_steps + 1)
     ]
     assert max(dists) < 0.1
@@ -232,11 +233,11 @@ def test_chunk_division_noise_grows_with_negative_window():
     me = eternally_nm()
     grid = TimeGrid(0.0, 0.5, 1e-2)
     n = 3000
-    rho_sum, _counts, _diag, abort = run_chunk(me, PLUS, grid, batch0=0, n=n, seed=29)
+    rho_sum, _counts, _diag, abort = run_batches("tripled", me, PLUS, grid, 0, [n], 29)
     assert abort is None
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
     dists = [
-        trace_distance(tripled_extract(rho_sum[k] / n), oracle.states[k])
+        trace_distance(tripled_extract(rho_sum[0, k] / n), oracle.states[k])
         for k in range(grid.n_steps + 1)
     ]
     assert max(dists) < 0.15

@@ -24,9 +24,9 @@ from unravel.weighted import (
     im_step,
     plqt_branches,
     plqt_step,
-    run_chunk_im,
-    run_chunk_plqt,
 )
+
+from branch_tools import run_batches
 
 DT = 1e-2
 
@@ -45,6 +45,9 @@ def test_rate_policy_rejects_nonpositive_floor():
         default_rate_policy(0.0)
     with pytest.raises(InvalidRatePolicy):
         default_rate_policy(-1.0)
+    for r_min in (float("nan"), float("inf")):
+        with pytest.raises(InvalidRatePolicy):
+            default_rate_policy(r_min)
 
 
 def test_bad_policy_output_rejected():
@@ -114,23 +117,23 @@ def test_im_chunk_weights_stay_centered_and_track_oracle():
     me = eternally_nm()
     grid = TimeGrid(0.0, 1.5, DT)
     n = 3000
-    rho_sum, counts, diag, abort = run_chunk_im(me, PLUS, grid, batch0=0, n=n, seed=3)
+    rho_sum, counts, diag, abort = run_batches("im", me, PLUS, grid, 0, [n], 3)
     assert abort is None
     assert counts["jump"] > 0
-    mean_w = diag["weight_sum"] / n
+    mean_w = diag["weight_sum"][0] / n
     assert mean_w[0] == 1.0
     assert np.max(np.abs(mean_w - 1.0)) < 0.12  # martingale, noisy at this n
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
     dists = []
     for k in range(grid.n_steps + 1):
-        est = rho_sum[k] / n
+        est = rho_sum[0, k] / n
         dists.append(trace_distance(0.5 * (est + est.conj().T), oracle.states[k]))
     assert max(dists) < 0.1
 
 
 def test_im_chunk_on_positive_model_never_flips():
     me = decay(0.8)
-    _rho, _counts, diag, abort = run_chunk_im(me, KET1, TimeGrid(0.0, 1.0, DT), 0, 200, seed=1)
+    _rho, _counts, diag, abort = run_batches("im", me, KET1, TimeGrid(0.0, 1.0, DT), 0, [200], 1)
     assert abort is None
     assert diag["sign_flip_steps"] == []
 
@@ -139,7 +142,7 @@ def test_plqt_chunk_flips_only_after_rate_turns_negative():
     me = delayed_negative_phase_covariant()
     grid = TimeGrid(0.0, 1.2, DT)
     n = 3000
-    rho_sum, _counts, diag, abort = run_chunk_plqt(me, PLUS, grid, batch0=0, n=n, seed=8)
+    rho_sum, _counts, diag, abort = run_batches("plqt", me, PLUS, grid, 0, [n], 8)
     assert abort is None
     flips = diag["sign_flip_steps"]
     assert flips, "the negative window must produce sign flips"
@@ -148,7 +151,7 @@ def test_plqt_chunk_flips_only_after_rate_turns_negative():
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
     dists = []
     for k in range(grid.n_steps + 1):
-        est = rho_sum[k] / n
+        est = rho_sum[0, k] / n
         dists.append(trace_distance(0.5 * (est + est.conj().T), oracle.states[k]))
     assert max(dists) < 0.1
 
@@ -156,9 +159,9 @@ def test_plqt_chunk_flips_only_after_rate_turns_negative():
 def test_chunks_are_reproducible():
     me = eternally_nm()
     grid = TimeGrid(0.0, 0.4, DT)
-    a = run_chunk_im(me, PLUS, grid, 5, 30, seed=2)[0]
-    b = run_chunk_im(me, PLUS, grid, 5, 30, seed=2)[0]
+    a = run_batches("im", me, PLUS, grid, 5, [30], 2)[0]
+    b = run_batches("im", me, PLUS, grid, 5, [30], 2)[0]
     assert np.array_equal(a, b)
-    c = run_chunk_plqt(me, PLUS, grid, 5, 30, seed=2)[0]
-    d = run_chunk_plqt(me, PLUS, grid, 5, 30, seed=2)[0]
+    c = run_batches("plqt", me, PLUS, grid, 5, [30], 2)[0]
+    d = run_batches("plqt", me, PLUS, grid, 5, [30], 2)[0]
     assert np.array_equal(c, d)

@@ -16,7 +16,9 @@ from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.propagate import TimeGrid, propagate
 from unravel.rng import replica_generator
-from unravel.wtd import first_jump_times, run_chunk, wtd_next_jump, wtd_select_channel
+from unravel.wtd import first_jump_times, wtd_next_jump, wtd_select_channel
+
+from branch_tools import run_batches
 
 
 def test_crossing_time_matches_closed_form():
@@ -68,11 +70,11 @@ def test_chunk_reproduces_master_equation():
     me = spontaneous_emission(gamma=1.0)
     grid = TimeGrid(0.0, 2.0, 0.05)
     n = 400
-    rho_sum, counts, _diag, abort = run_chunk(me, KET1, grid, 0, n, seed=12)
+    rho_sum, counts, _diag, abort = run_batches("wtd", me, KET1, grid, 0, [n], 12)
     assert abort is None
     assert counts["jump"] > 0
     oracle = propagate(me, np.outer(KET1, KET1.conj()), grid)
-    dists = [trace_distance(rho_sum[k] / n, oracle.states[k]) for k in range(grid.n_steps + 1)]
+    dists = [trace_distance(rho_sum[0, k] / n, oracle.states[k]) for k in range(grid.n_steps + 1)]
     assert max(dists) < 0.1
 
 
@@ -82,13 +84,13 @@ def test_aborted_chunk_keeps_the_initial_point():
     me = eternally_nm()
     grid = TimeGrid(0.0, 1.0, 1e-2)
     one_step = TimeGrid(0.0, 1e-2, 1e-2)
-    rho_sum, _counts, _diag, abort = run_chunk(me, PLUS, grid, 0, 5, seed=1)
+    rho_sum, _counts, _diag, abort = run_batches("wtd", me, PLUS, grid, 0, [5], 1)
     assert isinstance(abort[0], NegativeRate) and abort[1] == 1
     assert abort[0].time == pytest.approx(1e-2)
-    assert np.allclose(rho_sum[0], 5 * np.outer(PLUS, PLUS.conj()))
-    true_sum, _counts, _diag, none = run_chunk(me, PLUS, one_step, 0, 5, seed=1)
+    assert np.allclose(rho_sum[0, 0], 5 * np.outer(PLUS, PLUS.conj()))
+    true_sum, _counts, _diag, none = run_batches("wtd", me, PLUS, one_step, 0, [5], 1)
     assert none is None
-    assert np.array_equal(rho_sum[1], true_sum[1])
+    assert np.array_equal(rho_sum[0, 1], true_sum[0, 1])
     with pytest.raises(NegativeRate) as info:
         run_ensemble(method_id("wtd"), me, PLUS, grid, 20, seed=1)
     partial = info.value.partial
@@ -166,7 +168,7 @@ def test_chunk_follows_the_stream_contract():
     # threshold at each jump
     me = spontaneous_emission(omega=1.0)
     grid = TimeGrid(0.0, 10.0, 1e-2)
-    rho_sum, counts, _diag, abort = run_chunk(me, KET1, grid, 0, [1, 1, 1, 1], seed=3)
+    rho_sum, counts, _diag, abort = run_batches("wtd", me, KET1, grid, 0, [1, 1, 1, 1], 3)
     assert abort is None
     total = 0
     for b in range(4):
