@@ -47,6 +47,8 @@ class TimeGrid:
         if not np.isfinite(steps):
             raise ValueError(f"dt={self.dt} is too small for [{self.t0}, {self.t_max}]")
         n = round(steps)
+        if n > np.iinfo(np.intp).max - 1:  # its n + 1 points cannot be indexed
+            raise ValueError(f"dt={self.dt} gives {n:.3g} steps on [{self.t0}, {self.t_max}], too many to index")
         if n < 1 or abs(self.t0 + n * self.dt - self.t_max) > 1e-9 * max(1.0, abs(self.t_max)):
             raise ValueError(f"dt={self.dt} does not divide [{self.t0}, {self.t_max}]")
 

@@ -19,7 +19,7 @@ those tracks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
@@ -44,6 +44,8 @@ __all__ = [
 Matrix = Callable[[float], np.ndarray]
 
 _BLOCK_TRACE_FLOOR = 1e-12
+
+_CHI = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)  # the auxiliary start (aux0 + aux1)/sqrt(2)
 
 
 @dataclass(frozen=True)
@@ -185,9 +187,7 @@ def tripled_embed(
     def build(times: np.ndarray) -> tuple[GeneratorTrack, np.ndarray]:
         return _embedding(*_evaluated(hamiltonian, pairs, levels, dim, times))
 
-    chi = np.zeros(3)
-    chi[0] = chi[1] = 1.0 / np.sqrt(2.0)
-    w0 = np.kron(np.asarray(rho0, dtype=complex), np.outer(chi, chi))
+    w0 = np.kron(np.asarray(rho0, dtype=complex), np.outer(_CHI, _CHI))
     return TripledEmbedding(dim, len(pairs), build), w0
 
 
@@ -268,9 +268,17 @@ def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int,
     rho_sum holds 3d x 3d projector sums over W-space; extraction happens
     at reconstruction time so batch statistics see the same division noise
     a user would. ``track`` is ``embedded_track(me, ...)`` over the grid's
-    step starts.
+    step starts. Only the channels nonzero somewhere on ``track`` step (a
+    zero one, like Omega where C = D, has probability exactly 0, so the bits
+    are the full track's); once a step has run, their counts are scattered
+    back to all 4 * n_pairs channels.
     """
-    chi = np.zeros(3)
-    chi[0] = chi[1] = 1.0 / np.sqrt(2.0)
-    theta0 = np.kron(np.asarray(psi0, dtype=complex), chi)
-    return mcwf.run_chunk(embedded_system(me), theta0, grid, batch0, sizes, seed, track)
+    live = np.any(track.ls != 0.0, axis=(0, 2, 3))
+    theta0 = np.kron(np.asarray(psi0, dtype=complex), _CHI)
+    reduced = replace(track, ls=track.ls[:, live], gammas=track.gammas[:, live])
+    out = mcwf.run_chunk(embedded_system(me), theta0, grid, batch0, sizes, seed, reduced)
+    if out[3] is None or out[3][1] > 0:
+        by_channel = np.zeros(len(live), dtype=int)
+        by_channel[live] = out[1]["jump_by_channel"]
+        out[1]["jump_by_channel"] = by_channel.tolist()
+    return out

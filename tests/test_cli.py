@@ -292,9 +292,10 @@ def test_csv_is_byte_identical_across_threads(tmp_path):
 
 
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys):
-    """A NaN r_min, a NaN amplitude, a step too small to count and an output
-    path that cannot be written each end in one ``error:`` line and exit 1,
-    before any output is written where that can be known in advance."""
+    """A NaN r_min, a NaN amplitude, a step too small to count, more steps
+    than numpy can index and an output path that cannot be written each end
+    in one ``error:`` line and exit 1, before any output is written where
+    that can be known in advance."""
     nan_state = _write(tmp_path, "nan.txt", "initial_state = nan, 0\n")
     (tmp_path / "dir_results.csv").mkdir()  # the CSV path is taken by a directory
     quick = ["--t-max", "0.05", "--trajectories", "20"]
@@ -302,6 +303,7 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys):
         ["run", "--method", "im(r_min=nan)", *quick, "--out", str(tmp_path / "r")],
         ["run", "--config", nan_state, *quick, "--out", str(tmp_path / "a")],
         ["run", "--dt", "1e-320", "--oracle-only", "--out", str(tmp_path / "d")],
+        ["run", "--dt", "1e-300", "--oracle-only", "--out", str(tmp_path / "i")],
         ["run", *quick, "--out", str(tmp_path / "missing" / "x")],
         ["divisibility", "--t-max", "0.05", "--out", str(tmp_path / "missing" / "x")],
         ["run", *quick, "--out", str(tmp_path / "dir")],

@@ -5,7 +5,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from unravel.errors import DegenerateBlock, NotHermitian, NotPSD
+from unravel import mcwf
+from unravel.engine import _DEFAULT_BATCHES, _chunk_sizes, _tiles
+from unravel.errors import DegenerateBlock, NotHermitian, NotPSD, StepTooLarge
 from unravel.linalg import haar_state, hermitize, psd_sqrt, trace_distance
 from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
@@ -15,6 +17,8 @@ from unravel.models import (
     SIGMA_Z,
     delayed_negative_phase_covariant,
     eternally_nm,
+    phase_covariant,
+    phase_covariant_rates,
     spontaneous_emission,
 )
 from unravel.propagate import TimeGrid, propagate
@@ -241,6 +245,84 @@ def test_chunk_division_noise_grows_with_negative_window():
         for k in range(grid.n_steps + 1)
     ]
     assert max(dists) < 0.15
+
+
+def _full_track_run(me, psi0, grid, batch0, sizes, seed):
+    """The tripled runner's reference: mcwf on ``embedded_system(me)``
+    stepping every embedded channel of the full track from psi0 (x) chi."""
+    chi = np.zeros(3)
+    chi[0] = chi[1] = 1.0 / np.sqrt(2.0)
+    theta0 = np.kron(np.asarray(psi0, dtype=complex), chi)
+    track = embedded_track(me, grid.times()[:-1])
+    return mcwf.run_chunk(embedded_system(me), theta0, grid, batch0, sizes, seed, track)
+
+
+def _assert_same_run(got, want):
+    """rho_sum byte for byte, equal counts and diagnostics, the same abort."""
+    assert got[0].tobytes() == want[0].tobytes()
+    assert got[1:3] == want[1:3]
+    if want[3] is None:
+        assert got[3] is None
+    else:
+        (err, k), (want_err, want_k) = got[3], want[3]
+        assert (type(err), str(err), err.time, k) == (type(want_err), str(want_err), want_err.time, want_k)
+
+
+def _idle_plus_signed_minus():
+    """No sigma_+ (pair 0 is zero: all four of its channels are dead), a
+    sigma_- rate that turns negative at pi/4 (its Omega, channels 6 and 7,
+    is zero only before) and a positive sigma_z rate (Omega zero)."""
+    return phase_covariant(phase_covariant_rates(0.0, lambda t: 0.5 * np.cos(2.0 * t), 0.5))
+
+
+@pytest.mark.parametrize(
+    "build, t_max, n_traj, dead",
+    [
+        # sigma_z is unitary, so ||C - D||^2 fills (C - D)^dag (C - D) and
+        # pair 2's Omega is zero past pi/4 as well as before
+        (delayed_negative_phase_covariant, 1.0, 300, {2, 3, 6, 7, 10, 11}),
+        (delayed_negative_phase_covariant, 0.3, 4097, {2, 3, 6, 7, 10, 11}),
+        (_idle_plus_signed_minus, 1.0, 300, {0, 1, 2, 3, 10, 11}),
+    ],
+)
+def test_chunk_steps_live_channels_with_the_full_tracks_bits(build, t_max, n_traj, dead):
+    """Each tile of the ensemble's batches gives the full-track run's rho_sum
+    bytes and counts: the channels that are zero on the whole track drop
+    out, jump_by_channel keeps 4 per pair, 0 at the dead ones."""
+    me, grid = build(), TimeGrid(0.0, t_max, 1e-2)
+    track = embedded_track(me, grid.times()[:-1])
+    assert {i for i in range(12) if not track.ls[:, i].any()} == dead
+    if build is _idle_plus_signed_minus:
+        assert not track.ls[:79, 6].any() and track.ls[79:, 6].any(axis=(1, 2)).all()
+    sizes = _chunk_sizes(n_traj, _DEFAULT_BATCHES)
+    tiles = _tiles(sizes)
+    assert (len(tiles) > 1) == (n_traj > 2048)
+    for tile in tiles:
+        tile_sizes = [sizes[i] for i in tile]
+        got = run_batches("tripled", me, PLUS, grid, tile[0], tile_sizes, 17)
+        _assert_same_run(got, _full_track_run(me, PLUS, grid, tile[0], tile_sizes, 17))
+        by_channel = got[1]["jump_by_channel"]
+        assert len(by_channel) == 12 and [by_channel[i] for i in sorted(dead)] == [0] * len(dead)
+        assert got[1]["jump"] > 0
+
+
+@pytest.mark.parametrize(
+    "build, dt, step, error",
+    [
+        (delayed_negative_phase_covariant, 1.0, 0, StepTooLarge),  # jump probability 1.5
+        (lambda: _fails_from(0.0, "hamiltonian"), 0.1, 0, NotHermitian),  # an empty track
+        (lambda: _fails_from(0.5, "hamiltonian"), 0.1, 5, NotHermitian),
+    ],
+)
+def test_chunk_aborts_as_the_full_track_run_does(build, dt, step, error):
+    """An abort keeps the full-track run's error, step, sums and counts: no
+    counts by channel at step 0, where no step has run, and 4 per pair
+    after it."""
+    me, grid = build(), TimeGrid(0.0, 2.0, dt)
+    got = run_batches("tripled", me, PLUS, grid, 3, [40, 40, 39], 5)
+    _assert_same_run(got, _full_track_run(me, PLUS, grid, 3, [40, 40, 39], 5))
+    assert isinstance(got[3][0], error) and got[3][1] == step
+    assert len(got[1]["jump_by_channel"]) == (0 if step == 0 else 8)
 
 
 def _driven_complex_model():
