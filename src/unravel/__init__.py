@@ -15,6 +15,7 @@ from .errors import (
     GridMismatch,
     InvalidRatePolicy,
     MissingTargetState,
+    ModelError,
     NegativeRate,
     NegativeROEigenvalue,
     NegativeWEigenvalue,

@@ -24,6 +24,7 @@ __all__ = [
     "DegenerateBlock",
     "SingularMap",
     "BadAmplitudes",
+    "ModelError",
     "ConfigError",
     "ParseError",
     "UnknownModel",
@@ -98,6 +99,15 @@ class SingularMap(UnravelError):
 
 class BadAmplitudes(UnravelError):
     """An initial-state amplitude list is malformed or far from normalized."""
+
+
+class ModelError(UnravelError):
+    """A model's own callable raised; its exception is kept as ``__cause__``,
+    its text is the message and ``time`` is the time being evaluated."""
+
+    def __init__(self, cause: Exception, time: float):
+        super().__init__(str(cause) or type(cause).__name__, time=time)
+        self.__cause__ = cause
 
 
 class ConfigError(UnravelError):

@@ -386,9 +386,11 @@ def squared_norms(ys: np.ndarray) -> np.ndarray:
 
 
 def vec(m: np.ndarray) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return np.asarray(m).reshape(-1, order="F")
+    """Column-stacking vectorization of a matrix or of each matrix of a stack."""
+    m = np.asarray(m)
+    return np.swapaxes(m, -1, -2).reshape(*m.shape[:-2], -1)
 
 
 def unvec(v: np.ndarray, d: int) -> np.ndarray:
-    return np.asarray(v).reshape(d, d, order="F")
+    v = np.asarray(v)
+    return np.swapaxes(v.reshape(*v.shape[:-1], d, d), -1, -2)

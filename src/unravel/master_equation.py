@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotHermitian
+from .errors import DimensionMismatch, ModelError, NotHermitian, UnravelError
 from .linalg import HERM_ATOL, require_hermitian
 
 __all__ = [
@@ -82,12 +82,13 @@ class MasterEquation:
         track. The callables run time by time, the hermiticity checks and
         G_L once over the stack.
 
-        An evaluation error ends the track and is kept: ``track[k]`` raises
-        it from the failing time on, so a runner meets it at the step where
-        it would first have evaluated that time, and not before a method
-        abort. At one time a callable's error or a wrong shape comes before
-        a hamiltonian that is not hermitian, and that before such a trace
-        sink.
+        An evaluation error ends the track and is kept (a callable's own
+        exception as the cause of a ModelError): ``track[k]`` raises it from
+        the failing time on, so a runner meets it as an abort at the step
+        where it would first have evaluated that time, and not before a
+        method abort. At one time a callable's error or a wrong shape comes
+        before a hamiltonian that is not hermitian, and that before such a
+        trace sink.
         """
         times = np.asarray(times, dtype=float)
         n, d, m = len(times), self.dim, len(self.channels)
@@ -99,7 +100,7 @@ class MasterEquation:
         for i, t in enumerate(times):
             try:
                 h[i], ls[i], gammas[i], sink = self._evaluate(t)
-            except Exception as err:  # re-raised by GeneratorTrack.__getitem__
+            except Exception as err:  # GeneratorTrack keeps it as a ModelError
                 n, error = i, err
                 break
             if sinks is not None:
@@ -188,6 +189,12 @@ class GeneratorTrack:
     k: np.ndarray            # (n, d, d)
     error: Exception | None = None  # raised at times[len(h)] and later
 
+    def __post_init__(self):
+        # a model's own exception is kept as the cause of a ModelError, so
+        # that a runner ends it as an abort like any other UnravelError
+        if self.error is not None and not isinstance(self.error, UnravelError):
+            object.__setattr__(self, "error", ModelError(self.error, float(self.times[len(self.h)])))
+
     def __getitem__(self, k: int) -> GeneratorSnapshot:
         if self.error is not None and k >= len(self.h):
             raise self.error
@@ -211,16 +218,9 @@ def master_equation(dim, hamiltonian, channels, trace_sink=None) -> MasterEquati
     (operator, rate, label) tuples.
     """
     h = hamiltonian if callable(hamiltonian) else _const_matrix(hamiltonian)
-    chans = []
-    for c in channels:
-        if isinstance(c, Channel):
-            chans.append(c)
-        else:
-            chans.append(channel(*c))
-    sink = None
-    if trace_sink is not None:
-        sink = trace_sink if callable(trace_sink) else _const_matrix(trace_sink)
-    return MasterEquation(int(dim), h, tuple(chans), sink)
+    chans = tuple(c if isinstance(c, Channel) else channel(*c) for c in channels)
+    sink = trace_sink if trace_sink is None or callable(trace_sink) else _const_matrix(trace_sink)
+    return MasterEquation(int(dim), h, chans, sink)
 
 
 @dataclass(frozen=True)

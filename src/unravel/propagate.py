@@ -1,13 +1,18 @@
 """Deterministic reference propagation of the master equation.
 
-Classic fixed-step RK4 on d rho/dt = L_t[rho]. This is the oracle every
-stochastic method is measured against, so it deliberately has no adaptive
-machinery: a TimeGrid pins the step sequence exactly and a ``substeps``
-argument refines between grid points when higher accuracy is wanted.
-``propagate`` (one density matrix) and ``propagator_maps`` (the stack of all
-d^2 matrix units) run one RK4 loop that reads the generator from
-``MasterEquation.half_track`` of the substep grid, evaluated before the
-first step.
+Classic fixed-step RK4 on d rho/dt = L_t[rho], the oracle every stochastic
+method is measured against, so it deliberately has no adaptive machinery:
+a TimeGrid pins the step sequence exactly and ``substeps`` refines between
+grid points. ``rk4_matrices`` is the package's one RK4 formula, the step
+matrices of dx/dt = A x from A at each step's start, midpoint and end
+(``wtd`` passes A = -iK). The oracle reads the half track of its substep
+grid once as one ``liouvillian`` stack (T d^4 complex entries for T track
+times); ``propagate``, ``propagator_map`` and ``propagator_maps`` run one
+loop that multiplies a column block, vec rho0 or the identity, by each step
+matrix. A step reads the generator at its end, so at a rate that jumps on a
+grid time the oracle's point there reads the end-of-step generator, the new
+rate, where the jump methods hold each step's start (``tools/equivalence.py``'s
+``abort/mcwf_step_too_large``: rate 5 -> 300 at t = 0.5).
 """
 
 from __future__ import annotations
@@ -17,8 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridMismatch, SingularMap
-from .linalg import require_density
-from .master_equation import MasterEquation, lindblad_apply_snapshot
+from .linalg import require_density, unvec, vec
+from .master_equation import GeneratorTrack, MasterEquation
 
 __all__ = [
     "TimeGrid",
@@ -69,47 +74,59 @@ class OracleSolution:
 
     def __post_init__(self):
         if self.states.shape[0] != self.grid.n_steps + 1:
-            raise GridMismatch(
-                f"{self.states.shape[0]} states on a grid with {self.grid.n_steps + 1} points"
-            )
+            raise GridMismatch(f"{self.states.shape[0]} states on a grid with {self.grid.n_steps + 1} points")
 
 
-def _rk4(start, mid, end, rho: np.ndarray, dt: float) -> np.ndarray:
-    """One RK4 step of a matrix or a stack of matrices, with the generator
-    snapshots at the start, midpoint and end of the step."""
-    k1 = lindblad_apply_snapshot(start, rho)
-    k2 = lindblad_apply_snapshot(mid, rho + 0.5 * dt * k1)
-    k3 = lindblad_apply_snapshot(mid, rho + 0.5 * dt * k2)
-    k4 = lindblad_apply_snapshot(end, rho + dt * k3)
-    return rho + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+def liouvillian(track: GeneratorTrack) -> np.ndarray:
+    """The generator at each time of ``track`` as a column-stacked matrix
+    (n, d^2, d^2), vec L_t[rho] = L(t) vec rho: by vec(A X B) = (B^T (x) A)
+    vec X, L = -i (1 (x) K - conj(K) (x) 1) + sum_a gamma_a conj(L_a) (x) L_a
+    with K = H - (i/2) gamma_drift, a trace sink included."""
+    k, ls, eye = track.k, track.ls, np.eye(track.k.shape[-1])
+    out = np.einsum("na,naik,najl->nijkl", track.gammas, np.conj(ls), ls)
+    out += 1j * (np.einsum("nik,jl->nijkl", np.conj(k), eye) - np.einsum("ik,njl->nijkl", eye, k))
+    return out.reshape(len(k), eye.size, eye.size)
+
+
+def rk4_matrices(a0: np.ndarray, a_mid: np.ndarray, a_end: np.ndarray, h) -> np.ndarray:
+    """The RK4 step x(t + h) ~ M x(t) of dx/dt = A x from A at t, t + h/2
+    and t + h; stacked A with h scalar or shaped (s, 1, 1) give s matrices."""
+    eye = np.eye(a0.shape[-1])
+    a2 = a_mid @ (eye + 0.5 * h * a0)
+    a3 = a_mid @ (eye + 0.5 * h * a2)
+    a4 = a_end @ (eye + h * a3)
+    return eye + (h / 6.0) * (a0 + 2.0 * a2 + 2.0 * a3 + a4)
 
 
 def rk4_step(me: MasterEquation, t: float, rho: np.ndarray, dt: float) -> np.ndarray:
-    track = me.track((t, t + 0.5 * dt, t + dt))
-    return _rk4(track[0], track[1], track[2], rho, dt)
+    """One RK4 step from t of a matrix or of each matrix of a stack: the first
+    step of ``propagate``'s loop on the grid (t, t + dt)."""
+    cols = next(_evolve(me, vec(np.asarray(rho, dtype=complex))[..., None], TimeGrid(t, t + dt, dt), 1, 1))
+    return unvec(cols[..., 0], me.dim)
 
 
-def _evolve(me: MasterEquation, rho: np.ndarray, grid: TimeGrid, substeps: int, points: int):
-    """Yield rho (a matrix or a stack) at grid points 1..points, stepped by
-    ``substeps`` RK4 steps between neighbouring points. The generator is read
-    from the half track of the substep grid, so every start, midpoint and end
-    of a substep is evaluated once."""
-    h = grid.dt / substeps
-    times = grid.times()
+def _evolve(me: MasterEquation, cols: np.ndarray, grid: TimeGrid, substeps: int, points: int):
+    """Yield the column block ``cols`` at grid points 1..points, carried by
+    ``substeps`` RK4 step matrices between neighbouring points. The generator
+    is read from the half track of the substep grid, so every start,
+    midpoint and end of a substep is evaluated once; a track cut by an error
+    raises it at the first substep that needs a missing time."""
+    h, times = grid.dt / substeps, grid.times()
     sub = np.append((times[:points, None] + h * np.arange(substeps)).ravel(), times[points])
     track = me.half_track(sub)
-    for s in range(points * substeps):
-        rho = _rk4(track[2 * s], track[2 * s + 1], track[2 * s + 2], rho, h)
-        if (s + 1) % substeps == 0:
-            yield rho
+    a = liouvillian(track)
+    s = max(0, (len(a) - 1) // 2)  # substeps with all three generators on the track
+    steps = rk4_matrices(a[0 : 2 * s : 2], a[1 : 2 * s : 2], a[2 : 2 * s + 1 : 2], h)
+    for k in range(points * substeps):
+        if k == s:
+            raise track.error
+        cols = steps[k] @ cols
+        if (k + 1) % substeps == 0:
+            yield cols
 
 
 def propagate(
-    me: MasterEquation,
-    rho0: np.ndarray,
-    grid: TimeGrid,
-    substeps: int = 1,
-    check_trace: bool | None = None,
+    me: MasterEquation, rho0: np.ndarray, grid: TimeGrid, substeps: int = 1, check_trace: bool | None = None
 ) -> OracleSolution:
     """Solve the master equation on the grid.
 
@@ -123,7 +140,8 @@ def propagate(
     out = np.empty((grid.n_steps + 1, me.dim, me.dim), dtype=complex)
     out[0] = rho
     times = grid.times()
-    for i, rho in enumerate(_evolve(me, rho, grid, substeps, grid.n_steps), start=1):
+    for i, cols in enumerate(_evolve(me, vec(rho)[:, None], grid, substeps, grid.n_steps), start=1):
+        rho = unvec(cols[:, 0], me.dim)
         if check_trace:
             drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
             if drift > 1e-8:
@@ -132,40 +150,23 @@ def propagate(
     return OracleSolution(grid, out)
 
 
-def _matrix_units(d: int) -> np.ndarray:
-    """The matrix units E_ij, stacked at their vec index i + j*d."""
-    return np.eye(d * d, dtype=complex).reshape(d * d, d, d).transpose(0, 2, 1).copy()
-
-
-def _columns(images: np.ndarray) -> np.ndarray:
-    """The superoperator matrix whose column p is vec(images[p])."""
-    return np.swapaxes(images, 1, 2).reshape(len(images), len(images)).T
-
-
 def propagator_map(me: MasterEquation, grid: TimeGrid, t_index: int, substeps: int = 1) -> np.ndarray:
     """Superoperator matrix of the map from t0 to grid point ``t_index``,
     stepping only that far."""
     if not 0 <= t_index <= grid.n_steps:
         raise IndexError(f"t_index {t_index} outside grid with {grid.n_steps + 1} points")
-    images = _matrix_units(me.dim)
-    for images in _evolve(me, images, grid, substeps, t_index):
-        pass
-    return _columns(images)
+    eye = np.eye(me.dim**2, dtype=complex)
+    return [eye, *_evolve(me, eye, grid, substeps, t_index)][-1]
 
 
 def propagator_maps(me: MasterEquation, grid: TimeGrid, substeps: int = 1) -> np.ndarray:
     """Column-stacked superoperator matrices S(t): vec(rho_t) = S(t) vec(rho_0).
 
-    Returns (n_steps+1, d^2, d^2); S(t0) is the identity. Built by evolving
-    all d^2 matrix units at once (the generator is linear, hermiticity of the
-    intermediate matrices is irrelevant).
+    Returns (n_steps+1, d^2, d^2); S(t0) is the identity, and each later
+    S(t) is the product of the step matrices up to t applied to it.
     """
-    d = me.dim
-    out = np.empty((grid.n_steps + 1, d * d, d * d), dtype=complex)
-    out[0] = np.eye(d * d)
-    for n, images in enumerate(_evolve(me, _matrix_units(d), grid, substeps, grid.n_steps), start=1):
-        out[n] = _columns(images)
-    return out
+    eye = np.eye(me.dim**2, dtype=complex)
+    return np.array([eye, *_evolve(me, eye, grid, substeps, grid.n_steps)])
 
 
 def intermediate_propagator(s_t: np.ndarray, s_s: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
@@ -181,12 +182,8 @@ def choi_matrix(s: np.ndarray, d: int) -> np.ndarray:
 
     C is PSD iff the map is completely positive.
     """
-    c = np.empty((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            block = s[:, i + j * d].reshape(d, d, order="F")
-            c[i * d:(i + 1) * d, j * d:(j + 1) * d] = block
-    return c
+    # C[(i, k), (j, l)] = S[E_ij]_kl = s[k + l d, i + j d]
+    return np.asarray(s, dtype=complex).reshape(d, d, d, d).transpose(3, 1, 2, 0).reshape(d * d, d * d)
 
 
 def grids_equal(a: TimeGrid, b: TimeGrid) -> None:

@@ -142,7 +142,7 @@ def _evaluated(hamiltonian: Matrix, pairs: tuple[JumpPair, ...], levels, dim: in
             ]
             if levels is not None:
                 a[i] = [level(t) for level in levels]
-        except Exception as err:  # re-raised by GeneratorTrack.__getitem__
+        except Exception as err:  # GeneratorTrack keeps it as a ModelError
             error = err
             break
         rows.append(row)

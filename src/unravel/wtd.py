@@ -6,8 +6,10 @@ until ||psi~||^2 = x pins the jump time, then picks the channel with
 probability gamma_a <L_a^dag L_a> / <G>. Requires a CP-divisible flow, which
 also makes the survival norm monotone nonincreasing.
 
-One sampler steps all rows of a tile together, one RK4 step per grid step
-with K read from a half-grid track (t_k, t_k + dt/2, t_k+1). Rows that cross
+One sampler steps all rows of a tile together, one RK4 step matrix per
+grid step, from the package's one RK4 builder (``propagate.rk4_matrices``)
+on A = -iK with K read from a half-grid track (t_k, t_k + dt/2, t_k+1);
+the matrices of all grid steps are built as one stack. Rows that cross
 their threshold in a step are bisected together on the step's cubic Hermite
 dense output (psi~ and -i K psi~ at both ends), which evaluates nothing. Only
 jumps evaluate off the grid: one track at the jump time (rate check, channel,
@@ -31,24 +33,13 @@ from .linalg import EPS, normalize, weighted_outer_sum
 from .master_equation import GeneratorSnapshot, GeneratorTrack, MasterEquation
 from .mcwf import require_nonnegative_rates
 from .outcomes import batch_runs, event_counts
-from .propagate import TimeGrid
+from .propagate import TimeGrid, rk4_matrices
 from .rng import replica_generator
 
 __all__ = ["wtd_next_jump", "wtd_select_channel", "run_chunk", "first_jump_times"]
 
 _BISECT_TOL = 1e-10
 _POWERS = np.arange(4)
-
-
-def _rk4_matrix(k0: np.ndarray, k_mid: np.ndarray, k_end: np.ndarray, h) -> np.ndarray:
-    """The RK4 step psi(t + h) ~ M psi(t) of d psi/dt = -i K psi from K at t,
-    t + h/2 and t + h; stacked K with h shaped (s, 1, 1) give s matrices."""
-    eye = np.eye(k0.shape[-1])
-    a1 = -1j * k0
-    a2 = -1j * k_mid @ (eye + 0.5 * h * a1)
-    a3 = -1j * k_mid @ (eye + 0.5 * h * a2)
-    a4 = -1j * k_end @ (eye + h * a3)
-    return eye + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
 
 
 def _crossings(y0, f0, y1, f1, h: float, x: np.ndarray):
@@ -86,7 +77,7 @@ def _step_rows(y0, ids, t, t_end, m, k0, k_end, x, jump):
         if live[r]:
             row, at_jump = landed
             k1 = at_jump[0].k
-            m1 = _rk4_matrix(k1, at_jump[1].k, k_end, t_end - t1)
+            m1 = rk4_matrices(-1j * k1, -1j * at_jump[1].k, -1j * k_end, t_end - t1)
             y, still = _step_rows(row[None, :], ids[r : r + 1], t1, t_end, m1, k1, k_end, x, jump)
             y1[r], live[r] = y[0], still[0]
     return y1, live
@@ -100,15 +91,14 @@ def _sweep(track: GeneratorTrack, psi0: np.ndarray, x: np.ndarray, jump):
     ``jump(i, t1, t_end, pre-jump state)``, which returns None to retire the
     row, or the post-jump state and the track at t1 and at the midpoint of
     (t1, t_end), whose K run the rest of the step."""
-    times, ks = track.times[::2], track.k
-    s = max(0, (len(ks) - 1) // 2)  # steps with all three K on the track; a cut track raises below
-    hs = np.diff(times)[:s, None, None]
-    steps = _rk4_matrix(ks[0 : 2 * s : 2], ks[1 : 2 * s : 2], ks[2 : 2 * s + 1 : 2], hs)
+    times, a = track.times[::2], -1j * track.k
+    s = max(0, (len(a) - 1) // 2)  # steps with all three K on the track; a cut track raises below
+    steps = rk4_matrices(a[0 : 2 * s : 2], a[1 : 2 * s : 2], a[2 : 2 * s + 1 : 2], np.diff(times)[:s, None, None])
     ids, tilde = np.arange(len(x)), np.tile(np.asarray(psi0, dtype=complex), (len(x), 1))
     for k in range(len(times) - 1):
         require_nonnegative_rates(track[2 * k], "WTD")
         k_end = track[2 * k + 2].k
-        y1, live = _step_rows(tilde, ids, times[k], times[k + 1], steps[k], ks[2 * k], k_end, x, jump)
+        y1, live = _step_rows(tilde, ids, times[k], times[k + 1], steps[k], track.k[2 * k], k_end, x, jump)
         ids, tilde = ids[live], y1[live]
         yield tilde
         if not len(ids):

@@ -5,10 +5,14 @@ Summing probability * factor * |state><state| over the list gives the exact
 one-step expectation, which must match rho + L[rho] dt up to O(dt^2). The
 helpers here compute both sides so the unit suite and the acceptance suite
 use the same arithmetic. ``run_batches`` calls a method's tile runner the
-way ``run_ensemble`` does.
+way ``run_ensemble`` does; ``equivalence_tool`` loads
+``tools/equivalence.py``.
 """
 
 from __future__ import annotations
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 
@@ -31,6 +35,15 @@ def run_batches(method, me, psi0, grid, batch0, sizes, seed):
     if isinstance(method, str):
         method = method_id(method)
     return _runner(method)(me, psi0, grid, batch0, sizes, seed, _generator_track(method, me, grid))
+
+
+def equivalence_tool():
+    """``tools/equivalence.py`` of this checkout, loaded as a module."""
+    path = Path(__file__).resolve().parent.parent / "tools" / "equivalence.py"
+    spec = importlib.util.spec_from_file_location("equivalence", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def branch_expectation(branches, factor=None) -> np.ndarray:

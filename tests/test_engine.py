@@ -27,6 +27,7 @@ from unravel.errors import (
     DimensionMismatch,
     GridMismatch,
     MissingTargetState,
+    ModelError,
     NegativeRate,
     NegativeWEigenvalue,
     NotHermitian,
@@ -216,6 +217,44 @@ def test_model_error_mid_run_is_an_abort_with_its_partial(kind):
     assert err.partial is not None
     assert len(err.partial["times"]) == len(err.partial["rho_hat"]) == n_pts
     assert err.partial["n_traj"] == 40
+
+
+def _decay_failing_from(t_bad):
+    """Driven decay whose sigma_- rate raises ValueError from t_bad on (None:
+    never)."""
+
+    def rate(t):
+        if t_bad is not None and t >= t_bad:
+            raise ValueError(f"rate undefined at t={t}")
+        return 1.0
+
+    return master_equation(2, 0.3 * SIGMA_X, [(SIGMA_MINUS, rate, "down")])
+
+
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_model_exception_mid_run_is_an_abort_with_the_finished_runs_prefix(kind):
+    """A model's own exception (a rate that raises ValueError from t = 0.5)
+    ends every method in a ModelError abort that keeps the ValueError as its
+    cause, the failing time, and as its partial the finished run of the
+    same model without the failure, cut at the step before."""
+    me = _decay_failing_from(None)
+    method = _rroqj(me) if kind == "rroqj" else method_id(kind)
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    with pytest.raises(ModelError) as exc:
+        run_ensemble(method, _decay_failing_from(0.5), PLUS, grid, 200, seed=3)
+    err = exc.value
+    assert isinstance(err.__cause__, ValueError)
+    assert str(err) == str(err.__cause__) == "rate undefined at t=0.5"
+    assert err.time == 0.5
+    finished = run_ensemble(method, me, PLUS, grid, 200, seed=3)
+    # wtd's last step before t = 0.5 reads K at its end, t = 0.5
+    n_pts = 50 if kind == "wtd" else 51
+    partial = err.partial
+    assert partial["n_traj"] == 200
+    assert np.array_equal(partial["times"], grid.times()[:n_pts])
+    assert partial["rho_hat"].tobytes() == finished.rho_hat[:n_pts].tobytes()
+    assert partial["rho_batches"].tobytes() == finished.rho_batches[:, :n_pts].tobytes()
+    assert partial["stderr"].tobytes() == finished.stderr[:n_pts].tobytes()
 
 
 def test_distance_stderr_matches_pointwise_trace_distances():

@@ -8,24 +8,16 @@ a fault, so there the test warns and applies the build-tolerant rule of
 ``compare`` (its ``tolerant`` parameter) instead of exact equality."""
 
 import copy
-import importlib.util
 import json
 import warnings
 from pathlib import Path
 
 import numpy as np
 
+from branch_tools import equivalence_tool
+
 TOOLS = Path(__file__).resolve().parent.parent / "tools"
-
-
-def _equivalence():
-    spec = importlib.util.spec_from_file_location("equivalence", TOOLS / "equivalence.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-EQ = _equivalence()
+EQ = equivalence_tool()
 STORED = json.loads((TOOLS / "fingerprints.json").read_text())
 
 

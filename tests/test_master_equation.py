@@ -13,7 +13,7 @@ from unravel.master_equation import (
     lindblad_apply,
     master_equation,
 )
-from unravel.errors import DimensionMismatch, NotHermitian
+from unravel.errors import DimensionMismatch, ModelError, NotHermitian
 from unravel.models import KET1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.propagate import TimeGrid
 
@@ -218,20 +218,21 @@ def _fails_from(t_bad, piece):
 
 
 @pytest.mark.parametrize(
-    "piece, error, first",
+    "piece, error, first, cause",
     [
-        ("hamiltonian", NotHermitian, "hamiltonian(t="),
-        ("sink", NotHermitian, "trace_sink(t="),
-        ("hamiltonian+sink", NotHermitian, "hamiltonian(t="),
-        ("shape", DimensionMismatch, "jump operator 0(t="),
-        ("rate", ValueError, "rate undefined at t="),
+        ("hamiltonian", NotHermitian, "hamiltonian(t=", None),
+        ("sink", NotHermitian, "trace_sink(t=", None),
+        ("hamiltonian+sink", NotHermitian, "hamiltonian(t=", None),
+        ("shape", DimensionMismatch, "jump operator 0(t=", None),
+        ("rate", ModelError, "rate undefined at t=", ValueError),
     ],
 )
-def test_track_ends_at_the_first_bad_time_with_the_error_of_at(piece, error, first):
+def test_track_ends_at_the_first_bad_time_with_the_error_of_at(piece, error, first, cause):
     """The stacked checks end the track where evaluating time by time would
     first fail, with the error ``at`` raises there: a callable's error or a
     wrong shape before a non-hermitian hamiltonian, and that before such a
-    trace sink."""
+    trace sink. A callable's own exception is the cause of a ModelError at
+    that time."""
     me = _fails_from(0.35, piece)
     times = TimeGrid(0.0, 1.0, 0.05).times()[:-1]
     track = me.track(times)
@@ -241,6 +242,10 @@ def test_track_ends_at_the_first_bad_time_with_the_error_of_at(piece, error, fir
     with pytest.raises(error) as at_err:
         me.at(times[7])
     assert str(at_err.value).startswith(f"{first}{times[7]}")
+    if cause is None:
+        assert at_err.value.__cause__ is None
+    else:
+        assert isinstance(at_err.value.__cause__, cause) and at_err.value.time == track.error.time == times[7]
     for k in (7, 12):
         with pytest.raises(error) as track_err:
             track[k]

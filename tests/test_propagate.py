@@ -5,20 +5,35 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from unravel.errors import GridMismatch, SingularMap
-from unravel.linalg import trace_distance, vec
-from unravel.master_equation import MasterEquation, master_equation
-from unravel.models import KET1, PLUS, SIGMA_MINUS, eternally_nm, spontaneous_emission
+from unravel.errors import GridMismatch, ModelError, SingularMap
+from unravel.linalg import haar_state, trace_distance, unvec, vec
+from unravel.master_equation import MasterEquation, lindblad_apply_snapshot, master_equation
+from unravel.models import (
+    KET1,
+    MODEL_NAMES,
+    PLUS,
+    SIGMA_MINUS,
+    SIGMA_X,
+    build_model,
+    eternally_nm,
+    spontaneous_emission,
+)
 from unravel.propagate import (
     OracleSolution,
     TimeGrid,
     choi_matrix,
     grids_equal,
     intermediate_propagator,
+    liouvillian,
     propagate,
     propagator_map,
     propagator_maps,
+    rk4_step,
 )
+
+from branch_tools import equivalence_tool
+
+EQ = equivalence_tool()
 
 
 def test_time_grid_basics():
@@ -175,3 +190,79 @@ def test_intermediate_map_not_cp_when_rates_negative():
 def test_intermediate_propagator_rejects_singular_base():
     with pytest.raises(SingularMap):
         intermediate_propagator(np.eye(4), np.zeros((4, 4)))
+
+
+def _complex_channels():
+    """Complex, non-normal jump operators (one at a negative rate) under a
+    complex drive, so that conj(L) and L differ."""
+    lop = np.array([[0.1j, -0.5 + 0.2j], [1.0, -0.3j]])
+    drive = np.array([[0.2, 0.4 - 0.7j], [0.4 + 0.7j, -0.2]])
+    return master_equation(2, lambda t: np.cos(t) * drive, [(lop, 0.7, "l"), (SIGMA_MINUS @ lop, -0.3, "m")])
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda name=name: build_model(name).me for name in MODEL_NAMES]
+    + [EQ._trace_sink, EQ._criterion5_embedding, _complex_channels],
+    ids=[*MODEL_NAMES, "trace_sink", "criterion5_embedding", "complex_channels"],
+)
+def test_liouvillian_stack_acts_as_the_generator(build):
+    """The column-stacked Liouvillian of each time of a track, times vec rho,
+    is vec L_t[rho] of the elementwise reference, for any matrix rho."""
+    me = build()
+    track = me.half_track(np.linspace(0.0, 2.0, 21))
+    gen = np.random.default_rng(4)
+    rhos = gen.standard_normal((5, me.dim, me.dim)) + 1j * gen.standard_normal((5, me.dim, me.dim))
+    stack = liouvillian(track)
+    assert stack.shape == (len(track.times), me.dim**2, me.dim**2)
+    for k in range(len(track.times)):
+        want = lindblad_apply_snapshot(track[k], rhos)
+        got = unvec(vec(rhos) @ stack[k].T, me.dim)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+
+def test_rk4_step_is_one_step_of_propagate():
+    """rk4_step of a matrix, and of each matrix of a stack, is propagate's
+    first step bit for bit."""
+    me = eternally_nm()
+    gen = np.random.default_rng(6)
+    rhos = np.array([np.outer(psi, psi.conj()) for psi in (haar_state(2, gen) for _ in range(4))])
+    for t0 in (0.0, 0.3):
+        grid = TimeGrid(t0, t0 + 0.05, 0.05)
+        want = np.array([propagate(me, rho, grid).states[1] for rho in rhos])
+        for rho, step in zip(rhos, want):
+            assert rk4_step(me, t0, rho, 0.05).tobytes() == step.tobytes()
+        assert rk4_step(me, t0, rhos, 0.05).tobytes() == want.tobytes()
+
+
+def _cut_decay(t_bad, sink=None):
+    """Driven decay whose rate raises ValueError from t_bad on."""
+
+    def rate(t):
+        if t >= t_bad:
+            raise ValueError(f"rate undefined at t={t}")
+        return 1.0
+
+    return master_equation(2, 0.3 * SIGMA_X, [(SIGMA_MINUS, rate, "down")], trace_sink=sink)
+
+
+def test_cut_track_raises_at_the_first_step_past_it_after_the_drift_check():
+    """A track cut at t = 0.5 raises its ModelError in the step that needs
+    t = 0.5, after the points before it; a trace drift at an earlier point
+    comes first; maps up to the cut are those of the model that does not
+    fail."""
+    grid = TimeGrid(0.0, 1.0, 0.05)
+    rho0 = np.outer(KET1, KET1.conj())
+    with pytest.raises(ModelError, match="rate undefined at t=0.5") as info:
+        propagate(_cut_decay(0.5), rho0, grid)
+    assert isinstance(info.value.__cause__, ValueError) and info.value.time == 0.5
+    growing = _cut_decay(0.5, sink=lambda t: SIGMA_MINUS.conj().T @ SIGMA_MINUS - 0.2 * np.eye(2))
+    with pytest.raises(ArithmeticError, match="at t=0.05;"):
+        propagate(growing, rho0, grid, check_trace=True)
+    with pytest.raises(ModelError):
+        propagate(growing, rho0, grid)
+    whole = propagator_maps(_cut_decay(2.0), grid)
+    for t_index in (0, 9):
+        assert propagator_map(_cut_decay(0.5), grid, t_index).tobytes() == whole[t_index].tobytes()
+    with pytest.raises(ModelError):
+        propagator_map(_cut_decay(0.5), grid, 10)

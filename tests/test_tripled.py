@@ -7,7 +7,7 @@ import pytest
 
 from unravel import mcwf
 from unravel.engine import _DEFAULT_BATCHES, _chunk_sizes, _tiles
-from unravel.errors import DegenerateBlock, NotHermitian, NotPSD, StepTooLarge
+from unravel.errors import DegenerateBlock, ModelError, NotHermitian, NotPSD, StepTooLarge
 from unravel.linalg import haar_state, hermitize, psd_sqrt, trace_distance
 from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import (
@@ -381,12 +381,12 @@ def _fails_from(t_bad, piece):
 
 
 @pytest.mark.parametrize(
-    "piece, error", [("hamiltonian", NotHermitian), ("rate", ValueError), ("completion", NotPSD)]
+    "piece, error", [("hamiltonian", NotHermitian), ("rate", ModelError), ("completion", NotPSD)]
 )
 def test_embedded_track_ends_where_the_embedding_fails(piece, error):
     """An error at the first bad time ends the track there, with the class
     and message of the embedding built at that time, and the prefix is that
-    embedding's bytes."""
+    embedding's bytes. The rate's own ValueError is the ModelError's cause."""
     me = _fails_from(0.5, piece)
     times = TimeGrid(0.0, 1.0, 1e-2).times()[:-1]
     track = embedded_track(me, times)
@@ -398,6 +398,7 @@ def test_embedded_track_ends_where_the_embedding_fails(piece, error):
         with pytest.raises(error) as info:
             fail()
         assert str(info.value) == str(track.error)
+    assert isinstance(track.error.__cause__, ValueError) == (piece == "rate")
 
 
 def test_user_embedding_is_the_embedding_evaluated_time_by_time():
@@ -434,10 +435,10 @@ def test_user_embedding_is_the_embedding_evaluated_time_by_time():
 @pytest.mark.parametrize(
     "bad, error, message",
     [
-        ("d", ValueError, "d undefined at t=0.5"),
+        ("d", ModelError, "d undefined at t=0.5"),
         ("hamiltonian", NotHermitian, r"hamiltonian\(t=0.5\) deviates"),
         # a callable's error comes before a hamiltonian that is not hermitian
-        ("both", ValueError, "d undefined at t=0.5"),
+        ("both", ModelError, "d undefined at t=0.5"),
     ],
 )
 def test_user_embedding_ends_at_the_first_bad_time(bad, error, message):
@@ -454,6 +455,8 @@ def test_user_embedding_ends_at_the_first_bad_time(bad, error, message):
     track = embedded_master_equation(emb).track(times)
     assert len(track.h) == 50
     assert isinstance(track.error, error)
+    assert isinstance(track.error.__cause__, ValueError) == (bad != "hamiltonian")
+    assert bad == "hamiltonian" or track.error.time == times[50]
     with pytest.raises(error, match=message):
         track[50]
     with pytest.raises(error, match=message):

@@ -14,7 +14,7 @@ from unravel.errors import NegativeRate, NoJumpPossible
 from unravel.linalg import normalize, trace_distance
 from unravel.master_equation import MasterEquation, master_equation
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
-from unravel.propagate import TimeGrid, propagate
+from unravel.propagate import TimeGrid, propagate, rk4_matrices
 from unravel.rng import replica_generator
 from unravel.wtd import first_jump_times, wtd_next_jump, wtd_select_channel
 
@@ -182,3 +182,34 @@ def test_chunk_follows_the_stream_contract():
             psi, x, total = normalize(me.at(t).ls[a] @ psi)[0], gen.random(), total + 1
         assert np.allclose(rho_sum[b, -1], np.outer(psi, psi.conj()), atol=1e-6), b
     assert counts["jump"] == total >= 2
+
+
+def _rk4_matrix_of_k(k0, k_mid, k_end, h):
+    """The RK4 step matrix of d psi/dt = -i K psi as wtd wrote it before the
+    package had one RK4 builder."""
+    eye = np.eye(k0.shape[-1])
+    a1 = -1j * k0
+    a2 = -1j * k_mid @ (eye + 0.5 * h * a1)
+    a3 = -1j * k_mid @ (eye + 0.5 * h * a2)
+    a4 = -1j * k_end @ (eye + h * a3)
+    return eye + (h / 6.0) * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+
+
+def _driven_two_channels():
+    return master_equation(
+        2, 0.4 * SIGMA_Z, [(SIGMA_MINUS, lambda t: 1.0 + np.sin(3.0 * t), "down"), (SIGMA_Z, 0.3, "z")]
+    )
+
+
+@pytest.mark.parametrize("build", [eternally_nm, _driven_two_channels])
+def test_shared_rk4_builder_on_minus_i_k_is_the_old_wtd_formula(build):
+    """The one RK4 builder fed A = -iK gives wtd's step matrices byte for
+    byte, stacked over unequal steps and for one step."""
+    times = np.append(np.arange(0.0, 1.0, 0.07), 1.0)
+    ks = build().half_track(times).k
+    hs = np.diff(times)[:, None, None]
+    start, mid, end = ks[0:-1:2], ks[1::2], ks[2::2]
+    want = _rk4_matrix_of_k(start, mid, end, hs)
+    assert rk4_matrices(-1j * start, -1j * mid, -1j * end, hs).tobytes() == want.tobytes()
+    one = rk4_matrices(-1j * ks[0], -1j * ks[1], -1j * ks[2], 0.03)
+    assert one.tobytes() == _rk4_matrix_of_k(ks[0], ks[1], ks[2], 0.03).tobytes()

@@ -50,7 +50,8 @@ trajectory each (N = 13), one abort of each kind of
 method (channel and spectral menus, replica, waiting time, embedding), nmqj's
 abort at N = 10^4, and the
 deterministic paths: the RK4 oracle with and without substeps and with a
-trace sink, the propagator maps and the divisibility scan. A user
+trace sink, the propagator maps with and without substeps and the
+divisibility scan. A user
 embedding built by ``tripled_embed`` (rather than the tripled runner's own)
 is covered twice: the oracle of one with time-dependent pairs of both signs,
 real- and complex-typed factors and custom completion levels, and mcwf on
@@ -249,6 +250,9 @@ ORACLE_INPUTS = {
     "oracle/trace_sink": _oracle(_trace_sink, KET1, 1),
     "oracle/trace_sink/substeps3": _oracle(_trace_sink, KET1, 3),
     "maps/non_p_divisible": lambda: propagator_maps(build_model("non_p_divisible").me, TimeGrid(0.0, 3.0, DT)),
+    # three substep matrices per grid point: how the maps group substeps
+    "maps/non_p_divisible/substeps3": lambda: propagator_maps(build_model("non_p_divisible").me,
+                                                              TimeGrid(0.0, 3.0, DT), 3),
     "divisibility/non_p_divisible": _scan(_model("non_p_divisible")),
     "oracle/user_embedding": _user_embedding,
 }
