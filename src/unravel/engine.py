@@ -30,9 +30,11 @@ stacked batch sums cut to the last point every batch reached, keeping the
 longest prefix whose mean can be extracted (tripled's block can decay past
 it; a batch's point that cannot be is NaN). Any method error (negative rate,
 missing reverse target, a model error...) or such a DegenerateBlock is
-raised with ``time`` (grid time of first failure across batches) and
-``partial`` (dict with the prefix's times / rho_hat / rho_batches / stderr,
-n_traj, and the replicas' event_logs cut to the steps it covers).
+raised with ``time`` and ``partial``. ``time`` is the time that failed
+for an error of the generator track (so wtd's can be a step midpoint) and
+otherwise the grid time of the first failing step across batches;
+``partial`` is a dict with the prefix's times / rho_hat / rho_batches /
+stderr, n_traj, and the replicas' event_logs cut to the steps it covers.
 """
 
 from __future__ import annotations

@@ -1,7 +1,7 @@
 """Exception types raised across the package.
 
 Every error inherits from :class:`UnravelError`. Errors raised mid-run by a
-trajectory method may carry the grid time of first failure in ``time`` and,
+trajectory method may carry the time of first failure in ``time`` and,
 when an ensemble run was underway, the partial result in ``partial``.
 """
 

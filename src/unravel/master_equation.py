@@ -37,14 +37,25 @@ MatrixFn = Callable[[float], np.ndarray]
 RateFn = Callable[[float], float]
 
 
+class _Constant:
+    """A piece given as a constant: called at any time it returns ``value``,
+    and ``MasterEquation.track`` reads it once per track."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value):
+        self.value = value
+
+    def __call__(self, t):
+        return self.value
+
+
 def _const_matrix(m: np.ndarray) -> MatrixFn:
-    m = np.asarray(m, dtype=complex)
-    return lambda t: m
+    return _Constant(np.asarray(m, dtype=complex))
 
 
 def _const_rate(g: float) -> RateFn:
-    g = float(g)
-    return lambda t: g
+    return _Constant(float(g))
 
 
 @dataclass(frozen=True)
@@ -79,8 +90,12 @@ class MasterEquation:
         into stacked arrays; ``track[k]`` is the snapshot at ``times[k]``.
         This is the only place the generator is evaluated: the ensemble
         runners, the oracle, the divisibility scan and ``at`` all read a
-        track. The callables run time by time, the hermiticity checks and
-        G_L once over the stack.
+        track. The first time runs ``_evaluate`` in full; later times call
+        only the callables, once per time even if what one returns never
+        changes, while a piece given as a constant (an array or a number
+        passed to ``master_equation`` or ``channel``) is read once per track
+        and broadcast. The hermiticity checks and G_L run once over the
+        stack.
 
         An evaluation error ends the track and is kept (a callable's own
         exception as the cause of a ModelError): ``track[k]`` raises it from
@@ -97,14 +112,35 @@ class MasterEquation:
         gammas = np.empty((n, m))
         sinks = None if self.trace_sink is None else np.empty((n, d, d), dtype=complex)
         error = None
-        for i, t in enumerate(times):
+        if n:
             try:
-                h[i], ls[i], gammas[i], sink = self._evaluate(t)
+                h[0], ls[0], gammas[0], sink = self._evaluate(times[0])
+            except Exception as err:  # GeneratorTrack keeps it as a ModelError
+                n, error = 0, err
+            else:
+                if sinks is not None:
+                    sinks[0] = sink
+        # (piece, its stack, its name) in _evaluate's order; a name is None
+        # for a rate
+        pieces = [(self.hamiltonian, h, "hamiltonian")]
+        for i, ch in enumerate(self.channels):
+            pieces += [(ch.jump_operator, ls[:, i], f"jump operator {i}"), (ch.rate, gammas[:, i], None)]
+        if sinks is not None:
+            pieces.append((self.trace_sink, sinks, "trace_sink"))
+        varying = []
+        for piece, out, what in pieces:
+            if not isinstance(piece, _Constant):
+                varying.append((piece, out, what))
+            elif n > 1:
+                out[1:n] = out[0]
+        for i in range(1, n):
+            t = times[i]
+            try:
+                for piece, out, what in varying:
+                    out[i] = float(piece(t)) if what is None else _matrix(piece(t), d, f"{what}(t={t})")
             except Exception as err:  # GeneratorTrack keeps it as a ModelError
                 n, error = i, err
                 break
-            if sinks is not None:
-                sinks[i] = sink
         # a piece that is not hermitian fails before a later read error; at
         # one time the hamiltonian fails first (min keeps the first of ties)
         found = [_first_non_hermitian(h[:n], times, "hamiltonian")]
@@ -128,8 +164,9 @@ class MasterEquation:
         return self.track(half)
 
     def _evaluate(self, t: float):
-        """Call every time-dependent piece once at t and check its shape:
-        (h, ls, gammas, trace sink or None)."""
+        """Call every piece, constants included, once at t and check its
+        shape: (h, ls, gammas, trace sink or None). ``track`` runs it at its
+        first time only."""
         h = _matrix(self.hamiltonian(t), self.dim, f"hamiltonian(t={t})")
         ls = np.empty((len(self.channels), self.dim, self.dim), dtype=complex)
         gammas = np.empty(len(self.channels))
@@ -191,9 +228,15 @@ class GeneratorTrack:
 
     def __post_init__(self):
         # a model's own exception is kept as the cause of a ModelError, so
-        # that a runner ends it as an abort like any other UnravelError
-        if self.error is not None and not isinstance(self.error, UnravelError):
-            object.__setattr__(self, "error", ModelError(self.error, float(self.times[len(self.h)])))
+        # that a runner ends it as an abort like any other UnravelError; an
+        # error without a time gets the time that failed
+        if self.error is None:
+            return
+        t = float(self.times[len(self.h)])
+        if not isinstance(self.error, UnravelError):
+            object.__setattr__(self, "error", ModelError(self.error, t))
+        elif self.error.time is None:
+            self.error.time = t
 
     def __getitem__(self, k: int) -> GeneratorSnapshot:
         if self.error is not None and k >= len(self.h):

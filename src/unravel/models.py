@@ -15,7 +15,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ConfigError, UnknownModel
-from .master_equation import MasterEquation, master_equation
+from .master_equation import MasterEquation, _const_rate, master_equation
 
 __all__ = [
     "SIGMA_X",
@@ -66,10 +66,7 @@ RateFn = Callable[[float], float]
 
 
 def _as_rate(g) -> RateFn:
-    if callable(g):
-        return g
-    g = float(g)
-    return lambda t: g
+    return g if callable(g) else _const_rate(g)
 
 
 @dataclass(frozen=True)

@@ -6,10 +6,11 @@ a TimeGrid pins the step sequence exactly and ``substeps`` refines between
 grid points. ``rk4_matrices`` is the package's one RK4 formula, the step
 matrices of dx/dt = A x from A at each step's start, midpoint and end
 (``wtd`` passes A = -iK). The oracle reads the half track of its substep
-grid once as one ``liouvillian`` stack (T d^4 complex entries for T track
-times); ``propagate``, ``propagator_map`` and ``propagator_maps`` run one
-loop that multiplies a column block, vec rho0 or the identity, by each step
-matrix. A step reads the generator at its end, so at a rate that jumps on a
+grid once and turns it into ``liouvillian`` stacks and step matrices a block
+of substeps at a time, so each holds about ``_BLOCK_ENTRIES`` complex
+entries however long the grid. ``propagate``, ``propagator_map`` and
+``propagator_maps`` run one loop that multiplies a column block, vec rho0 or
+the identity, by each step matrix. A step reads the generator at its end, so at a rate that jumps on a
 grid time the oracle's point there reads the end-of-step generator, the new
 rate, where the jump methods hold each step's start (``tools/equivalence.py``'s
 ``abort/mcwf_step_too_large``: rate 5 -> 300 at t = 0.5).
@@ -35,6 +36,10 @@ __all__ = [
     "intermediate_propagator",
     "choi_matrix",
 ]
+
+# about the complex entries of one block of Liouvillians or step matrices:
+# the oracle builds them max(1, _BLOCK_ENTRIES // d^4) substeps at a time
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -77,13 +82,14 @@ class OracleSolution:
             raise GridMismatch(f"{self.states.shape[0]} states on a grid with {self.grid.n_steps + 1} points")
 
 
-def liouvillian(track: GeneratorTrack) -> np.ndarray:
-    """The generator at each time of ``track`` as a column-stacked matrix
-    (n, d^2, d^2), vec L_t[rho] = L(t) vec rho: by vec(A X B) = (B^T (x) A)
-    vec X, L = -i (1 (x) K - conj(K) (x) 1) + sum_a gamma_a conj(L_a) (x) L_a
-    with K = H - (i/2) gamma_drift, a trace sink included."""
-    k, ls, eye = track.k, track.ls, np.eye(track.k.shape[-1])
-    out = np.einsum("na,naik,najl->nijkl", track.gammas, np.conj(ls), ls)
+def liouvillian(track: GeneratorTrack, rows: slice = slice(None)) -> np.ndarray:
+    """The generator at each time of ``track`` (or of its ``rows``) as a
+    column-stacked matrix (n, d^2, d^2), vec L_t[rho] = L(t) vec rho: by
+    vec(A X B) = (B^T (x) A) vec X, L = -i (1 (x) K - conj(K) (x) 1)
+    + sum_a gamma_a conj(L_a) (x) L_a with K = H - (i/2) gamma_drift, a trace
+    sink included."""
+    k, ls, eye = track.k[rows], track.ls[rows], np.eye(track.k.shape[-1])
+    out = np.einsum("na,naik,najl->nijkl", track.gammas[rows], np.conj(ls), ls)
     out += 1j * (np.einsum("nik,jl->nijkl", np.conj(k), eye) - np.einsum("ik,njl->nijkl", eye, k))
     return out.reshape(len(k), eye.size, eye.size)
 
@@ -109,20 +115,26 @@ def _evolve(me: MasterEquation, cols: np.ndarray, grid: TimeGrid, substeps: int,
     """Yield the column block ``cols`` at grid points 1..points, carried by
     ``substeps`` RK4 step matrices between neighbouring points. The generator
     is read from the half track of the substep grid, so every start,
-    midpoint and end of a substep is evaluated once; a track cut by an error
-    raises it at the first substep that needs a missing time."""
+    midpoint and end of a substep is evaluated once; its Liouvillians and
+    step matrices are built a block of substeps at a time (``_BLOCK_ENTRIES``).
+    A track cut by an error raises it at the first substep that needs a
+    missing time."""
     h, times = grid.dt / substeps, grid.times()
     sub = np.append((times[:points, None] + h * np.arange(substeps)).ravel(), times[points])
     track = me.half_track(sub)
-    a = liouvillian(track)
-    s = max(0, (len(a) - 1) // 2)  # substeps with all three generators on the track
-    steps = rk4_matrices(a[0 : 2 * s : 2], a[1 : 2 * s : 2], a[2 : 2 * s + 1 : 2], h)
-    for k in range(points * substeps):
-        if k == s:
-            raise track.error
-        cols = steps[k] @ cols
-        if (k + 1) % substeps == 0:
-            yield cols
+    s = max(0, (len(track.h) - 1) // 2)  # substeps with all three generators on the track
+    block, total = max(1, _BLOCK_ENTRIES // me.dim**4), points * substeps
+    for start in range(0, total, block):
+        stop = min(start + block, s)
+        if stop > start:
+            a = liouvillian(track, slice(2 * start, 2 * stop + 1))
+            steps = rk4_matrices(a[0:-1:2], a[1::2], a[2::2], h)
+        for k in range(start, min(start + block, total)):
+            if k == s:
+                raise track.error
+            cols = steps[k - start] @ cols
+            if (k + 1) % substeps == 0:
+                yield cols
 
 
 def propagate(
@@ -132,21 +144,25 @@ def propagate(
 
     ``substeps`` RK4 steps are taken between neighboring grid points.
     Trace conservation is monitored (drift above 1e-8 raises) unless the
-    equation has a trace sink, which legitimately changes the trace.
+    equation has a trace sink, which legitimately changes the trace. The
+    check stops the run at the first drifting point, before a later
+    evaluation error and before a blown-up state can overflow; the points
+    are unvectorized together at the end.
     """
     rho = require_density(rho0).astype(complex)
     if check_trace is None:
         check_trace = me.trace_sink is None
-    out = np.empty((grid.n_steps + 1, me.dim, me.dim), dtype=complex)
-    out[0] = rho
-    times = grid.times()
+    diagonal, times, points = slice(None, None, me.dim + 1), grid.times(), []
     for i, cols in enumerate(_evolve(me, vec(rho)[:, None], grid, substeps, grid.n_steps), start=1):
-        rho = unvec(cols[:, 0], me.dim)
         if check_trace:
-            drift = abs(np.trace(rho).real - 1.0) + abs(np.trace(rho).imag)
+            tr = cols[diagonal, 0].sum()  # the trace of unvec(cols[:, 0])
+            drift = abs(tr.real - 1.0) + abs(tr.imag)
             if drift > 1e-8:
                 raise ArithmeticError(f"trace drifted by {drift:.2e} at t={times[i]:.6g}; reduce dt")
-        out[i] = rho
+        points.append(cols[:, 0])
+    out = np.empty((grid.n_steps + 1, me.dim, me.dim), dtype=complex)
+    out[0] = rho
+    out[1:] = unvec(np.array(points), me.dim)
     return OracleSolution(grid, out)
 
 

@@ -94,10 +94,13 @@ def _sweep(track: GeneratorTrack, psi0: np.ndarray, x: np.ndarray, jump):
     times, a = track.times[::2], -1j * track.k
     s = max(0, (len(a) - 1) // 2)  # steps with all three K on the track; a cut track raises below
     steps = rk4_matrices(a[0 : 2 * s : 2], a[1 : 2 * s : 2], a[2 : 2 * s + 1 : 2], np.diff(times)[:s, None, None])
+    lowest = track.gammas.min(axis=1, initial=np.inf)
     ids, tilde = np.arange(len(x)), np.tile(np.asarray(psi0, dtype=complex), (len(x), 1))
     for k in range(len(times) - 1):
-        require_nonnegative_rates(track[2 * k], "WTD")
-        k_end = track[2 * k + 2].k
+        if 2 * k + 2 >= len(lowest) or lowest[2 * k] < -EPS:
+            require_nonnegative_rates(track[2 * k], "WTD")  # raises NegativeRate or the evaluation error
+            raise track.error
+        k_end = track.k[2 * k + 2]
         y1, live = _step_rows(tilde, ids, times[k], times[k + 1], steps[k], track.k[2 * k], k_end, x, jump)
         ids, tilde = ids[live], y1[live]
         yield tilde

@@ -6,12 +6,14 @@ one-step expectation, which must match rho + L[rho] dt up to O(dt^2). The
 helpers here compute both sides so the unit suite and the acceptance suite
 use the same arithmetic. ``run_batches`` calls a method's tile runner the
 way ``run_ensemble`` does; ``equivalence_tool`` loads
-``tools/equivalence.py``.
+``tools/equivalence.py``; ``counting_model`` and ``calls_per_time`` count
+the calls of a model's pieces.
 """
 
 from __future__ import annotations
 
 import importlib.util
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +21,7 @@ import numpy as np
 from unravel import lindblad_apply
 from unravel.doubled import DoubledState
 from unravel.engine import _generator_track, _runner, method_id
+from unravel.master_equation import Channel, MasterEquation
 from unravel.nmqj import NmqjEnsemble, nmqj_step
 from unravel.outcomes import Jump
 
@@ -35,6 +38,38 @@ def run_batches(method, me, psi0, grid, batch0, sizes, seed):
     if isinstance(method, str):
         method = method_id(method)
     return _runner(method)(me, psi0, grid, batch0, sizes, seed, _generator_track(method, me, grid))
+
+
+def counting_model(me: MasterEquation):
+    """``me`` with every piece, constant or not, a callable that returns the
+    same values (so the copy runs bit for bit as ``me``) and counts its
+    calls: (copy, Counter of (piece, t) -> calls)."""
+    calls = Counter()
+
+    def counted(name, fn):
+        def piece(t):
+            calls[(name, float(t))] += 1
+            return fn(t)
+
+        return piece
+
+    channels = tuple(
+        Channel(counted(f"jump operator {i}", ch.jump_operator), counted(f"rate {i}", ch.rate), ch.label)
+        for i, ch in enumerate(me.channels)
+    )
+    sink = None if me.trace_sink is None else counted("trace_sink", me.trace_sink)
+    return MasterEquation(me.dim, counted("hamiltonian", me.hamiltonian), channels, sink), calls
+
+
+def calls_per_time(calls: Counter) -> Counter:
+    """t -> the calls of each piece at t, from ``counting_model``'s counter;
+    every piece must have been called at the same times equally often."""
+    by_piece = {}
+    for (piece, t), n in calls.items():
+        by_piece.setdefault(piece, {})[t] = n
+    first, *rest = by_piece.values() or [{}]
+    assert all(other == first for other in rest), "the pieces were called at different times"
+    return Counter(first)
 
 
 def equivalence_tool():

@@ -13,7 +13,6 @@ from unravel.divisibility import (
     p_divisibility_min_eigenvalue,
     phase_covariant_p_divisible_at,
 )
-from unravel.master_equation import MasterEquation
 from unravel.models import (
     delayed_negative_phase_covariant,
     eternally_nm,
@@ -23,6 +22,8 @@ from unravel.models import (
     spontaneous_emission,
 )
 from unravel.propagate import TimeGrid
+
+from branch_tools import calls_per_time, counting_model
 
 
 def test_closed_form_boundary_cases():
@@ -113,17 +114,9 @@ def test_sample_count_must_be_positive():
         is_p_divisible_at(eternally_nm(), 1.0, sample_count=0)
 
 
-def test_scan_evaluates_once_per_grid_point(monkeypatch):
-    me = non_p_divisible()
+def test_scan_evaluates_once_per_grid_point():
+    me, calls = counting_model(non_p_divisible())
     grid = TimeGrid(0.0, 1.0, 0.1)
-    calls = Counter()
-    evaluate = MasterEquation._evaluate
-
-    def counting(self, t):
-        calls[float(t)] += 1
-        return evaluate(self, t)
-
-    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
     reports = divisibility_scan(me, grid, sample_count=20)
     assert [r.time for r in reports] == list(grid.times())
-    assert calls == Counter(grid.times().tolist())
+    assert calls_per_time(calls) == Counter(grid.times().tolist())

@@ -1,7 +1,6 @@
 """Ensemble driver: batches and row tiles, determinism, error bars, abort reporting."""
 
 import inspect
-from collections import Counter
 
 import numpy as np
 import pytest
@@ -58,7 +57,7 @@ from unravel.rate_operators import (
     w_matching_gauge,
 )
 
-from branch_tools import run_batches
+from branch_tools import calls_per_time, counting_model, run_batches
 
 
 def test_method_id_validation():
@@ -212,8 +211,8 @@ def test_model_error_mid_run_is_an_abort_with_its_partial(kind):
     with pytest.raises(NotHermitian) as exc:
         run_ensemble(method_id(kind, gauge=gauge), me, PLUS, TimeGrid(0.0, 1.0, 1e-2), 40, seed=1)
     err = exc.value
-    abort_time, n_pts = (0.49, 50) if kind == "wtd" else (0.5, 51)
-    assert err.time == pytest.approx(abort_time)
+    n_pts = 50 if kind == "wtd" else 51
+    assert err.time == pytest.approx(0.5)
     assert err.partial is not None
     assert len(err.partial["times"]) == len(err.partial["rho_hat"]) == n_pts
     assert err.partial["n_traj"] == 40
@@ -341,40 +340,34 @@ def test_weighted_diagnostics_surface_through_engine():
     ],
 )
 def test_generator_evaluated_once_per_grid_time(monkeypatch, kind, build, threads):
-    """All 20 chunks or replicas read one evaluation per grid time of the
-    model, and no other system is evaluated: tripled builds its embedding's
-    track from the model's (``tripled.embedded_track``)."""
-    me = build()
+    """All 20 chunks or replicas read one call of each of the model's pieces
+    per grid time, and no other system is evaluated: tripled builds its
+    embedding's track from the model's (``tripled.embedded_track``)."""
+    me, calls = counting_model(build())
     grid = TimeGrid(0.0, 0.2, 1e-2)
-    calls = Counter()
+    systems = set()
     evaluate = MasterEquation._evaluate
 
-    def counting(self, t):
-        calls[(id(self), float(t))] += 1
+    def spying(self, t):
+        systems.add(id(self))
         return evaluate(self, t)
 
-    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
+    monkeypatch.setattr(MasterEquation, "_evaluate", spying)
     run_ensemble(method_id(kind), me, PLUS, grid, 40, seed=3, threads=threads)
-    assert {system for system, _ in calls} == {id(me)}
+    assert systems == {id(me)}
+    calls = calls_per_time(calls)
     assert max(calls.values()) == 1
     assert len(calls) == grid.n_steps
 
 
-def test_wtd_evaluates_each_half_grid_time_once(monkeypatch):
-    """All 20 wtd chunks read one evaluation per step start, midpoint and
-    end; only jumps evaluate off that grid, at most twice each: the jump time
-    and the midpoint of the rest of its step."""
-    me = spontaneous_emission(omega=1.0)
+def test_wtd_evaluates_each_half_grid_time_once():
+    """All 20 wtd chunks read one call of each of the model's pieces per step
+    start, midpoint and end; only jumps call them off that grid, at most
+    twice each: the jump time and the midpoint of the rest of its step."""
+    me, calls = counting_model(spontaneous_emission(omega=1.0))
     grid = TimeGrid(0.0, 0.5, 1e-2)
-    calls = Counter()
-    evaluate = MasterEquation._evaluate
-
-    def counting(self, t):
-        calls[float(t)] += 1
-        return evaluate(self, t)
-
-    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
     res = run_ensemble(method_id("wtd"), me, PLUS, grid, 40, seed=3)
+    calls = calls_per_time(calls)
     times = grid.times()
     half = set(times) | set(times[:-1] + 0.5 * np.diff(times))
     assert all(calls[t] == 1 for t in half)

@@ -14,7 +14,16 @@ from unravel.master_equation import (
     master_equation,
 )
 from unravel.errors import DimensionMismatch, ModelError, NotHermitian
-from unravel.models import KET1, SIGMA_MINUS, SIGMA_X, SIGMA_Z, eternally_nm, spontaneous_emission
+from unravel.models import (
+    KET1,
+    MODEL_NAMES,
+    SIGMA_MINUS,
+    SIGMA_X,
+    SIGMA_Z,
+    build_model,
+    eternally_nm,
+    spontaneous_emission,
+)
 from unravel.propagate import TimeGrid
 
 
@@ -142,6 +151,18 @@ def _sink_qubit():
     )
 
 
+def _mixed_qubit(sink: bool):
+    """Every kind of piece at once: a callable hamiltonian, a constant jump
+    operator with a callable rate, a callable one with a constant rate, and
+    optionally a constant trace sink."""
+    return master_equation(
+        2,
+        lambda t: np.sin(t) * SIGMA_Z + 0.5 * SIGMA_X,
+        [(SIGMA_MINUS, lambda t: 1.0 + 0.5 * np.cos(t), "down"), (lambda t: np.exp(-t) * SIGMA_Z, -0.3, "z")],
+        trace_sink=np.diag([0.1, 0.7]) if sink else None,
+    )
+
+
 def _reference_snapshot(me, t):
     """The generator pieces at t, assembled one time at a time."""
     h, ls, gammas, sink = me._evaluate(t)
@@ -150,8 +171,20 @@ def _reference_snapshot(me, t):
     return {"h": h, "ls": ls, "gammas": gammas, "gamma_l": gamma_l, "gamma_drift": drift, "k": h - 0.5j * drift}
 
 
-@pytest.mark.parametrize("build", [eternally_nm, _time_dependent_qubit, _sink_qubit])
+@pytest.mark.parametrize(
+    "build",
+    [
+        *(lambda name=name: build_model(name).me for name in MODEL_NAMES),
+        _time_dependent_qubit,
+        _sink_qubit,
+        lambda: _mixed_qubit(sink=False),
+        lambda: _mixed_qubit(sink=True),
+    ],
+    ids=[*MODEL_NAMES, "time_dependent", "sink", "mixed", "mixed_sink"],
+)
 def test_track_matches_snapshots(build):
+    """A track is byte for byte the stack of ``_evaluate`` at each of its
+    times, constants read once and broadcast."""
     me = build()
     times = TimeGrid(0.0, 2.0, 0.05).times()[:-1]
     track = me.track(times)
@@ -245,8 +278,44 @@ def test_track_ends_at_the_first_bad_time_with_the_error_of_at(piece, error, fir
     if cause is None:
         assert at_err.value.__cause__ is None
     else:
-        assert isinstance(at_err.value.__cause__, cause) and at_err.value.time == track.error.time == times[7]
+        assert isinstance(at_err.value.__cause__, cause)
+    # every error of a track carries the time that failed
+    assert at_err.value.time == track.error.time == times[7]
     for k in (7, 12):
         with pytest.raises(error) as track_err:
             track[k]
         assert str(track_err.value) == str(at_err.value)
+
+
+def _fails(t):
+    raise ValueError(f"undefined at t={t}")
+
+
+@pytest.mark.parametrize(
+    "hamiltonian, channels, sink, error",
+    [
+        (np.eye(3), [(SIGMA_MINUS, _fails)], None, DimensionMismatch),
+        (_fails, [(np.eye(3), 1.0)], None, ValueError),
+        (np.zeros((2, 2)), [(lambda t: np.eye(3), 1.0), (np.eye(3), 1.0)], None, DimensionMismatch),
+        (np.zeros((2, 2)), [(np.eye(3), _fails)], None, DimensionMismatch),
+        (np.zeros((2, 2)), [(SIGMA_MINUS, _fails)], np.eye(3), ValueError),
+        (SIGMA_MINUS, [(SIGMA_MINUS, 1.0)], np.eye(3), DimensionMismatch),
+    ],
+    ids=["hamiltonian", "after_a_callable", "callable_first", "operator_before_rate", "rate_before_sink", "sink"],
+)
+def test_constant_of_the_wrong_shape_fails_at_the_first_time(hamiltonian, channels, sink, error):
+    """A constant piece of the wrong shape ends the track at its first time,
+    with the error ``_evaluate`` raises there, in ``_evaluate``'s order (a
+    callable's own exception as the cause of a ModelError)."""
+    me = master_equation(2, hamiltonian, channels, trace_sink=sink)
+    times = np.array([0.25, 0.5])
+    with pytest.raises(error) as want:
+        me._evaluate(times[0])
+    track = me.track(times)
+    assert len(track.h) == 0 and str(track.error) == str(want.value) and track.error.time == times[0]
+    if error is ValueError:
+        assert type(track.error) is ModelError and type(track.error.__cause__) is ValueError
+    else:
+        assert type(track.error) is error
+    with pytest.raises(type(track.error)):
+        track[1]

@@ -1,13 +1,13 @@
 """Deterministic solver against closed forms it cannot have seen."""
 
-from collections import Counter
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from unravel.errors import GridMismatch, ModelError, SingularMap
 from unravel.linalg import haar_state, trace_distance, unvec, vec
-from unravel.master_equation import MasterEquation, lindblad_apply_snapshot, master_equation
+from unravel.master_equation import lindblad_apply_snapshot, master_equation
 from unravel.models import (
     KET1,
     MODEL_NAMES,
@@ -31,7 +31,7 @@ from unravel.propagate import (
     rk4_step,
 )
 
-from branch_tools import equivalence_tool
+from branch_tools import calls_per_time, counting_model, equivalence_tool
 
 EQ = equivalence_tool()
 
@@ -114,21 +114,10 @@ def test_propagator_maps_act_like_propagate():
         propagator_map(me, grid, grid.n_steps + 1)
 
 
-def _counting(monkeypatch):
-    calls = Counter()
-    evaluate = MasterEquation._evaluate
-
-    def counting(self, t):
-        calls[float(t)] += 1
-        return evaluate(self, t)
-
-    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
-    return calls
-
-
 def _assert_half_grid_once(calls, grid, substeps, points):
-    """One evaluation per start, midpoint and end of every substep up to
-    grid point ``points``, and none elsewhere."""
+    """One call of each of the model's pieces per start, midpoint and end of
+    every substep up to grid point ``points``, and none elsewhere."""
+    calls = calls_per_time(calls)
     assert max(calls.values()) == 1
     assert len(calls) == 2 * points * substeps + 1
     times = np.array(sorted(calls))
@@ -138,28 +127,25 @@ def _assert_half_grid_once(calls, grid, substeps, points):
 
 
 @pytest.mark.parametrize("substeps", [1, 3])
-def test_propagate_evaluates_each_half_grid_time_once(monkeypatch, substeps):
-    me = eternally_nm()
+def test_propagate_evaluates_each_half_grid_time_once(substeps):
+    me, calls = counting_model(eternally_nm())
     grid = TimeGrid(0.0, 0.5, 0.05)
-    calls = _counting(monkeypatch)
     propagate(me, np.outer(PLUS, PLUS.conj()), grid, substeps=substeps)
     _assert_half_grid_once(calls, grid, substeps, grid.n_steps)
 
 
-def test_propagator_maps_evaluate_each_half_grid_time_once(monkeypatch):
-    me = eternally_nm()
+def test_propagator_maps_evaluate_each_half_grid_time_once():
+    me, calls = counting_model(eternally_nm())
     grid = TimeGrid(0.0, 0.5, 0.05)
-    calls = _counting(monkeypatch)
     propagator_maps(me, grid, substeps=2)
     _assert_half_grid_once(calls, grid, 2, grid.n_steps)
 
 
 @pytest.mark.parametrize("t_index", [0, 4])
-def test_propagator_map_steps_only_to_its_point(monkeypatch, t_index):
-    me = eternally_nm()
+def test_propagator_map_steps_only_to_its_point(t_index):
     grid = TimeGrid(0.0, 0.5, 0.05)
-    want = propagator_maps(me, grid)[t_index]
-    calls = _counting(monkeypatch)
+    want = propagator_maps(eternally_nm(), grid)[t_index]
+    me, calls = counting_model(eternally_nm())
     got = propagator_map(me, grid, t_index)
     assert got.tobytes() == want.tobytes()
     _assert_half_grid_once(calls, grid, 1, t_index)
@@ -249,8 +235,8 @@ def _cut_decay(t_bad, sink=None):
 def test_cut_track_raises_at_the_first_step_past_it_after_the_drift_check():
     """A track cut at t = 0.5 raises its ModelError in the step that needs
     t = 0.5, after the points before it; a trace drift at an earlier point
-    comes first; maps up to the cut are those of the model that does not
-    fail."""
+    comes first, reported at its first point past 1e-8; maps up to the cut
+    are those of the model that does not fail."""
     grid = TimeGrid(0.0, 1.0, 0.05)
     rho0 = np.outer(KET1, KET1.conj())
     with pytest.raises(ModelError, match="rate undefined at t=0.5") as info:
@@ -261,8 +247,40 @@ def test_cut_track_raises_at_the_first_step_past_it_after_the_drift_check():
         propagate(growing, rho0, grid, check_trace=True)
     with pytest.raises(ModelError):
         propagate(growing, rho0, grid)
+    # a drift that starts at t = 0.3 is named at its first point past 1e-8
+    late = lambda t: SIGMA_MINUS.conj().T @ SIGMA_MINUS - (0.2 if t > 0.3 else 0.0) * np.eye(2)  # noqa: E731
+    traces = np.trace(propagate(_cut_decay(2.0, late), rho0, grid).states, axis1=1, axis2=2)
+    first = grid.times()[np.argmax(np.abs(traces.real - 1.0) + np.abs(traces.imag) > 1e-8)]
+    assert 0.3 < first < 0.5
+    with pytest.raises(ArithmeticError, match=f"at t={first:.6g};"):
+        propagate(_cut_decay(0.5, late), rho0, grid, check_trace=True)
     whole = propagator_maps(_cut_decay(2.0), grid)
     for t_index in (0, 9):
         assert propagator_map(_cut_decay(0.5), grid, t_index).tobytes() == whole[t_index].tobytes()
     with pytest.raises(ModelError):
         propagator_map(_cut_decay(0.5), grid, 10)
+
+
+def test_drift_check_stops_a_blown_up_run_before_it_overflows():
+    """At gamma dt = 30 RK4 blows up by about 3e4 per step: the run stops at
+    the first drifting point, before any overflow warning (an error under
+    this suite's warning filter)."""
+    grid = TimeGrid(0.0, 50.0, 0.1)
+    with pytest.raises(ArithmeticError, match="at t=0.4;"):
+        propagate(spontaneous_emission(omega=1.0, gamma=300.0), np.outer(PLUS, PLUS.conj()), grid)
+
+
+def test_oracle_memory_is_bounded_by_its_blocks():
+    """The criterion-5 embedding (d = 6) at dt = 1e-3 to t = 2: held all at
+    once, its 4001 Liouvillians alone would be 4001 d^4 complex entries
+    (83 MB), and the oracle peaked at about 300 MB; built a block of substeps
+    at a time the peak is the track's and the states' (about 30 MB)."""
+    me = EQ._criterion5_embedding()
+    w0 = np.outer(np.kron(PLUS, EQ._CHI), np.kron(PLUS, EQ._CHI).conj())
+    tracemalloc.start()
+    try:
+        propagate(me, w0, TimeGrid(0.0, 2.0, 1e-3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 80e6, f"oracle peak {peak / 1e6:.0f} MB"

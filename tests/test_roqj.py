@@ -5,8 +5,6 @@ gauged variants add a vector phi that reshuffles jump and drift pieces
 without touching the one-step law.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
@@ -21,7 +19,7 @@ from unravel.linalg import (
     phase_fix_columns,
     trace_distance,
 )
-from unravel.master_equation import MasterEquation, master_equation
+from unravel.master_equation import master_equation
 from unravel.models import (
     KET0,
     KET1,
@@ -48,7 +46,7 @@ from unravel.rate_operators import (
 )
 from unravel.roqj import roqj_branches, roqj_step, wroqj_branches, wroqj_step
 
-from branch_tools import run_batches
+from branch_tools import calls_per_time, counting_model, run_batches
 
 
 def test_w_spectrum_pure_dephasing_frozen():
@@ -247,20 +245,13 @@ def test_chunks_track_oracle_and_each_other():
         assert max(dists) < 0.09
 
 
-def test_w_matching_gauge_reads_the_step_snapshot(monkeypatch):
+def test_w_matching_gauge_reads_the_step_snapshot():
     """The batched w_matching gauge takes J from the kernel's snapshot, so
-    an ensemble of 20 batches evaluates each grid time once."""
-    me = eternally_nm()
+    an ensemble of 20 batches calls the model's pieces once per grid time."""
+    me, calls = counting_model(eternally_nm())
     grid = TimeGrid(0.0, 0.2, 1e-2)
-    calls = Counter()
-    evaluate = MasterEquation._evaluate
-
-    def counting(self, t):
-        calls[float(t)] += 1
-        return evaluate(self, t)
-
-    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
     method = method_id("psi_roqj", gauge=w_matching_gauge(me))
     run_ensemble(method, me, PLUS, grid, 40, seed=3)
+    calls = calls_per_time(calls)
     assert len(calls) == grid.n_steps
     assert max(calls.values()) == 1

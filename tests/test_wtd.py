@@ -4,21 +4,19 @@ The survival norm of an undriven decaying qubit is known in closed form,
 which pins the bisected jump times to high precision.
 """
 
-from collections import Counter
-
 import numpy as np
 import pytest
 
 from unravel.engine import method_id, run_ensemble
 from unravel.errors import NegativeRate, NoJumpPossible
 from unravel.linalg import normalize, trace_distance
-from unravel.master_equation import MasterEquation, master_equation
+from unravel.master_equation import master_equation
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_Z, eternally_nm, spontaneous_emission
 from unravel.propagate import TimeGrid, propagate, rk4_matrices
 from unravel.rng import replica_generator
 from unravel.wtd import first_jump_times, wtd_next_jump, wtd_select_channel
 
-from branch_tools import run_batches
+from branch_tools import calls_per_time, counting_model, run_batches
 
 
 def test_crossing_time_matches_closed_form():
@@ -125,19 +123,12 @@ def test_first_jump_times_agree_with_wtd_next_jump():
             assert abs(t1 - t_first) <= 1e-9
 
 
-def test_first_jump_times_evaluate_only_the_half_grid(monkeypatch):
+def test_first_jump_times_evaluate_only_the_half_grid():
     """Rows retire at their first jump without evaluating the generator."""
-    me = spontaneous_emission(gamma=1.0)
+    me, calls = counting_model(spontaneous_emission(gamma=1.0))
     grid = TimeGrid(0.0, 2.0, 1e-2)
-    calls = Counter()
-    evaluate = MasterEquation._evaluate
-
-    def counting(self, t):
-        calls[float(t)] += 1
-        return evaluate(self, t)
-
-    monkeypatch.setattr(MasterEquation, "_evaluate", counting)
     samples = first_jump_times(me, KET1, grid, n=50, seed=3)
+    calls = calls_per_time(calls)
     assert np.isfinite(samples).sum() > 25
     assert sum(calls.values()) == len(calls) == 2 * grid.n_steps + 1
 
