@@ -44,8 +44,9 @@ weighted, gauged, population and replica methods, ensembles whose batches
 are unequal, so that one tile holds batches of two sizes (N = 1003 for
 mcwf, for im's weights and for doubled's pair sums and norm tally, N = 83
 for wtd), fill several row tiles (N = 10^4 for mcwf and cloning, and N = 4097,
-whose middle tile holds batches of 205 and 204 rows, nmqj's finishing run
-among them) or hold one
+whose middle tile holds batches of 205 and 204 rows: nmqj's finishing run,
+im's weights, plqt's sign flips and psi_roqj's ``w_matching`` gauge among
+them) or hold one
 trajectory each (N = 13), one abort of each kind of
 method (channel and spectral menus, replica, waiting time, embedding), nmqj's
 abort at N = 10^4, and the
@@ -185,6 +186,11 @@ INPUTS = {
     "doubled/n1003": (_kind("doubled"), _model("eternally_nm"), PLUS, 1003, 1.5),
     "wtd/n83": (_kind("wtd"), _model("spontaneous_emission"), PLUS, 83, 2.0),
     "mcwf/n4097": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 4097, 1.0),
+    # weighted and gauged runs over several row tiles
+    "im/n4097": (_kind("im"), _model("non_p_divisible"), PLUS, 4097, 1.0),
+    "plqt/n4097": (_kind("plqt"), _model("eternally_nm"), PLUS, 4097, 0.5),
+    "psi_roqj/n4097": (lambda me: method_id("psi_roqj", gauge=w_matching_gauge(me)), _model("eternally_nm"),
+                       PLUS, 4097, 0.5),
     "wroqj/n4097": (_kind("wroqj"), _model("eternally_nm"), PLUS, 4097, 0.5),
     "tripled/n4097": (_kind("tripled"), _model("eternally_nm"), PLUS, 4097, 0.5),
     "doubled/n13": (_kind("doubled"), _model("eternally_nm"), PLUS, 13, 1.5),
