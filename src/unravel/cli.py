@@ -27,6 +27,7 @@ from .engine import METHOD_KINDS, method_id, observable_stats, run_ensemble
 from .errors import (
     BadAmplitudes,
     ConfigError,
+    ModelError,
     ParseError,
     UnknownMethod,
     UnravelError,
@@ -395,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return run_command(cfg)
         return divisibility_command(cfg)
-    except (ConfigError, BadAmplitudes) as err:
+    except (ConfigError, BadAmplitudes, ModelError) as err:  # a model the oracle cannot evaluate
         print(f"error: {err}", file=sys.stderr)
         return 1
 

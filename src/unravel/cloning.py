@@ -12,8 +12,9 @@ All rates must be nonnegative here; negative rates need one of the weighted
 or pair-vector methods instead. ``clone_menu`` adds the clone and destroy
 branches to the channel menu; ``run_replica`` wraps the shared selection
 (``outcomes.take_step``) in its population and resampling loop. It steps
-the consecutive replicas of one engine tile together: one kernel call per
-step over all their members, each replica drawing from its own stream and
+the consecutive replicas of one engine tile together, their members the
+columns of one (d, members) array grouped by replica: one kernel call per
+step over all of them, each replica drawing from its own stream and
 resampled on its own, with the bits of one run per replica.
 """
 
@@ -37,32 +38,32 @@ _RESAMPLE_LO = 0.5
 _RESAMPLE_HI = 2.0
 
 
-def clone_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
-    """Kernel. Branch order: channel jumps, clone, destroy; drift last.
+def clone_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float) -> Menu:
+    """Kernel on state columns (d, n). Branch order: channel jumps, clone,
+    destroy; drift last.
 
     Both clone copies keep the pre-step state; a destroyed member leaves none.
     """
     require_nonnegative_rates(snap, "the cloning method")
-    jumps = channel_menu(snap, rows, dt)
-    deltas = np.einsum("ni,ij,nj->n", np.conj(rows), snap.gamma_l - snap.gamma_drift, rows).real
-    # stacked branch-major like the channel part, then viewed as (n, B)
-    probs = np.vstack([jumps.probs.T, np.maximum(0.0, deltas * dt), np.maximum(0.0, -deltas * dt)])
-    # the channel images keep their norms; clone and destroy rows have none
-    targets = np.concatenate([jumps.targets, rows[:, None], rows[:, None]], axis=1)
-    copies = np.array([1] * jumps.probs.shape[1] + [2, 0])
-    return Menu(probs.T, targets, jumps.drift, copies=copies, norms=jumps.norms)
+    jumps = channel_menu(snap, cols, dt)
+    deltas = np.einsum("in,ij,jn->n", np.conj(cols), snap.gamma_l - snap.gamma_drift, cols).real
+    probs = np.vstack([jumps.probs, np.maximum(0.0, deltas * dt), np.maximum(0.0, -deltas * dt)])
+    # the channel images keep their norms; clone and destroy targets have none
+    targets = np.concatenate([jumps.targets, cols[None], cols[None]])
+    copies = np.array([1] * len(jumps.probs) + [2, 0])
+    return Menu(probs, targets, jumps.drift, copies=copies, norms=jumps.norms)
 
 
 def clone_branches(me: MasterEquation, psi: np.ndarray, t: float, dt: float) -> list[Branch]:
     """Branch order: channel jumps, clone, destroy, deterministic drift."""
-    return row_branches(clone_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), t)
+    return row_branches(clone_menu(me.at(t), np.asarray(psi, dtype=complex)[:, None], dt), t)
 
 
 def cloning_step(psi: np.ndarray, me: MasterEquation, t: float, dt: float, u: float) -> StepOutcome:
     """The event type tells the caller what to do with the population:
     Clone means two copies of the returned (pre-step) state now exist,
     Destroy means the member is gone."""
-    b = row_step(clone_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), u, t)
+    b = row_step(clone_menu(me.at(t), np.asarray(psi, dtype=complex)[:, None], dt), u, t)
     return StepOutcome(state=b.state, event=b.event)
 
 
@@ -71,7 +72,7 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
     1, ... of ``sizes`` members each (a tile of an ensemble), stepped on
     ``track`` (``me.track`` over the grid's step starts). Returns (rho_sum,
     counts, diagnostics, abort); rho_sum and the ``population`` series have
-    a leading replica axis, rho_sum rows are trace_factor * sum
+    a leading replica axis, rho_sum entries are trace_factor * sum
     |psi><psi|, and abort is None or (err, k) for the first replica that
     fails, at the first step k at which one does.
 
@@ -79,7 +80,7 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
     replacement) whenever it leaves [lo*n, hi*n] (``_RESAMPLE_LO``,
     ``_RESAMPLE_HI``); the size ratio moves into its trace_factor so the
     estimator is unchanged in expectation. The replicas step together, one
-    kernel call per step over all their rows, each drawing from its own
+    kernel call per step over all their members, each drawing from its own
     ``replica_generator`` in the order one replica alone draws, so every
     replica's series is the one it gives alone.
     """
@@ -88,9 +89,9 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
     d = me.dim
     steps = grid.n_steps
     times = grid.times()
-    states = np.tile(np.asarray(psi0, dtype=complex), (int(sizes.sum()), 1))
+    states = np.repeat(np.asarray(psi0, dtype=complex)[:, None], int(sizes.sum()), axis=1)
     pop = sizes.copy()
-    owners = np.repeat(np.arange(len(sizes)), pop)  # rows stay grouped by replica, in order
+    owners = np.repeat(np.arange(len(sizes)), pop)  # columns stay grouped by replica, in order
     trace_factor = np.ones(len(sizes))
     rho_sum = np.zeros((len(sizes), steps + 1, d, d), dtype=complex)
     rho_sum[:, 0] = sizes[:, None, None] * np.outer(psi0, np.conj(psi0))
@@ -102,7 +103,7 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
     hits = np.zeros(m + 3, dtype=np.int64)
     abort = None
     for k in range(steps):
-        if not len(states):
+        if not states.shape[1]:
             continue  # every population extinct; the estimate is legitimately zero
         u = np.concatenate([gen.random(n) for gen, n in zip(gens, pop)])
         try:
@@ -113,7 +114,7 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
             bounds = np.concatenate([[0], np.cumsum(pop)])
             spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
             abort = (_first_error(
-                err, spans, lambda a, b: take_step(clone_menu(track[k], states[a:b], grid.dt), u[a:b], times[k])
+                err, spans, lambda a, b: take_step(clone_menu(track[k], states[:, a:b], grid.dt), u[a:b], times[k])
             ), k)
             break
         # per replica and branch: the step's hits and the members they leave
@@ -121,24 +122,24 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
         tally = tally.reshape(len(sizes), m + 3)
         hits += tally.sum(axis=0)
         pop = tally @ branch_copies
-        states = np.repeat(step.rows, step.copies, axis=0)
+        states = np.repeat(step.cols, step.copies, axis=1)
         leave = np.nonzero((pop > 0) & ~((_RESAMPLE_LO * sizes <= pop) & (pop <= _RESAMPLE_HI * sizes)))[0]
         if len(leave):
-            parts = np.split(states, np.cumsum(pop)[:-1])
+            parts = np.split(states, np.cumsum(pop)[:-1], axis=1)
             for r in leave:
                 idx = gens[r].integers(0, int(pop[r]), size=int(sizes[r]))
                 trace_factor[r] *= pop[r] / sizes[r]
-                parts[r] = parts[r][idx]
+                parts[r] = parts[r][:, idx]
                 pop[r] = sizes[r]
-            states = np.concatenate(parts)
+            states = np.concatenate(parts, axis=1)
         owners = np.repeat(np.arange(len(sizes)), pop)
         population[:, k + 1] = pop
         if pop.min() == pop.max():
             # equal populations: one stacked sum with the bits of one per replica
-            sums = weighted_outer_sum(states.reshape(len(sizes), pop[0], d))
+            sums = weighted_outer_sum(np.swapaxes(states.reshape(d, len(sizes), pop[0]), 0, 1))
             rho_sum[:, k + 1] = trace_factor[:, None, None] * sums
             continue
-        for r, rows in enumerate(np.split(states, np.cumsum(pop)[:-1])):
-            if len(rows):
-                rho_sum[r, k + 1] = trace_factor[r] * np.einsum("ni,nj->ij", rows, np.conj(rows))
+        for r, cols in enumerate(np.split(states, np.cumsum(pop)[:-1], axis=1)):
+            if cols.shape[1]:
+                rho_sum[r, k + 1] = trace_factor[r] * weighted_outer_sum(cols)
     return rho_sum, event_counts(hits, copies), {"population": population}, abort

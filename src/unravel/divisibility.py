@@ -42,11 +42,12 @@ def is_cp_divisible_at(me: MasterEquation, t: float) -> bool:
 
 
 def _sample_states(dim: int, sample_count: int, seed: int) -> np.ndarray:
+    """The sampled states as columns (dim, sample_count + dim)."""
     gen = np.random.Generator(np.random.Philox(key=[seed, 0x9e3779b9]))
-    psis = np.empty((sample_count + dim, dim), dtype=complex)
+    psis = np.empty((dim, sample_count + dim), dtype=complex)
     for k in range(sample_count):
-        psis[k] = haar_state(dim, gen)
-    psis[sample_count:] = np.eye(dim)  # basis states catch sigma_+/- rate signs
+        psis[:, k] = haar_state(dim, gen)
+    psis[:, sample_count:] = np.eye(dim)  # basis states catch sigma_+/- rate signs
     return psis
 
 

@@ -102,8 +102,10 @@ class BadAmplitudes(UnravelError):
 
 
 class ModelError(UnravelError):
-    """A model's own callable raised; its exception is kept as ``__cause__``,
-    its text is the message and ``time`` is the time being evaluated."""
+    """A model's own callable raised, or a piece of the generator is not
+    finite; the exception (a FloatingPointError naming the piece for a
+    non-finite one) is kept as ``__cause__``, its text is the message and
+    ``time`` is the time being evaluated."""
 
     def __init__(self, cause: Exception, time: float):
         super().__init__(str(cause) or type(cause).__name__, time=time)

@@ -14,9 +14,10 @@ and hermitization, and builds its columns already under the phase
 convention; the exact-tie rule then runs on its output as on LAPACK's. For
 d > 2 LAPACK (``_eigh_lapack``) is the only path, and the tests use it as the
 reference for the closed form. ``complement_batch`` returns the complement
-of a qubit row (a, b) as (-conj(b), conj(a)) under the column phase
+of a qubit state (a, b) as (-conj(b), conj(a)) under the column phase
 convention; for d > 2 it returns a Householder basis without it. Both closed
 forms change the last bits of their results against the general ones.
+A stack of n states is held as the columns of a (d, n) array.
 """
 
 from __future__ import annotations
@@ -28,28 +29,10 @@ import numpy as np
 from .errors import NotHermitian, NotPSD, ZeroVector
 
 __all__ = [
-    "EPS",
-    "HERM_ATOL",
-    "require_hermitian",
-    "hermitize",
-    "eigh",
-    "eigh_batched",
-    "eigvalsh_min",
-    "normalize",
-    "normalize_rows",
-    "trace_distance",
-    "psd_sqrt",
-    "psd_sqrt_batched",
-    "haar_state",
-    "require_density",
-    "orthonormal_complement",
-    "complement_batch",
-    "phase_fix_columns",
-    "weighted_outer_sum",
-    "outer_sum",
-    "squared_norms",
-    "vec",
-    "unvec",
+    "EPS", "HERM_ATOL", "require_hermitian", "hermitize", "eigh", "eigh_batched", "eigvalsh_min",
+    "normalize", "normalize_rows", "trace_distance", "psd_sqrt", "psd_sqrt_batched", "haar_state",
+    "require_density", "orthonormal_complement", "complement_batch", "phase_fix_columns",
+    "weighted_outer_sum", "outer_sum", "squared_norms", "apply_columns", "vec", "unvec"
 ]
 
 EPS = 1e-12          # sign / clipping threshold for probabilities and rates
@@ -297,12 +280,13 @@ def require_density(rho: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
 
 def orthonormal_complement(psi: np.ndarray) -> np.ndarray:
     """Columns form an orthonormal basis of span{psi}^perp (shape (d, d-1)):
-    the one-row view of :func:`complement_batch`."""
-    return complement_batch(np.asarray(psi, dtype=complex)[None, :])[0]
+    the one-state view of :func:`complement_batch`."""
+    return complement_batch(np.asarray(psi, dtype=complex)[:, None])[:, :, 0].T
 
 
 def complement_batch(states: np.ndarray) -> np.ndarray:
-    """Orthonormal bases of span{psi}^perp for rows psi: (n, d) -> (n, d, d-1).
+    """Orthonormal bases of span{psi}^perp for the columns psi of ``states``:
+    (d, n) -> (d-1, d, n), basis vector j of column k at [j, :, k].
 
     Deterministic in psi, so batched callers can rely on reproducible bases.
     At d = 2 the basis is (-conj(b), conj(a)) for psi = (a, b), under the
@@ -310,79 +294,91 @@ def complement_batch(states: np.ndarray) -> np.ndarray:
     reflector, without it.
     """
     states = np.asarray(states, dtype=complex)
-    n, d = states.shape
-    a = states[:, 0]
+    d, n = states.shape
+    a = states[0]
     absa = np.abs(a)
     if d == 2:
-        b = states[:, 1]
+        b = states[1]
         absb = np.abs(b)
         # q = (-conj(b), conj(a)) times u, the conjugate phase of its larger
         # entry (the first on a tie): -b/|b| or a/|a|
         first = absb >= absa
         lead = np.maximum(absa, absb)
         u = np.where(first, -b, a) / np.where(lead > 0.0, lead, 1.0)
-        qs = np.empty((n, 2, 1), dtype=complex)
-        qs[:, 0, 0] = np.where(first, absb, -np.conj(b) * u)
-        qs[:, 1, 0] = np.where(first, np.conj(a) * u, absa)
+        qs = np.empty((1, 2, n), dtype=complex)
+        qs[0, 0] = np.where(first, absb, -np.conj(b) * u)
+        qs[0, 1] = np.where(first, np.conj(a) * u, absa)
         return qs
     phase = np.where(absa > 1e-14, a / np.where(absa > 1e-14, absa, 1.0), 1.0)
     w = states.copy()
-    w[:, 0] += phase
-    wn2 = np.einsum("ni,ni->n", np.conj(w), w).real
+    w[0] += phase
     # columns 1..d-1 of the reflector 1 - 2 w w^dag / ||w||^2
-    return (
-        np.eye(d, dtype=complex)[None, :, 1:]
-        - 2.0 * (w[:, :, None] * np.conj(w[:, None, 1:])) / wn2[:, None, None]
-    )
+    return np.eye(d, dtype=complex)[1:, :, None] - 2.0 * (w[None] * np.conj(w[1:, None])) / squared_norms(w)
 
 
 def weighted_outer_sum(states: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_k w_k |psi_k><psi_k| over the rows of ``states`` (n, d), or over
-    the rows of each slice of a stack (..., n, d) with weights (..., n):
-    ``outer_sum(states, states, weights)``, which transposes the rows so
-    that one einsum call sums a whole stack with the bits of one call per
-    slice."""
+    """sum_k w_k |psi_k><psi_k| over the columns of ``states`` (d, n), or
+    over the columns of each slice of a stack (..., d, n) with weights
+    (..., n): ``outer_sum(states, states, weights)``."""
     return outer_sum(states, states, weights)
 
 
 def outer_sum(kets: np.ndarray, bras: np.ndarray, weights: np.ndarray | None = None) -> np.ndarray:
-    """sum_k w_k |ket_k><bra_k| over the rows k of ``kets`` and ``bras``
-    (n, d), unweighted without ``weights``; for stacks (..., n, d) with
+    """sum_k w_k |ket_k><bra_k| over the columns k of ``kets`` and ``bras``
+    (d, n), unweighted without ``weights``; for stacks (..., d, n) with
     weights (..., n), one such sum per slice, (..., d, d).
 
-    The rows are copied to (..., d, n), so that the trajectory axis is
-    contiguous and last: einsum then reduces a whole stack in one call, in
-    its contiguous loop with a stride-0 output, which accumulates each entry
-    over the rows in order, as one row-major 2-D call per slice does, bit for
-    bit. Slices of more than ``_EINSUM_PASS`` rows take those 2-D calls.
+    With the trajectory axis contiguous (views of a tile's columns too),
+    einsum reduces a whole stack in one call, in its contiguous loop with a
+    stride-0 output, which accumulates each entry over the columns in order,
+    as one row-major 2-D call per slice does, bit for bit. Slices of more
+    than ``_EINSUM_PASS`` columns take those 2-D calls on rows.
     """
-    n = kets.shape[-2]
+    n = kets.shape[-1]
     if n > _EINSUM_PASS:
-        ks, bs = kets.reshape(-1, n, kets.shape[-1]), bras.reshape(-1, n, bras.shape[-1])
+        ks, bs = (np.ascontiguousarray(np.swapaxes(x, -1, -2)).reshape(-1, n, x.shape[-2]) for x in (kets, bras))
         ws = [None] * len(ks) if weights is None else np.reshape(weights, (-1, n))
-        sums = np.array([_row_outer_sum(k, b, w) for k, b, w in zip(ks, bs, ws)])
+        sums = np.array([
+            np.einsum("ni,nj->ij", k, np.conj(b)) if w is None else np.einsum("n,ni,nj->ij", w, k, np.conj(b))
+            for k, b, w in zip(ks, bs, ws)
+        ])
         return sums.reshape(kets.shape[:-2] + sums.shape[1:])
-    cols = np.swapaxes(kets, -1, -2).copy()
-    conj = np.conj(cols if bras is kets else np.swapaxes(bras, -1, -2).copy())
+    conj = np.conj(bras)
     if weights is None:
-        return np.einsum("...in,...jn->...ij", cols, conj)
-    return np.einsum("...n,...in,...jn->...ij", weights, cols, conj)
+        return np.einsum("...in,...jn->...ij", kets, conj)
+    return np.einsum("...n,...in,...jn->...ij", weights, kets, conj)
 
 
-def _row_outer_sum(kets: np.ndarray, bras: np.ndarray, weights: np.ndarray | None) -> np.ndarray:
-    """``outer_sum`` of one (n, d) slice, on its rows as they are."""
-    if weights is None:
-        return np.einsum("ni,nj->ij", kets, np.conj(bras))
-    return np.einsum("n,ni,nj->ij", weights, kets, np.conj(bras))
+def squared_norms(cols: np.ndarray) -> np.ndarray:
+    """Squared norms of the columns of (w, n) or of a stack (..., w, n):
+    re^2 + im^2 summed over the width in order, one width row at a time."""
+    re, im = cols.real, cols.imag
+    out = re[..., 0, :] ** 2 + im[..., 0, :] ** 2
+    for i in range(1, cols.shape[-2]):
+        out += re[..., i, :] ** 2 + im[..., i, :] ** 2
+    return out
 
 
-def squared_norms(ys: np.ndarray) -> np.ndarray:
-    """Squared norms along the last axis of rows (n, w) or of a stack of
-    them, one (n, w) slice at a time: a conjugate copy of a whole stack of
-    jump images would double a kernel's peak memory."""
-    if ys.ndim == 2:
-        return np.einsum("ni,ni->n", ys, np.conj(ys)).real
-    return np.array([squared_norms(y) for y in ys]).reshape(ys.shape[:-1])
+def apply_columns(mats: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Each matrix of ``mats`` (..., w, w) applied to the columns (w, n):
+    (..., w, n). A result row is its first nonzero entry times that row of
+    ``cols`` plus each later nonzero entry's multiple, in order (0 if none),
+    so each column takes one fixed sequence of roundings wherever it sits
+    and a tile gives each batch its own run's bits (a BLAS product rounds
+    its last n mod 4 columns differently); sparse operators cost little."""
+    n = cols.shape[-1]
+    out = np.empty(mats.shape[:-1] + (n,), dtype=complex)
+    flat_out, flat = out.reshape(-1, n), mats.reshape(-1, mats.shape[-1])
+    rows, idx = np.nonzero(flat)
+    started = np.zeros(len(flat), dtype=bool)
+    for r, j, c in zip(rows.tolist(), idx.tolist(), flat[rows, idx].tolist()):
+        if started[r]:
+            flat_out[r] += c * cols[j]
+        else:
+            np.multiply(c, cols[j], out=flat_out[r])
+            started[r] = True
+    flat_out[~started] = 0.0
+    return out
 
 
 def vec(m: np.ndarray) -> np.ndarray:

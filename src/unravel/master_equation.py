@@ -152,7 +152,9 @@ class MasterEquation:
         h, ls, gammas = h[:n], ls[:n], gammas[:n]
         gamma_l = np.einsum("na,naki,nakj->nij", gammas, np.conj(ls), ls)
         drift = gamma_l if sinks is None else sinks[:n]
-        return GeneratorTrack(times, h, ls, gammas, gamma_l, drift, h - 0.5j * drift, error)
+        with np.errstate(invalid="ignore", over="ignore"):  # GeneratorTrack ends at a non-finite K
+            k = h - 0.5j * drift
+        return GeneratorTrack(times, h, ls, gammas, gamma_l, drift, k, error)
 
     def half_track(self, times) -> "GeneratorTrack":
         """The track at the start, midpoint and end of every step of
@@ -190,7 +192,8 @@ def _matrix(value, dim: int, what: str, dtype=complex) -> np.ndarray:
 def _first_non_hermitian(ms: np.ndarray, times: np.ndarray, what: str):
     """(index, NotHermitian) for the first matrix of the stack that
     ``require_hermitian`` rejects, or None."""
-    bad = np.abs(ms - np.conj(np.swapaxes(ms, -1, -2))).max(axis=(-2, -1)) > HERM_ATOL
+    with np.errstate(invalid="ignore"):  # a non-finite entry is GeneratorTrack's to report
+        bad = np.abs(ms - np.conj(np.swapaxes(ms, -1, -2))).max(axis=(-2, -1)) > HERM_ATOL
     if not bad.any():
         return None
     i = int(bad.argmax())
@@ -227,9 +230,15 @@ class GeneratorTrack:
     error: Exception | None = None  # raised at times[len(h)] and later
 
     def __post_init__(self):
-        # a model's own exception is kept as the cause of a ModelError, so
-        # that a runner ends it as an abort like any other UnravelError; an
-        # error without a time gets the time that failed
+        # a non-finite piece ends the track at its first time; that, or a
+        # model's own exception, is kept as the cause of a ModelError, which a
+        # runner ends as an abort; an error without a time gets the time that failed
+        found = _first_non_finite(self)
+        if found is not None:
+            k, what = found
+            for name in ("h", "ls", "gammas", "gamma_l", "gamma_drift", "k"):
+                object.__setattr__(self, name, getattr(self, name)[:k])
+            object.__setattr__(self, "error", FloatingPointError(f"{what} is not finite at t={self.times[k]}"))
         if self.error is None:
             return
         t = float(self.times[len(self.h)])
@@ -252,6 +261,23 @@ class GeneratorTrack:
             self.times[:n], self.h[:n], self.ls[:n], self.gammas[:n], self.gamma_l[:n], self.gamma_drift[:n],
             self.k[:n], self.error if len(self.h) < n else None,
         )
+
+
+def _first_non_finite(track: GeneratorTrack):
+    """(index, name) of the first time at which a piece holds a non-finite
+    entry (the hamiltonian first, then each jump operator and rate, G_L, G)."""
+    channels = ~(np.isfinite(track.ls).all(axis=(2, 3)) & np.isfinite(track.gammas))
+    h, gamma_l, drift = (~np.isfinite(m).all(axis=(1, 2)) for m in (track.h, track.gamma_l, track.gamma_drift))
+    bad = h | channels.any(axis=1) | gamma_l | drift
+    if not bad.any():
+        return None
+    k = int(bad.argmax())
+    if h[k]:
+        return k, "hamiltonian"
+    if channels[k].any():
+        i = int(channels[k].argmax())
+        return k, f"rate {i}" if np.isfinite(track.ls[k, i]).all() else f"jump operator {i}"
+    return k, "G_L = sum_a gamma_a L_a^dag L_a" if gamma_l[k] else "decay operator G"
 
 
 def master_equation(dim, hamiltonian, channels, trace_sink=None) -> MasterEquation:

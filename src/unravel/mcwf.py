@@ -5,9 +5,9 @@ normalize(L_a psi); otherwise the state drifts under the effective
 Hamiltonian K and is renormalized. Rates must be nonnegative: a negative
 rate means the dynamics needs one of the non-Markovian methods.
 
-``channel_menu`` is this law as a batched kernel (see ``outcomes``); the
-weighted methods run it at their sampling rates and cloning adds its
-population branches to it. ``run_chunk`` draws as ``run_menus`` does, batch
+``channel_menu`` is this law as a batched kernel on state columns (w, n)
+(see ``outcomes``); the weighted methods run it at their sampling rates,
+cloning adds its population branches to it. ``run_chunk`` draws as ``run_menus`` does, batch
 b from ``rng.replica_generator(seed, b)``; ``first_jump_times`` draws from
 ``replica_generator(seed, 0)`` alone.
 """
@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NegativeRate
-from .linalg import EPS, squared_norms
+from .linalg import EPS, apply_columns, squared_norms
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
@@ -27,14 +27,7 @@ from .rng import replica_generator
 # goes with the benchmark's repair (ROADMAP item 1)
 from .rng import trajectory_uniforms  # noqa: F401
 
-__all__ = [
-    "channel_menu",
-    "mcwf_menu",
-    "mcwf_branches",
-    "mcwf_step",
-    "run_chunk",
-    "first_jump_times",
-]
+__all__ = ["channel_menu", "mcwf_menu", "mcwf_branches", "mcwf_step", "run_chunk", "first_jump_times"]
 
 _BLOCK_STEPS = 512  # steps whose uniforms ``first_jump_times`` draws in one call
 
@@ -50,32 +43,29 @@ def require_nonnegative_rates(snap: GeneratorSnapshot, method: str = "MCWF") -> 
 
 
 def channel_menu(
-    snap: GeneratorSnapshot, rows: np.ndarray, dt: float, rates: np.ndarray | None = None
+    snap: GeneratorSnapshot, cols: np.ndarray, dt: float, rates: np.ndarray | None = None
 ) -> Menu:
     """Channel jumps sampled at ``rates`` (default gamma) and the K drift.
 
     Jump a fires with p_a = r_a ||L_a psi||^2 dt and lands at
     normalize(L_a psi); the menu carries L_a psi and its norm, and only the
-    rows that jump are normalized. Sampling at r != gamma makes the menu
+    states that jump are normalized. Sampling at r != gamma makes the menu
     weighted: a jump multiplies the weight by gamma_a / r_a (1 where
     r_a = 0) and the no-jump step by 1 + sum_a (r_a - gamma_a)
     ||L_a psi||^2 dt, which keeps E[w |psi><psi|] on the master equation.
     """
-    ys = rows @ np.swapaxes(snap.ls, 1, 2)  # (m, n, w); matmul beats einsum here
+    ys = apply_columns(snap.ls, cols)  # (m, w, n)
     n2 = squared_norms(ys)  # (m, n)
     # a zero image (sigma_- on the ground state) stays zero: its p is 0
-    norms = np.where(n2 > 0.0, np.sqrt(n2), 1.0).T
-    drift = rows - 1j * dt * (rows @ snap.k.T)
-    norm = np.linalg.norm(drift, axis=1)
-    for col in drift.T:  # a column at a time: dividing by norm[:, None] buffers the whole drift
-        col /= norm
-    del norm
+    norms = np.where(n2 > 0.0, np.sqrt(n2), 1.0)
+    drift = cols - 1j * dt * apply_columns(snap.k, cols)
+    drift /= np.linalg.norm(drift, axis=0)
     if rates is None:
-        return Menu((snap.gammas[:, None] * n2 * dt).T, np.swapaxes(ys, 0, 1), drift, norms=norms)
+        return Menu(snap.gammas[:, None] * n2 * dt, ys, drift, norms=norms)
     live = rates > 0.0
     return Menu(
-        (rates[:, None] * n2 * dt).T,
-        np.swapaxes(ys, 0, 1),
+        rates[:, None] * n2 * dt,
+        ys,
         drift,
         jump_factors=np.where(live, snap.gammas / np.where(live, rates, 1.0), 1.0),
         det_factors=1.0 + ((rates - snap.gammas)[:, None] * n2 * dt).sum(axis=0),
@@ -83,19 +73,19 @@ def channel_menu(
     )
 
 
-def mcwf_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
+def mcwf_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float) -> Menu:
     """The MCWF kernel: channel jumps at the physical rates, which must be >= 0."""
     require_nonnegative_rates(snap)
-    return channel_menu(snap, rows, dt)
+    return channel_menu(snap, cols, dt)
 
 
 def mcwf_branches(me: MasterEquation, psi: np.ndarray, t: float, dt: float) -> list[Branch]:
     """All one-step branches with exact probabilities; deterministic last."""
-    return row_branches(mcwf_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), t)
+    return row_branches(mcwf_menu(me.at(t), np.asarray(psi, dtype=complex)[:, None], dt), t)
 
 
 def mcwf_step(me: MasterEquation, psi: np.ndarray, t: float, dt: float, u: float) -> StepOutcome:
-    b = row_step(mcwf_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), u, t)
+    b = row_step(mcwf_menu(me.at(t), np.asarray(psi, dtype=complex)[:, None], dt), u, t)
     return StepOutcome(b.state, b.event)
 
 
@@ -115,28 +105,20 @@ def first_jump_times(
     scan is vectorized: trajectory k jumps at the first step whose uniform
     falls below that step's jump probability; the recorded time is the end
     of that step. The path and its jump probabilities are ``mcwf_menu``'s
-    drift and summed probabilities, read from one track without building the
-    jump targets. The uniforms come from ``replica_generator(seed, 0)``,
+    drift and summed probabilities on one column, read from one track. The
+    uniforms come from ``replica_generator(seed, 0)``,
     ``_BLOCK_STEPS`` steps at a time for the trajectories still waiting, in
     (steps, waiting) C order, which bounds the memory at n blocks instead
     of n grids.
     """
     times = grid.times()
     steps = grid.n_steps
-    dt = grid.dt
     track = me.track(times[:-1])
-    lowest = track.gammas.min(axis=1, initial=np.inf)
-    ls_t, k_t, rates = np.swapaxes(track.ls, 2, 3), np.swapaxes(track.k, 1, 2), track.gammas[:, :, None]
-    row = np.asarray(psi0, dtype=complex)[None, :]
+    col = np.asarray(psi0, dtype=complex)[:, None]
     p_step = np.empty(steps)
     for k in range(steps):
-        if k >= len(lowest) or lowest[k] < -EPS:
-            require_nonnegative_rates(track[k])  # raises the evaluation error or NegativeRate
-        ys = row @ ls_t[k]
-        n2 = squared_norms(ys)
-        p_step[k] = (rates[k] * n2 * dt).T.sum()
-        row = row - 1j * dt * (row @ k_t[k])
-        row /= np.linalg.norm(row, axis=1)[:, None]
+        menu = mcwf_menu(track[k], col, grid.dt)  # raises the evaluation error or NegativeRate
+        p_step[k], col = menu.probs.sum(), menu.drift
     gen = replica_generator(seed, 0)
     out = np.full(n, np.inf)
     waiting = np.arange(n)

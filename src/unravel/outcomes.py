@@ -2,18 +2,17 @@
 
 A "branch" is one possible result of a single time step together with its
 exact probability. Every menu method writes its one-step law once, as a
-batched kernel ``kernel(snap, rows, dt) -> Menu`` over n trajectory rows.
+batched kernel ``kernel(snap, cols, dt) -> Menu`` over n trajectories, the
+columns of a (w, n) array (trajectory axis last: each product runs over n).
 This module turns a menu into the step that runs (``take_step``) and into
-the branch list of one row (``row_branches``), whose closed-form expectation
-E[w |psi'><psi'|] the tests compare against rho + L[rho] dt. ``run_menus``
-drives the step over a whole grid for one tile of rows: all its batches
-step together, and batch b draws its rows' uniforms from its own stream
-``rng.replica_generator(seed, b)``, step-major, a few steps per call. Each
-batch is summed over its own rows, and the batches of one size are summed
-together: ``batch_runs`` groups a tile's batches into runs of equal size,
-whose rows form one (batches, size, w) stack, and each step reduces each
-run in one stacked call (``linalg.weighted_outer_sum``), with the same bits
-as one call per batch.
+the branch list of one (w, 1) column (``row_branches``), whose closed-form
+expectation E[w |psi'><psi'|] the tests compare against rho + L[rho] dt.
+``run_menus`` drives the step over a whole grid for one tile: all its
+batches step together, and batch b draws its uniforms from its own stream
+``rng.replica_generator(seed, b)``, step-major, a few steps per call.
+``batch_runs`` groups a tile's batches into runs of equal size, whose
+columns view as one (batches, w, size) stack, reduced each step in one
+stacked call (``linalg.weighted_outer_sum``) with the bits of one per batch.
 Weighted methods carry a multiplicative weight factor per branch; the
 cloning method carries a copy count.
 """
@@ -31,28 +30,14 @@ from .linalg import weighted_outer_sum
 from .rng import replica_generator
 
 __all__ = [
-    "Deterministic",
-    "Jump",
-    "ReverseJump",
-    "Clone",
-    "Destroy",
-    "StepOutcome",
-    "Branch",
-    "Menu",
-    "Step",
-    "jump_rows",
-    "take_step",
-    "row_branches",
-    "row_step",
-    "event_counts",
-    "batch_runs",
-    "run_menus",
+    "Deterministic", "Jump", "ReverseJump", "Clone", "Destroy", "StepOutcome", "Branch", "Menu", "Step",
+    "jump_rows", "take_step", "row_branches", "row_step", "event_counts", "batch_runs", "run_menus"
 ]
 
 # Steps whose uniforms ``run_menus`` draws in one call per batch. A call
 # costs about a microsecond and a draw about 6 ns, so a few steps a call
 # cost little more than one call for the whole grid, and hold only a few
-# uniforms per row.
+# uniforms per trajectory.
 _DRAW_STEPS = 4
 
 
@@ -102,18 +87,16 @@ class Branch(NamedTuple):
 
 @dataclass(frozen=True)
 class Menu:
-    """One step's law for n rows with B jump branches each.
+    """One step's law for n trajectories with B jump branches each.
 
-    ``probs`` (n, B) are the jump probabilities; the deterministic branch
-    takes the rest. ``targets`` (n, B, w) are the raw post-jump rows and
-    ``drift`` (n, w) the post-step rows when nothing fires. A raw target is
-    finished only for the rows that take it (``jump_rows``): divided by its
-    entry of ``norms`` ((n, B'), the first B' <= B branches; the rest are
-    taken as they are) or multiplied by its entry of ``scales`` ((n, B)).
-    Only weighted methods set ``jump_factors`` ((B,), the weight factor of
-    each jump branch) and ``det_factors`` ((n,), the no-jump factor); only
-    cloning sets ``copies`` ((B,), the members a branch leaves: 2 clone, 0
-    destroy).
+    ``probs`` (B, n) are the jump probabilities; the deterministic branch
+    takes the rest. ``targets`` (B, w, n) are the raw post-jump columns and
+    ``drift`` (w, n) the post-step columns when nothing fires. A raw target
+    is finished only where taken (``jump_rows``): divided by its entry of
+    ``norms`` ((B', n), the first B' <= B branches) or multiplied by its
+    entry of ``scales`` ((B, n)). Only weighted methods set ``jump_factors``
+    ((B,)) and ``det_factors`` ((n,), the no-jump factor); only cloning sets
+    ``copies`` ((B,), the members a branch leaves: 2 clone, 0 destroy).
     """
 
     probs: np.ndarray
@@ -127,57 +110,61 @@ class Menu:
 
 
 class Step(NamedTuple):
-    rows: np.ndarray     # (n, w) post-step rows
+    cols: np.ndarray     # (w, n) post-step states
     choice: np.ndarray   # (n,) branch taken; B is the deterministic branch
     factors: np.ndarray  # (n,) weight factor picked up (1 without weights)
     copies: np.ndarray   # (n,) members left behind (1 without copies)
 
 
-def _check_total(menu: Menu, t: float) -> None:
-    total = menu.probs.T.sum(axis=0)
+def _check_total(total: np.ndarray, t: float) -> None:
+    """StepTooLarge where a trajectory's jump probabilities sum past 1."""
     if np.any(total > 1.0):
         raise StepTooLarge(
             f"one-step jump probability {total.max():.4g} > 1 at t={t:.6g}; reduce dt", time=t
         )
 
 
-def jump_rows(menu: Menu, rows: np.ndarray, branches: np.ndarray) -> np.ndarray:
-    """The finished targets of jump branch branches[k] of row rows[k]."""
-    out = menu.targets[rows, branches]
+def jump_rows(menu: Menu, traj: np.ndarray, branches: np.ndarray) -> np.ndarray:
+    """The finished targets of jump branch branches[k] of trajectory
+    traj[k], as the columns (w, k)."""
+    out = menu.targets[branches, :, traj].T
     if menu.scales is not None:
-        return menu.scales[rows, branches][:, None] * out
+        return menu.scales[branches, traj] * out
     if menu.norms is not None:
-        own = branches < menu.norms.shape[1]
-        out[own] = out[own] / menu.norms[rows[own], branches[own]][:, None]
+        own = branches < menu.norms.shape[0]
+        out[:, own] = out[:, own] / menu.norms[branches[own], traj[own]]
     return out
 
 
 def take_step(menu: Menu, u: np.ndarray, t: float) -> Step:
-    """Row i takes the branch whose cumulative interval (kernel order,
+    """Trajectory i takes the branch whose cumulative interval (kernel order,
     deterministic last) holds u[i]; a zero-probability branch is never taken."""
-    _check_total(menu, t)
-    n, nb = menu.probs.shape
-    # reduce over branches along axis 0 of the transpose: the channel kernels
-    # build probs branch-major, where that is a fast contiguous pass
-    choice = (u[None, :] >= np.cumsum(menu.probs.T, axis=0)).sum(axis=0)
+    nb, n = menu.probs.shape
+    # the cumulative edges a branch at a time, as np.cumsum sums them (it
+    # would loop over the trajectories)
+    edge, choice = np.zeros(n), np.zeros(n, dtype=np.int64)
+    for p in menu.probs:
+        edge += p
+        choice += u >= edge
+    _check_total(edge, t)
     jumped = np.nonzero(choice < nb)[0]
     taken = choice[jumped]
-    rows = menu.drift.copy()
-    rows[jumped] = jump_rows(menu, jumped, taken)
+    cols = menu.drift.copy()
+    cols[:, jumped] = jump_rows(menu, jumped, taken)
     factors = np.ones(n) if menu.det_factors is None else menu.det_factors.copy()
     if menu.jump_factors is not None:
         factors[jumped] = menu.jump_factors[taken]
     copies = np.ones(n, dtype=np.int64)
     if menu.copies is not None:
         copies[jumped] = menu.copies[taken]
-    return Step(rows, choice, factors, copies)
+    return Step(cols, choice, factors, copies)
 
 
 def row_branches(menu: Menu, t: float) -> list[Branch]:
-    """The branch list of row 0, in kernel order with the deterministic
+    """The branch list of trajectory 0, in kernel order with the deterministic
     branch last; population branches are labelled by their copies."""
-    _check_total(menu, t)
-    p = menu.probs[0]
+    _check_total(menu.probs.sum(axis=0), t)
+    p = menu.probs[:, 0]
     factors = np.ones(p.shape) if menu.jump_factors is None else menu.jump_factors
     copies = np.ones(p.shape, dtype=np.int64) if menu.copies is None else menu.copies
     states = jump_rows(menu, np.zeros(p.shape, dtype=np.int64), np.arange(p.shape[0]))
@@ -185,15 +172,15 @@ def row_branches(menu: Menu, t: float) -> list[Branch]:
     for b in range(p.shape[0]):
         pb, c = float(p[b]), int(copies[b])
         event = Jump(b, probability=pb) if c == 1 else Clone(pb) if c == 2 else Destroy(pb)
-        out.append(Branch(pb, states[b], event, float(factors[b]), c))
+        out.append(Branch(pb, states[:, b], event, float(factors[b]), c))
     rest = 1.0 - float(p.sum())
     det = 1.0 if menu.det_factors is None else float(menu.det_factors[0])
-    out.append(Branch(rest, menu.drift[0], Deterministic(rest), det))
+    out.append(Branch(rest, menu.drift[:, 0], Deterministic(rest), det))
     return out
 
 
 def row_step(menu: Menu, u: float, t: float) -> Branch:
-    """The branch ``take_step`` gives row 0 for the uniform u."""
+    """The branch ``take_step`` gives trajectory 0 for the uniform u."""
     return row_branches(menu, t)[int(take_step(menu, np.array([u]), t).choice[0])]
 
 
@@ -215,9 +202,9 @@ def event_counts(hits: np.ndarray, copies: np.ndarray | None = None) -> dict:
 
 
 def _first_error(err: UnravelError, spans, attempt: Callable) -> UnravelError:
-    """The error ``attempt(a, b)`` raises on the first row span (a, b) that
-    meets one, else err: a tile reports what its first failing batch would
-    have reported alone (messages quote extremes over the rows)."""
+    """The error ``attempt(a, b)`` raises on the first span (a, b) that meets
+    one, else err: a tile reports what its first failing batch would have
+    reported alone (messages quote extremes over the trajectories)."""
     for a, b in spans:
         try:
             attempt(a, b)
@@ -227,11 +214,10 @@ def _first_error(err: UnravelError, spans, attempt: Callable) -> UnravelError:
 
 
 def batch_runs(sizes) -> list[tuple[slice, slice, tuple[int, int]]]:
-    """The consecutive batches of a tile, of the given row counts, grouped
-    into runs of equal size: (batch indices, row indices, (batches, size))
-    per run, so that the rows of a run reshape to one (batches, size, w)
-    stack. ``engine._chunk_sizes`` puts the larger batches first, so a tile
-    has at most two runs."""
+    """The consecutive batches of a tile, of the given sizes, grouped into
+    runs of equal size: (batch indices, column indices, (batches, size)) per
+    run, so that the columns of a run view as one (batches, w, size) stack.
+    ``engine._chunk_sizes`` puts the larger batches first: at most two runs."""
     runs, batch, row = [], 0, 0
     for size, group in groupby(int(s) for s in sizes):
         count = len(list(group))
@@ -243,7 +229,7 @@ def batch_runs(sizes) -> list[tuple[slice, slice, tuple[int, int]]]:
 def run_menus(
     kernel: Callable,
     me,
-    row0: np.ndarray,
+    psi0: np.ndarray,
     grid,
     batch0: int,
     sizes,
@@ -253,28 +239,28 @@ def run_menus(
     weighted: bool = False,
     tally: tuple[str, Callable] | None = None,
 ):
-    """Step the rows of batches batch0, batch0 + 1, ... of ``sizes`` rows
-    each (a tile of an ensemble) from row0, all together, each batch on its
-    own stream.
+    """Step the trajectories of batches batch0, batch0 + 1, ... of ``sizes``
+    trajectories each (a tile of an ensemble) from psi0, all together as the
+    columns of one (w, n) array, each batch on its own stream.
 
     Returns (rho_sum, counts, diagnostics, abort): rho_sum[b, k] is the
     ``outer`` sum (default ``weighted_outer_sum``) of batch b at grid point
-    k, one reduction over that batch's rows alone, as a run of the batch by
-    itself gives it, and so is every diagnostics series; counts and
-    sign-flip steps cover all rows. abort is None or (err, k) for a method
-    error at step k, with everything before step k kept.
-    ``weighted`` carries one weight per row and records the ``weight_sum``
-    series and the ``sign_flip_steps`` where a jump took a negative factor;
-    ``tally = (key, fn)`` records one more series.
+    k, one reduction over that batch alone, as a run of the batch by itself
+    gives it, and so is every diagnostics series; counts and sign-flip steps
+    cover the tile. abort is None or (err, k) for a method error at step k,
+    with everything before step k kept.
+    ``weighted`` carries one weight per trajectory and records the
+    ``weight_sum`` series and the ``sign_flip_steps`` where a jump took a
+    negative factor; ``tally = (key, fn)`` records one more series.
     The hooks take stacks, one call per run of ``batch_runs``:
-    ``outer(rows, weights)`` gets rows (B, m, w) and weights (B, m) (None
-    without ``weighted``) and returns the B sums (B, d, d); ``fn(rows)``
-    returns the B tallies (B,). Each slice's result must be what the hook
-    gives that batch alone.
+    ``outer(cols, weights)`` gets the run's columns viewed as (B, w, m) and
+    weights (B, m) (None without ``weighted``) and returns the B sums
+    (B, d, d); ``fn(cols)`` returns the B tallies (B,). Each slice's result
+    must be what the hook gives that batch alone.
     ``track`` is ``me.track`` over the grid's step starts, which the tiles
     of one ensemble share.
     Batch b's uniforms are ``replica_generator(seed, b)``'s draws in
-    (steps, size_b) C order, one per row and step; they are drawn
+    (steps, size_b) C order, one per trajectory and step; they are drawn
     ``_DRAW_STEPS`` steps per call, and any split into whole steps gives the
     same bits.
     """
@@ -284,8 +270,8 @@ def run_menus(
     bounds = np.concatenate([[0], np.cumsum(sizes)])
     spans = list(zip(bounds[:-1], bounds[1:]))
     gens = [replica_generator(seed, batch0 + b) for b in range(len(spans))]
-    rows = np.tile(np.asarray(row0, dtype=complex), (int(bounds[-1]), 1))
-    weights = np.ones(len(rows)) if weighted else None
+    cols = np.repeat(np.asarray(psi0, dtype=complex)[:, None], int(bounds[-1]), axis=1)
+    weights = np.ones(cols.shape[1]) if weighted else None
     runs = batch_runs(sizes)
     rho_sum = np.zeros((len(spans), steps + 1, me.dim, me.dim), dtype=complex)
     diag: dict = {}
@@ -297,7 +283,7 @@ def run_menus(
 
     def record(k: int) -> None:
         for batches, span, shape in runs:
-            stack = rows[span].reshape(*shape, -1)
+            stack = np.swapaxes(cols[:, span].reshape(len(cols), *shape), 0, 1)
             w = None if weights is None else weights[span].reshape(shape)
             rho_sum[batches, k] = outer(stack, w)
             if weighted:
@@ -307,7 +293,7 @@ def run_menus(
 
     record(0)
     hits = np.zeros(1, dtype=np.int64)  # grows to one slot per branch at the first step
-    u = np.empty((_DRAW_STEPS, len(rows)))  # row j: the uniforms of step k + j
+    u = np.empty((_DRAW_STEPS, cols.shape[1]))  # row j: the uniforms of step k + j
     for k in range(steps):
         j = k % _DRAW_STEPS
         if j == 0:
@@ -315,17 +301,17 @@ def run_menus(
             for gen, (a, b) in zip(gens, spans):
                 u[:count, a:b] = gen.random((count, b - a))
         try:
-            menu = kernel(track[k], rows, grid.dt)
+            menu = kernel(track[k], cols, grid.dt)
             step = take_step(menu, u[j], times[k])
         except UnravelError as err:
             err = _first_error(
-                err, spans, lambda a, b: take_step(kernel(track[k], rows[a:b], grid.dt), u[j, a:b], times[k])
+                err, spans, lambda a, b: take_step(kernel(track[k], cols[:, a:b], grid.dt), u[j, a:b], times[k])
             )
             return rho_sum, event_counts(hits), diag, (err, k)
-        nb = menu.probs.shape[1]
+        nb = len(menu.probs)
         del menu  # the next step's kernel runs without this one's jump targets
         hits = hits + np.bincount(step.choice, minlength=nb + 1)
-        rows = step.rows
+        cols = step.cols
         if weighted:
             if np.any(step.factors[step.choice < nb] < 0.0):
                 diag["sign_flip_steps"].append(k)

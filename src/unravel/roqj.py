@@ -10,8 +10,11 @@ P divisibility, or a badly chosen gauge, surfaces at runtime. W's
 eigenvectors lie in psi^perp by construction, so only ``ro_menu`` checks for
 self-directed eigenpairs.
 
-``w_menu`` and ``ro_menu`` are the batched kernels (see ``outcomes``); the
-scalar ``*_branches`` and ``*_step`` functions are their one-row views.
+``w_menu`` and ``ro_menu`` are the batched kernels on state columns (d, n)
+(see ``outcomes``); the scalar ``*_branches`` and ``*_step`` functions are
+their one-column views. At d = 2, W's one eigenvector is the complement
+column itself; the gauged spectra and d > 2 decompose one (d, d) block per
+state and hand the eigenvectors to the menu as a (d, d, n) view.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NegativeROEigenvalue, NegativeWEigenvalue
-from .linalg import EPS
+from .linalg import EPS, apply_columns
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Jump, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
@@ -49,34 +52,35 @@ __all__ = [
 _SELF_OVERLAP = 1.0 - 1e-8
 
 
-def _spectral_menu(snap, rows, dt, vals, vecs, drift, err_cls, label) -> Menu:
-    """Eigenpair nu of each row's rate operator fires with lambda_nu dt."""
+def _spectral_menu(snap, dt, vals, vecs, drift, err_cls, label) -> Menu:
+    """Eigenpair nu of each state's rate operator fires with lambda_nu dt:
+    values (B, n), eigenvectors (B, d, n)."""
     bad = vals < -EPS
     if np.any(bad):
         raise err_cls(f"{label} eigenvalue {vals[bad].min():.6g} < 0 at t={snap.t:.6g}", time=snap.t)
-    probs = np.clip(vals, 0.0, None) * dt
-    return Menu(probs, np.swapaxes(vecs, 1, 2), drift / np.linalg.norm(drift, axis=1)[:, None])
+    drift /= np.linalg.norm(drift, axis=0)
+    return Menu(np.clip(vals, 0.0, None) * dt, vecs, drift)
 
 
-def w_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
+def w_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float) -> Menu:
     """W-ROQJ kernel: the W spectrum on psi-perp and the K^W drift."""
-    images = jump_images(snap, rows)
-    vals, phis = w_spectrum_batch(snap, rows, images)
-    drift = w_drift_step(snap, rows, dt, images)
-    return _spectral_menu(snap, rows, dt, vals, phis, drift, NegativeWEigenvalue, "W")
+    images = jump_images(snap, cols)
+    vals, phis = w_spectrum_batch(snap, cols, images)
+    drift = w_drift_step(snap, cols, dt, images)
+    return _spectral_menu(snap, dt, vals, phis, drift, NegativeWEigenvalue, "W")
 
 
-def ro_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float, g: GaugeTransform) -> Menu:
+def ro_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float, g: GaugeTransform) -> Menu:
     """Gauged kernel: the R (time-dependent gauge) or Psi-R spectrum and drift."""
-    phi_g = gauge_vectors_batch(g, snap, rows)
-    vals, vecs = ro_spectrum_batch(snap, rows, phi_g)
-    ov = np.abs(np.einsum("ni,nij->nj", np.conj(rows), vecs)) ** 2
+    phi_g = gauge_vectors_batch(g, snap, cols)
+    vals, vecs = ro_spectrum_batch(snap, cols, phi_g)
+    ov = np.abs(np.einsum("in,nij->nj", np.conj(cols), vecs)) ** 2
     vals = np.where(ov >= _SELF_OVERLAP, 0.0, vals)  # jumping to psi is a no-op; see module docstring
     if g.kind == "time_dependent":
-        drift = rows @ r_drift_matrix(snap, g.c(snap.t), dt).T
+        drift = apply_columns(r_drift_matrix(snap, g.c(snap.t), dt), cols)
     else:
-        drift = psi_drift_step(snap, rows, phi_g, dt)
-    return _spectral_menu(snap, rows, dt, vals, vecs, drift, NegativeROEigenvalue, "rate-operator")
+        drift = psi_drift_step(snap, cols, phi_g, dt)
+    return _spectral_menu(snap, dt, vals.T, vecs.transpose(2, 1, 0), drift, NegativeROEigenvalue, "rate-operator")
 
 
 def _branches(menu: Menu, psi: np.ndarray, t: float) -> list[Branch]:
@@ -90,11 +94,11 @@ def _branches(menu: Menu, psi: np.ndarray, t: float) -> list[Branch]:
 
 def wroqj_branches(me: MasterEquation, psi: np.ndarray, t: float, dt: float) -> list[Branch]:
     psi = np.asarray(psi, dtype=complex)
-    return _branches(w_menu(me.at(t), psi[None, :], dt), psi, t)
+    return _branches(w_menu(me.at(t), psi[:, None], dt), psi, t)
 
 
 def wroqj_step(me: MasterEquation, psi: np.ndarray, t: float, dt: float, u: float) -> StepOutcome:
-    b = row_step(w_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt), u, t)
+    b = row_step(w_menu(me.at(t), np.asarray(psi, dtype=complex)[:, None], dt), u, t)
     return StepOutcome(b.state, b.event)
 
 
@@ -102,13 +106,13 @@ def roqj_branches(
     me: MasterEquation, psi: np.ndarray, t: float, dt: float, g: GaugeTransform
 ) -> list[Branch]:
     psi = np.asarray(psi, dtype=complex)
-    return _branches(ro_menu(me.at(t), psi[None, :], dt, g), psi, t)
+    return _branches(ro_menu(me.at(t), psi[:, None], dt, g), psi, t)
 
 
 def roqj_step(
     me: MasterEquation, psi: np.ndarray, t: float, dt: float, g: GaugeTransform, u: float
 ) -> StepOutcome:
-    b = row_step(ro_menu(me.at(t), np.asarray(psi, dtype=complex)[None, :], dt, g), u, t)
+    b = row_step(ro_menu(me.at(t), np.asarray(psi, dtype=complex)[:, None], dt, g), u, t)
     return StepOutcome(b.state, b.event)
 
 

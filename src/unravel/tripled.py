@@ -119,9 +119,9 @@ def _embedding(times, h, pairs, error) -> tuple[GeneratorTrack, np.ndarray]:
         jumps[:, j, 2] = _kron3(omega, _aux_proj(2, 0))
         jumps[:, j, 3] = _kron3(omega, _aux_proj(2, 1))
     h3, jumps = _kron3(h[:n], np.eye(3)), jumps[:n].reshape(n, 4 * len(pairs), 3 * dim, 3 * dim)
-    ones = np.ones(jumps.shape[:2])
-    gamma_l = np.einsum("na,naki,nakj->nij", ones, np.conj(jumps), jumps)
-    return GeneratorTrack(times, h3, jumps, ones, gamma_l, gamma_l, h3 - 0.5j * gamma_l, error), levels
+    # every embedded jump has rate one
+    gamma_l = np.einsum("naki,nakj->nij", np.conj(jumps), jumps)
+    return GeneratorTrack(times, h3, jumps, np.ones(jumps.shape[:2]), gamma_l, gamma_l, h3 - 0.5j * gamma_l, error), levels
 
 
 def _evaluated(hamiltonian: Matrix, pairs: tuple[JumpPair, ...], levels, dim: int, times: np.ndarray):

@@ -81,29 +81,29 @@ def default_rate_policy(r_min: float = 0.05) -> RatePolicy:
     return policy
 
 
-def _row(wt) -> np.ndarray:
-    return np.asarray(wt.state, dtype=complex)[None, :]
+def _col(wt) -> np.ndarray:
+    return np.asarray(wt.state, dtype=complex)[:, None]
 
 
-def im_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float, r_policy: RatePolicy) -> Menu:
+def im_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float, r_policy: RatePolicy) -> Menu:
     """Influence-martingale kernel: channel jumps sampled at r = r_policy(gamma)."""
     rs = np.asarray(r_policy(snap.gammas), dtype=float)
     if rs.shape != snap.gammas.shape or np.any(rs <= 0.0):
         raise InvalidRatePolicy(
             f"rate policy must return one strictly positive rate per channel, got {rs} at t={snap.t:.6g}"
         )
-    return channel_menu(snap, rows, dt, rs)
+    return channel_menu(snap, cols, dt, rs)
 
 
-def plqt_menu(snap: GeneratorSnapshot, rows: np.ndarray, dt: float) -> Menu:
+def plqt_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float) -> Menu:
     """Sign-bit kernel: channel jumps sampled at |gamma|, factor sign(gamma)."""
-    return channel_menu(snap, rows, dt, np.abs(snap.gammas))
+    return channel_menu(snap, cols, dt, np.abs(snap.gammas))
 
 
 def im_branches(
     me: MasterEquation, wt: WeightedTrajectory, t: float, dt: float, r_policy: RatePolicy
 ) -> Sequence[Branch]:
-    return row_branches(im_menu(me.at(t), _row(wt), dt, r_policy), t)
+    return row_branches(im_menu(me.at(t), _col(wt), dt, r_policy), t)
 
 
 def im_step(
@@ -114,7 +114,7 @@ def im_step(
     r_policy: RatePolicy,
     u: float,
 ) -> WeightedTrajectory:
-    b = row_step(im_menu(me.at(t), _row(wt), dt, r_policy), u, t)
+    b = row_step(im_menu(me.at(t), _col(wt), dt, r_policy), u, t)
     return WeightedTrajectory(b.state, wt.weight * b.weight_factor)
 
 
@@ -128,18 +128,18 @@ def _signed(b: Branch) -> Branch:
 
 def plqt_branches(me: MasterEquation, wt: PlqtTrajectory, t: float, dt: float) -> Sequence[Branch]:
     """Jump menu at absolute rates; a negative-rate jump flips the sign."""
-    return [_signed(b) for b in row_branches(plqt_menu(me.at(t), _row(wt), dt), t)]
+    return [_signed(b) for b in row_branches(plqt_menu(me.at(t), _col(wt), dt), t)]
 
 
 def plqt_step(wt: PlqtTrajectory, me: MasterEquation, t: float, dt: float, u: float) -> PlqtTrajectory:
-    b = _signed(row_step(plqt_menu(me.at(t), _row(wt), dt), u, t))
+    b = _signed(row_step(plqt_menu(me.at(t), _col(wt), dt), u, t))
     if isinstance(b.event, Jump):
         return PlqtTrajectory(b.state, wt.sign * b.event.sign, wt.magnitude)
     return PlqtTrajectory(b.state, wt.sign, wt.magnitude * b.weight_factor)
 
 
 def run_chunk_im(me, psi0, grid, batch0, sizes, seed, track, r_policy: RatePolicy | None = None):
-    """Influence-martingale trajectories; rho_sum rows are weighted projector
+    """Influence-martingale trajectories; rho_sum entries are weighted projector
     sums; the rest as in ``run_menus``."""
     policy = r_policy if r_policy is not None else default_rate_policy()
     return run_menus(partial(im_menu, r_policy=policy), me, psi0, grid, batch0, sizes, seed, track, weighted=True)

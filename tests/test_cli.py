@@ -293,10 +293,13 @@ def test_csv_is_byte_identical_across_threads(tmp_path):
 
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys):
     """A NaN r_min, a NaN amplitude, a step too small to count, more steps
-    than numpy can index and an output path that cannot be written each end
-    in one ``error:`` line and exit 1, before any output is written where
-    that can be known in advance."""
+    than numpy can index, rates whose G_L = sum_a gamma_a L_a^dag L_a
+    overflows (the oracle meets a ModelError at t = 0) and an output path
+    that cannot be written each end in one ``error:`` line and exit 1,
+    before any output is written where that can be known in advance."""
     nan_state = _write(tmp_path, "nan.txt", "initial_state = nan, 0\n")
+    overflow = _write(tmp_path, "overflow.txt", "model = phase_covariant\nmodel.gamma_plus = 1e308\n"
+                      "model.gamma_z = 1e308\n")
     (tmp_path / "dir_results.csv").mkdir()  # the CSV path is taken by a directory
     quick = ["--t-max", "0.05", "--trajectories", "20"]
     for argv in (
@@ -304,6 +307,8 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys):
         ["run", "--config", nan_state, *quick, "--out", str(tmp_path / "a")],
         ["run", "--dt", "1e-320", "--oracle-only", "--out", str(tmp_path / "d")],
         ["run", "--dt", "1e-300", "--oracle-only", "--out", str(tmp_path / "i")],
+        ["run", "--config", overflow, *quick, "--out", str(tmp_path / "o")],
+        ["divisibility", "--config", overflow, "--t-max", "0.05", "--out", str(tmp_path / "o")],
         ["run", *quick, "--out", str(tmp_path / "missing" / "x")],
         ["divisibility", "--t-max", "0.05", "--out", str(tmp_path / "missing" / "x")],
         ["run", *quick, "--out", str(tmp_path / "dir")],
@@ -311,7 +316,9 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys):
         assert main(argv) == 1, argv
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir_results.csv", "nan.txt"]
+    assert main(["run", "--config", overflow, *quick, "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == "error: G_L = sum_a gamma_a L_a^dag L_a is not finite at t=0.0\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir_results.csv", "nan.txt", "overflow.txt"]
 
 
 def test_main_exits_1_on_config_problems(tmp_path, capsys):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from branch_tools import run_batches
-from test_linalg import signed_zero_rows
+from test_linalg import column_stack, signed_zero_rows
 from unravel.doubled import (
     _norm2_sums,
     _pair_outer,
@@ -119,12 +119,13 @@ def test_chunk_is_reproducible():
 
 
 def test_pair_sums_and_norm_tally_keep_each_slice_bits():
-    """The run_menus hooks of the doubled runner take a stack of batches and
-    give each batch the bytes of its own 2-D reduction."""
+    """The run_menus hooks of the doubled runner take a column stack of
+    batches and give each batch the bytes of its own 2-D reduction."""
     gen = np.random.default_rng(13)
     for batches, n in ((3, 51), (17, 50), (2, 9000)):
         rows = signed_zero_rows(gen, (batches, n, 4))
         pairs = np.array([np.einsum("ni,nj->ij", r[:, :2], np.conj(r[:, 2:])) for r in rows])
         norms = np.array([np.einsum("ni,ni->n", r, np.conj(r)).real.sum() for r in rows])
-        assert _pair_outer(rows).tobytes() == pairs.tobytes()
-        assert _norm2_sums(rows).tobytes() == norms.tobytes()
+        cols = column_stack(rows)
+        assert _pair_outer(cols).tobytes() == pairs.tobytes()
+        assert _norm2_sums(cols).tobytes() == norms.tobytes()

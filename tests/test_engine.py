@@ -256,6 +256,30 @@ def test_model_exception_mid_run_is_an_abort_with_the_finished_runs_prefix(kind)
     assert partial["stderr"].tobytes() == finished.stderr[:n_pts].tobytes()
 
 
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_non_finite_model_value_mid_run_is_an_abort_with_the_finished_runs_prefix(kind):
+    """A rate that returns NaN from t = 0.5 ends the model's track there:
+    every method ends in a ModelError abort that names the piece and the
+    time, with the finished run of the same model without the NaN, cut at
+    the step before, as its partial (no silent jumps, no NaN estimate)."""
+    me = _decay_failing_from(None)
+    nan_from_half = master_equation(2, 0.3 * SIGMA_X, [(SIGMA_MINUS, lambda t: np.nan if t >= 0.5 else 1.0, "down")])
+    method = _rroqj(me) if kind == "rroqj" else method_id(kind)
+    grid = TimeGrid(0.0, 1.0, 1e-2)
+    with pytest.raises(ModelError) as exc:
+        run_ensemble(method, nan_from_half, PLUS, grid, 100, seed=3)
+    err = exc.value
+    assert isinstance(err.__cause__, FloatingPointError)
+    assert str(err) == "rate 0 is not finite at t=0.5"
+    assert err.time == 0.5
+    finished = run_ensemble(method, me, PLUS, grid, 100, seed=3)
+    n_pts = 50 if kind == "wtd" else 51
+    partial = err.partial
+    assert np.array_equal(partial["times"], grid.times()[:n_pts])
+    assert partial["rho_hat"].tobytes() == finished.rho_hat[:n_pts].tobytes()
+    assert partial["rho_batches"].tobytes() == finished.rho_batches[:, :n_pts].tobytes()
+
+
 def test_distance_stderr_matches_pointwise_trace_distances():
     """The batched stderr equals the per-point, per-batch trace-distance
     loop bit for bit, and is inf wherever a batch has no reconstruction."""

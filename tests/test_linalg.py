@@ -5,6 +5,7 @@ import pytest
 
 from unravel.errors import NotHermitian, NotPSD, ZeroVector
 from unravel.linalg import (
+    _EINSUM_PASS,
     _eigh_lapack,
     _order_ties,
     complement_batch,
@@ -209,10 +210,11 @@ def test_orthonormal_complement_spans_perp():
 
 def test_complement_batch_matches_single():
     gen = np.random.default_rng(9)
-    states = np.stack([haar_state(3, gen) for _ in range(6)])
+    states = np.stack([haar_state(3, gen) for _ in range(6)], axis=1)  # columns
     qs = complement_batch(states)
+    assert qs.shape == (2, 3, 6)
     for k in range(6):
-        assert np.allclose(qs[k], orthonormal_complement(states[k]), atol=1e-12)
+        assert np.allclose(qs[:, :, k].T, orthonormal_complement(states[:, k]), atol=1e-12)
 
 
 def _lapack_reference(ms):
@@ -235,18 +237,18 @@ def test_complement_batch_closed_form_at_d2():
         [[0.0, 1.0], [0.0, -1j], [1.0, 0.0], [np.exp(2j), 0.0]],  # a = 0, b = 0
         [[r, r], [r, 1j * r], [-r, 1j * r], [1j * r, -r]],  # |a| = |b|
     ]).astype(complex)
-    qs = complement_batch(states)
-    assert qs.shape == (len(states), 2, 1)
-    q = qs[:, :, 0]
+    qs = complement_batch(states.T)
+    assert qs.shape == (1, 2, len(states))
+    q = qs[0].T
     assert np.allclose(np.abs(q[:, 0]) ** 2 + np.abs(q[:, 1]) ** 2, 1.0, atol=1e-15)
     assert np.max(np.abs(np.einsum("ni,ni->n", np.conj(q), states))) < 1e-15
     # the phase rule: the largest entry, the first on a tie, is real and >= 0
     lead = np.where(np.abs(q[:, 1]) > np.abs(q[:, 0]), q[:, 1], q[:, 0])
     assert np.all(lead.imag == 0.0) and np.all(lead.real > 0.0)
     assert np.all(q[-4:, 0].imag == 0.0)  # ties take the first entry
-    assert np.allclose(qs, phase_fix_columns(np.stack([-np.conj(states[:, 1]), np.conj(states[:, 0])],
-                                                      axis=1)[:, :, None]), atol=1e-15)
-    assert np.array_equal(orthonormal_complement(states[3]), qs[3])
+    assert np.allclose(q[:, :, None], phase_fix_columns(np.stack([-np.conj(states[:, 1]), np.conj(states[:, 0])],
+                                                                 axis=1)[:, :, None]), atol=1e-15)
+    assert np.array_equal(orthonormal_complement(states[3]), q[3][:, None])
 
 
 def test_eigh_2x2_closed_form_matches_lapack():
@@ -313,7 +315,7 @@ def test_vec_is_column_stacking():
 
 
 def test_weighted_outer_sum():
-    states = np.eye(2, dtype=complex)
+    states = np.eye(2, dtype=complex)  # columns |0>, |1>
     assert np.allclose(weighted_outer_sum(states, np.array([2.0, 3.0])), np.diag([2.0, 3.0]))
     assert np.allclose(weighted_outer_sum(states), np.eye(2))
 
@@ -327,15 +329,25 @@ def signed_zero_rows(gen, shape):
     return rows
 
 
+def column_stack(rows):
+    """The rows (B, n, w) of B batches as a tile holds them: the columns of
+    one (w, B n) array, viewed (B, w, n) without a copy."""
+    batches, n, width = rows.shape
+    tile = np.ascontiguousarray(rows.reshape(batches * n, width).T)
+    return np.swapaxes(tile.reshape(width, batches, n), 0, 1)
+
+
 @pytest.mark.parametrize("width", [2, 6])
 @pytest.mark.parametrize("weighted", [False, True])
 def test_stacked_weighted_outer_sum_keeps_each_slice_bits(width, weighted):
-    """One call on a stack of batches gives each batch the bytes of the
-    row-major 2-D einsum over that batch alone, signed zeros included, also
-    for stacks longer than one einsum pass (3 x 5000 rows) and batches
-    longer than one pass (9000 rows)."""
+    """One call on a column stack of batches (a tile's view, the trajectory
+    axis contiguous) gives each batch the bytes of the row-major 2-D einsum
+    over that batch alone, signed zeros included, also for stacks longer
+    than one einsum pass (3 x 5000 columns) and batches longer than one
+    pass (9000 columns, more than ``_EINSUM_PASS``); so do one batch's
+    columns, as a view and as a contiguous copy."""
     gen = np.random.default_rng(12)
-    for batches, n in ((3, 51), (17, 50), (1, 1), (3, 5000), (2, 9000)):
+    for batches, n in ((3, 51), (17, 50), (1, 1), (3, 5000), (2, _EINSUM_PASS + 808)):
         rows = signed_zero_rows(gen, (batches, n, width))
         ws = None
         if weighted:
@@ -345,9 +357,12 @@ def test_stacked_weighted_outer_sum_keeps_each_slice_bits(width, weighted):
             np.einsum("ni,nj->ij", r, np.conj(r)) if ws is None else np.einsum("n,ni,nj->ij", ws[b], r, np.conj(r))
             for b, r in enumerate(rows)
         ])
-        assert weighted_outer_sum(rows, ws).tobytes() == ref.tobytes()
-        for b, r in enumerate(rows):
-            assert weighted_outer_sum(r, None if ws is None else ws[b]).tobytes() == ref[b].tobytes()
+        cols = column_stack(rows)
+        assert weighted_outer_sum(cols, ws).tobytes() == ref.tobytes()
+        for b, c in enumerate(cols):
+            w = None if ws is None else ws[b]
+            assert weighted_outer_sum(c, w).tobytes() == ref[b].tobytes()
+            assert weighted_outer_sum(np.ascontiguousarray(c), w).tobytes() == ref[b].tobytes()
 
 
 def test_require_density_accepts_and_rejects():

@@ -319,3 +319,30 @@ def test_constant_of_the_wrong_shape_fails_at_the_first_time(hamiltonian, channe
         assert type(track.error) is error
     with pytest.raises(type(track.error)):
         track[1]
+
+
+def _bad_from(t_bad, value):
+    return lambda t: value if t >= t_bad else 1.0
+
+
+@pytest.mark.parametrize("where, what", [
+    ("hamiltonian", "hamiltonian"), ("jump", "jump operator 1"), ("rate", "rate 1"), ("overflow", "G_L"),
+])
+def test_a_non_finite_piece_ends_the_track_as_a_model_error(where, what):
+    """From the first time at which the hamiltonian, a jump operator or a
+    rate holds a non-finite entry, or G_L overflows, the track raises a
+    ModelError that names the piece and the time; earlier times stay."""
+    h = (lambda t: np.full((2, 2), np.inf) if t >= 0.2 else np.zeros((2, 2))) if where == "hamiltonian" else SIGMA_X
+    scale = _bad_from(0.2, np.nan)
+    second = {
+        "jump": (lambda t: scale(t) * SIGMA_MINUS, 1.0),
+        "rate": (SIGMA_MINUS, scale),
+        "overflow": (SIGMA_MINUS, _bad_from(0.2, 1e308)),
+    }.get(where, (SIGMA_MINUS, 1.0))
+    first = (SIGMA_Z, _bad_from(0.2, 1e308) if where == "overflow" else 1.0)
+    track = master_equation(2, h, [first, second]).track([0.0, 0.1, 0.2, 0.3])
+    assert len(track.h) == len(track.k) == 2
+    assert track[1].t == 0.1
+    with pytest.raises(ModelError, match=f"^{what}.* is not finite at t=0.2$") as exc:
+        track[3]
+    assert isinstance(exc.value.__cause__, FloatingPointError) and exc.value.time == 0.2

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from branch_tools import one_step_cases, run_batches, sample_points
+from test_roqj import _cascade
 from unravel.cloning import clone_menu, cloning_step
 from unravel.doubled import DoubledState, doubled_factors, doubled_step, factors_menu
 from unravel.errors import NegativeRate, StepTooLarge
-from unravel.linalg import trace_distance
+from unravel.linalg import apply_columns, trace_distance
 from unravel.master_equation import master_equation
 from unravel.mcwf import _BLOCK_STEPS, channel_menu, first_jump_times, mcwf_branches, mcwf_menu, mcwf_step
 from unravel.models import (
@@ -105,8 +106,8 @@ def _roqj_agreement(label, gauge):
     me = eternally_nm()
     g = gauge(me)
 
-    def kernel(snap, rows, dt):
-        return w_menu(snap, rows, dt) if g is None else ro_menu(snap, rows, dt, g)
+    def kernel(snap, cols, dt):
+        return w_menu(snap, cols, dt) if g is None else ro_menu(snap, cols, dt, g)
 
     def scalar(psi, t, u):
         if g is None:
@@ -123,8 +124,8 @@ def _im_agreement():
         out = im_step(WeightedTrajectory(psi, 1.0), me, t, STEP_DT, policy, u)
         return out.state, out.weight, 1
 
-    def kernel(snap, rows, dt):
-        return im_menu(snap, rows, dt, policy)
+    def kernel(snap, cols, dt):
+        return im_menu(snap, cols, dt, policy)
 
     return me, kernel, lambda psi: psi, scalar, _points("im:eternally_nm")
 
@@ -149,7 +150,7 @@ def _doubled_agreement():
     return (
         me,
         # the kernel doubled.run_chunk steps
-        lambda snap, rows, dt: factors_menu(doubled_factors(snap), snap.t, rows, dt),
+        lambda snap, cols, dt: factors_menu(doubled_factors(snap), snap.t, cols, dt),
         lambda psi: np.concatenate([psi, psi]),
         scalar,
         _points("doubled:eternally_nm"),
@@ -196,11 +197,11 @@ AGREEMENT = {
 
 
 def _aimed_uniforms(menu):
-    """Each row draws the middle of a branch with positive probability,
-    preferring branches no earlier row took, so jumps, population events
-    and drifts are all exercised."""
-    n, nb = menu.probs.shape
-    edges = np.concatenate([np.zeros((n, 1)), np.cumsum(menu.probs, axis=1), np.ones((n, 1))], axis=1)
+    """Each trajectory draws the middle of a branch with positive
+    probability, preferring branches no earlier one took, so jumps,
+    population events and drifts are all exercised."""
+    nb, n = menu.probs.shape
+    edges = np.concatenate([np.zeros((n, 1)), np.cumsum(menu.probs.T, axis=1), np.ones((n, 1))], axis=1)
     us = np.empty(n)
     taken = set()
     for r in range(n):
@@ -214,16 +215,16 @@ def _aimed_uniforms(menu):
 
 @pytest.mark.parametrize("kind", list(AGREEMENT))
 def test_vectorized_step_matches_scalar(kind):
-    # the driver's one step on several rows against each row's *_step
+    # the driver's one step on several state columns against each state's *_step
     me, kernel, row_of, scalar, points = AGREEMENT[kind]()
     t = points[0][1]
-    menu = kernel(me.at(t), np.stack([row_of(psi) for psi, _t in points]), STEP_DT)
+    menu = kernel(me.at(t), np.stack([row_of(psi) for psi, _t in points], axis=1), STEP_DT)
     us = _aimed_uniforms(menu)
     step = take_step(menu, us, t)
-    assert np.any(step.choice < menu.probs.shape[1]) and np.any(step.choice == menu.probs.shape[1])
+    assert np.any(step.choice < len(menu.probs)) and np.any(step.choice == len(menu.probs))
     for i, (psi, _t) in enumerate(points):
         row, weight, copies = scalar(psi, t, us[i])
-        assert np.allclose(step.rows[i], row, atol=1e-12)
+        assert np.allclose(step.cols[:, i], row, atol=1e-12)
         assert step.factors[i] == pytest.approx(weight, abs=1e-12)
         assert step.copies[i] == copies
 
@@ -288,7 +289,7 @@ def test_first_jump_times_blocks_follow_one_stream():
     assert grid.n_steps > _BLOCK_STEPS
     assert 20 < np.isinf(times).sum() < 180
     assert np.any(times[np.isfinite(times)] > grid.times()[_BLOCK_STEPS])
-    p = mcwf_menu(me.at(0.0), KET1[None, :], grid.dt).probs.sum()
+    p = mcwf_menu(me.at(0.0), KET1[:, None], grid.dt).probs.sum()
     gen, ref = replica_generator(3, 0), np.full(200, np.inf)
     for start in (0, _BLOCK_STEPS):
         waiting = np.nonzero(np.isinf(ref))[0]
@@ -299,14 +300,15 @@ def test_first_jump_times_blocks_follow_one_stream():
     assert np.array_equal(times, ref)
 
 
-# The kernels hand out raw jump images and finish only the rows that take
-# them; these are the targets as the kernels used to finish every row.
+# The kernels hand out raw jump images and finish only the trajectories
+# that take them; these are the targets (B, w, n) as the kernels used to
+# finish every trajectory.
 
 
-def _eager_channel_targets(snap, rows):
-    ys = rows @ np.swapaxes(snap.ls, 1, 2)
-    norms = np.sqrt(np.einsum("ani,ani->an", ys, np.conj(ys)).real)
-    return np.swapaxes(ys / np.where(norms > 0.0, norms, 1.0)[..., None], 0, 1)
+def _eager_channel_targets(snap, cols):
+    ys = apply_columns(snap.ls, cols)
+    norms = np.sqrt(np.einsum("ain,ain->an", ys, np.conj(ys)).real)
+    return ys / np.where(norms > 0.0, norms, 1.0)[:, None, :]
 
 
 def _lazy_mcwf():
@@ -314,7 +316,7 @@ def _lazy_mcwf():
         2, 0.3 * SIGMA_Z, [(SIGMA_MINUS, GAMMA, "down"), (np.diag([-1.0, 1.0]).astype(complex), 0.2, "z")]
     )
     snap = me.at(0.4)
-    return (lambda rows: mcwf_menu(snap, rows, STEP_DT)), (lambda rows: _eager_channel_targets(snap, rows)), 2, 0
+    return (lambda cols: mcwf_menu(snap, cols, STEP_DT)), (lambda cols: _eager_channel_targets(snap, cols)), 2, 0
 
 
 def _lazy_cloning():
@@ -322,32 +324,33 @@ def _lazy_cloning():
     me = master_equation(2, 0.3 * SIGMA_X, [(SIGMA_MINUS, 1.0, "down")], trace_sink=lambda t: gamma_l - 0.4 * SIGMA_Z)
     snap = me.at(0.4)
 
-    def eager(rows):
-        # clone and destroy keep the pre-step row exactly (no division)
-        return np.concatenate([_eager_channel_targets(snap, rows), rows[:, None], rows[:, None]], axis=1)
+    def eager(cols):
+        # clone and destroy keep the pre-step state exactly (no division)
+        return np.concatenate([_eager_channel_targets(snap, cols), cols[None], cols[None]])
 
-    return (lambda rows: clone_menu(snap, rows, STEP_DT)), eager, 2, 0
+    return (lambda cols: clone_menu(snap, cols, STEP_DT)), eager, 2, 0
 
 
 def _lazy_doubled():
     f = doubled_factors(eternally_nm().at(0.5))
 
-    def eager(rows):
-        d = rows.shape[1] // 2
-        images = np.concatenate([rows[:, :d] @ np.swapaxes(f.cs, 1, 2), rows[:, d:] @ np.swapaxes(f.ds, 1, 2)], axis=2)
-        jn2 = np.einsum("ani,ani->an", images, np.conj(images)).real
-        n2 = np.einsum("ni,ni->n", rows, np.conj(rows)).real
-        return np.swapaxes(np.sqrt(n2[None, :] / np.where(jn2 > 0.0, jn2, 1.0))[..., None] * images, 0, 1)
+    def eager(cols):
+        d = len(cols) // 2
+        images = np.concatenate([apply_columns(f.cs, cols[:d]), apply_columns(f.ds, cols[d:])], axis=1)
+        jn2 = np.einsum("ain,ain->an", images, np.conj(images)).real
+        n2 = np.einsum("in,in->n", cols, np.conj(cols)).real
+        return np.sqrt(n2[None, :] / np.where(jn2 > 0.0, jn2, 1.0))[:, None, :] * images
 
-    return (lambda rows: factors_menu(f, 0.5, rows, STEP_DT)), eager, 4, 1  # sigma_+, sigma_-, sigma_z
+    return (lambda cols: factors_menu(f, 0.5, cols, STEP_DT)), eager, 4, 1  # sigma_+, sigma_-, sigma_z
 
 
-# kind -> (kernel(rows), eager targets(rows), row width, branch of sigma_-)
+# kind -> (kernel(cols), eager targets(cols), state width, branch of sigma_-)
 LAZY = {"mcwf": _lazy_mcwf, "cloning": _lazy_cloning, "doubled": _lazy_doubled}
 
 
-def _lazy_rows(width, n=40):
-    """Random unit rows, plus rows with signed zeros and a ground state."""
+def _lazy_cols(width, n=40):
+    """Random unit states, plus states with signed zeros and a ground
+    state, as the columns (width, n)."""
     gen = np.random.default_rng(31)
     rows = gen.standard_normal((n, width)) + 1j * gen.standard_normal((n, width))
     rows[:4] = 0.0
@@ -356,82 +359,109 @@ def _lazy_rows(width, n=40):
     rows[2, 0] = complex(-0.0, -0.0)
     rows[3, 0] = complex(0.0, -0.0)
     rows[4, 1:] = 0.0  # |0> (and psi = 0 for doubled): a zero sigma_- image
-    return rows / np.linalg.norm(rows, axis=1)[:, None]
+    return np.ascontiguousarray((rows / np.linalg.norm(rows, axis=1)[:, None]).T)
 
 
 @pytest.mark.parametrize("kind", list(LAZY))
 def test_taken_targets_equal_the_eagerly_finished_ones(kind):
     menu_of, eager_of, width, _down = LAZY[kind]()
-    rows = _lazy_rows(width)
-    menu, eager = menu_of(rows), eager_of(rows)
-    n, nb = menu.probs.shape
+    cols = _lazy_cols(width)
+    menu, eager = menu_of(cols), eager_of(cols)
+    nb, n = menu.probs.shape
     i, b = np.repeat(np.arange(n), nb), np.tile(np.arange(nb), n)
-    assert jump_rows(menu, i, b).tobytes() == eager[i, b].tobytes()
+    assert np.ascontiguousarray(jump_rows(menu, i, b).T).tobytes() == eager[b, :, i].tobytes()
     step = take_step(menu, _aimed_uniforms(menu), 0.4)
     jumped = np.nonzero(step.choice < nb)[0]
     assert len(set(step.choice[jumped])) == nb  # every jump branch was taken
-    assert step.rows[jumped].tobytes() == eager[jumped, step.choice[jumped]].tobytes()
+    taken = eager[step.choice[jumped], :, jumped]
+    assert np.ascontiguousarray(step.cols[:, jumped].T).tobytes() == taken.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(LAZY))
 def test_row_branches_are_finished_and_zero_images_stay_zero(kind):
-    """Jump branches that can be taken land at the norm of the row (the
-    joint norm for doubled); a zero image (sigma_- on |0>) is a zero row
+    """Jump branches that can be taken land at the norm of the state (the
+    joint norm for doubled); a zero image (sigma_- on |0>) is a zero state
     with probability 0."""
     menu_of, _eager_of, width, down = LAZY[kind]()
-    rows = _lazy_rows(width)
+    cols = _lazy_cols(width)
     for r in (0, 5):
-        for br in row_branches(menu_of(rows[r : r + 1]), 0.4):
+        for br in row_branches(menu_of(cols[:, r : r + 1]), 0.4):
             if br.probability > 0.0 and not isinstance(br.event, Deterministic):
                 assert np.linalg.norm(br.state) == pytest.approx(1.0, abs=1e-12)
-    ground = row_branches(menu_of(rows[4:5]), 0.4)[down]
+    ground = row_branches(menu_of(cols[:, 4:5]), 0.4)[down]
     assert ground.probability == 0.0
     assert np.all(ground.state == 0.0)
 
 
+def _unit_cols(width, n, seed=3):
+    gen = np.random.default_rng(seed)
+    cols = gen.standard_normal((width, n)) + 1j * gen.standard_normal((width, n))
+    return cols / np.linalg.norm(cols, axis=0), gen.random(n)
+
+
+def _peak(kernel, snap, cols, u):
+    """The ``tracemalloc`` peak of one ``kernel`` call and ``take_step``,
+    and the menu."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        menu = kernel(snap, cols, STEP_DT)
+        take_step(menu, u, snap.t)
+        return tracemalloc.get_traced_memory()[1] - base, menu
+    finally:
+        tracemalloc.stop()
+
+
 def test_channel_menu_peak_memory_stays_near_its_targets():
-    """On 1000 rows of tripled's width (3d = 6, 4m = 12 channels) one
+    """On 1000 states of tripled's width (3d = 6, 4m = 12 channels) one
     ``channel_menu`` and ``take_step`` hold little beyond the menu's own jump
     images (``tracemalloc`` peak): a conjugate copy of the image stack alone
     would double the peak."""
     snap = embedded_track(eternally_nm(), np.array([0.5]))[0]
     assert snap.ls.shape == (12, 6, 6)
-    gen = np.random.default_rng(3)
-    rows = gen.standard_normal((1000, 6)) + 1j * gen.standard_normal((1000, 6))
-    rows /= np.linalg.norm(rows, axis=1)[:, None]
-    u = gen.random(1000)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        menu = channel_menu(snap, rows, STEP_DT)
-        take_step(menu, u, snap.t)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, menu = _peak(channel_menu, snap, *_unit_cols(6, 1000))
     targets = menu.targets.nbytes
     assert targets == 12 * 1000 * 6 * 16
     assert peak < 1.5 * targets, peak / targets
 
 
 def test_factors_menu_peak_memory_stays_near_its_targets():
-    """On 2000 rows of doubled's width (2d = 4, m = 3 channels) one
+    """On 2000 states of doubled's width (2d = 4, m = 3 channels) one
     ``factors_menu`` and ``take_step`` hold about twice the menu's jump
     images (``tracemalloc`` peak): the drift's sigma term as one broadcast
-    product ``sigma[:, None] * rows`` would add a ufunc buffer as large as
-    the drift (2.5 times)."""
+    product ``sigma * cols`` would add a temporary as large as the drift
+    (2.5 times)."""
     snap = eternally_nm().track(np.array([0.5]))[0]
-    gen = np.random.default_rng(3)
-    rows = gen.standard_normal((2000, 4)) + 1j * gen.standard_normal((2000, 4))
-    u = gen.random(2000)
     factors = doubled_factors(snap)
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        menu = factors_menu(factors, snap.t, rows, STEP_DT)
-        take_step(menu, u, snap.t)
-        peak = tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
+    peak, menu = _peak(lambda snap, cols, dt: factors_menu(factors, snap.t, cols, dt), snap, *_unit_cols(4, 2000))
     targets = menu.targets.nbytes
     assert targets == 3 * 2000 * 4 * 16
     assert peak < 2.25 * targets, peak / targets
+
+
+@pytest.mark.parametrize("dim, bound", [(2, 3.75), (4, 8.5)])
+def test_w_menu_peak_memory_stays_near_its_images(dim, bound):
+    """On 2000 states one ``w_menu`` and ``take_step`` hold a few times the
+    stack of jump images L_a psi (``tracemalloc`` peak, in units of that
+    stack): 3.4 at d = 2 (eternally_nm, three channels: the complements, the
+    drift and its norm), 8.0 on the ququart cascade (three channels: J and
+    the 3 x 3 W blocks per state). A conjugate or transposed copy of the
+    image stack adds 1, one of the J stack 1.3."""
+    snap = eternally_nm().at(0.5) if dim == 2 else _cascade(4).at(0.2)
+    images = len(snap.ls) * dim * 2000 * 16
+    peak, menu = _peak(w_menu, snap, *_unit_cols(dim, 2000))
+    assert menu.targets.shape == (dim - 1, dim, 2000)
+    assert peak < bound * images, peak / images
+
+
+def test_clone_menu_peak_memory_stays_near_its_targets():
+    """On 2000 states one ``clone_menu`` and ``take_step`` hold 2.3 times
+    the menu's targets (``tracemalloc`` peak): the channel images and the
+    two population copies of the states, which the menu's one concatenated
+    stack holds, plus the channel menu's drift; a second copy of the
+    targets adds 1."""
+    snap = _cloning_agreement()[0].at(0.5)
+    peak, menu = _peak(clone_menu, snap, *_unit_cols(2, 2000))
+    targets = menu.targets.nbytes
+    assert targets == 3 * 2 * 2000 * 16
+    assert peak < 2.5 * targets, peak / targets

@@ -153,25 +153,28 @@ def _cascade(dim):
 
 
 def _w_block(snap, states):
-    """Q^dag J Q on psi^perp from the jump operator J, and the basis Q."""
-    qs = complement_batch(states)
+    """Q^dag J Q on psi^perp from the jump operator J, and the basis Q, one
+    (d, d-1) matrix per state column."""
+    qs = np.ascontiguousarray(complement_batch(states).transpose(2, 1, 0))
     j = _jump_operators(snap, jump_images(snap, states))
     return hermitize(np.einsum("nki,nkl,nlj->nij", np.conj(qs), j, qs)), qs
 
 
-def _haar_rows(dim, count, seed):
+def _haar_cols(dim, count, seed):
+    """count Haar-random states as the columns (dim, count)."""
     gen = np.random.default_rng(seed)
-    return np.stack([haar_state(dim, gen) for _ in range(count)])
+    return np.stack([haar_state(dim, gen) for _ in range(count)], axis=1)
 
 
 def test_w_values_at_d2_match_the_jump_operator_form():
     for me, t in ((eternally_nm(), 1.3), (non_p_divisible(kappa=0.25), 1.5), (spontaneous_emission(), 0.0)):
         snap = me.at(t)
-        states = _haar_rows(2, 300, 31)
+        states = _haar_cols(2, 300, 31)
         vals, phis = w_spectrum_batch(snap, states)
-        block, qs = _w_block(snap, states)
-        assert np.allclose(vals[:, 0], block[:, 0, 0].real, rtol=1e-14, atol=1e-15)
-        assert np.array_equal(phis, qs)
+        block, _qs = _w_block(snap, states)
+        assert vals.shape == (1, 300) and phis.shape == (1, 2, 300)
+        assert np.allclose(vals[0], block[:, 0, 0].real, rtol=1e-14, atol=1e-15)
+        assert np.array_equal(phis, complement_batch(states))
 
 
 def test_general_w_path_is_the_jump_operator_spectrum():
@@ -180,8 +183,9 @@ def test_general_w_path_is_the_jump_operator_spectrum():
     through the closed form."""
     for dim in (3, 4):
         snap = _cascade(dim).at(0.2)
-        states = _haar_rows(dim, 100, 32)
+        states = _haar_cols(dim, 100, 32)
         vals, phis = w_spectrum_batch(snap, states)
+        vals, phis = vals.T, phis.transpose(2, 1, 0)  # one matrix per state
         block, qs = _w_block(snap, states)
         ref_vals, small = _eigh_lapack(block)
         _order_ties(ref_vals, small)
@@ -194,11 +198,11 @@ def test_general_w_path_is_the_jump_operator_spectrum():
 
 def test_qutrit_rate_operator_takes_the_general_eigh():
     snap = _cascade(3).at(0.2)
-    states = _haar_rows(3, 100, 33)
-    phis = 0.3 * _haar_rows(3, 100, 34)
+    states = _haar_cols(3, 100, 33)
+    phis = 0.3 * _haar_cols(3, 100, 34)
     vals, vecs = ro_spectrum_batch(snap, states, phis)
     r = _jump_operators(snap, jump_images(snap, states))
-    cross = 0.5 * np.einsum("ni,nj->nij", phis, np.conj(states))
+    cross = 0.5 * np.einsum("in,jn->nij", phis, np.conj(states))
     r += cross + np.conj(np.swapaxes(cross, 1, 2))
     ref_vals, ref_vecs = _eigh_lapack(hermitize(hermitize(r)))
     _order_ties(ref_vals, ref_vecs)
