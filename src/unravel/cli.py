@@ -40,7 +40,7 @@ from .rate_operators import gauge_none, time_dependent_gauge, w_matching_gauge
 __all__ = ["RunConfig", "parse_config", "run_command", "divisibility_command", "main"]
 
 _GAUGE_NAMES = ("none", "gz_identity", "w_matching")
-_DEFAULTS = dict(n_traj=10_000, dt=1e-2, t_max=5.0, seed=42, threads=1)
+_DEFAULTS = dict(n_traj=10_000, dt=1e-2, t_max=5.0, seed=42)
 _TOKEN_RE = re.compile(r"^([a-z_]+)(?:\((.*)\))?$")
 
 
@@ -53,7 +53,6 @@ class RunConfig:
         self.dt = _DEFAULTS["dt"]
         self.t_max = _DEFAULTS["t_max"]
         self.seed = _DEFAULTS["seed"]
-        self.threads = _DEFAULTS["threads"]
         self.initial_state: np.ndarray | None = None  # None -> model default
         self.observable_names = ["sx", "sy", "sz"]
         self.out = "unravel"
@@ -153,9 +152,8 @@ def _apply_key(cfg: RunConfig, key: str, val: str, lineno: int) -> None:
             raise ValueError(f"t_max must be positive, got {val}")
     elif key == "seed":
         cfg.seed = int(val)
-    elif key == "threads":
-        cfg.threads = int(val)
-        if cfg.threads < 1:
+    elif key == "threads":  # checked, no effect
+        if int(val) < 1:
             raise ValueError(f"threads must be >= 1, got {val}")
     elif key == "initial_state":
         cfg.initial_state = _parse_amplitudes(val, lineno)
@@ -258,7 +256,6 @@ def run_command(cfg: RunConfig) -> int:
         "dt": cfg.dt,
         "t_max": cfg.t_max,
         "seed": cfg.seed,
-        "threads": cfg.threads,
         "oracle": {"wall_clock_ms": oracle_ms},
         "methods": {},
     }
@@ -269,9 +266,7 @@ def run_command(cfg: RunConfig) -> int:
             gauge = _build_gauge(params["gauge"], model) if "gauge" in params else None
             mid = method_id(kind, gauge=gauge, r_min=params.get("r_min", 0.05), display=token)
             try:
-                result = run_ensemble(
-                    mid, model.me, psi0, grid, cfg.n_traj, cfg.seed, threads=cfg.threads
-                )
+                result = run_ensemble(mid, model.me, psi0, grid, cfg.n_traj, cfg.seed)
             except UnravelError as err:
                 partial = err.partial or {
                     "times": times[:1],
@@ -363,13 +358,12 @@ def _config_from_args(args) -> RunConfig:
         ("dt", "dt"),
         ("t_max", "t_max"),
         ("seed", "seed"),
-        ("threads", "threads"),
         ("out", "out"),
     ):
         val = getattr(args, attr)
         if val is not None:
             setattr(cfg, key, val)
-    for name, count in (("trajectories", cfg.n_traj), ("threads", cfg.threads)):
+    for name, count in (("trajectories", cfg.n_traj), ("threads", 1 if args.threads is None else args.threads)):
         if count < 1:
             raise ParseError(f"{name} must be >= 1, got {count}")
     if not (0 < cfg.dt < np.inf and 0 < cfg.t_max < np.inf):

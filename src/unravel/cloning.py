@@ -26,7 +26,9 @@ from .errors import UnravelError
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .mcwf import channel_menu, require_nonnegative_rates
 from .linalg import weighted_outer_sum
-from .outcomes import Branch, Menu, StepOutcome, _first_error, event_counts, row_branches, row_step, take_step
+from .outcomes import (
+    Branch, Menu, StepOutcome, _first_error, batch_runs, event_counts, row_branches, row_step, take_step
+)
 from .propagate import TimeGrid
 from .rng import replica_generator
 
@@ -86,14 +88,13 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
     """
     sizes = np.asarray(sizes, dtype=np.int64)
     gens = [replica_generator(seed, batch0 + r) for r in range(len(sizes))]
-    d = me.dim
     steps = grid.n_steps
     times = grid.times()
     states = np.repeat(np.asarray(psi0, dtype=complex)[:, None], int(sizes.sum()), axis=1)
     pop = sizes.copy()
     owners = np.repeat(np.arange(len(sizes)), pop)  # columns stay grouped by replica, in order
     trace_factor = np.ones(len(sizes))
-    rho_sum = np.zeros((len(sizes), steps + 1, d, d), dtype=complex)
+    rho_sum = np.zeros((len(sizes), steps + 1, me.dim, me.dim), dtype=complex)
     rho_sum[:, 0] = sizes[:, None, None] * np.outer(psi0, np.conj(psi0))
     population = np.zeros((len(sizes), steps + 1), dtype=np.int64)
     population[:, 0] = sizes
@@ -134,12 +135,7 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
             states = np.concatenate(parts, axis=1)
         owners = np.repeat(np.arange(len(sizes)), pop)
         population[:, k + 1] = pop
-        if pop.min() == pop.max():
-            # equal populations: one stacked sum with the bits of one per replica
-            sums = weighted_outer_sum(np.swapaxes(states.reshape(d, len(sizes), pop[0]), 0, 1))
-            rho_sum[:, k + 1] = trace_factor[:, None, None] * sums
-            continue
-        for r, cols in enumerate(np.split(states, np.cumsum(pop)[:-1], axis=1)):
-            if cols.shape[1]:
-                rho_sum[r, k + 1] = trace_factor[r] * weighted_outer_sum(cols)
+        # replicas of equal population: one stacked sum with the bits of one each
+        for run in batch_runs(pop):
+            rho_sum[run.batches, k + 1] = trace_factor[run.batches, None, None] * weighted_outer_sum(run.view(states))
     return rho_sum, event_counts(hits, copies), {"population": population}, abort

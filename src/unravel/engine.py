@@ -16,14 +16,13 @@ fixed-order pairwise tree, so a seed fixes the result bit for bit,
 whatever the tiles.
 The tiles run in order, and each one stops at the earliest abort of those
 before it: nothing after that step is kept, and that abort wins a tie, so
-the result is the one every tile run to its own end gives. ``threads`` has
-no effect: a pool running these short numpy calls under the GIL only made
-them slower. The tiles of every method read one generator track, evaluated
-before any of them runs: once per grid time, and for ``wtd`` also once per
-step midpoint (``MasterEquation.half_track``). ``tripled`` reads the track
-of its embedding, which ``tripled.embedded_track`` builds from the model's
-track without evaluating the embedding. Only ``wtd``'s jumps evaluate off
-the grid: each jump time and the midpoint of the rest of its step, once.
+the result is the one every tile run to its own end gives. The tiles of
+every method read one generator track, evaluated before any of them runs:
+once per grid time, and for ``wtd`` also once per step midpoint
+(``MasterEquation.half_track``). ``tripled`` reads the track of its
+embedding, which ``tripled.embedded_track`` builds from the model's track
+without evaluating the embedding. Only ``wtd``'s jumps evaluate off the
+grid: each jump time and the midpoint of the rest of its step, once.
 
 Finished and aborted runs share one reconstruction, one pass over the
 stacked batch sums cut to the last point every batch reached, keeping the
@@ -241,12 +240,11 @@ def _merge_diagnostics(dicts: list[dict]) -> dict:
 
 
 def _reconstruct(method: MethodId, means: np.ndarray):
-    """Density matrices of a stack of mean series (..., D, D), NaN where
+    """Density matrices of a stack of mean series (..., d, d), NaN where
     tripled's block cannot be extracted, and (index, DegenerateBlock) of the
     first such point in C order (None if there is none)."""
-    if method.kind != "tripled":
-        return hermitize(means), None
-    return _tripled._extract_hermitized(means)
+    rho = hermitize(means)
+    return (rho, None) if method.kind != "tripled" else _tripled._normalized_blocks(rho)
 
 
 def _distance_stderr(rho_hat: np.ndarray, rho_batches: np.ndarray) -> np.ndarray:
@@ -272,9 +270,7 @@ def run_ensemble(
     grid: TimeGrid,
     n_traj: int,
     seed: int,
-    threads: int = 1,
 ) -> EnsembleResult:
-    """``threads`` is accepted for compatibility and has no effect."""
     if isinstance(method, str):
         method = method_id(method)
     if n_traj < 1:

@@ -56,20 +56,15 @@ def require_hermitian(m: np.ndarray, atol: float = HERM_ATOL, what: str = "matri
     return m
 
 
-def _phase_fix(vecs: np.ndarray) -> np.ndarray:
-    # vecs: (..., d, d), eigenvectors in columns. Largest-|.| component of each
-    # column is rotated to the positive real axis.
+def phase_fix_columns(vecs: np.ndarray) -> np.ndarray:
+    """The column phase convention on a stack (..., d, k): the largest-|.|
+    component of each column is rotated to the positive real axis."""
     mags = np.abs(vecs)
-    idx = np.argmax(mags, axis=-2)  # (..., d) row index per column
+    idx = np.argmax(mags, axis=-2)  # (..., k) row index per column
     lead = np.take_along_axis(vecs, idx[..., None, :], axis=-2)[..., 0, :]
     absl = np.abs(lead)
     phase = np.where(absl > 0.0, lead / np.where(absl > 0.0, absl, 1.0), 1.0)
     return vecs * np.conj(phase)[..., None, :]
-
-
-def phase_fix_columns(vecs: np.ndarray) -> np.ndarray:
-    """Public name for the column phase convention."""
-    return _phase_fix(vecs)
 
 
 def _vec_key(v: np.ndarray) -> tuple:
@@ -119,7 +114,7 @@ def _eigh_lapack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenpairs of the hermitized stack from LAPACK, values descending and
     columns phase-fixed, ties not yet ordered."""
     vals, vecs = np.linalg.eigh(hermitize(ms))
-    return vals[..., ::-1].copy(), _phase_fix(vecs[..., ::-1].copy())
+    return vals[..., ::-1].copy(), phase_fix_columns(vecs[..., ::-1].copy())
 
 
 def _order_ties(vals: np.ndarray, vecs: np.ndarray) -> None:

@@ -10,9 +10,10 @@ expectation E[w |psi'><psi'|] the tests compare against rho + L[rho] dt.
 ``run_menus`` drives the step over a whole grid for one tile: all its
 batches step together, and batch b draws its uniforms from its own stream
 ``rng.replica_generator(seed, b)``, step-major, a few steps per call.
-``batch_runs`` groups a tile's batches into runs of equal size, whose
-columns view as one (batches, w, size) stack, reduced each step in one
-stacked call (``linalg.weighted_outer_sum``) with the bits of one per batch.
+``batch_runs`` groups a tile's batches into runs of equal size, and
+``BatchRun.view`` gives a run's columns as one (batches, w, size) stack,
+reduced each step in one stacked call (``linalg.weighted_outer_sum``) with
+the bits of one per batch.
 Weighted methods carry a multiplicative weight factor per branch; the
 cloning method carries a copy count.
 """
@@ -213,15 +214,28 @@ def _first_error(err: UnravelError, spans, attempt: Callable) -> UnravelError:
     return err
 
 
-def batch_runs(sizes) -> list[tuple[slice, slice, tuple[int, int]]]:
-    """The consecutive batches of a tile, of the given sizes, grouped into
-    runs of equal size: (batch indices, column indices, (batches, size)) per
-    run, so that the columns of a run view as one (batches, w, size) stack.
-    ``engine._chunk_sizes`` puts the larger batches first: at most two runs."""
+class BatchRun(NamedTuple):
+    """Consecutive batches of one size: their indices, their columns and
+    (batches, size)."""
+
+    batches: slice
+    span: slice
+    shape: tuple[int, int]
+
+    def view(self, a: np.ndarray) -> np.ndarray:
+        """The run's columns of ``a`` (w, n) or entries of ``a`` (n,) as one
+        stack (batches, w, size) or (batches, size), a view."""
+        return a[..., self.span].reshape(*a.shape[:-1], *self.shape).swapaxes(0, -2)
+
+
+def batch_runs(sizes) -> list[BatchRun]:
+    """The consecutive batches of the given sizes grouped into runs of equal
+    size. ``engine._chunk_sizes`` puts a tile's larger batches first: at most
+    two runs."""
     runs, batch, row = [], 0, 0
     for size, group in groupby(int(s) for s in sizes):
         count = len(list(group))
-        runs.append((slice(batch, batch + count), slice(row, row + count * size), (count, size)))
+        runs.append(BatchRun(slice(batch, batch + count), slice(row, row + count * size), (count, size)))
         batch, row = batch + count, row + count * size
     return runs
 
@@ -282,14 +296,13 @@ def run_menus(
         diag[tally[0]] = np.zeros((len(spans), steps + 1))
 
     def record(k: int) -> None:
-        for batches, span, shape in runs:
-            stack = np.swapaxes(cols[:, span].reshape(len(cols), *shape), 0, 1)
-            w = None if weights is None else weights[span].reshape(shape)
-            rho_sum[batches, k] = outer(stack, w)
+        for run in runs:
+            stack, w = run.view(cols), None if weights is None else run.view(weights)
+            rho_sum[run.batches, k] = outer(stack, w)
             if weighted:
-                diag["weight_sum"][batches, k] = w.sum(axis=1)
+                diag["weight_sum"][run.batches, k] = w.sum(axis=1)
             if tally is not None:
-                diag[tally[0]][batches, k] = tally[1](stack)
+                diag[tally[0]][run.batches, k] = tally[1](stack)
 
     record(0)
     hits = np.zeros(1, dtype=np.int64)  # grows to one slot per branch at the first step

@@ -14,7 +14,8 @@ One stacked function, ``_embedding``, builds every embedding's generator
 track: ``embedded_track`` feeds it a model's track split into symmetric
 pairs, and ``tripled_embed`` the stacks of a user's callables.
 ``embedded_system`` and ``embedded_master_equation`` are the models with
-those tracks.
+those tracks. ``run_chunk`` steps ``embedded_track`` with the MCWF kernel and
+sums only what the extraction reads, psi0 psi1^dag of aux0 and aux1.
 """
 
 from __future__ import annotations
@@ -25,10 +26,11 @@ from typing import Callable
 import numpy as np
 
 from .errors import DegenerateBlock
-from .linalg import hermitize, psd_sqrt_batched
+from .linalg import hermitize, outer_sum, psd_sqrt_batched
 from .master_equation import GeneratorTrack, MasterEquation, _first_non_hermitian, _matrix, _track_model
+from .mcwf import mcwf_menu
+from .outcomes import run_menus
 from .propagate import TimeGrid
-from . import mcwf
 
 __all__ = [
     "JumpPair",
@@ -75,7 +77,7 @@ class TripledEmbedding:
     def a(self, t: float) -> float:
         """The total completion level at t, which sets the block decay."""
         track, levels = self.build(np.array([t], dtype=float))
-        if not len(levels):
+        if not len(levels) or not np.isfinite(levels[0]).all():
             raise track.error
         return float(sum(levels[0]))
 
@@ -94,24 +96,32 @@ def _kron3(x: np.ndarray, p: np.ndarray) -> np.ndarray:
     return (x[..., :, None, :, None] * p[:, None, :]).reshape(*lead, 3 * d, 3 * d)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite piece is GeneratorTrack's to report
 def _embedding(times, h, pairs, error) -> tuple[GeneratorTrack, np.ndarray]:
     """The embedding's track over ``times`` and its completion levels (k, m),
     from h (k, d, d) at the first k times, one (C, D, level) per pair (C, D
     (k, d, d) in the pair's own dtype, level (k,) or None for the least one,
     ||C - D||^2) and the error that ends the inputs at times[k]. Omega is
     the root of a*1 - (C-D)^dag (C-D); a level too small for it (NotPSD)
-    ends the track at its first such time (first such pair on a tie)."""
+    ends the track at its first such time (first such pair on a tie), and
+    a factor or level that is not finite at its first such time."""
     k, dim = h.shape[0], h.shape[-1]
     n, levels = k, np.empty((k, len(pairs)))
     jumps = np.empty((k, len(pairs), 4, 3 * dim, 3 * dim), dtype=complex)
     p00, p11 = _aux_proj(0, 0), _aux_proj(1, 1)
     for j, (c, d, level) in enumerate(pairs):
+        # a non-finite factor or level takes no norm and no root: its Omega is
+        # NaN, so GeneratorTrack ends the track there, as at any non-finite piece
         diff = c - d
+        finite = np.isfinite(diff).all(axis=(-2, -1))
         if level is None:
-            level = np.float_power(np.linalg.norm(diff, ord=2, axis=(-2, -1)), 2)  # as float ** 2
+            norms = np.linalg.norm(np.where(finite[:, None, None], diff, 0.0), ord=2, axis=(-2, -1))
+            level = np.float_power(np.where(finite, norms, np.nan), 2)  # as float ** 2
         levels[:, j] = level
         fill = level[:, None, None] * np.eye(dim) - hermitize(np.conj(np.swapaxes(diff, -1, -2)) @ diff)
-        omega, bad = psd_sqrt_batched(fill)
+        finite = np.isfinite(fill).all(axis=(-2, -1))
+        omega, bad = psd_sqrt_batched(np.where(finite[:, None, None], fill, 0.0))
+        omega[~finite] = np.nan
         if bad is not None and bad[0][0] < n:
             n, error = bad[0][0], bad[1]
         jumps[:, j, 0] = _kron3(c, p00) + _kron3(d, p11)
@@ -191,7 +201,7 @@ def tripled_embed(
     return TripledEmbedding(dim, len(pairs), build), w0
 
 
-def _normalized_blocks(blocks: np.ndarray, block_floor: float):
+def _normalized_blocks(blocks: np.ndarray, block_floor: float = _BLOCK_TRACE_FLOOR):
     """Each block of a stack (..., d, d) over its trace, NaN where |trace| <=
     block_floor, and (index, DegenerateBlock) for the first such block in C
     order (None if there is none)."""
@@ -216,18 +226,6 @@ def tripled_extract(w: np.ndarray, block_floor: float = _BLOCK_TRACE_FLOOR) -> n
     if bad is not None:
         raise bad[1]
     return out
-
-
-def _extract_hermitized(ws: np.ndarray):
-    """``tripled_extract(hermitize(w))`` for every W of a stack (..., 3d, 3d),
-    NaN where the block cannot be extracted, and (index, DegenerateBlock) of
-    the first such W in C order (None if there is none). Only the block is
-    hermitized, entry by entry as ``hermitize`` computes it."""
-    *lead, d3, _ = ws.shape
-    d = d3 // 3
-    blocks = ws.reshape(*lead, d, 3, d, 3)
-    upper, lower = blocks[..., :, 0, :, 1], blocks[..., :, 1, :, 0]
-    return _normalized_blocks(0.5 * (upper + np.conj(np.swapaxes(lower, -1, -2))), _BLOCK_TRACE_FLOOR)
 
 
 def embedded_master_equation(emb: TripledEmbedding) -> MasterEquation:
@@ -261,22 +259,30 @@ def embedded_track(me: MasterEquation, times) -> GeneratorTrack:
     return _embedding(base.times, base.h, pairs, base.error)[0]
 
 
+def _block_outer(cols: np.ndarray, weights=None) -> np.ndarray:
+    """sum_k psi0_k psi1_k^dag over the columns of each slice of a stack
+    (B, 3d, m), whose aux0 and aux1 components are rows 0::3 and 1::3: the
+    (aux0, aux1) block of their projector sum, (B, d, d)."""
+    return outer_sum(cols[..., 0::3, :], cols[..., 1::3, :])
+
+
 def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, sizes, seed: int, track):
     """Plain jump trajectories of the embedded equation from psi0 (x) chi,
     batches of ``sizes`` rows as in ``mcwf.run_chunk``.
 
-    rho_sum holds 3d x 3d projector sums over W-space; extraction happens
-    at reconstruction time so batch statistics see the same division noise
-    a user would. ``track`` is ``embedded_track(me, ...)`` over the grid's
-    step starts. Only the channels nonzero somewhere on ``track`` step (a
-    zero one, like Omega where C = D, has probability exactly 0, so the bits
-    are the full track's); once a step has run, their counts are scattered
-    back to all 4 * n_pairs channels.
+    rho_sum holds the d x d sums of psi0 psi1^dag, the (aux0, aux1) block of
+    the W-space projector sums and all the estimator reads; extraction
+    happens at reconstruction time so batch statistics see the same
+    division noise a user would. ``track`` is ``embedded_track(me, ...)``
+    over the grid's step starts. Only the channels nonzero somewhere on
+    ``track`` step (a zero one, like Omega where C = D, has probability
+    exactly 0, so the bits are the full track's); once a step has run,
+    their counts are scattered back to all 4 * n_pairs channels.
     """
     live = np.any(track.ls != 0.0, axis=(0, 2, 3))
     theta0 = np.kron(np.asarray(psi0, dtype=complex), _CHI)
     reduced = replace(track, ls=track.ls[:, live], gammas=track.gammas[:, live])
-    out = mcwf.run_chunk(embedded_system(me), theta0, grid, batch0, sizes, seed, reduced)
+    out = run_menus(mcwf_menu, me, theta0, grid, batch0, sizes, seed, reduced, outer=_block_outer)
     if out[3] is None or out[3][1] > 0:
         by_channel = np.zeros(len(live), dtype=int)
         by_channel[live] = out[1]["jump_by_channel"]

@@ -173,9 +173,8 @@ def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int,
         # no row retires, so the rows of each batch keep their places
         for k, tilde in enumerate(_sweep(track, psi, x, jump), start=1):
             inv = np.linalg.norm(tilde, axis=1) ** -2.0
-            for batches, span, shape in runs:
-                stack = np.swapaxes(tilde[span].reshape(*shape, -1), 1, 2)  # the columns (B, d, m)
-                rho_sum[batches, k] = weighted_outer_sum(stack, inv[span].reshape(shape))
+            for run in runs:
+                rho_sum[run.batches, k] = weighted_outer_sum(run.view(tilde.T), run.view(inv))
     except UnravelError as err:
         abort = (err, k)
     return rho_sum, event_counts(np.append(jumps, 0)), {}, abort

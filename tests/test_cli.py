@@ -20,7 +20,7 @@ def test_defaults():
     assert cfg.dt == 1e-2
     assert cfg.t_max == 5.0
     assert cfg.seed == 42
-    assert cfg.threads == 1
+    assert not hasattr(cfg, "threads")
     assert cfg.observable_names == ["sx", "sy", "sz"]
     assert cfg.out == "unravel"
     assert cfg.oracle_only is False
@@ -49,7 +49,7 @@ def test_full_config_round_trip():
     assert cfg.n_traj == 500
     assert cfg.dt == 0.005
     assert cfg.seed == 7
-    assert cfg.threads == 3
+    assert not hasattr(cfg, "threads")  # the key is checked and has no effect
     assert np.allclose(cfg.initial_state, [0.6, 0.8])
     assert cfg.observable_names == ["sz", "p1"]
     assert cfg.out == "bench/run1"
@@ -140,6 +140,7 @@ def test_run_command_emits_csv_and_summary(tmp_path):
     assert raw == json.dumps(summary, indent=2, sort_keys=True) + "\n"
     assert summary["model"] == "spontaneous_emission"
     assert summary["n_traj"] == 200
+    assert "threads" not in summary
     method = summary["methods"]["mcwf"]
     assert method["aborted"] is False
     assert method["abort"] is None

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from unravel import mcwf
-from unravel.engine import _DEFAULT_BATCHES, _chunk_sizes, _tiles
+from unravel.engine import _DEFAULT_BATCHES, _chunk_sizes, _reconstruct, _tiles, method_id
 from unravel.errors import DegenerateBlock, ModelError, NotHermitian, NotPSD, StepTooLarge
-from unravel.linalg import haar_state, hermitize, psd_sqrt, trace_distance
+from unravel.linalg import haar_state, hermitize, psd_sqrt, trace_distance, weighted_outer_sum
 from unravel.master_equation import master_equation
 from unravel.models import (
     PLUS,
@@ -22,7 +22,7 @@ from unravel.models import (
 from unravel.propagate import TimeGrid, propagate
 from unravel.tripled import (
     JumpPair,
-    _extract_hermitized,
+    _block_outer,
     embedded_master_equation,
     embedded_system,
     embedded_track,
@@ -152,16 +152,26 @@ def test_extraction_rejects_decayed_block():
 
 
 @pytest.mark.parametrize("d", [2, 3])
-def test_stacked_extraction_is_the_extraction_of_each_hermitized_w(d):
-    """Bit for bit ``tripled_extract(hermitize(w))`` matrix by matrix, which
-    is the block over its trace; NaN where the block trace is at the floor,
-    with the message the one-matrix call gives for the first such W."""
+def test_block_means_reconstruct_as_the_extraction_of_the_hermitized_w_mean(d):
+    """The engine's reconstruction of the runner's block means (``_block_outer``
+    over n) is, bit for bit, ``tripled_extract(hermitize(W))`` of the mean W
+    of the same columns, point by point: columns (psi0, +-psi0, 0) and
+    (0, 0, psi2), as a run holds them. NaN where the block trace is at the
+    floor, with the message the one-matrix call gives for the first such
+    point."""
     gen = np.random.default_rng(31)
-    ws = gen.standard_normal((4, 6, 3 * d, 3 * d)) + 1j * gen.standard_normal((4, 6, 3 * d, 3 * d))
-    ws[2, 1] *= 1e-14
-    ws[3, 0] *= 1e-14
-    ws[1, 5] *= 1e-15
-    out, (idx, err) = _extract_hermitized(ws)
+    n = 40
+    a = gen.standard_normal((4, 6, d, n)) + 1j * gen.standard_normal((4, 6, d, n))
+    b = gen.standard_normal((4, 6, d, n)) + 1j * gen.standard_normal((4, 6, d, n))
+    in_aux2 = gen.random((4, 6, 1, n)) < 0.3  # rows after an Omega jump
+    a, b = np.where(in_aux2, 0.0, a), np.where(in_aux2, b, 0.0)
+    a[2, 1] *= 1e-7
+    a[3, 0] *= 1e-7
+    a[1, 5] = 0.0
+    cols = np.zeros((4, 6, 3 * d, n), dtype=complex)
+    cols[..., 0::3, :], cols[..., 1::3, :], cols[..., 2::3, :] = a, gen.choice([-1.0, 1.0], (4, 6, 1, n)) * a, b
+    ws = weighted_outer_sum(cols) / n
+    out, (idx, err) = _reconstruct(method_id("tripled"), _block_outer(cols) / n)
     assert idx == (1, 5)
     with pytest.raises(DegenerateBlock) as first:
         tripled_extract(hermitize(ws[1, 5]))
@@ -174,7 +184,7 @@ def test_stacked_extraction_is_the_extraction_of_each_hermitized_w(d):
         want = tripled_extract(hermitize(ws[i, k]))
         assert np.array_equal(want, block / np.trace(block))
         assert np.array_equal(out[i, k], want)
-    assert _extract_hermitized(ws[0])[1] is None
+    assert _reconstruct(method_id("tripled"), _block_outer(cols[0]) / n)[1] is None
 
 
 def test_embedded_equation_reproduces_signed_dynamics_exactly():
@@ -208,18 +218,25 @@ def test_embedding_evaluates_the_model_once_per_time():
     assert calls_per_time(calls) == dict.fromkeys(times, 1)
 
 
+def _extracted(block_sum):
+    """The states the engine reads from a series of block sums (d x d) over
+    their trace, as ``tripled_extract`` reads them from W; none is degenerate."""
+    rho, degenerate = _reconstruct(method_id("tripled"), block_sum)
+    assert degenerate is None
+    return rho
+
+
 def test_chunk_on_markovian_model_matches_oracle():
     me = spontaneous_emission(omega0=1.0, gamma=1.0)
     grid = TimeGrid(0.0, 2.0, 1e-2)
     n = 800
-    rho_sum, counts, _diag, abort = run_batches("tripled", me, PLUS, grid, 0, [n], 13)
+    got = run_batches("tripled", me, PLUS, grid, 0, [n], 13)
+    rho_sum, counts, _diag, abort = got
     assert abort is None
-    assert rho_sum.shape == (1, grid.n_steps + 1, 6, 6)
+    assert rho_sum.shape == (1, grid.n_steps + 1, 2, 2)
+    _assert_same_run(got, _full_track_run(me, PLUS, grid, 0, [n], 13))
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
-    dists = [
-        trace_distance(tripled_extract(rho_sum[0, k] / n), oracle.states[k])
-        for k in range(grid.n_steps + 1)
-    ]
+    dists = trace_distance(_extracted(rho_sum[0] / n), oracle.states)
     assert max(dists) < 0.1
     assert counts["jump"] > 0
 
@@ -228,13 +245,12 @@ def test_chunk_division_noise_grows_with_negative_window():
     me = eternally_nm()
     grid = TimeGrid(0.0, 0.5, 1e-2)
     n = 3000
-    rho_sum, _counts, _diag, abort = run_batches("tripled", me, PLUS, grid, 0, [n], 29)
+    got = run_batches("tripled", me, PLUS, grid, 0, [n], 29)
+    rho_sum, _counts, _diag, abort = got
     assert abort is None
+    _assert_same_run(got, _full_track_run(me, PLUS, grid, 0, [n], 29))
     oracle = propagate(me, np.outer(PLUS, PLUS.conj()), grid)
-    dists = [
-        trace_distance(tripled_extract(rho_sum[0, k] / n), oracle.states[k])
-        for k in range(grid.n_steps + 1)
-    ]
+    dists = trace_distance(_extracted(rho_sum[0] / n), oracle.states)
     assert max(dists) < 0.15
 
 
@@ -249,8 +265,10 @@ def _full_track_run(me, psi0, grid, batch0, sizes, seed):
 
 
 def _assert_same_run(got, want):
-    """rho_sum byte for byte, equal counts and diagnostics, the same abort."""
-    assert got[0].tobytes() == want[0].tobytes()
+    """rho_sum byte for byte the (aux0, aux1) block of the reference's W
+    sums, equal counts and diagnostics, the same abort."""
+    block = want[0][..., 0::3, 1::3]
+    assert got[0].shape == block.shape and got[0].tobytes() == block.tobytes()
     assert got[1:3] == want[1:3]
     if want[3] is None:
         assert got[3] is None
@@ -452,6 +470,30 @@ def test_user_embedding_ends_at_the_first_bad_time(bad, error, message):
         track[50]
     with pytest.raises(error, match=message):
         emb.jumps3[0](times[50])
+
+
+@pytest.mark.parametrize(
+    "dim, value, piece", [(2, np.nan, 0), (2, np.inf, 0), (3, -np.inf, 0), (3, 1e308, 2)]
+)
+def test_a_non_finite_factor_ends_the_user_embedding_as_a_model_error(dim, value, piece):
+    """A factor C that is not finite from t = 0.5 on (or whose C - D
+    overflows in (C - D)^dag (C - D), leaving Omega undefined) ends the
+    track there with the ModelError of any non-finite piece, which the oracle
+    raises at t = 0.5: no norm or root is taken of it."""
+    lop = np.eye(dim, k=1)
+    pair = JumpPair(lambda t: np.full((dim, dim), value) if t >= 0.5 else 0.5 * lop, lambda t: -0.5 * lop)
+    emb, w0 = tripled_embed(lambda t: 0.3 * np.diag(np.arange(dim)), (pair,), dim, np.eye(dim) / dim)
+    grid = TimeGrid(0.0, 1.0, 0.1)
+    track = embedded_master_equation(emb).track(grid.times()[:-1])
+    assert len(track.h) == 5
+    assert isinstance(track.error, ModelError) and track.error.time == 0.5
+    assert isinstance(track.error.__cause__, FloatingPointError)
+    assert str(track.error) == f"jump operator {piece} is not finite at t=0.5"
+    with pytest.raises(ModelError, match="is not finite at t=0.7"):
+        emb.a(0.7)
+    with pytest.raises(ModelError) as info:
+        propagate(embedded_master_equation(emb), w0, grid)
+    assert info.value.time == 0.5 and str(info.value) == str(track.error)
 
 
 def test_completion_level_too_small_raises_not_psd():
