@@ -11,7 +11,7 @@ from test_roqj import _cascade
 from unravel.cloning import clone_menu, cloning_step
 from unravel.doubled import DoubledState, doubled_factors, doubled_step, factors_menu
 from unravel.errors import NegativeRate, StepTooLarge
-from unravel.linalg import apply_columns, trace_distance
+from unravel.linalg import apply_columns, trace_distance, weighted_outer_sum
 from unravel.master_equation import master_equation
 from unravel.mcwf import _BLOCK_STEPS, channel_menu, first_jump_times, mcwf_branches, mcwf_menu, mcwf_step
 from unravel.models import (
@@ -24,7 +24,7 @@ from unravel.models import (
     eternally_nm,
     spontaneous_emission,
 )
-from unravel.outcomes import Clone, Deterministic, Destroy, Jump, jump_rows, row_branches, take_step
+from unravel.outcomes import Clone, Deterministic, Destroy, Jump, batch_runs, jump_rows, row_branches, take_step
 from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import time_dependent_gauge, w_matching_gauge
 from unravel.rng import replica_generator
@@ -227,6 +227,45 @@ def test_vectorized_step_matches_scalar(kind):
         assert np.allclose(step.cols[:, i], row, atol=1e-12)
         assert step.factors[i] == pytest.approx(weight, abs=1e-12)
         assert step.copies[i] == copies
+
+
+@pytest.mark.parametrize(
+    "sizes, n_runs",
+    [
+        ((3, 3, 3), 1),
+        ((3, 2), 2),  # a tile of _chunk_sizes: larger batches first
+        ((1,), 1),
+        (np.array([5, 5, 2]), 2),  # cloning's populations are an int array
+        ((2, 5, 5, 2), 3),
+        ((2, 0, 0, 3), 3),  # extinct replicas
+        ((8193, 8192), 2),  # either side of linalg._EINSUM_PASS
+    ],
+)
+def test_batch_runs_stack_each_batch_as_its_own_columns(sizes, n_runs):
+    """batch_runs groups consecutive batches of one size, in order. A run's
+    view of a tile's columns (w, n) and weights (n,) holds batch b's own
+    columns as slice b, without a copy, and one stacked weighted_outer_sum
+    gives each batch the bits of its sum alone; an empty batch sums to 0."""
+    gen = np.random.default_rng(4)
+    bounds = np.concatenate([[0], np.cumsum(sizes)])
+    cols = gen.standard_normal((3, bounds[-1])) + 1j * gen.standard_normal((3, bounds[-1]))
+    weights = gen.standard_normal(bounds[-1])
+    runs = batch_runs(sizes)
+    assert len(runs) == n_runs
+    batches = range(len(sizes))
+    assert [b for run in runs for b in batches[run.batches]] == list(batches)
+    for run in runs:
+        stack, w = run.view(cols), run.view(weights)
+        count, size = run.shape
+        assert stack.shape == (count, 3, size) and w.shape == (count, size)
+        if size:
+            assert np.shares_memory(stack, cols) and np.shares_memory(w, weights)
+        sums = weighted_outer_sum(stack, w)
+        for j, b in enumerate(batches[run.batches]):
+            own = slice(bounds[b], bounds[b + 1])
+            assert sizes[b] == size
+            assert np.array_equal(stack[j], cols[:, own]) and np.array_equal(w[j], weights[own])
+            assert sums[j].tobytes() == weighted_outer_sum(cols[:, own], weights[own]).tobytes()
 
 
 def test_chunk_reproduces_master_equation():
