@@ -23,7 +23,7 @@ import time as _time
 import numpy as np
 
 from .divisibility import divisibility_scan
-from .engine import METHOD_KINDS, method_id, observable_stats, run_ensemble
+from .engine import METHOD_KINDS, MethodId, method_id, observable_stats, run_ensemble
 from .errors import (
     BadAmplitudes,
     ConfigError,
@@ -227,8 +227,17 @@ def _observable_rows(rows, times, method_name, obs_names, obs_mats, rho_hat, rho
             )
 
 
+def _method(token: str, model) -> MethodId:
+    kind, params = _parse_method_token(token)
+    gauge = _build_gauge(params["gauge"], model) if "gauge" in params else None
+    return method_id(kind, gauge=gauge, r_min=params.get("r_min", 0.05), display=token)
+
+
 def run_command(cfg: RunConfig) -> int:
     model = build_model(cfg.model_name, cfg.model_params)
+    # every method is built before the oracle runs, so a token that cannot
+    # run on the model fails before any work is done
+    methods = [] if cfg.oracle_only else [(token, _method(token, model)) for token in cfg.method_tokens]
     grid = TimeGrid(0.0, cfg.t_max, cfg.dt)
     psi0 = cfg.initial_state if cfg.initial_state is not None else model.default_initial
     psi0 = normalize(np.asarray(psi0, dtype=complex))[0]
@@ -260,40 +269,36 @@ def run_command(cfg: RunConfig) -> int:
         "methods": {},
     }
     exit_code = 0
-    if not cfg.oracle_only:
-        for token in cfg.method_tokens:
-            kind, params = _parse_method_token(token)
-            gauge = _build_gauge(params["gauge"], model) if "gauge" in params else None
-            mid = method_id(kind, gauge=gauge, r_min=params.get("r_min", 0.05), display=token)
-            try:
-                result = run_ensemble(mid, model.me, psi0, grid, cfg.n_traj, cfg.seed)
-            except UnravelError as err:
-                partial = err.partial or {
-                    "times": times[:1],
-                    "rho_hat": oracle.states[:1] * 0.0,
-                    "rho_batches": oracle.states[None, :1] * 0.0,
-                }
-                run_times, rho_hat, rho_batches = (partial[k] for k in ("times", "rho_hat", "rho_batches"))
-                abort_t = float(err.time if err.time is not None else run_times[-1])
-                abort = {"error": type(err).__name__, "time": abort_t, "message": str(err)}
-                entry = {"wall_clock_ms": None, "event_counts": {}}
-            else:
-                run_times, rho_hat, rho_batches = times, result.rho_hat, result.rho_batches
-                abort = None
-                entry = {"wall_clock_ms": result.wall_clock_ms, "event_counts": result.event_counts}
-            _observable_rows(
-                rows, run_times, token, cfg.observable_names, obs_mats, rho_hat, rho_batches, cfg.n_traj
-            )
-            if abort is not None:
-                rows.append(f"{_fmt(abort['time'])},{token},abort[{abort['error']}],0,0,{cfg.n_traj}")
-                exit_code = 2
-            dists = trace_distance(rho_hat, oracle.states[: len(run_times)])
-            summary["methods"][token] = {
-                **entry,
-                "max_oracle_distance": float(dists.max()),
-                "aborted": abort is not None,
-                "abort": abort,
+    for token, mid in methods:
+        try:
+            result = run_ensemble(mid, model.me, psi0, grid, cfg.n_traj, cfg.seed)
+        except UnravelError as err:
+            partial = err.partial or {
+                "times": times[:1],
+                "rho_hat": oracle.states[:1] * 0.0,
+                "rho_batches": oracle.states[None, :1] * 0.0,
             }
+            run_times, rho_hat, rho_batches = (partial[k] for k in ("times", "rho_hat", "rho_batches"))
+            abort_t = float(err.time if err.time is not None else run_times[-1])
+            abort = {"error": type(err).__name__, "time": abort_t, "message": str(err)}
+            entry = {"wall_clock_ms": None, "event_counts": {}}
+        else:
+            run_times, rho_hat, rho_batches = times, result.rho_hat, result.rho_batches
+            abort = None
+            entry = {"wall_clock_ms": result.wall_clock_ms, "event_counts": result.event_counts}
+        _observable_rows(
+            rows, run_times, token, cfg.observable_names, obs_mats, rho_hat, rho_batches, cfg.n_traj
+        )
+        if abort is not None:
+            rows.append(f"{_fmt(abort['time'])},{token},abort[{abort['error']}],0,0,{cfg.n_traj}")
+            exit_code = 2
+        dists = trace_distance(rho_hat, oracle.states[: len(run_times)])
+        summary["methods"][token] = {
+            **entry,
+            "max_oracle_distance": float(dists.max()),
+            "aborted": abort is not None,
+            "abort": abort,
+        }
 
     csv_path = f"{cfg.out}_results.csv"
     _write(csv_path, "t,method,observable,mean,stderr,n_traj\n" + "\n".join(rows) + "\n")

@@ -49,10 +49,12 @@ def hermitize(m: np.ndarray) -> np.ndarray:
     return 0.5 * (m + np.conj(np.swapaxes(m, -1, -2)))
 
 
-def require_hermitian(m: np.ndarray, atol: float = HERM_ATOL, what: str = "matrix") -> np.ndarray:
+def require_hermitian(m: np.ndarray, what: str = "matrix") -> np.ndarray:
+    """``m``, if every entry of m - m^dag is within HERM_ATOL; else
+    NotHermitian naming ``what``."""
     dev = np.max(np.abs(m - np.conj(np.swapaxes(m, -1, -2))), initial=0.0)
-    if dev > atol:
-        raise NotHermitian(f"{what} deviates from hermiticity by {dev:.3e} (atol {atol:.1e})")
+    if dev > HERM_ATOL:
+        raise NotHermitian(f"{what} deviates from hermiticity by {dev:.3e} (atol {HERM_ATOL:.1e})")
     return m
 
 
@@ -96,15 +98,16 @@ def _lex_greater(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     return gt
 
 
-def eigh_batched(ms: np.ndarray, atol: float = HERM_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh_batched(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecomposition of a stack of hermitian matrices, pinned ordering.
 
     Returns ``(vals, vecs)`` with eigenvalues descending along the last axis
-    and eigenvectors in the columns of ``vecs``. 2 x 2 stacks take the
+    and eigenvectors in the columns of ``vecs``; NotHermitian if the stack
+    is not hermitian within HERM_ATOL. 2 x 2 stacks take the
     closed form of ``_eigh_2x2``, larger ones LAPACK (``_eigh_lapack``).
     """
     ms = np.asarray(ms)
-    require_hermitian(ms, atol)
+    require_hermitian(ms)
     vals, vecs = _eigh_2x2(ms) if ms.shape[-1] == 2 else _eigh_lapack(ms)
     _order_ties(vals, vecs)
     return vals, vecs
@@ -173,9 +176,9 @@ def _eigh_2x2(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.stack([mean + r, mean - r], axis=-1), vecs
 
 
-def eigh(m: np.ndarray, atol: float = HERM_ATOL) -> tuple[np.ndarray, np.ndarray]:
+def eigh(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Single-matrix version of :func:`eigh_batched`."""
-    vals, vecs = eigh_batched(np.asarray(m)[None, ...], atol)
+    vals, vecs = eigh_batched(np.asarray(m)[None, ...])
     return vals[0], vecs[0]
 
 
@@ -232,24 +235,24 @@ def _half_trace_norms(diff: np.ndarray) -> np.ndarray:
     return 0.5 * np.abs(np.linalg.eigvalsh(hermitize(diff))).sum(axis=-1)
 
 
-def psd_sqrt(m: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
-    """Principal square root of a PSD matrix; NotPSD below -atol."""
-    roots, bad = psd_sqrt_batched(np.asarray(m)[None, ...], atol)
+def psd_sqrt(m: np.ndarray) -> np.ndarray:
+    """Principal square root of a PSD matrix; NotPSD below -HERM_ATOL."""
+    roots, bad = psd_sqrt_batched(np.asarray(m)[None, ...])
     if bad is not None:
         raise bad[1]
     return roots[0]
 
 
-def psd_sqrt_batched(ms: np.ndarray, atol: float = HERM_ATOL):
+def psd_sqrt_batched(ms: np.ndarray):
     """:func:`psd_sqrt` of each matrix of a stack (..., d, d), and
     (index, NotPSD) for the first matrix in C order with an eigenvalue
-    below -atol (None if there is none); its root is not meaningful."""
-    vals, vecs = eigh_batched(ms, atol)
-    low = vals[..., -1] < -atol
+    below -HERM_ATOL (None if there is none); its root is not meaningful."""
+    vals, vecs = eigh_batched(ms)
+    low = vals[..., -1] < -HERM_ATOL
     bad = None
     if low.any():
         idx = np.unravel_index(int(low.argmax()), low.shape)
-        bad = idx, NotPSD(f"matrix has eigenvalue {vals[idx][-1]:.3e} < -{atol:.1e}")
+        bad = idx, NotPSD(f"matrix has eigenvalue {vals[idx][-1]:.3e} < -{HERM_ATOL:.1e}")
     root = np.sqrt(np.clip(vals, 0.0, None))
     return (vecs * root[..., None, :]) @ np.conj(np.swapaxes(vecs, -1, -2)), bad
 
@@ -260,16 +263,17 @@ def haar_state(d: int, gen: np.random.Generator) -> np.ndarray:
     return normalize(z)[0]
 
 
-def require_density(rho: np.ndarray, atol: float = HERM_ATOL) -> np.ndarray:
-    """Validate a density matrix: hermitian, unit trace, PSD within atol."""
+def require_density(rho: np.ndarray) -> np.ndarray:
+    """Validate a density matrix: hermitian, unit trace, PSD within
+    HERM_ATOL."""
     rho = np.asarray(rho, dtype=complex)
-    require_hermitian(rho, atol, "density matrix")
+    require_hermitian(rho, "density matrix")
     tr = complex(np.trace(rho))
-    if abs(tr - 1.0) > atol:
+    if abs(tr - 1.0) > HERM_ATOL:
         raise NotPSD(f"density matrix trace {tr} deviates from 1")
     lo = float(np.linalg.eigvalsh(hermitize(rho))[0])
-    if lo < -atol:
-        raise NotPSD(f"density matrix eigenvalue {lo:.3e} < -{atol:.1e}")
+    if lo < -HERM_ATOL:
+        raise NotPSD(f"density matrix eigenvalue {lo:.3e} < -{HERM_ATOL:.1e}")
     return rho
 
 

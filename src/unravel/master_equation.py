@@ -180,10 +180,10 @@ class MasterEquation:
         return h, ls, gammas, _matrix(self.trace_sink(t), self.dim, f"trace_sink(t={t})")
 
 
-def _matrix(value, dim: int, what: str, dtype=complex) -> np.ndarray:
-    """``value`` as a (dim, dim) array of ``dtype`` (None keeps its own);
-    DimensionMismatch naming ``what`` if it has another shape."""
-    m = np.asarray(value, dtype=dtype)
+def _matrix(value, dim: int, what: str) -> np.ndarray:
+    """``value`` as a complex (dim, dim) array; DimensionMismatch naming
+    ``what`` if it has another shape."""
+    m = np.asarray(value, dtype=complex)
     if m.shape != (dim, dim):
         raise DimensionMismatch(f"{what} has shape {m.shape}, expected {(dim, dim)}")
     return m

@@ -18,7 +18,11 @@ buckets are stacked arrays padded to a common bucket count (``_Buckets``):
 states (R, B, d), counts (R, B) and the provenance as a boolean
 (R, child, channel, parent) array. A step is a fixed set of stacked numpy
 calls plus one multinomial draw per populated bucket with a move, from its
-replica's own stream, so every replica gets the bits it gets alone.
+replica's own stream, so every replica gets the bits it gets alone. Each
+replica's bucket sum sum_i N_i |psi_i><psi_i| is one
+``linalg.weighted_outer_sum`` over its buckets, and a step logs its reverse
+moves first, then the provenance entries its direct jumps add, in
+(child, channel, parent) index order.
 ``nmqj_step`` is the same step for one ensemble held as ``Bucket`` records
 (``NmqjEnsemble``).
 """
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import MissingTargetState, StepTooLarge, UnravelError
-from .linalg import EPS, normalize_rows
+from .linalg import EPS, normalize_rows, weighted_outer_sum
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Jump, ReverseJump
 from .propagate import TimeGrid
@@ -68,9 +72,9 @@ class NmqjEnsemble:
         return sum(b.count for b in self.buckets)
 
     def rho(self) -> np.ndarray:
-        """sum_i (N_i/N) |psi_i><psi_i| over the buckets (``_rho``)."""
-        counts = np.array([[b.count for b in self.buckets]])
-        return _rho(counts, np.array([[b.state for b in self.buckets]]), counts.sum(axis=1))[0]
+        """sum_i (N_i/N) |psi_i><psi_i| over the buckets."""
+        counts = np.array([b.count for b in self.buckets])
+        return weighted_outer_sum(np.array([b.state for b in self.buckets]).T, counts) / self.total
 
 
 def nmqj_ensemble(n: int, psi0: np.ndarray) -> NmqjEnsemble:
@@ -91,19 +95,6 @@ def _fidelity(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.float_power(np.abs(np.vecdot(a, b)), 2)
 
 
-def _rho(counts: np.ndarray, states: np.ndarray, totals: np.ndarray) -> np.ndarray:
-    """sum_i (N_i/N) |psi_i><psi_i| of each of R replicas, (R, d, d), from
-    counts (R, B), states (R, B, d) and member totals (R,). Each replica is
-    summed over its buckets in order from zero, as a loop of ``+=`` over the
-    populated ones sums it, bit for bit: an accumulation never sums pairwise
-    (a reduction does when d = 1), an empty or padding bucket (finite state,
-    weight 0) adds only signed zeros, and the trailing + 0 turns an
-    all-(-0.0) entry into the loop's +0.0."""
-    weights = counts / totals[:, None]
-    outers = weights[..., None, None] * (states[..., :, None] * np.conj(states)[..., None, :])
-    return np.add.accumulate(outers, axis=1)[:, -1] + 0.0
-
-
 @dataclass
 class _Buckets:
     """The buckets of R replicas, padded to a common capacity B.
@@ -111,18 +102,13 @@ class _Buckets:
     Replica r holds buckets 0 .. size[r] - 1 of ``states`` (R, B, d) and
     ``counts`` (R, B); padding slots hold zero states and counts.
     ``prov[r, child, a, parent]`` records a direct jump parent -> child on
-    channel a, and ``rank[r, child, a]`` orders the (child, channel) keys by
-    their first direct jump (-1 before it), as the keys of
-    ``NmqjEnsemble.provenance`` are ordered; ``ranked`` counts the ranks
-    handed out.
+    channel a.
     """
 
     states: np.ndarray
     counts: np.ndarray
     size: np.ndarray
     prov: np.ndarray
-    rank: np.ndarray
-    ranked: int = 0
 
     @classmethod
     def of(cls, ensembles: list[NmqjEnsemble], channels: int) -> "_Buckets":
@@ -130,38 +116,34 @@ class _Buckets:
         cap, d = max(len(e.buckets) for e in ensembles), len(ensembles[0].buckets[0].state)
         n_rep = len(ensembles)
         b = cls(np.zeros((n_rep, cap, d), dtype=complex), np.zeros((n_rep, cap), dtype=np.int64),
-                np.array([len(e.buckets) for e in ensembles]), np.zeros((n_rep, cap, channels, cap), dtype=bool),
-                np.full((n_rep, cap, channels), -1, dtype=np.int64))
+                np.array([len(e.buckets) for e in ensembles]), np.zeros((n_rep, cap, channels, cap), dtype=bool))
         for r, ens in enumerate(ensembles):
             n = len(ens.buckets)
             b.states[r, :n] = [x.state for x in ens.buckets]
             b.counts[r, :n] = [x.count for x in ens.buckets]
             for (child, a), parents in ens.provenance.items():
                 b.prov[r, child, a, sorted(parents)] = True
-                b.rank[r, child, a] = b.ranked
-                b.ranked += 1
         return b
 
     def ensemble(self, r: int) -> NmqjEnsemble:
-        """Replica r as an ensemble that shares no array with these."""
+        """Replica r as an ensemble that shares no array with these, its
+        provenance keys in (child, channel) order."""
         n = int(self.size[r])
         buckets = [Bucket(int(c), s.copy()) for c, s in zip(self.counts[r, :n], self.states[r, :n])]
-        keys = sorted(zip(*np.nonzero(self.rank[r] >= 0)), key=lambda key: self.rank[r][key])
         return NmqjEnsemble(buckets, {
-            (int(c), int(a)): set(np.flatnonzero(self.prov[r, c, a]).tolist()) for c, a in keys
+            (int(c), int(a)): set(np.flatnonzero(self.prov[r, c, a]).tolist())
+            for c, a in zip(*np.nonzero(self.prov[r].any(axis=2)))
         })
 
     def grow(self) -> None:
         """Double the capacity."""
         n_rep, cap, d = self.states.shape
-        channels = self.rank.shape[2]
+        channels = self.prov.shape[2]
         states = np.zeros((n_rep, 2 * cap, d), dtype=complex)
         counts = np.zeros((n_rep, 2 * cap), dtype=np.int64)
         prov = np.zeros((n_rep, 2 * cap, channels, 2 * cap), dtype=bool)
-        rank = np.full((n_rep, 2 * cap, channels), -1, dtype=np.int64)
-        states[:, :cap], counts[:, :cap], prov[:, :cap, :, :cap], rank[:, :cap] = (
-            self.states, self.counts, self.prov, self.rank)
-        self.states, self.counts, self.prov, self.rank = states, counts, prov, rank
+        states[:, :cap], counts[:, :cap], prov[:, :cap, :, :cap] = self.states, self.counts, self.prov
+        self.states, self.counts, self.prov = states, counts, prov
 
 
 def _merge(b: _Buckets, jr, js, channel, states):
@@ -169,12 +151,8 @@ def _merge(b: _Buckets, jr, js, channel, states):
     ``states``, in one replica's order: the child bucket of each, the first
     (populated or not) whose state matches its image, else a new one opened
     for it, and the (replica, parent, child, channel) provenance entries
-    they add. Records the entries in ``b.prov`` and ranks new keys. The
-    entries come by replica, then key rank, then parent id ascending. A
-    Python set of ints below its table size (at least 8) iterates them in
-    ascending order, so a scan of ``NmqjEnsemble.provenance`` meets a key's
-    new parents in this order while their ids are below 8, not always past
-    that."""
+    they add, recorded in ``b.prov``. The entries come in (replica, child,
+    channel, parent) index order."""
     match = _fidelity(b.states[jr], states[:, None]) >= _MERGE_FIDELITY
     match &= np.arange(b.states.shape[1]) < b.size[jr, None]
     child = match.argmax(axis=1)
@@ -194,20 +172,9 @@ def _merge(b: _Buckets, jr, js, channel, states):
             child[q] = b.size[r]
             b.states[r, child[q]] = states[q]
             b.size[r] += 1
-    new = ~b.prov[jr, child, channel, js]
-    if not new.any():
-        return child, (jr[:0],) * 4
-    new_key = b.rank[jr, child, channel] < 0
-    if new_key.any():
-        # rank new keys in the order of their first jump in this step
-        firsts = np.flatnonzero(new_key)
-        keys = (jr[firsts] * b.rank.shape[1] + child[firsts]) * b.rank.shape[2] + channel[firsts]
-        firsts = np.sort(firsts[np.unique(keys, return_index=True)[1]])
-        b.rank[jr[firsts], child[firsts], channel[firsts]] = b.ranked + np.arange(len(firsts))
-        b.ranked += len(firsts)
+    new = np.flatnonzero(~b.prov[jr, child, channel, js])
     b.prov[jr, child, channel, js] = True
-    new = np.flatnonzero(new)
-    new = new[np.lexsort((js[new], b.rank[jr[new], child[new], channel[new]], jr[new]))]
+    new = new[np.lexsort((js[new], channel[new], child[new], jr[new]))]
     return child, (jr[new], js[new], child[new], channel[new])
 
 
@@ -373,7 +340,7 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
     steps = grid.n_steps
     b = _Buckets.of([nmqj_ensemble(n, psi0) for n in sizes], len(me.channels))
     rho_sum = np.zeros((len(sizes), steps + 1, me.dim, me.dim), dtype=complex)
-    rho_sum[:, 0] = sizes[:, None, None] * _rho(b.counts, b.states, sizes)
+    rho_sum[:, 0] = weighted_outer_sum(np.swapaxes(b.states, 1, 2), b.counts)
     logs: list[list] = [[] for _ in sizes]
     n_jump = n_rev = 0
     abort = None
@@ -389,6 +356,6 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
             logs[r].append((k, "reverse", i, j, a))
         for r, parent, child, a in zip(*(x.tolist() for x in added)):
             logs[r].append((k, "direct", parent, child, a))
-        rho_sum[:, k + 1] = sizes[:, None, None] * _rho(b.counts, b.states, sizes)
+        rho_sum[:, k + 1] = weighted_outer_sum(np.swapaxes(b.states, 1, 2), b.counts)
     counts = {"jump": n_jump, "reverse_jump": n_rev, "deterministic": 0}
     return rho_sum, counts, {"event_logs": logs}, abort

@@ -185,11 +185,12 @@ def propagator_maps(me: MasterEquation, grid: TimeGrid, substeps: int = 1) -> np
     return np.array([eye, *_evolve(me, eye, grid, substeps, grid.n_steps)])
 
 
-def intermediate_propagator(s_t: np.ndarray, s_s: np.ndarray, cond_limit: float = 1e12) -> np.ndarray:
-    """V(t, s) = S(t) S(s)^{-1}; raises SingularMap when S(s) is too ill-conditioned."""
+def intermediate_propagator(s_t: np.ndarray, s_s: np.ndarray) -> np.ndarray:
+    """V(t, s) = S(t) S(s)^{-1}; raises SingularMap when S(s) has a condition
+    number above 1e12."""
     c = np.linalg.cond(s_s)
-    if not np.isfinite(c) or c > cond_limit:
-        raise SingularMap(f"propagator at s has condition number {c:.3e} > {cond_limit:.1e}")
+    if not np.isfinite(c) or c > 1e12:
+        raise SingularMap(f"propagator at s has condition number {c:.3e} > 1.0e+12")
     return np.linalg.solve(s_s.T, s_t.T).T
 
 

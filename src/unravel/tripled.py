@@ -97,38 +97,37 @@ def _kron3(x: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 
 @np.errstate(invalid="ignore", over="ignore")  # a non-finite piece is GeneratorTrack's to report
-def _embedding(times, h, pairs, error) -> tuple[GeneratorTrack, np.ndarray]:
+def _embedding(times, h, c, d, levels, error) -> tuple[GeneratorTrack, np.ndarray]:
     """The embedding's track over ``times`` and its completion levels (k, m),
-    from h (k, d, d) at the first k times, one (C, D, level) per pair (C, D
-    (k, d, d) in the pair's own dtype, level (k,) or None for the least one,
-    ||C - D||^2) and the error that ends the inputs at times[k]. Omega is
+    from h (k, d, d) at the first k times, the factors C and D of the m pairs
+    (k, m, d, d), their levels (k, m) or None for the least ones,
+    ||C - D||^2, and the error that ends the inputs at times[k]. Omega is
     the root of a*1 - (C-D)^dag (C-D); a level too small for it (NotPSD)
     ends the track at its first such time (first such pair on a tie), and
     a factor or level that is not finite at its first such time."""
-    k, dim = h.shape[0], h.shape[-1]
-    n, levels = k, np.empty((k, len(pairs)))
-    jumps = np.empty((k, len(pairs), 4, 3 * dim, 3 * dim), dtype=complex)
+    k, m, dim, _ = c.shape
+    # a non-finite factor or level takes no norm and no root: its Omega is
+    # NaN, so GeneratorTrack ends the track there, as at any non-finite piece
+    diff = c - d
+    finite = np.isfinite(diff).all(axis=(-2, -1))
+    if levels is None:
+        norms = np.linalg.norm(np.where(finite[..., None, None], diff, 0.0), ord=2, axis=(-2, -1))
+        levels = np.float_power(np.where(finite, norms, np.nan), 2)  # as float ** 2
+    fill = levels[..., None, None] * np.eye(dim) - hermitize(np.conj(np.swapaxes(diff, -1, -2)) @ diff)
+    finite = np.isfinite(fill).all(axis=(-2, -1))
+    omega, bad = psd_sqrt_batched(np.where(finite[..., None, None], fill, 0.0))
+    omega[~finite] = np.nan
+    del diff, fill  # free these stacks before the jumps are built: the track's peak stays the same
+    n = k
+    if bad is not None:
+        n, error = bad[0][0], bad[1]
+    jumps = np.empty((k, m, 4, 3 * dim, 3 * dim), dtype=complex)
     p00, p11 = _aux_proj(0, 0), _aux_proj(1, 1)
-    for j, (c, d, level) in enumerate(pairs):
-        # a non-finite factor or level takes no norm and no root: its Omega is
-        # NaN, so GeneratorTrack ends the track there, as at any non-finite piece
-        diff = c - d
-        finite = np.isfinite(diff).all(axis=(-2, -1))
-        if level is None:
-            norms = np.linalg.norm(np.where(finite[:, None, None], diff, 0.0), ord=2, axis=(-2, -1))
-            level = np.float_power(np.where(finite, norms, np.nan), 2)  # as float ** 2
-        levels[:, j] = level
-        fill = level[:, None, None] * np.eye(dim) - hermitize(np.conj(np.swapaxes(diff, -1, -2)) @ diff)
-        finite = np.isfinite(fill).all(axis=(-2, -1))
-        omega, bad = psd_sqrt_batched(np.where(finite[:, None, None], fill, 0.0))
-        omega[~finite] = np.nan
-        if bad is not None and bad[0][0] < n:
-            n, error = bad[0][0], bad[1]
-        jumps[:, j, 0] = _kron3(c, p00) + _kron3(d, p11)
-        jumps[:, j, 1] = _kron3(d, p00) + _kron3(c, p11)
-        jumps[:, j, 2] = _kron3(omega, _aux_proj(2, 0))
-        jumps[:, j, 3] = _kron3(omega, _aux_proj(2, 1))
-    h3, jumps = _kron3(h[:n], np.eye(3)), jumps[:n].reshape(n, 4 * len(pairs), 3 * dim, 3 * dim)
+    jumps[:, :, 0] = _kron3(c, p00) + _kron3(d, p11)
+    jumps[:, :, 1] = _kron3(d, p00) + _kron3(c, p11)
+    jumps[:, :, 2] = _kron3(omega, _aux_proj(2, 0))
+    jumps[:, :, 3] = _kron3(omega, _aux_proj(2, 1))
+    h3, jumps = _kron3(h[:n], np.eye(3)), jumps[:n].reshape(n, 4 * m, 3 * dim, 3 * dim)
     # every embedded jump has rate one
     gamma_l = np.einsum("naki,nakj->nij", np.conj(jumps), jumps)
     return GeneratorTrack(times, h3, jumps, np.ones(jumps.shape[:2]), gamma_l, gamma_l, h3 - 0.5j * gamma_l, error), levels
@@ -136,35 +135,30 @@ def _embedding(times, h, pairs, error) -> tuple[GeneratorTrack, np.ndarray]:
 
 def _evaluated(hamiltonian: Matrix, pairs: tuple[JumpPair, ...], levels, dim: int, times: np.ndarray):
     """``_embedding``'s inputs from the user's callables, each called once
-    per time in ``times``; a pair's factors keep the dtype of their values.
-    The first error ends them: at one time, a callable's error or a wrong
-    shape (the hamiltonian's, then each pair's c and d, then the levels)
-    comes before a hamiltonian that is not hermitian."""
+    per time in ``times``; the factors are evaluated into complex stacks
+    (len(times), m, d, d), as every generator piece is. The first error
+    ends them: at one time, a callable's error or a wrong shape (the
+    hamiltonian's, then each pair's c and d, then the levels) comes before
+    a hamiltonian that is not hermitian."""
     h = np.empty((len(times), dim, dim), dtype=complex)
-    a = np.empty((len(times), len(pairs)))
-    rows, error = [], None  # rows[i][j]: pair j's (c, d) at times[i]
+    c, d = (np.empty((len(times), len(pairs), dim, dim), dtype=complex) for _ in range(2))
+    a = None if levels is None else np.empty((len(times), len(pairs)))
+    n, error = len(times), None
     for i, t in enumerate(times):
         try:
             h[i] = _matrix(hamiltonian(t), dim, f"hamiltonian(t={t})")
-            row = [
-                (_matrix(p.c(t), dim, f"pair {j} c(t={t})", None), _matrix(p.d(t), dim, f"pair {j} d(t={t})", None))
-                for j, p in enumerate(pairs)
-            ]
-            if levels is not None:
+            for j, p in enumerate(pairs):
+                c[i, j] = _matrix(p.c(t), dim, f"pair {j} c(t={t})")
+                d[i, j] = _matrix(p.d(t), dim, f"pair {j} d(t={t})")
+            if a is not None:
                 a[i] = [level(t) for level in levels]
         except Exception as err:  # GeneratorTrack keeps it as a ModelError
-            error = err
+            n, error = i, err
             break
-        rows.append(row)
-    n = len(rows)
     found = _first_non_hermitian(h[:n], times, "hamiltonian")
     if found is not None:
         n, error = found
-    def stack(j: int, s: int) -> np.ndarray:
-        return np.array([row[j][s] for row in rows[:n]]).reshape(n, dim, dim)
-
-    inputs = [(stack(j, 0), stack(j, 1), None if levels is None else a[:n, j]) for j in range(len(pairs))]
-    return times, h[:n], inputs, error
+    return times, h[:n], c[:n], d[:n], None if a is None else a[:n], error
 
 
 def tripled_embed(
@@ -201,12 +195,12 @@ def tripled_embed(
     return TripledEmbedding(dim, len(pairs), build), w0
 
 
-def _normalized_blocks(blocks: np.ndarray, block_floor: float = _BLOCK_TRACE_FLOOR):
+def _normalized_blocks(blocks: np.ndarray):
     """Each block of a stack (..., d, d) over its trace, NaN where |trace| <=
-    block_floor, and (index, DegenerateBlock) for the first such block in C
-    order (None if there is none)."""
+    _BLOCK_TRACE_FLOOR, and (index, DegenerateBlock) for the first such
+    block in C order (None if there is none)."""
     tr = np.trace(blocks, axis1=-2, axis2=-1)
-    low = np.abs(tr) <= block_floor
+    low = np.abs(tr) <= _BLOCK_TRACE_FLOOR
     out = blocks / np.where(low, 1.0, tr)[..., None, None]
     out[low] = np.nan
     bad = None
@@ -219,10 +213,11 @@ def _normalized_blocks(blocks: np.ndarray, block_floor: float = _BLOCK_TRACE_FLO
     return out, bad
 
 
-def tripled_extract(w: np.ndarray, block_floor: float = _BLOCK_TRACE_FLOOR) -> np.ndarray:
-    """Read the physical state out of the (aux0, aux1) block of W."""
+def tripled_extract(w: np.ndarray) -> np.ndarray:
+    """Read the physical state out of the (aux0, aux1) block of W;
+    DegenerateBlock if its trace is at most _BLOCK_TRACE_FLOOR."""
     d = w.shape[0] // 3
-    out, bad = _normalized_blocks(w.reshape(d, 3, d, 3)[:, 0, :, 1], block_floor)
+    out, bad = _normalized_blocks(w.reshape(d, 3, d, 3)[:, 0, :, 1])
     if bad is not None:
         raise bad[1]
     return out
@@ -255,8 +250,7 @@ def embedded_track(me: MasterEquation, times) -> GeneratorTrack:
     root = np.sqrt(0.5 * np.abs(base.gammas))[..., None, None]
     c = root * base.ls
     d = np.copysign(1.0, base.gammas)[..., None, None] * root * base.ls
-    pairs = [(c[:, j], d[:, j], None) for j in range(c.shape[1])]
-    return _embedding(base.times, base.h, pairs, base.error)[0]
+    return _embedding(base.times, base.h, c, d, None, base.error)[0]
 
 
 def _block_outer(cols: np.ndarray, weights=None) -> np.ndarray:

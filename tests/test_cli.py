@@ -322,6 +322,27 @@ def test_bad_input_ends_in_one_error_line(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["dir_results.csv", "nan.txt", "overflow.txt"]
 
 
+def test_a_method_that_cannot_run_fails_before_any_work(tmp_path, monkeypatch, capsys):
+    """A method token that cannot run on the model (rroqj without a gauge,
+    a gz_identity gauge on a model without gamma_z) ends ``run`` with exit
+    1 before the oracle or any earlier method runs, and writes nothing."""
+    def forbidden(*args, **kwargs):
+        raise AssertionError("ran before every method was built")
+
+    monkeypatch.setattr("unravel.cli.propagate", forbidden)
+    monkeypatch.setattr("unravel.cli.run_ensemble", forbidden)
+    emission = _write(tmp_path, "emission.txt", "model = spontaneous_emission\n")
+    for argv, expect in (
+        (["--method", "mcwf", "--method", "rroqj"], "rroqj needs a time-dependent gauge"),
+        (["--config", emission, "--method", "mcwf", "--method", "psi_roqj(gauge=gz_identity)"],
+         "gauge gz_identity needs a phase-covariant model"),
+    ):
+        assert main(["run", *argv, "--t-max", "0.1", "--out", str(tmp_path / "x")]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and expect in err, (argv, err)
+    assert [p.name for p in tmp_path.iterdir()] == ["emission.txt"]
+
+
 def test_main_exits_1_on_config_problems(tmp_path, capsys):
     assert main(["run", "--config", str(tmp_path / "missing.txt")]) == 1
     bad = _write(tmp_path, "bad.txt", "dt = nope")

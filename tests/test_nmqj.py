@@ -49,26 +49,6 @@ def test_ensemble_accessors():
     assert np.allclose(ens.rho(), np.diag([0.75, 0.25]))
 
 
-def test_rho_has_the_bits_of_a_summing_loop():
-    """``rho`` sums the populated buckets in order from zero, as a loop of
-    ``+=`` does, bit for bit: -0.0 entries included, and for d = 1 too,
-    where a reduction would sum pairwise."""
-    gen = np.random.default_rng(3)
-    for _ in range(2000):
-        d, n_buckets = int(gen.integers(1, 5)), int(gen.integers(1, 30))
-        states = gen.standard_normal((n_buckets, d)) + 1j * gen.standard_normal((n_buckets, d))
-        states.real[gen.random(states.shape) < 0.3] = -0.0
-        states.imag[gen.random(states.shape) < 0.3] = -0.0
-        counts = gen.integers(0, 5, n_buckets)
-        counts[0] += counts.sum() == 0
-        ens = NmqjEnsemble([Bucket(int(c), s) for c, s in zip(counts, states)])
-        want = np.zeros((d, d), dtype=complex)
-        for b in ens.buckets:
-            if b.count:
-                want += (b.count / ens.total) * np.outer(b.state, np.conj(b.state))
-        assert ens.rho().tobytes() == want.tobytes()
-
-
 def test_single_bucket_step_conserves_members():
     me = delayed_negative_phase_covariant()
     ens = nmqj_ensemble(500, PLUS)
@@ -193,14 +173,13 @@ def test_step_leaves_its_input_ensemble_unchanged():
 
 
 def test_replica_log_is_that_of_a_scan_at_every_step():
-    """``run_replica`` logs the provenance entries each step adds, sorted in
-    stacked arrays; stepping the one-replica view (``nmqj_step``) and
-    scanning its provenance map at every step logs the same entries in the
-    same order, beside the same reverse moves. In steps 4 to 6 one key
-    gains two parents, and two new keys' first jumps come against their
-    (child, channel) order; those steps log what a provenance scan of the
-    one-replica-at-a-time stepper logged. Its parent ids are below 8, where
-    a Python set of ints iterates them in ascending order, as
+    """``run_replica`` logs the provenance entries each step adds in
+    (child, channel, parent) index order; stepping the one-replica view
+    (``nmqj_step``) and scanning its provenance map at every step logs the
+    same entries in the same order, beside the same reverse moves. In steps
+    4 to 6 one key gains two parents, and in step 5 the jump into bucket 0
+    is logged before the one into bucket 2. The parent ids are below 8,
+    where a Python set of ints iterates them in ascending order, as
     ``_merge`` sorts them."""
     me = delayed_negative_phase_covariant()
     grid = TimeGrid(0.0, 1.2, 1e-2)
@@ -217,7 +196,7 @@ def test_replica_log_is_that_of_a_scan_at_every_step():
                     log.append((k, "direct", p, child, a))
     assert [e for e in diag["event_logs"][0] if 4 <= e[0] <= 6 and e[1] == "direct"] == [
         (4, "direct", 1, 2, 1), (4, "direct", 3, 2, 1),
-        (5, "direct", 2, 2, 2), (5, "direct", 3, 0, 2),
+        (5, "direct", 3, 0, 2), (5, "direct", 2, 2, 2),
         (6, "direct", 2, 1, 0), (6, "direct", 3, 1, 0), (6, "direct", 1, 1, 2),
     ]
     assert any(entry[1] == "reverse" for entry in diag["event_logs"][0])
@@ -252,12 +231,14 @@ def test_a_tile_reports_its_first_failing_replica_as_it_fails_alone():
         assert (type(info.value), str(info.value), info.value.time) == alone[order[1]]
 
 
-def test_merge_logs_by_replica_then_key_rank_then_parent():
+def test_merge_logs_by_replica_then_child_then_channel_then_parent():
     """Replica 0 holds ten buckets, more than a small Python set's eight
-    slots. In one step its parents 2 and 9 jump into one new key and parent
-    5 into a second, ranked after it; replica 1's parent 0 joins a third.
-    The entries come by replica, then key rank, then parent id ascending,
-    also when parent 9's jump arrives before parent 2's."""
+    slots. In one step its parents 2 and 9 jump into one new bucket and
+    parent 5 into a second; replica 1's parent 0 joins a third. The entries
+    come in (replica, child, channel, parent) index order, whatever order
+    the jumps arrive in: also when parent 9's jump arrives before parent
+    2's, and when a jump into existing bucket 2 arrives before one into
+    existing bucket 0."""
     angles = np.linspace(0.1, 1.4, 10)
     states = [np.array([np.cos(x), np.sin(x)], dtype=complex) for x in angles]
 
@@ -277,3 +258,11 @@ def test_merge_logs_by_replica_then_key_rank_then_parent():
     order = [2, 0, 3, 1]
     _child, entries = _merge(tile(), jr[order], js[order], channel[order], images[order])
     assert list(zip(*(e.tolist() for e in entries))) == want
+    # into existing buckets: parent 4's jump into bucket 2 comes first, then
+    # parent 7's into bucket 0, on the other channel
+    jr, js, channel = np.array([0, 0]), np.array([4, 7]), np.array([0, 1])
+    b = tile()
+    child, entries = _merge(b, jr, js, channel, np.array([states[2], states[0]]))
+    assert child.tolist() == [2, 0]
+    assert list(zip(*(e.tolist() for e in entries))) == [(0, 7, 0, 1), (0, 4, 2, 0)]
+    assert list(b.ensemble(0).provenance) == [(0, 1), (2, 0)]

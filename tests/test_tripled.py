@@ -412,9 +412,8 @@ def test_embedded_track_ends_where_the_embedding_fails(piece, error):
 
 def test_user_embedding_is_the_embedding_evaluated_time_by_time():
     """tripled_embed's track is, time by time, the embedding of the user's
-    callables: a complex pair with D = C and a real-typed one with D = -C,
-    whose Omega is the root of a real matrix, at the default and at custom
-    levels."""
+    callables evaluated as complex: a complex pair with D = C and a
+    real-typed one with D = -C, at the default and at custom levels."""
     lop = np.array([[0.1j, -0.5 + 0.2j], [1.0, -0.3j]])
     real = np.array([[0.5, 1.0], [0.0, -0.3]])
     pairs = (
@@ -435,7 +434,8 @@ def test_user_embedding_is_the_embedding_evaluated_time_by_time():
         _matches_time_by_time(
             track,
             lambda t: _embedding_at(
-                t, h(t), [(p.c(t), p.d(t)) for p in pairs], None if levels is None else [a(t) for a in levels]
+                t, h(t), [(np.asarray(p.c(t), dtype=complex), np.asarray(p.d(t), dtype=complex)) for p in pairs],
+                None if levels is None else [a(t) for a in levels],
             ),
             times,
         )
@@ -498,7 +498,10 @@ def test_a_non_finite_factor_ends_the_user_embedding_as_a_model_error(dim, value
 
 def test_completion_level_too_small_raises_not_psd():
     """An override below ||C - D||^2 (1 here) leaves no Omega: NotPSD from
-    the first time it is too small, at one time and in the track."""
+    the first time it is too small, at one time and in the track. With two
+    pairs, the one whose level is too small first ends the track with its
+    NotPSD (the eigenvalue -0.5 of a level 0.5, -0.75 of 0.25); on a tie
+    the first pair's is raised."""
     level = lambda t: 2.0 if t < 0.3 else 0.5  # noqa: E731
     emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), (HALF_DECAY,), 2, np.eye(2) / 2, a=level)
     with pytest.raises(NotPSD):
@@ -509,3 +512,11 @@ def test_completion_level_too_small_raises_not_psd():
     assert len(track.h) == 3 and track.error.time == times[3]
     with pytest.raises(NotPSD):
         track[3]
+    for second_from, end, message in ((0.5, 3, "-5.000e-01"), (0.3, 3, "-5.000e-01"), (0.2, 2, "-7.500e-01")):
+        second = lambda t, t0=second_from: 2.0 if t < t0 else 0.25  # noqa: E731
+        emb, _ = tripled_embed(lambda t: np.zeros((2, 2)), (HALF_DECAY,) * 2, 2, np.eye(2) / 2, a=(level, second))
+        track = embedded_master_equation(emb).track(times)
+        assert len(track.h) == end and track.error.time == times[end]
+        with pytest.raises(NotPSD, match=message):
+            track[end]
+

@@ -151,8 +151,9 @@ _REAL_FACTOR = np.array([[0.5, 1.0], [0.0, -0.3]])
 def _user_embedding():
     """A user embedding under a driven complex hamiltonian: a time-dependent
     pair with D = C (a positive rate, complex factors), one with D = -C (a
-    negative rate, real-typed factors), and a tuple of custom completion
-    levels, the second one 0.5 above the least ||C - D||^2."""
+    negative rate, real-typed factors, which are evaluated as complex), and
+    a tuple of custom completion levels, the second one 0.5 above the least
+    ||C - D||^2."""
     drive = np.array([[0.0, 0.2 - 0.7j], [0.2 + 0.7j, 0.0]])
     lop = np.array([[0.1j, -0.5 + 0.2j], [1.0, -0.3j]])
     positive = JumpPair(lambda t: np.sqrt(0.3 * (1.0 + 0.5 * np.sin(t))) * lop,
