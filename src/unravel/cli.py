@@ -134,9 +134,11 @@ def _apply_key(cfg: RunConfig, key: str, val: str, lineno: int) -> None:
             raise ValueError(f"{key} must be finite, got {val}")
         cfg.model_params[key[len("model."):]] = value
     elif key == "methods":
-        tokens = _split_method_list(val)
-        cfg.method_tokens = [t for t in tokens if t]
+        cfg.method_tokens = _split_method_list(val)
         for t in cfg.method_tokens:
+            if not t:  # --oracle-only, not an empty list, skips the methods
+                raise ParseError(f"empty method token in methods = {val!r} (line {lineno}); "
+                                 "--oracle-only runs no method")
             _parse_method_token(t, lineno)
     elif key == "trajectories":
         cfg.n_traj = int(val)
@@ -397,6 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         return divisibility_command(cfg)
     except (ConfigError, BadAmplitudes, ModelError) as err:  # a model the oracle cannot evaluate
         print(f"error: {err}", file=sys.stderr)
+        return 1
+    except MemoryError as err:  # a grid that fits an index but not memory
+        print(f"error: the run does not fit in memory ({err}); lower t_max or raise dt", file=sys.stderr)
         return 1
 
 

@@ -7,9 +7,11 @@ steps them in one pass over row tiles: a tile is a run of whole consecutive
 batches of at most ``_TILE_ROWS`` rows in all (a larger batch is a tile of
 its own), and its runner steps all its rows together but sums each batch
 over that batch's rows alone. The replica methods run one replica per
-batch, and their replicas share tiles in the same way: ``cloning`` makes
-one kernel call per step for all of a tile's members, and ``nmqj`` steps
-all of a tile's buckets as stacked arrays. Every batch (or replica) draws
+batch, and their replicas share tiles by the rows their states hold at the
+start: ``cloning`` makes one kernel call per step for all of a tile's
+members, a row each, and ``nmqj`` steps all of a tile's buckets as stacked
+arrays; its replica starts as one bucket, one row, so all its replicas
+share one tile. Every batch (or replica) draws
 from its own stream ``rng.replica_generator(seed, batch index)``, in an
 order fixed within the batch, and the batch sums are combined by a
 fixed-order pairwise tree, so a seed fixes the result bit for bit,
@@ -84,18 +86,28 @@ METHOD_KINDS = (
 )
 _GAUGE_KINDS = frozenset({"rroqj", "psi_roqj"})
 _DEFAULT_BATCHES = 20
-# Most rows in a tile (replica methods: members at the start): an ensemble
-# of up to 2048 trajectories is one tile, one of 10^4 five.
-# Wide tiles cut the per-step Python overhead. At N = 10^4 (eternally_nm,
-# |+>, dt = 1e-2, t_max = 5, seed 42; two fresh processes each, 2-core host)
-# 2048-row tiles took wroqj 5.6/4.8 s, doubled 3.4/2.9, im 2.8/3.3, plqt
-# 2.6/3.2, tripled 7.5/6.7 and psi_roqj 12.4/11.9, where tiles capped at
-# 48 KiB of menu took 9.5/7.5, 4.5/4.2, 4.2/2.9, 3.4/4.2, 7.4/8.4 and
-# 15.5/12.0 s, and one tile of the whole ensemble was no faster. The kernels
-# hold few temporaries beside their menus, so peak RSS holds: +1.2% on the
-# batched benchmark (41.0 -> 41.5 MB), +0.1% on per_step (45.2 MB), and at
-# N = 10^4 about 5 MB over the import against 11 MB (tripled 29 against 33).
-_TILE_ROWS = 2048
+# Most rows in a tile, counted as the rows each batch's state holds at the
+# start (``run_ensemble``): an ensemble of up to 4096 trajectories is one
+# tile, one of 10^4 three (8, 8 and 4 batches), and nmqj is one tile at
+# any N. Wide tiles cut the per-step Python overhead. In-process
+# ``run_ensemble`` at N = 10^4, seed 42, t_max = 2 (nmqj on
+# delayed_negative, to its abort at t = 1.38), median of 5 alternating runs
+# on a 2-core host, tiles of 2048 rows / 4096 rows / one tile:
+#   mcwf (spontaneous_emission)     0.171 / 0.156 / 0.129 s
+#   cloning (spontaneous_emission)  0.383 / 0.264 / 0.261
+#   wtd (spontaneous_emission)      1.070 / 0.956 / 0.906
+#   wroqj (eternally_nm)            0.398 / 0.369 / 0.331
+#   psi_roqj (eternally_nm)         0.751 / 0.714 / 0.953
+#   im (eternally_nm)               0.292 / 0.258 / 0.233
+#   plqt (eternally_nm)             0.283 / 0.252 / 0.203
+#   doubled (eternally_nm)          0.360 / 0.356 / 0.284
+#   tripled (eternally_nm)          0.658 / 0.626 / 0.528
+# One tile is slower for psi_roqj, whose (n, d, d) blocks keep the
+# trajectory axis first, and the peak RSS grows with the tile: the CLI's
+# own ru_maxrss for a cloning + mcwf run at N = 10^4 reads 38.6 MB at 2048
+# rows, 39.8 at 4096, 40.4 at 5000, 42.3 at 8192 and 44.0 in one tile.
+# ``tools/tile_sweep.py`` re-measures these.
+_TILE_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -171,7 +183,7 @@ def _runner(method: MethodId):
 
 def _tiles(sizes: list[int]) -> list[list[int]]:
     """Consecutive batch indices grouped into tiles of at most ``_TILE_ROWS``
-    rows, members for a replica method (never fewer than one batch)."""
+    rows, ``sizes`` giving each batch's rows (never fewer than one batch)."""
     tiles: list[list[int]] = []
     rows = 0
     for i, size in enumerate(sizes):
@@ -282,7 +294,8 @@ def run_ensemble(
     run = _runner(method)
     track = _generator_track(method, me, grid)
     tile_sums, counts, diags, abort = [], [], [], None
-    for tile in _tiles(sizes):
+    # the rows each batch's state holds: an nmqj replica starts as one bucket
+    for tile in _tiles([1] * len(sizes) if method.kind == "nmqj" else sizes):
         # nothing past the earliest abort so far is kept, and that abort wins
         # a tie, so a later tile runs only the steps before it (at least one)
         cut, cut_track = _head(method, grid, track, grid.n_steps if abort is None else max(abort[1], 1))

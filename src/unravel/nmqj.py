@@ -322,9 +322,11 @@ def nmqj_step(
 
 def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, sizes, seed: int, track):
     """Independent NMQJ realizations of the consecutive replicas batch0,
-    batch0 + 1, ... of ``sizes`` members each (a tile of an ensemble), each
-    with its own member pool, stepped on ``track`` (``me.track`` over the
-    grid's step starts; step k reads ``track[k]``).
+    batch0 + 1, ... of ``sizes`` members each (a tile of an ensemble; each
+    replica starts as one bucket, a row of the tile, so the engine steps all
+    of an ensemble's replicas in one call), each with its own member pool,
+    stepped on ``track`` (``me.track`` over the grid's step starts; step k
+    reads ``track[k]``).
 
     Returns (rho_sum, counts, diagnostics, abort); rho_sum has a leading
     replica axis, its rows carry sum_i N_i |psi_i><psi_i| so the engine can

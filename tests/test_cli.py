@@ -86,6 +86,10 @@ def test_method_token_validation():
         parse_config("methods = mcwf(color=red)")
     with pytest.raises(ParseError):
         parse_config("methods = im(r_min")
+    # no token or an empty one: --oracle-only is the way to run no method
+    for methods in ("", "mcwf,,im", "mcwf,", ", mcwf", " , "):
+        with pytest.raises(ParseError, match="line 2"):
+            parse_config(f"dt = 0.01\nmethods = {methods}")
 
 
 def test_initial_state_validation():
@@ -341,6 +345,23 @@ def test_a_method_that_cannot_run_fails_before_any_work(tmp_path, monkeypatch, c
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1 and expect in err, (argv, err)
     assert [p.name for p in tmp_path.iterdir()] == ["emission.txt"]
+
+
+def test_a_run_that_does_not_fit_in_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    """A grid that fits an index but not memory (``--t-max 1e9`` asks for a
+    745 GiB time axis) ends ``run`` and ``divisibility`` with exit 1 and one
+    ``error:`` line, and writes nothing. The allocation is stood in for, so
+    that no host has to refuse a real one."""
+    def too_large(*args, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000001,)")
+
+    monkeypatch.setattr("unravel.cli.propagate", too_large)
+    monkeypatch.setattr("unravel.cli.divisibility_scan", too_large)
+    for command in ("run", "divisibility"):
+        assert main([command, "--t-max", "0.1", "--out", str(tmp_path / "x")]) == 1, command
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "745. GiB" in err, (command, err)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_main_exits_1_on_config_problems(tmp_path, capsys):

@@ -484,8 +484,8 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
     populations), and for an abort its error, message, time and partial
     series. N = 7 has one trajectory per batch, N = 63 unequal batches; a
     cap of 16 rows splits that ensemble into several tiles. N = 4097
-    (batches of 205 and 204 rows) makes three tiles at the default cap, the
-    second of them holding both sizes."""
+    (batches of 205 and 204 rows) makes two tiles at the default cap, the
+    first holding both sizes."""
     if budget == "small":
         monkeypatch.setattr(engine, "_TILE_ROWS", 16)
     me = build()
@@ -496,7 +496,7 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
     if n_traj == 63 and budget == "small":
         assert 1 < len(tiles) < len(sizes)
     if n_traj == 4097:
-        assert [[sizes[i] for i in tile] for tile in tiles] == [[205] * 9, [205] * 8 + [204] * 2, [204]]
+        assert [[sizes[i] for i in tile] for tile in tiles] == [[205] * 17 + [204] * 2, [204]]
     rho_hat, rho_batches, stderr, counts, diag, abort = _per_batch_reference(method, me, psi, grid, n_traj, 5)
     if abort is not None:
         with pytest.raises(type(abort[0])) as info:
@@ -521,9 +521,10 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
 
 def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
     """A tile holds whole consecutive batches, at most ``_TILE_ROWS`` rows
-    of them, or one batch larger than that; the replicas of cloning and
-    nmqj tile as trajectories do, four replicas a tile at N = 10^4 and all
-    twenty at N = 2000."""
+    of them, or one batch larger than that. cloning's replicas tile as
+    trajectories do, by members: eight replicas a tile at N = 10^4 and all
+    twenty at N = 2000. An nmqj replica starts as one bucket, one row, so
+    all twenty share one tile at any N."""
     sizes = _chunk_sizes(1003, 20)  # 3 batches of 51 rows, 17 of 50
     monkeypatch.setattr(engine, "_TILE_ROWS", 160)
     tiles = _tiles(sizes)
@@ -533,9 +534,9 @@ def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
     monkeypatch.setattr(engine, "_TILE_ROWS", 1)  # never fewer than one batch
     assert _tiles(sizes) == [[i] for i in range(20)]
     monkeypatch.undo()
-    assert _tiles([100, 3000, 100, 1948, 1]) == [[0], [1], [2, 3], [4]]
+    assert _tiles([100, 6000, 100, 3996, 1]) == [[0], [1], [2, 3], [4]]
     assert _tiles(_chunk_sizes(2000, 20)) == [list(range(20))]
-    assert _tiles(_chunk_sizes(10_000, 20)) == [list(range(i, i + 4)) for i in range(0, 20, 4)]
+    assert _tiles(_chunk_sizes(10_000, 20)) == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
     assert _tiles(_chunk_sizes(10**5, 20)) == [[i] for i in range(20)]
     grid = TimeGrid(0.0, 0.02, 1e-2)
     for module, kind in ((cloning_module, "cloning"), (nmqj_module, "nmqj")):
@@ -546,12 +547,18 @@ def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
         )
         for n_traj in (10_000, 2000):
             run_ensemble(method_id(kind), spontaneous_emission(), PLUS, grid, n_traj, seed=1)
-        assert calls == [[500] * 4] * 5 + [[100] * 20], kind
+        if kind == "cloning":
+            assert calls == [[500] * 8] * 2 + [[500] * 4] + [[100] * 20], kind
+        else:
+            assert calls == [[500] * 20] + [[100] * 20], kind
+    calls.clear()  # nmqj's replicas still share one tile at N = 10^5
+    run_ensemble(method_id("nmqj"), spontaneous_emission(), PLUS, grid, 10**5, seed=1)
+    assert calls == [[5000] * 20]
 
 
 def test_cloning_tiles_reproduce_per_replica_runs_at_n10000():
-    """At N = 10^4 cloning's 20 replicas of 500 step in five tiles of four,
-    with the bits of 20 separate replica runs."""
+    """At N = 10^4 cloning's 20 replicas of 500 step in three tiles (eight,
+    eight and four replicas), with the bits of 20 separate replica runs."""
     me, grid, method = spontaneous_emission(), TimeGrid(0.0, 0.5, 1e-2), method_id("cloning")
     rho_hat, rho_batches, stderr, counts, diag, abort = _per_batch_reference(method, me, PLUS, grid, 10_000, 5)
     assert abort is None
@@ -571,8 +578,8 @@ def test_replicas_stop_at_the_earliest_abort_so_far(monkeypatch):
     message and time, the partial series and the event logs cut to them."""
     me, grid, method = delayed_negative_phase_covariant(), TimeGrid(0.0, 3.0, 1e-2), method_id("nmqj")
     sizes = _chunk_sizes(2000, 20)
-    monkeypatch.setattr(engine, "_TILE_ROWS", 300)  # tiles of three replicas of 100
-    tiles = _tiles(sizes)
+    monkeypatch.setattr(engine, "_TILE_ROWS", 3)  # tiles of three replicas
+    tiles = _tiles([1] * len(sizes))  # an nmqj replica starts as one bucket, one row
     assert [len(tile) for tile in tiles] == [3] * 6 + [2]
     full = [run_batches(method, me, PLUS, grid, r, [n], 1) for r, n in enumerate(sizes)]
     # the steps each tile runs on its own: up to and with its first abort's
@@ -606,7 +613,7 @@ def test_replicas_stop_at_the_earliest_abort_so_far(monkeypatch):
     (delayed_negative_phase_covariant, 3.0, True),
 ])
 def test_nmqj_tiles_reproduce_per_replica_runs_at_n10000(build, t_max, aborts):
-    """At N = 10^4 nmqj's 20 replicas of 500 step in five tiles of four,
+    """At N = 10^4 nmqj's 20 replicas of 500 step in one tile of twenty,
     with the bits of 20 separate one-replica runs: the series, counts and
     event logs of a finishing run, and the error, message, time, partial
     series and cut event logs of an aborting one."""

@@ -44,12 +44,11 @@ weighted, gauged, population and replica methods, ensembles whose batches
 are unequal, so that one tile holds batches of two sizes (N = 1003 for
 mcwf, for im's weights and for doubled's pair sums and norm tally, N = 83
 for wtd), fill several row tiles (N = 10^4 for mcwf and cloning, and N = 4097,
-whose middle tile holds batches of 205 and 204 rows: nmqj's finishing run,
-im's weights, plqt's sign flips and psi_roqj's ``w_matching`` gauge among
-them) or hold one
-trajectory each (N = 13), one abort of each kind of
-method (channel and spectral menus, replica, waiting time, embedding), nmqj's
-abort at N = 10^4, and the
+whose first tile holds batches of 205 and 204 rows: im's weights, plqt's
+sign flips and psi_roqj's ``w_matching`` gauge among them; nmqj's replicas
+take a row each, so its N = 4097 run and its abort at N = 10^4 never span
+tiles) or hold one trajectory each (N = 13), one abort of each kind of
+method (channel and spectral menus, replica, waiting time, embedding), and the
 deterministic paths: the RK4 oracle with and without substeps and with a
 trace sink, the propagator maps with and without substeps and the
 divisibility scan. A user
