@@ -400,8 +400,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, BadAmplitudes, ModelError) as err:  # a model the oracle cannot evaluate
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except MemoryError as err:  # a grid that fits an index but not memory
-        print(f"error: the run does not fit in memory ({err}); lower t_max or raise dt", file=sys.stderr)
+    except MemoryError as err:  # a grid or an ensemble that fits an index but not memory
+        print(f"error: the run does not fit in memory ({err}); lower t_max or trajectories, "
+              "or raise dt", file=sys.stderr)
         return 1
 
 

@@ -89,24 +89,28 @@ _DEFAULT_BATCHES = 20
 # Most rows in a tile, counted as the rows each batch's state holds at the
 # start (``run_ensemble``): an ensemble of up to 4096 trajectories is one
 # tile, one of 10^4 three (8, 8 and 4 batches), and nmqj is one tile at
-# any N. Wide tiles cut the per-step Python overhead. In-process
-# ``run_ensemble`` at N = 10^4, seed 42, t_max = 2 (nmqj on
-# delayed_negative, to its abort at t = 1.38), median of 5 alternating runs
-# on a 2-core host, tiles of 2048 rows / 4096 rows / one tile:
-#   mcwf (spontaneous_emission)     0.171 / 0.156 / 0.129 s
-#   cloning (spontaneous_emission)  0.383 / 0.264 / 0.261
-#   wtd (spontaneous_emission)      1.070 / 0.956 / 0.906
-#   wroqj (eternally_nm)            0.398 / 0.369 / 0.331
-#   psi_roqj (eternally_nm)         0.751 / 0.714 / 0.953
-#   im (eternally_nm)               0.292 / 0.258 / 0.233
-#   plqt (eternally_nm)             0.283 / 0.252 / 0.203
-#   doubled (eternally_nm)          0.360 / 0.356 / 0.284
-#   tripled (eternally_nm)          0.658 / 0.626 / 0.528
-# One tile is slower for psi_roqj, whose (n, d, d) blocks keep the
-# trajectory axis first, and the peak RSS grows with the tile: the CLI's
-# own ru_maxrss for a cloning + mcwf run at N = 10^4 reads 38.6 MB at 2048
-# rows, 39.8 at 4096, 40.4 at 5000, 42.3 at 8192 and 44.0 in one tile.
-# ``tools/tile_sweep.py`` re-measures these.
+# any N. Wide tiles cut the per-step Python overhead. ``tools/tile_sweep.py
+# --reps 5`` on a 2-core host (in-process ``run_ensemble`` at N = 10^4,
+# seed 42, t_max = 2, median of 5 alternating runs), wall s at tiles of
+# 2048 / 4096 / 8192 rows / one tile:
+#   mcwf (spontaneous_emission)     0.187 / 0.153 / 0.170 / 0.144
+#   cloning (spontaneous_emission)  0.308 / 0.275 / 0.239 / 0.234
+#   wtd (spontaneous_emission)      1.051 / 1.003 / 0.950 / 0.888
+#   wroqj (eternally_nm)            0.538 / 0.463 / 0.491 / 0.378
+#   psi_roqj (eternally_nm)         0.926 / 0.842 / 0.841 / 0.653
+#   im (eternally_nm)               0.304 / 0.292 / 0.236 / 0.223
+#   plqt (eternally_nm)             0.296 / 0.256 / 0.238 / 0.219
+#   doubled (eternally_nm)          0.380 / 0.331 / 0.329 / 0.274
+#   tripled (eternally_nm)          0.633 / 0.637 / 0.562 / 0.529
+# and nmqj (delayed_negative, to its abort at t = 1.41) 0.074 s, one tile
+# at every cap. tripled does not gain at 4096, and neither does mcwf for
+# sure: another sweep read it 0.181 s at 2048 rows and 0.197 at 4096.
+# Wider tiles are faster still; the cap stops at 4096 for memory, which
+# grows with the tile: ru_maxrss of the CLI's cloning + mcwf run at
+# N = 10^4 (cli_replica's command) reads 38.5 / 39.8 / 42.0 / 43.9 MB, and
+# tripled's run 42.1 / 44.7 / 49.4 / 51.4. A one-off measurement of that
+# CLI run read 40.3 MB at 5000 rows against 39.7 at 4096, near the ~41 MB
+# the benchmark harness's own peak sets for cli_replica's peak_rss_mb.
 _TILE_ROWS = 4096
 
 

@@ -350,17 +350,26 @@ def test_a_method_that_cannot_run_fails_before_any_work(tmp_path, monkeypatch, c
 def test_a_run_that_does_not_fit_in_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
     """A grid that fits an index but not memory (``--t-max 1e9`` asks for a
     745 GiB time axis) ends ``run`` and ``divisibility`` with exit 1 and one
-    ``error:`` line, and writes nothing. The allocation is stood in for, so
-    that no host has to refuse a real one."""
+    ``error:`` line, and writes nothing; so does an ensemble too large for
+    its states, and the line names the trajectory count as well as the grid.
+    The allocations are stood in for, so that no host has to refuse a real
+    one."""
     def too_large(*args, **kwargs):
         raise MemoryError("Unable to allocate 745. GiB for an array with shape (100000000001,)")
 
+    def expect_one_error_line(argv):
+        assert main([*argv, "--t-max", "0.1", "--out", str(tmp_path / "x")]) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        assert "745. GiB" in err and "t_max or trajectories" in err, (argv, err)
+
     monkeypatch.setattr("unravel.cli.propagate", too_large)
     monkeypatch.setattr("unravel.cli.divisibility_scan", too_large)
-    for command in ("run", "divisibility"):
-        assert main([command, "--t-max", "0.1", "--out", str(tmp_path / "x")]) == 1, command
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1 and "745. GiB" in err, (command, err)
+    expect_one_error_line(["run"])
+    expect_one_error_line(["divisibility"])
+    monkeypatch.undo()
+    monkeypatch.setattr("unravel.cli.run_ensemble", too_large)
+    expect_one_error_line(["run", "--method", "mcwf"])
     assert list(tmp_path.iterdir()) == []
 
 

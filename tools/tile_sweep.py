@@ -4,8 +4,7 @@ Run from the root of a source checkout (it runs ``src/unravel`` of the
 checkout it sits in, or of ``--src``):
 
     python3 tools/tile_sweep.py
-    python3 tools/tile_sweep.py --reps 5 --methods mcwf,nmqj --no-cli
-    python3 tools/tile_sweep.py --src ../other-checkout/src
+    python3 tools/tile_sweep.py --reps 5 --src ../other-checkout/src
 
 For each method of ``CASES`` and each cap of ``CAPS`` (rows a tile may hold;
 ``one`` puts the whole ensemble in one tile), it runs ``run_ensemble`` at
@@ -15,23 +14,24 @@ prints the median over ``--reps`` repetitions of the run's wall time, its
 process CPU time and the interpreter's ``ru_maxrss``. An aborting run (nmqj
 on delayed_negative) is timed to its abort. The caps alternate within each
 repetition, in reverse order on every other one, so that a drift of the
-host's speed falls on all of them alike.
+host's speed falls on all of them alike. A method of ``ONE_TILE`` holds
+every replica in one tile at any cap, so it runs once per repetition, at
+the cap of the checkout it runs.
 
-It then runs the benchmark's two ``unravel run`` commands (``cli_replica``
-in ``bench/workloads.py``: nmqj on delayed_negative to t = 3, and cloning
-with mcwf on spontaneous_emission to t = 1, N = 10^4, ``--threads 2``) in
-the same way, each in a fresh interpreter that sets the cap and calls
-``unravel.cli.main``, and prints the median wall of the whole command,
-interpreter start-up included, and the command's ``ru_maxrss``. This
-process imports neither numpy nor unravel, so the RSS a child inherits at
-fork stays below the child's own peak.
+It then runs the ``unravel run`` commands of the benchmark's
+``cli_replica`` workload (``bench/workloads.py``) in the same way, each in a
+fresh interpreter that sets the cap and calls ``unravel.cli.main``, and
+prints the median wall of the whole command, interpreter start-up included,
+and the command's ``ru_maxrss``. This process imports neither numpy nor
+unravel, so the RSS a child inherits at fork stays below the child's own
+peak.
 
-The tile rule is part of the engine, so a run that sets the cap also
-measures the rule of the checkout it runs: under ``--src`` of an older
-checkout nmqj tiles by members rather than by buckets. The cap is a
-trade-off between per-step Python overhead (fewer, wider tiles) and the
-size of each tile's temporaries, so a change to a step kernel's per-row
-cost calls for re-running this.
+The tile rule is part of the engine, so a run also measures the rule of the
+checkout it runs: under ``--src`` of an older checkout nmqj may tile by
+members rather than by buckets, and there its one column shows that
+checkout's cap. The cap is a trade-off between per-step Python overhead
+(fewer, wider tiles) and the size of each tile's temporaries, so a change
+to a step kernel's per-row cost calls for re-running this.
 """
 
 from __future__ import annotations
@@ -47,6 +47,8 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "bench"))
+import workloads  # noqa: E402  (standard library only)
 
 # (method, model) as in the tile cap's comment in ``engine``
 CASES = (
@@ -62,19 +64,23 @@ CASES = (
     ("tripled", "eternally_nm"),
 )
 CAPS = ("2048", "4096", "8192", "one")
+OWN_CAP = ("own",)  # leave the checkout's ``_TILE_ROWS`` as it is
+# an nmqj replica is one row (it starts as one bucket), so its twenty
+# replicas are one tile at every cap of ``CAPS``
+ONE_TILE = frozenset({"nmqj"})
 N_TRAJ, T_MAX, SEED = 10_000, 2.0, 42
-# cli_replica's ``unravel run`` commands: (model, methods, t_max)
-CLI_COMMANDS = (
-    ("delayed_negative", ("nmqj",), 3.0),
-    ("spontaneous_emission", ("cloning", "mcwf"), 1.0),
-)
+
+_SET_CAP = """
+if cap != "own":
+    engine._TILE_ROWS = int(n_traj) if cap == "one" else int(cap)
+"""
 
 _ENSEMBLE = """
 import json, resource, sys, time
 from unravel import TimeGrid, UnravelError, engine, method_id, run_ensemble
 from unravel.models import PLUS, build_model
 kind, model, n_traj, t_max, seed, cap = sys.argv[1:]
-engine._TILE_ROWS = int(n_traj) if cap == "one" else int(cap)
+""" + _SET_CAP + """
 me, grid = build_model(model).me, TimeGrid(0.0, float(t_max), 1e-2)
 w0, c0 = time.perf_counter(), time.process_time()
 try:
@@ -91,7 +97,7 @@ _CLI = """
 import sys
 from unravel import cli, engine
 cap, n_traj = sys.argv[1:3]
-engine._TILE_ROWS = int(n_traj) if cap == "one" else int(cap)
+""" + _SET_CAP + """
 sys.exit(cli.main(sys.argv[3:]))
 """
 
@@ -110,29 +116,27 @@ def _ensemble_run(src: Path, kind: str, model: str, cap: str) -> dict:
     return json.loads(out.stdout.splitlines()[-1])
 
 
-def _cli_run(src: Path, workdir: Path, model: str, methods, t_max: float, cap: str) -> dict:
-    config = workdir / f"{model}.cfg"
-    config.write_text(f"model = {model}\n", encoding="utf-8")
-    argv = ["run", "--config", str(config), "--t-max", f"{t_max:g}", "--out", str(workdir / "out"),
-            "--trajectories", str(N_TRAJ), "--seed", str(SEED), "--threads", "2"]
-    for m in methods:
-        argv += ["--method", m]
+def _cli_run(src: Path, workdir: Path, cmd: workloads.Command, cap: str) -> dict:
+    config = workdir / f"{cmd.model}.cfg"
+    config.write_text(f"model = {cmd.model}\n", encoding="utf-8")
+    argv = cmd.argv(config, SEED, workdir / "out")
     t0 = time.perf_counter()
-    proc = subprocess.Popen([sys.executable, "-c", _CLI, cap, str(N_TRAJ), *argv], env=_env(src),
-                            cwd=workdir, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    proc = subprocess.Popen([sys.executable, "-c", _CLI, cap, str(cmd.n_traj), *argv],
+                            env=_env(src), cwd=workdir,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - t0
     proc.returncode = os.waitstatus_to_exitcode(status)
     if proc.returncode not in (0, 2):  # 2: a method aborted, as nmqj does
         raise RuntimeError(f"unravel {' '.join(argv)} exited {proc.returncode}")
-    return {"wall": wall, "rss": usage.ru_maxrss / 1024.0, "code": proc.returncode}
+    return {"wall": wall, "rss": usage.ru_maxrss / 1024.0}
 
 
-def _sweep(run, reps: int) -> dict[str, list[dict]]:
+def _sweep(run, caps, reps: int) -> dict[str, list[dict]]:
     """``run(cap)`` for every cap, ``reps`` times, alternating the caps."""
-    out: dict[str, list[dict]] = {cap: [] for cap in CAPS}
+    out: dict[str, list[dict]] = {cap: [] for cap in caps}
     for r in range(reps):
-        for cap in CAPS if r % 2 == 0 else reversed(CAPS):
+        for cap in caps if r % 2 == 0 else reversed(caps):
             out[cap].append(run(cap))
     return out
 
@@ -145,39 +149,39 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="package source to run")
     parser.add_argument("--reps", type=int, default=3, help="repetitions per cap (at least 3)")
-    parser.add_argument("--methods", default=None, help="comma-separated subset of the methods")
-    parser.add_argument("--no-cli", action="store_true", help="skip the CLI commands")
     args = parser.parse_args(argv)
     if args.reps < 3:
         parser.error("--reps must be at least 3")
-    chosen = None if args.methods is None else set(args.methods.split(","))
     src = args.src.resolve()
+    one_tile_note = "  one tile at every cap: the checkout's own cap"
 
     print(f"run_ensemble, N = {N_TRAJ}, t_max = {T_MAX:g}, seed {SEED}, "
           f"median of {args.reps}: wall s / cpu s / ru_maxrss MB")
     heads = "  ".join(f"{cap + ' rows' if cap != 'one' else 'one tile':>22}" for cap in CAPS)
-    print(f"{'method (model)':32}{heads}")
+    print(f"{'method (model)':36}{heads}")
     for kind, model in CASES:
-        if chosen is not None and kind not in chosen:
-            continue
-        runs = _sweep(lambda cap: _ensemble_run(src, kind, model, cap), args.reps)
+        caps = OWN_CAP if kind in ONE_TILE else CAPS
+        runs = _sweep(lambda cap: _ensemble_run(src, kind, model, cap), caps, args.reps)
         cells = "  ".join(
             f"{_median(runs[c], 'wall'):8.3f} {_median(runs[c], 'cpu'):6.3f} {_median(runs[c], 'rss'):6.1f}"
-            for c in CAPS
+            for c in caps
         )
-        abort = runs[CAPS[0]][0]["aborted"]
-        print(f"{f'{kind} ({model})':32}{cells}" + ("" if abort is None else f"  aborts at t = {abort:g}"))
+        abort = runs[caps[0]][0]["aborted"]
+        print(f"{f'{kind} ({model})':36}{cells}" + ("" if caps == CAPS else one_tile_note)
+              + ("" if abort is None else f"  aborts at t = {abort:g}"))
 
-    if args.no_cli:
-        return 0
-    print(f"\nunravel run, N = {N_TRAJ}, seed {SEED}, median of {args.reps}: wall s / ru_maxrss MB")
-    print(f"{'methods (model)':32}{heads}")
+    print(f"\nunravel run as in cli_replica, seed {SEED}, median of {args.reps}: "
+          "wall s / ru_maxrss MB")
+    print(f"{'methods (model)':36}{heads}")
+    commands = [c for c in workloads.WORKLOADS["cli_replica"].commands if c.subcommand == "run"]
     with tempfile.TemporaryDirectory() as tmp:
-        for model, methods, t_max in CLI_COMMANDS:
-            runs = _sweep(lambda cap: _cli_run(src, Path(tmp), model, methods, t_max, cap),
-                          args.reps)
-            cells = "  ".join(f"{_median(runs[c], 'wall'):15.3f} {_median(runs[c], 'rss'):6.1f}" for c in CAPS)
-            print(f"{'+'.join(methods) + f' ({model})':32}{cells}")
+        for cmd in commands:
+            caps = OWN_CAP if ONE_TILE.issuperset(cmd.methods) else CAPS
+            runs = _sweep(lambda cap: _cli_run(src, Path(tmp), cmd, cap), caps, args.reps)
+            cells = "  ".join(f"{_median(runs[c], 'wall'):15.3f} {_median(runs[c], 'rss'):6.1f}"
+                              for c in caps)
+            label = f"{'+'.join(cmd.methods)} ({cmd.model})"
+            print(f"{label:36}{cells}" + ("" if caps == CAPS else one_tile_note))
     return 0
 
 
