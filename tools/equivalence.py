@@ -43,7 +43,8 @@ The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
 weighted, gauged, population and replica methods, ensembles whose batches
 are unequal, so that one tile holds batches of two sizes (N = 1003 for
 mcwf, for im's weights and for doubled's pair sums and norm tally, N = 83
-for wtd), fill several row tiles (N = 10^4 for mcwf and cloning, and N = 4097,
+for wtd), fill several row tiles (N = 10^4 for mcwf and cloning, cloning also
+under a trace sink that starts to clone at t = 0.5, and N = 4097,
 whose first tile holds batches of 205 and 204 rows: im's weights, plqt's
 sign flips and psi_roqj's ``w_matching`` gauge among them; nmqj's replicas
 take a row each, so its N = 4097 run and its abort at N = 10^4 never span
@@ -110,6 +111,14 @@ def _trace_sink():
     gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
     return master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")],
                            trace_sink=lambda t: gamma_l - 0.5 * np.eye(2))
+
+
+def _late_sink():
+    """Decay at rate 1 whose drift equals G_L before t = 0.5 and is shifted
+    by -1/2 from then on: the population is still until 0.5, then grows."""
+    gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
+    return master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")],
+                           trace_sink=lambda t: gamma_l if t < 0.5 else gamma_l - 0.5 * np.eye(2))
 
 
 def _sigma_z(rate):
@@ -209,6 +218,8 @@ INPUTS = {
     "rroqj/gz_identity": (_gz_identity("eternally_nm"), _model("eternally_nm"), PLUS, 500, 1.0),
     "tripled/eternally_nm": (_kind("tripled"), _model("eternally_nm"), PLUS, 500, 1.0),
     "cloning/trace_sink": (_kind("cloning"), _trace_sink, KET1, 500, 1.0),
+    # still steps, then clones, over three tiles
+    "cloning/late_sink": (_kind("cloning"), _late_sink, KET1, 10_000, 1.0),
     "abort/mcwf": (_kind("mcwf"), _model("delayed_negative"), PLUS, 400, 1.5),
     "abort/wroqj": (_kind("wroqj"), _model("non_p_divisible"), KET0, 400, 3.0),
     "abort/mcwf_step_too_large": (_kind("mcwf"), _rate_step, PLUS, 400, 0.6),
