@@ -40,14 +40,19 @@ _RESAMPLE_LO = 0.5
 _RESAMPLE_HI = 2.0
 
 
+def _jump_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float) -> Menu:
+    """``clone_menu`` without its clone and destroy branches."""
+    require_nonnegative_rates(snap, "the cloning method")
+    return channel_menu(snap, cols, dt)
+
+
 def clone_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float) -> Menu:
     """Kernel on state columns (d, n). Branch order: channel jumps, clone,
     destroy; drift last.
 
     Both clone copies keep the pre-step state; a destroyed member leaves none.
     """
-    require_nonnegative_rates(snap, "the cloning method")
-    jumps = channel_menu(snap, cols, dt)
+    jumps = _jump_menu(snap, cols, dt)
     deltas = np.einsum("in,ij,jn->n", np.conj(cols), snap.gamma_l - snap.gamma_drift, cols).real
     probs = np.vstack([jumps.probs, np.maximum(0.0, deltas * dt), np.maximum(0.0, -deltas * dt)])
     # the channel images keep their norms; clone and destroy targets have none
@@ -101,41 +106,52 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
     m = len(me.channels)
     copies = np.array([1] * m + [2, 0])
     branch_copies = np.append(copies, 1)  # the deterministic branch keeps its member
-    hits = np.zeros(m + 3, dtype=np.int64)
+    # where the sink is G_L at every time, clone and destroy have probability 0: the
+    # channel menu alone takes the same branches, its hits get their slots at the end
+    live = track.error is not None or not np.array_equal(track.gamma_l, track.gamma_drift)
+    kernel = clone_menu if live else _jump_menu
+    hits = np.zeros(m + 3 if live else m + 1, dtype=np.int64)
     abort = None
     for k in range(steps):
         if not states.shape[1]:
             continue  # every population extinct; the estimate is legitimately zero
         u = np.concatenate([gen.random(n) for gen, n in zip(gens, pop)])
         try:
-            menu = clone_menu(track[k], states, grid.dt)
-            step = take_step(menu, u, times[k])
+            step = take_step(kernel(track[k], states, grid.dt), u, times[k])
         except UnravelError as err:
             # an extinct replica steps no kernel, so it cannot fail
             bounds = np.concatenate([[0], np.cumsum(pop)])
             spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
             abort = (_first_error(
-                err, spans, lambda a, b: take_step(clone_menu(track[k], states[:, a:b], grid.dt), u[a:b], times[k])
+                err, spans, lambda a, b: take_step(kernel(track[k], states[:, a:b], grid.dt), u[a:b], times[k])
             ), k)
             break
-        # per replica and branch: the step's hits and the members they leave
-        tally = np.bincount(owners * (m + 3) + step.choice, minlength=len(sizes) * (m + 3))
-        tally = tally.reshape(len(sizes), m + 3)
-        hits += tally.sum(axis=0)
-        pop = tally @ branch_copies
-        states = np.repeat(step.cols, step.copies, axis=1)
-        leave = np.nonzero((pop > 0) & ~((_RESAMPLE_LO * sizes <= pop) & (pop <= _RESAMPLE_HI * sizes)))[0]
-        if len(leave):
-            parts = np.split(states, np.cumsum(pop)[:-1], axis=1)
-            for r in leave:
-                idx = gens[r].integers(0, int(pop[r]), size=int(sizes[r]))
-                trace_factor[r] *= pop[r] / sizes[r]
-                parts[r] = parts[r][:, idx]
-                pop[r] = sizes[r]
-            states = np.concatenate(parts, axis=1)
-        owners = np.repeat(np.arange(len(sizes)), pop)
+        if (step.copies == 1).all():
+            # a still step: no member cloned or died, so the populations,
+            # their order and their band are the last step's
+            hits += np.bincount(step.choice, minlength=len(hits))
+            states = step.cols
+        else:
+            # per replica and branch: the step's hits and the members they leave
+            tally = np.bincount(owners * (m + 3) + step.choice, minlength=len(sizes) * (m + 3))
+            tally = tally.reshape(len(sizes), m + 3)
+            hits += tally.sum(axis=0)
+            pop = tally @ branch_copies
+            states = np.repeat(step.cols, step.copies, axis=1)
+            leave = np.nonzero((pop > 0) & ~((_RESAMPLE_LO * sizes <= pop) & (pop <= _RESAMPLE_HI * sizes)))[0]
+            if len(leave):
+                parts = np.split(states, np.cumsum(pop)[:-1], axis=1)
+                for r in leave:
+                    idx = gens[r].integers(0, int(pop[r]), size=int(sizes[r]))
+                    trace_factor[r] *= pop[r] / sizes[r]
+                    parts[r] = parts[r][:, idx]
+                    pop[r] = sizes[r]
+                states = np.concatenate(parts, axis=1)
+            owners = np.repeat(np.arange(len(sizes)), pop)
         population[:, k + 1] = pop
         # replicas of equal population: one stacked sum with the bits of one each
         for run in batch_runs(pop):
             rho_sum[run.batches, k + 1] = trace_factor[run.batches, None, None] * weighted_outer_sum(run.view(states))
+    if not live:
+        hits = np.insert(hits, [m, m], 0)
     return rho_sum, event_counts(hits, copies), {"population": population}, abort

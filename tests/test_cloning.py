@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from unravel.engine import _merge_counts
+from unravel import cloning
+from unravel.engine import _merge_counts, method_id, run_ensemble
 from unravel.errors import NegativeRate, StepTooLarge
 from unravel.linalg import trace_distance
 from unravel.master_equation import master_equation
@@ -176,3 +177,31 @@ def test_tile_abort_is_its_first_failing_replicas():
     for r, (rho, _c, own, _a) in enumerate(alone):
         assert np.array_equal(rho_sum[r, : k + 1], rho[0, : k + 1])
         assert np.array_equal(diag["population"][r, : k + 1], own["population"][0, : k + 1])
+
+
+def test_without_a_sink_cloning_is_mcwf_over_several_tiles(monkeypatch):
+    """No trace sink: cloning forms no population branch, keeps its
+    population and gives mcwf's counts and rho_hat bit for bit (N = 10^4,
+    three tiles)."""
+    me = spontaneous_emission()
+    grid = TimeGrid(0.0, 1.0, DT)
+    plain = run_ensemble(method_id("mcwf"), me, PLUS, grid, 10_000, 42)
+    monkeypatch.setattr(cloning, "clone_menu", None)  # the population branches are never formed
+    res = run_ensemble(method_id("cloning"), me, PLUS, grid, 10_000, 42)
+    assert res.event_counts == {**plain.event_counts, "clone": 0, "destroy": 0}
+    assert np.all(res.diagnostics["population"] == 10_000)
+    assert np.array_equal(res.rho_hat, plain.rho_hat)
+
+
+def test_a_sink_that_starts_late_still_clones():
+    """A sink that equals G_L before t = 0.5 and is shifted by -1/2 after
+    it: the population is still until 0.5 and grows from then on, so
+    liveness is judged over the whole track, not at its start."""
+    gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
+    me = master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")],
+                         trace_sink=lambda t: gamma_l if t < 0.5 else gamma_l - 0.5 * np.eye(2))
+    grid = TimeGrid(0.0, 1.0, DT)
+    res = run_ensemble(method_id("cloning"), me, KET1, grid, 10_000, 42)
+    pop = res.diagnostics["population"]
+    assert res.event_counts["clone"] == 2898 and res.event_counts["destroy"] == 0
+    assert np.all(pop[:51] == 10_000) and pop[-1] > 10_000
