@@ -16,6 +16,13 @@ the consecutive replicas of one engine tile together, their members the
 columns of one (d, members) array grouped by replica: one kernel call per
 step over all of them, each replica drawing from its own stream and
 resampled on its own, with the bits of one run per replica.
+
+The population work is paid only where the population can move. On a track
+whose sink equals G_L at every time (a model without trace_sink), clone
+and destroy have probability exactly 0 at every step, so the replicas step
+the channel menu alone, whose branch choices are the full menu's. A step at
+which no member cloned or died keeps its post-step columns as the states:
+no copy, no per-replica tally and no resample check.
 """
 
 from __future__ import annotations

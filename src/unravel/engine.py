@@ -94,7 +94,7 @@ _DEFAULT_BATCHES = 20
 # seed 42, t_max = 2, median of 5 alternating runs), wall s at tiles of
 # 2048 / 4096 / 8192 rows / one tile:
 #   mcwf (spontaneous_emission)     0.187 / 0.153 / 0.170 / 0.144
-#   cloning (spontaneous_emission)  0.308 / 0.275 / 0.239 / 0.234
+#   cloning (spontaneous_emission)  0.306 / 0.175 / 0.185 / 0.150 (*)
 #   wtd (spontaneous_emission)      1.051 / 1.003 / 0.950 / 0.888
 #   wroqj (eternally_nm)            0.538 / 0.463 / 0.491 / 0.378
 #   psi_roqj (eternally_nm)         0.926 / 0.842 / 0.841 / 0.653
@@ -105,12 +105,17 @@ _DEFAULT_BATCHES = 20
 # and nmqj (delayed_negative, to its abort at t = 1.41) 0.074 s, one tile
 # at every cap. tripled does not gain at 4096, and neither does mcwf for
 # sure: another sweep read it 0.181 s at 2048 rows and 0.197 at 4096.
+# (*) From a later sweep, after cloning stopped forming its population
+# branches without a trace sink and copying states on steps where no member
+# cloned or died; that sweep read mcwf 0.238 / 0.200 / 0.207 / 0.153, so
+# 4096 rows still holds for cloning.
 # Wider tiles are faster still; the cap stops at 4096 for memory, which
-# grows with the tile: ru_maxrss of the CLI's cloning + mcwf run at
-# N = 10^4 (cli_replica's command) reads 38.5 / 39.8 / 42.0 / 43.9 MB, and
-# tripled's run 42.1 / 44.7 / 49.4 / 51.4. A one-off measurement of that
-# CLI run read 40.3 MB at 5000 rows against 39.7 at 4096, near the ~41 MB
-# the benchmark harness's own peak sets for cli_replica's peak_rss_mb.
+# grows with the tile: ru_maxrss of tripled's run reads 42.1 / 44.7 /
+# 49.4 / 51.4 MB, and of the CLI's cloning + mcwf run at N = 10^4
+# (cli_replica's command) 38.3 / 38.8 / 39.8 / 40.6 in the later sweep. A
+# one-off measurement of that CLI run, before the cloning change, read
+# 40.3 MB at 5000 rows against 39.7 at 4096, near the ~41 MB the benchmark
+# harness's own peak sets for cli_replica's peak_rss_mb.
 _TILE_ROWS = 4096
 
 

@@ -1,6 +1,10 @@
 """Config grammar, CSV/JSON emission, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +298,22 @@ def test_csv_is_byte_identical_across_threads(tmp_path):
     serial = (tmp_path / "serial_results.csv").read_bytes()
     pooled = (tmp_path / "pooled_results.csv").read_bytes()
     assert serial == pooled
+
+
+def test_csv_is_byte_identical_across_interpreters(tmp_path):
+    """Two fresh interpreters with different string hashing write the same
+    CSV for one cloning + mcwf run."""
+    config = _write(tmp_path, "run.txt", "model = spontaneous_emission\nmethods = cloning, mcwf\n"
+                    "trajectories = 2000\nt_max = 1.0\nseed = 3\n")
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    for hash_seed in ("0", "1"):
+        env = {**os.environ, "PYTHONHASHSEED": hash_seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / f"hash{hash_seed}"
+        done = subprocess.run([sys.executable, "-m", "unravel.cli", "run", "--config", config, "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+    assert (tmp_path / "hash0_results.csv").read_bytes() == (tmp_path / "hash1_results.csv").read_bytes()
 
 
 def test_bad_input_ends_in_one_error_line(tmp_path, capsys):
