@@ -54,7 +54,7 @@ from . import roqj as _roqj
 from . import tripled as _tripled
 from . import weighted as _weighted
 from . import wtd as _wtd
-from .errors import DimensionMismatch, UnknownMethod
+from .errors import BadAmplitudes, DimensionMismatch, UnknownMethod
 from .linalg import _half_trace_norms, hermitize, require_hermitian, trace_distance
 from .master_equation import MasterEquation
 from .propagate import OracleSolution, TimeGrid, grids_equal
@@ -297,6 +297,11 @@ def run_ensemble(
     if n_traj < 1:
         raise ValueError(f"n_traj must be >= 1, got {n_traj}")
     psi = np.asarray(psi0, dtype=complex)
+    if psi.shape != (me.dim,):
+        raise DimensionMismatch(f"initial state has shape {psi.shape}, model dimension is {me.dim}")
+    nrm = np.linalg.norm(psi)
+    if not np.isfinite(psi).all() or abs(nrm - 1.0) > 1e-6:
+        raise BadAmplitudes(f"initial state must be finite with norm within 1e-6 of 1, got norm {nrm:.8g}")
     sizes = _chunk_sizes(n_traj, _DEFAULT_BATCHES)
     times = grid.times()
     t0 = _time.perf_counter()

@@ -3,15 +3,17 @@
 All eigendecompositions in the package go through :func:`eigh` or its batched
 variant so that ordering, phases and degeneracy handling are identical
 everywhere: eigenvalues descending, each eigenvector's largest-magnitude
-component made real and nonnegative, exact eigenvalue ties broken by
-lexicographic comparison of the phase-fixed vectors. Vectorized matrix stacks
+component made real and nonnegative, and the columns of each run of exactly
+equal eigenvalues in ascending lexicographic order of their phase-fixed
+entries, read as interleaved (real, imag) pairs. One vectorized pass
+(``_order_ties``) applies that tie rule at every d. Vectorized matrix stacks
 use the last two axes; ``vec``/``unvec`` are column-stacking (Fortran order).
 
 At d = 2 two closed forms replace the general algorithms, selected by the
 shape alone. ``eigh_batched`` decomposes a 2 x 2 stack by the half-angle
 formula (``_eigh_2x2``) instead of LAPACK, after the same hermiticity check
 and hermitization, and builds its columns already under the phase
-convention; the exact-tie rule then runs on its output as on LAPACK's. For
+convention; the tie rule then runs on its output as on LAPACK's. For
 d > 2 LAPACK (``_eigh_lapack``) is the only path, and the tests use it as the
 reference for the closed form. ``complement_batch`` returns the complement
 of a qubit state (a, b) as (-conj(b), conj(a)) under the column phase
@@ -69,25 +71,6 @@ def phase_fix_columns(vecs: np.ndarray) -> np.ndarray:
     return vecs * np.conj(phase)[..., None, :]
 
 
-def _vec_key(v: np.ndarray) -> tuple:
-    return tuple(x for c in v for x in (c.real, c.imag))
-
-
-def _break_ties(vals: np.ndarray, vecs: np.ndarray) -> None:
-    # In-place, single matrix. Runs of exactly equal eigenvalues are reordered
-    # by lexicographic (real, imag) comparison of the phase-fixed columns.
-    d = vals.shape[0]
-    i = 0
-    while i < d - 1:
-        j = i + 1
-        while j < d and vals[j] == vals[i]:
-            j += 1
-        if j - i > 1:
-            order = sorted(range(i, j), key=lambda k: _vec_key(vecs[:, k]))
-            vecs[:, i:j] = vecs[:, order]
-        i = j
-
-
 def _lex_greater(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     # Row-wise lexicographic k0 > k1 on (n, c) real key arrays.
     gt = np.zeros(k0.shape[0], dtype=bool)
@@ -95,6 +78,8 @@ def _lex_greater(k0: np.ndarray, k1: np.ndarray) -> np.ndarray:
     for c in range(k0.shape[1]):
         gt |= undecided & (k0[:, c] > k1[:, c])
         undecided &= k0[:, c] == k1[:, c]
+        if not undecided.any():
+            break
     return gt
 
 
@@ -121,28 +106,22 @@ def _eigh_lapack(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _order_ties(vals: np.ndarray, vecs: np.ndarray) -> None:
-    """Reorder in place the columns of each run of exactly equal eigenvalues
-    by lexicographic (real, imag) comparison of the phase-fixed columns."""
-    ties = np.any(vals[..., 1:] == vals[..., :-1], axis=-1)
-    if not np.any(ties):
-        return
+    """Sort in place, stably, the columns of each run of exactly equal
+    eigenvalues by their interleaved (real, imag) keys: d rounds of odd-even
+    transposition over the rows with a tie swap neighbouring columns j, j + 1
+    where vals[j] == vals[j + 1] and column j's key is strictly greater."""
     d = vals.shape[-1]
-    flat_vals = vals.reshape(-1, d)
-    flat_vecs = vecs.reshape(-1, d, d)
-    flat_ties = ties.reshape(-1)
-    if d == 2:
-        # Degenerate 2x2 matrices are the hot case (rate operators
-        # proportional to the identity); swap columns vectorized.
-        k0 = np.stack([flat_vecs[:, 0, 0].real, flat_vecs[:, 0, 0].imag,
-                       flat_vecs[:, 1, 0].real, flat_vecs[:, 1, 0].imag], axis=1)
-        k1 = np.stack([flat_vecs[:, 0, 1].real, flat_vecs[:, 0, 1].imag,
-                       flat_vecs[:, 1, 1].real, flat_vecs[:, 1, 1].imag], axis=1)
-        swap = flat_ties & _lex_greater(k0, k1)
-        if np.any(swap):
-            flat_vecs[swap] = flat_vecs[swap][:, :, ::-1]
-    else:
-        for k in np.nonzero(flat_ties)[0]:
-            _break_ties(flat_vals[k], flat_vecs[k])
+    flat_vals, flat_vecs = vals.reshape(-1, d), vecs.reshape(-1, d, d)
+    rows = np.flatnonzero(np.any(flat_vals[:, 1:] == flat_vals[:, :-1], axis=-1))
+    if rows.size == 0:
+        return
+    tied, sub = np.take(flat_vals, rows, axis=0), np.take(flat_vecs, rows, axis=0)
+    for k in range(d):
+        for j in range(k % 2, d - 1, 2):
+            a, b = np.ascontiguousarray(sub[..., j]), np.ascontiguousarray(sub[..., j + 1])
+            swap = ((tied[:, j] == tied[:, j + 1]) & _lex_greater(a.view(float), b.view(float)))[:, None]
+            sub[..., j], sub[..., j + 1] = np.where(swap, b, a), np.where(swap, a, b)
+    flat_vecs[rows] = sub
 
 
 def _eigh_2x2(ms: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridMismatch, SingularMap
+from .errors import DimensionMismatch, GridMismatch, SingularMap
 from .linalg import require_density, unvec, vec
 from .master_equation import GeneratorTrack, MasterEquation
 
@@ -149,6 +149,8 @@ def propagate(
     evaluation error and before a blown-up state can overflow; the points
     are unvectorized together at the end.
     """
+    if np.shape(rho0) != (me.dim, me.dim):
+        raise DimensionMismatch(f"rho0 has shape {np.shape(rho0)}, model dimension is {me.dim}")
     rho = require_density(rho0).astype(complex)
     if check_trace is None:
         check_trace = me.trace_sink is None

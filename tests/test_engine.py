@@ -22,6 +22,7 @@ from unravel.engine import (
     _tree_sum,
 )
 from unravel.errors import (
+    BadAmplitudes,
     DegenerateBlock,
     DimensionMismatch,
     GridMismatch,
@@ -174,6 +175,28 @@ def test_abort_partial_is_the_extractable_prefix(rate, error, abort_time):
     assert np.array_equal(partial["stderr"], prefix.stderr)
     # batches of two trajectories lose their block before the mean does
     assert partial["stderr"][0] == 0.0 and np.all(np.isinf(partial["stderr"][1:]))
+
+
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_bad_initial_state_is_rejected_before_any_work(kind):
+    """A state of the wrong shape is a DimensionMismatch; a non-finite one,
+    or one whose norm is off 1 by more than 1e-6, is BadAmplitudes, before
+    the model is evaluated. A state within the tolerance runs."""
+    me, calls = counting_model(spontaneous_emission())
+    gauge = time_dependent_gauge(np.zeros((2, 2))) if kind == "rroqj" else None
+    method, grid = method_id(kind, gauge=gauge), TimeGrid(0.0, 0.1, 1e-2)
+    for psi0, error in [
+        (np.array([1.0, 0.0, 0.0]), DimensionMismatch),
+        (PLUS[:, None], DimensionMismatch),
+        (np.array([2.0, 0.0]), BadAmplitudes),
+        (np.zeros(2), BadAmplitudes),
+        (np.array([np.nan, 1.0]), BadAmplitudes),
+        (np.array([np.inf, 0.0]), BadAmplitudes),
+    ]:
+        with pytest.raises(error):
+            run_ensemble(method, me, psi0, grid, 4, seed=1)
+    assert not calls
+    assert len(run_ensemble(method, me, (1.0 + 5e-7) * PLUS, grid, 4, seed=1).rho_hat) == grid.n_steps + 1
 
 
 @pytest.mark.parametrize("kind", METHOD_KINDS)

@@ -6,6 +6,7 @@ import pytest
 from unravel.errors import NotHermitian, NotPSD, ZeroVector
 from unravel.linalg import (
     _EINSUM_PASS,
+    _eigh_2x2,
     _eigh_lapack,
     _order_ties,
     complement_batch,
@@ -297,6 +298,78 @@ def test_eigh_2x2_special_inputs_match_lapack():
         # the all-ones matrix has a = d, where the columns agree up to a phase
         assert vals[0, 0] == 2.0 * scale and abs(vals[0, 1]) <= 1e-15 * scale
         assert np.allclose(np.abs(np.sum(np.conj(vecs[0]) * ref_vecs[0], axis=0)), 1.0, atol=1e-15)
+
+
+def _sorted_ties(vals, vecs):
+    """The tie rule as stated, matrix by matrix: the columns of each run of
+    exactly equal values in Python's ``sorted`` order of their keys, the
+    entries' interleaved (re, im) parts."""
+    d = vals.shape[-1]
+    out = vecs.copy()
+    for v, w in zip(vals.reshape(-1, d), out.reshape(-1, d, d)):
+        i = 0
+        while i < d:
+            j = i + 1
+            while j < d and v[j] == v[i]:
+                j += 1
+            w[:, i:j] = w[:, sorted(range(i, j), key=lambda k: [x for c in w[:, k] for x in (c.real, c.imag)])]
+            i = j
+    return out
+
+
+def _tie_stack(gen, d, shape):
+    """Hermitian stack (*shape, d, d) of scalar identities (zero and -0.0
+    among them), permuted diagonals with repeats and signed zeros under
+    random phases, a 2 x 2 block repeated down the diagonal, zero matrices
+    with a -0.0 entry, and random matrices without ties."""
+    ms = np.zeros((int(np.prod(shape)), d, d), dtype=complex)
+    for i, m in enumerate(ms):
+        kind = i % 5
+        if kind == 0:
+            m[:] = gen.choice([1.0, 0.0, -0.0, -2.5, 1e-3]) * np.eye(d)
+        elif kind == 1:
+            p = np.eye(d)[gen.permutation(d)] * np.exp(2j * np.pi * gen.random(d))
+            m[:] = p @ np.diag(gen.choice([0.0, -0.0, 1.0, 2.0], d)) @ np.conj(p.T)
+        elif kind == 2:
+            h = _random_hermitian(gen, ())
+            m[: d // 2 * 2, : d // 2 * 2] = np.kron(np.eye(d // 2), h)
+        elif kind == 3:
+            m[gen.integers(d), gen.integers(d)] = -0.0
+        else:
+            z = gen.standard_normal((d, d)) + 1j * gen.standard_normal((d, d))
+            m[:] = z + np.conj(z.T)
+    return ms.reshape(shape + (d, d))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+def test_exact_ties_take_the_sorted_order_of_their_keys(d):
+    """``eigh_batched`` orders each run of exactly tied columns as Python's
+    ``sorted`` orders their (re, im) keys, bit for bit, over leading axes,
+    whatever order the run comes in; ``_order_ties`` keeps the order of
+    equal keys, as ``sorted`` does."""
+    gen = np.random.default_rng(30 + d)
+    ms = _tie_stack(gen, d, (3, 4, 5))
+    vals, vecs = (_eigh_2x2 if d == 2 else _eigh_lapack)(ms)
+    want = _sorted_ties(vals, vecs)
+    got_vals, got = eigh_batched(ms)
+    assert np.array_equal(got_vals, vals)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))  # signed zeros too
+    # orthonormal columns never share a key: shuffled within their runs,
+    # they sort to the same columns
+    runs = np.cumsum(np.diff(vals, axis=-1, prepend=vals[..., :1]) != 0.0, axis=-1)
+    mixed = np.take_along_axis(vecs, np.lexsort((gen.random(vals.shape), runs), axis=-1)[..., None, :], axis=-1)
+    assert np.count_nonzero(np.any(mixed != want, axis=(-2, -1))) >= 10
+    _order_ties(vals, mixed)
+    assert np.array_equal(mixed.view(np.uint64), want.view(np.uint64))
+    # parts 1, 0 and -0.0, so that keys tie as well as values and columns
+    # with equal keys differ in their bits
+    vals = np.sort(gen.integers(0, 3, (200, d)), axis=-1)[:, ::-1].astype(float)
+    vecs = np.empty((200, d, d), dtype=complex)
+    for part in (vecs.real, vecs.imag):
+        part[:] = gen.choice([1.0, 0.0, -0.0], part.shape)
+    want = _sorted_ties(vals, vecs)
+    _order_ties(vals, vecs)
+    assert np.array_equal(vecs.view(np.uint64), want.view(np.uint64))
 
 
 def test_eigh_2x2_checks_and_hermitizes():

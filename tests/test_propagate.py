@@ -5,7 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from unravel.errors import GridMismatch, ModelError, SingularMap
+from unravel.errors import DimensionMismatch, GridMismatch, ModelError, SingularMap
 from unravel.linalg import haar_state, trace_distance, unvec, vec
 from unravel.master_equation import lindblad_apply_snapshot, master_equation
 from unravel.models import (
@@ -132,6 +132,14 @@ def test_propagate_evaluates_each_half_grid_time_once(substeps):
     grid = TimeGrid(0.0, 0.5, 0.05)
     propagate(me, np.outer(PLUS, PLUS.conj()), grid, substeps=substeps)
     _assert_half_grid_once(calls, grid, substeps, grid.n_steps)
+
+
+def test_propagate_rejects_rho0_of_another_dimension_before_any_work():
+    me, calls = counting_model(eternally_nm())
+    for rho0 in [np.eye(3) / 3.0, np.array([1.0, 0.0]), np.ones((2, 3))]:
+        with pytest.raises(DimensionMismatch):
+            propagate(me, rho0, TimeGrid(0.0, 0.5, 0.05))
+    assert not calls
 
 
 def test_propagator_maps_evaluate_each_half_grid_time_once():
