@@ -19,10 +19,11 @@ resampled on its own, with the bits of one run per replica.
 
 The population work is paid only where the population can move. On a track
 whose sink equals G_L at every time (a model without trace_sink), clone
-and destroy have probability exactly 0 at every step, so the replicas step
-the channel menu alone, whose branch choices are the full menu's. A step at
-which no member cloned or died keeps its post-step columns as the states:
-no copy, no per-replica tally and no resample check.
+and destroy have probability exactly 0 at every step, so the replicas are
+the batches of ``outcomes.run_menus`` on the channel menu alone, whose
+branch choices are the full menu's. Under a sink, a step at which no
+member cloned or died keeps its post-step columns as the states: no copy,
+no per-replica tally and no resample check.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from .master_equation import GeneratorSnapshot, MasterEquation
 from .mcwf import channel_menu, require_nonnegative_rates
 from .linalg import weighted_outer_sum
 from .outcomes import (
-    Branch, Menu, StepOutcome, _first_error, batch_runs, event_counts, row_branches, row_step, take_step
+    Branch, Menu, StepOutcome, _first_error, batch_runs, event_counts, row_branches, row_step, run_menus, take_step
 )
 from .propagate import TimeGrid
 from .rng import replica_generator
@@ -96,41 +97,47 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
     estimator is unchanged in expectation. The replicas step together, one
     kernel call per step over all their members, each drawing from its own
     ``replica_generator`` in the order one replica alone draws, so every
-    replica's series is the one it gives alone.
+    replica's series is the one it gives alone. Without a trace sink the
+    replicas are ``run_menus``' batches of the channel menu.
     """
     sizes = np.asarray(sizes, dtype=np.int64)
-    gens = [replica_generator(seed, batch0 + r) for r in range(len(sizes))]
     steps = grid.n_steps
+    rho_0 = sizes[:, None, None] * np.outer(psi0, np.conj(psi0))
+    if track.error is None and np.array_equal(track.gamma_l, track.gamma_drift):
+        # no member ever clones or dies: the menu driver, with cloning's t = 0
+        # sums, counts and population
+        rho_sum, counts, diag, abort = run_menus(_jump_menu, me, psi0, grid, batch0, sizes, seed, track)
+        rho_sum[:, 0] = rho_0
+        det = counts.pop("deterministic")
+        counts.update(clone=0, destroy=0, deterministic=det)
+        return rho_sum, counts, {"population": np.repeat(sizes[:, None], steps + 1, axis=1)}, abort
+    gens = [replica_generator(seed, batch0 + r) for r in range(len(sizes))]
     times = grid.times()
     states = np.repeat(np.asarray(psi0, dtype=complex)[:, None], int(sizes.sum()), axis=1)
     pop = sizes.copy()
     owners = np.repeat(np.arange(len(sizes)), pop)  # columns stay grouped by replica, in order
     trace_factor = np.ones(len(sizes))
     rho_sum = np.zeros((len(sizes), steps + 1, me.dim, me.dim), dtype=complex)
-    rho_sum[:, 0] = sizes[:, None, None] * np.outer(psi0, np.conj(psi0))
+    rho_sum[:, 0] = rho_0
     population = np.zeros((len(sizes), steps + 1), dtype=np.int64)
     population[:, 0] = sizes
     m = len(me.channels)
     copies = np.array([1] * m + [2, 0])
     branch_copies = np.append(copies, 1)  # the deterministic branch keeps its member
-    # where the sink is G_L at every time, clone and destroy have probability 0: the
-    # channel menu alone takes the same branches, its hits get their slots at the end
-    live = track.error is not None or not np.array_equal(track.gamma_l, track.gamma_drift)
-    kernel = clone_menu if live else _jump_menu
-    hits = np.zeros(m + 3 if live else m + 1, dtype=np.int64)
+    hits = np.zeros(m + 3, dtype=np.int64)
     abort = None
     for k in range(steps):
         if not states.shape[1]:
             continue  # every population extinct; the estimate is legitimately zero
         u = np.concatenate([gen.random(n) for gen, n in zip(gens, pop)])
         try:
-            step = take_step(kernel(track[k], states, grid.dt), u, times[k])
+            step = take_step(clone_menu(track[k], states, grid.dt), u, times[k])
         except UnravelError as err:
             # an extinct replica steps no kernel, so it cannot fail
             bounds = np.concatenate([[0], np.cumsum(pop)])
             spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
             abort = (_first_error(
-                err, spans, lambda a, b: take_step(kernel(track[k], states[:, a:b], grid.dt), u[a:b], times[k])
+                err, spans, lambda a, b: take_step(clone_menu(track[k], states[:, a:b], grid.dt), u[a:b], times[k])
             ), k)
             break
         if (step.copies == 1).all():
@@ -159,6 +166,4 @@ def run_replica(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: in
         # replicas of equal population: one stacked sum with the bits of one each
         for run in batch_runs(pop):
             rho_sum[run.batches, k + 1] = trace_factor[run.batches, None, None] * weighted_outer_sum(run.view(states))
-    if not live:
-        hits = np.insert(hits, [m, m], 0)
     return rho_sum, event_counts(hits, copies), {"population": population}, abort

@@ -8,17 +8,17 @@ batches of at most ``_TILE_ROWS`` rows in all (a larger batch is a tile of
 its own), and its runner steps all its rows together but sums each batch
 over that batch's rows alone. The replica methods run one replica per
 batch, and their replicas share tiles by the rows their states hold at the
-start: ``cloning`` makes one kernel call per step for all of a tile's
-members, a row each, and ``nmqj`` steps all of a tile's buckets as stacked
-arrays; its replica starts as one bucket, one row, so all its replicas
-share one tile. Every batch (or replica) draws
-from its own stream ``rng.replica_generator(seed, batch index)``, in an
-order fixed within the batch, and the batch sums are combined by a
-fixed-order pairwise tree, so a seed fixes the result bit for bit,
-whatever the tiles.
-The tiles run in order, and each one stops at the earliest abort of those
-before it: nothing after that step is kept, and that abort wins a tie, so
-the result is the one every tile run to its own end gives. The tiles of
+start: ``cloning`` steps all of a tile's members together, a row each (the
+menu driver's tile of rows where the model has no trace sink), and
+``nmqj`` steps all of a tile's buckets as stacked arrays; its replica
+starts as one bucket, one row, so all its replicas share one tile. Every
+batch (or replica) draws from its own stream ``rng.replica_generator(seed,
+batch index)``, in an order fixed within the batch, and the batch sums are
+combined by a fixed-order pairwise tree, so a seed fixes the result bit for
+bit, whatever the tiles.
+The tiles run in order, each over the whole grid to its own end or abort:
+the earliest abort wins, an earlier tile wins a tie, and nothing after its
+step is kept (a later tile still runs to its own end). The tiles of
 every method read one generator track, evaluated before any of them runs:
 once per grid time, and for ``wtd`` also once per step midpoint
 (``MasterEquation.half_track``). ``tripled`` reads the track of its
@@ -94,7 +94,7 @@ _DEFAULT_BATCHES = 20
 # seed 42, t_max = 2, median of 5 alternating runs), wall s at tiles of
 # 2048 / 4096 / 8192 rows / one tile:
 #   mcwf (spontaneous_emission)     0.187 / 0.153 / 0.170 / 0.144
-#   cloning (spontaneous_emission)  0.306 / 0.175 / 0.185 / 0.150 (*)
+#   cloning (spontaneous_emission)  0.345 / 0.306 / 0.337 / 0.282 (*)
 #   wtd (spontaneous_emission)      1.051 / 1.003 / 0.950 / 0.888
 #   wroqj (eternally_nm)            0.538 / 0.463 / 0.491 / 0.378
 #   psi_roqj (eternally_nm)         0.926 / 0.842 / 0.841 / 0.653
@@ -105,14 +105,14 @@ _DEFAULT_BATCHES = 20
 # and nmqj (delayed_negative, to its abort at t = 1.41) 0.074 s, one tile
 # at every cap. tripled does not gain at 4096, and neither does mcwf for
 # sure: another sweep read it 0.181 s at 2048 rows and 0.197 at 4096.
-# (*) From a later sweep, after cloning stopped forming its population
-# branches without a trace sink and copying states on steps where no member
-# cloned or died; that sweep read mcwf 0.238 / 0.200 / 0.207 / 0.153, so
-# 4096 rows still holds for cloning.
+# (*) From a later sweep, after cloning without a trace sink became
+# ``run_menus`` on the channel menu, on a slower and noisier host; that
+# sweep read mcwf 0.281 / 0.239 / 0.242 / 0.177, so 4096 rows still holds
+# for cloning.
 # Wider tiles are faster still; the cap stops at 4096 for memory, which
 # grows with the tile: ru_maxrss of tripled's run reads 42.1 / 44.7 /
 # 49.4 / 51.4 MB, and of the CLI's cloning + mcwf run at N = 10^4
-# (cli_replica's command) 38.3 / 38.8 / 39.8 / 40.6 in the later sweep. A
+# (cli_replica's command) 38.2 / 38.6 / 39.6 / 40.6 in the later sweep. A
 # one-off measurement of that CLI run, before the cloning change, read
 # 40.3 MB at 5000 rows against 39.7 at 4096, near the ~41 MB the benchmark
 # harness's own peak sets for cli_replica's peak_rss_mb.
@@ -217,15 +217,6 @@ def _generator_track(method: MethodId, me: MasterEquation, grid: TimeGrid):
     return me.track(grid.times()[:-1])
 
 
-def _head(method: MethodId, grid: TimeGrid, track, steps: int):
-    """The grid and the generator track of the run's first ``steps`` steps."""
-    if steps >= grid.n_steps:
-        return grid, track
-    return TimeGrid(grid.t0, float(grid.times()[steps]), grid.dt), track.head(
-        2 * steps + 1 if method.kind == "wtd" else steps
-    )
-
-
 def _tree_sum(arrays: list[np.ndarray]) -> np.ndarray:
     items = list(arrays)
     while len(items) > 1:
@@ -310,10 +301,9 @@ def run_ensemble(
     tile_sums, counts, diags, abort = [], [], [], None
     # the rows each batch's state holds: an nmqj replica starts as one bucket
     for tile in _tiles([1] * len(sizes) if method.kind == "nmqj" else sizes):
-        # nothing past the earliest abort so far is kept, and that abort wins
-        # a tie, so a later tile runs only the steps before it (at least one)
-        cut, cut_track = _head(method, grid, track, grid.n_steps if abort is None else max(abort[1], 1))
-        out = run(me, psi, cut, tile[0], [sizes[i] for i in tile], seed, cut_track)
+        # every tile runs to its own end; the earliest abort wins, and an
+        # earlier tile wins a tie
+        out = run(me, psi, grid, tile[0], [sizes[i] for i in tile], seed, track)
         for acc, part in zip((tile_sums, counts, diags), out):
             acc.append(part)
         if out[3] is not None and (abort is None or out[3][1] < abort[1]):

@@ -32,8 +32,8 @@ from .errors import NotHermitian, NotPSD, ZeroVector
 
 __all__ = [
     "EPS", "HERM_ATOL", "require_hermitian", "hermitize", "eigh", "eigh_batched", "eigvalsh_min",
-    "normalize", "normalize_rows", "trace_distance", "psd_sqrt", "psd_sqrt_batched", "haar_state",
-    "require_density", "orthonormal_complement", "complement_batch", "phase_fix_columns",
+    "normalize", "normalize_rows", "normalize_columns", "trace_distance", "psd_sqrt", "psd_sqrt_batched",
+    "haar_state", "require_density", "orthonormal_complement", "complement_batch", "phase_fix_columns",
     "weighted_outer_sum", "outer_sum", "squared_norms", "apply_columns", "vec", "unvec"
 ]
 
@@ -194,6 +194,17 @@ def normalize_rows(rows: np.ndarray):
         q = int(zero.argmax())
         bad = q, _zero_vector(norms[q])
     return rows / np.where(zero, 1.0, norms)[:, None], bad
+
+
+def normalize_columns(cols: np.ndarray, t: float) -> np.ndarray:
+    """The columns of ``cols`` (w, n) divided in place by their norms;
+    ZeroVector at time t where a norm is at most ``_ZERO_NORM``."""
+    norms = np.linalg.norm(cols, axis=0)
+    zero = norms <= _ZERO_NORM
+    if zero.any():
+        raise ZeroVector(f"cannot normalize state with norm {norms[zero].min():.3e} at t={t:.6g}", time=t)
+    cols /= norms
+    return cols
 
 
 def _zero_vector(n) -> ZeroVector:

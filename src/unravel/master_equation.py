@@ -254,14 +254,6 @@ class GeneratorTrack:
             self.times[k], self.h[k], self.ls[k], self.gammas[k], self.gamma_l[k], self.gamma_drift[k], self.k[k]
         )
 
-    def head(self, n: int) -> "GeneratorTrack":
-        """The track at its first n times, with the error only if it ends
-        the track before them."""
-        return GeneratorTrack(
-            self.times[:n], self.h[:n], self.ls[:n], self.gammas[:n], self.gamma_l[:n], self.gamma_drift[:n],
-            self.k[:n], self.error if len(self.h) < n else None,
-        )
-
 
 def _first_non_finite(track: GeneratorTrack):
     """(index, name) of the first time at which a piece holds a non-finite

@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NegativeRate
-from .linalg import EPS, apply_columns, squared_norms
+from .linalg import EPS, apply_columns, normalize_columns, squared_norms
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
@@ -58,8 +58,7 @@ def channel_menu(
     n2 = squared_norms(ys)  # (m, n)
     # a zero image (sigma_- on the ground state) stays zero: its p is 0
     norms = np.where(n2 > 0.0, np.sqrt(n2), 1.0)
-    drift = cols - 1j * dt * apply_columns(snap.k, cols)
-    drift /= np.linalg.norm(drift, axis=0)
+    drift = normalize_columns(cols - 1j * dt * apply_columns(snap.k, cols), snap.t)
     if rates is None:
         return Menu(snap.gammas[:, None] * n2 * dt, ys, drift, norms=norms)
     live = rates > 0.0

@@ -24,7 +24,7 @@ from functools import partial
 import numpy as np
 
 from .errors import NegativeROEigenvalue, NegativeWEigenvalue
-from .linalg import EPS, apply_columns
+from .linalg import EPS, apply_columns, normalize_columns
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Jump, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
@@ -58,8 +58,7 @@ def _spectral_menu(snap, dt, vals, vecs, drift, err_cls, label) -> Menu:
     bad = vals < -EPS
     if np.any(bad):
         raise err_cls(f"{label} eigenvalue {vals[bad].min():.6g} < 0 at t={snap.t:.6g}", time=snap.t)
-    drift /= np.linalg.norm(drift, axis=0)
-    return Menu(np.clip(vals, 0.0, None) * dt, vecs, drift)
+    return Menu(np.clip(vals, 0.0, None) * dt, vecs, normalize_columns(drift, snap.t))
 
 
 def w_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float) -> Menu:

@@ -33,6 +33,8 @@ from unravel.errors import (
     NotHermitian,
     StepTooLarge,
     UnknownMethod,
+    UnravelError,
+    ZeroVector,
 )
 from unravel.linalg import hermitize, trace_distance
 from unravel.master_equation import MasterEquation, master_equation
@@ -282,6 +284,29 @@ def test_non_finite_model_value_mid_run_is_an_abort_with_the_finished_runs_prefi
     assert partial["rho_batches"].tobytes() == finished.rho_batches[:, :n_pts].tobytes()
 
 
+@pytest.mark.parametrize("kind", METHOD_KINDS)
+def test_vanishing_drift_is_an_abort_not_a_nan_estimate(kind):
+    """A trace sink of 2/dt times the identity, with no rate, sends every
+    no-jump drift to exactly zero in one step. A method either finishes
+    with a finite estimate (the pair-vector methods, and rroqj, whose gauge
+    moves the drift off zero) or aborts with a time and a partial; the
+    menu methods raise ZeroVector at t = 0 instead of normalizing a zero
+    drift into NaN."""
+    dt = 1e-2
+    me = master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 0.0)], trace_sink=(2.0 / dt) * np.eye(2))
+    method = _rroqj(me) if kind == "rroqj" else method_id(kind)
+    grid = TimeGrid(0.0, 0.5, dt)
+    if kind in ("doubled", "tripled", "rroqj"):
+        assert np.isfinite(run_ensemble(method, me, PLUS, grid, 40, seed=1).rho_hat).all()
+        return
+    with pytest.raises(UnravelError) as exc:
+        run_ensemble(method, me, PLUS, grid, 40, seed=1)
+    err = exc.value
+    assert err.time is not None and err.partial is not None
+    if kind in ("mcwf", "wroqj", "psi_roqj", "im", "plqt", "cloning"):
+        assert (type(err), err.time) == (ZeroVector, 0.0)
+
+
 def test_distance_stderr_matches_pointwise_trace_distances():
     """The batched stderr equals the per-point, per-batch trace-distance
     loop bit for bit, and is inf wherever a batch has no reconstruction."""
@@ -478,16 +503,17 @@ TILED = [
     ("plqt", eternally_nm, PLUS, 0.3),
     ("doubled", eternally_nm, PLUS, 0.3),
     ("tripled", eternally_nm, PLUS, 0.3),
-    # aborts (a later tile runs only the steps before the first tile's):
-    # NegativeRate at t = 0.79, a W eigenvalue at t = 1.01, and a
-    # StepTooLarge at t = 0.5 in many rows, whose message quotes the largest
-    # jump probability of the first failing batch (cloning: replica)
+    # aborts (every tile runs to its own; the earliest wins): NegativeRate
+    # at t = 0.79, a W eigenvalue at t = 1.01, and a StepTooLarge at t = 0.5
+    # in many rows, whose message quotes the largest jump probability of the
+    # first failing batch (cloning: replica)
     ("mcwf", delayed_negative_phase_covariant, PLUS, 1.2),
     ("wroqj", non_p_divisible, KET0, 1.2),
     ("mcwf", _rate_step, PLUS, 0.6),
-    # cloning's replicas share tiles: equal populations, then clones and
-    # resampling, then destroys, resampling and extinct replicas, then the
-    # NegativeRate and StepTooLarge aborts; last, wtd's NegativeRate abort
+    # cloning's replicas share tiles: without a sink as the menu driver's
+    # batches; under a sink with clones and resampling, then with destroys,
+    # resampling and extinct replicas; then the NegativeRate and
+    # StepTooLarge aborts, without a sink; last, wtd's NegativeRate abort
     ("cloning", spontaneous_emission, PLUS, 0.3),
     ("cloning", _sink(0.8), KET1, 1.5),
     ("cloning", _sink(-2.0), KET1, 1.5),
@@ -593,35 +619,23 @@ def test_cloning_tiles_reproduce_per_replica_runs_at_n10000():
     assert np.array_equal(res.diagnostics["population"], diag["population"])
 
 
-def test_replicas_stop_at_the_earliest_abort_so_far(monkeypatch):
-    """Each nmqj tile steps its replicas together up to the first abort
-    among them, and only up to the earliest abort of the tiles before it
-    (the earlier tile wins a tie, so it need not run that step); the result
-    is what running every replica to its own abort gives: the error, its
-    message and time, the partial series and the event logs cut to them."""
+def test_replicas_across_tiles_report_the_earliest_abort(monkeypatch):
+    """nmqj replicas spread over seven tiles, each tile run over the whole
+    grid to its own first abort, report what running every replica to its
+    own abort gives: the earliest abort (an earlier tile wins a tie), its
+    error, message and time, the partial series and the event logs cut to
+    them."""
     me, grid, method = delayed_negative_phase_covariant(), TimeGrid(0.0, 3.0, 1e-2), method_id("nmqj")
     sizes = _chunk_sizes(2000, 20)
     monkeypatch.setattr(engine, "_TILE_ROWS", 3)  # tiles of three replicas
     tiles = _tiles([1] * len(sizes))  # an nmqj replica starts as one bucket, one row
     assert [len(tile) for tile in tiles] == [3] * 6 + [2]
     full = [run_batches(method, me, PLUS, grid, r, [n], 1) for r, n in enumerate(sizes)]
-    # the steps each tile runs on its own: up to and with its first abort's
     aborts = [grid.n_steps if res[3] is None else res[3][1] for res in full]
-    tile_aborts = [min(aborts[i] for i in tile) for tile in tiles]
-    own = [min(a + 1, grid.n_steps) for a in tile_aborts]
+    assert min(aborts[i] for i in tiles[0]) > min(aborts)  # a later tile's abort wins
     rho_hat, rho_batches, stderr, _counts, _diag, abort = _per_batch_reference(method, me, PLUS, grid, 2000, 1)
-
-    calls = []
-    step = nmqj_module._step
-    monkeypatch.setattr(nmqj_module, "_step", lambda *args: (calls.append(args[0].t), step(*args))[1])
     with pytest.raises(MissingTargetState) as info:
         run_ensemble(method, me, PLUS, grid, 2000, seed=1)
-    # a tile calls _step at steps 0, 1, ... and a new tile starts at t = 0
-    per_tile = np.split(calls, np.nonzero(np.diff(calls) <= 0)[0] + 1)
-    limits = [max(1, min(tile_aborts[:i], default=grid.n_steps)) for i in range(len(tiles))]
-    assert [len(c) for c in per_tile] == [min(n, lim) for n, lim in zip(own, limits)]
-    assert sum(len(c) for c in per_tile) < sum(own)  # some tile was stopped
-
     err = info.value
     assert (type(err), str(err), err.time) == (type(abort[0]), str(abort[0]), abort[0].time)
     partial = err.partial

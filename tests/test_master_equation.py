@@ -210,25 +210,6 @@ def test_track_raises_evaluation_error_from_the_failing_time_on():
             track[k]
 
 
-def test_track_head_is_its_first_times():
-    """``head(n)`` keeps the first n snapshots, and the error only where the
-    track ends before n."""
-    def h(t):
-        return np.array([[0.0, 1.0], [0.0, 0.0]]) if t >= 0.5 else 0.3 * SIGMA_X
-
-    me = master_equation(2, h, [(SIGMA_MINUS, 1.0, "down")])
-    track = me.track(TimeGrid(0.0, 1.0, 0.1).times()[:-1])
-    head = track.head(3)
-    assert head.error is None and len(head.times) == len(head.h) == 3
-    for k in range(3):
-        assert head[k].h.tobytes() == track[k].h.tobytes() and head[k].t == track[k].t
-    with pytest.raises(IndexError):
-        head[3]
-    assert track.head(5).error is None
-    with pytest.raises(NotHermitian):
-        track.head(6)[5]
-
-
 def _fails_from(t_bad, piece):
     """A qubit whose ``piece`` goes wrong from t_bad on."""
     late = lambda t: t >= t_bad  # noqa: E731
