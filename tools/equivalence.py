@@ -56,7 +56,10 @@ divisibility scan. A user
 embedding built by ``tripled_embed`` (rather than the tripled runner's own)
 is covered twice: the oracle of one with time-dependent pairs of both signs,
 real- and complex-typed factors and custom completion levels, and mcwf on
-the acceptance suite's criterion 5 embedding. Driven cascade
+the acceptance suite's criterion 5 embedding. Cloning under a trace sink
+runs on a sink that grows the trace, one that starts late, one that shrinks
+it so that every replica resamples, one under which every replica dies out,
+and one that aborts. Driven cascade
 decays run the spectral kernels' general-d paths, which the qubit closed
 forms bypass: psi_roqj on a qutrit (3 x 3 rate operators) and wroqj on a
 ququart (3 x 3 W blocks on psi^perp) pin them. wroqj on a qutrit builds its
@@ -106,11 +109,17 @@ def _model(name):
     return lambda: build_model(name).me
 
 
-def _trace_sink():
-    """Decay at rate 1 with the drift shifted by -1/2: the trace grows."""
-    gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
-    return master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")],
-                           trace_sink=lambda t: gamma_l - 0.5 * np.eye(2))
+def _shifted_sink(lam):
+    """Decay at rate 1 with the drift shifted by -lam: the trace grows at
+    rate lam, or shrinks where lam < 0."""
+    def build():
+        gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
+        return master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")],
+                               trace_sink=lambda t: gamma_l - lam * np.eye(2))
+    return build
+
+
+_trace_sink = _shifted_sink(0.5)
 
 
 def _late_sink():
@@ -125,10 +134,22 @@ def _sigma_z(rate):
     return lambda: master_equation(2, np.zeros((2, 2)), [(SIGMA_Z, rate, "sz")])
 
 
+def _step_rate(t):
+    return 5.0 if t < 0.5 else 300.0
+
+
 def _rate_step():
     """Decay whose rate jumps from 5 to 300 at t = 0.5 (dt = 0.01 then makes
     jump probabilities > 1), under a drive that spreads the rows' states."""
-    return master_equation(2, 3.0 * SIGMA_X, [(SIGMA_MINUS, lambda t: 5.0 if t < 0.5 else 300.0, "down")])
+    return master_equation(2, 3.0 * SIGMA_X, [(SIGMA_MINUS, _step_rate, "down")])
+
+
+def _rate_step_sink():
+    """``_rate_step`` with the drift shifted by -1/2: the population grows
+    until the rate's jump stops the run."""
+    gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
+    return master_equation(2, 3.0 * SIGMA_X, [(SIGMA_MINUS, _step_rate, "down")],
+                           trace_sink=lambda t: _step_rate(t) * gamma_l - 0.5 * np.eye(2))
 
 
 def _cascade(dim):
@@ -220,9 +241,14 @@ INPUTS = {
     "cloning/trace_sink": (_kind("cloning"), _trace_sink, KET1, 500, 1.0),
     # still steps, then clones, over three tiles
     "cloning/late_sink": (_kind("cloning"), _late_sink, KET1, 10_000, 1.0),
+    # the trace shrinks: every replica resamples, some more than once
+    "cloning/shrinking_sink": (_kind("cloning"), _shifted_sink(-1.0), KET1, 500, 3.0),
+    # every replica of two members dies out, and then the whole tile
+    "cloning/extinct": (_kind("cloning"), _shifted_sink(-5.0), KET1, 40, 2.0),
     "abort/mcwf": (_kind("mcwf"), _model("delayed_negative"), PLUS, 400, 1.5),
     "abort/wroqj": (_kind("wroqj"), _model("non_p_divisible"), KET0, 400, 3.0),
     "abort/mcwf_step_too_large": (_kind("mcwf"), _rate_step, PLUS, 400, 0.6),
+    "abort/cloning_step_too_large": (_kind("cloning"), _rate_step_sink, PLUS, 400, 0.6),
     "abort/nmqj": (_kind("nmqj"), _model("delayed_negative"), PLUS, 400, 3.0),
     "abort/wtd": (_kind("wtd"), _model("delayed_negative"), PLUS, 80, 1.5),
     "abort/tripled_degenerate": (_kind("tripled"), _sigma_z(-20.0), PLUS, 40, 1.0),
