@@ -8,14 +8,13 @@ batches of at most ``_TILE_ROWS`` rows in all (a larger batch is a tile of
 its own), and its runner steps all its rows together but sums each batch
 over that batch's rows alone. The replica methods run one replica per
 batch, and their replicas share tiles by the rows their states hold at the
-start: ``cloning`` steps all of a tile's members together, a row each (the
-menu driver's tile of rows where the model has no trace sink), and
-``nmqj`` steps all of a tile's buckets as stacked arrays; its replica
-starts as one bucket, one row, so all its replicas share one tile. Every
-batch (or replica) draws from its own stream ``rng.replica_generator(seed,
-batch index)``, in an order fixed within the batch, and the batch sums are
-combined by a fixed-order pairwise tree, so a seed fixes the result bit for
-bit, whatever the tiles.
+start: ``cloning``'s replicas are the menu driver's batches, a row per
+member, and ``nmqj`` steps all of a tile's buckets as stacked arrays; its
+replica starts as one bucket, one row, so all its replicas share one tile.
+Every batch (or replica) draws from its own stream
+``rng.replica_generator(seed, batch index)``, in an order fixed within the
+batch, and the batch sums are combined by a fixed-order pairwise tree, so a
+seed fixes the result bit for bit, whatever the tiles.
 The tiles run in order, each over the whole grid to its own end or abort:
 the earliest abort wins, an earlier tile wins a tie, and nothing after its
 step is kept (a later tile still runs to its own end). The tiles of

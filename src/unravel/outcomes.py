@@ -7,15 +7,17 @@ columns of a (w, n) array (trajectory axis last: each product runs over n).
 This module turns a menu into the step that runs (``take_step``) and into
 the branch list of one (w, 1) column (``row_branches``), whose closed-form
 expectation E[w |psi'><psi'|] the tests compare against rho + L[rho] dt.
-``run_menus`` drives the step over a whole grid for one tile: all its
-batches step together, and batch b draws its uniforms from its own stream
-``rng.replica_generator(seed, b)``, step-major, a few steps per call.
-``batch_runs`` groups a tile's batches into runs of equal size, and
-``BatchRun.view`` gives a run's columns as one (batches, w, size) stack,
-reduced each step in one stacked call (``linalg.weighted_outer_sum``) with
-the bits of one per batch.
+``run_menus`` drives the step over a whole grid for one tile, for every
+menu method: all its batches step together, and batch b draws its uniforms
+from its own stream ``rng.replica_generator(seed, b)``, step-major, a few
+steps per call. ``batch_runs`` groups a tile's batches into runs of equal
+size, and ``BatchRun.view`` gives a run's columns as one (batches, w, size)
+stack, reduced each step in one stacked call (``linalg.weighted_outer_sum``)
+with the bits of one per batch.
 Weighted methods carry a multiplicative weight factor per branch; the
-cloning method carries a copy count.
+cloning method carries a copy count, with which the driver makes each batch
+a population that it resamples on the batch's own stream, one step drawn
+per call.
 """
 
 from __future__ import annotations
@@ -40,6 +42,10 @@ __all__ = [
 # cost little more than one call for the whole grid, and hold only a few
 # uniforms per trajectory.
 _DRAW_STEPS = 4
+# a population is resampled back to its batch's size when it leaves
+# [_RESAMPLE_LO, _RESAMPLE_HI] times that size
+_RESAMPLE_LO = 0.5
+_RESAMPLE_HI = 2.0
 
 
 @dataclass(frozen=True)
@@ -97,7 +103,9 @@ class Menu:
     ``norms`` ((B', n), the first B' <= B branches) or multiplied by its
     entry of ``scales`` ((B, n)). Only weighted methods set ``jump_factors``
     ((B,)) and ``det_factors`` ((n,), the no-jump factor); only cloning sets
-    ``copies`` ((B,), the members a branch leaves: 2 clone, 0 destroy).
+    ``copies`` ((B,), the members a branch leaves: 2 clone, 0 destroy), and
+    ``run_menus`` then keeps each batch's population (a kernel's menus
+    carry copies at every step or at none).
     """
 
     probs: np.ndarray
@@ -277,57 +285,110 @@ def run_menus(
     (steps, size_b) C order, one per trajectory and step; they are drawn
     ``_DRAW_STEPS`` steps per call, and any split into whole steps gives the
     same bits.
+
+    A kernel whose menus carry ``copies`` makes each batch a population
+    (the cloning method): a step repeats each member by the copies of the
+    branch it took, and a batch whose population leaves [lo*n, hi*n] of its
+    size n (``_RESAMPLE_LO``, ``_RESAMPLE_HI``) is resampled back to n
+    (uniform, with replacement, by ``integers`` on its own stream), the
+    ratio moving into its trace factor, so the estimator is unchanged in
+    expectation. Each batch's sums are scaled by its trace factor, the
+    ``population`` series (int64) is recorded and the counts split off
+    ``clone`` and ``destroy``. Such a menu draws one step a call, so a
+    resample's draws come between two steps' uniforms: a batch draws what
+    it would draw alone. A batch that dies out steps on with no members,
+    and a tile that does steps no kernel; its sums stay zero.
     """
     outer = outer or weighted_outer_sum
     times = grid.times()
     steps = grid.n_steps
-    bounds = np.concatenate([[0], np.cumsum(sizes)])
-    spans = list(zip(bounds[:-1], bounds[1:]))
-    gens = [replica_generator(seed, batch0 + b) for b in range(len(spans))]
+    sizes = np.asarray(sizes, dtype=np.int64)
+    pop = sizes.copy()  # the columns each batch holds, in batch order
+    bounds, runs = np.concatenate([[0], np.cumsum(pop)]), batch_runs(pop)
+    gens = [replica_generator(seed, batch0 + b) for b in range(len(sizes))]
     cols = np.repeat(np.asarray(psi0, dtype=complex)[:, None], int(bounds[-1]), axis=1)
     weights = np.ones(cols.shape[1]) if weighted else None
-    runs = batch_runs(sizes)
-    rho_sum = np.zeros((len(spans), steps + 1, me.dim, me.dim), dtype=complex)
+    rho_sum = np.zeros((len(sizes), steps + 1, me.dim, me.dim), dtype=complex)
+    trace_factor, population = np.ones(len(sizes)), None  # set by the first menu with copies
     diag: dict = {}
     if weighted:
-        diag["weight_sum"] = np.zeros((len(spans), steps + 1))
+        diag["weight_sum"] = np.zeros((len(sizes), steps + 1))
         diag["sign_flip_steps"] = []
     if tally is not None:
-        diag[tally[0]] = np.zeros((len(spans), steps + 1))
+        diag[tally[0]] = np.zeros((len(sizes), steps + 1))
 
     def record(k: int) -> None:
         for run in runs:
             stack, w = run.view(cols), None if weights is None else run.view(weights)
-            rho_sum[run.batches, k] = outer(stack, w)
+            sums = outer(stack, w)
+            rho_sum[run.batches, k] = sums if population is None else trace_factor[run.batches, None, None] * sums
             if weighted:
                 diag["weight_sum"][run.batches, k] = w.sum(axis=1)
             if tally is not None:
                 diag[tally[0]][run.batches, k] = tally[1](stack)
+        if population is not None:
+            population[:, k] = pop
+
+    def draw(count: int) -> np.ndarray:
+        u = np.empty((count, cols.shape[1]))  # row j: the uniforms of the j-th step drawn
+        for gen, a, b in zip(gens, bounds[:-1], bounds[1:]):
+            u[:, a:b] = gen.random((count, b - a))
+        return u
 
     record(0)
-    hits = np.zeros(1, dtype=np.int64)  # grows to one slot per branch at the first step
-    u = np.empty((_DRAW_STEPS, cols.shape[1]))  # row j: the uniforms of step k + j
+    hits, copies = np.zeros(1, dtype=np.int64), None  # hits grows to one slot per branch at the first step
+    u, j = np.empty((0, 0)), 0  # u[j]: this step's uniforms, drawn with the next steps' where it can be
     for k in range(steps):
-        j = k % _DRAW_STEPS
-        if j == 0:
-            count = min(_DRAW_STEPS, steps - k)
-            for gen, (a, b) in zip(gens, spans):
-                u[:count, a:b] = gen.random((count, b - a))
+        if not cols.shape[1]:
+            continue  # every batch died out: the estimate is legitimately zero
         try:
             menu = kernel(track[k], cols, grid.dt)
+            if j == len(u):
+                u, j = draw(1 if menu.copies is not None else min(_DRAW_STEPS, steps - k)), 0
             step = take_step(menu, u[j], times[k])
         except UnravelError as err:
+            if j == len(u):  # the kernel failed before the step's draws
+                u, j = draw(1), 0
+            # a batch with no members steps no kernel, so it cannot fail
+            spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
             err = _first_error(
                 err, spans, lambda a, b: take_step(kernel(track[k], cols[:, a:b], grid.dt), u[j, a:b], times[k])
             )
-            return rho_sum, event_counts(hits), diag, (err, k)
-        nb = len(menu.probs)
+            return rho_sum, event_counts(hits, copies), diag, (err, k)
+        nb, copies = len(menu.probs), menu.copies
         del menu  # the next step's kernel runs without this one's jump targets
+        j += 1
         hits = hits + np.bincount(step.choice, minlength=nb + 1)
         cols = step.cols
         if weighted:
             if np.any(step.factors[step.choice < nb] < 0.0):
                 diag["sign_flip_steps"].append(k)
             weights = weights * step.factors
+        if copies is not None:
+            if population is None:
+                population = diag["population"] = np.zeros((len(sizes), steps + 1), dtype=np.int64)
+                population[:, : k + 1] = sizes[:, None]
+            # a step at which no member cloned or died keeps the populations
+            if not (step.copies == 1).all():
+                cols, pop = _repopulate(step, bounds, sizes, gens, trace_factor)
+                bounds, runs = np.concatenate([[0], np.cumsum(pop)]), batch_runs(pop)
         record(k + 1)
-    return rho_sum, event_counts(hits), diag, None
+    return rho_sum, event_counts(hits, copies), diag, None
+
+
+def _repopulate(step: Step, bounds: np.ndarray, sizes: np.ndarray, gens, trace_factor: np.ndarray):
+    """The members a step leaves, as columns grouped by batch, and each
+    batch's population: every column repeated by its copies, then a batch
+    outside its band resampled back to its size (``trace_factor`` updated
+    in place)."""
+    pop = np.diff(np.concatenate([[0], np.cumsum(step.copies)])[bounds])
+    take = np.repeat(np.arange(len(step.copies)), step.copies)  # the column each member copies
+    leave = np.nonzero((pop > 0) & ((pop < _RESAMPLE_LO * sizes) | (pop > _RESAMPLE_HI * sizes)))[0]
+    if len(leave):
+        parts = np.split(take, np.cumsum(pop)[:-1])
+        for r in leave:
+            parts[r] = parts[r][gens[r].integers(0, int(pop[r]), size=int(sizes[r]))]
+            trace_factor[r] *= pop[r] / sizes[r]
+            pop[r] = sizes[r]
+        take = np.concatenate(parts)
+    return np.take(step.cols, take, axis=1), pop  # C order, as a column index would not give

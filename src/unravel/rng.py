@@ -2,7 +2,8 @@
 
 Batch b of every ensemble draws from ``replica_generator(seed, b)``, the
 stream Philox(key=[seed, 2^63 + b]), in an order fixed within the batch
-(see ``outcomes.run_menus``, ``wtd.run_chunk``, ``nmqj`` and ``cloning``).
+(see ``outcomes.run_menus``, which ``cloning`` runs on too, ``wtd.run_chunk``
+and ``nmqj``).
 An ensemble has a fixed number of batches and a tile always holds whole
 batches, so a seed fixes every draw whatever the tiles; ``--threads`` has
 no effect. Trajectory k of a batch therefore draws from its batch's stream,

@@ -10,7 +10,7 @@ from unravel.linalg import trace_distance
 from unravel.master_equation import master_equation
 from unravel.mcwf import mcwf_branches
 from unravel.models import KET0, KET1, PLUS, SIGMA_MINUS, SIGMA_X, eternally_nm, spontaneous_emission
-from unravel.outcomes import Clone, Destroy, Deterministic, Jump
+from unravel.outcomes import Clone, Destroy, Deterministic, Jump, Menu, run_menus
 from unravel.propagate import TimeGrid, propagate
 from unravel.cloning import clone_branches, cloning_step
 
@@ -115,6 +115,43 @@ def test_replica_survives_extinction():
     assert abort is None
     assert diag["population"][0][-1] == 0
     assert np.allclose(rho_sum[0][-1], 0.0)
+
+
+def test_an_extinct_tile_steps_no_kernel():
+    """Every replica dies out well before the rate turns negative at t = 1,
+    so no kernel runs after that (``clone_menu`` would refuse the rate):
+    the run finishes with zero sums and populations from the extinction
+    on."""
+    gamma_l = SIGMA_MINUS.conj().T @ SIGMA_MINUS
+    me = master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, lambda t: 1.0 if t < 1.0 else -1.0, "down")],
+                         trace_sink=lambda t: gamma_l + 20.0 * np.eye(2))
+    grid = TimeGrid(0.0, 1.5, DT)
+    rho_sum, counts, diag, abort = run_batches("cloning", me, KET1, grid, 0, [3, 2], 9)
+    assert abort is None and counts["clone"] == 0
+    pop = diag["population"]
+    (extinct,) = np.nonzero(pop.sum(axis=0) == 0)
+    assert 0 < extinct[0] < 100 and np.array_equal(extinct, np.arange(extinct[0], grid.n_steps + 1))
+    assert not rho_sum[:, extinct[0]:].any()
+
+
+def test_run_menus_follows_a_menus_copies():
+    """A toy menu whose one branch clones every member with probability 1:
+    each batch's population reads n, 2n, then resamples to n with trace
+    factor 4, and so on, and its sums' trace is trace factor x population,
+    n 2^k."""
+    def kernel(snap, cols, dt):
+        return Menu(np.ones((1, cols.shape[1])), cols[None], cols, copies=np.array([2]))
+
+    sizes, steps = [3, 2], 6
+    grid = TimeGrid(0.0, steps * DT, DT)
+    me = master_equation(2, np.zeros((2, 2)), [(SIGMA_MINUS, 1.0, "down")])
+    rho_sum, counts, diag, abort = run_menus(kernel, me, KET1, grid, 0, sizes, 3, [None] * steps)
+    assert abort is None
+    n = np.array(sizes)[:, None]
+    assert np.array_equal(diag["population"], n * np.array([1, 2] * (steps // 2) + [1]))
+    assert np.array_equal(np.trace(rho_sum, axis1=2, axis2=3).real, n * 2.0 ** np.arange(steps + 1))
+    assert counts == {"jump": 0, "jump_by_channel": [], "clone": int(n.sum()) * (1 + 2) * steps // 2,
+                      "destroy": 0, "deterministic": 0}
 
 
 def test_replica_reproducible():
