@@ -297,7 +297,7 @@ def run_menus(
     ``clone`` and ``destroy``. Such a menu draws one step a call, so a
     resample's draws come between two steps' uniforms: a batch draws what
     it would draw alone. A batch that dies out steps on with no members,
-    and a tile that does steps no kernel; its sums stay zero.
+    and a tile whose batches all have steps no kernel; its sums stay zero.
     """
     outer = outer or weighted_outer_sum
     times = grid.times()
