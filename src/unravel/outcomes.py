@@ -105,7 +105,8 @@ class Menu:
     ((B,)) and ``det_factors`` ((n,), the no-jump factor); only cloning sets
     ``copies`` ((B,), the members a branch leaves: 2 clone, 0 destroy), and
     ``run_menus`` then keeps each batch's population (a kernel's menus
-    carry copies at every step or at none).
+    carry copies at every step or at none). ``take_step`` writes its step
+    into ``drift`` and ``det_factors``, so a menu is stepped once.
     """
 
     probs: np.ndarray
@@ -119,10 +120,15 @@ class Menu:
 
 
 class Step(NamedTuple):
-    cols: np.ndarray     # (w, n) post-step states
-    choice: np.ndarray   # (n,) branch taken; B is the deterministic branch
-    factors: np.ndarray  # (n,) weight factor picked up (1 without weights)
-    copies: np.ndarray   # (n,) members left behind (1 without copies)
+    """One step of n trajectories, as ``take_step`` draws it: the weight
+    factors only where the menu carries weights, the copies only where it
+    carries copies."""
+
+    cols: np.ndarray            # (w, n) post-step states
+    choice: np.ndarray          # (n,) branch taken; B is the deterministic branch
+    jumped: np.ndarray          # the trajectories that took a jump branch, ascending
+    factors: np.ndarray | None  # (n,) weight factor picked up; None without weights
+    copies: np.ndarray | None   # (n,) members left behind; None without copies
 
 
 def _check_total(total: np.ndarray, t: float) -> None:
@@ -147,7 +153,9 @@ def jump_rows(menu: Menu, traj: np.ndarray, branches: np.ndarray) -> np.ndarray:
 
 def take_step(menu: Menu, u: np.ndarray, t: float) -> Step:
     """Trajectory i takes the branch whose cumulative interval (kernel order,
-    deterministic last) holds u[i]; a zero-probability branch is never taken."""
+    deterministic last) holds u[i]; a zero-probability branch is never taken.
+    The step is finished in the menu's own arrays: the jumped columns are
+    written into its ``drift`` and their factors into its ``det_factors``."""
     nb, n = menu.probs.shape
     # the cumulative edges a branch at a time, as np.cumsum sums them (it
     # would loop over the trajectories)
@@ -158,15 +166,17 @@ def take_step(menu: Menu, u: np.ndarray, t: float) -> Step:
     _check_total(edge, t)
     jumped = np.nonzero(choice < nb)[0]
     taken = choice[jumped]
-    cols = menu.drift.copy()
+    cols = menu.drift
     cols[:, jumped] = jump_rows(menu, jumped, taken)
-    factors = np.ones(n) if menu.det_factors is None else menu.det_factors.copy()
+    factors = menu.det_factors
     if menu.jump_factors is not None:
+        factors = np.ones(n) if factors is None else factors
         factors[jumped] = menu.jump_factors[taken]
-    copies = np.ones(n, dtype=np.int64)
+    copies = None
     if menu.copies is not None:
+        copies = np.ones(n, dtype=np.int64)
         copies[jumped] = menu.copies[taken]
-    return Step(cols, choice, factors, copies)
+    return Step(cols, choice, jumped, factors, copies)
 
 
 def row_branches(menu: Menu, t: float) -> list[Branch]:
@@ -184,7 +194,8 @@ def row_branches(menu: Menu, t: float) -> list[Branch]:
         out.append(Branch(pb, states[:, b], event, float(factors[b]), c))
     rest = 1.0 - float(p.sum())
     det = 1.0 if menu.det_factors is None else float(menu.det_factors[0])
-    out.append(Branch(rest, menu.drift[:, 0], Deterministic(rest), det))
+    # a copy: ``take_step`` writes the jumped columns into the drift
+    out.append(Branch(rest, menu.drift[:, 0].copy(), Deterministic(rest), det))
     return out
 
 
@@ -358,10 +369,12 @@ def run_menus(
         nb, copies = len(menu.probs), menu.copies
         del menu  # the next step's kernel runs without this one's jump targets
         j += 1
-        hits = hits + np.bincount(step.choice, minlength=nb + 1)
+        by_branch = np.bincount(step.choice[step.jumped], minlength=nb + 1)
+        by_branch[nb] = len(step.choice) - len(step.jumped)
+        hits = hits + by_branch
         cols = step.cols
         if weighted:
-            if np.any(step.factors[step.choice < nb] < 0.0):
+            if np.any(step.factors[step.jumped] < 0.0):
                 diag["sign_flip_steps"].append(k)
             weights = weights * step.factors
         if copies is not None:

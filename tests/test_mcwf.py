@@ -24,6 +24,7 @@ from unravel.models import (
     eternally_nm,
     spontaneous_emission,
 )
+from unravel import outcomes
 from unravel.outcomes import Clone, Deterministic, Destroy, Jump, batch_runs, jump_rows, row_branches, take_step
 from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import time_dependent_gauge, w_matching_gauge
@@ -225,8 +226,9 @@ def test_vectorized_step_matches_scalar(kind):
     for i, (psi, _t) in enumerate(points):
         row, weight, copies = scalar(psi, t, us[i])
         assert np.allclose(step.cols[:, i], row, atol=1e-12)
-        assert step.factors[i] == pytest.approx(weight, abs=1e-12)
-        assert step.copies[i] == copies
+        # a menu without weights or copies leaves them None: 1 each
+        assert (1.0 if step.factors is None else step.factors[i]) == pytest.approx(weight, abs=1e-12)
+        assert (1 if step.copies is None else step.copies[i]) == copies
 
 
 @pytest.mark.parametrize(
@@ -430,6 +432,25 @@ def test_row_branches_are_finished_and_zero_images_stay_zero(kind):
     ground = row_branches(menu_of(cols[:, 4:5]), 0.4)[down]
     assert ground.probability == 0.0
     assert np.all(ground.state == 0.0)
+
+
+def test_row_step_leaves_the_branch_list_it_built_unchanged(monkeypatch):
+    """``row_step`` builds the branch list, then runs ``take_step`` on the same
+    menu, which writes the jumped column into the menu's drift: every state
+    of the list it built, the deterministic one too, keeps its bytes."""
+    snap = spontaneous_emission().at(0.3)
+
+    def menu():
+        return mcwf_menu(snap, np.array([[0.6], [0.8]], dtype=complex), 0.1)
+
+    want = row_branches(menu(), 0.3)
+    built = []
+    monkeypatch.setattr(outcomes, "row_branches", lambda m, t: built.append(row_branches(m, t)) or built[-1])
+    branch = outcomes.row_step(menu(), 0.5 * want[0].probability, 0.3)
+    assert isinstance(branch.event, Jump)
+    (got,) = built
+    assert [b.state.tobytes() for b in got] == [b.state.tobytes() for b in want]
+    assert not np.array_equal(got[-1].state, branch.state)
 
 
 def _unit_cols(width, n, seed=3):
