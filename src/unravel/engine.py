@@ -3,14 +3,16 @@ matrices, batch-means error bars, oracle comparison.
 
 The trajectories are split into a fixed number of contiguous batches, the
 statistical batches of the error bars. A method of independent trajectories
-steps them in one pass over row tiles: a tile is a run of whole consecutive
-batches of at most ``_TILE_ROWS`` rows in all (a larger batch is a tile of
-its own), and its runner steps all its rows together but sums each batch
-over that batch's rows alone. The replica methods run one replica per
-batch, and their replicas share tiles by the rows their states hold at the
-start: ``cloning``'s replicas are the menu driver's batches, a row per
-member, and ``nmqj`` steps all of a tile's buckets as stacked arrays; its
-replica starts as one bucket, one row, so all its replicas share one tile.
+steps them in one pass over tiles: a tile is a run of whole consecutive
+batches whose states hold at most ``_TILE_ENTRIES`` entries in all, rows
+times the width of the state the method steps (d; 2d for doubled, 3d for
+tripled; a larger batch is a tile of its own), and its runner steps all
+its rows together but sums each batch over that batch's rows alone. The
+replica methods run one replica per batch, and their replicas share tiles
+by the rows their states hold at the start: ``cloning``'s replicas are the
+menu driver's batches, a row per member, and ``nmqj`` steps all of a
+tile's buckets as stacked arrays; its replica starts as one bucket, one
+row, so all its replicas share one tile.
 Every batch (or replica) draws from its own stream
 ``rng.replica_generator(seed, batch index)``, in an order fixed within the
 batch, and the batch sums are combined by a fixed-order pairwise tree, so a
@@ -85,37 +87,36 @@ METHOD_KINDS = (
 )
 _GAUGE_KINDS = frozenset({"rroqj", "psi_roqj"})
 _DEFAULT_BATCHES = 20
-# Most rows in a tile, counted as the rows each batch's state holds at the
-# start (``run_ensemble``): an ensemble of up to 4096 trajectories is one
-# tile, one of 10^4 three (8, 8 and 4 batches), and nmqj is one tile at
-# any N. Wide tiles cut the per-step Python overhead. ``tools/tile_sweep.py
-# --reps 5`` on a 2-core host (in-process ``run_ensemble`` at N = 10^4,
-# seed 42, t_max = 2, median of 5 alternating runs), wall s at tiles of
-# 2048 / 4096 / 8192 rows / one tile:
-#   mcwf (spontaneous_emission)     0.187 / 0.153 / 0.170 / 0.144
-#   cloning (spontaneous_emission)  0.345 / 0.306 / 0.337 / 0.282 (*)
-#   wtd (spontaneous_emission)      1.051 / 1.003 / 0.950 / 0.888
-#   wroqj (eternally_nm)            0.538 / 0.463 / 0.491 / 0.378
-#   psi_roqj (eternally_nm)         0.926 / 0.842 / 0.841 / 0.653
-#   im (eternally_nm)               0.304 / 0.292 / 0.236 / 0.223
-#   plqt (eternally_nm)             0.296 / 0.256 / 0.238 / 0.219
-#   doubled (eternally_nm)          0.380 / 0.331 / 0.329 / 0.274
-#   tripled (eternally_nm)          0.633 / 0.637 / 0.562 / 0.529
-# and nmqj (delayed_negative, to its abort at t = 1.41) 0.074 s, one tile
-# at every cap. tripled does not gain at 4096, and neither does mcwf for
-# sure: another sweep read it 0.181 s at 2048 rows and 0.197 at 4096.
-# (*) From a later sweep, after cloning without a trace sink became
-# ``run_menus`` on the channel menu, on a slower and noisier host; that
-# sweep read mcwf 0.281 / 0.239 / 0.242 / 0.177, so 4096 rows still holds
-# for cloning.
-# Wider tiles are faster still; the cap stops at 4096 for memory, which
-# grows with the tile: ru_maxrss of tripled's run reads 42.1 / 44.7 /
-# 49.4 / 51.4 MB, and of the CLI's cloning + mcwf run at N = 10^4
-# (cli_replica's command) 38.2 / 38.6 / 39.6 / 40.6 in the later sweep. A
-# one-off measurement of that CLI run, before the cloning change, read
-# 40.3 MB at 5000 rows against 39.7 at 4096, near the ~41 MB the benchmark
-# harness's own peak sets for cli_replica's peak_rss_mb.
-_TILE_ROWS = 4096
+# Most state entries in a tile: a batch's rows, counted as the rows its
+# state holds at the start (``run_ensemble``), times the width of the state
+# the method steps (``_state_width``). On a qubit that is 12,288 rows of
+# width 2 (every N = 10^4 ensemble but doubled's and tripled's is one
+# tile), 6144 of doubled's width 4 (12 and 8 batches at N = 10^4) and 4096
+# of tripled's width 6 (8, 8 and 4 batches); nmqj is one tile at any N.
+# Wide tiles cut the per-step Python overhead, and the widest state sets
+# the memory. ``tools/tile_sweep.py --reps 7`` on a 2-core Xeon host
+# (in-process ``run_ensemble`` at N = 10^4, seed 42, t_max = 2, median of
+# 7 alternating runs), wall s (tiles) at budgets of 12,288 / 24,576 /
+# 49,152 entries / one tile:
+#   mcwf (spontaneous_emission)     0.144 (2) / 0.126 (1) / 0.142 (1) / 0.163 (1)
+#   cloning (spontaneous_emission)  0.143 (2) / 0.132 (1) / 0.132 (1) / 0.138 (1)
+#   wtd (spontaneous_emission)      1.074 (2) / 1.051 (1) / 1.021 (1) / 0.977 (1)
+#   wroqj (eternally_nm)            0.365 (2) / 0.356 (1) / 0.363 (1) / 0.363 (1)
+#   psi_roqj (eternally_nm)         1.014 (2) / 0.804 (1) / 0.799 (1) / 0.903 (1)
+#   im (eternally_nm)               0.234 (2) / 0.209 (1) / 0.213 (1) / 0.213 (1)
+#   plqt (eternally_nm)             0.222 (2) / 0.237 (1) / 0.225 (1) / 0.231 (1)
+#   doubled (eternally_nm)          0.423 (4) / 0.349 (2) / 0.310 (1) / 0.327 (1)
+#   tripled (eternally_nm)          0.733 (5) / 0.691 (3) / 0.518 (2) / 0.515 (1)
+# and nmqj (delayed_negative, to its abort at t = 1.41) 0.074 s, one tile.
+# The one-tile columns of a width-2 method run the same plan, so their
+# spread (mcwf 0.126-0.163 s) is the sweep's noise. Past 24,576 only
+# doubled and tripled gain, and they pay in memory: ru_maxrss of
+# tripled's run reads 42.4 / 45.0 / 49.3 / 51.6 MB and of doubled's
+# 37.9 / 39.2 / 41.2 / 41.2. The CLI's cloning + mcwf run at N = 10^4
+# (cli_replica's command) reads 0.342 / 0.342 / 0.347 / 0.357 s and
+# 39.0 / 40.3 / 40.3 / 40.3 MB. 24,576 keeps tripled at 4096 rows, the row
+# cap this budget replaced, and so at that cap's memory.
+_TILE_ENTRIES = 24_576
 
 
 @dataclass(frozen=True)
@@ -189,18 +190,24 @@ def _runner(method: MethodId):
     return runners[kind]
 
 
-def _tiles(sizes: list[int]) -> list[list[int]]:
-    """Consecutive batch indices grouped into tiles of at most ``_TILE_ROWS``
-    rows, ``sizes`` giving each batch's rows (never fewer than one batch)."""
+def _state_width(kind: str, dim: int) -> int:
+    """Entries of one row of the state the method steps."""
+    return {"doubled": 2, "tripled": 3}.get(kind, 1) * dim
+
+
+def _tiles(rows: list[int], width: int) -> list[list[int]]:
+    """Consecutive batch indices grouped into tiles of at most
+    ``_TILE_ENTRIES`` state entries, ``rows`` giving each batch's rows of
+    ``width`` entries (never fewer than one batch)."""
     tiles: list[list[int]] = []
-    rows = 0
-    for i, size in enumerate(sizes):
-        if tiles and rows + size <= _TILE_ROWS:
+    held = 0
+    for i, size in enumerate(rows):
+        if tiles and (held + size) * width <= _TILE_ENTRIES:
             tiles[-1].append(i)
-            rows += size
+            held += size
         else:
             tiles.append([i])
-            rows = size
+            held = size
     return tiles
 
 
@@ -299,7 +306,8 @@ def run_ensemble(
     track = _generator_track(method, me, grid)
     tile_sums, counts, diags, abort = [], [], [], None
     # the rows each batch's state holds: an nmqj replica starts as one bucket
-    for tile in _tiles([1] * len(sizes) if method.kind == "nmqj" else sizes):
+    rows = [1] * len(sizes) if method.kind == "nmqj" else sizes
+    for tile in _tiles(rows, _state_width(method.kind, me.dim)):
         # every tile runs to its own end; the earliest abort wins, and an
         # earlier tile wins a tie
         out = run(me, psi, grid, tile[0], [sizes[i] for i in tile], seed, track)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from unravel import cloning
+from unravel import cloning, engine
 from unravel.engine import _merge_counts, method_id, run_ensemble
 from unravel.errors import NegativeRate, StepTooLarge
 from unravel.linalg import trace_distance
@@ -170,7 +170,7 @@ def _alone(me, psi, grid, sizes, replica, seed):
 @pytest.mark.parametrize(
     "build, psi, t_max, sizes",
     [
-        (spontaneous_emission, PLUS, 1.0, [500, 500, 500, 500]),  # a tile at N = 10^4
+        (spontaneous_emission, PLUS, 1.0, [500, 500, 500, 500]),  # replicas of N = 10^4
         (lambda: sink_model(gamma=1.0, lam=0.8), KET1, 1.5, [40, 40, 39]),  # clones, resampling
         (lambda: sink_model(gamma=1.0, lam=-2.0), KET1, 1.5, [3, 1, 40, 39]),  # destroys, extinction
     ],
@@ -219,7 +219,9 @@ def test_tile_abort_is_its_first_failing_replicas():
 def test_without_a_sink_cloning_is_mcwf_over_several_tiles(monkeypatch):
     """No trace sink: cloning forms no population branch, keeps its
     population and gives mcwf's counts and rho_hat bit for bit (N = 10^4,
-    three tiles)."""
+    three tiles under a budget of 4096 rows of width 2)."""
+    monkeypatch.setattr(engine, "_TILE_ENTRIES", 8192)
+    assert [len(tile) for tile in engine._tiles(engine._chunk_sizes(10_000, 20), 2)] == [8, 8, 4]
     me = spontaneous_emission()
     grid = TimeGrid(0.0, 1.0, DT)
     plain = run_ensemble(method_id("mcwf"), me, PLUS, grid, 10_000, 42)

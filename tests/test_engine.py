@@ -18,6 +18,7 @@ from unravel.engine import (
     _merge_counts,
     _reconstruct,
     _runner,
+    _state_width,
     _tiles,
     _tree_sum,
 )
@@ -52,7 +53,10 @@ from unravel.models import (
     spontaneous_emission,
 )
 from unravel import cloning as cloning_module
+from unravel import doubled as doubled_module
+from unravel import mcwf as mcwf_module
 from unravel import nmqj as nmqj_module
+from unravel import tripled as tripled_module
 from unravel.propagate import TimeGrid, propagate
 from unravel.rate_operators import (
     state_dependent_gauge,
@@ -524,7 +528,7 @@ TILED = [
 
 
 @pytest.mark.parametrize(
-    "n_traj, budget", [(7, "default"), (7, "small"), (63, "default"), (63, "small"), (4097, "default")]
+    "n_traj, budget", [(7, "default"), (7, "small"), (63, "default"), (63, "small"), ("over", "default")]
 )
 @pytest.mark.parametrize("kind, build, psi, t_max", TILED)
 def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_traj, budget):
@@ -532,20 +536,26 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
     per batch gives: the batch sums, counts and diagnostics (cloning's
     populations), and for an abort its error, message, time and partial
     series. N = 7 has one trajectory per batch, N = 63 unequal batches; a
-    cap of 16 rows splits that ensemble into several tiles. N = 4097
-    (batches of 205 and 204 rows) makes two tiles at the default cap, the
-    first holding both sizes."""
+    budget of 48 entries (24 rows of width 2, 12 of doubled's width 4, 8 of
+    tripled's 6) splits that ensemble into several tiles. N = "over" is one
+    row more than the default budget holds at the method's width (12,289,
+    6145 and 4097 trajectories), which makes two tiles, the first holding
+    both batch sizes."""
     if budget == "small":
-        monkeypatch.setattr(engine, "_TILE_ROWS", 16)
+        monkeypatch.setattr(engine, "_TILE_ENTRIES", 48)
     me = build()
     method = _rroqj(me) if kind == "rroqj" else method_id(kind)
     grid = TimeGrid(0.0, t_max, 1e-2)
+    width = _state_width(kind, me.dim)
+    if n_traj == "over":
+        n_traj = engine._TILE_ENTRIES // width + 1
     sizes = _chunk_sizes(n_traj, 20)
-    tiles = _tiles(sizes)
+    tiles = _tiles(sizes, width)
     if n_traj == 63 and budget == "small":
         assert 1 < len(tiles) < len(sizes)
-    if n_traj == 4097:
-        assert [[sizes[i] for i in tile] for tile in tiles] == [[205] * 17 + [204] * 2, [204]]
+    if n_traj * width > engine._TILE_ENTRIES and budget == "default":
+        assert [len(tile) for tile in tiles] == [19, 1]
+        assert len({sizes[i] for i in tiles[0]}) == 2
     rho_hat, rho_batches, stderr, counts, diag, abort = _per_batch_reference(method, me, psi, grid, n_traj, 5)
     if abort is not None:
         with pytest.raises(type(abort[0])) as info:
@@ -569,24 +579,22 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
 
 
 def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
-    """A tile holds whole consecutive batches, at most ``_TILE_ROWS`` rows
-    of them, or one batch larger than that. cloning's replicas tile as
-    trajectories do, by members: eight replicas a tile at N = 10^4 and all
-    twenty at N = 2000. An nmqj replica starts as one bucket, one row, so
-    all twenty share one tile at any N."""
+    """A tile holds whole consecutive batches whose rows times the state's
+    width come to at most ``_TILE_ENTRIES``, or one batch larger than that.
+    cloning's replicas tile as trajectories do, by members: all twenty in one
+    tile at N = 10^4 and at N = 2000. An nmqj replica starts as one bucket,
+    one row, so all twenty share one tile at any N."""
     sizes = _chunk_sizes(1003, 20)  # 3 batches of 51 rows, 17 of 50
-    monkeypatch.setattr(engine, "_TILE_ROWS", 160)
-    tiles = _tiles(sizes)
+    monkeypatch.setattr(engine, "_TILE_ENTRIES", 320)
+    tiles = _tiles(sizes, 2)  # 160 rows
     assert [i for tile in tiles for i in tile] == list(range(20))
-    assert all(sum(sizes[i] for i in tile) <= 160 for tile in tiles)
+    assert all(2 * sum(sizes[i] for i in tile) <= 320 for tile in tiles)
     assert [len(t) for t in tiles] == [3] * 6 + [2]
-    monkeypatch.setattr(engine, "_TILE_ROWS", 1)  # never fewer than one batch
-    assert _tiles(sizes) == [[i] for i in range(20)]
+    assert _tiles(sizes, 4) == [[i] for i in range(20)]  # 80 rows: one batch a tile
+    monkeypatch.setattr(engine, "_TILE_ENTRIES", 1)  # never fewer than one batch
+    assert _tiles(sizes, 1) == [[i] for i in range(20)]
     monkeypatch.undo()
-    assert _tiles([100, 6000, 100, 3996, 1]) == [[0], [1], [2, 3], [4]]
-    assert _tiles(_chunk_sizes(2000, 20)) == [list(range(20))]
-    assert _tiles(_chunk_sizes(10_000, 20)) == [list(range(0, 8)), list(range(8, 16)), list(range(16, 20))]
-    assert _tiles(_chunk_sizes(10**5, 20)) == [[i] for i in range(20)]
+    assert _tiles([100, 6000, 100, 3996, 1], 6) == [[0], [1], [2, 3], [4]]  # 4096 rows
     grid = TimeGrid(0.0, 0.02, 1e-2)
     for module, kind in ((cloning_module, "cloning"), (nmqj_module, "nmqj")):
         calls = []
@@ -596,18 +604,60 @@ def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
         )
         for n_traj in (10_000, 2000):
             run_ensemble(method_id(kind), spontaneous_emission(), PLUS, grid, n_traj, seed=1)
-        if kind == "cloning":
-            assert calls == [[500] * 8] * 2 + [[500] * 4] + [[100] * 20], kind
-        else:
-            assert calls == [[500] * 20] + [[100] * 20], kind
+        assert calls == [[500] * 20] + [[100] * 20], kind
     calls.clear()  # nmqj's replicas still share one tile at N = 10^5
     run_ensemble(method_id("nmqj"), spontaneous_emission(), PLUS, grid, 10**5, seed=1)
     assert calls == [[5000] * 20]
 
 
-def test_cloning_tiles_reproduce_per_replica_runs_at_n10000():
+@pytest.mark.parametrize(
+    "n_traj, plans",
+    [
+        (2000, {2: [20], 4: [20], 6: [20]}),
+        (10_000, {2: [20], 4: [12, 8], 6: [8, 8, 4]}),
+        (10**5, {2: [2] * 10, 4: [1] * 20, 6: [1] * 20}),
+    ],
+)
+def test_tile_plan_per_state_width(n_traj, plans):
+    """The default budget's tiles of a qubit ensemble, batches per tile, by
+    the width of the state its method steps: 2 (every method but doubled and
+    tripled), 4 (doubled) and 6 (tripled). Every batch is in one tile, in
+    order, and a tile holds more than the budget only as a single batch."""
+    assert {kind: _state_width(kind, 2) for kind in METHOD_KINDS} == {
+        **dict.fromkeys(METHOD_KINDS, 2), "doubled": 4, "tripled": 6
+    }
+    sizes = _chunk_sizes(n_traj, 20)
+    for width, counts in plans.items():
+        tiles = _tiles(sizes, width)
+        assert [len(tile) for tile in tiles] == counts, width
+        assert [i for tile in tiles for i in tile] == list(range(20))
+        assert all(len(tile) == 1 or width * sum(sizes[i] for i in tile) <= engine._TILE_ENTRIES for tile in tiles)
+
+
+def test_run_ensemble_tiles_by_the_width_of_the_stepped_state(monkeypatch):
+    """At N = 10^4 on a qubit, mcwf steps one tile, doubled two (12 and 8
+    batches) and tripled three (8, 8 and 4): its runner is called once per
+    tile with that tile's batch sizes."""
+    grid = TimeGrid(0.0, 0.02, 1e-2)
+    for module, kind, counts in (
+        (mcwf_module, "mcwf", [20]),
+        (doubled_module, "doubled", [12, 8]),
+        (tripled_module, "tripled", [8, 8, 4]),
+    ):
+        calls, runner = [], module.run_chunk
+        monkeypatch.setattr(
+            module, "run_chunk", lambda *args, run=runner, **kw: (calls.append(len(args[4])), run(*args, **kw))[1]
+        )
+        run_ensemble(method_id(kind), spontaneous_emission(), PLUS, grid, 10_000, seed=1)
+        assert calls == counts, kind
+
+
+def test_cloning_tiles_reproduce_per_replica_runs_at_n10000(monkeypatch):
     """At N = 10^4 cloning's 20 replicas of 500 step in three tiles (eight,
-    eight and four replicas), with the bits of 20 separate replica runs."""
+    eight and four replicas) under a budget of 4096 rows of width 2, with
+    the bits of 20 separate replica runs."""
+    monkeypatch.setattr(engine, "_TILE_ENTRIES", 8192)
+    assert [len(tile) for tile in _tiles(_chunk_sizes(10_000, 20), 2)] == [8, 8, 4]
     me, grid, method = spontaneous_emission(), TimeGrid(0.0, 0.5, 1e-2), method_id("cloning")
     rho_hat, rho_batches, stderr, counts, diag, abort = _per_batch_reference(method, me, PLUS, grid, 10_000, 5)
     assert abort is None
@@ -627,8 +677,8 @@ def test_replicas_across_tiles_report_the_earliest_abort(monkeypatch):
     them."""
     me, grid, method = delayed_negative_phase_covariant(), TimeGrid(0.0, 3.0, 1e-2), method_id("nmqj")
     sizes = _chunk_sizes(2000, 20)
-    monkeypatch.setattr(engine, "_TILE_ROWS", 3)  # tiles of three replicas
-    tiles = _tiles([1] * len(sizes))  # an nmqj replica starts as one bucket, one row
+    monkeypatch.setattr(engine, "_TILE_ENTRIES", 6)  # tiles of three replicas
+    tiles = _tiles([1] * len(sizes), 2)  # an nmqj replica starts as one bucket, one row
     assert [len(tile) for tile in tiles] == [3] * 6 + [2]
     full = [run_batches(method, me, PLUS, grid, r, [n], 1) for r, n in enumerate(sizes)]
     aborts = [grid.n_steps if res[3] is None else res[3][1] for res in full]

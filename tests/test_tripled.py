@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from unravel import engine, mcwf
-from unravel.engine import _DEFAULT_BATCHES, _chunk_sizes, _reconstruct, _tiles, method_id
+from unravel.engine import _DEFAULT_BATCHES, _chunk_sizes, _reconstruct, _state_width, _tiles, method_id
 from unravel.errors import DegenerateBlock, ModelError, NotHermitian, NotPSD, StepTooLarge
 from unravel.linalg import haar_state, hermitize, psd_sqrt, trace_distance, weighted_outer_sum
 from unravel.master_equation import master_equation
@@ -304,8 +304,9 @@ def test_chunk_steps_live_channels_with_the_full_tracks_bits(build, t_max, n_tra
     if build is _idle_plus_signed_minus:
         assert not track.ls[:79, 6].any() and track.ls[79:, 6].any(axis=(1, 2)).all()
     sizes = _chunk_sizes(n_traj, _DEFAULT_BATCHES)
-    tiles = _tiles(sizes)
-    assert (len(tiles) > 1) == (n_traj > engine._TILE_ROWS)
+    width = _state_width("tripled", me.dim)
+    tiles = _tiles(sizes, width)
+    assert (len(tiles) > 1) == (n_traj * width > engine._TILE_ENTRIES)
     for tile in tiles:
         tile_sizes = [sizes[i] for i in tile]
         got = run_batches("tripled", me, PLUS, grid, tile[0], tile_sizes, 17)

@@ -43,12 +43,15 @@ The inputs cover the ensemble cases of ``bench/`` (batched and per_step), the
 weighted, gauged, population and replica methods, ensembles whose batches
 are unequal, so that one tile holds batches of two sizes (N = 1003 for
 mcwf, for im's weights and for doubled's pair sums and norm tally, N = 83
-for wtd), fill several row tiles (N = 10^4 for mcwf and cloning, cloning also
-under a trace sink that starts to clone at t = 0.5, and N = 4097,
-whose first tile holds batches of 205 and 204 rows: im's weights, plqt's
-sign flips and psi_roqj's ``w_matching`` gauge among them; nmqj's replicas
-take a row each, so its N = 4097 run and its abort at N = 10^4 never span
-tiles) or hold one trajectory each (N = 13), one abort of each kind of
+for wtd), are large (N = 10^4 for mcwf and cloning, cloning also under a
+trace sink that starts to clone at t = 0.5, and N = 4097: im's weights,
+plqt's sign flips and psi_roqj's ``w_matching`` gauge among them; of these
+only tripled's N = 4097 run spans two tiles, batches of 205 and 204 rows in
+the first, under the engine's budget of state entries, and
+``tests/test_engine.py`` pins every method's runs across tiles against its
+per-batch runs; nmqj's replicas take a row each, so its N = 4097 run and
+its abort at N = 10^4 never span tiles) or hold one trajectory each
+(N = 13), one abort of each kind of
 method (channel and spectral menus, replica, waiting time, embedding), and the
 deterministic paths: the RK4 oracle with and without substeps and with a
 trace sink, the propagator maps with and without substeps and the
@@ -216,7 +219,7 @@ INPUTS = {
     "doubled/n1003": (_kind("doubled"), _model("eternally_nm"), PLUS, 1003, 1.5),
     "wtd/n83": (_kind("wtd"), _model("spontaneous_emission"), PLUS, 83, 2.0),
     "mcwf/n4097": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 4097, 1.0),
-    # weighted and gauged runs over several row tiles
+    # weighted and gauged runs at N = 4097
     "im/n4097": (_kind("im"), _model("non_p_divisible"), PLUS, 4097, 1.0),
     "plqt/n4097": (_kind("plqt"), _model("eternally_nm"), PLUS, 4097, 0.5),
     "psi_roqj/n4097": (lambda me: method_id("psi_roqj", gauge=w_matching_gauge(me)), _model("eternally_nm"),
