@@ -129,6 +129,9 @@ def _norm2_sums(cols: np.ndarray) -> np.ndarray:
     return squared_norms(cols).sum(axis=-1)
 
 
+STATE_BLOCKS = 2  # a row theta = (phi, psi) holds 2d entries (the engine's tile budget counts them)
+
+
 def run_chunk(me: MasterEquation, psi0: np.ndarray, grid: TimeGrid, batch0: int, sizes, seed: int, track):
     """Evolve batches of ``sizes`` doubled trajectories (as in
     ``run_menus``); rho_sum accumulates sum_k |phi_k><psi_k| raw (not

@@ -115,7 +115,10 @@ _DEFAULT_BATCHES = 20
 # 37.9 / 39.2 / 41.2 / 41.2. The CLI's cloning + mcwf run at N = 10^4
 # (cli_replica's command) reads 0.342 / 0.342 / 0.347 / 0.357 s and
 # 39.0 / 40.3 / 40.3 / 40.3 MB. 24,576 keeps tripled at 4096 rows, the row
-# cap this budget replaced, and so at that cap's memory.
+# cap this budget replaced, and so at that cap's memory. The sweep ran on
+# qubits only: a state wider than 6 entries gets fewer rows a tile than that
+# cap gave (tripled from d = 3, 2730 rows; doubled from d = 4, 3072; the
+# width-d methods from d = 7), which no d > 2 run has measured.
 _TILE_ENTRIES = 24_576
 
 
@@ -191,8 +194,9 @@ def _runner(method: MethodId):
 
 
 def _state_width(kind: str, dim: int) -> int:
-    """Entries of one row of the state the method steps."""
-    return {"doubled": 2, "tripled": 3}.get(kind, 1) * dim
+    """Entries of one row of the state the method steps: d, times the
+    ``STATE_BLOCKS`` of the stacked states of ``doubled`` and ``tripled``."""
+    return {"doubled": _doubled.STATE_BLOCKS, "tripled": _tripled.STATE_BLOCKS}.get(kind, 1) * dim
 
 
 def _tiles(rows: list[int], width: int) -> list[list[int]]:

@@ -340,19 +340,11 @@ def outer_sum(kets: np.ndarray, bras: np.ndarray, weights: np.ndarray | None = N
 
 def squared_norms(cols: np.ndarray) -> np.ndarray:
     """Squared norms of the columns of (w, n) or of a stack (..., w, n):
-    re^2 + im^2 summed over the width in order, one width row at a time, in
-    two row buffers that every row reuses (whole-array squares would
-    allocate a temporary as large as ``cols.real``, which at a tile's size
-    costs more than the calls it saves)."""
+    re^2 + im^2 summed over the width in order, one width row at a time."""
     re, im = cols.real, cols.imag
-    out, row = np.square(re[..., 0, :]), np.square(im[..., 0, :])
-    out += row
-    sq_im = np.empty_like(row)
+    out = re[..., 0, :] ** 2 + im[..., 0, :] ** 2
     for i in range(1, cols.shape[-2]):
-        np.square(re[..., i, :], out=row)
-        np.square(im[..., i, :], out=sq_im)
-        row += sq_im
-        out += row
+        out += re[..., i, :] ** 2 + im[..., i, :] ** 2
     return out
 
 

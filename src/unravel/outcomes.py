@@ -290,6 +290,8 @@ def run_menus(
     weights (B, m) (None without ``weighted``) and returns the B sums
     (B, d, d); ``fn(cols)`` returns the B tallies (B,). Each slice's result
     must be what the hook gives that batch alone.
+    ``kernel`` must build each menu's ``drift`` and ``det_factors`` afresh,
+    arrays that nothing else holds: ``take_step`` writes the step into them.
     ``track`` is ``me.track`` over the grid's step starts, which the tiles
     of one ensemble share.
     Batch b's uniforms are ``replica_generator(seed, b)``'s draws in

@@ -48,6 +48,7 @@ Matrix = Callable[[float], np.ndarray]
 _BLOCK_TRACE_FLOOR = 1e-12
 
 _CHI = np.array([1.0, 1.0, 0.0]) / np.sqrt(2.0)  # the auxiliary start (aux0 + aux1)/sqrt(2)
+STATE_BLOCKS = len(_CHI)  # a row psi (x) chi holds 3d entries (the engine's tile budget counts them)
 
 
 @dataclass(frozen=True)

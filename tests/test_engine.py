@@ -582,8 +582,9 @@ def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
     """A tile holds whole consecutive batches whose rows times the state's
     width come to at most ``_TILE_ENTRIES``, or one batch larger than that.
     cloning's replicas tile as trajectories do, by members: all twenty in one
-    tile at N = 10^4 and at N = 2000. An nmqj replica starts as one bucket,
-    one row, so all twenty share one tile at any N."""
+    tile at N = 10^4 and at N = 2000, and three tiles (eight, eight and four)
+    at N = 10^4 under 8192 entries. An nmqj replica starts as one bucket,
+    one row, so all twenty share one tile at any N and budget."""
     sizes = _chunk_sizes(1003, 20)  # 3 batches of 51 rows, 17 of 50
     monkeypatch.setattr(engine, "_TILE_ENTRIES", 320)
     tiles = _tiles(sizes, 2)  # 160 rows
@@ -596,18 +597,26 @@ def test_tiles_hold_whole_batches_within_the_budget(monkeypatch):
     monkeypatch.undo()
     assert _tiles([100, 6000, 100, 3996, 1], 6) == [[0], [1], [2, 3], [4]]  # 4096 rows
     grid = TimeGrid(0.0, 0.02, 1e-2)
+    calls: dict = {"cloning": [], "nmqj": []}
     for module, kind in ((cloning_module, "cloning"), (nmqj_module, "nmqj")):
-        calls = []
-        replica = module.run_replica
+        log, run = calls[kind], module.run_replica
         monkeypatch.setattr(
-            module, "run_replica", lambda *args, **kw: (calls.append(list(args[4])), replica(*args, **kw))[1]
+            module, "run_replica", lambda *a, log=log, run=run, **kw: (log.append(list(a[4])), run(*a, **kw))[1]
         )
-        for n_traj in (10_000, 2000):
+    budget = engine._TILE_ENTRIES
+
+    def run_all(n_traj):
+        for kind in calls:
             run_ensemble(method_id(kind), spontaneous_emission(), PLUS, grid, n_traj, seed=1)
-        assert calls == [[500] * 20] + [[100] * 20], kind
-    calls.clear()  # nmqj's replicas still share one tile at N = 10^5
+
+    run_all(10_000)
+    run_all(2000)
+    monkeypatch.setattr(engine, "_TILE_ENTRIES", 8192)  # 4096 rows of width 2
+    run_all(10_000)
+    monkeypatch.setattr(engine, "_TILE_ENTRIES", budget)
     run_ensemble(method_id("nmqj"), spontaneous_emission(), PLUS, grid, 10**5, seed=1)
-    assert calls == [[5000] * 20]
+    assert calls["cloning"] == [[500] * 20, [100] * 20, [500] * 8, [500] * 8, [500] * 4]
+    assert calls["nmqj"] == [[500] * 20, [100] * 20, [500] * 20, [5000] * 20]
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from unravel.errors import NotHermitian, NotPSD, ZeroVector
-from unravel.outcomes import batch_runs
 from unravel.linalg import (
     _EINSUM_PASS,
     _eigh_2x2,
@@ -23,7 +22,6 @@ from unravel.linalg import (
     psd_sqrt,
     require_density,
     require_hermitian,
-    squared_norms,
     trace_distance,
     unvec,
     vec,
@@ -438,38 +436,6 @@ def test_stacked_weighted_outer_sum_keeps_each_slice_bits(width, weighted):
             w = None if ws is None else ws[b]
             assert weighted_outer_sum(c, w).tobytes() == ref[b].tobytes()
             assert weighted_outer_sum(np.ascontiguousarray(c), w).tobytes() == ref[b].tobytes()
-
-
-def _row_by_row_norms(cols):
-    """re^2 + im^2 of each width row, added to the sum in order."""
-    re, im = cols.real, cols.imag
-    out = re[..., 0, :] ** 2 + im[..., 0, :] ** 2
-    for i in range(1, cols.shape[-2]):
-        out += re[..., i, :] ** 2 + im[..., i, :] ** 2
-    return out
-
-
-@pytest.mark.parametrize("width", range(1, 19))
-def test_squared_norms_add_the_width_rows_in_order(width):
-    """``squared_norms`` gives the bytes of adding each width row's
-    re^2 + im^2 in order, signed zeros included: on columns (w, n), on
-    stacks with one and two leading axes, on every third width row of a
-    tile (tripled's 0::3 and 1::3 slices) and on ``BatchRun`` views
-    (batches, w, size) of a tile, size-1 batches too (a sum over the width
-    by ``np.add.reduce`` can add pairwise there and move last bits)."""
-    gen = np.random.default_rng(100 + width)
-    tile = np.ascontiguousarray(signed_zero_rows(gen, (41, 3 * width)).T)  # (3w, n)
-    cases = [
-        tile[:width],
-        tile[0::3],
-        tile[1::3],
-        np.ascontiguousarray(signed_zero_rows(gen, (4, 23, width)).swapaxes(-1, -2)),
-        signed_zero_rows(gen, (2, 3, 17, width)).swapaxes(-1, -2),
-    ]
-    for sizes in ([1] * 5, [9, 8, 8, 8, 8], [1] * 41):
-        cases += [run.view(tile[:width]) for run in batch_runs(sizes)]
-    for cols in cases:
-        assert squared_norms(cols).tobytes() == _row_by_row_norms(cols).tobytes()
 
 
 def test_require_density_accepts_and_rejects():
