@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .linalg import apply_columns, row_sum
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .mcwf import channel_menu, require_nonnegative_rates
 from .outcomes import Branch, Menu, StepOutcome, row_branches, row_step, run_menus
@@ -48,7 +49,7 @@ def clone_menu(snap: GeneratorSnapshot, cols: np.ndarray, dt: float) -> Menu:
     Both clone copies keep the pre-step state; a destroyed member leaves none.
     """
     jumps = _jump_menu(snap, cols, dt)
-    deltas = np.einsum("in,ij,jn->n", np.conj(cols), snap.gamma_l - snap.gamma_drift, cols).real
+    deltas = row_sum((np.conj(cols) * apply_columns(snap.gamma_l - snap.gamma_drift, cols)).real)
     probs = np.vstack([jumps.probs, np.maximum(0.0, deltas * dt), np.maximum(0.0, -deltas * dt)])
     # the channel images keep their norms; clone and destroy targets have none
     targets = np.concatenate([jumps.targets, cols[None], cols[None]])

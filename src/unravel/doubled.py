@@ -20,7 +20,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import ZeroVector
-from .linalg import EPS, apply_columns, outer_sum, squared_norms
+from .linalg import EPS, apply_columns, outer_sum, row_sum, squared_norms
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, row_branches, row_step, run_menus
 from .propagate import TimeGrid
@@ -84,7 +84,7 @@ def factors_menu(f: DoubledFactors, t: float, cols: np.ndarray, dt: float) -> Me
     qs = jn2 / n2[None, :]
     # a zero image stays zero: its branch has probability 0
     scales = np.sqrt(n2[None, :] / np.where(jn2 > 0.0, jn2, 1.0))
-    sigma = 0.5 * qs.sum(axis=0)
+    sigma = 0.5 * row_sum(qs)
     # cols + dt * ((A, B) cols + sigma cols), built in place, a width row at
     # a time: a broadcast sigma * cols allocates a temporary as large as its
     # result

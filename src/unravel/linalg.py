@@ -34,7 +34,7 @@ __all__ = [
     "EPS", "HERM_ATOL", "require_hermitian", "hermitize", "eigh", "eigh_batched", "eigvalsh_min",
     "normalize", "normalize_rows", "normalize_columns", "trace_distance", "psd_sqrt", "psd_sqrt_batched",
     "haar_state", "require_density", "orthonormal_complement", "complement_batch", "phase_fix_columns",
-    "weighted_outer_sum", "outer_sum", "squared_norms", "apply_columns", "vec", "unvec"
+    "weighted_outer_sum", "outer_sum", "row_sum", "squared_norms", "apply_columns", "vec", "unvec"
 ]
 
 EPS = 1e-12          # sign / clipping threshold for probabilities and rates
@@ -198,8 +198,13 @@ def normalize_rows(rows: np.ndarray):
 
 def normalize_columns(cols: np.ndarray, t: float) -> np.ndarray:
     """The columns of ``cols`` (w, n) divided in place by their norms;
-    ZeroVector at time t where a norm is at most ``_ZERO_NORM``."""
-    norms = np.linalg.norm(cols, axis=0)
+    ZeroVector at time t where a norm is at most ``_ZERO_NORM``.
+
+    A norm is ``np.linalg.norm``'s, the square root of the terms
+    (conj(x) * x).real, but added by ``row_sum``: ``np.linalg.norm`` sums a
+    lone column of 8 or more rows pairwise.
+    """
+    norms = np.sqrt(row_sum((np.conj(cols) * cols).real))
     zero = norms <= _ZERO_NORM
     if zero.any():
         raise ZeroVector(f"cannot normalize state with norm {norms[zero].min():.3e} at t={t:.6g}", time=t)
@@ -336,6 +341,18 @@ def outer_sum(kets: np.ndarray, bras: np.ndarray, weights: np.ndarray | None = N
     if weights is None:
         return np.einsum("...in,...jn->...ij", kets, conj)
     return np.einsum("...n,...in,...jn->...ij", weights, kets, conj)
+
+
+def row_sum(rows: np.ndarray) -> np.ndarray:
+    """The rows of ``rows`` (k, ...) added one at a time in order, so that a
+    column gets the same bits whatever columns share the array.
+    ``rows.sum(axis=0)`` adds in that order over several columns but sums a
+    lone column of 8 or more rows pairwise, and a BLAS product's order
+    depends on the column count and position."""
+    out = rows[0].copy() if len(rows) else np.zeros(rows.shape[1:], dtype=rows.dtype)
+    for row in rows[1:]:
+        out += row
+    return out
 
 
 def squared_norms(cols: np.ndarray) -> np.ndarray:

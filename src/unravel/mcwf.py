@@ -17,7 +17,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import NegativeRate
-from .linalg import EPS, apply_columns, normalize_columns, squared_norms
+from .linalg import EPS, apply_columns, normalize_columns, row_sum, squared_norms
 from .master_equation import GeneratorSnapshot, MasterEquation
 from .outcomes import Branch, Menu, StepOutcome, row_branches, row_step, run_menus
 from .propagate import TimeGrid
@@ -67,7 +67,7 @@ def channel_menu(
         ys,
         drift,
         jump_factors=np.where(live, snap.gammas / np.where(live, rates, 1.0), 1.0),
-        det_factors=1.0 + ((rates - snap.gammas)[:, None] * n2 * dt).sum(axis=0),
+        det_factors=1.0 + row_sum((rates - snap.gammas)[:, None] * n2 * dt),
         norms=norms,
     )
 

@@ -28,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import apply_columns, complement_batch, eigh_batched, hermitize, phase_fix_columns
+from .linalg import apply_columns, complement_batch, eigh_batched, hermitize, phase_fix_columns, row_sum
 from .master_equation import GeneratorSnapshot, MasterEquation
 
 __all__ = [
@@ -122,7 +122,7 @@ def w_perp_spectrum(
         ov = np.empty((len(images), images.shape[-1]), dtype=complex)  # <q|L_a psi>
         for a, y in enumerate(images):  # a channel at a time: no ufunc buffers
             ov[a] = q[0] * y[0] + q[1] * y[1]
-        return (snap.gammas @ (ov.real**2 + ov.imag**2))[None, :], None
+        return row_sum(snap.gammas[:, None] * (ov.real**2 + ov.imag**2))[None, :], None
     q = np.ascontiguousarray(qs.transpose(2, 1, 0))  # one (d, d-1) basis per state
     vals, vecs = eigh_batched(hermitize(np.einsum("nki,nkl,nlj->nij", np.conj(q), _jump_operators(snap, images), q)))
     return vals.T, vecs

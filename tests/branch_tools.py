@@ -21,7 +21,7 @@ import numpy as np
 from unravel import lindblad_apply
 from unravel.doubled import DoubledState
 from unravel.engine import _generator_track, _runner, method_id
-from unravel.master_equation import Channel, MasterEquation
+from unravel.master_equation import Channel, MasterEquation, master_equation
 from unravel.nmqj import NmqjEnsemble, nmqj_step
 from unravel.outcomes import Jump
 
@@ -59,6 +59,24 @@ def counting_model(me: MasterEquation):
     )
     sink = None if me.trace_sink is None else counted("trace_sink", me.trace_sink)
     return MasterEquation(me.dim, counted("hamiltonian", me.hamiltonian), channels, sink), calls
+
+
+def dense_model(dim: int, channels: int = 3, signs=(1.0,), sink: float | None = None, seed: int = 0):
+    """A model with no structure: from ``default_rng(seed)``, H = (A + A^dag)/2
+    of a complex Gaussian A, then ``channels`` complex Gaussian jump
+    operators scaled to unit Frobenius norm, at rates 0.5 times ``signs``
+    (cycled). With ``sink`` the drift is G_L - sink * 1, so the trace grows
+    at rate ``sink``. Its uniform state is ``np.ones(dim) / sqrt(dim)``."""
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    ops = []
+    for k in range(channels):
+        op = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+        ops.append((op / np.linalg.norm(op), 0.5 * signs[k % len(signs)], f"L{k}"))
+    trace_sink = None
+    if sink is not None:
+        trace_sink = sum(abs(rate) * op.conj().T @ op for op, rate, _ in ops) - sink * np.eye(dim)
+    return master_equation(dim, 0.5 * (a + a.conj().T), ops, trace_sink=trace_sink)
 
 
 def calls_per_time(calls: Counter) -> Counter:

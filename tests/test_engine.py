@@ -64,7 +64,8 @@ from unravel.rate_operators import (
     w_matching_gauge,
 )
 
-from branch_tools import calls_per_time, counting_model, run_batches
+from branch_tools import calls_per_time, counting_model, dense_model, run_batches
+from test_roqj import _cascade
 
 
 def test_method_id_validation():
@@ -507,6 +508,10 @@ TILED = [
     ("plqt", eternally_nm, PLUS, 0.3),
     ("doubled", eternally_nm, PLUS, 0.3),
     ("tripled", eternally_nm, PLUS, 0.3),
+    # states of 8 and 9 entries, whose norms numpy sums pairwise for a lone
+    # column and in order for several
+    ("mcwf", lambda: dense_model(8), np.ones(8) / np.sqrt(8.0), 0.3),
+    ("tripled", lambda: _cascade(3), np.ones(3) / np.sqrt(3.0), 0.3),
     # aborts (every tile runs to its own; the earliest wins): NegativeRate
     # at t = 0.79, a W eigenvalue at t = 1.01, and a StepTooLarge at t = 0.5
     # in many rows, whose message quotes the largest jump probability of the
@@ -537,16 +542,16 @@ def test_tiles_reproduce_per_batch_runs(monkeypatch, kind, build, psi, t_max, n_
     populations), and for an abort its error, message, time and partial
     series. N = 7 has one trajectory per batch, N = 63 unequal batches; a
     budget of 48 entries (24 rows of width 2, 12 of doubled's width 4, 8 of
-    tripled's 6) splits that ensemble into several tiles. N = "over" is one
-    row more than the default budget holds at the method's width (12,289,
-    6145 and 4097 trajectories), which makes two tiles, the first holding
-    both batch sizes."""
-    if budget == "small":
-        monkeypatch.setattr(engine, "_TILE_ENTRIES", 48)
+    tripled's 6), or 8 rows of a wider state, splits that ensemble into
+    several tiles. N = "over" is one row more than the default budget holds
+    at the method's width (12,289, 6145 and 4097 trajectories at widths 2,
+    4 and 6), which makes two tiles, the first holding both batch sizes."""
     me = build()
     method = _rroqj(me) if kind == "rroqj" else method_id(kind)
     grid = TimeGrid(0.0, t_max, 1e-2)
     width = _state_width(kind, me.dim)
+    if budget == "small":
+        monkeypatch.setattr(engine, "_TILE_ENTRIES", max(48, 8 * width))
     if n_traj == "over":
         n_traj = engine._TILE_ENTRIES // width + 1
     sizes = _chunk_sizes(n_traj, 20)
