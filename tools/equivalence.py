@@ -46,12 +46,15 @@ mcwf, for im's weights and for doubled's pair sums and norm tally, N = 83
 for wtd), are large (N = 10^4 for mcwf and cloning, cloning also under a
 trace sink that starts to clone at t = 0.5, and N = 4097: im's weights,
 plqt's sign flips and psi_roqj's ``w_matching`` gauge among them; of these
-only tripled's N = 4097 run spans two tiles, batches of 205 and 204 rows in
-the first, under the engine's budget of state entries, and
-``tests/test_engine.py`` pins every method's runs across tiles against its
-per-batch runs; nmqj's replicas take a row each, so its N = 4097 run and
-its abort at N = 10^4 never span tiles) or hold one trajectory each
-(N = 13), one abort of each kind of
+tripled's N = 4097 run spans two tiles, batches of 205 and 204 rows in
+the first, under the engine's budget of state entries, and so do the runs
+one row over that budget, N = 24,576 / width + 1, of mcwf, im, wroqj and
+doubled, while ``tests/test_engine.py`` pins every method's runs across
+tiles against its per-batch runs; nmqj's replicas take a row each, so its
+N = 4097 run and its abort at N = 10^4 never span tiles) or hold one
+trajectory each (N = 13, and tripled's N = 20 on a qutrit, whose state has
+9 entries), states of 8 entries (mcwf on a dense d = 8 model), one abort
+of each kind of
 method (channel and spectral menus, replica, waiting time, embedding), and the
 deterministic paths: the RK4 oracle with and without substeps and with a
 trace sink, the propagator maps with and without substeps and the
@@ -167,6 +170,21 @@ def _cascade(dim):
     return build
 
 
+def _dense(dim):
+    """A model with no structure: from ``default_rng(0)``, H = (A + A^dag)/2
+    of a complex Gaussian A and three complex Gaussian jump operators
+    scaled to unit Frobenius norm, each at rate 0.5."""
+    def build():
+        gen = np.random.default_rng(0)
+        a = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+        channels = []
+        for k in range(3):
+            op = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+            channels.append((op / np.linalg.norm(op), 0.5, f"L{k}"))
+        return master_equation(dim, 0.5 * (a + a.conj().T), channels)
+    return build
+
+
 def _criterion5_embedding():
     """The acceptance suite's criterion 5: the rate-one decay recast as the
     pair C = D = sigma_-, embedded with the default completion level."""
@@ -226,6 +244,11 @@ INPUTS = {
                        PLUS, 4097, 0.5),
     "wroqj/n4097": (_kind("wroqj"), _model("eternally_nm"), PLUS, 4097, 0.5),
     "tripled/n4097": (_kind("tripled"), _model("eternally_nm"), PLUS, 4097, 0.5),
+    # one row over the engine's budget of state entries: two tiles
+    "mcwf/n12289": (_kind("mcwf"), _model("spontaneous_emission"), PLUS, 12_289, 0.5),
+    "im/n12289": (_kind("im"), _model("non_p_divisible"), PLUS, 12_289, 0.5),
+    "wroqj/n12289": (_kind("wroqj"), _model("eternally_nm"), PLUS, 12_289, 0.5),
+    "doubled/n6145": (_kind("doubled"), _model("eternally_nm"), PLUS, 6145, 0.5),
     "doubled/n13": (_kind("doubled"), _model("eternally_nm"), PLUS, 13, 1.5),
     "batched/wroqj": (_kind("wroqj"), _model("eternally_nm"), PLUS, 2000, 1.5),
     "batched/im": (_kind("im"), _model("non_p_divisible"), PLUS, 2000, 1.5),
@@ -269,6 +292,9 @@ INPUTS = {
     "wroqj/ququart_cascade": (_kind("wroqj"), _cascade(4), QUQUART, 1000, 1.5),
     "psi_roqj/qutrit_cascade": (lambda me: method_id("psi_roqj", gauge=gauge_none()), _cascade(3),
                                 QUTRIT, 1000, 1.5),
+    # states of 8 and of 9 entries, the latter one trajectory a batch
+    "mcwf/dense_d8": (_kind("mcwf"), _dense(8), np.ones(8, dtype=complex) / np.sqrt(8.0), 500, 0.5),
+    "tripled/qutrit_cascade_n20": (_kind("tripled"), _cascade(3), QUTRIT, 20, 1.0),
     # a user embedding (tripled_embed) stepped by mcwf, as criterion 5 does
     "mcwf/criterion5_embedding": (_kind("mcwf"), _criterion5_embedding, np.kron(PLUS, _CHI), 500, 1.0),
 }
