@@ -6,8 +6,10 @@ statistical batches of the error bars. A method of independent trajectories
 steps them in one pass over tiles: a tile is a run of whole consecutive
 batches whose states hold at most ``_TILE_ENTRIES`` entries in all, rows
 times the width of the state the method steps (d; 2d for doubled, 3d for
-tripled; a larger batch is a tile of its own), and its runner steps all
-its rows together but sums each batch over that batch's rows alone. The
+tripled; a larger batch is a tile of its own), and its runner steps its
+rows together but sums each batch over that batch's rows alone: the menu
+methods' driver ``outcomes.run_menus`` runs its kernel on the tile's
+distinct histories, one column per history that some row holds. The
 replica methods run one replica per batch, and their replicas share tiles
 by the rows their states hold at the start: ``cloning``'s replicas are the
 menu driver's batches, a row per member, and ``nmqj`` steps all of a

@@ -10,14 +10,25 @@ expectation E[w |psi'><psi'|] the tests compare against rho + L[rho] dt.
 ``run_menus`` drives the step over a whole grid for one tile, for every
 menu method: all its batches step together, and batch b draws its uniforms
 from its own stream ``rng.replica_generator(seed, b)``, step-major, a few
-steps per call. ``batch_runs`` groups a tile's batches into runs of equal
-size, and ``BatchRun.view`` gives a run's columns as one (batches, w, size)
-stack, reduced each step in one stacked call (``linalg.weighted_outer_sum``)
-with the bits of one per batch.
+steps per call. The kernel runs on the tile's distinct histories, not on
+its trajectories: the driver keeps one column per history that some
+trajectory holds and, per trajectory, the index of its column. A step's
+kernel call costs the distinct states, and each trajectory still costs its
+draw, its branch choice and its share of the record. Every trajectory
+starts at psi0, and a (state, branch) pair taken by jumpers makes one new
+state, so an ensemble whose jumps land on few histories (mcwf and cloning
+on spontaneous emission: one column per step with a jump so far) steps
+few columns; one whose histories seldom coincide (doubled, im) steps about
+as many as before and pays a little more bookkeeping.
+``batch_runs`` groups a tile's batches into runs of equal size, and
+``BatchRun.view`` gives a run's columns, gathered in trajectory order, as
+one (batches, w, size) stack, reduced each step in one stacked call
+(``linalg.weighted_outer_sum``) with the bits of one per batch.
 Weighted methods carry a multiplicative weight factor per branch; the
 cloning method carries a copy count, with which the driver makes each batch
 a population that it resamples on the batch's own stream, one step drawn
-per call.
+per call; its copies and resamples copy the trajectories' indices, not
+their states.
 """
 
 from __future__ import annotations
@@ -105,8 +116,7 @@ class Menu:
     ((B,)) and ``det_factors`` ((n,), the no-jump factor); only cloning sets
     ``copies`` ((B,), the members a branch leaves: 2 clone, 0 destroy), and
     ``run_menus`` then keeps each batch's population (a kernel's menus
-    carry copies at every step or at none). ``take_step`` writes its step
-    into ``drift`` and ``det_factors``, so a menu is stepped once.
+    carry copies at every step or at none).
     """
 
     probs: np.ndarray
@@ -120,20 +130,28 @@ class Menu:
 
 
 class Step(NamedTuple):
-    """One step of n trajectories, as ``take_step`` draws it: the weight
-    factors only where the menu carries weights, the copies only where it
-    carries copies."""
+    """One step of n trajectories, as ``take_step`` draws it: the distinct
+    post-step states, each held by some trajectory, the weight factors only
+    where the menu carries weights, the copies only where it carries
+    copies."""
 
-    cols: np.ndarray            # (w, n) post-step states
+    states: np.ndarray          # (w, S) post-step states: drifts or jump targets in their place, then the rest
+    held: np.ndarray            # (n,) the state each trajectory holds
+    members: np.ndarray         # (S,) the trajectories that hold each state
     choice: np.ndarray          # (n,) branch taken; B is the deterministic branch
     jumped: np.ndarray          # the trajectories that took a jump branch, ascending
     factors: np.ndarray | None  # (n,) weight factor picked up; None without weights
     copies: np.ndarray | None   # (n,) members left behind; None without copies
 
+    @property
+    def cols(self) -> np.ndarray:
+        """Each trajectory's post-step state, (w, n)."""
+        return np.take(self.states, self.held, axis=1)
+
 
 def _check_total(total: np.ndarray, t: float) -> None:
     """StepTooLarge where a trajectory's jump probabilities sum past 1."""
-    if np.any(total > 1.0):
+    if (total > 1.0).any():
         raise StepTooLarge(
             f"one-step jump probability {total.max():.4g} > 1 at t={t:.6g}; reduce dt", time=t
         )
@@ -145,38 +163,101 @@ def jump_rows(menu: Menu, traj: np.ndarray, branches: np.ndarray) -> np.ndarray:
     out = menu.targets[branches, :, traj].T
     if menu.scales is not None:
         return menu.scales[branches, traj] * out
-    if menu.norms is not None:
+    if menu.norms is not None and len(menu.norms) == len(menu.targets):
+        out /= menu.norms[branches, traj]
+    elif menu.norms is not None:
         own = branches < menu.norms.shape[0]
         out[:, own] = out[:, own] / menu.norms[branches[own], traj[own]]
     return out
 
 
-def take_step(menu: Menu, u: np.ndarray, t: float) -> Step:
-    """Trajectory i takes the branch whose cumulative interval (kernel order,
-    deterministic last) holds u[i]; a zero-probability branch is never taken.
-    The step is finished in the menu's own arrays: the jumped columns are
-    written into its ``drift`` and their factors into its ``det_factors``."""
-    nb, n = menu.probs.shape
-    # the cumulative edges a branch at a time, as np.cumsum sums them (it
-    # would loop over the trajectories)
-    edge, choice = np.zeros(n), np.zeros(n, dtype=np.int64)
-    for p in menu.probs:
-        edge += p
-        choice += u >= edge
-    _check_total(edge, t)
-    jumped = np.nonzero(choice < nb)[0]
-    taken = choice[jumped]
-    cols = menu.drift
-    cols[:, jumped] = jump_rows(menu, jumped, taken)
-    factors = menu.det_factors
+def take_step(menu: Menu, u: np.ndarray, t: float, held=None, members=None) -> Step:
+    """Trajectory i holds the menu's state held[i] (default: state i) and
+    takes the branch of that state whose cumulative interval (kernel order,
+    deterministic last) holds u[i]; a zero-probability branch is never
+    taken. ``members`` counts each state's trajectories (by default from
+    ``held``); every state must have one.
+
+    The post-step states are the menu's drifts, then one finished target for
+    each (state, jump branch) pair that some trajectory took, in ascending
+    (state, branch) order, except that the first pair of a state that every
+    trajectory holding it left takes that state's place. So every state is
+    held by some trajectory, and only the jumpers are grouped."""
+    nb, count = menu.probs.shape
+    own = held is None  # an index array of this call's own, which it may overwrite
+    held = np.arange(count) if own else held
+    choice, jumped = _choose(menu.probs, u, t, held)
+    taken, origin = choice[jumped], held[jumped]
+    factors = None if menu.det_factors is None else menu.det_factors[held]
     if menu.jump_factors is not None:
-        factors = np.ones(n) if factors is None else factors
+        factors = np.ones(len(held)) if factors is None else factors
         factors[jumped] = menu.jump_factors[taken]
     copies = None
     if menu.copies is not None:
-        copies = np.ones(n, dtype=np.int64)
+        copies = np.ones(len(held), dtype=np.int64)
         copies[jumped] = menu.copies[taken]
-    return Step(cols, choice, jumped, factors, copies)
+    left = np.bincount(held, minlength=count) if members is None else members.copy()
+    np.subtract.at(left, origin, 1)
+    # the (state, branch) pairs taken, ascending, and the pair of each jumper
+    key = origin * nb + taken
+    order = key.argsort(kind="stable")
+    key = key[order]
+    lead = _leads(key)
+    rank = lead.cumsum()
+    rank -= 1
+    into = np.empty_like(rank)
+    into[order] = rank
+    source, branch = np.divmod(key[lead], nb)
+    joined = np.bincount(rank)
+    # a state's first pair takes its place where no trajectory stayed on it
+    fresh = _leads(source)
+    fresh &= left[source] == 0
+    fresh = ~fresh
+    slot = source.copy()
+    slot[fresh] = np.arange(count, count + np.count_nonzero(fresh))
+    states = np.empty((len(menu.drift), count + np.count_nonzero(fresh)), dtype=complex)
+    states[:, :count] = menu.drift
+    states[:, slot] = jump_rows(menu, source, branch)
+    members = np.concatenate([left, joined[fresh]])
+    members[slot] = joined
+    after = held if own else held.copy()
+    after[jumped] = slot[into]
+    return Step(states, after, members, choice, jumped, factors, copies)
+
+
+def _leads(sorted_keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal keys starts."""
+    lead = np.empty(len(sorted_keys), dtype=bool)
+    lead[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=lead[1:])
+    return lead
+
+
+def _choose(probs: np.ndarray, u: np.ndarray, t: float, held: np.ndarray):
+    """The branch of each trajectory, the number of its state's cumulative
+    edges at or below its uniform, and the trajectories that take a jump
+    branch, ascending. The edges are summed a branch at a time, as np.cumsum
+    sums them (it would loop over the states). A uniform at or above every
+    edge of every state takes the deterministic branch, so only the others
+    are compared edge by edge."""
+    nb = len(probs)
+    edges = probs.copy()
+    for b in range(1, nb):
+        edges[b] += edges[b - 1]
+    _check_total(edges[nb - 1 :], t)
+    choice = np.full(len(held), nb)
+    near = (~(u >= edges.max(initial=-np.inf))).nonzero()[0]  # NaN edges: every trajectory
+    choice[near] = (u[near] >= np.take(edges, held[near], axis=1)).sum(axis=0)
+    return choice, near[choice[near] < nb]
+
+
+def _drop_empty(states: np.ndarray, held: np.ndarray, members: np.ndarray):
+    """The states that some trajectory holds, in order, and the indices and
+    member counts that point into them."""
+    keep = members > 0
+    if keep.all():
+        return states, held, members
+    return np.compress(keep, states, axis=1), (np.cumsum(keep) - 1)[held], members[keep]
 
 
 def row_branches(menu: Menu, t: float) -> list[Branch]:
@@ -194,8 +275,7 @@ def row_branches(menu: Menu, t: float) -> list[Branch]:
         out.append(Branch(pb, states[:, b], event, float(factors[b]), c))
     rest = 1.0 - float(p.sum())
     det = 1.0 if menu.det_factors is None else float(menu.det_factors[0])
-    # a copy: ``take_step`` writes the jumped columns into the drift
-    out.append(Branch(rest, menu.drift[:, 0].copy(), Deterministic(rest), det))
+    out.append(Branch(rest, menu.drift[:, 0], Deterministic(rest), det))
     return out
 
 
@@ -273,8 +353,12 @@ def run_menus(
     tally: tuple[str, Callable] | None = None,
 ):
     """Step the trajectories of batches batch0, batch0 + 1, ... of ``sizes``
-    trajectories each (a tile of an ensemble) from psi0, all together as the
-    columns of one (w, n) array, each batch on its own stream.
+    trajectories each (a tile of an ensemble) from psi0, all together, each
+    batch on its own stream. The kernel runs on the tile's distinct states,
+    one column per history that some trajectory holds; the draws, the
+    branch choices, the weights, the record and the abort replay stay per
+    trajectory, so the results are those of stepping every trajectory's
+    column, bit for bit.
 
     Returns (rho_sum, counts, diagnostics, abort): rho_sum[b, k] is the
     ``outer`` sum (default ``weighted_outer_sum``) of batch b at grid point
@@ -290,8 +374,8 @@ def run_menus(
     weights (B, m) (None without ``weighted``) and returns the B sums
     (B, d, d); ``fn(cols)`` returns the B tallies (B,). Each slice's result
     must be what the hook gives that batch alone.
-    ``kernel`` must build each menu's ``drift`` and ``det_factors`` afresh,
-    arrays that nothing else holds: ``take_step`` writes the step into them.
+    ``kernel`` runs on the tile's distinct states (``take_step``), so it
+    must give each column the bits it gives that column alone.
     ``track`` is ``me.track`` over the grid's step starts, which the tiles
     of one ensemble share.
     Batch b's uniforms are ``replica_generator(seed, b)``'s draws in
@@ -300,8 +384,8 @@ def run_menus(
     same bits.
 
     A kernel whose menus carry ``copies`` makes each batch a population
-    (the cloning method): a step repeats each member by the copies of the
-    branch it took, and a batch whose population leaves [lo*n, hi*n] of its
+    (the cloning method): a step repeats each member's state index by the
+    copies of the branch it took, and a batch whose population leaves [lo*n, hi*n] of its
     size n (``_RESAMPLE_LO``, ``_RESAMPLE_HI``) is resampled back to n
     (uniform, with replacement, by ``integers`` on its own stream), the
     ratio moving into its trace factor, so the estimator is unchanged in
@@ -316,11 +400,14 @@ def run_menus(
     times = grid.times()
     steps = grid.n_steps
     sizes = np.asarray(sizes, dtype=np.int64)
-    pop = sizes.copy()  # the columns each batch holds, in batch order
+    pop = sizes.copy()  # the trajectories each batch holds, in batch order
     bounds, runs = np.concatenate([[0], np.cumsum(pop)]), batch_runs(pop)
     gens = [replica_generator(seed, batch0 + b) for b in range(len(sizes))]
-    cols = np.repeat(np.asarray(psi0, dtype=complex)[:, None], int(bounds[-1]), axis=1)
-    weights = np.ones(cols.shape[1]) if weighted else None
+    # the tile's distinct states (w, S), the state each trajectory holds and
+    # the trajectories that hold each state: every trajectory starts at psi0
+    states = np.array(psi0, dtype=complex)[:, None]
+    held, members = np.zeros(int(bounds[-1]), dtype=np.int64), bounds[-1:].copy()
+    weights = np.ones(len(held)) if weighted else None
     rho_sum = np.zeros((len(sizes), steps + 1, me.dim, me.dim), dtype=complex)
     trace_factor, population = np.ones(len(sizes)), None  # set by the first menu with copies
     diag: dict = {}
@@ -331,6 +418,7 @@ def run_menus(
         diag[tally[0]] = np.zeros((len(sizes), steps + 1))
 
     def record(k: int) -> None:
+        cols = np.take(states, held, axis=1)  # each trajectory's state, in trajectory order
         for run in runs:
             stack, w = run.view(cols), None if weights is None else run.view(weights)
             sums = outer(stack, w)
@@ -343,30 +431,33 @@ def run_menus(
             population[:, k] = pop
 
     def draw(count: int) -> np.ndarray:
-        u = np.empty((count, cols.shape[1]))  # row j: the uniforms of the j-th step drawn
+        u = np.empty((count, len(held)))  # row j: the uniforms of the j-th step drawn
         for gen, a, b in zip(gens, bounds[:-1], bounds[1:]):
             u[:, a:b] = gen.random((count, b - a))
         return u
+
+    def replay(k: int, u: np.ndarray, a: int, b: int) -> None:
+        """Step k of the trajectories a:b alone."""
+        own, inside = np.unique(held[a:b], return_inverse=True)
+        take_step(kernel(track[k], np.take(states, own, axis=1), grid.dt), u[a:b], times[k], inside)
 
     record(0)
     hits, copies = np.zeros(1, dtype=np.int64), None  # hits grows to one slot per branch at the first step
     u, j = np.empty((0, 0)), 0  # u[j]: this step's uniforms, drawn with the next steps' where it can be
     for k in range(steps):
-        if not cols.shape[1]:
+        if not len(held):
             continue  # every batch died out: the estimate is legitimately zero
         try:
-            menu = kernel(track[k], cols, grid.dt)
+            menu = kernel(track[k], states, grid.dt)
             if j == len(u):
                 u, j = draw(1 if menu.copies is not None else min(_DRAW_STEPS, steps - k)), 0
-            step = take_step(menu, u[j], times[k])
+            step = take_step(menu, u[j], times[k], held, members)
         except UnravelError as err:
             if j == len(u):  # the kernel failed before the step's draws
                 u, j = draw(1), 0
             # a batch with no members steps no kernel, so it cannot fail
             spans = [(a, b) for a, b in zip(bounds[:-1], bounds[1:]) if b > a]
-            err = _first_error(
-                err, spans, lambda a, b: take_step(kernel(track[k], cols[:, a:b], grid.dt), u[j, a:b], times[k])
-            )
+            err = _first_error(err, spans, lambda a, b: replay(k, u[j], a, b))
             return rho_sum, event_counts(hits, copies), diag, (err, k)
         nb, copies = len(menu.probs), menu.copies
         del menu  # the next step's kernel runs without this one's jump targets
@@ -374,7 +465,7 @@ def run_menus(
         by_branch = np.bincount(step.choice[step.jumped], minlength=nb + 1)
         by_branch[nb] = len(step.choice) - len(step.jumped)
         hits = hits + by_branch
-        cols = step.cols
+        states, held, members = step.states, step.held, step.members
         if weighted:
             if np.any(step.factors[step.jumped] < 0.0):
                 diag["sign_flip_steps"].append(k)
@@ -385,19 +476,20 @@ def run_menus(
                 population[:, : k + 1] = sizes[:, None]
             # a step at which no member cloned or died keeps the populations
             if not (step.copies == 1).all():
-                cols, pop = _repopulate(step, bounds, sizes, gens, trace_factor)
+                held, pop = _repopulate(step, bounds, sizes, gens, trace_factor)
+                states, held, members = _drop_empty(states, held, np.bincount(held, minlength=len(members)))
                 bounds, runs = np.concatenate([[0], np.cumsum(pop)]), batch_runs(pop)
         record(k + 1)
     return rho_sum, event_counts(hits, copies), diag, None
 
 
 def _repopulate(step: Step, bounds: np.ndarray, sizes: np.ndarray, gens, trace_factor: np.ndarray):
-    """The members a step leaves, as columns grouped by batch, and each
-    batch's population: every column repeated by its copies, then a batch
-    outside its band resampled back to its size (``trace_factor`` updated
-    in place)."""
+    """The state each member a step leaves holds, grouped by batch, and each
+    batch's population: every trajectory repeated by its copies, then a
+    batch outside its band resampled back to its size (``trace_factor``
+    updated in place)."""
     pop = np.diff(np.concatenate([[0], np.cumsum(step.copies)])[bounds])
-    take = np.repeat(np.arange(len(step.copies)), step.copies)  # the column each member copies
+    take = np.repeat(np.arange(len(step.copies)), step.copies)  # the trajectory each member copies
     leave = np.nonzero((pop > 0) & ((pop < _RESAMPLE_LO * sizes) | (pop > _RESAMPLE_HI * sizes)))[0]
     if len(leave):
         parts = np.split(take, np.cumsum(pop)[:-1])
@@ -406,4 +498,4 @@ def _repopulate(step: Step, bounds: np.ndarray, sizes: np.ndarray, gens, trace_f
             trace_factor[r] *= pop[r] / sizes[r]
             pop[r] = sizes[r]
         take = np.concatenate(parts)
-    return np.take(step.cols, take, axis=1), pop  # C order, as a column index would not give
+    return step.held[take], pop

@@ -436,8 +436,9 @@ def test_row_branches_are_finished_and_zero_images_stay_zero(kind):
 
 def test_row_step_leaves_the_branch_list_it_built_unchanged(monkeypatch):
     """``row_step`` builds the branch list, then runs ``take_step`` on the same
-    menu, which writes the jumped column into the menu's drift: every state
-    of the list it built, the deterministic one too, keeps its bytes."""
+    menu, which builds the next states in arrays of its own: every state of
+    the list it built, the deterministic one (a view of the menu's drift)
+    too, keeps its bytes."""
     snap = spontaneous_emission().at(0.3)
 
     def menu():
