@@ -164,7 +164,7 @@ def jump_rows(menu: Menu, traj: np.ndarray, branches: np.ndarray) -> np.ndarray:
     if menu.scales is not None:
         return menu.scales[branches, traj] * out
     if menu.norms is not None and len(menu.norms) == len(menu.targets):
-        out /= menu.norms[branches, traj]
+        out /= menu.norms[branches, traj]  # the masked division's bits, in two calls
     elif menu.norms is not None:
         own = branches < menu.norms.shape[0]
         out[:, own] = out[:, own] / menu.norms[branches[own], traj[own]]
@@ -184,8 +184,7 @@ def take_step(menu: Menu, u: np.ndarray, t: float, held=None, members=None) -> S
     trajectory holding it left takes that state's place. So every state is
     held by some trajectory, and only the jumpers are grouped."""
     nb, count = menu.probs.shape
-    own = held is None  # an index array of this call's own, which it may overwrite
-    held = np.arange(count) if own else held
+    held = np.arange(count) if held is None else held
     choice, jumped = _choose(menu.probs, u, t, held)
     taken, origin = choice[jumped], held[jumped]
     factors = None if menu.det_factors is None else menu.det_factors[held]
@@ -213,14 +212,16 @@ def take_step(menu: Menu, u: np.ndarray, t: float, held=None, members=None) -> S
     fresh = _leads(source)
     fresh &= left[source] == 0
     fresh = ~fresh
+    size = count + np.count_nonzero(fresh)
     slot = source.copy()
-    slot[fresh] = np.arange(count, count + np.count_nonzero(fresh))
-    states = np.empty((len(menu.drift), count + np.count_nonzero(fresh)), dtype=complex)
+    slot[fresh] = np.arange(count, size)
+    states = np.empty((len(menu.drift), size), dtype=complex)
     states[:, :count] = menu.drift
     states[:, slot] = jump_rows(menu, source, branch)
     members = np.concatenate([left, joined[fresh]])
+    del left  # freed before ``after``, at the step's peak
     members[slot] = joined
-    after = held if own else held.copy()
+    after = held.copy()
     after[jumped] = slot[into]
     return Step(states, after, members, choice, jumped, factors, copies)
 
@@ -245,10 +246,11 @@ def _choose(probs: np.ndarray, u: np.ndarray, t: float, held: np.ndarray):
     for b in range(1, nb):
         edges[b] += edges[b - 1]
     _check_total(edges[nb - 1 :], t)
-    choice = np.full(len(held), nb)
     near = (~(u >= edges.max(initial=-np.inf))).nonzero()[0]  # NaN edges: every trajectory
-    choice[near] = (u[near] >= np.take(edges, held[near], axis=1)).sum(axis=0)
-    return choice, near[choice[near] < nb]
+    picked = (u[near] >= np.take(edges, held[near], axis=1)).sum(axis=0)
+    choice = np.full(len(held), nb)
+    choice[near] = picked
+    return choice, near[picked < nb]
 
 
 def _drop_empty(states: np.ndarray, held: np.ndarray, members: np.ndarray):

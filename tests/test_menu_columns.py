@@ -112,7 +112,7 @@ def test_run_menus_never_steps_a_state_that_no_trajectory_holds():
     assert counts["jump"] >= sum(sizes)
 
 
-@pytest.mark.parametrize("psi0, n", [(KET0, 100), (PLUS, 10**4)])
+@pytest.mark.parametrize("psi0, n", [(KET0, 100), (PLUS, 10**4)], ids=["ground-100", "plus-10000"])
 def test_run_menus_steps_one_state_per_shared_history(monkeypatch, psi0, n):
     """mcwf on spontaneous emission: every jump lands on |0>, which never
     jumps again, so a tile's distinct histories are the no-jump one and one
