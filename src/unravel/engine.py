@@ -98,26 +98,26 @@ _DEFAULT_BATCHES = 20
 # Wide tiles cut the per-step Python overhead, and the widest state sets
 # the memory. ``tools/tile_sweep.py --reps 7`` on a 2-core Xeon host
 # (in-process ``run_ensemble`` at N = 10^4, seed 42, t_max = 2, median of
-# 7 alternating runs), wall s (tiles) at budgets of 12,288 / 24,576 /
-# 49,152 entries / one tile:
-#   mcwf (spontaneous_emission)     0.144 (2) / 0.126 (1) / 0.142 (1) / 0.163 (1)
-#   cloning (spontaneous_emission)  0.143 (2) / 0.132 (1) / 0.132 (1) / 0.138 (1)
-#   wtd (spontaneous_emission)      1.074 (2) / 1.051 (1) / 1.021 (1) / 0.977 (1)
-#   wroqj (eternally_nm)            0.365 (2) / 0.356 (1) / 0.363 (1) / 0.363 (1)
-#   psi_roqj (eternally_nm)         1.014 (2) / 0.804 (1) / 0.799 (1) / 0.903 (1)
-#   im (eternally_nm)               0.234 (2) / 0.209 (1) / 0.213 (1) / 0.213 (1)
-#   plqt (eternally_nm)             0.222 (2) / 0.237 (1) / 0.225 (1) / 0.231 (1)
-#   doubled (eternally_nm)          0.423 (4) / 0.349 (2) / 0.310 (1) / 0.327 (1)
-#   tripled (eternally_nm)          0.733 (5) / 0.691 (3) / 0.518 (2) / 0.515 (1)
-# and nmqj (delayed_negative, to its abort at t = 1.41) 0.074 s, one tile.
+# 7 alternating runs; ``run_menus`` stepping distinct histories), wall s
+# (tiles) at budgets of 12,288 / 24,576 / 49,152 entries / one tile:
+#   mcwf (spontaneous_emission)     0.104 (2) / 0.102 (1) / 0.101 (1) / 0.119 (1)
+#   cloning (spontaneous_emission)  0.102 (2) / 0.110 (1) / 0.103 (1) / 0.107 (1)
+#   wtd (spontaneous_emission)      1.115 (2) / 1.097 (1) / 1.040 (1) / 1.030 (1)
+#   wroqj (eternally_nm)            0.151 (2) / 0.134 (1) / 0.137 (1) / 0.138 (1)
+#   psi_roqj (eternally_nm)         0.201 (2) / 0.184 (1) / 0.186 (1) / 0.172 (1)
+#   im (eternally_nm)               0.218 (2) / 0.180 (1) / 0.180 (1) / 0.183 (1)
+#   plqt (eternally_nm)             0.211 (2) / 0.209 (1) / 0.207 (1) / 0.190 (1)
+#   doubled (eternally_nm)          0.387 (4) / 0.269 (2) / 0.229 (1) / 0.235 (1)
+#   tripled (eternally_nm)          0.465 (5) / 0.460 (3) / 0.354 (2) / 0.405 (1)
+# and nmqj (delayed_negative, to its abort at t = 1.41) 0.080 s, one tile.
 # The one-tile columns of a width-2 method run the same plan, so their
-# spread (mcwf 0.126-0.163 s) is the sweep's noise. Past 24,576 only
+# spread (mcwf 0.101-0.119 s) is the sweep's noise. Past 24,576 only
 # doubled and tripled gain, and they pay in memory: ru_maxrss of
-# tripled's run reads 42.4 / 45.0 / 49.3 / 51.6 MB and of doubled's
-# 37.9 / 39.2 / 41.2 / 41.2. The CLI's cloning + mcwf run at N = 10^4
-# (cli_replica's command) reads 0.342 / 0.342 / 0.347 / 0.357 s and
-# 39.0 / 40.3 / 40.3 / 40.3 MB. 24,576 keeps tripled at 4096 rows, the row
-# cap this budget replaced, and so at that cap's memory. The sweep ran on
+# tripled's run reads 43.2 / 46.7 / 52.1 / 52.0 MB and of doubled's
+# 38.8 / 40.4 / 42.1 / 42.1. The CLI's cloning + mcwf run at N = 10^4
+# (cli_replica's command) reads 0.338 / 0.336 / 0.341 / 0.345 s and
+# 38.8 / 39.3 / 39.3 / 39.3 MB. 24,576 keeps tripled at 4096 rows, the row
+# cap this budget replaced. The sweep ran on
 # qubits only: a state wider than 6 entries gets fewer rows a tile than that
 # cap gave (tripled from d = 3, 2730 rows; doubled from d = 4, 3072; the
 # width-d methods from d = 7), which no d > 2 run has measured.
