@@ -143,15 +143,10 @@ class Step(NamedTuple):
     factors: np.ndarray | None  # (n,) weight factor picked up; None without weights
     copies: np.ndarray | None   # (n,) members left behind; None without copies
 
-    @property
-    def cols(self) -> np.ndarray:
-        """Each trajectory's post-step state, (w, n)."""
-        return np.take(self.states, self.held, axis=1)
-
 
 def _check_total(total: np.ndarray, t: float) -> None:
     """StepTooLarge where a trajectory's jump probabilities sum past 1."""
-    if (total > 1.0).any():
+    if np.any(total > 1.0):
         raise StepTooLarge(
             f"one-step jump probability {total.max():.4g} > 1 at t={t:.6g}; reduce dt", time=t
         )
@@ -163,9 +158,7 @@ def jump_rows(menu: Menu, traj: np.ndarray, branches: np.ndarray) -> np.ndarray:
     out = menu.targets[branches, :, traj].T
     if menu.scales is not None:
         return menu.scales[branches, traj] * out
-    if menu.norms is not None and len(menu.norms) == len(menu.targets):
-        out /= menu.norms[branches, traj]  # the masked division's bits, in two calls
-    elif menu.norms is not None:
+    if menu.norms is not None:
         own = branches < menu.norms.shape[0]
         out[:, own] = out[:, own] / menu.norms[branches[own], traj[own]]
     return out

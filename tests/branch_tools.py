@@ -7,11 +7,13 @@ helpers here compute both sides so the unit suite and the acceptance suite
 use the same arithmetic. ``run_batches`` calls a method's tile runner the
 way ``run_ensemble`` does; ``equivalence_tool`` loads
 ``tools/equivalence.py``; ``counting_model`` and ``calls_per_time`` count
-the calls of a model's pieces.
+the calls of a model's pieces; ``dense_model`` and ``cascade_model`` are
+models shared by several test files.
 """
 
 from __future__ import annotations
 
+import functools
 import importlib.util
 from collections import Counter
 from pathlib import Path
@@ -62,21 +64,16 @@ def counting_model(me: MasterEquation):
 
 
 def dense_model(dim: int, channels: int = 3, signs=(1.0,), sink: float | None = None, seed: int = 0):
-    """A model with no structure: from ``default_rng(seed)``, H = (A + A^dag)/2
-    of a complex Gaussian A, then ``channels`` complex Gaussian jump
-    operators scaled to unit Frobenius norm, at rates 0.5 times ``signs``
-    (cycled). With ``sink`` the drift is G_L - sink * 1, so the trace grows
-    at rate ``sink``. Its uniform state is ``np.ones(dim) / sqrt(dim)``."""
-    gen = np.random.default_rng(seed)
-    a = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-    ops = []
-    for k in range(channels):
-        op = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-        ops.append((op / np.linalg.norm(op), 0.5 * signs[k % len(signs)], f"L{k}"))
-    trace_sink = None
-    if sink is not None:
-        trace_sink = sum(abs(rate) * op.conj().T @ op for op, rate, _ in ops) - sink * np.eye(dim)
-    return master_equation(dim, 0.5 * (a + a.conj().T), ops, trace_sink=trace_sink)
+    """``tools/equivalence.py``'s ``dense_model``: one definition for the
+    fingerprints and the tests (see there)."""
+    return equivalence_tool().dense_model(dim, channels, signs, sink, seed)
+
+
+def cascade_model(dim: int):
+    """Driven cascade decay dim-1 -> ... -> 0, level k at rate k/2."""
+    lower = sum(np.outer(np.eye(dim)[k - 1], np.eye(dim)[k]) for k in range(1, dim))
+    channels = [(np.outer(np.eye(dim)[k - 1], np.eye(dim)[k]), 0.5 * k) for k in range(1, dim)]
+    return master_equation(dim, 0.8 * (lower + lower.T), channels)
 
 
 def calls_per_time(calls: Counter) -> Counter:
@@ -90,6 +87,7 @@ def calls_per_time(calls: Counter) -> Counter:
     return Counter(first)
 
 
+@functools.cache
 def equivalence_tool():
     """``tools/equivalence.py`` of this checkout, loaded as a module."""
     path = Path(__file__).resolve().parent.parent / "tools" / "equivalence.py"

@@ -64,8 +64,7 @@ from unravel.rate_operators import (
     w_matching_gauge,
 )
 
-from branch_tools import calls_per_time, counting_model, dense_model, run_batches
-from test_roqj import _cascade
+from branch_tools import calls_per_time, cascade_model, counting_model, dense_model, run_batches
 
 
 def test_method_id_validation():
@@ -511,7 +510,7 @@ TILED = [
     # states of 8 and 9 entries, whose norms numpy sums pairwise for a lone
     # column and in order for several
     ("mcwf", lambda: dense_model(8), np.ones(8) / np.sqrt(8.0), 0.3),
-    ("tripled", lambda: _cascade(3), np.ones(3) / np.sqrt(3.0), 0.3),
+    ("tripled", lambda: cascade_model(3), np.ones(3) / np.sqrt(3.0), 0.3),
     # aborts (every tile runs to its own; the earliest wins): NegativeRate
     # at t = 0.79, a W eigenvalue at t = 1.01, and a StepTooLarge at t = 0.5
     # in many rows, whose message quotes the largest jump probability of the

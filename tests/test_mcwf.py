@@ -6,8 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from branch_tools import one_step_cases, run_batches, sample_points
-from test_roqj import _cascade
+from branch_tools import cascade_model, one_step_cases, run_batches, sample_points
 from unravel.cloning import clone_menu, cloning_step
 from unravel.doubled import DoubledState, doubled_factors, doubled_step, factors_menu
 from unravel.errors import NegativeRate, StepTooLarge
@@ -197,6 +196,11 @@ AGREEMENT = {
 }
 
 
+def _cols(step):
+    """Each trajectory's post-step state, (w, n)."""
+    return np.take(step.states, step.held, axis=1)
+
+
 def _aimed_uniforms(menu):
     """Each trajectory draws the middle of a branch with positive
     probability, preferring branches no earlier one took, so jumps,
@@ -225,7 +229,7 @@ def test_vectorized_step_matches_scalar(kind):
     assert np.any(step.choice < len(menu.probs)) and np.any(step.choice == len(menu.probs))
     for i, (psi, _t) in enumerate(points):
         row, weight, copies = scalar(psi, t, us[i])
-        assert np.allclose(step.cols[:, i], row, atol=1e-12)
+        assert np.allclose(_cols(step)[:, i], row, atol=1e-12)
         # a menu without weights or copies leaves them None: 1 each
         assert (1.0 if step.factors is None else step.factors[i]) == pytest.approx(weight, abs=1e-12)
         assert (1 if step.copies is None else step.copies[i]) == copies
@@ -415,7 +419,7 @@ def test_taken_targets_equal_the_eagerly_finished_ones(kind):
     jumped = np.nonzero(step.choice < nb)[0]
     assert len(set(step.choice[jumped])) == nb  # every jump branch was taken
     taken = eager[step.choice[jumped], :, jumped]
-    assert np.ascontiguousarray(step.cols[:, jumped].T).tobytes() == taken.tobytes()
+    assert np.ascontiguousarray(_cols(step)[:, jumped].T).tobytes() == taken.tobytes()
 
 
 @pytest.mark.parametrize("kind", list(LAZY))
@@ -462,7 +466,10 @@ def _unit_cols(width, n, seed=3):
 
 def _peak(kernel, snap, cols, u):
     """The ``tracemalloc`` peak of one ``kernel`` call and ``take_step``,
-    and the menu."""
+    and the menu. ``take_step`` is called with its default ``held``, so
+    every trajectory holds its own state: its worst case, in which the
+    post-step states are a copy of all the drifts plus the jumped
+    targets."""
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]
@@ -488,8 +495,9 @@ def test_channel_menu_peak_memory_stays_near_its_targets():
 
 def test_factors_menu_peak_memory_stays_near_its_targets():
     """On 2000 states of doubled's width (2d = 4, m = 3 channels) one
-    ``factors_menu`` and ``take_step`` hold about twice the menu's jump
-    images (``tracemalloc`` peak): the drift's sigma term as one broadcast
+    ``factors_menu`` and ``take_step`` hold 2.1 times the menu's jump
+    images (``tracemalloc`` peak; 2.0 with no copy of the drifts in
+    ``take_step``): the drift's sigma term as one broadcast
     product ``sigma * cols`` would add a temporary as large as the drift
     (2.5 times)."""
     snap = eternally_nm().track(np.array([0.5]))[0]
@@ -508,7 +516,7 @@ def test_w_menu_peak_memory_stays_near_its_images(dim, bound):
     drift and its norm), 8.0 on the ququart cascade (three channels: J and
     the 3 x 3 W blocks per state). A conjugate or transposed copy of the
     image stack adds 1, one of the J stack 1.3."""
-    snap = eternally_nm().at(0.5) if dim == 2 else _cascade(4).at(0.2)
+    snap = eternally_nm().at(0.5) if dim == 2 else cascade_model(4).at(0.2)
     images = len(snap.ls) * dim * 2000 * 16
     peak, menu = _peak(w_menu, snap, *_unit_cols(dim, 2000))
     assert menu.targets.shape == (dim - 1, dim, 2000)
@@ -516,11 +524,12 @@ def test_w_menu_peak_memory_stays_near_its_images(dim, bound):
 
 
 def test_clone_menu_peak_memory_stays_near_its_targets():
-    """On 2000 states one ``clone_menu`` and ``take_step`` hold 2.3 times
-    the menu's targets (``tracemalloc`` peak): the channel images and the
-    two population copies of the states, which the menu's one concatenated
-    stack holds, plus the channel menu's drift; a second copy of the
-    targets adds 1."""
+    """On 2000 states one ``clone_menu`` and ``take_step`` hold 2.44 times
+    the menu's targets (``tracemalloc`` peak; 2.26 with no copy of the
+    drifts in ``take_step``): the channel images and the two population
+    copies of the states, which the menu's one concatenated stack holds,
+    plus the channel menu's drift and ``take_step``'s post-step states; a
+    second copy of the targets adds 1."""
     snap = _cloning_agreement()[0].at(0.5)
     peak, menu = _peak(clone_menu, snap, *_unit_cols(2, 2000))
     targets = menu.targets.nbytes

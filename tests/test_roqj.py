@@ -46,7 +46,7 @@ from unravel.rate_operators import (
 )
 from unravel.roqj import roqj_branches, roqj_step, wroqj_branches, wroqj_step
 
-from branch_tools import calls_per_time, counting_model, run_batches
+from branch_tools import calls_per_time, cascade_model, counting_model, run_batches
 
 
 def test_w_spectrum_pure_dephasing_frozen():
@@ -145,13 +145,6 @@ def test_w_matching_gauge_reproduces_w_menu():
         assert np.allclose(pw, pm, atol=1e-10)
 
 
-def _cascade(dim):
-    """Driven cascade decay dim-1 -> ... -> 0, level k at rate k/2."""
-    lower = sum(np.outer(np.eye(dim)[k - 1], np.eye(dim)[k]) for k in range(1, dim))
-    channels = [(np.outer(np.eye(dim)[k - 1], np.eye(dim)[k]), 0.5 * k) for k in range(1, dim)]
-    return master_equation(dim, 0.8 * (lower + lower.T), channels)
-
-
 def _w_block(snap, states):
     """Q^dag J Q on psi^perp from the jump operator J, and the basis Q, one
     (d, d-1) matrix per state column."""
@@ -182,7 +175,7 @@ def test_general_w_path_is_the_jump_operator_spectrum():
     ququart's 3 x 3 block through LAPACK bit for bit, a qutrit's 2 x 2 block
     through the closed form."""
     for dim in (3, 4):
-        snap = _cascade(dim).at(0.2)
+        snap = cascade_model(dim).at(0.2)
         states = _haar_cols(dim, 100, 32)
         vals, phis = w_spectrum_batch(snap, states)
         vals, phis = vals.T, phis.transpose(2, 1, 0)  # one matrix per state
@@ -197,7 +190,7 @@ def test_general_w_path_is_the_jump_operator_spectrum():
 
 
 def test_qutrit_rate_operator_takes_the_general_eigh():
-    snap = _cascade(3).at(0.2)
+    snap = cascade_model(3).at(0.2)
     states = _haar_cols(3, 100, 33)
     phis = 0.3 * _haar_cols(3, 100, 34)
     vals, vecs = ro_spectrum_batch(snap, states, phis)

@@ -170,19 +170,23 @@ def _cascade(dim):
     return build
 
 
-def _dense(dim):
-    """A model with no structure: from ``default_rng(0)``, H = (A + A^dag)/2
-    of a complex Gaussian A and three complex Gaussian jump operators
-    scaled to unit Frobenius norm, each at rate 0.5."""
-    def build():
-        gen = np.random.default_rng(0)
-        a = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-        channels = []
-        for k in range(3):
-            op = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
-            channels.append((op / np.linalg.norm(op), 0.5, f"L{k}"))
-        return master_equation(dim, 0.5 * (a + a.conj().T), channels)
-    return build
+def dense_model(dim, channels=3, signs=(1.0,), sink=None, seed=0):
+    """A model with no structure: from ``default_rng(seed)``, H = (A + A^dag)/2
+    of a complex Gaussian A, then ``channels`` complex Gaussian jump
+    operators scaled to unit Frobenius norm, at rates 0.5 times ``signs``
+    (cycled). With ``sink`` the drift is G_L - sink * 1, so the trace grows
+    at rate ``sink``. Its uniform state is ``np.ones(dim) / sqrt(dim)``.
+    ``tests/branch_tools.py`` builds its dense models with this function."""
+    gen = np.random.default_rng(seed)
+    a = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+    ops = []
+    for k in range(channels):
+        op = gen.standard_normal((dim, dim)) + 1j * gen.standard_normal((dim, dim))
+        ops.append((op / np.linalg.norm(op), 0.5 * signs[k % len(signs)], f"L{k}"))
+    trace_sink = None
+    if sink is not None:
+        trace_sink = sum(abs(rate) * op.conj().T @ op for op, rate, _ in ops) - sink * np.eye(dim)
+    return master_equation(dim, 0.5 * (a + a.conj().T), ops, trace_sink=trace_sink)
 
 
 def _criterion5_embedding():
@@ -293,7 +297,7 @@ INPUTS = {
     "psi_roqj/qutrit_cascade": (lambda me: method_id("psi_roqj", gauge=gauge_none()), _cascade(3),
                                 QUTRIT, 1000, 1.5),
     # states of 8 and of 9 entries, the latter one trajectory a batch
-    "mcwf/dense_d8": (_kind("mcwf"), _dense(8), np.ones(8, dtype=complex) / np.sqrt(8.0), 500, 0.5),
+    "mcwf/dense_d8": (_kind("mcwf"), lambda: dense_model(8), np.ones(8, dtype=complex) / np.sqrt(8.0), 500, 0.5),
     "tripled/qutrit_cascade_n20": (_kind("tripled"), _cascade(3), QUTRIT, 20, 1.0),
     # a user embedding (tripled_embed) stepped by mcwf, as criterion 5 does
     "mcwf/criterion5_embedding": (_kind("mcwf"), _criterion5_embedding, np.kron(PLUS, _CHI), 500, 1.0),
